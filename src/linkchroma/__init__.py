@@ -11,7 +11,6 @@ from .core import (
     PairedGraph,
     Pairing,
     RotationSystem,
-    ThirdEdge,
     TwoComplex,
     WalkStep,
     connected_components,
@@ -30,8 +29,7 @@ from .core import (
     walk_reverse,
 )
 from .colour import (
-    ComplexColouring,
-    PairColouring,
+    Colouring,
     SolverLog,
     brute_force_edge_chromatic,
     chromatic_number,

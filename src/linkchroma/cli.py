@@ -30,7 +30,7 @@ from .construct import (
     verify_witness,
 )
 from .core import genus_check
-from .errors import BudgetExhausted, DomainError, SchemaError
+from .errors import DomainError, SchemaError
 from .search import search_witness
 
 
@@ -198,11 +198,7 @@ def cmd_verify_witness(args) -> int:
 
 
 def cmd_search_witness(args) -> int:
-    try:
-        witness = search_witness(args.seed, args.budget)
-    except BudgetExhausted as exc:
-        _eprint(f"error:domain: {exc}")
-        return 1
+    witness = search_witness(args.seed, args.budget)
     if args.out:
         _write_doc(args.out, formats.witness_to_doc(witness))
     steps = witness.provenance.get("steps_used")
@@ -335,9 +331,6 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         _eprint(f"error:schema: {exc}")
         return 2
-    except BudgetExhausted as exc:
-        _eprint(f"error:domain: {exc}")
-        return 1
     except DomainError as exc:
         _eprint(f"error:domain: {exc}")
         return 1

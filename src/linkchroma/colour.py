@@ -24,7 +24,6 @@ from .core import (
     PairedGraph,
     TwoComplex,
     EdgeEnd,
-    genus_check,
     id_sort_key,
     link_graph,
     simple_quotient,
@@ -33,21 +32,22 @@ from .errors import DomainError
 
 
 @dataclass(frozen=True)
-class PairColouring:
-    """Colours on the pairs of a paired graph, keyed by the canonical
-    (smaller, larger) pair tuple.  Colours are 0-based and < palette_size."""
+class Colouring:
+    """Colours 0..palette_size-1 keyed by what they colour: the canonical
+    (smaller, larger) pair tuple on a paired graph, the edge id on a
+    2-complex."""
 
     palette_size: int
     assignment: Mapping
 
     def __post_init__(self):
         assignment = dict(self.assignment)
-        for pair, colour in assignment.items():
+        for key, colour in assignment.items():
             if not isinstance(colour, int) or isinstance(colour, bool):
-                raise DomainError(f"colour of pair {pair!r} must be an integer")
+                raise DomainError(f"colour of {key!r} must be an integer")
             if not 0 <= colour < self.palette_size:
                 raise DomainError(
-                    f"colour {colour} of pair {pair!r} is outside palette of size {self.palette_size}"
+                    f"colour {colour} of {key!r} is outside palette of size {self.palette_size}"
                 )
         object.__setattr__(self, "assignment", assignment)
 
@@ -55,29 +55,7 @@ class PairColouring:
         return len(set(self.assignment.values()))
 
 
-@dataclass(frozen=True)
-class ComplexColouring:
-    """Colours on the edges of a 2-complex, keyed by edge id."""
-
-    palette_size: int
-    assignment: Mapping
-
-    def __post_init__(self):
-        assignment = dict(self.assignment)
-        for edge, colour in assignment.items():
-            if not isinstance(colour, int) or isinstance(colour, bool):
-                raise DomainError(f"colour of edge {edge!r} must be an integer")
-            if not 0 <= colour < self.palette_size:
-                raise DomainError(
-                    f"colour {colour} of edge {edge!r} is outside palette of size {self.palette_size}"
-                )
-        object.__setattr__(self, "assignment", assignment)
-
-    def colours_used(self) -> int:
-        return len(set(self.assignment.values()))
-
-
-def is_valid_pair_colouring(pg: PairedGraph, colouring: PairColouring) -> bool:
+def is_valid_pair_colouring(pg: PairedGraph, colouring: Colouring) -> bool:
     """True iff distinct pairs joined by an edge receive distinct colours.
 
     Within-pair edges are exempt; the check runs on the simple quotient.
@@ -93,7 +71,7 @@ def is_valid_pair_colouring(pg: PairedGraph, colouring: PairColouring) -> bool:
     return True
 
 
-def is_valid_complex_colouring(c: TwoComplex, colouring: ComplexColouring) -> bool:
+def is_valid_complex_colouring(c: TwoComplex, colouring: Colouring) -> bool:
     """True iff no cell boundary enters and leaves a vertex through two
     distinct equal-coloured edges.
 
@@ -247,7 +225,7 @@ def pair_chromatic_number(pg: PairedGraph, log: Optional[SolverLog] = None):
     quotient, with the witness lifted back to pairs."""
     k, witness = chromatic_number(simple_quotient(pg), log)
     assignment = {pair: witness[pair[0]] for pair in pg.pairing.pairs}
-    return k, PairColouring(k, assignment)
+    return k, Colouring(k, assignment)
 
 
 def edge_chromatic_number_complex(c: TwoComplex, log: Optional[SolverLog] = None):
@@ -262,7 +240,7 @@ def edge_chromatic_number_complex(c: TwoComplex, log: Optional[SolverLog] = None
         e.id: pair_witness.assignment[(EdgeEnd(e.id, 0), EdgeEnd(e.id, 1))]
         for e in c.skeleton.edges
     }
-    witness = ComplexColouring(k, assignment)
+    witness = Colouring(k, assignment)
     if not is_valid_complex_colouring(c, witness):
         raise DomainError("internal error: edge-chromatic witness failed the walk-level check")
     return k, witness
@@ -284,7 +262,7 @@ def brute_force_edge_chromatic(c: TwoComplex, k_max: int, force: bool = False) -
     for k in range(1, k_max + 1):
         for rest in itertools.product(range(k), repeat=len(edge_ids) - 1):
             assignment = dict(zip(edge_ids, (0,) + rest))
-            if is_valid_complex_colouring(c, ComplexColouring(k, assignment)):
+            if is_valid_complex_colouring(c, Colouring(k, assignment)):
                 return k
     raise DomainError(f"no valid colouring with at most {k_max} colours")
 
@@ -293,11 +271,22 @@ def brute_force_edge_chromatic(c: TwoComplex, k_max: int, force: bool = False) -
 # Degeneracy-greedy 12-colouring of certified-planar paired graphs
 
 
-def _require_planar_certificate(pg: PairedGraph) -> None:
-    if pg.rotation is None:
-        raise DomainError("planarity certificate missing: no rotation system")
-    if any(comp.genus != 0 for comp in genus_check(pg.graph, pg.rotation)):
-        raise DomainError("planarity certificate invalid: embedding has positive genus")
+def _degeneracy(pg: PairedGraph):
+    """The elimination order of ``heawood_degeneracy_order`` together with
+    the simple-quotient adjacency it was computed on."""
+    pg.require_planar()
+    adj = _simple_adjacency(simple_quotient(pg))
+    pair_of_rep = {pair[0]: pair for pair in pg.pairing.pairs}
+    order = []
+    remaining = set(adj)
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u] & remaining), id_sort_key(u)))
+        degree = len(adj[v] & remaining)
+        if degree > 11:
+            raise DomainError("planar paired graph produced a quotient of minimum degree > 11")
+        order.append((pair_of_rep[v], degree))
+        remaining.discard(v)
+    return order, adj
 
 
 def heawood_degeneracy_order(pg: PairedGraph) -> list:
@@ -306,32 +295,19 @@ def heawood_degeneracy_order(pg: PairedGraph) -> list:
 
     Requires a certified planar input.  Returns (pair, degree-at-removal)
     records; Euler's formula for planar graphs guarantees every recorded
-    degree is at most 11, and the function asserts this.
+    degree is at most 11, and the function raises DomainError otherwise.
     """
-    _require_planar_certificate(pg)
-    sq = simple_quotient(pg)
-    adj = _simple_adjacency(sq)
-    pair_of_rep = {pair[0]: pair for pair in pg.pairing.pairs}
-    order = []
-    remaining = set(adj)
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u] & remaining), id_sort_key(u)))
-        degree = len(adj[v] & remaining)
-        assert degree <= 11, "planar paired graph produced a quotient of minimum degree > 11"
-        order.append((pair_of_rep[v], degree))
-        remaining.discard(v)
-    return order
+    return _degeneracy(pg)[0]
 
 
-def heawood_colour_12(pg: PairedGraph) -> PairColouring:
+def heawood_colour_12(pg: PairedGraph) -> Colouring:
     """12-pair-colouring of a certified-planar paired graph.
 
     Greedy back-insertion along the reverse elimination order; each pair
     takes the smallest colour in 0..11 unused by its already-coloured
     quotient neighbours.  Always succeeds on certified inputs.
     """
-    order = heawood_degeneracy_order(pg)
-    adj = _simple_adjacency(simple_quotient(pg))
+    order, adj = _degeneracy(pg)
     assignment = {}
     colour_of_rep = {}
     for pair, _ in reversed(order):
@@ -341,4 +317,4 @@ def heawood_colour_12(pg: PairedGraph) -> PairColouring:
         assignment[pair] = colour
         colour_of_rep[rep] = colour
     palette = max(assignment.values()) + 1 if assignment else 0
-    return PairColouring(palette, assignment)
+    return Colouring(palette, assignment)

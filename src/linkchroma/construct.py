@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .colour import (
-    ComplexColouring,
+    Colouring,
     edge_chromatic_number_complex,
     heawood_colour_12,
     is_valid_complex_colouring,
@@ -49,17 +49,9 @@ from .core import (
     link_graph,
     paired_quotient,
     simple_quotient,
-    validate_rotation,
 )
 from .errors import DomainError
 from .triangulate import SphereTriangulation
-
-
-def require_certified_planar(pg: PairedGraph) -> None:
-    if pg.rotation is None:
-        raise DomainError("planarity certificate missing: no rotation system")
-    if any(comp.genus != 0 for comp in genus_check(pg.graph, pg.rotation)):
-        raise DomainError("planarity certificate invalid: embedding has positive genus")
 
 
 def is_degree_faithful(pg: PairedGraph) -> bool:
@@ -124,25 +116,10 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
 # Trail decomposition
 
 
-@dataclass(frozen=True)
-class PiTrail:
-    """Cyclic sequence of directed edges; each step enters its edge at the
-    tail side, and the next step's tail vertex is the partner of the
-    current step's head vertex."""
-
-    steps: tuple
-
-    def __post_init__(self):
-        steps = tuple(s if isinstance(s, WalkStep) else WalkStep(*s) for s in self.steps)
-        if not steps:
-            raise DomainError("a trail must be nonempty")
-        object.__setattr__(self, "steps", steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def validate_trail(pg: PairedGraph, trail: PiTrail) -> None:
+def validate_trail(pg: PairedGraph, trail: ClosedWalk) -> None:
+    """Check the partner-jump condition of a trail: each step enters its
+    edge at the tail side, and the next step's tail vertex is the partner
+    of the current step's head vertex."""
     n = len(trail.steps)
     for i in range(n):
         here = trail.steps[i]
@@ -206,7 +183,8 @@ def pi_trail_decomposition(pg: PairedGraph) -> tuple:
             continue
         for step in _euler_circuit(adj, q, start):
             orient[step.edge] = step.entry
-    assert len(orient) == len(pg.graph.edges)
+    if len(orient) != len(pg.graph.edges):
+        raise DomainError("internal error: Euler circuits missed an edge")
 
     heads_at = defaultdict(list)
     tails_at = defaultdict(list)
@@ -219,7 +197,8 @@ def pi_trail_decomposition(pg: PairedGraph) -> tuple:
         partner = pg.pairing.partner(y)
         heads = sorted(heads_at[y], key=end_sort_key)
         tails = sorted(tails_at[partner], key=end_sort_key)
-        assert len(heads) == len(tails), "oriented end counts must balance across partners"
+        if len(heads) != len(tails):
+            raise DomainError("internal error: oriented end counts must balance across partners")
         for h, t in zip(heads, tails):
             successor[h] = t
 
@@ -235,7 +214,7 @@ def pi_trail_decomposition(pg: PairedGraph) -> tuple:
             steps.append(cur)
             tail_end = successor[EdgeEnd(cur.edge, 1 - cur.entry)]
             cur = WalkStep(tail_end.edge, tail_end.side)
-        trails.append(PiTrail(tuple(steps)))
+        trails.append(ClosedWalk(tuple(steps)))
     return tuple(trails)
 
 
@@ -267,7 +246,7 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
     """
     if not is_degree_faithful(pg):
         raise DomainError("pairing is not degree-faithful")
-    require_certified_planar(pg)
+    pg.require_planar()
     trails = pi_trail_decomposition(pg)
     loops = tuple(Edge(u, SKELETON_VERTEX, SKELETON_VERTEX) for u, _ in pg.pairing.pairs)
     skeleton = Multigraph((SKELETON_VERTEX,), loops)
@@ -282,6 +261,16 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
     return TwoComplex(skeleton, tuple(cells), kind=PUNCTURED)
 
 
+def endpoint_multiset(g: Multigraph, mapping: Optional[dict] = None) -> Counter:
+    """The edges of ``g`` as a multiset of sorted endpoint pairs, with the
+    endpoints renamed through ``mapping`` when one is given."""
+    if mapping is None:
+        ends = ((e.end0, e.end1) for e in g.edges)
+    else:
+        ends = ((mapping[e.end0], mapping[e.end1]) for e in g.edges)
+    return Counter(tuple(sorted(pair, key=id_sort_key)) for pair in ends)
+
+
 def link_matches_paired_graph(link_pg: PairedGraph, pg: PairedGraph, ident: Optional[dict] = None) -> bool:
     """Exact comparison of a link graph with a paired graph under a vertex
     identification: equal vertex sets, equal edge multisets (as endpoint
@@ -291,15 +280,7 @@ def link_matches_paired_graph(link_pg: PairedGraph, pg: PairedGraph, ident: Opti
     mapped = [ident[v] for v in link_pg.graph.vertices]
     if len(set(mapped)) != len(mapped) or set(mapped) != set(pg.graph.vertices):
         return False
-
-    def endpoint_multiset(graph, mapping):
-        return Counter(
-            tuple(sorted((mapping[e.end0], mapping[e.end1]), key=id_sort_key))
-            for e in graph.edges
-        )
-
-    identity = {v: v for v in pg.graph.vertices}
-    if endpoint_multiset(link_pg.graph, ident) != endpoint_multiset(pg.graph, identity):
+    if endpoint_multiset(link_pg.graph, ident) != endpoint_multiset(pg.graph):
         return False
     mapped_pairs = {
         tuple(sorted((ident[a], ident[b]), key=id_sort_key)) for a, b in link_pg.pairing.pairs
@@ -321,6 +302,15 @@ def seal(c: TwoComplex) -> TwoComplex:
         sealed = steps + (first, first.flipped()) + tuple(s.flipped() for s in reversed(steps))
         cells.append(ClosedWalk(sealed))
     return TwoComplex(c.skeleton, tuple(cells), GENUINE)
+
+
+def check_seal_invariants(punctured_link: PairedGraph, sealed_link: PairedGraph) -> None:
+    """Raise DomainError unless sealing kept the link graph's vertex set and
+    every one of its edges, given the link graphs before and after."""
+    if set(sealed_link.graph.vertices) != set(punctured_link.graph.vertices):
+        raise DomainError("sealing changed the link graph's vertex set")
+    if endpoint_multiset(punctured_link.graph) - endpoint_multiset(sealed_link.graph):
+        raise DomainError("sealing lost link edges")
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +364,6 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
         checks.append(WitnessCheck("planar-embedding", False, "no rotation system"))
     else:
         try:
-            validate_rotation(w.graph, w.rotation)
             genera = [c.genus for c in genus_check(w.graph, w.rotation)]
             ok = all(g == 0 for g in genera)
             checks.append(
@@ -512,8 +501,8 @@ class PipelineStages:
     punctured: TwoComplex
     sealed: TwoComplex
     edge_chromatic: int
-    exact_colouring: ComplexColouring
-    degeneracy_colouring: ComplexColouring
+    exact_colouring: Colouring
+    degeneracy_colouring: Colouring
 
 
 def run_pipeline(witness: Optional[TwelvePireWitness] = None) -> PipelineStages:
@@ -534,30 +523,20 @@ def run_pipeline(witness: Optional[TwelvePireWitness] = None) -> PipelineStages:
 
     augmented = make_degree_faithful(witness.paired_graph())
     punctured = inverse_link(augmented)
+    link_p = link_graph(punctured)
     ident = canonical_link_identification(augmented)
-    if not link_matches_paired_graph(link_graph(punctured), augmented, ident):
+    if not link_matches_paired_graph(link_p, augmented, ident):
         raise DomainError("internal error: inverse link does not reproduce the augmented map")
 
     sealed = seal(punctured)
-    link_p = link_graph(punctured)
-    link_s = link_graph(sealed)
-    if set(link_s.graph.vertices) != set(link_p.graph.vertices):
-        raise DomainError("internal error: sealing changed the link graph's vertex set")
-    pairs_p = Counter(
-        tuple(sorted((e.end0, e.end1), key=id_sort_key)) for e in link_p.graph.edges
-    )
-    pairs_s = Counter(
-        tuple(sorted((e.end0, e.end1), key=id_sort_key)) for e in link_s.graph.edges
-    )
-    if pairs_p - pairs_s:
-        raise DomainError("internal error: sealing lost link edges")
+    check_seal_invariants(link_p, link_graph(sealed))
 
     k, exact_colouring = edge_chromatic_number_complex(sealed)
     if k != 12:
         raise DomainError(f"pipeline produced edge-chromatic number {k}, expected 12")
 
     hw = heawood_colour_12(augmented)
-    degeneracy_colouring = ComplexColouring(
+    degeneracy_colouring = Colouring(
         hw.palette_size,
         {pair[0]: hw.assignment[pair] for pair in augmented.pairing.pairs},
     )
@@ -573,9 +552,3 @@ def run_pipeline(witness: Optional[TwelvePireWitness] = None) -> PipelineStages:
         exact_colouring=exact_colouring,
         degeneracy_colouring=degeneracy_colouring,
     )
-
-
-def build_non_11_colourable(witness: Optional[TwelvePireWitness] = None) -> TwoComplex:
-    """The genuine 2-complex that needs 12 colours (and so is not
-    11-colourable)."""
-    return run_pipeline(witness).sealed

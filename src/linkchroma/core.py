@@ -59,10 +59,6 @@ class EdgeEnd(NamedTuple):
         return EdgeEnd(self.edge, 1 - self.side)
 
 
-#: Third-edges are edge-ends under a different reading.
-ThirdEdge = EdgeEnd
-
-
 def end_sort_key(end: EdgeEnd):
     return (id_sort_key(end.edge), end.side)
 
@@ -392,8 +388,13 @@ class PairedGraph:
     def pair_of(self, v) -> tuple:
         return self.pairing.pair_of(v)
 
-    def certified_planar(self) -> bool:
-        return self.rotation is not None and is_planar_embedding(self.graph, self.rotation)
+    def require_planar(self) -> None:
+        """Raise DomainError unless the rotation system certifies genus 0 on
+        every component."""
+        if self.rotation is None:
+            raise DomainError("planarity certificate missing: no rotation system")
+        if not is_planar_embedding(self.graph, self.rotation):
+            raise DomainError("planarity certificate invalid: embedding has positive genus")
 
 
 # ---------------------------------------------------------------------------

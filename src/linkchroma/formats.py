@@ -154,36 +154,38 @@ def _rotation_from_doc(doc, vertices) -> RotationSystem:
         raise SchemaError(str(exc)) from None
 
 
-def paired_graph_to_doc(pg: PairedGraph) -> dict:
-    doc = graph_to_doc(pg.graph)
-    doc["pairs"] = [[id_to_json(u), id_to_json(v)] for u, v in pg.pairing.pairs]
-    if pg.rotation is not None:
-        doc["rotation"] = _rotation_to_doc(pg.graph, pg.rotation)
+def _paired_doc(graph: Multigraph, pairs, rotation: Optional[RotationSystem]) -> dict:
+    """The fields shared by paired-graph and witness documents."""
+    doc = graph_to_doc(graph)
+    doc["pairs"] = [[id_to_json(u), id_to_json(v)] for u, v in pairs]
+    if rotation is not None:
+        doc["rotation"] = _rotation_to_doc(graph, rotation)
     return doc
 
 
-def _parse_pairs(raw) -> Pairing:
+def paired_graph_to_doc(pg: PairedGraph) -> dict:
+    return _paired_doc(pg.graph, pg.pairing.pairs, pg.rotation)
+
+
+def _parse_pair_list(raw, what: str) -> tuple:
     if not isinstance(raw, list):
-        raise SchemaError("'pairs' must be an array")
+        raise SchemaError(f"{what!r} must be an array")
     pairs = []
     for item in raw:
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"pair {item!r} must be an array of two vertices")
         pairs.append((id_from_json(item[0]), id_from_json(item[1])))
-    try:
-        return Pairing(tuple(pairs))
-    except DomainError as exc:
-        raise SchemaError(str(exc)) from None
+    return tuple(pairs)
 
 
 def paired_graph_from_doc(doc) -> PairedGraph:
     _check_fields(doc, ("vertices", "edges", "pairs"), ("rotation",), "paired graph")
     g = graph_from_doc({"vertices": doc["vertices"], "edges": doc["edges"]})
-    pairing = _parse_pairs(doc["pairs"])
-    rotation = None
-    if "rotation" in doc:
-        rotation = _rotation_from_doc(doc["rotation"], g.vertices)
     try:
+        pairing = Pairing(_parse_pair_list(doc["pairs"], "pairs"))
+        rotation = None
+        if "rotation" in doc:
+            rotation = _rotation_from_doc(doc["rotation"], g.vertices)
         return PairedGraph(g, pairing, rotation)
     except DomainError as exc:
         raise SchemaError(str(exc)) from None
@@ -273,10 +275,7 @@ def resolve_assignment(mapping: Mapping, candidates) -> dict:
 
 
 def witness_to_doc(witness) -> dict:
-    doc = graph_to_doc(witness.graph)
-    doc["pairs"] = [[id_to_json(u), id_to_json(v)] for u, v in witness.pairs]
-    if witness.rotation is not None:
-        doc["rotation"] = _rotation_to_doc(witness.graph, witness.rotation)
+    doc = _paired_doc(witness.graph, witness.pairs, witness.rotation)
     doc["designated_pairs"] = [
         [id_to_json(u), id_to_json(v)] for u, v in witness.designated_pairs
     ]
@@ -297,29 +296,16 @@ def witness_from_doc(doc):
         "witness",
     )
     g = graph_from_doc({"vertices": doc["vertices"], "edges": doc["edges"]})
-
-    def parse_pair_list(raw, what):
-        if not isinstance(raw, list):
-            raise SchemaError(f"{what!r} must be an array")
-        pairs = []
-        for item in raw:
-            if not isinstance(item, list) or len(item) != 2:
-                raise SchemaError(f"pair {item!r} must be an array of two vertices")
-            pairs.append((id_from_json(item[0]), id_from_json(item[1])))
-        return tuple(pairs)
-
     rotation = None
     if "rotation" in doc:
-        if not isinstance(doc["rotation"], Mapping):
-            raise SchemaError("rotation must be a JSON object")
         rotation = _rotation_from_doc(doc["rotation"], g.vertices)
     if not isinstance(doc["provenance"], Mapping):
         raise SchemaError("'provenance' must be a JSON object")
     return TwelvePireWitness(
         graph=g,
-        pairs=parse_pair_list(doc["pairs"], "pairs"),
+        pairs=_parse_pair_list(doc["pairs"], "pairs"),
         rotation=rotation,
-        designated_pairs=parse_pair_list(doc["designated_pairs"], "designated_pairs"),
+        designated_pairs=_parse_pair_list(doc["designated_pairs"], "designated_pairs"),
         provenance=dict(doc["provenance"]),
     )
 

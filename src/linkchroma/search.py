@@ -38,11 +38,11 @@ _T_END = 0.05
 _FLIP_PROB = 0.65
 
 
-def _degree_feasible(tri: SphereTriangulation) -> bool:
+def _degree_feasible(adj: dict) -> bool:
     """Necessary for a perfect pairing: degrees within 3..8 and the counts
     of complementary degrees (summing to 11) balanced."""
-    counts = Counter(len(tri.adj[v]) for v in tri.adj)
-    if any(d > 8 for d in counts):
+    counts = Counter(len(adj[v]) for v in adj)
+    if any(d < 3 or d > 8 for d in counts):
         return False
     return (
         counts[3] == counts[8]
@@ -65,12 +65,9 @@ def exact_pairing(adj: dict, node_cap: int = _BACKTRACK_NODE_CAP) -> Optional[li
     Backtracking with a fewest-candidates-first variable order, capped at
     ``node_cap`` search nodes.
     """
+    if not _degree_feasible(adj):
+        return None
     deg = {v: len(adj[v]) for v in adj}
-    counts = Counter(deg.values())
-    if any(d < 3 or d > 8 for d in deg.values()):
-        return None
-    if not (counts[3] == counts[8] and counts[4] == counts[7] and counts[5] == counts[6]):
-        return None
 
     unpaired = set(adj)
     pair_index = {}
@@ -294,7 +291,7 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
             reached_target = state.distinct == OBJECTIVE_MAX
             periodic = i % _BACKTRACK_EVERY == _BACKTRACK_EVERY - 1
             promising = state.distinct >= _BACKTRACK_TRIGGER and since_improvement == 0
-            if reached_target or ((periodic or promising) and _degree_feasible(state.tri)):
+            if reached_target or ((periodic or promising) and _degree_feasible(state.tri.adj)):
                 pairs = (
                     state.pairs()
                     if reached_target

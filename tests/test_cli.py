@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -118,6 +119,27 @@ class TestPipeline:
             capsys, "colour-complex", "--in", str(out_dir / "sealed.json"), "--palette", "11"
         )
         assert code == 1
+
+    # SHA-256 of each ``pipeline --out`` file on the shipped witness.  Any
+    # change to these bytes is a change to the published artifacts.
+    PINNED_SHA256 = {
+        "witness.json": "7c62a8cfce440d95512edbbd41270adbcf695d863fa7faafac75d5bc2692a2d9",
+        "augmented.json": "800e2673bdf4a14190ebe2e2e1064f3996acba8b2a3edc7bc9349014d6e1c0ac",
+        "punctured.json": "dd424a7cb4e3f22fe6e1e4ad1ae3e33ce2dd48a18c21b7d70e9945f65c29d04e",
+        "sealed.json": "1e5a61c1e1a126ea34b6c812882852c7e1d4273e19a8dbd5cc3b18090ebab9cd",
+        "colouring-exact.json": "2f9dbccc01860f86fa7245f5b1a10aa6ae0cd752264dcb91c7ce6ca368e26c20",
+        "colouring-degeneracy.json": "7536cc49d0b197a56d392cf8f7a977e7f3a4ae3e2712c049f216786de73b7b7f",
+    }
+
+    def test_artifacts_match_pinned_digests(self, capsys, tmp_path):
+        out_dir = tmp_path / "stages"
+        code, _, _ = run(capsys, "pipeline", "--out", str(out_dir))
+        assert code == 0
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in self.PINNED_SHA256
+        }
+        assert digests == self.PINNED_SHA256
 
     def test_byte_identical_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -4,11 +4,10 @@ import random
 import pytest
 
 from linkchroma import (
-    ComplexColouring,
+    Colouring,
     DomainError,
     Edge,
     Multigraph,
-    PairColouring,
     PairedGraph,
     Pairing,
     SolverLog,
@@ -53,7 +52,7 @@ def random_graph(rng, n, p):
 def triangle_pair_colouring(colours):
     L = link_graph(triangle_complex())
     assignment = {pair: colours[pair[0].edge] for pair in L.pairing.pairs}
-    return L, PairColouring(max(colours.values()) + 1, assignment)
+    return L, Colouring(max(colours.values()) + 1, assignment)
 
 
 class TestPairColouringValidity:
@@ -68,40 +67,40 @@ class TestPairColouringValidity:
     def test_within_pair_edges_impose_nothing(self):
         g = Multigraph((1, 2, 3, 4), (Edge("e", 1, 2), Edge("f", 3, 3)))
         pg = PairedGraph(g, Pairing(((1, 2), (3, 4))))
-        col = PairColouring(1, {(1, 2): 0, (3, 4): 0})
+        col = Colouring(1, {(1, 2): 0, (3, 4): 0})
         assert is_valid_pair_colouring(pg, col)
 
     def test_uncoloured_pair_raises(self):
         L, _ = triangle_pair_colouring({"a": 0, "b": 1, "c": 2})
         with pytest.raises(DomainError):
-            is_valid_pair_colouring(L, PairColouring(1, {}))
+            is_valid_pair_colouring(L, Colouring(1, {}))
 
     def test_colour_outside_palette_rejected(self):
         with pytest.raises(DomainError):
-            PairColouring(2, {("u", "v"): 2})
+            Colouring(2, {("u", "v"): 2})
 
 
 class TestComplexColouringValidity:
     def test_triangle_three_colours(self):
         c = triangle_complex()
         assert is_valid_complex_colouring(
-            c, ComplexColouring(3, {"a": 0, "b": 1, "c": 2})
+            c, Colouring(3, {"a": 0, "b": 1, "c": 2})
         )
 
     def test_triangle_two_colours_fail(self):
         c = triangle_complex()
         for a, b, cc in itertools.product(range(2), repeat=3):
             assert not is_valid_complex_colouring(
-                c, ComplexColouring(2, {"a": a, "b": b, "c": cc})
+                c, Colouring(2, {"a": a, "b": b, "c": cc})
             )
 
     def test_one_loop_single_colour(self):
         c = one_loop_complex()
-        assert is_valid_complex_colouring(c, ComplexColouring(1, {"e": 0}))
+        assert is_valid_complex_colouring(c, Colouring(1, {"e": 0}))
 
     def test_uncoloured_edge_raises(self):
         with pytest.raises(DomainError):
-            is_valid_complex_colouring(triangle_complex(), ComplexColouring(1, {"a": 0}))
+            is_valid_complex_colouring(triangle_complex(), Colouring(1, {"a": 0}))
 
 
 class TestChromaticNumber:
