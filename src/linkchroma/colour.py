@@ -15,6 +15,7 @@ is deliberately independent of link graphs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -26,7 +27,6 @@ from .core import (
     EdgeEnd,
     id_sort_key,
     link_graph,
-    simple_quotient,
 )
 from .errors import DomainError
 
@@ -65,7 +65,7 @@ def is_valid_pair_colouring(pg: PairedGraph, colouring: Colouring) -> bool:
         if pair not in colouring.assignment:
             raise DomainError(f"pair {pair!r} is uncoloured")
         colour_of_rep[pair[0]] = colouring.assignment[pair]
-    for e in simple_quotient(pg).edges:
+    for e in pg._simple_quotient.edges:
         if colour_of_rep[e.end0] == colour_of_rep[e.end1]:
             return False
     return True
@@ -223,7 +223,7 @@ def chromatic_number(g: Multigraph, log: Optional[SolverLog] = None):
 def pair_chromatic_number(pg: PairedGraph, log: Optional[SolverLog] = None):
     """Exact pair-chromatic number: the chromatic number of the simple
     quotient, with the witness lifted back to pairs."""
-    k, witness = chromatic_number(simple_quotient(pg), log)
+    k, witness = chromatic_number(pg._simple_quotient, log)
     assignment = {pair: witness[pair[0]] for pair in pg.pairing.pairs}
     return k, Colouring(k, assignment)
 
@@ -275,23 +275,40 @@ def _degeneracy(pg: PairedGraph):
     """The elimination order of ``heawood_degeneracy_order`` together with
     the simple-quotient adjacency it was computed on."""
     pg.require_planar()
-    adj = _simple_adjacency(simple_quotient(pg))
+    adj = _simple_adjacency(pg._simple_quotient)
     pair_of_rep = {pair[0]: pair for pair in pg.pairing.pairs}
+    degree = {v: len(ws) for v, ws in adj.items()}
+    key = {v: id_sort_key(v) for v in adj}
+    # Ids have distinct sort keys, so ties never fall through to comparing
+    # the vertices themselves.
+    heap = [(d, key[v], v) for v, d in degree.items()]
+    heapq.heapify(heap)
     order = []
-    remaining = set(adj)
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u] & remaining), id_sort_key(u)))
-        degree = len(adj[v] & remaining)
-        if degree > 11:
+    while heap:
+        d, _, v = heapq.heappop(heap)
+        if degree.get(v) != d:
+            continue  # removed, or its degree has dropped since this push
+        if d > 11:
             raise DomainError("planar paired graph produced a quotient of minimum degree > 11")
-        order.append((pair_of_rep[v], degree))
-        remaining.discard(v)
+        order.append((pair_of_rep[v], d))
+        del degree[v]
+        for w in adj[v]:
+            if w in degree:
+                degree[w] -= 1
+                heapq.heappush(heap, (degree[w], key[w], w))
     return order, adj
 
 
 def heawood_degeneracy_order(pg: PairedGraph) -> list:
     """Elimination order of pairs by repeatedly removing a pair of minimum
-    degree in the current simple quotient (lowest pair id on ties).
+    degree in the current simple quotient, the pair with the smallest
+    ``id_sort_key`` of its representative (its smaller member) first on
+    ties.
+
+    This is smallest-last ordering (Matula and Beck, JACM 1983) in
+    O(m log n): a heap of (current degree, sort key) entries, one pushed
+    whenever a neighbour's removal lowers a degree, with outdated entries
+    skipped when popped.
 
     Requires a certified planar input.  Returns (pair, degree-at-removal)
     records; Euler's formula for planar graphs guarantees every recorded

@@ -48,7 +48,6 @@ from .core import (
     id_sort_key,
     link_graph,
     paired_quotient,
-    simple_quotient,
 )
 from .errors import DomainError
 from .triangulate import SphereTriangulation
@@ -393,16 +392,18 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
         checks.append(WitnessCheck("pair-chromatic-12", False, "pairing invalid"))
         return WitnessReport(tuple(checks))
 
-    pg = PairedGraph(w.graph, pairing)
+    # The rotation rides along only once the planar-embedding check has
+    # validated it, so the Heawood colouring below reuses this object's
+    # quotient and planarity verdict.
+    pg = PairedGraph(w.graph, pairing, w.rotation if checks[0].passed else None)
     designated = tuple(tuple(sorted(p, key=id_sort_key)) for p in w.designated_pairs)
     if len(designated) != 12 or any(p not in pairing.pairs for p in designated):
         checks.append(
             WitnessCheck("designated-k12", False, "must designate 12 pairs of the pairing")
         )
     else:
-        sq = simple_quotient(pg)
         present = {
-            tuple(sorted((e.end0, e.end1), key=id_sort_key)) for e in sq.edges
+            tuple(sorted((e.end0, e.end1), key=id_sort_key)) for e in pg._simple_quotient.edges
         }
         reps = sorted((p[0] for p in designated), key=id_sort_key)
         missing = [
@@ -421,8 +422,8 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
 
     k, _ = pair_chromatic_number(pg)
     detail = f"exact pair-chromatic number {k}"
-    if k == 12 and w.rotation is not None and checks[0].passed:
-        hw = heawood_colour_12(PairedGraph(w.graph, pairing, w.rotation))
+    if k == 12 and pg.rotation is not None:
+        hw = heawood_colour_12(pg)
         detail += f"; degeneracy colouring uses {hw.colours_used()} colours"
     checks.append(WitnessCheck("pair-chromatic-12", k == 12, detail))
     return WitnessReport(tuple(checks))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError
@@ -390,11 +391,27 @@ class PairedGraph:
 
     def require_planar(self) -> None:
         """Raise DomainError unless the rotation system certifies genus 0 on
-        every component."""
+        every component.  The faces are traced once per object."""
         if self.rotation is None:
             raise DomainError("planarity certificate missing: no rotation system")
-        if not is_planar_embedding(self.graph, self.rotation):
+        if not self._genus_zero:
             raise DomainError("planarity certificate invalid: embedding has positive genus")
+
+    # Derived data, computed on first use and kept on the object.  The
+    # instance is frozen, so neither can go stale, and neither is a field, so
+    # equality and hashing ignore them.  They are not filled in
+    # ``__post_init__``, so building a paired graph that never needs them
+    # costs nothing extra.
+
+    @cached_property
+    def _genus_zero(self) -> bool:
+        # ``__post_init__`` has validated the rotation against the graph.
+        genera = genus_check(self.graph, self.rotation, rotation_validated=True)
+        return all(c.genus == 0 for c in genera)
+
+    @cached_property
+    def _simple_quotient(self) -> Multigraph:
+        return simple_quotient(self)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +429,11 @@ def trace_faces(g: Multigraph, rot: RotationSystem) -> tuple:
     """Face boundaries of the embedding: orbits of dart -> successor of the
     reversed dart.  Every dart lies on exactly one face."""
     validate_rotation(g, rot)
+    return _trace_faces(rot)
+
+
+def _trace_faces(rot: RotationSystem) -> tuple:
+    """``trace_faces`` for a rotation already validated against its graph."""
     succ = rotation_successor(rot)
     darts = sorted(succ, key=end_sort_key)
     faces = []
@@ -431,13 +453,15 @@ def trace_faces(g: Multigraph, rot: RotationSystem) -> tuple:
     return tuple(faces)
 
 
-def genus_check(g: Multigraph, rot: RotationSystem) -> tuple:
+def genus_check(g: Multigraph, rot: RotationSystem, *, rotation_validated: bool = False) -> tuple:
     """Per-component genus of the embedding certified by ``rot``.
 
     A component with no edges counts one face.  The genus of a valid
-    rotation system is always a non-negative integer.
+    rotation system is always a non-negative integer.  ``rot`` is checked
+    against ``g`` first unless ``rotation_validated`` says the caller has
+    already done so, as every ``PairedGraph`` does on construction.
     """
-    faces = trace_faces(g, rot)
+    faces = _trace_faces(rot) if rotation_validated else trace_faces(g, rot)
     comps = connected_components(g)
     comp_index = {}
     for i, comp in enumerate(comps):

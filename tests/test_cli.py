@@ -6,7 +6,7 @@ import pytest
 from linkchroma import formats, link_graph
 from linkchroma.catalogue import complete_graph, triangle_complex
 from linkchroma.cli import main
-from linkchroma.construct import load_shipped_witness
+from linkchroma.construct import load_shipped_witness, random_planar_paired_graph
 
 
 @pytest.fixture
@@ -212,6 +212,39 @@ class TestStageCommands:
         assert stdout.strip() == "12"
         k, raw = formats.colouring_from_doc(formats.load(out))
         assert k == 12 and len(raw) == 12
+
+    # SHA-256 of the stderr ``elimination_order`` line and of the ``--out``
+    # colouring written by ``heawood12``: the shipped witness, and a random
+    # 200-pair planar map (seed 0).
+    HEAWOOD_SHA256 = {
+        "witness": (
+            "0f21b7d8425d641683d3e01cb56c8c8dc4a24884b02b45a173f6bed5540b31e0",
+            "738cc290d86662da7878884739722c2bc3abafbaa5d29aa5389902fdfc2a2404",
+        ),
+        "random-200": (
+            "3a6742fd1213a7de44172b5736b1fc5eef51032d55f920da56a23bbd61487100",
+            "7dd838fe4bc03e50053acd722dabf9aaebcce45dbbb45f3d6e49b6ef72798236",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HEAWOOD_SHA256))
+    def test_heawood12_outputs_match_pinned_digests(self, capsys, tmp_path, name):
+        if name == "witness":
+            doc = formats.witness_to_doc(load_shipped_witness())
+            doc = {k: doc[k] for k in ("vertices", "edges", "pairs", "rotation")}
+        else:
+            doc = formats.paired_graph_to_doc(random_planar_paired_graph(0, 200))
+        paired_path = tmp_path / "paired.json"
+        formats.save(paired_path, doc)
+        out = tmp_path / "colouring.json"
+        code, _, stderr = run(capsys, "heawood12", "--in", str(paired_path), "--out", str(out))
+        assert code == 0
+        (line,) = [l for l in stderr.splitlines() if l.startswith('{"elimination_order"')]
+        digests = (
+            hashlib.sha256(line.encode("utf-8")).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest(),
+        )
+        assert digests == self.HEAWOOD_SHA256[name]
 
     def test_genus(self, capsys, tmp_path, witness_file):
         doc = formats.load(witness_file)

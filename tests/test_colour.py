@@ -10,11 +10,14 @@ from linkchroma import (
     Multigraph,
     PairedGraph,
     Pairing,
+    RotationSystem,
     SolverLog,
     TwoComplex,
     brute_force_edge_chromatic,
     chromatic_number,
     edge_chromatic_number_complex,
+    heawood_degeneracy_order,
+    id_sort_key,
     is_valid_complex_colouring,
     is_valid_pair_colouring,
     link_graph,
@@ -29,6 +32,7 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
+from linkchroma.construct import random_planar_paired_graph
 
 
 def reference_chromatic(g):
@@ -244,3 +248,47 @@ class TestBruteForce:
             assert brute_force_edge_chromatic(c, 4) == chromatic_number(
                 simple_quotient(link_graph(c))
             )[0]
+
+
+def reference_degeneracy_order(pg):
+    """The quadratic elimination loop, kept as the oracle: rescan every
+    remaining pair for the least (current degree, id_sort_key)."""
+    q = simple_quotient(pg)
+    adj = {v: set() for v in q.vertices}
+    for e in q.edges:
+        adj[e.end0].add(e.end1)
+        adj[e.end1].add(e.end0)
+    pair_of_rep = {pair[0]: pair for pair in pg.pairing.pairs}
+    order = []
+    remaining = set(adj)
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u] & remaining), id_sort_key(u)))
+        order.append((pair_of_rep[v], len(adj[v] & remaining)))
+        remaining.discard(v)
+    return order
+
+
+def ring_map(n_pairs):
+    """A ring of 2n vertices with mixed int, string and tuple ids, paired
+    along the ring: its simple quotient is an n-cycle, so every choice of
+    the elimination order is a tie broken by id alone."""
+    ids = [(i, f"v{i}", ("t", i))[i % 3] for i in range(2 * n_pairs)]
+    ring = [Edge(j, ids[j], ids[(j + 1) % len(ids)]) for j in range(len(ids))]
+    g = Multigraph(tuple(ids), tuple(ring))
+    rot = RotationSystem({v: g.ends_at(v) for v in g.vertices})
+    return PairedGraph(g, Pairing(tuple(zip(ids[::2], ids[1::2]))), rot)
+
+
+class TestHeawoodOrder:
+    def test_matches_quadratic_oracle_on_random_maps(self):
+        for n in (1, 2, 3, 7, 25, 100, 400):
+            for seed in (0, 1):
+                pg = random_planar_paired_graph(seed, n)
+                assert heawood_degeneracy_order(pg) == reference_degeneracy_order(pg), (seed, n)
+
+    def test_matches_quadratic_oracle_on_equal_degree_ties(self):
+        for n in (3, 10, 60):
+            pg = ring_map(n)
+            order = heawood_degeneracy_order(pg)
+            assert {d for _, d in order} == {0, 1, 2}
+            assert order == reference_degeneracy_order(pg)

@@ -286,6 +286,43 @@ class TestPairings:
         assert p.representative(4) == 3
 
 
+def k5_paired(rotation=True):
+    """K5 plus an isolated vertex, paired, with a rotation system (every
+    rotation of K5 has positive genus) unless ``rotation`` is false."""
+    k5 = k5_graph()
+    g = Multigraph(k5.vertices + (5,), k5.edges)
+    rot = RotationSystem({v: k5.ends_at(v) for v in k5.vertices}) if rotation else None
+    return PairedGraph(g, Pairing(((0, 1), (2, 3), (4, 5))), rot)
+
+
+class TestPairedGraphCaches:
+    def test_positive_genus_raises_on_every_call(self):
+        pg = k5_paired()
+        for _ in range(2):
+            with pytest.raises(DomainError, match="planarity certificate invalid"):
+                pg.require_planar()
+
+    def test_missing_rotation_raises(self):
+        pg = k5_paired(rotation=False)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="planarity certificate missing"):
+                pg.require_planar()
+
+    def test_cached_quotient_equals_simple_quotient(self):
+        for pg in (link_graph(tetrahedron_complex()), k5_paired()):
+            assert pg._simple_quotient == simple_quotient(pg)
+            assert pg._simple_quotient is pg._simple_quotient
+
+    def test_filled_caches_leave_equality_and_hash_alone(self):
+        filled, fresh = k5_paired(), k5_paired()
+        with pytest.raises(DomainError):
+            filled.require_planar()
+        assert filled._simple_quotient == simple_quotient(fresh)
+        assert filled == fresh
+        assert hash(filled) == hash(fresh)
+        assert len({filled, fresh}) == 1
+
+
 class TestSimplicial:
     def test_classics(self):
         assert is_simplicial(tetrahedron_complex())
