@@ -210,7 +210,7 @@ def cmd_genus(args) -> int:
     pg = formats.paired_graph_from_doc(_load(args.input))
     if pg.rotation is None:
         raise DomainError("the paired-graph file carries no rotation system")
-    components = genus_check(pg.graph, pg.rotation, rotation_validated=True)
+    components = genus_check(pg.graph, pg.rotation)
     for comp in components:
         print(f"component {formats.id_text(comp.vertices[0])}: genus {comp.genus} ({comp.face_count} faces)")
     planar = all(c.genus == 0 for c in components)

@@ -27,6 +27,7 @@ from .core import (
     EdgeEnd,
     id_sort_key,
     link_graph,
+    simple_quotient,
 )
 from .errors import DomainError
 
@@ -223,7 +224,7 @@ def chromatic_number(g: Multigraph, log: Optional[SolverLog] = None):
 def pair_chromatic_number(pg: PairedGraph, log: Optional[SolverLog] = None):
     """Exact pair-chromatic number: the chromatic number of the simple
     quotient, with the witness lifted back to pairs."""
-    k, witness = chromatic_number(pg._simple_quotient, log)
+    k, witness = chromatic_number(simple_quotient(pg), log)
     assignment = {pair: witness[pair[0]] for pair in pg.pairing.pairs}
     return k, Colouring(k, assignment)
 

@@ -25,10 +25,10 @@ from typing import Optional
 
 from .colour import (
     Colouring,
+    chromatic_number,
     edge_chromatic_number_complex,
     heawood_colour_12,
     is_valid_complex_colouring,
-    pair_chromatic_number,
 )
 from .core import (
     GENUINE,
@@ -420,7 +420,7 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
             )
         )
 
-    k, _ = pair_chromatic_number(pg)
+    k, _ = chromatic_number(pg._simple_quotient)
     detail = f"exact pair-chromatic number {k}"
     if k == 12 and pg.rotation is not None:
         hw = heawood_colour_12(pg)

@@ -406,7 +406,7 @@ class PairedGraph:
     @cached_property
     def _genus_zero(self) -> bool:
         # ``__post_init__`` has validated the rotation against the graph.
-        genera = genus_check(self.graph, self.rotation, rotation_validated=True)
+        genera = _genus_of(self.graph, _trace_faces(self.rotation))
         return all(c.genus == 0 for c in genera)
 
     @cached_property
@@ -453,15 +453,18 @@ def _trace_faces(rot: RotationSystem) -> tuple:
     return tuple(faces)
 
 
-def genus_check(g: Multigraph, rot: RotationSystem, *, rotation_validated: bool = False) -> tuple:
+def genus_check(g: Multigraph, rot: RotationSystem) -> tuple:
     """Per-component genus of the embedding certified by ``rot``.
 
     A component with no edges counts one face.  The genus of a valid
-    rotation system is always a non-negative integer.  ``rot`` is checked
-    against ``g`` first unless ``rotation_validated`` says the caller has
-    already done so, as every ``PairedGraph`` does on construction.
+    rotation system is always a non-negative integer.
     """
-    faces = _trace_faces(rot) if rotation_validated else trace_faces(g, rot)
+    return _genus_of(g, trace_faces(g, rot))
+
+
+def _genus_of(g: Multigraph, faces: tuple) -> tuple:
+    """``genus_check`` from the faces of a rotation already validated
+    against ``g``."""
     comps = connected_components(g)
     comp_index = {}
     for i, comp in enumerate(comps):
