@@ -43,10 +43,10 @@ from .core import (
     TwoComplex,
     WalkStep,
     connected_components,
-    end_sort_key,
     genus_check,
     id_sort_key,
     link_graph,
+    pair_key,
     paired_quotient,
 )
 from .errors import DomainError
@@ -129,16 +129,16 @@ def validate_trail(pg: PairedGraph, trail: ClosedWalk) -> None:
             raise DomainError(f"trail breaks the partner-jump condition at step {i}")
 
 
-def _euler_circuit(adj: dict, q: Multigraph, start) -> list:
-    """Deterministic Hierholzer on a multigraph given sorted incidence
-    lists; returns the circuit as entry-side walk steps."""
-    ptr = {v: 0 for v in adj}
+def _euler_circuit(q: Multigraph, start) -> list:
+    """Deterministic Hierholzer on ``q``, taking each vertex's edge-ends in
+    ``end_sort_key`` order; returns the circuit as entry-side walk steps."""
+    ptr = {v: 0 for v in q.vertices}
     used = set()
     stack = [(start, None)]
     out = []
     while stack:
         v, instep = stack[-1]
-        lst = adj[v]
+        lst = q.ends_at(v)
         i = ptr[v]
         while i < len(lst) and lst[i].edge in used:
             i += 1
@@ -169,22 +169,17 @@ def pi_trail_decomposition(pg: PairedGraph) -> tuple:
     if not is_degree_faithful(pg):
         raise DomainError("pairing is not degree-faithful")
     q = paired_quotient(pg)
-    adj = {v: [] for v in q.vertices}
-    for e in q.edges:
-        adj[e.end0].append(EdgeEnd(e.id, 0))
-        adj[e.end1].append(EdgeEnd(e.id, 1))
-    for v in adj:
-        adj[v].sort(key=end_sort_key)
     orient = {}
     for comp in connected_components(q):
-        start = next((v for v in comp if adj[v]), None)
+        start = next((v for v in comp if q.ends_at(v)), None)
         if start is None:
             continue
-        for step in _euler_circuit(adj, q, start):
+        for step in _euler_circuit(q, start):
             orient[step.edge] = step.entry
     if len(orient) != len(pg.graph.edges):
         raise DomainError("internal error: Euler circuits missed an edge")
 
+    # edges are walked in id order, so each list is in end_sort_key order
     heads_at = defaultdict(list)
     tails_at = defaultdict(list)
     for e in pg.graph.edges:
@@ -193,9 +188,7 @@ def pi_trail_decomposition(pg: PairedGraph) -> tuple:
         heads_at[e.endpoint(1 - s)].append(EdgeEnd(e.id, 1 - s))
     successor = {}
     for y in pg.graph.vertices:
-        partner = pg.pairing.partner(y)
-        heads = sorted(heads_at[y], key=end_sort_key)
-        tails = sorted(tails_at[partner], key=end_sort_key)
+        heads, tails = heads_at[y], tails_at[pg.pairing.partner(y)]
         if len(heads) != len(tails):
             raise DomainError("internal error: oriented end counts must balance across partners")
         for h, t in zip(heads, tails):
@@ -267,7 +260,7 @@ def endpoint_multiset(g: Multigraph, mapping: Optional[dict] = None) -> Counter:
         ends = ((e.end0, e.end1) for e in g.edges)
     else:
         ends = ((mapping[e.end0], mapping[e.end1]) for e in g.edges)
-    return Counter(tuple(sorted(pair, key=id_sort_key)) for pair in ends)
+    return Counter(pair_key(pair) for pair in ends)
 
 
 def link_matches_paired_graph(link_pg: PairedGraph, pg: PairedGraph, ident: Optional[dict] = None) -> bool:
@@ -281,9 +274,7 @@ def link_matches_paired_graph(link_pg: PairedGraph, pg: PairedGraph, ident: Opti
         return False
     if endpoint_multiset(link_pg.graph, ident) != endpoint_multiset(pg.graph):
         return False
-    mapped_pairs = {
-        tuple(sorted((ident[a], ident[b]), key=id_sort_key)) for a, b in link_pg.pairing.pairs
-    }
+    mapped_pairs = {pair_key((ident[a], ident[b])) for a, b in link_pg.pairing.pairs}
     return mapped_pairs == set(pg.pairing.pairs)
 
 
@@ -396,21 +387,17 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
     # validated it, so the Heawood colouring below reuses this object's
     # quotient and planarity verdict.
     pg = PairedGraph(w.graph, pairing, w.rotation if checks[0].passed else None)
-    designated = tuple(tuple(sorted(p, key=id_sort_key)) for p in w.designated_pairs)
+    designated = tuple(pair_key(p) for p in w.designated_pairs)
     if len(designated) != 12 or any(p not in pairing.pairs for p in designated):
         checks.append(
             WitnessCheck("designated-k12", False, "must designate 12 pairs of the pairing")
         )
     else:
-        present = {
-            tuple(sorted((e.end0, e.end1), key=id_sort_key)) for e in pg._simple_quotient.edges
-        }
+        present = {pair_key((e.end0, e.end1)) for e in pg._simple_quotient.edges}
+        # sorted, so each (a, b) below is already in pair_key order
         reps = sorted((p[0] for p in designated), key=id_sort_key)
         missing = [
-            (a, b)
-            for i, a in enumerate(reps)
-            for b in reps[i + 1 :]
-            if (a, b) not in present and (b, a) not in present
+            (a, b) for i, a in enumerate(reps) for b in reps[i + 1 :] if (a, b) not in present
         ]
         checks.append(
             WitnessCheck(
@@ -460,15 +447,14 @@ def random_planar_paired_graph(
     rng = random.Random(seed)
     n = 2 * n_pairs
     if n < 3:
-        g = Multigraph((0, 1), (Edge(0, 0, 1),))
+        edges = {0: Edge(0, 0, 1)}
         orders = {0: [EdgeEnd(0, 0)], 1: [EdgeEnd(0, 1)]}
     else:
         tri = SphereTriangulation()
         while tri.num_vertices < n:
             tri.insert_vertex(rng.randrange(tri.num_darts))
-        g, rot = tri.to_graph_and_rotation()
-        orders = {v: list(rot.order_at(v)) for v in g.vertices}
-    edges = {e.id: e for e in g.edges}
+        edges = {k: Edge(k, *tri.endpoints(k)) for k in range(tri.num_edges)}
+        orders = tri.rotation_orders()
     for e in list(edges.values()):
         if rng.random() < delete_prob:
             del edges[e.id]
@@ -479,11 +465,11 @@ def random_planar_paired_graph(
             new_id = ("dup", e.id)
             edges[new_id] = Edge(new_id, e.end0, e.end1)
             _insert_parallel(orders, e, new_id)
-    verts = list(g.vertices)
+    verts = list(range(n))
     rng.shuffle(verts)
     pairing = Pairing(tuple((verts[2 * i], verts[2 * i + 1]) for i in range(n_pairs)))
     return PairedGraph(
-        Multigraph(g.vertices, tuple(edges.values())), pairing, RotationSystem(orders)
+        Multigraph(tuple(range(n)), tuple(edges.values())), pairing, RotationSystem(orders)
     )
 
 

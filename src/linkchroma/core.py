@@ -45,6 +45,11 @@ def id_sort_key(value):
     raise DomainError(f"unsupported id {value!r}: ids are ints, strings or tuples")
 
 
+def pair_key(pair) -> tuple:
+    """Canonical key of an unordered pair of ids: its members in id order."""
+    return tuple(sorted(pair, key=id_sort_key))
+
+
 class EdgeEnd(NamedTuple):
     """One of the two distinguishable ends of an edge.
 
@@ -90,12 +95,8 @@ class Multigraph:
 
     def __post_init__(self):
         verts = tuple(sorted(self.vertices, key=id_sort_key))
-        edges = tuple(
-            sorted(
-                (e if isinstance(e, Edge) else Edge(*e) for e in self.edges),
-                key=lambda e: id_sort_key(e.id),
-            )
-        )
+        edges = (e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
+        edges = tuple(sorted(edges, key=lambda e: id_sort_key(e.id)))
         if len(set(verts)) != len(verts):
             raise DomainError("duplicate vertex id")
         vset = set(verts)
@@ -112,11 +113,8 @@ class Multigraph:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_edge_by_id", by_id)
-        object.__setattr__(
-            self,
-            "_ends_at",
-            {v: tuple(sorted(es, key=end_sort_key)) for v, es in ends_at.items()},
-        )
+        # edges are walked in id order, so each list is in end_sort_key order
+        object.__setattr__(self, "_ends_at", {v: tuple(es) for v, es in ends_at.items()})
 
     def edge(self, edge_id) -> Edge:
         try:
@@ -274,7 +272,7 @@ class Pairing:
             members = tuple(raw)
             if len(members) != 2 or members[0] == members[1]:
                 raise DomainError(f"pairing class {members!r} must have exactly two distinct members")
-            members = tuple(sorted(members, key=id_sort_key))
+            members = pair_key(members)
             for m in members:
                 if m in seen:
                     raise DomainError(f"vertex {m!r} appears in more than one pair")
@@ -543,31 +541,34 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     return PairedGraph(Multigraph(verts, tuple(edges)), pairing)
 
 
+def _quotient_parts(pg: PairedGraph) -> tuple:
+    """The quotient vertices (each pair's smaller member) and a generator of
+    the edges of ``pg`` renamed onto them, in edge-id order."""
+    rep = {v: p[0] for p in pg.pairing.pairs for v in p}
+    verts = tuple(p[0] for p in pg.pairing.pairs)
+    return verts, (Edge(e.id, rep[e.end0], rep[e.end1]) for e in pg.graph.edges)
+
+
 def paired_quotient(pg: PairedGraph) -> Multigraph:
     """Identify the two vertices of every pair, keeping all edges.
 
     The quotient vertex of a pair is named by the pair's smaller member.
     An edge inside one pair becomes a loop; parallel edges are preserved.
     """
-    rep = {v: p[0] for p in pg.pairing.pairs for v in p}
-    verts = tuple(p[0] for p in pg.pairing.pairs)
-    edges = tuple(Edge(e.id, rep[e.end0], rep[e.end1]) for e in pg.graph.edges)
-    return Multigraph(verts, edges)
+    verts, edges = _quotient_parts(pg)
+    return Multigraph(verts, tuple(edges))
 
 
 def simple_quotient(pg: PairedGraph) -> Multigraph:
     """The paired quotient with loops deleted and parallel classes collapsed
     to their smallest edge id.  This is the graph that carries all colouring
     constraints: within-pair adjacencies impose none."""
-    q = paired_quotient(pg)
+    verts, edges = _quotient_parts(pg)
     keep = {}
-    for e in q.edges:
-        if e.is_loop:
-            continue
-        key = tuple(sorted((e.end0, e.end1), key=id_sort_key))
-        if key not in keep:
-            keep[key] = e
-    return Multigraph(q.vertices, tuple(keep.values()))
+    for e in edges:  # in edge-id order, so the first edge of a class is kept
+        if not e.is_loop:
+            keep.setdefault(pair_key((e.end0, e.end1)), e)
+    return Multigraph(verts, tuple(keep.values()))
 
 
 def is_simplicial(c: TwoComplex) -> bool:
@@ -577,7 +578,7 @@ def is_simplicial(c: TwoComplex) -> bool:
     for e in c.skeleton.edges:
         if e.is_loop:
             return False
-        key = tuple(sorted((e.end0, e.end1), key=id_sort_key))
+        key = pair_key((e.end0, e.end1))
         if key in seen_endpoints:
             return False
         seen_endpoints.add(key)

@@ -91,6 +91,15 @@ def _check_fields(doc, required, optional, what):
             raise SchemaError(f"unknown field {name!r} in {what} document")
 
 
+def _parse_side_entry(item, what: str, shape: str) -> tuple:
+    """An ``[edge, side]`` array as ``(edge id, side)``.  The side must be
+    the integer 0 or 1; JSON ``true``/``false`` (and ``1.0``) compare equal
+    to those in Python, so the type is checked too."""
+    if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int and item[1] in (0, 1)):
+        raise SchemaError(f"{what} {item!r} must be {shape}")
+    return id_from_json(item[0]), item[1]
+
+
 # ---------------------------------------------------------------------------
 # Graphs
 
@@ -142,12 +151,9 @@ def _rotation_from_doc(doc, vertices) -> RotationSystem:
             raise SchemaError(f"rotation mentions unknown vertex {key!r}")
         if not isinstance(order, list):
             raise SchemaError(f"rotation order at {key!r} must be an array")
-        ends = []
-        for item in order:
-            if not isinstance(item, list) or len(item) != 2 or item[1] not in (0, 1):
-                raise SchemaError(f"rotation entry {item!r} must be [edge, side]")
-            ends.append(EdgeEnd(id_from_json(item[0]), item[1]))
-        orders[by_text[key]] = tuple(ends)
+        orders[by_text[key]] = tuple(
+            EdgeEnd(*_parse_side_entry(item, "rotation entry", "[edge, side]")) for item in order
+        )
     try:
         return RotationSystem(orders)
     except DomainError as exc:
@@ -216,13 +222,11 @@ def complex_from_doc(doc) -> TwoComplex:
     for cell in doc["cells"]:
         if not isinstance(cell, list):
             raise SchemaError("each cell must be an array of steps")
-        steps = []
-        for item in cell:
-            if not isinstance(item, list) or len(item) != 2 or item[1] not in (0, 1):
-                raise SchemaError(f"walk step {item!r} must be [edge, entry_side]")
-            steps.append(WalkStep(id_from_json(item[0]), item[1]))
+        steps = tuple(
+            WalkStep(*_parse_side_entry(item, "walk step", "[edge, entry_side]")) for item in cell
+        )
         try:
-            cells.append(ClosedWalk(tuple(steps)))
+            cells.append(ClosedWalk(steps))
         except DomainError as exc:
             raise SchemaError(str(exc)) from None
     try:

@@ -120,6 +120,11 @@ class SphereTriangulation:
             tuple(range(self.num_vertices)),
             tuple(Edge(k, *self.endpoints(k)) for k in range(self.num_edges)),
         )
+        return g, RotationSystem(self.rotation_orders())
+
+    def rotation_orders(self) -> dict:
+        """The rotation at every vertex as a list of edge-ends, starting at
+        its smallest dart, which is its smallest end."""
         darts_at = {v: [] for v in range(self.num_vertices)}
         for d, v in enumerate(self.origin):
             darts_at[v].append(d)
@@ -135,5 +140,5 @@ class SphereTriangulation:
                     break
             if len(cycle) != len(darts):
                 raise DomainError("corrupt triangulation: broken rotation cycle")
-            orders[v] = tuple(cycle)
-        return g, RotationSystem(orders)
+            orders[v] = cycle
+        return orders

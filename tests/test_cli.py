@@ -246,6 +246,33 @@ class TestStageCommands:
         )
         assert digests == self.HEAWOOD_SHA256[name]
 
+    # SHA-256 of the ``quotient``, ``quotient --simple`` and (after
+    # ``augment``) ``inverse-link`` output files for
+    # ``random_planar_paired_graph(0, 50)``.
+    MAP_STAGE_SHA256 = {
+        "quotient.json": "94f2237379fac09fbe178f1e66328746684de18381e3ba99ec7ccd18edfa10de",
+        "simple.json": "9a98400457aa310d265ad070a3c2d46336dfe3e0be883f696e0d5f5e91c3055e",
+        "punctured.json": "404ce9661f79f07e60047db2637c4b8360962e8e2f94b33b481966ab37adaf6a",
+    }
+
+    def test_map_stage_outputs_match_pinned_digests(self, capsys, tmp_path):
+        paired = str(tmp_path / "paired.json")
+        formats.save(paired, formats.paired_graph_to_doc(random_planar_paired_graph(0, 50)))
+        out = {name: str(tmp_path / name) for name in ("augmented.json", *self.MAP_STAGE_SHA256)}
+        for argv in (
+            ("quotient", "--in", paired, "--out", out["quotient.json"]),
+            ("quotient", "--in", paired, "--simple", "--out", out["simple.json"]),
+            ("augment", "--in", paired, "--out", out["augmented.json"]),
+            ("inverse-link", "--in", out["augmented.json"], "--out", out["punctured.json"]),
+        ):
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.MAP_STAGE_SHA256
+        }
+        assert digests == self.MAP_STAGE_SHA256
+
     def test_genus(self, capsys, tmp_path, witness_file):
         doc = formats.load(witness_file)
         paired = {k: doc[k] for k in ("vertices", "edges", "pairs", "rotation")}
@@ -285,6 +312,18 @@ class TestDotAndErrors:
         code, _, stderr = run(capsys, "chroma", "--in", str(bad))
         assert code == 2
         assert "error:schema:" in stderr
+
+    def test_boolean_side_exits_2(self, capsys, tmp_path):
+        punctured = tmp_path / "punctured.json"
+        punctured.write_text(
+            '{"skeleton": {"vertices": ["v"], "edges": [{"id": "e", "end0": "v", "end1": "v"}]},'
+            ' "cells": [[["e", true]]], "kind": "punctured"}\n'
+        )
+        sealed = tmp_path / "sealed.json"
+        code, _, stderr = run(capsys, "seal", "--in", str(punctured), "--out", str(sealed))
+        assert code == 2
+        assert stderr.startswith("error:schema:")
+        assert not sealed.exists()
 
     def test_missing_file_exits_2(self, capsys):
         code, _, stderr = run(capsys, "chroma", "--in", "/nonexistent.json")

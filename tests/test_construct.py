@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from linkchroma import (
     pair_chromatic_number,
     simple_quotient,
 )
+from linkchroma import formats
 from linkchroma.construct import (
     canonical_link_identification,
     inverse_link,
@@ -231,6 +233,21 @@ class TestRandomGenerator:
 
     def test_deterministic(self):
         assert random_planar_paired_graph(11, 9) == random_planar_paired_graph(11, 9)
+
+    # SHA-256 of the paired-graph document of ``random_planar_paired_graph(0, n)``;
+    # n = 1 takes the branch without a triangulation.
+    GENERATOR_SHA256 = {
+        1: "f3ec6ac3d51984fc339c6bc66799cd42e8c030782080b6505c44653003a64678",
+        2: "16bdb3718062a8c7d039950ccc3d47262ab9632ba131059bf2e10e3190288766",
+        50: "fbfbe119669c87fa9d80627451f273283c44b6305d410e9be5954d26e57bfc89",
+        400: "222820bac315b33f69ee8d85029fd808e76c704ea290d34bf3d80e15b67c0736",
+    }
+
+    @pytest.mark.parametrize("n_pairs", sorted(GENERATOR_SHA256))
+    def test_documents_match_pinned_digests(self, n_pairs):
+        text = formats.dumps(formats.paired_graph_to_doc(random_planar_paired_graph(0, n_pairs)))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == self.GENERATOR_SHA256[n_pairs]
 
     def test_rejects_zero_pairs(self):
         with pytest.raises(DomainError):

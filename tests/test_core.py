@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from linkchroma import (
@@ -13,6 +15,7 @@ from linkchroma import (
     WalkStep,
     connected_components,
     genus_check,
+    id_sort_key,
     is_planar_embedding,
     is_simplicial,
     link_graph,
@@ -31,6 +34,8 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
+from linkchroma.construct import random_planar_paired_graph
+from linkchroma.corpus import enumerate_small_complexes
 
 
 def edge_pairs(g):
@@ -216,6 +221,53 @@ class TestQuotients:
     def test_quotient_preserves_edge_count(self):
         L = link_graph(tetrahedron_complex())
         assert len(paired_quotient(L).edges) == len(L.graph.edges)
+
+
+def two_step_simple_quotient(pg):
+    """Oracle: the full paired quotient, then loops dropped and each class
+    of parallel edges kept at its smallest edge id, found by comparing ids
+    rather than by relying on the order of the edges."""
+    q = paired_quotient(pg)
+    keep = {}
+    for e in q.edges:
+        if e.is_loop:
+            continue
+        key = tuple(sorted((e.end0, e.end1), key=id_sort_key))
+        if key not in keep or id_sort_key(e.id) < id_sort_key(keep[key].id):
+            keep[key] = e
+    return Multigraph(q.vertices, tuple(keep.values()))
+
+
+class TestSimpleQuotientOracle:
+    def test_random_maps(self):
+        for n in list(range(1, 21)) + [50, 100, 150, 200]:
+            pg = random_planar_paired_graph(n, n)
+            assert simple_quotient(pg) == two_step_simple_quotient(pg)
+
+    def test_link_graphs_of_small_complexes(self):
+        complexes = [triangle_complex(), tetrahedron_complex(), one_loop_complex()]
+        complexes += itertools.islice(enumerate_small_complexes(), 0, None, 40)
+        for c in complexes:
+            L = link_graph(c)
+            assert simple_quotient(L) == two_step_simple_quotient(L)
+
+    def test_parallel_class_mixing_int_str_and_tuple_ids(self):
+        g = Multigraph(
+            ("a", "b", "c", "d"),
+            (
+                Edge(("t", 1), "a", "c"),
+                Edge("s", "b", "d"),
+                Edge(5, "d", "a"),
+                Edge(3, "c", "b"),
+                Edge(0, "a", "b"),
+                Edge(("t", 0), "c", "d"),
+            ),
+        )
+        pg = PairedGraph(g, Pairing((("a", "b"), ("c", "d"))))
+        sq = simple_quotient(pg)
+        assert sq == two_step_simple_quotient(pg)
+        assert sq.vertices == ("a", "c")
+        assert sq.edges == (Edge(3, "c", "a"),)
 
 
 class TestGenus:

@@ -75,6 +75,18 @@ class TestPairedGraphDocuments:
         with pytest.raises(SchemaError):
             formats.paired_graph_from_doc(doc)
 
+    @pytest.mark.parametrize("side", [True, False, 1.0])
+    def test_non_integer_rotation_side_rejected(self, side):
+        doc = {
+            "vertices": ["u", "v"],
+            "edges": [{"id": "e", "end0": "u", "end1": "v"}],
+            "pairs": [["u", "v"]],
+            "rotation": {"u": [["e", 0]], "v": [["e", 1]]},
+        }
+        doc["rotation"]["u" if side == 0 else "v"] = [["e", side]]
+        with pytest.raises(SchemaError, match="rotation entry"):
+            formats.paired_graph_from_doc(doc)
+
     def test_rotation_key_for_unknown_vertex_rejected(self):
         g, rot = k4_with_planar_rotation()
         pg = PairedGraph(g, Pairing(((1, 2), (3, 4))), rot)
@@ -105,6 +117,13 @@ class TestComplexDocuments:
         doc = formats.complex_to_doc(triangle_complex())
         doc["cells"][0][0] = ["a", 2]
         with pytest.raises(SchemaError):
+            formats.complex_from_doc(doc)
+
+    @pytest.mark.parametrize("side", [True, False, 0.0])
+    def test_non_integer_step_side_rejected(self, side):
+        doc = formats.complex_to_doc(triangle_complex())
+        doc["cells"][0][0][1] = side
+        with pytest.raises(SchemaError, match="walk step"):
             formats.complex_from_doc(doc)
 
 
