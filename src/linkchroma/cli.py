@@ -2,7 +2,7 @@
 
 One subcommand per pipeline stage plus format utilities.  Exit codes:
 0 = success, 1 = domain failure (a check failed or a precondition does not
-hold), 2 = malformed input or usage.  Human-readable summaries go to
+hold), 2 = malformed input, usage, or a file that cannot be read or written.  Human-readable summaries go to
 stdout, artifacts to files, and diagnostics (including one-line
 machine-parsable error reasons) to stderr.
 """
@@ -38,21 +38,20 @@ def _eprint(text: str) -> None:
     print(text, file=sys.stderr)
 
 
-def _load(path: str) -> dict:
-    try:
-        return formats.load(path)
-    except FileNotFoundError:
-        raise SchemaError(f"no such file: {path}") from None
-
-
 def _write_doc(path: str, doc: dict) -> None:
     formats.save(path, doc)
     _eprint(f"wrote {path}")
 
 
-def _check_palette(k: int, palette) -> int:
-    if palette is not None and k > palette:
-        _eprint(f"error:domain: needs {k} colours, exceeding the requested palette of {palette}")
+def _report_colouring(args, log: SolverLog, k: int, assignment) -> int:
+    """Solver log to stderr, the colouring to ``--out`` if given and ``k``
+    to stdout; exit 1 if ``k`` exceeds ``--palette``."""
+    _eprint(json.dumps({"solver": log.as_dict()}))
+    if args.out:
+        _write_doc(args.out, formats.colouring_to_doc(k, assignment))
+    print(k)
+    if args.palette is not None and k > args.palette:
+        _eprint(f"error:domain: needs {k} colours, exceeding the requested palette of {args.palette}")
         return 1
     return 0
 
@@ -60,7 +59,7 @@ def _check_palette(k: int, palette) -> int:
 def cmd_link(args) -> int:
     from .core import link_graph
 
-    c = formats.complex_from_doc(_load(args.input))
+    c = formats.complex_from_doc(formats.load(args.input))
     L = link_graph(c)
     if args.out:
         _write_doc(args.out, formats.paired_graph_to_doc(L))
@@ -74,7 +73,7 @@ def cmd_link(args) -> int:
 def cmd_quotient(args) -> int:
     from .core import paired_quotient, simple_quotient
 
-    pg = formats.paired_graph_from_doc(_load(args.input))
+    pg = formats.paired_graph_from_doc(formats.load(args.input))
     q = simple_quotient(pg) if args.simple else paired_quotient(pg)
     if args.out:
         _write_doc(args.out, formats.graph_to_doc(q))
@@ -84,42 +83,30 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_chroma(args) -> int:
-    g = formats.graph_from_doc(_load(args.input))
+    g = formats.graph_from_doc(formats.load(args.input))
     log = SolverLog([], 0, 0)
     k, witness = chromatic_number(g, log)
-    _eprint(json.dumps({"solver": log.as_dict()}))
-    if args.out:
-        _write_doc(args.out, formats.colouring_to_doc(k, witness))
-    print(k)
-    return _check_palette(k, args.palette)
+    return _report_colouring(args, log, k, witness)
 
 
 def cmd_pair_chroma(args) -> int:
-    pg = formats.paired_graph_from_doc(_load(args.input))
+    pg = formats.paired_graph_from_doc(formats.load(args.input))
     log = SolverLog([], 0, 0)
     k, witness = pair_chromatic_number(pg, log)
-    _eprint(json.dumps({"solver": log.as_dict()}))
-    if args.out:
-        _write_doc(args.out, formats.colouring_to_doc(k, witness.assignment))
-    print(k)
-    return _check_palette(k, args.palette)
+    return _report_colouring(args, log, k, witness.assignment)
 
 
 def cmd_colour_complex(args) -> int:
-    c = formats.complex_from_doc(_load(args.input))
+    c = formats.complex_from_doc(formats.load(args.input))
     log = SolverLog([], 0, 0)
     k, witness = edge_chromatic_number_complex(c, log)
-    _eprint(json.dumps({"solver": log.as_dict()}))
-    if args.out:
-        _write_doc(args.out, formats.colouring_to_doc(k, witness.assignment))
-    print(k)
-    return _check_palette(k, args.palette)
+    return _report_colouring(args, log, k, witness.assignment)
 
 
 def cmd_heawood12(args) -> int:
     from .colour import heawood_degeneracy_order
 
-    pg = formats.paired_graph_from_doc(_load(args.input))
+    pg = formats.paired_graph_from_doc(formats.load(args.input))
     order = heawood_degeneracy_order(pg)
     _eprint(
         json.dumps(
@@ -138,7 +125,7 @@ def cmd_heawood12(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    pg = formats.paired_graph_from_doc(_load(args.input))
+    pg = formats.paired_graph_from_doc(formats.load(args.input))
     out = make_degree_faithful(pg)
     _write_doc(args.out, formats.paired_graph_to_doc(out))
     print(f"augmented: {len(out.graph.edges)} edges (from {len(pg.graph.edges)})")
@@ -146,7 +133,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_inverse_link(args) -> int:
-    pg = formats.paired_graph_from_doc(_load(args.input))
+    pg = formats.paired_graph_from_doc(formats.load(args.input))
     c = inverse_link(pg)
     _write_doc(args.out, formats.complex_to_doc(c))
     print(f"punctured complex: {len(c.skeleton.edges)} loops, {len(c.cells)} cells")
@@ -154,7 +141,7 @@ def cmd_inverse_link(args) -> int:
 
 
 def cmd_seal(args) -> int:
-    c = formats.complex_from_doc(_load(args.input))
+    c = formats.complex_from_doc(formats.load(args.input))
     s = seal(c)
     _write_doc(args.out, formats.complex_to_doc(s))
     print(f"sealed complex: {len(s.cells)} genuine cells")
@@ -164,7 +151,7 @@ def cmd_seal(args) -> int:
 def cmd_pipeline(args) -> int:
     witness = None
     if args.input:
-        witness = formats.witness_from_doc(_load(args.input))
+        witness = formats.witness_from_doc(formats.load(args.input))
     stages = run_pipeline(witness)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -190,7 +177,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_verify_witness(args) -> int:
-    witness = formats.witness_from_doc(_load(args.input))
+    witness = formats.witness_from_doc(formats.load(args.input))
     report = verify_witness(witness)
     for line in report.lines():
         print(line)
@@ -207,7 +194,7 @@ def cmd_search_witness(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    pg = formats.paired_graph_from_doc(_load(args.input))
+    pg = formats.paired_graph_from_doc(formats.load(args.input))
     if pg.rotation is None:
         raise DomainError("the paired-graph file carries no rotation system")
     components = genus_check(pg.graph, pg.rotation)
@@ -219,7 +206,7 @@ def cmd_genus(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    doc = _load(args.input)
+    doc = formats.load(args.input)
     kind = formats.sniff_kind(doc)
     if kind == "witness":
         w = formats.witness_from_doc(doc)
@@ -328,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:
         _eprint(f"error:schema: {exc}")
         return 2
     except DomainError as exc:

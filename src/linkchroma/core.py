@@ -360,15 +360,6 @@ def validate_rotation(g: Multigraph, rot: RotationSystem) -> None:
         raise DomainError(f"rotation system is missing {missing} edge-end(s)")
 
 
-def rotation_successor(rot: RotationSystem) -> dict:
-    succ = {}
-    for _, order in rot.orders:
-        n = len(order)
-        for i, end in enumerate(order):
-            succ[end] = order[(i + 1) % n]
-    return succ
-
-
 @dataclass(frozen=True)
 class PairedGraph:
     """A multigraph with a perfect pairing of its vertices, optionally
@@ -403,9 +394,7 @@ class PairedGraph:
 
     @cached_property
     def _genus_zero(self) -> bool:
-        # ``__post_init__`` has validated the rotation against the graph.
-        genera = _genus_of(self.graph, _trace_faces(self.rotation))
-        return all(c.genus == 0 for c in genera)
+        return is_planar_embedding(self.graph, self.rotation)
 
     @cached_property
     def _simple_quotient(self) -> Multigraph:
@@ -425,28 +414,27 @@ class ComponentEmbedding(NamedTuple):
 
 def trace_faces(g: Multigraph, rot: RotationSystem) -> tuple:
     """Face boundaries of the embedding: orbits of dart -> successor of the
-    reversed dart.  Every dart lies on exactly one face."""
+    reversed dart.  Every dart lies on exactly one face.
+
+    Each face starts at its first dart in the stored rotation order
+    (vertices in id order, each order from its smallest end), so the faces
+    are reproducible without sorting the darts.
+    """
     validate_rotation(g, rot)
-    return _trace_faces(rot)
-
-
-def _trace_faces(rot: RotationSystem) -> tuple:
-    """``trace_faces`` for a rotation already validated against its graph."""
-    succ = rotation_successor(rot)
-    darts = sorted(succ, key=end_sort_key)
+    succ = {}
+    for _, order in rot.orders:
+        succ.update(zip(order, order[1:] + order[:1]))
     faces = []
     visited = set()
-    for start in darts:
+    for start in succ:
         if start in visited:
             continue
-        face = []
-        d = start
-        while True:
+        face = [start]
+        d = succ[start.flipped()]
+        while d != start:
             face.append(d)
-            visited.add(d)
             d = succ[d.flipped()]
-            if d == start:
-                break
+        visited.update(face)
         faces.append(tuple(face))
     return tuple(faces)
 
@@ -457,12 +445,7 @@ def genus_check(g: Multigraph, rot: RotationSystem) -> tuple:
     A component with no edges counts one face.  The genus of a valid
     rotation system is always a non-negative integer.
     """
-    return _genus_of(g, trace_faces(g, rot))
-
-
-def _genus_of(g: Multigraph, faces: tuple) -> tuple:
-    """``genus_check`` from the faces of a rotation already validated
-    against ``g``."""
+    faces = trace_faces(g, rot)
     comps = connected_components(g)
     comp_index = {}
     for i, comp in enumerate(comps):

@@ -10,11 +10,11 @@ Document shapes (unknown fields are rejected at every level):
 * colouring:     ``{"palette_size": k, "assignment": {"<id>": colour}}``
 * witness:       paired graph plus ``{"designated_pairs": [...], "provenance": {...}}``
 
-Ids may be ints, strings, or (possibly nested) arrays of these; arrays
-load as tuples.  JSON object keys must be strings, so mapping keys
-(rotation vertices, colouring targets) use an id's text form and are
-resolved against the ids of the object they accompany.  Writing fails if
-two ids of one object share a text form.
+Ids may be ints, strings, or arrays of these nested at most
+``MAX_ID_DEPTH`` deep; arrays load as tuples.  JSON object keys must be
+strings, so mapping keys (rotation vertices, colouring targets) use an
+id's text form and are resolved against the ids of the object they
+accompany.  Writing fails if two ids of one object share a text form.
 """
 
 from __future__ import annotations
@@ -50,11 +50,19 @@ def id_to_json(value):
     return value
 
 
+MAX_ID_DEPTH = 32
+
+
+def _tuple_from_json(value: list, depth: int) -> tuple:
+    if depth > MAX_ID_DEPTH:
+        raise SchemaError(f"ids may nest arrays at most {MAX_ID_DEPTH} deep")
+    return tuple(_tuple_from_json(v, depth + 1) if isinstance(v, list) else v for v in value)
+
+
 def id_from_json(value):
-    if isinstance(value, list):
-        out = tuple(id_from_json(v) for v in value)
-    else:
-        out = value
+    """An id from its JSON form: arrays, nested at most ``MAX_ID_DEPTH``
+    deep, load as tuples."""
+    out = _tuple_from_json(value, 1) if isinstance(value, list) else value
     try:
         id_sort_key(out)
     except DomainError as exc:
@@ -325,7 +333,9 @@ def dumps(doc: dict) -> str:
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers longer than the
+        # interpreter's digit limit; RecursionError, arrays nested too deep.
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be a JSON object")
@@ -339,7 +349,11 @@ def save(path, doc: dict) -> None:
 
 def load(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not valid UTF-8: {exc}") from None
+    return loads(text)
 
 
 def sniff_kind(doc: Mapping) -> str:

@@ -334,6 +334,68 @@ class TestDotAndErrors:
             main(["frobnicate"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "deep-array",
+            "long-number",
+            "not-utf8",
+            "nested-id",
+            "directory-in",
+            "chroma-out-missing-dir",
+            "augment-out-missing-dir",
+            "dot-out-missing-dir",
+            "pipeline-out-onto-file",
+        ],
+    )
+    def test_malformed_input_or_file_exits_2(self, capsys, tmp_path, case):
+        def write(name, data):
+            path = tmp_path / name
+            if isinstance(data, bytes):
+                path.write_bytes(data)
+            else:
+                path.write_text(data)
+            return str(path)
+
+        def doc_file(doc):
+            path = tmp_path / "doc.json"
+            formats.save(path, doc)
+            return str(path)
+
+        missing = str(tmp_path / "missing" / "out.json")
+        argv = {
+            "deep-array": lambda: (
+                "chroma", "--in", write("deep.json", '{"vertices": ' + "[" * 5000 + "]" * 5000 + ', "edges": []}')
+            ),
+            "long-number": lambda: (
+                "chroma", "--in", write("long.json", '{"vertices": [' + "7" * 5000 + '], "edges": []}')
+            ),
+            "not-utf8": lambda: (
+                "chroma", "--in", write("latin1.json", '{"vertices": ["\u00e9"], "edges": []}'.encode("latin-1"))
+            ),
+            "nested-id": lambda: (
+                "dot", "--in", write("nested.json", '{"vertices": [' + "[" * 400 + "0" + "]" * 400 + '], "edges": []}'),
+                "--out", str(tmp_path / "g.dot"),
+            ),
+            "directory-in": lambda: ("chroma", "--in", str(tmp_path)),
+            "chroma-out-missing-dir": lambda: (
+                "chroma", "--in", doc_file(formats.graph_to_doc(complete_graph(4))), "--out", missing
+            ),
+            "augment-out-missing-dir": lambda: (
+                "augment", "--in", doc_file(formats.paired_graph_to_doc(random_planar_paired_graph(0, 5))),
+                "--out", missing,
+            ),
+            "dot-out-missing-dir": lambda: (
+                "dot", "--in", doc_file(formats.graph_to_doc(complete_graph(4))), "--out", missing
+            ),
+            "pipeline-out-onto-file": lambda: ("pipeline", "--out", write("taken", "")),
+        }[case]()
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error:schema:")
+        assert "Traceback" not in stderr
+
 
 class TestCorpusCommand:
     def test_runs_fast_checks(self, capsys, monkeypatch):

@@ -34,7 +34,8 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
-from linkchroma.construct import random_planar_paired_graph
+from linkchroma.construct import make_degree_faithful, random_planar_paired_graph
+from linkchroma.core import end_sort_key
 from linkchroma.corpus import enumerate_small_complexes
 
 
@@ -268,6 +269,70 @@ class TestSimpleQuotientOracle:
         assert sq == two_step_simple_quotient(pg)
         assert sq.vertices == ("a", "c")
         assert sq.edges == (Edge(3, "c", "a"),)
+
+
+def sorted_face_genera(g, rot):
+    """Oracle: faces traced from every dart in ``end_sort_key`` order, with
+    the successor taken by index arithmetic in each cyclic order; returns
+    (component vertices, face count, genus) per component."""
+    succ = {}
+    for _, order in rot.orders:
+        for i, end in enumerate(order):
+            succ[end] = order[(i + 1) % len(order)]
+    faces = []
+    visited = set()
+    for start in sorted(succ, key=end_sort_key):
+        if start in visited:
+            continue
+        d = start
+        faces.append(start)
+        while True:
+            visited.add(d)
+            d = succ[d.flipped()]
+            if d == start:
+                break
+    out = []
+    for comp in connected_components(g):
+        members = set(comp)
+        edges = sum(1 for e in g.edges if e.end0 in members)
+        f = sum(1 for d in faces if g.end_vertex(d) in members) if edges else 1
+        out.append((comp, f, (2 - (len(comp) - edges + f)) // 2))
+    return out
+
+
+def oracle_maps():
+    """Certified-planar maps of 1-400 pairs, their degree-faithful
+    augmentations, and K5 under every one of its 6^5 rotation systems."""
+    for n in list(range(1, 21)) + [50, 100, 200, 400]:
+        pg = random_planar_paired_graph(n, n)
+        yield pg.graph, pg.rotation
+        aug = make_degree_faithful(pg)
+        yield aug.graph, aug.rotation
+    k5 = k5_graph()
+    cyclic_orders = {}
+    for v in k5.vertices:
+        first, *rest = k5.ends_at(v)
+        cyclic_orders[v] = [(first,) + p for p in itertools.permutations(rest)]
+    for choice in itertools.product(*cyclic_orders.values()):
+        yield k5, RotationSystem(dict(zip(k5.vertices, choice)))
+
+
+class TestFaceTracingOracle:
+    def test_face_counts_and_genera_match_sorted_tracer(self):
+        for g, rot in oracle_maps():
+            got = [(c.vertices, c.face_count, c.genus) for c in genus_check(g, rot)]
+            assert got == sorted_face_genera(g, rot)
+
+    def test_every_face_closes(self):
+        for g, rot in oracle_maps():
+            succ = {}
+            for _, order in rot.orders:
+                for i, end in enumerate(order):
+                    succ[end] = order[(i + 1) % len(order)]
+            faces = trace_faces(g, rot)
+            assert sum(len(face) for face in faces) == 2 * len(g.edges)
+            for face in faces:
+                assert succ[face[-1].flipped()] == face[0]
 
 
 class TestGenus:

@@ -44,6 +44,20 @@ class TestGraphDocuments:
         assert doc["vertices"] == [[1, 2]]
         assert formats.graph_from_doc(doc).vertices == ((1, 2),)
 
+    def test_id_depth_limit(self):
+        def nested(depth):
+            value = 0
+            for _ in range(depth):
+                value = [value, "x"]
+            return value
+
+        deepest = formats.id_from_json(nested(formats.MAX_ID_DEPTH))
+        assert formats.id_to_json(deepest) == nested(formats.MAX_ID_DEPTH)
+        with pytest.raises(SchemaError, match="nest"):
+            formats.id_from_json(nested(formats.MAX_ID_DEPTH + 1))
+        with pytest.raises(SchemaError, match="unsupported id"):
+            formats.id_from_json(nested(formats.MAX_ID_DEPTH)[:1] + [1.5])
+
 
 class TestPairedGraphDocuments:
     def test_round_trip_with_rotation(self):
