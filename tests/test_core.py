@@ -271,14 +271,19 @@ class TestSimpleQuotientOracle:
         assert sq.edges == (Edge(3, "c", "a"),)
 
 
-def sorted_face_genera(g, rot):
-    """Oracle: faces traced from every dart in ``end_sort_key`` order, with
-    the successor taken by index arithmetic in each cyclic order; returns
-    (component vertices, face count, genus) per component."""
+def successor_map(rot):
+    """Each dart's successor in its cyclic order, by index arithmetic."""
     succ = {}
     for _, order in rot.orders:
         for i, end in enumerate(order):
             succ[end] = order[(i + 1) % len(order)]
+    return succ
+
+
+def sorted_face_genera(g, rot):
+    """Oracle: faces traced from every dart in ``end_sort_key`` order;
+    returns (component vertices, face count, genus) per component."""
+    succ = successor_map(rot)
     faces = []
     visited = set()
     for start in sorted(succ, key=end_sort_key):
@@ -325,10 +330,7 @@ class TestFaceTracingOracle:
 
     def test_every_face_closes(self):
         for g, rot in oracle_maps():
-            succ = {}
-            for _, order in rot.orders:
-                for i, end in enumerate(order):
-                    succ[end] = order[(i + 1) % len(order)]
+            succ = successor_map(rot)
             faces = trace_faces(g, rot)
             assert sum(len(face) for face in faces) == 2 * len(g.edges)
             for face in faces:
