@@ -85,21 +85,21 @@ def cmd_quotient(args) -> int:
 def cmd_chroma(args) -> int:
     g = formats.graph_from_doc(formats.load(args.input))
     log = SolverLog([], 0, 0)
-    k, witness = chromatic_number(g, log)
+    k, witness = chromatic_number(g, log, budget=args.budget)
     return _report_colouring(args, log, k, witness)
 
 
 def cmd_pair_chroma(args) -> int:
     pg = formats.paired_graph_from_doc(formats.load(args.input))
     log = SolverLog([], 0, 0)
-    k, witness = pair_chromatic_number(pg, log)
+    k, witness = pair_chromatic_number(pg, log, budget=args.budget)
     return _report_colouring(args, log, k, witness.assignment)
 
 
 def cmd_colour_complex(args) -> int:
     c = formats.complex_from_doc(formats.load(args.input))
     log = SolverLog([], 0, 0)
-    k, witness = edge_chromatic_number_complex(c, log)
+    k, witness = edge_chromatic_number_complex(c, log, budget=args.budget)
     return _report_colouring(args, log, k, witness.assignment)
 
 
@@ -257,9 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    palette = lambda p: p.add_argument(
-        "--palette", type=int, help="fail (exit 1) if more colours are needed"
-    )
+    def solver_options(p):
+        p.add_argument("--palette", type=int, help="fail (exit 1) if more colours are needed")
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=2_000_000,
+            help="branch-node budget; fail (exit 1) with the proven bounds when it runs out",
+        )
 
     add("link", cmd_link, "link graph of a 2-complex", inp="required", out="optional")
     add(
@@ -272,15 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--simple", action="store_true", help="drop loops and collapse parallels"
         ),
     )
-    add("chroma", cmd_chroma, "exact chromatic number of a graph", inp="required", out="optional", extra=palette)
-    add("pair-chroma", cmd_pair_chroma, "exact pair-chromatic number", inp="required", out="optional", extra=palette)
+    add("chroma", cmd_chroma, "exact chromatic number of a graph", inp="required", out="optional", extra=solver_options)
+    add("pair-chroma", cmd_pair_chroma, "exact pair-chromatic number", inp="required", out="optional", extra=solver_options)
     add(
         "colour-complex",
         cmd_colour_complex,
         "exact edge-chromatic number of a 2-complex",
         inp="required",
         out="optional",
-        extra=palette,
+        extra=solver_options,
     )
     add("heawood12", cmd_heawood12, "12-colour a certified-planar paired graph", inp="required", out="optional")
     add("augment", cmd_augment, "make a paired graph degree-faithful", inp="required", out="required")

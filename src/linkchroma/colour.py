@@ -29,7 +29,7 @@ from .core import (
     link_graph,
     simple_quotient,
 )
-from .errors import DomainError
+from .errors import BudgetExhausted, DomainError
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,22 @@ class SolverLog:
         }
 
 
-def chromatic_number(g: Multigraph, log: Optional[SolverLog] = None):
+def chromatic_number(
+    g: Multigraph, log: Optional[SolverLog] = None, *, budget: Optional[int] = None
+):
     """Exact vertex chromatic number with a witness colouring.
 
     Loops are removed and parallel edges collapsed before colouring.  The
     search is a clique-seeded DSATUR branch and bound with deterministic
     tie-breaking (lowest vertex id, lowest colour first), so the witness is
     reproducible.  The empty graph has chromatic number 0.
+
+    ``budget`` caps the branch nodes; ``None`` leaves the search unbounded.
+    When it runs out, BudgetExhausted carries the proven lower bound (the
+    clique size) and the best colouring's size as ``lower`` and ``upper``.
     """
+    if budget is not None and budget < 0:
+        raise DomainError("budget must be non-negative")
     adj = _simple_adjacency(g)
     n = len(adj)
     if n == 0:
@@ -169,74 +177,135 @@ def chromatic_number(g: Multigraph, log: Optional[SolverLog] = None):
         colours[v] = c
         for w in adj[v]:
             saturation[w].add(c)
-    best_k = max(colours.values()) + 1
-    best_witness = dict(colours)
-    dsatur_upper = best_k
+    dsatur_upper = max(colours.values()) + 1
+    lower = len(clique)
+
+    if log is not None:
+        log.clique, log.dsatur_upper, log.branch_nodes = clique, dsatur_upper, 0
+    if dsatur_upper == lower:
+        return dsatur_upper, dict(colours)
+    return _branch_and_bound(adj, order_key, clique, dsatur_upper, colours, log, budget)
+
+
+def _branch_and_bound(adj, order_key, clique, best_k, best_witness, log, budget):
+    """DSATUR branch and bound (Brelaz, CACM 1979) below the incumbent
+    ``best_k``, run from an explicit stack over dense vertex indexes.
+
+    The clique is pre-coloured 0..len(clique)-1 and a fresh colour may only
+    be the next unused one, both exactness-safe symmetry breaks.  The next
+    vertex has the most distinct neighbour colours, then the highest
+    degree, then the lowest id; colours are tried lowest first, below a
+    limit fixed when the node opens.  Saturation is an int bitmask per
+    vertex (in the spirit of San Segundo et al.'s PASS, C&OR 2012), and the
+    selection key ``score = saturation * n + static rank`` is kept current
+    as colours are placed and lifted.
+    """
+    ids = sorted(adj, key=order_key.__getitem__)
+    index = {v: i for i, v in enumerate(ids)}
+    n = len(ids)
+    nbrs = [[index[w] for w in adj[v]] for v in ids]
+    # Static rank: the higher, the earlier among equally saturated vertices.
+    score = [0] * n
+    for rank, i in enumerate(sorted(range(n), key=lambda i: (len(nbrs[i]), -i))):
+        score[i] = rank
+    colour = [-1] * n
+    mask = [0] * n
+    free = set(range(n))
+    for c, v in enumerate(clique):
+        i = index[v]
+        colour[i] = c
+        free.discard(i)
+        bit = 1 << c
+        for w in nbrs[i]:
+            if not mask[w] & bit:
+                mask[w] |= bit
+                score[w] += n
 
     lower = len(clique)
     nodes = 0
-
-    if best_k > lower:
-        # Branch and bound; the clique is pre-coloured 0..len(clique)-1 and a
-        # fresh colour may only be the next unused one, both exactness-safe
-        # symmetry breaks.
-        assign = {v: i for i, v in enumerate(clique)}
-        sat = {v: {assign[w] for w in adj[v] & set(assign)} for v in adj}
-
-        def extend(used: int):
-            nonlocal best_k, best_witness, nodes
-            if best_k == lower:
-                return
-            if len(assign) == n:
-                if used < best_k:
-                    best_k = used
-                    best_witness = dict(assign)
-                return
-            v = min(
-                (u for u in adj if u not in assign),
-                key=lambda u: (-len(sat[u]), -len(adj[u]), order_key[u]),
-            )
-            limit = min(used + 1, best_k - 1)
-            for c in range(limit):
-                if c in sat[v]:
-                    continue
-                nodes += 1
-                assign[v] = c
-                touched = [w for w in adj[v] if w not in assign and c not in sat[w]]
-                for w in touched:
-                    sat[w].add(c)
-                extend(max(used, c + 1))
-                for w in touched:
-                    sat[w].discard(c)
-                del assign[v]
+    # One frame per open node: [vertex, next colour, limit, used, touched],
+    # where ``touched`` lists the neighbours whose saturation the vertex's
+    # current colour raised (None while it is uncoloured).
+    stack = []
+    used = lower
+    while True:
+        # Open a node with ``used`` colours placed.
+        if not free:
+            if used < best_k:
+                best_k = used
+                best_witness = {v: c for c, v in enumerate(clique)}
+                best_witness.update((ids[f[0]], colour[f[0]]) for f in stack)
                 if best_k == lower:
-                    return
-
-        extend(len(clique))
+                    break
+        else:
+            v = max(free, key=score.__getitem__)
+            stack.append([v, 0, min(used + 1, best_k - 1), used, None])
+        # Advance the deepest frame to its next colour, popping exhausted ones.
+        while stack:
+            frame = stack[-1]
+            v, c, limit, used, touched = frame
+            if touched is not None:
+                bit = 1 << colour[v]
+                for w in touched:
+                    mask[w] ^= bit
+                    score[w] -= n
+                colour[v] = -1
+                free.add(v)
+            m = mask[v]
+            while c < limit and m >> c & 1:
+                c += 1
+            if c < limit:
+                break
+            stack.pop()
+        else:
+            break
+        if nodes == budget:
+            if log is not None:
+                log.branch_nodes = nodes
+            raise BudgetExhausted(
+                f"branch-and-bound budget of {budget} nodes exhausted: the chromatic "
+                f"number is at least {lower} and at most {best_k}",
+                lower=lower,
+                upper=best_k,
+            )
+        nodes += 1
+        colour[v] = c
+        free.remove(v)
+        bit = 1 << c
+        touched = [w for w in nbrs[v] if colour[w] < 0 and not mask[w] & bit]
+        for w in touched:
+            mask[w] |= bit
+            score[w] += n
+        frame[1] = c + 1
+        frame[4] = touched
+        if c + 1 > used:
+            used = c + 1
 
     if log is not None:
-        log.clique = clique
-        log.dsatur_upper = dsatur_upper
         log.branch_nodes = nodes
     return best_k, best_witness
 
 
-def pair_chromatic_number(pg: PairedGraph, log: Optional[SolverLog] = None):
+def pair_chromatic_number(
+    pg: PairedGraph, log: Optional[SolverLog] = None, *, budget: Optional[int] = None
+):
     """Exact pair-chromatic number: the chromatic number of the simple
     quotient, with the witness lifted back to pairs."""
-    k, witness = chromatic_number(simple_quotient(pg), log)
+    k, witness = chromatic_number(simple_quotient(pg), log, budget=budget)
     assignment = {pair: witness[pair[0]] for pair in pg.pairing.pairs}
     return k, Colouring(k, assignment)
 
 
-def edge_chromatic_number_complex(c: TwoComplex, log: Optional[SolverLog] = None):
+def edge_chromatic_number_complex(
+    c: TwoComplex, log: Optional[SolverLog] = None, *, budget: Optional[int] = None
+):
     """Exact edge-chromatic number of a 2-complex via its link graph.
 
     The witness colours each edge e with the colour of the pair
     {(e,0), (e,1)} and is checked against the walk-level validator before
     being returned.
     """
-    k, pair_witness = pair_chromatic_number(link_graph(c), log)
+    k, pair_witness = pair_chromatic_number(link_graph(c), log, budget=budget)
     assignment = {
         e.id: pair_witness.assignment[(EdgeEnd(e.id, 0), EdgeEnd(e.id, 1))]
         for e in c.skeleton.edges

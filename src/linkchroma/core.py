@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, short_repr
 
 VertexId = Union[int, str, tuple]
 EdgeId = Union[int, str, tuple]
@@ -42,7 +42,7 @@ def id_sort_key(value):
         return (1, value)
     if isinstance(value, tuple):
         return (2, tuple(id_sort_key(v) for v in value))
-    raise DomainError(f"unsupported id {value!r}: ids are ints, strings or tuples")
+    raise DomainError(f"unsupported id {short_repr(value)}: ids are ints, strings or tuples")
 
 
 def pair_key(pair) -> tuple:
@@ -104,9 +104,9 @@ class Multigraph:
         ends_at = {v: [] for v in verts}
         for e in edges:
             if e.id in by_id:
-                raise DomainError(f"duplicate edge id {e.id!r}")
+                raise DomainError(f"duplicate edge id {short_repr(e.id)}")
             if e.end0 not in vset or e.end1 not in vset:
-                raise DomainError(f"edge {e.id!r} references a missing vertex")
+                raise DomainError(f"edge {short_repr(e.id)} references a missing vertex")
             by_id[e.id] = e
             ends_at[e.end0].append(EdgeEnd(e.id, 0))
             ends_at[e.end1].append(EdgeEnd(e.id, 1))
@@ -120,7 +120,7 @@ class Multigraph:
         try:
             return self._edge_by_id[edge_id]
         except KeyError:
-            raise DomainError(f"unknown edge {edge_id!r}") from None
+            raise DomainError(f"unknown edge {short_repr(edge_id)}") from None
 
     def has_edge(self, edge_id) -> bool:
         return edge_id in self._edge_by_id
@@ -132,7 +132,7 @@ class Multigraph:
         try:
             return self._ends_at[v]
         except KeyError:
-            raise DomainError(f"unknown vertex {v!r}") from None
+            raise DomainError(f"unknown vertex {short_repr(v)}") from None
 
     def degree(self, v) -> int:
         return len(self.ends_at(v))
@@ -204,7 +204,7 @@ class ClosedWalk:
             raise DomainError("a closed walk must be nonempty")
         for s in steps:
             if s.entry not in (0, 1):
-                raise DomainError(f"walk step {s!r} has an invalid entry side")
+                raise DomainError(f"walk step {short_repr(s)} has an invalid entry side")
         object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
@@ -223,7 +223,7 @@ def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
     """Check that ``walk`` lives in ``g`` and is cyclically vertex-compatible."""
     for s in walk.steps:
         if not g.has_edge(s.edge):
-            raise DomainError(f"walk not contained in skeleton: unknown edge {s.edge!r}")
+            raise DomainError(f"walk not contained in skeleton: unknown edge {short_repr(s.edge)}")
     n = len(walk.steps)
     for i in range(n):
         here = step_exit_vertex(g, walk.steps[i])
@@ -271,11 +271,13 @@ class Pairing:
         for raw in self.pairs:
             members = tuple(raw)
             if len(members) != 2 or members[0] == members[1]:
-                raise DomainError(f"pairing class {members!r} must have exactly two distinct members")
+                raise DomainError(
+                    f"pairing class {short_repr(members)} must have exactly two distinct members"
+                )
             members = pair_key(members)
             for m in members:
                 if m in seen:
-                    raise DomainError(f"vertex {m!r} appears in more than one pair")
+                    raise DomainError(f"vertex {short_repr(m)} appears in more than one pair")
                 seen.add(m)
             canon.append(members)
         canon.sort(key=lambda p: id_sort_key(p[0]))
@@ -286,7 +288,7 @@ class Pairing:
         try:
             return self._pair_of[v]
         except KeyError:
-            raise DomainError(f"vertex {v!r} is not paired") from None
+            raise DomainError(f"vertex {short_repr(v)} is not paired") from None
 
     def partner(self, v):
         p = self.pair_of(v)
@@ -318,12 +320,12 @@ class RotationSystem:
         seen_vertices = set()
         for v, order in raw:
             if v in seen_vertices:
-                raise DomainError(f"vertex {v!r} appears twice in rotation system")
+                raise DomainError(f"vertex {short_repr(v)} appears twice in rotation system")
             seen_vertices.add(v)
             ends = tuple(e if isinstance(e, EdgeEnd) else EdgeEnd(*e) for e in order)
             for e in ends:
                 if e.side not in (0, 1):
-                    raise DomainError(f"edge-end {e!r} has an invalid side")
+                    raise DomainError(f"edge-end {short_repr(e)} has an invalid side")
             if not ends:
                 continue
             pivot = min(range(len(ends)), key=lambda i: end_sort_key(ends[i]))
@@ -346,14 +348,14 @@ def validate_rotation(g: Multigraph, rot: RotationSystem) -> None:
     seen = set()
     for v, order in rot.orders:
         if not g.has_vertex(v):
-            raise DomainError(f"rotation mentions unknown vertex {v!r}")
+            raise DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
         for end in order:
             if not g.has_edge(end.edge):
-                raise DomainError(f"rotation mentions unknown edge {end.edge!r}")
+                raise DomainError(f"rotation mentions unknown edge {short_repr(end.edge)}")
             if g.end_vertex(end) != v:
-                raise DomainError(f"edge-end {end!r} is not incident to vertex {v!r}")
+                raise DomainError(f"edge-end {short_repr(end)} is not incident to vertex {short_repr(v)}")
             if end in seen:
-                raise DomainError(f"edge-end {end!r} appears twice in rotation system")
+                raise DomainError(f"edge-end {short_repr(end)} appears twice in rotation system")
             seen.add(end)
     missing = 2 * len(g.edges) - len(seen)
     if missing:
@@ -493,7 +495,7 @@ class TwoComplex:
 
     def __post_init__(self):
         if self.kind not in (GENUINE, PUNCTURED):
-            raise DomainError(f"unknown complex kind {self.kind!r}")
+            raise DomainError(f"unknown complex kind {short_repr(self.kind)}")
         cells = tuple(c if isinstance(c, ClosedWalk) else ClosedWalk(tuple(c)) for c in self.cells)
         for walk in cells:
             validate_walk(self.skeleton, walk)

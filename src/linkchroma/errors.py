@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way an error
+message echoes a piece of its input."""
+
+import reprlib
+
+ECHO_LIMIT = 60
+
+_echo = reprlib.Repr()
+_echo.maxstring = _echo.maxother = ECHO_LIMIT
+
+
+def short_repr(value) -> str:
+    """``repr(value)`` abridged to at most ``ECHO_LIMIT`` characters, so
+    that an error message quoting a document stays one short line however
+    large or deeply nested the quoted part is."""
+    text = _echo.repr(value)
+    return text if len(text) <= ECHO_LIMIT else text[: ECHO_LIMIT - 3] + "..."
 
 
 class SchemaError(ValueError):
@@ -10,8 +26,14 @@ class DomainError(ValueError):
 
 
 class BudgetExhausted(DomainError):
-    """A bounded search ran out of budget before reaching its target."""
+    """A bounded search ran out of budget before reaching its target.
 
-    def __init__(self, message: str, best_objective=None):
+    ``best_objective`` is the best value a heuristic search reached;
+    ``lower`` and ``upper`` are the bounds an exact search had proven and
+    found when it stopped."""
+
+    def __init__(self, message: str, best_objective=None, *, lower=None, upper=None):
         super().__init__(message)
         self.best_objective = best_objective
+        self.lower = lower
+        self.upper = upper

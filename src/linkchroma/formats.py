@@ -36,7 +36,7 @@ from .core import (
     WalkStep,
     id_sort_key,
 )
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, short_repr
 
 DOT_PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628",
@@ -83,7 +83,10 @@ def text_key_map(ids, what: str) -> dict:
     for i in ids:
         t = id_text(i)
         if t in out and out[t] != i:
-            raise SchemaError(f"{what}: ids {out[t]!r} and {i!r} share the text form {t!r}")
+            raise SchemaError(
+                f"{what}: ids {short_repr(out[t])} and {short_repr(i)} "
+                f"share the text form {short_repr(t)}"
+            )
         out[t] = i
     return out
 
@@ -96,7 +99,7 @@ def _check_fields(doc, required, optional, what):
             raise SchemaError(f"{what} document is missing field {name!r}")
     for name in doc:
         if name not in required and name not in optional:
-            raise SchemaError(f"unknown field {name!r} in {what} document")
+            raise SchemaError(f"unknown field {short_repr(name)} in {what} document")
 
 
 def _parse_side_entry(item, what: str, shape: str) -> tuple:
@@ -104,7 +107,7 @@ def _parse_side_entry(item, what: str, shape: str) -> tuple:
     the integer 0 or 1; JSON ``true``/``false`` (and ``1.0``) compare equal
     to those in Python, so the type is checked too."""
     if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int and item[1] in (0, 1)):
-        raise SchemaError(f"{what} {item!r} must be {shape}")
+        raise SchemaError(f"{what} {short_repr(item)} must be {shape}")
     return id_from_json(item[0]), item[1]
 
 
@@ -156,9 +159,9 @@ def _rotation_from_doc(doc, vertices) -> RotationSystem:
     orders = {}
     for key, order in doc.items():
         if key not in by_text:
-            raise SchemaError(f"rotation mentions unknown vertex {key!r}")
+            raise SchemaError(f"rotation mentions unknown vertex {short_repr(key)}")
         if not isinstance(order, list):
-            raise SchemaError(f"rotation order at {key!r} must be an array")
+            raise SchemaError(f"rotation order at {short_repr(key)} must be an array")
         orders[by_text[key]] = tuple(
             EdgeEnd(*_parse_side_entry(item, "rotation entry", "[edge, side]")) for item in order
         )
@@ -187,7 +190,7 @@ def _parse_pair_list(raw, what: str) -> tuple:
     pairs = []
     for item in raw:
         if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError(f"pair {item!r} must be an array of two vertices")
+            raise SchemaError(f"pair {short_repr(item)} must be an array of two vertices")
         pairs.append((id_from_json(item[0]), id_from_json(item[1])))
     return tuple(pairs)
 
@@ -223,7 +226,7 @@ def complex_from_doc(doc) -> TwoComplex:
     _check_fields(doc, ("skeleton", "cells", "kind"), (), "complex")
     skeleton = graph_from_doc(doc["skeleton"])
     if doc["kind"] not in (GENUINE, PUNCTURED):
-        raise SchemaError(f"unknown complex kind {doc['kind']!r}")
+        raise SchemaError(f"unknown complex kind {short_repr(doc['kind'])}")
     if not isinstance(doc["cells"], list):
         raise SchemaError("'cells' must be an array")
     cells = []
@@ -267,7 +270,7 @@ def colouring_from_doc(doc):
         raise SchemaError("'assignment' must be a JSON object")
     for key, colour in doc["assignment"].items():
         if not isinstance(colour, int) or isinstance(colour, bool):
-            raise SchemaError(f"colour of {key!r} must be an integer")
+            raise SchemaError(f"colour of {short_repr(key)} must be an integer")
     return k, dict(doc["assignment"])
 
 
@@ -277,7 +280,7 @@ def resolve_assignment(mapping: Mapping, candidates) -> dict:
     out = {}
     for key, value in mapping.items():
         if key not in by_text:
-            raise SchemaError(f"assignment mentions unknown id {key!r}")
+            raise SchemaError(f"assignment mentions unknown id {short_repr(key)}")
         out[by_text[key]] = value
     return out
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -87,6 +88,39 @@ class TestChroma:
         code, stdout, _ = run(capsys, "pair-chroma", "--in", str(link_path))
         assert code == 0
         assert stdout.strip() == "3"
+
+
+    def test_budget_exhaustion_exits_1_with_both_bounds(self, capsys, tmp_path):
+        # The solve branches deeper than the default recursion limit; the
+        # search runs from an explicit stack, so the limit is left as it is.
+        assert sys.getrecursionlimit() <= 1000
+        path = tmp_path / "map.json"
+        formats.save(path, formats.paired_graph_to_doc(random_planar_paired_graph(0, 1600)))
+        out = tmp_path / "col.json"
+        code, stdout, stderr = run(
+            capsys, "pair-chroma", "--in", str(path), "--budget", "20000", "--out", str(out)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            "error:domain: branch-and-bound budget of 20000 nodes exhausted: "
+            "the chromatic number is at least 5 and at most 6"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["chroma", "pair-chroma", "colour-complex"])
+    def test_budget_option_on_every_exact_command(self, capsys, tmp_path, command):
+        doc = {
+            "chroma": lambda: formats.graph_to_doc(complete_graph(5)),
+            "pair-chroma": lambda: formats.paired_graph_to_doc(link_graph(triangle_complex())),
+            "colour-complex": lambda: formats.complex_to_doc(triangle_complex()),
+        }[command]()
+        path = tmp_path / "doc.json"
+        formats.save(path, doc)
+        # Each closes at the root, so a budget of no branch nodes suffices.
+        code, stdout, stderr = run(capsys, command, "--in", str(path), "--budget", "0")
+        assert code == 0
+        assert json.loads(stderr)["solver"]["branch_nodes"] == 0
 
 
 class TestPipeline:
@@ -395,6 +429,28 @@ class TestDotAndErrors:
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith("error:schema:")
         assert "Traceback" not in stderr
+
+
+    @pytest.mark.parametrize("depth", [400, 1000])
+    @pytest.mark.parametrize("command", ["seal", "chroma"])
+    def test_echoed_input_is_abridged(self, capsys, tmp_path, command, depth):
+        deep = "[" * depth + "]" * depth
+        path = tmp_path / "doc.json"
+        if command == "seal":
+            path.write_text(
+                '{"skeleton": {"vertices": ["v"], "edges": [{"id": "e", "end0": "v", "end1": "v"}]},'
+                ' "cells": [[' + deep + ']], "kind": "punctured"}\n'
+            )
+            argv = ("seal", "--in", str(path), "--out", str(tmp_path / "out.json"))
+        else:
+            path.write_text('{"vertices": [[{"a": ' + deep + '}]], "edges": []}\n')
+            argv = ("chroma", "--in", str(path))
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:schema:")
+        assert len(lines[0]) < 200
 
 
 class TestCorpusCommand:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from linkchroma import (
+    BudgetExhausted,
     Colouring,
     DomainError,
     Edge,
@@ -32,6 +33,7 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
+from linkchroma.colour import _greedy_clique, _simple_adjacency
 from linkchroma.construct import random_planar_paired_graph
 
 
@@ -178,6 +180,152 @@ class TestChromaticNumber:
         assert k == 3
         assert len(log.clique) >= 2
         assert log.dsatur_upper >= 3
+
+
+def reference_chromatic_number(g, log=None):
+    """The recursive clique-seeded DSATUR branch and bound, kept verbatim
+    as the oracle for the explicit-stack search: same answer, same witness
+    in the same insertion order, same solver log."""
+    adj = _simple_adjacency(g)
+    n = len(adj)
+    if n == 0:
+        if log is not None:
+            log.clique, log.dsatur_upper, log.branch_nodes = [], 0, 0
+        return 0, {}
+
+    order_key = {v: id_sort_key(v) for v in adj}
+    clique = _greedy_clique(adj)
+
+    # DSATUR greedy upper bound, also the initial incumbent witness.
+    colours = {}
+    saturation = {v: set() for v in adj}
+    for _ in range(n):
+        v = min(
+            (u for u in adj if u not in colours),
+            key=lambda u: (-len(saturation[u]), -len(adj[u]), order_key[u]),
+        )
+        c = 0
+        while c in saturation[v]:
+            c += 1
+        colours[v] = c
+        for w in adj[v]:
+            saturation[w].add(c)
+    best_k = max(colours.values()) + 1
+    best_witness = dict(colours)
+    dsatur_upper = best_k
+
+    lower = len(clique)
+    nodes = 0
+
+    if best_k > lower:
+        # Branch and bound; the clique is pre-coloured 0..len(clique)-1 and a
+        # fresh colour may only be the next unused one, both exactness-safe
+        # symmetry breaks.
+        assign = {v: i for i, v in enumerate(clique)}
+        sat = {v: {assign[w] for w in adj[v] & set(assign)} for v in adj}
+
+        def extend(used: int):
+            nonlocal best_k, best_witness, nodes
+            if best_k == lower:
+                return
+            if len(assign) == n:
+                if used < best_k:
+                    best_k = used
+                    best_witness = dict(assign)
+                return
+            v = min(
+                (u for u in adj if u not in assign),
+                key=lambda u: (-len(sat[u]), -len(adj[u]), order_key[u]),
+            )
+            limit = min(used + 1, best_k - 1)
+            for c in range(limit):
+                if c in sat[v]:
+                    continue
+                nodes += 1
+                assign[v] = c
+                touched = [w for w in adj[v] if w not in assign and c not in sat[w]]
+                for w in touched:
+                    sat[w].add(c)
+                extend(max(used, c + 1))
+                for w in touched:
+                    sat[w].discard(c)
+                del assign[v]
+                if best_k == lower:
+                    return
+
+        extend(len(clique))
+
+    if log is not None:
+        log.clique = clique
+        log.dsatur_upper = dsatur_upper
+        log.branch_nodes = nodes
+    return best_k, best_witness
+
+
+def circulant(n, offsets):
+    """The circulant graph C(n, offsets) on mixed int, string and tuple
+    ids: every vertex has the same degree, so each selection among equally
+    saturated vertices is a tie broken by id alone."""
+    ids = [(i, f"v{i}", ("t", i))[i % 3] for i in range(n)]
+    edges = {}
+    for j in range(n):
+        for d in offsets:
+            a, b = sorted((j, (j + d) % n))
+            edges[a, b] = Edge(f"e{a}-{b}", ids[a], ids[b])
+    return Multigraph(tuple(ids), tuple(edges.values()))
+
+
+def assert_same_as_reference(g):
+    log, ref_log = SolverLog([], 0, 0), SolverLog([], 0, 0)
+    k, witness = chromatic_number(g, log)
+    ref_k, ref_witness = reference_chromatic_number(g, ref_log)
+    assert (k, list(witness.items())) == (ref_k, list(ref_witness.items()))
+    assert log.as_dict() == ref_log.as_dict()
+    return log.branch_nodes
+
+
+class TestExplicitStackSearch:
+    def test_matches_recursive_oracle_on_gnp(self):
+        nodes = 0
+        for n in range(1, 31):
+            for p in (0.3, 0.5, 0.7):
+                rng = random.Random(n * 1000 + int(p * 10))
+                for _ in range(6):
+                    nodes += assert_same_as_reference(random_graph(rng, n, p))
+        assert nodes > 1000  # the instances do branch
+
+    def test_matches_recursive_oracle_on_random_maps(self):
+        nodes = 0
+        for n in range(10, 41, 5):
+            for seed in range(4):
+                nodes += assert_same_as_reference(simple_quotient(random_planar_paired_graph(seed, n)))
+        assert nodes > 0
+
+    def test_matches_recursive_oracle_on_regular_graphs_with_mixed_ids(self):
+        for n in (8, 11, 14, 17, 20):
+            assert assert_same_as_reference(circulant(n, (1, 2))) > 0
+        for n in (7, 9, 13, 21):
+            assert assert_same_as_reference(circulant(n, (1,))) > 0
+
+    def test_budget_allows_exactly_the_nodes_needed(self):
+        # The greedy bound is 5; the search finds 4 and then proves it.
+        g = circulant(17, (1, 2))
+        log = SolverLog([], 0, 0)
+        full = chromatic_number(g, log)
+        needed = log.branch_nodes
+        assert chromatic_number(g, budget=needed) == full
+        with pytest.raises(BudgetExhausted) as info:
+            chromatic_number(g, log, budget=needed - 1)
+        assert (info.value.lower, info.value.upper) == (3, 4)
+        assert "at least 3 and at most 4" in str(info.value)
+        assert log.branch_nodes == needed - 1
+
+    def test_zero_budget_on_a_graph_closed_at_the_root(self):
+        assert chromatic_number(complete_graph(12), budget=0)[0] == 12
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(DomainError):
+            chromatic_number(complete_graph(3), budget=-1)
 
 
 class TestPairChromatic:

@@ -17,3 +17,66 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Every directly self-recursive function in the library, with what bounds
+# its depth.  Anything whose depth grows with the input's size must be an
+# explicit loop instead: Python's recursion limit would turn a large input
+# into a RecursionError.
+RECURSION_ALLOWED = {
+    "core.id_sort_key": "id nesting, at most formats.MAX_ID_DEPTH in documents",
+    "formats.id_to_json": "id nesting, at most formats.MAX_ID_DEPTH in documents",
+    "formats._tuple_from_json": "id nesting, stops at formats.MAX_ID_DEPTH",
+    "formats.id_text": "id nesting, at most formats.MAX_ID_DEPTH in documents",
+    "search.exact_pairing.search": "one level per pair, 12 pairs",
+    "corpus.enumerate_closed_walks.extend": "one level per step, max_len (4 in the corpus)",
+    "corpus.chromatic_number_reference.feasible.place": "one level per vertex, oracle graphs of <= 12",
+}
+
+
+def _self_recursive(tree, module):
+    """Qualified names of the functions in ``tree`` that call themselves by
+    name (or, for methods, through ``self``/``cls``)."""
+    found = []
+
+    def calls_itself(fn):
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            ):
+                return True
+        return False
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if calls_itself(child):
+                    found.append(prefix + child.name)
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, module + ".")
+    return found
+
+
+def test_recursion_only_where_depth_is_bounded():
+    paths = sorted(Path(linkchroma.__file__).parent.glob("*.py"))
+    found = [
+        name
+        for path in paths
+        for name in _self_recursive(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert sorted(set(found) - set(RECURSION_ALLOWED)) == []
+    assert sorted(set(RECURSION_ALLOWED) - set(found)) == []  # no stale entries
+    assert not any(name.startswith("colour.") for name in RECURSION_ALLOWED)
