@@ -25,7 +25,6 @@ from .core import (
     PairedGraph,
     TwoComplex,
     EdgeEnd,
-    id_sort_key,
     link_graph,
     simple_quotient,
 )
@@ -96,27 +95,29 @@ def is_valid_complex_colouring(c: TwoComplex, colouring: Colouring) -> bool:
 # Exact vertex chromatic number: clique-seeded DSATUR branch and bound
 
 
-def _simple_adjacency(g: Multigraph) -> dict:
-    """Adjacency sets with loops dropped and parallels collapsed."""
-    adj = {v: set() for v in g.vertices}
+def _neighbours(g: Multigraph) -> list:
+    """Neighbour-index sets by position in ``g.vertices``, with loops
+    dropped and parallels collapsed."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [set() for _ in g.vertices]
     for e in g.edges:
         if not e.is_loop:
-            adj[e.end0].add(e.end1)
-            adj[e.end1].add(e.end0)
-    return adj
+            a, b = index[e.end0], index[e.end1]
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return nbrs
 
 
-def _greedy_clique(adj: dict) -> list:
-    """Deterministic greedy clique: repeatedly add the candidate of highest
-    degree within the candidate set, lowest id first on ties."""
-    if not adj:
-        return []
+def _greedy_clique(nbrs: list) -> list:
+    """Deterministic greedy clique of vertex indexes: repeatedly add the
+    candidate of highest degree within the candidate set, lowest index
+    first on ties."""
     clique = []
-    candidates = set(adj)
+    candidates = set(range(len(nbrs)))
     while candidates:
-        v = min(candidates, key=lambda u: (-len(adj[u] & candidates), id_sort_key(u)))
+        v = min(candidates, key=lambda u: (-len(nbrs[u] & candidates), u))
         clique.append(v)
-        candidates &= adj[v]
+        candidates &= nbrs[v]
     return clique
 
 
@@ -153,66 +154,70 @@ def chromatic_number(
     """
     if budget is not None and budget < 0:
         raise DomainError("budget must be non-negative")
-    adj = _simple_adjacency(g)
-    n = len(adj)
+    ids = g.vertices  # in id order, so ties broken by index are broken by id
+    nbrs = _neighbours(g)
+    n = len(nbrs)
+    clique = _greedy_clique(nbrs)
+    if log is not None:
+        log.clique, log.dsatur_upper, log.branch_nodes = [ids[i] for i in clique], 0, 0
     if n == 0:
-        if log is not None:
-            log.clique, log.dsatur_upper, log.branch_nodes = [], 0, 0
         return 0, {}
 
-    order_key = {v: id_sort_key(v) for v in adj}
-    clique = _greedy_clique(adj)
+    # Static rank: the higher, the earlier among equally saturated vertices
+    # (higher degree, then lower index).
+    rank = [0] * n
+    for r, i in enumerate(sorted(range(n), key=lambda i: (len(nbrs[i]), -i))):
+        rank[i] = r
 
     # DSATUR greedy upper bound, also the initial incumbent witness.
-    colours = {}
-    saturation = {v: set() for v in adj}
-    for _ in range(n):
-        v = min(
-            (u for u in adj if u not in colours),
-            key=lambda u: (-len(saturation[u]), -len(adj[u]), order_key[u]),
-        )
+    score = rank[:]
+    mask = [0] * n
+    free = set(range(n))
+    witness = []  # (index, colour) items in colouring order
+    while free:
+        v = max(free, key=score.__getitem__)
+        free.remove(v)
+        m = mask[v]
         c = 0
-        while c in saturation[v]:
+        while m >> c & 1:
             c += 1
-        colours[v] = c
-        for w in adj[v]:
-            saturation[w].add(c)
-    dsatur_upper = max(colours.values()) + 1
-    lower = len(clique)
+        witness.append((v, c))
+        bit = 1 << c
+        for w in nbrs[v]:
+            if not mask[w] & bit:
+                mask[w] |= bit
+                score[w] += n
+    k = max(c for _, c in witness) + 1
 
     if log is not None:
-        log.clique, log.dsatur_upper, log.branch_nodes = clique, dsatur_upper, 0
-    if dsatur_upper == lower:
-        return dsatur_upper, dict(colours)
-    return _branch_and_bound(adj, order_key, clique, dsatur_upper, colours, log, budget)
+        log.dsatur_upper = k
+    if k > len(clique):
+        k, witness = _branch_and_bound(nbrs, rank, clique, k, witness, log, budget)
+    return k, {ids[i]: c for i, c in witness}
 
 
-def _branch_and_bound(adj, order_key, clique, best_k, best_witness, log, budget):
+def _branch_and_bound(nbrs, rank, clique, best_k, best_witness, log, budget):
     """DSATUR branch and bound (Brelaz, CACM 1979) below the incumbent
-    ``best_k``, run from an explicit stack over dense vertex indexes.
+    ``best_k``, run from an explicit stack over vertex indexes.
 
     The clique is pre-coloured 0..len(clique)-1 and a fresh colour may only
     be the next unused one, both exactness-safe symmetry breaks.  The next
-    vertex has the most distinct neighbour colours, then the highest
-    degree, then the lowest id; colours are tried lowest first, below a
-    limit fixed when the node opens.  Saturation is an int bitmask per
-    vertex (in the spirit of San Segundo et al.'s PASS, C&OR 2012), and the
-    selection key ``score = saturation * n + static rank`` is kept current
-    as colours are placed and lifted.
+    vertex has the most distinct neighbour colours, then the highest static
+    ``rank``; colours are tried lowest first, below a limit fixed when the
+    node opens.  Saturation is an int bitmask per vertex (in the spirit of
+    San Segundo et al.'s PASS, C&OR 2012), and the selection key
+    ``score = saturation * n + rank`` is kept current as colours are placed
+    and lifted.
+
+    Returns the best size and its colouring as (index, colour) items: the
+    incumbent ``best_witness``, or else the clique then the stack in order.
     """
-    ids = sorted(adj, key=order_key.__getitem__)
-    index = {v: i for i, v in enumerate(ids)}
-    n = len(ids)
-    nbrs = [[index[w] for w in adj[v]] for v in ids]
-    # Static rank: the higher, the earlier among equally saturated vertices.
-    score = [0] * n
-    for rank, i in enumerate(sorted(range(n), key=lambda i: (len(nbrs[i]), -i))):
-        score[i] = rank
+    n = len(nbrs)
+    score = rank[:]
     colour = [-1] * n
     mask = [0] * n
     free = set(range(n))
-    for c, v in enumerate(clique):
-        i = index[v]
+    for c, i in enumerate(clique):
         colour[i] = c
         free.discard(i)
         bit = 1 << c
@@ -233,8 +238,8 @@ def _branch_and_bound(adj, order_key, clique, best_k, best_witness, log, budget)
         if not free:
             if used < best_k:
                 best_k = used
-                best_witness = {v: c for c, v in enumerate(clique)}
-                best_witness.update((ids[f[0]], colour[f[0]]) for f in stack)
+                best_witness = [(v, c) for c, v in enumerate(clique)]
+                best_witness += [(f[0], colour[f[0]]) for f in stack]
                 if best_k == lower:
                     break
         else:
@@ -342,41 +347,37 @@ def brute_force_edge_chromatic(c: TwoComplex, k_max: int, force: bool = False) -
 
 
 def _degeneracy(pg: PairedGraph):
-    """The elimination order of ``heawood_degeneracy_order`` together with
-    the simple-quotient adjacency it was computed on."""
+    """The elimination order of ``heawood_degeneracy_order`` as (position,
+    degree) records, together with the simple-quotient neighbours it was
+    computed on.  Quotient vertex ``i`` is ``pg.pairing.pairs[i][0]``."""
     pg.require_planar()
-    adj = _simple_adjacency(pg._simple_quotient)
-    pair_of_rep = {pair[0]: pair for pair in pg.pairing.pairs}
-    degree = {v: len(ws) for v, ws in adj.items()}
-    key = {v: id_sort_key(v) for v in adj}
-    # Ids have distinct sort keys, so ties never fall through to comparing
-    # the vertices themselves.
-    heap = [(d, key[v], v) for v, d in degree.items()]
+    nbrs = _neighbours(pg._simple_quotient)
+    degree = [len(ws) for ws in nbrs]  # -1 once removed
+    heap = [(d, i) for i, d in enumerate(degree)]
     heapq.heapify(heap)
     order = []
     while heap:
-        d, _, v = heapq.heappop(heap)
-        if degree.get(v) != d:
+        d, v = heapq.heappop(heap)
+        if degree[v] != d:
             continue  # removed, or its degree has dropped since this push
         if d > 11:
             raise DomainError("planar paired graph produced a quotient of minimum degree > 11")
-        order.append((pair_of_rep[v], d))
-        del degree[v]
-        for w in adj[v]:
-            if w in degree:
+        order.append((v, d))
+        degree[v] = -1
+        for w in nbrs[v]:
+            if degree[w] >= 0:
                 degree[w] -= 1
-                heapq.heappush(heap, (degree[w], key[w], w))
-    return order, adj
+                heapq.heappush(heap, (degree[w], w))
+    return order, nbrs
 
 
 def heawood_degeneracy_order(pg: PairedGraph) -> list:
     """Elimination order of pairs by repeatedly removing a pair of minimum
-    degree in the current simple quotient, the pair with the smallest
-    ``id_sort_key`` of its representative (its smaller member) first on
-    ties.
+    degree in the current simple quotient, the earliest pair in stored
+    order (smallest representative id) first on ties.
 
     This is smallest-last ordering (Matula and Beck, JACM 1983) in
-    O(m log n): a heap of (current degree, sort key) entries, one pushed
+    O(m log n): a heap of (current degree, position) entries, one pushed
     whenever a neighbour's removal lowers a degree, with outdated entries
     skipped when popped.
 
@@ -384,7 +385,8 @@ def heawood_degeneracy_order(pg: PairedGraph) -> list:
     records; Euler's formula for planar graphs guarantees every recorded
     degree is at most 11, and the function raises DomainError otherwise.
     """
-    return _degeneracy(pg)[0]
+    pairs = pg.pairing.pairs
+    return [(pairs[v], d) for v, d in _degeneracy(pg)[0]]
 
 
 def heawood_colour_12(pg: PairedGraph) -> Colouring:
@@ -394,14 +396,13 @@ def heawood_colour_12(pg: PairedGraph) -> Colouring:
     takes the smallest colour in 0..11 unused by its already-coloured
     quotient neighbours.  Always succeeds on certified inputs.
     """
-    order, adj = _degeneracy(pg)
+    order, nbrs = _degeneracy(pg)
+    pairs = pg.pairing.pairs
+    colour = [-1] * len(pairs)
     assignment = {}
-    colour_of_rep = {}
-    for pair, _ in reversed(order):
-        rep = pair[0]
-        used = {colour_of_rep[w] for w in adj[rep] if w in colour_of_rep}
-        colour = next(c for c in range(12) if c not in used)
-        assignment[pair] = colour
-        colour_of_rep[rep] = colour
+    for v, _ in reversed(order):
+        used = {colour[w] for w in nbrs[v]}
+        colour[v] = next(c for c in range(12) if c not in used)
+        assignment[pairs[v]] = colour[v]
     palette = max(assignment.values()) + 1 if assignment else 0
     return Colouring(palette, assignment)

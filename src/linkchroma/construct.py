@@ -44,9 +44,7 @@ from .core import (
     WalkStep,
     connected_components,
     genus_check,
-    id_sort_key,
     link_graph,
-    pair_key,
     paired_quotient,
 )
 from .errors import DomainError
@@ -254,13 +252,14 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
 
 
 def endpoint_multiset(g: Multigraph, mapping: Optional[dict] = None) -> Counter:
-    """The edges of ``g`` as a multiset of sorted endpoint pairs, with the
-    endpoints renamed through ``mapping`` when one is given."""
+    """The edges of ``g`` as a multiset of unordered endpoint pairs
+    (frozensets), with the endpoints renamed through ``mapping`` when one is
+    given."""
     if mapping is None:
         ends = ((e.end0, e.end1) for e in g.edges)
     else:
         ends = ((mapping[e.end0], mapping[e.end1]) for e in g.edges)
-    return Counter(pair_key(pair) for pair in ends)
+    return Counter(map(frozenset, ends))
 
 
 def link_matches_paired_graph(link_pg: PairedGraph, pg: PairedGraph, ident: Optional[dict] = None) -> bool:
@@ -274,8 +273,8 @@ def link_matches_paired_graph(link_pg: PairedGraph, pg: PairedGraph, ident: Opti
         return False
     if endpoint_multiset(link_pg.graph, ident) != endpoint_multiset(pg.graph):
         return False
-    mapped_pairs = {pair_key((ident[a], ident[b])) for a, b in link_pg.pairing.pairs}
-    return mapped_pairs == set(pg.pairing.pairs)
+    mapped_pairs = {frozenset((ident[a], ident[b])) for a, b in link_pg.pairing.pairs}
+    return mapped_pairs == set(map(frozenset, pg.pairing.pairs))
 
 
 def seal(c: TwoComplex) -> TwoComplex:
@@ -387,17 +386,17 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
     # validated it, so the Heawood colouring below reuses this object's
     # quotient and planarity verdict.
     pg = PairedGraph(w.graph, pairing, w.rotation if checks[0].passed else None)
-    designated = tuple(pair_key(p) for p in w.designated_pairs)
-    if len(designated) != 12 or any(p not in pairing.pairs for p in designated):
+    pair_by_members = {frozenset(p): p for p in pairing.pairs}
+    designated = [pair_by_members.get(frozenset(p)) for p in w.designated_pairs]
+    if len(designated) != 12 or None in designated:
         checks.append(
             WitnessCheck("designated-k12", False, "must designate 12 pairs of the pairing")
         )
     else:
-        present = {pair_key((e.end0, e.end1)) for e in pg._simple_quotient.edges}
-        # sorted, so each (a, b) below is already in pair_key order
-        reps = sorted((p[0] for p in designated), key=id_sort_key)
+        present = {frozenset((e.end0, e.end1)) for e in pg._simple_quotient.edges}
+        reps = [p[0] for p in designated]
         missing = [
-            (a, b) for i, a in enumerate(reps) for b in reps[i + 1 :] if (a, b) not in present
+            (a, b) for i, a in enumerate(reps) for b in reps[i + 1 :] if frozenset((a, b)) not in present
         ]
         checks.append(
             WitnessCheck(

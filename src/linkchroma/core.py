@@ -5,9 +5,10 @@ link graphs, paired quotients and face-traced genus.
 Conventions used throughout:
 
 * Ids (for vertices and edges) are ints, strings, or tuples of these.
-  ``id_sort_key`` gives them a total order; every container stores its
-  parts in that order, so all derived objects are reproducible
-  byte-for-byte.
+  ``id_sort_key`` gives them a total order, applied only by the
+  constructors; every container stores its parts in that order, and
+  consumers walk the stored order and break ties by position, so all
+  derived objects are reproducible byte-for-byte.
 * An edge has two distinguishable ends, side 0 and side 1.  A loop has
   both ends at the same vertex but the sides remain distinct.
 * All types are immutable; every operation is a pure function.
@@ -15,7 +16,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
@@ -28,11 +28,14 @@ EdgeId = Union[int, str, tuple]
 GENUINE = "genuine"
 PUNCTURED = "punctured"
 
+MAX_ID_DEPTH = 32  # deepest tuple nesting an id may have
+
 
 def id_sort_key(value):
     """Total order over ids: ints first, then strings, then tuples.
 
-    Doubles as the id validator; raises DomainError for anything else.
+    Doubles as the id validator; raises DomainError for anything else,
+    including tuples nested more than ``MAX_ID_DEPTH`` deep.
     """
     if isinstance(value, bool):
         raise DomainError("booleans are not valid ids")
@@ -41,13 +44,14 @@ def id_sort_key(value):
     if isinstance(value, str):
         return (1, value)
     if isinstance(value, tuple):
-        return (2, tuple(id_sort_key(v) for v in value))
+        return _tuple_sort_key(value, 1)
     raise DomainError(f"unsupported id {short_repr(value)}: ids are ints, strings or tuples")
 
 
-def pair_key(pair) -> tuple:
-    """Canonical key of an unordered pair of ids: its members in id order."""
-    return tuple(sorted(pair, key=id_sort_key))
+def _tuple_sort_key(value: tuple, depth: int) -> tuple:
+    if depth > MAX_ID_DEPTH:
+        raise DomainError(f"ids may nest tuples at most {MAX_ID_DEPTH} deep")
+    return (2, tuple(_tuple_sort_key(v, depth + 1) if isinstance(v, tuple) else id_sort_key(v) for v in value))
 
 
 class EdgeEnd(NamedTuple):
@@ -145,26 +149,25 @@ class Multigraph:
 
 
 def connected_components(g: Multigraph) -> tuple:
-    """Vertex sets of the components of ``g``, each sorted, ordered by
-    their smallest vertex."""
-    unseen = set(g.vertices)
+    """Vertex sets of the components of ``g``, each in stored vertex order,
+    ordered by their first vertex."""
+    comp_of = {}
     comps = []
     for start in g.vertices:
-        if start not in unseen:
+        if start in comp_of:
             continue
-        unseen.discard(start)
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for end in g.ends_at(v):
+        comp_of[start] = len(comps)
+        stack = [start]
+        while stack:
+            for end in g.ends_at(stack.pop()):
                 w = g.end_vertex(end.flipped())
-                if w in unseen:
-                    unseen.discard(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp, key=id_sort_key)))
-    return tuple(comps)
+                if w not in comp_of:
+                    comp_of[w] = len(comps)
+                    stack.append(w)
+        comps.append([])
+    for v in g.vertices:
+        comps[comp_of[v]].append(v)
+    return tuple(map(tuple, comps))
 
 
 def third_edges(g: Multigraph) -> list:
@@ -274,7 +277,7 @@ class Pairing:
                 raise DomainError(
                     f"pairing class {short_repr(members)} must have exactly two distinct members"
                 )
-            members = pair_key(members)
+            members = tuple(sorted(members, key=id_sort_key))
             for m in members:
                 if m in seen:
                     raise DomainError(f"vertex {short_repr(m)} appears in more than one pair")
@@ -342,24 +345,26 @@ class RotationSystem:
         return {v: list(order) for v, order in self.orders}
 
 
-def validate_rotation(g: Multigraph, rot: RotationSystem) -> None:
+def validate_rotation(g: Multigraph, rot: RotationSystem) -> dict:
     """Check that ``rot`` lists every edge-end of ``g`` exactly once, at the
-    right vertex."""
-    seen = set()
+    right vertex.  Returns the dart successor map it checked: each edge-end
+    to the next end around its vertex, in stored rotation order."""
+    succ = {}
     for v, order in rot.orders:
         if not g.has_vertex(v):
             raise DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
-        for end in order:
+        for end, nxt in zip(order, order[1:] + order[:1]):
             if not g.has_edge(end.edge):
                 raise DomainError(f"rotation mentions unknown edge {short_repr(end.edge)}")
             if g.end_vertex(end) != v:
                 raise DomainError(f"edge-end {short_repr(end)} is not incident to vertex {short_repr(v)}")
-            if end in seen:
+            if end in succ:
                 raise DomainError(f"edge-end {short_repr(end)} appears twice in rotation system")
-            seen.add(end)
-    missing = 2 * len(g.edges) - len(seen)
+            succ[end] = nxt
+    missing = 2 * len(g.edges) - len(succ)
     if missing:
         raise DomainError(f"rotation system is missing {missing} edge-end(s)")
+    return succ
 
 
 @dataclass(frozen=True)
@@ -422,10 +427,7 @@ def trace_faces(g: Multigraph, rot: RotationSystem) -> tuple:
     (vertices in id order, each order from its smallest end), so the faces
     are reproducible without sorting the darts.
     """
-    validate_rotation(g, rot)
-    succ = {}
-    for _, order in rot.orders:
-        succ.update(zip(order, order[1:] + order[:1]))
+    succ = validate_rotation(g, rot)
     faces = []
     visited = set()
     for start in succ:
@@ -449,10 +451,7 @@ def genus_check(g: Multigraph, rot: RotationSystem) -> tuple:
     """
     faces = trace_faces(g, rot)
     comps = connected_components(g)
-    comp_index = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_index[v] = i
+    comp_index = {v: i for i, comp in enumerate(comps) for v in comp}
     edge_counts = [0] * len(comps)
     for e in g.edges:
         edge_counts[comp_index[e.end0]] += 1
@@ -552,7 +551,7 @@ def simple_quotient(pg: PairedGraph) -> Multigraph:
     keep = {}
     for e in edges:  # in edge-id order, so the first edge of a class is kept
         if not e.is_loop:
-            keep.setdefault(pair_key((e.end0, e.end1)), e)
+            keep.setdefault(frozenset((e.end0, e.end1)), e)
     return Multigraph(verts, tuple(keep.values()))
 
 
@@ -563,7 +562,7 @@ def is_simplicial(c: TwoComplex) -> bool:
     for e in c.skeleton.edges:
         if e.is_loop:
             return False
-        key = pair_key((e.end0, e.end1))
+        key = frozenset((e.end0, e.end1))
         if key in seen_endpoints:
             return False
         seen_endpoints.add(key)

@@ -24,6 +24,7 @@ from typing import Mapping, Optional
 
 from .core import (
     GENUINE,
+    MAX_ID_DEPTH,
     PUNCTURED,
     ClosedWalk,
     Edge,
@@ -48,9 +49,6 @@ def id_to_json(value):
     if isinstance(value, tuple):
         return [id_to_json(v) for v in value]
     return value
-
-
-MAX_ID_DEPTH = 32
 
 
 def _tuple_from_json(value: list, depth: int) -> tuple:

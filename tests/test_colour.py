@@ -33,7 +33,6 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
-from linkchroma.colour import _greedy_clique, _simple_adjacency
 from linkchroma.construct import random_planar_paired_graph
 
 
@@ -182,11 +181,36 @@ class TestChromaticNumber:
         assert log.dsatur_upper >= 3
 
 
+def _reference_adjacency(g):
+    """Adjacency sets by id with loops dropped and parallels collapsed."""
+    adj = {v: set() for v in g.vertices}
+    for e in g.edges:
+        if not e.is_loop:
+            adj[e.end0].add(e.end1)
+            adj[e.end1].add(e.end0)
+    return adj
+
+
+def _reference_clique(adj):
+    """Greedy clique by id: repeatedly add the candidate of highest degree
+    within the candidate set, lowest id first on ties."""
+    if not adj:
+        return []
+    clique = []
+    candidates = set(adj)
+    while candidates:
+        v = min(candidates, key=lambda u: (-len(adj[u] & candidates), id_sort_key(u)))
+        clique.append(v)
+        candidates &= adj[v]
+    return clique
+
+
 def reference_chromatic_number(g, log=None):
-    """The recursive clique-seeded DSATUR branch and bound, kept verbatim
-    as the oracle for the explicit-stack search: same answer, same witness
-    in the same insertion order, same solver log."""
-    adj = _simple_adjacency(g)
+    """The recursive clique-seeded DSATUR branch and bound on id dicts and
+    sets, with its own adjacency and clique, kept verbatim as the oracle for
+    the explicit-stack search on indexes: same answer, same witness in the
+    same insertion order, same solver log."""
+    adj = _reference_adjacency(g)
     n = len(adj)
     if n == 0:
         if log is not None:
@@ -194,7 +218,7 @@ def reference_chromatic_number(g, log=None):
         return 0, {}
 
     order_key = {v: id_sort_key(v) for v in adj}
-    clique = _greedy_clique(adj)
+    clique = _reference_clique(adj)
 
     # DSATUR greedy upper bound, also the initial incumbent witness.
     colours = {}

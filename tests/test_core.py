@@ -23,6 +23,7 @@ from linkchroma import (
     simple_quotient,
     third_edges,
     trace_faces,
+    validate_rotation,
     validate_walk,
     walk_concat,
     walk_reverse,
@@ -35,7 +36,7 @@ from linkchroma.catalogue import (
     triangle_complex,
 )
 from linkchroma.construct import make_degree_faithful, random_planar_paired_graph
-from linkchroma.core import end_sort_key
+from linkchroma.core import MAX_ID_DEPTH, end_sort_key
 from linkchroma.corpus import enumerate_small_complexes
 
 
@@ -72,6 +73,28 @@ class TestMultigraph:
     def test_components(self):
         g = Multigraph((1, 2, 3, 4), (Edge("e", 1, 2),))
         assert connected_components(g) == ((1, 2), (3,), (4,))
+
+    def test_components_keep_stored_order(self):
+        ids = (5, "b", ("t", 1), 2, "a")
+        edges = (Edge(0, ("t", 1), 2), Edge(1, 2, 5), Edge(2, "a", "b"))
+        g = Multigraph(ids, edges)
+        assert connected_components(g) == ((2, 5, ("t", 1)), ("a", "b"))
+
+    def test_ids_nested_too_deep_are_a_domain_error(self):
+        def nested(depth):
+            x = 0
+            for _ in range(depth):
+                x = (x,)
+            return x
+
+        assert id_sort_key(nested(MAX_ID_DEPTH))[0] == 2
+        with pytest.raises(DomainError):
+            id_sort_key(nested(MAX_ID_DEPTH + 1))
+        deep = nested(3000)
+        with pytest.raises(DomainError):
+            Multigraph((deep,), ())
+        with pytest.raises(DomainError):
+            Pairing(((deep, 1),))
 
 
 class TestThirdEdges:
@@ -327,6 +350,12 @@ class TestFaceTracingOracle:
         for g, rot in oracle_maps():
             got = [(c.vertices, c.face_count, c.genus) for c in genus_check(g, rot)]
             assert got == sorted_face_genera(g, rot)
+
+    def test_validate_rotation_returns_the_successor_map(self):
+        for g, rot in oracle_maps():
+            succ = validate_rotation(g, rot)
+            assert succ == successor_map(rot)
+            assert list(succ) == [end for _, order in rot.orders for end in order]
 
     def test_every_face_closes(self):
         for g, rot in oracle_maps():

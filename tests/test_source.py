@@ -24,10 +24,10 @@ def test_no_assert_statements():
 # explicit loop instead: Python's recursion limit would turn a large input
 # into a RecursionError.
 RECURSION_ALLOWED = {
-    "core.id_sort_key": "id nesting, at most formats.MAX_ID_DEPTH in documents",
-    "formats.id_to_json": "id nesting, at most formats.MAX_ID_DEPTH in documents",
-    "formats._tuple_from_json": "id nesting, stops at formats.MAX_ID_DEPTH",
-    "formats.id_text": "id nesting, at most formats.MAX_ID_DEPTH in documents",
+    "core._tuple_sort_key": "id nesting, stops at core.MAX_ID_DEPTH",
+    "formats.id_to_json": "id nesting, at most core.MAX_ID_DEPTH in any constructed object",
+    "formats._tuple_from_json": "id nesting, stops at core.MAX_ID_DEPTH",
+    "formats.id_text": "id nesting, at most core.MAX_ID_DEPTH in any constructed object",
     "search.exact_pairing.search": "one level per pair, 12 pairs",
     "corpus.enumerate_closed_walks.extend": "one level per step, max_len (4 in the corpus)",
     "corpus.chromatic_number_reference.feasible.place": "one level per vertex, oracle graphs of <= 12",
@@ -80,3 +80,33 @@ def test_recursion_only_where_depth_is_bounded():
     assert sorted(set(found) - set(RECURSION_ALLOWED)) == []
     assert sorted(set(RECURSION_ALLOWED) - set(found)) == []  # no stale entries
     assert not any(name.startswith("colour.") for name in RECURSION_ALLOWED)
+
+
+# Id order is decided once, by the constructors in ``core``; every other
+# module walks their stored order and breaks ties by position.  ``formats``
+# validates parsed ids and sorts colouring keys for output, and the package
+# ``__init__`` re-exports the function.
+ID_ORDER_ALLOWED = {"core", "formats", "__init__"}
+
+
+def _names(tree, name):
+    """True iff ``tree`` refers to ``name`` as a name, attribute or import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == name:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        if isinstance(node, ast.alias) and name in (node.name, node.asname):
+            return True
+    return False
+
+
+def test_id_order_decided_only_by_constructors():
+    paths = sorted(Path(linkchroma.__file__).parent.glob("*.py"))
+    found = [
+        path.stem
+        for path in paths
+        if _names(ast.parse(path.read_text(encoding="utf-8")), "id_sort_key")
+    ]
+    assert "core" in found
+    assert sorted(set(found) - ID_ORDER_ALLOWED) == []
