@@ -11,6 +11,11 @@ transpositions, objective = number of distinct cross-pair adjacencies
 realised, with restarts; plus an exact backtracking solver for the
 pairing on the current triangulation, used to close the final gap.
 Deterministic for a given seed.
+
+The objective is kept in one flat table of edge counts per cross-pair
+class, so a proposal costs O(degree) integer updates.  A flip and a swap
+are each their own inverse: a rejected proposal is undone by applying it
+again.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from collections import Counter
 from typing import Optional
 
 from .construct import TwelvePireWitness, verify_witness
+from .core import Edge, Multigraph, RotationSystem
 from .errors import BudgetExhausted, DomainError
 from .triangulate import SphereTriangulation
 
@@ -133,72 +139,65 @@ def exact_pairing(adj: dict, node_cap: int = _BACKTRACK_NODE_CAP) -> Optional[li
     return None
 
 
+# _SLOT[i][j]: the count-table slot of the edges joining pairs i and j
+# (symmetric), or -1 when i == j, since an edge inside a pair realises no
+# cross-pair adjacency.
+_SLOT = [
+    [-1 if i == j else min(i, j) * N_PAIRS + max(i, j) for j in range(N_PAIRS)]
+    for i in range(N_PAIRS)
+]
+
+
 class _AnnealState:
     """Triangulation + pairing with an incrementally maintained count of
-    distinct cross-pair adjacencies."""
+    distinct cross-pair adjacencies.
+
+    ``count`` is one flat table of ``N_PAIRS * N_PAIRS`` ints holding the
+    number of edges in each cross-pair class at its ``_SLOT`` index, and
+    ``distinct`` the number of nonzero entries.  ``flip`` and
+    ``swap_pairs`` each cost O(degree) integer updates and are their own
+    inverses, so a rejected move is undone by applying it again.
+    """
 
     def __init__(self, tri: SphereTriangulation, pair_of: list):
         self.tri = tri
         self.pair_of = pair_of
-        self.class_count = Counter()
+        self.count = [0] * (N_PAIRS * N_PAIRS)
         self.distinct = 0
         for e in range(tri.num_edges):
             u, v = tri.endpoints(e)
-            self._add(u, v)
+            self._move(-1, _SLOT[pair_of[u]][pair_of[v]])
 
-    def _key(self, u, v):
-        i, j = self.pair_of[u], self.pair_of[v]
-        if i == j:
-            return None
-        return (i, j) if i < j else (j, i)
-
-    def _add(self, u, v):
-        key = self._key(u, v)
-        if key is not None:
-            self.class_count[key] += 1
-            if self.class_count[key] == 1:
+    def _move(self, old: int, new: int):
+        """Move one edge from slot ``old`` to slot ``new`` (-1: no class)."""
+        count = self.count
+        if old >= 0:
+            count[old] -= 1
+            if not count[old]:
+                self.distinct -= 1
+        if new >= 0:
+            count[new] += 1
+            if count[new] == 1:
                 self.distinct += 1
 
-    def _remove(self, u, v):
-        key = self._key(u, v)
-        if key is not None:
-            self.class_count[key] -= 1
-            if self.class_count[key] == 0:
-                del self.class_count[key]
-                self.distinct -= 1
-
-    def try_flip(self, e: int):
-        """Flip edge ``e`` and update counters; returns an undo closure, or
-        None when the edge is not flippable."""
-        if not self.tri.flippable(e):
-            return None
+    def flip(self, e: int):
+        """Flip the flippable edge ``e`` and move its count from the old
+        diagonal's class to the new one's."""
         (x, y), (z, w) = self.tri.flip(e)
-        self._remove(x, y)
-        self._add(z, w)
-
-        def undo():
-            self.tri.flip(e)
-            self._remove(z, w)
-            self._add(x, y)
-
-        return undo
+        p = self.pair_of
+        self._move(_SLOT[p[x]][p[y]], _SLOT[p[z]][p[w]])
 
     def swap_pairs(self, a: int, b: int):
-        """Exchange the pair memberships of vertices ``a`` and ``b``;
-        returns an undo closure."""
-        affected = {tuple(sorted((a, nb))) for nb in self.tri.adj[a]}
-        affected |= {tuple(sorted((b, nb))) for nb in self.tri.adj[b]}
-        affected = sorted(affected)
-
-        def apply():
-            for u, v in affected:
-                self._remove(u, v)
-            self.pair_of[a], self.pair_of[b] = self.pair_of[b], self.pair_of[a]
-            for u, v in affected:
-                self._add(u, v)
-
-        apply()
-        return apply  # the swap is an involution
+        """Exchange the pairs of ``a`` and ``b``, which must differ.  Every
+        edge at ``a`` or ``b`` moves one count to its new class, except the
+        edge ``ab``, whose class does not change."""
+        pair_of, adj = self.pair_of, self.tri.adj
+        pa, pb = pair_of[a], pair_of[b]
+        for v, other, old_row, new_row in ((a, b, _SLOT[pa], _SLOT[pb]), (b, a, _SLOT[pb], _SLOT[pa])):
+            for nb in adj[v]:
+                if nb != other:
+                    self._move(old_row[pair_of[nb]], new_row[pair_of[nb]])
+        pair_of[a], pair_of[b] = pb, pa
 
     def pairs(self) -> list:
         members = [[] for _ in range(N_PAIRS)]
@@ -225,11 +224,11 @@ def _random_state(rng: random.Random) -> _AnnealState:
 
 
 def _build_witness(tri: SphereTriangulation, pairs, provenance: dict) -> TwelvePireWitness:
-    graph, rotation = tri.to_graph_and_rotation()
+    edges = tuple(Edge(k, *tri.endpoints(k)) for k in range(tri.num_edges))
     witness = TwelvePireWitness(
-        graph=graph,
+        graph=Multigraph(tuple(range(tri.num_vertices)), edges),
         pairs=tuple(pairs),
-        rotation=rotation,
+        rotation=RotationSystem(tri.rotation_orders()),
         designated_pairs=tuple(pairs),
         provenance=provenance,
     )
@@ -264,24 +263,19 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
         for i in range(chain):
             steps_used += 1
             since_improvement += 1
-            temperature = _T_START * math.exp(cool * i / chain)
-
             if rng.random() < _FLIP_PROB:
-                before = state.distinct
-                undo = state.try_flip(rng.randrange(state.tri.num_edges))
-                if undo is not None:
-                    delta = state.distinct - before
-                    if delta < 0 and rng.random() >= math.exp(delta / temperature):
-                        undo()
+                e = rng.randrange(state.tri.num_edges)
+                move, args, legal = state.flip, (e,), state.tri.flippable(e)
             else:
                 a = rng.randrange(N_VERTICES)
                 b = rng.randrange(N_VERTICES)
-                if state.pair_of[a] != state.pair_of[b]:
-                    before = state.distinct
-                    undo = state.swap_pairs(a, b)
-                    delta = state.distinct - before
-                    if delta < 0 and rng.random() >= math.exp(delta / temperature):
-                        undo()
+                move, args, legal = state.swap_pairs, (a, b), state.pair_of[a] != state.pair_of[b]
+            if legal:
+                before = state.distinct
+                move(*args)
+                delta = state.distinct - before
+                if delta < 0 and rng.random() >= math.exp(delta / (_T_START * math.exp(cool * i / chain))):
+                    move(*args)  # a flip or a swap is its own inverse
 
             if state.distinct > best_chain:
                 best_chain = state.distinct

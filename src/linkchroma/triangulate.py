@@ -13,7 +13,7 @@ a parallel edge, which also keeps every degree at least 3.
 
 from __future__ import annotations
 
-from .core import Edge, EdgeEnd, Multigraph, RotationSystem
+from .core import EdgeEnd
 from .errors import DomainError
 
 
@@ -94,7 +94,7 @@ class SphereTriangulation:
         """Replace edge xy by the other diagonal zw of its two faces.
 
         Returns ((x, y), (z, w)).  Flipping the same edge again restores
-        the original triangulation.
+        the original triangulation, with the two darts of ``e`` exchanged.
         """
         d, t = 2 * e, 2 * e + 1
         a = self.fnext[d]
@@ -113,14 +113,6 @@ class SphereTriangulation:
         self.fnext[b], self.fnext[c], self.fnext[d] = c, d, b
         self.fnext[f], self.fnext[a], self.fnext[t] = a, t, f
         return (x, y), (z, w)
-
-    def to_graph_and_rotation(self):
-        """Export as an immutable multigraph plus its genus-0 rotation."""
-        g = Multigraph(
-            tuple(range(self.num_vertices)),
-            tuple(Edge(k, *self.endpoints(k)) for k in range(self.num_edges)),
-        )
-        return g, RotationSystem(self.rotation_orders())
 
     def rotation_orders(self) -> dict:
         """The rotation at every vertex as a list of edge-ends, starting at

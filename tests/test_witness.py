@@ -1,6 +1,11 @@
+import hashlib
+import random
+from collections import Counter
+from importlib import resources
+
 import pytest
 
-from linkchroma import Multigraph, RotationSystem
+from linkchroma import Multigraph, RotationSystem, formats
 from linkchroma.construct import (
     TwelvePireWitness,
     load_shipped_witness,
@@ -8,7 +13,42 @@ from linkchroma.construct import (
     verify_witness,
 )
 from linkchroma.errors import BudgetExhausted
-from linkchroma.search import exact_pairing, search_witness
+from linkchroma.search import _random_state, exact_pairing, search_witness
+
+# Outcomes of search_witness(seed, 6000), recorded by running the search
+# before its class-count table was flattened: the best objective of every
+# exhausted search, and the witness that seed 34 finds.
+PINNED_BEST_OBJECTIVE = {
+    0: 64, 1: 64, 2: 64, 3: 63, 4: 64, 5: 64, 6: 64, 7: 64, 8: 65, 9: 63, 42: 63,
+}
+SEED_34_STEPS = 4334
+SEED_34_SHA256 = "666272b61a1901c20f7d1e4f7bdc6ec57ffeda9c6eee339059cf45f3cf27bea5"
+
+
+def _recount(state) -> Counter:
+    """Edges per cross-pair class, counted from scratch over the
+    triangulation's edges and the pairing."""
+    classes = Counter()
+    for k in range(state.tri.num_edges):
+        u, v = state.tri.endpoints(k)
+        i, j = state.pair_of[u], state.pair_of[v]
+        if i != j:
+            classes[frozenset((i, j))] += 1
+    return classes
+
+
+def _snapshot(state, reversed_edge=None):
+    """The state's count table, darts, pairing and objective; with
+    ``reversed_edge``, as if that edge's two darts were exchanged."""
+
+    def relabel(d):
+        return d ^ 1 if d >> 1 == reversed_edge else d
+
+    origin, fnext = list(state.tri.origin), list(state.tri.fnext)
+    for d in range(len(origin)):
+        origin[relabel(d)] = state.tri.origin[d]
+        fnext[relabel(d)] = relabel(state.tri.fnext[d])
+    return list(state.count), origin, fnext, list(state.pair_of), state.distinct
 
 
 class TestShippedWitness:
@@ -133,6 +173,47 @@ class TestSearch:
         state = _AnnealState(tri, pair_of)
         assert state.distinct <= 65
 
+    @pytest.mark.parametrize("seed", sorted(PINNED_BEST_OBJECTIVE))
+    def test_pinned_search_outcome(self, seed):
+        with pytest.raises(BudgetExhausted) as info:
+            search_witness(seed=seed, budget=6000)
+        assert info.value.best_objective == PINNED_BEST_OBJECTIVE[seed]
+
+    def test_pinned_witness_found_by_seed_34(self):
+        w = search_witness(seed=34, budget=6000)
+        assert w.provenance["steps_used"] == SEED_34_STEPS
+        text = formats.dumps(formats.witness_to_doc(w))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED_34_SHA256
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_incremental_objective_matches_a_recount(self, seed):
+        rng = random.Random(seed)
+        state = _random_state(rng)
+        undone = 0
+        for _ in range(1500):
+            if rng.random() < 0.5:
+                e = rng.randrange(state.tri.num_edges)
+                if not state.tri.flippable(e):
+                    continue
+                move, args, reversed_edge = state.flip, (e,), e
+            else:
+                a, b = rng.sample(range(24), 2)
+                if state.pair_of[a] == state.pair_of[b]:
+                    continue
+                move, args, reversed_edge = state.swap_pairs, (a, b), None
+            # flipping an edge twice restores the triangulation with that
+            # edge's darts exchanged; a swap twice restores it exactly
+            before = _snapshot(state, reversed_edge)
+            move(*args)
+            classes = _recount(state)
+            assert state.distinct == len(classes)
+            assert sorted(c for c in state.count if c) == sorted(classes.values())
+            if rng.random() < 0.3:
+                move(*args)  # each move is its own inverse
+                assert _snapshot(state) == before
+                undone += 1
+        assert undone > 100
+
     def test_replaying_the_shipped_seed_reproduces_the_witness(self):
         # determinism across runs: the shipped file was written by an earlier
         # process with the same seed and budget
@@ -141,3 +222,5 @@ class TestSearch:
         assert again.graph == w.graph
         assert again.pairs == w.pairs
         assert again.rotation == w.rotation
+        shipped = resources.files("linkchroma").joinpath("data/k12_pire.json")
+        assert formats.dumps(formats.witness_to_doc(again)) == shipped.read_text(encoding="utf-8")
