@@ -9,13 +9,13 @@ of planar paired graphs (empire maps with two countries per empire).
 
 Colouring semantics: an edge joining two vertices of the same pair,
 including loops, imposes no constraint.  All constraint checking routes
-through ``simple_quotient``, except the walk-level complex checker which
-is deliberately independent of link graphs.
+through the simple quotient (``simple_quotient``, or the paired graph's
+neighbour sets of it), except the walk-level complex checker which is
+deliberately independent of link graphs.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -58,16 +58,18 @@ class Colouring:
 def is_valid_pair_colouring(pg: PairedGraph, colouring: Colouring) -> bool:
     """True iff distinct pairs joined by an edge receive distinct colours.
 
-    Within-pair edges are exempt; the check runs on the simple quotient.
+    Within-pair edges are exempt; the check runs on the simple quotient's
+    neighbour sets.
     """
-    colour_of_rep = {}
+    colour = []
     for pair in pg.pairing.pairs:
         if pair not in colouring.assignment:
             raise DomainError(f"pair {pair!r} is uncoloured")
-        colour_of_rep[pair[0]] = colouring.assignment[pair]
-    for e in pg._simple_quotient.edges:
-        if colour_of_rep[e.end0] == colour_of_rep[e.end1]:
-            return False
+        colour.append(colouring.assignment[pair])
+    for c, ws in zip(colour, pg._quotient_neighbours):
+        for w in ws:
+            if colour[w] == c:
+                return False
     return True
 
 
@@ -346,29 +348,15 @@ def brute_force_edge_chromatic(c: TwoComplex, k_max: int, force: bool = False) -
 # Degeneracy-greedy 12-colouring of certified-planar paired graphs
 
 
-def _degeneracy(pg: PairedGraph):
+def _degeneracy(pg: PairedGraph) -> list:
     """The elimination order of ``heawood_degeneracy_order`` as (position,
-    degree) records, together with the simple-quotient neighbours it was
-    computed on.  Quotient vertex ``i`` is ``pg.pairing.pairs[i][0]``."""
+    degree) records, computed once per object.  Quotient vertex ``i`` is
+    ``pg.pairing.pairs[i][0]``."""
     pg.require_planar()
-    nbrs = _neighbours(pg._simple_quotient)
-    degree = [len(ws) for ws in nbrs]  # -1 once removed
-    heap = [(d, i) for i, d in enumerate(degree)]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if degree[v] != d:
-            continue  # removed, or its degree has dropped since this push
-        if d > 11:
-            raise DomainError("planar paired graph produced a quotient of minimum degree > 11")
-        order.append((v, d))
-        degree[v] = -1
-        for w in nbrs[v]:
-            if degree[w] >= 0:
-                degree[w] -= 1
-                heapq.heappush(heap, (degree[w], w))
-    return order, nbrs
+    order = pg._smallest_last
+    if any(d > 11 for _, d in order):
+        raise DomainError("planar paired graph produced a quotient of minimum degree > 11")
+    return order
 
 
 def heawood_degeneracy_order(pg: PairedGraph) -> list:
@@ -377,16 +365,15 @@ def heawood_degeneracy_order(pg: PairedGraph) -> list:
     order (smallest representative id) first on ties.
 
     This is smallest-last ordering (Matula and Beck, JACM 1983) in
-    O(m log n): a heap of (current degree, position) entries, one pushed
-    whenever a neighbour's removal lowers a degree, with outdated entries
-    skipped when popped.
+    O(m log n), computed once per paired graph and shared with
+    ``heawood_colour_12``.
 
     Requires a certified planar input.  Returns (pair, degree-at-removal)
     records; Euler's formula for planar graphs guarantees every recorded
     degree is at most 11, and the function raises DomainError otherwise.
     """
     pairs = pg.pairing.pairs
-    return [(pairs[v], d) for v, d in _degeneracy(pg)[0]]
+    return [(pairs[v], d) for v, d in _degeneracy(pg)]
 
 
 def heawood_colour_12(pg: PairedGraph) -> Colouring:
@@ -396,7 +383,8 @@ def heawood_colour_12(pg: PairedGraph) -> Colouring:
     takes the smallest colour in 0..11 unused by its already-coloured
     quotient neighbours.  Always succeeds on certified inputs.
     """
-    order, nbrs = _degeneracy(pg)
+    order = _degeneracy(pg)
+    nbrs = pg._quotient_neighbours
     pairs = pg.pairing.pairs
     colour = [-1] * len(pairs)
     assignment = {}

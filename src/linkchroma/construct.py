@@ -46,6 +46,7 @@ from .core import (
     genus_check,
     link_graph,
     paired_quotient,
+    simple_quotient,
 )
 from .errors import DomainError
 from .triangulate import SphereTriangulation
@@ -59,14 +60,24 @@ def is_degree_faithful(pg: PairedGraph) -> bool:
 # Genus-preserving rotation surgery
 
 
-def _insert_parallel(orders: dict, e: Edge, new_id) -> None:
-    """Insert a parallel twin of ``e`` next to it in the rotations: after
-    the side-0 end, before the side-1 end.  The twin bounds a bigon with
-    the original, so the genus is unchanged."""
-    at0 = orders[e.end0]
-    at0.insert(at0.index(EdgeEnd(e.id, 0)) + 1, EdgeEnd(new_id, 0))
-    at1 = orders[e.end1]
-    at1.insert(at1.index(EdgeEnd(e.id, 1)), EdgeEnd(new_id, 1))
+def _with_twins(orders: dict, twin: dict) -> dict:
+    """The rotations with a parallel twin beside every edge in ``twin``
+    (edge id -> twin id), in one pass per rotation: right after the edge's
+    side-0 end and right before its side-1 end.  Each twin bounds a bigon
+    with its edge, so the genus is unchanged."""
+    out = {}
+    for v, order in orders.items():
+        new = []
+        for end in order:
+            t = twin.get(end.edge)
+            if t is None:
+                new.append(end)
+            elif end.side == 0:
+                new += (end, EdgeEnd(t, 0))
+            else:
+                new += (EdgeEnd(t, 1), end)
+        out[v] = new
+    return out
 
 
 def _append_loop(orders: dict, v, new_id) -> None:
@@ -85,12 +96,10 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
     """
     if pg.rotation is None:
         raise DomainError("rotation system required to augment while preserving genus")
-    orders = {v: list(pg.rotation.order_at(v)) for v in pg.graph.vertices}
+    twin = {e.id: ("dbl", e.id) for e in pg.graph.edges}
     edges = list(pg.graph.edges)
-    for e in pg.graph.edges:
-        new_id = ("dbl", e.id)
-        edges.append(Edge(new_id, e.end0, e.end1))
-        _insert_parallel(orders, e, new_id)
+    edges += (Edge(twin[e.id], e.end0, e.end1) for e in pg.graph.edges)
+    orders = _with_twins({v: pg.rotation.order_at(v) for v in pg.graph.vertices}, twin)
     degree = {v: len(orders[v]) for v in pg.graph.vertices}
     for u, v in pg.pairing.pairs:
         if degree[u] == degree[v]:
@@ -382,10 +391,10 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
         checks.append(WitnessCheck("pair-chromatic-12", False, "pairing invalid"))
         return WitnessReport(tuple(checks))
 
-    # The rotation rides along only once the planar-embedding check has
-    # validated it, so the Heawood colouring below reuses this object's
-    # quotient and planarity verdict.
+    # The rotation rides along only if the planar-embedding check passed,
+    # so building ``pg`` cannot fail on it.
     pg = PairedGraph(w.graph, pairing, w.rotation if checks[0].passed else None)
+    q = simple_quotient(pg)
     pair_by_members = {frozenset(p): p for p in pairing.pairs}
     designated = [pair_by_members.get(frozenset(p)) for p in w.designated_pairs]
     if len(designated) != 12 or None in designated:
@@ -393,7 +402,7 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
             WitnessCheck("designated-k12", False, "must designate 12 pairs of the pairing")
         )
     else:
-        present = {frozenset((e.end0, e.end1)) for e in pg._simple_quotient.edges}
+        present = {frozenset((e.end0, e.end1)) for e in q.edges}
         reps = [p[0] for p in designated]
         missing = [
             (a, b) for i, a in enumerate(reps) for b in reps[i + 1 :] if frozenset((a, b)) not in present
@@ -406,7 +415,7 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
             )
         )
 
-    k, _ = chromatic_number(pg._simple_quotient)
+    k, _ = chromatic_number(q)
     detail = f"exact pair-chromatic number {k}"
     if k == 12 and pg.rotation is not None:
         hw = heawood_colour_12(pg)
@@ -459,11 +468,13 @@ def random_planar_paired_graph(
             del edges[e.id]
             orders[e.end0].remove(EdgeEnd(e.id, 0))
             orders[e.end1].remove(EdgeEnd(e.id, 1))
+    twin = {}
     for e in list(edges.values()):
         if rng.random() < duplicate_prob:
             new_id = ("dup", e.id)
             edges[new_id] = Edge(new_id, e.end0, e.end1)
-            _insert_parallel(orders, e, new_id)
+            twin[e.id] = new_id
+    orders = _with_twins(orders, twin)
     verts = list(range(n))
     rng.shuffle(verts)
     pairing = Pairing(tuple((verts[2 * i], verts[2 * i + 1]) for i in range(n_pairs)))

@@ -16,6 +16,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import heapq
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
@@ -148,26 +150,53 @@ class Multigraph:
         return tuple(e.id for e in self.edges)
 
 
+def _root(parent: list, a: int) -> int:
+    """Union-find root of ``a``, halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _components(g: Multigraph) -> tuple:
+    """Union-find over vertex positions.  Returns the vertex position of
+    each dart ``2 * edge_position + side``, the component number of each
+    vertex position, and the number of components.  A union keeps the
+    smaller root, so every root is its component's first stored vertex and
+    components are numbered in that order."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    at = [index[v] for e in g.edges for v in (e.end0, e.end1)]
+    parent = list(range(len(index)))
+    for k in range(0, len(at), 2):
+        a, b = _root(parent, at[k]), _root(parent, at[k + 1])
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    comp = [0] * len(parent)
+    count = 0
+    for i in range(len(comp)):
+        r = _root(parent, i)
+        if r == i:
+            comp[i] = count
+            count += 1
+        else:
+            comp[i] = comp[r]
+    return at, comp, count
+
+
+def _grouped(g: Multigraph, comp: list, count: int) -> tuple:
+    groups = [[] for _ in range(count)]
+    for v, c in zip(g.vertices, comp):
+        groups[c].append(v)
+    return tuple(map(tuple, groups))
+
+
 def connected_components(g: Multigraph) -> tuple:
     """Vertex sets of the components of ``g``, each in stored vertex order,
     ordered by their first vertex."""
-    comp_of = {}
-    comps = []
-    for start in g.vertices:
-        if start in comp_of:
-            continue
-        comp_of[start] = len(comps)
-        stack = [start]
-        while stack:
-            for end in g.ends_at(stack.pop()):
-                w = g.end_vertex(end.flipped())
-                if w not in comp_of:
-                    comp_of[w] = len(comps)
-                    stack.append(w)
-        comps.append([])
-    for v in g.vertices:
-        comps[comp_of[v]].append(v)
-    return tuple(map(tuple, comps))
+    _, comp, count = _components(g)
+    return _grouped(g, comp, count)
 
 
 def third_edges(g: Multigraph) -> list:
@@ -345,26 +374,47 @@ class RotationSystem:
         return {v: list(order) for v, order in self.orders}
 
 
+def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
+    """Check that ``rot`` lists every edge-end of ``g`` exactly once, at the
+    right vertex, and return its successor array: the dart
+    ``2 * edge_position + side`` maps to the next dart around its vertex."""
+    position = {e.id: i for i, e in enumerate(g.edges)}
+    edges = g.edges
+    succ = array("i", [-1]) * (2 * len(edges))
+    listed = 0
+    for v, order in rot.orders:
+        if not g.has_vertex(v):
+            raise DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
+        first = prev = -1
+        for end in order:
+            i = position.get(end.edge)
+            if i is None:
+                raise DomainError(f"rotation mentions unknown edge {short_repr(end.edge)}")
+            if edges[i].endpoint(end.side) != v:
+                raise DomainError(f"edge-end {short_repr(end)} is not incident to vertex {short_repr(v)}")
+            d = 2 * i if end.side == 0 else 2 * i + 1
+            # every dart listed so far has its successor set, but the last
+            if succ[d] >= 0 or d == prev:
+                raise DomainError(f"edge-end {short_repr(end)} appears twice in rotation system")
+            if prev < 0:
+                first = d
+            else:
+                succ[prev] = d
+            prev = d
+        succ[prev] = first  # orders are never empty
+        listed += len(order)
+    missing = len(succ) - listed
+    if missing:
+        raise DomainError(f"rotation system is missing {missing} edge-end(s)")
+    return succ
+
+
 def validate_rotation(g: Multigraph, rot: RotationSystem) -> dict:
     """Check that ``rot`` lists every edge-end of ``g`` exactly once, at the
     right vertex.  Returns the dart successor map it checked: each edge-end
     to the next end around its vertex, in stored rotation order."""
-    succ = {}
-    for v, order in rot.orders:
-        if not g.has_vertex(v):
-            raise DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
-        for end, nxt in zip(order, order[1:] + order[:1]):
-            if not g.has_edge(end.edge):
-                raise DomainError(f"rotation mentions unknown edge {short_repr(end.edge)}")
-            if g.end_vertex(end) != v:
-                raise DomainError(f"edge-end {short_repr(end)} is not incident to vertex {short_repr(v)}")
-            if end in succ:
-                raise DomainError(f"edge-end {short_repr(end)} appears twice in rotation system")
-            succ[end] = nxt
-    missing = 2 * len(g.edges) - len(succ)
-    if missing:
-        raise DomainError(f"rotation system is missing {missing} edge-end(s)")
-    return succ
+    _rotation_successors(g, rot)
+    return {end: nxt for _, order in rot.orders for end, nxt in zip(order, order[1:] + order[:1])}
 
 
 @dataclass(frozen=True)
@@ -380,7 +430,9 @@ class PairedGraph:
         if set(self.pairing.members()) != set(self.graph.vertices):
             raise DomainError("pairing does not cover exactly the vertex set")
         if self.rotation is not None:
-            validate_rotation(self.graph, self.rotation)
+            # Validated once; the successor array is what the faces are
+            # traced on.  Not a field, so equality and hashing ignore it.
+            object.__setattr__(self, "_succ", _rotation_successors(self.graph, self.rotation))
 
     def pair_of(self, v) -> tuple:
         return self.pairing.pair_of(v)
@@ -394,18 +446,55 @@ class PairedGraph:
             raise DomainError("planarity certificate invalid: embedding has positive genus")
 
     # Derived data, computed on first use and kept on the object.  The
-    # instance is frozen, so neither can go stale, and neither is a field, so
-    # equality and hashing ignore them.  They are not filled in
-    # ``__post_init__``, so building a paired graph that never needs them
+    # instance is frozen, so none of it can go stale, and none of it is a
+    # field, so equality and hashing ignore it.  It is not filled in
+    # ``__post_init__``, so building a paired graph that never needs it
     # costs nothing extra.
 
     @cached_property
     def _genus_zero(self) -> bool:
-        return is_planar_embedding(self.graph, self.rotation)
+        return all(c.genus == 0 for c in _genus(self.graph, self._succ))
 
     @cached_property
-    def _simple_quotient(self) -> Multigraph:
-        return simple_quotient(self)
+    def _quotient_neighbours(self) -> list:
+        """Neighbour-position sets of the simple quotient, built straight
+        from the pairing and the edges: position ``i`` is
+        ``pairing.pairs[i][0]``, and edges inside a pair are dropped."""
+        position = {}
+        for i, (a, b) in enumerate(self.pairing.pairs):
+            position[a] = position[b] = i
+        nbrs = [set() for _ in self.pairing.pairs]
+        for e in self.graph.edges:
+            a, b = position[e.end0], position[e.end1]
+            if a != b:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+        return nbrs
+
+    @cached_property
+    def _smallest_last(self) -> list:
+        """Smallest-last order of the simple quotient (Matula and Beck, JACM
+        1983) as (position, degree at removal) records: repeatedly remove a
+        vertex of minimum current degree, the earliest position first on
+        ties.  O(m log n): a heap of (degree, position) entries, one pushed
+        whenever a neighbour's removal lowers a degree, with outdated
+        entries skipped when popped."""
+        nbrs = self._quotient_neighbours
+        degree = [len(ws) for ws in nbrs]  # -1 once removed
+        heap = [(d, i) for i, d in enumerate(degree)]
+        heapq.heapify(heap)
+        order = []
+        while heap:
+            d, v = heapq.heappop(heap)
+            if degree[v] != d:
+                continue  # removed, or its degree has dropped since this push
+            order.append((v, d))
+            degree[v] = -1
+            for w in nbrs[v]:
+                if degree[w] >= 0:
+                    degree[w] -= 1
+                    heapq.heappush(heap, (degree[w], w))
+        return order
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +516,54 @@ def trace_faces(g: Multigraph, rot: RotationSystem) -> tuple:
     (vertices in id order, each order from its smallest end), so the faces
     are reproducible without sorting the darts.
     """
-    succ = validate_rotation(g, rot)
+    succ = _rotation_successors(g, rot)
+    ends = third_edges(g)
+    dart = {end: d for d, end in enumerate(ends)}
+    seen = bytearray(len(succ))
     faces = []
-    visited = set()
-    for start in succ:
-        if start in visited:
-            continue
-        face = [start]
-        d = succ[start.flipped()]
-        while d != start:
-            face.append(d)
-            d = succ[d.flipped()]
-        visited.update(face)
-        faces.append(tuple(face))
+    for _, order in rot.orders:
+        for end in order:
+            d = dart[end]
+            if seen[d]:
+                continue
+            face = []
+            while not seen[d]:
+                seen[d] = 1
+                face.append(ends[d])
+                d = succ[d ^ 1]
+            faces.append(tuple(face))
     return tuple(faces)
+
+
+def _genus(g: Multigraph, succ: array) -> tuple:
+    """Per-component genus from a validated successor array, in one pass
+    over the darts: faces are the orbits of ``d -> succ[d ^ 1]``, and each
+    is counted in the component of its first dart's vertex."""
+    at, comp, count = _components(g)
+    edge_counts = [0] * count
+    for k in range(0, len(at), 2):
+        edge_counts[comp[at[k]]] += 1
+    face_counts = [0] * count
+    seen = bytearray(len(succ))
+    for start in range(len(succ)):
+        if seen[start]:
+            continue
+        face_counts[comp[at[start]]] += 1
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            d = succ[d ^ 1]
+    out = []
+    for i, members in enumerate(_grouped(g, comp, count)):
+        f = face_counts[i] if edge_counts[i] else 1
+        euler = len(members) - edge_counts[i] + f
+        if euler % 2:
+            raise DomainError("face tracing produced an odd Euler characteristic")
+        genus = (2 - euler) // 2
+        if genus < 0:
+            raise DomainError("face tracing produced a negative genus")
+        out.append(ComponentEmbedding(members, edge_counts[i], f, genus))
+    return tuple(out)
 
 
 def genus_check(g: Multigraph, rot: RotationSystem) -> tuple:
@@ -449,26 +572,7 @@ def genus_check(g: Multigraph, rot: RotationSystem) -> tuple:
     A component with no edges counts one face.  The genus of a valid
     rotation system is always a non-negative integer.
     """
-    faces = trace_faces(g, rot)
-    comps = connected_components(g)
-    comp_index = {v: i for i, comp in enumerate(comps) for v in comp}
-    edge_counts = [0] * len(comps)
-    for e in g.edges:
-        edge_counts[comp_index[e.end0]] += 1
-    face_counts = [0] * len(comps)
-    for face in faces:
-        face_counts[comp_index[g.end_vertex(face[0])]] += 1
-    out = []
-    for i, comp in enumerate(comps):
-        f = face_counts[i] if edge_counts[i] else 1
-        euler = len(comp) - edge_counts[i] + f
-        if euler % 2:
-            raise DomainError("face tracing produced an odd Euler characteristic")
-        genus = (2 - euler) // 2
-        if genus < 0:
-            raise DomainError("face tracing produced a negative genus")
-        out.append(ComponentEmbedding(comp, edge_counts[i], f, genus))
-    return tuple(out)
+    return _genus(g, _rotation_successors(g, rot))
 
 
 def is_planar_embedding(g: Multigraph, rot: RotationSystem) -> bool:

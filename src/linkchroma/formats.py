@@ -249,11 +249,11 @@ def complex_from_doc(doc) -> TwoComplex:
 
 
 def colouring_to_doc(palette_size: int, assignment: Mapping) -> dict:
-    text_key_map(assignment.keys(), "colouring")  # reject text-form collisions
-    items = sorted(assignment.items(), key=lambda kv: id_sort_key(kv[0]))
+    # one text form per key, in id order; text-form collisions are rejected
+    by_text = text_key_map(sorted(assignment, key=id_sort_key), "colouring")
     return {
         "palette_size": palette_size,
-        "assignment": {id_text(k): v for k, v in items},
+        "assignment": {t: assignment[k] for t, k in by_text.items()},
     }
 
 

@@ -62,3 +62,38 @@ def rotations(draw, g):
         ends = list(g.ends_at(v))
         orders[v] = tuple(draw(st.permutations(ends)))
     return RotationSystem(orders)
+
+
+def side_by_side(*pgs):
+    """The disjoint union of certified maps with int vertex ids: vertex v of
+    the k-th map becomes ``len(pgs) * v + k``, so the maps' vertices
+    interleave in stored order, and edge ``e`` becomes ``(k, e)``.  Each
+    map keeps its pairing and rotation."""
+    from linkchroma import Edge, EdgeEnd, Multigraph, PairedGraph, Pairing
+
+    step = len(pgs)
+    verts, edges, pairs, orders = [], [], [], {}
+    for k, pg in enumerate(pgs):
+        verts += [step * v + k for v in pg.graph.vertices]
+        edges += [Edge((k, e.id), step * e.end0 + k, step * e.end1 + k) for e in pg.graph.edges]
+        pairs += [(step * u + k, step * v + k) for u, v in pg.pairing.pairs]
+        for v, order in pg.rotation.orders:
+            orders[step * v + k] = tuple(EdgeEnd((k, end.edge), end.side) for end in order)
+    return PairedGraph(Multigraph(tuple(verts), tuple(edges)), Pairing(tuple(pairs)), RotationSystem(orders))
+
+
+def with_extras(pg):
+    """``pg`` plus three small components: a vertex with a loop paired with
+    an isolated vertex, and a pair joined by two parallel edges."""
+    from linkchroma import Edge, EdgeEnd, Multigraph, PairedGraph, Pairing
+
+    g = Multigraph(
+        pg.graph.vertices + ("loop", "iso", "p", "q"),
+        pg.graph.edges + (Edge("l", "loop", "loop"), Edge("a", "p", "q"), Edge("b", "p", "q")),
+    )
+    orders = dict(pg.rotation.orders)
+    orders["loop"] = (EdgeEnd("l", 0), EdgeEnd("l", 1))
+    orders["p"] = (EdgeEnd("a", 0), EdgeEnd("b", 0))
+    orders["q"] = (EdgeEnd("b", 1), EdgeEnd("a", 1))
+    pairs = pg.pairing.pairs + (("loop", "iso"), ("p", "q"))
+    return PairedGraph(g, Pairing(pairs), RotationSystem(orders))

@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
-from linkchroma import formats, link_graph
+from linkchroma import Multigraph, PairedGraph, Pairing, RotationSystem, formats, link_graph
 from linkchroma.catalogue import complete_graph, triangle_complex
 from linkchroma.cli import main
 from linkchroma.construct import load_shipped_witness, random_planar_paired_graph
+
+from strategies import side_by_side, with_extras
 
 
 @pytest.fixture
@@ -280,10 +282,10 @@ class TestStageCommands:
         )
         assert digests == self.HEAWOOD_SHA256[name]
 
-    # SHA-256 of the ``quotient``, ``quotient --simple`` and (after
-    # ``augment``) ``inverse-link`` output files for
-    # ``random_planar_paired_graph(0, 50)``.
+    # SHA-256 of the ``quotient``, ``quotient --simple``, ``augment`` and
+    # ``inverse-link`` output files for ``random_planar_paired_graph(0, 50)``.
     MAP_STAGE_SHA256 = {
+        "augmented.json": "b7dcac1e480a85ef71b50e0313002e5ac0a9583e11647c84df4bc27d0973ecc0",
         "quotient.json": "94f2237379fac09fbe178f1e66328746684de18381e3ba99ec7ccd18edfa10de",
         "simple.json": "9a98400457aa310d265ad070a3c2d46336dfe3e0be883f696e0d5f5e91c3055e",
         "punctured.json": "404ce9661f79f07e60047db2637c4b8360962e8e2f94b33b481966ab37adaf6a",
@@ -292,7 +294,7 @@ class TestStageCommands:
     def test_map_stage_outputs_match_pinned_digests(self, capsys, tmp_path):
         paired = str(tmp_path / "paired.json")
         formats.save(paired, formats.paired_graph_to_doc(random_planar_paired_graph(0, 50)))
-        out = {name: str(tmp_path / name) for name in ("augmented.json", *self.MAP_STAGE_SHA256)}
+        out = {name: str(tmp_path / name) for name in self.MAP_STAGE_SHA256}
         for argv in (
             ("quotient", "--in", paired, "--out", out["quotient.json"]),
             ("quotient", "--in", paired, "--simple", "--out", out["simple.json"]),
@@ -316,6 +318,77 @@ class TestStageCommands:
         assert code == 0
         assert "genus 0" in stdout
         assert "planar embedding: yes" in stdout
+
+    def test_genus_on_a_map_of_several_components(self, capsys, tmp_path):
+        # Three maps side by side, with interleaved vertex ids: K5 plus an
+        # isolated vertex between two planar maps, and three small extra
+        # components (a loop, an isolated vertex, a parallel pair).
+        k5 = complete_graph(5)
+        k5_pg = PairedGraph(
+            Multigraph(k5.vertices + (5,), k5.edges),
+            Pairing(((0, 1), (2, 3), (4, 5))),
+            RotationSystem({v: k5.ends_at(v) for v in k5.vertices}),
+        )
+        pg = with_extras(side_by_side(random_planar_paired_graph(1, 3), k5_pg, random_planar_paired_graph(2, 2)))
+        path = tmp_path / "paired.json"
+        formats.save(path, formats.paired_graph_to_doc(pg))
+        code, stdout, _ = run(capsys, "genus", "--in", str(path))
+        assert code == 0
+        assert stdout == (
+            "component 0: genus 0 (7 faces)\n"
+            "component 1: genus 2 (3 faces)\n"
+            "component 2: genus 0 (4 faces)\n"
+            "component 16: genus 0 (1 faces)\n"
+            "component iso: genus 0 (1 faces)\n"
+            "component loop: genus 0 (2 faces)\n"
+            "component p: genus 0 (2 faces)\n"
+            "planar embedding: no\n"
+        )
+
+    # One rotation fault per document on the map u -e- v with a loop f at v,
+    # and the one error line ``genus`` prints for it.
+    ROTATION_FAULTS = {
+        "unknown-vertex": (
+            {"u": [["e", 0]], "v": [["e", 1], ["f", 0], ["f", 1]], "w": [["e", 0]]},
+            "error:schema: rotation mentions unknown vertex 'w'",
+        ),
+        "unknown-edge": (
+            {"u": [["e", 0], ["x", 0]], "v": [["e", 1], ["f", 0], ["f", 1]]},
+            "error:schema: rotation mentions unknown edge 'x'",
+        ),
+        "wrong-vertex": (
+            {"u": [["e", 1]], "v": [["e", 0], ["f", 0], ["f", 1]]},
+            "error:schema: edge-end EdgeEnd(edge='e', side=1) is not incident to vertex 'u'",
+        ),
+        "listed-twice": (
+            {"u": [["e", 0]], "v": [["e", 1], ["f", 0], ["f", 0]]},
+            "error:schema: edge-end EdgeEnd(edge='f', side=0) appears twice in rotation system",
+        ),
+        "missing": (
+            {"u": [["e", 0]], "v": [["e", 1], ["f", 0]]},
+            "error:schema: rotation system is missing 1 edge-end(s)",
+        ),
+        "invalid-side": (
+            {"u": [["e", 2]], "v": [["e", 1], ["f", 0], ["f", 1]]},
+            "error:schema: rotation entry ['e', 2] must be [edge, side]",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ROTATION_FAULTS))
+    def test_genus_on_a_faulty_rotation_exits_2(self, capsys, tmp_path, case):
+        rotation, line = self.ROTATION_FAULTS[case]
+        doc = {
+            "vertices": ["u", "v"],
+            "edges": [{"id": "e", "end0": "u", "end1": "v"}, {"id": "f", "end0": "v", "end1": "v"}],
+            "pairs": [["u", "v"]],
+            "rotation": rotation,
+        }
+        path = tmp_path / "paired.json"
+        formats.save(path, doc)
+        code, stdout, stderr = run(capsys, "genus", "--in", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.splitlines() == [line]
 
     def test_genus_requires_rotation(self, capsys, tmp_path, triangle_file):
         link_path = tmp_path / "link.json"

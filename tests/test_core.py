@@ -35,9 +35,12 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
+from linkchroma.colour import _neighbours
 from linkchroma.construct import make_degree_faithful, random_planar_paired_graph
 from linkchroma.core import MAX_ID_DEPTH, end_sort_key
 from linkchroma.corpus import enumerate_small_complexes
+
+from strategies import side_by_side, with_extras
 
 
 def edge_pairs(g):
@@ -303,6 +306,30 @@ def successor_map(rot):
     return succ
 
 
+def bfs_components(g):
+    """Oracle: components by breadth-first search over edge endpoints, each
+    in stored vertex order, ordered by their first vertex."""
+    adjacent = {v: [] for v in g.vertices}
+    for e in g.edges:
+        adjacent[e.end0].append(e.end1)
+        adjacent[e.end1].append(e.end0)
+    seen = set()
+    out = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        queue = [start]
+        seen.add(start)
+        for v in queue:
+            for w in adjacent[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        members = set(queue)
+        out.append(tuple(v for v in g.vertices if v in members))
+    return tuple(out)
+
+
 def sorted_face_genera(g, rot):
     """Oracle: faces traced from every dart in ``end_sort_key`` order;
     returns (component vertices, face count, genus) per component."""
@@ -320,7 +347,7 @@ def sorted_face_genera(g, rot):
             if d == start:
                 break
     out = []
-    for comp in connected_components(g):
+    for comp in bfs_components(g):
         members = set(comp)
         edges = sum(1 for e in g.edges if e.end0 in members)
         f = sum(1 for d in faces if g.end_vertex(d) in members) if edges else 1
@@ -328,14 +355,30 @@ def sorted_face_genera(g, rot):
     return out
 
 
-def oracle_maps():
-    """Certified-planar maps of 1-400 pairs, their degree-faithful
-    augmentations, and K5 under every one of its 6^5 rotation systems."""
+def oracle_paired_maps():
+    """Certified-planar maps of 1-400 pairs and their degree-faithful
+    augmentations; then disconnected maps: two or three maps side by side
+    with interleaved vertex ids (one of them K5 plus an isolated vertex,
+    of positive genus), with a loop component, an isolated vertex and a
+    pair joined by parallel edges added, and their augmentations."""
     for n in list(range(1, 21)) + [50, 100, 200, 400]:
         pg = random_planar_paired_graph(n, n)
+        yield pg
+        yield make_degree_faithful(pg)
+    for a, b in ((1, 2), (3, 7), (20, 30), (100, 1)):
+        pg = with_extras(side_by_side(random_planar_paired_graph(a, a), random_planar_paired_graph(b, b)))
+        yield pg
+        yield make_degree_faithful(pg)
+    pg = side_by_side(random_planar_paired_graph(4, 4), k5_paired(), random_planar_paired_graph(5, 5))
+    yield pg
+    yield make_degree_faithful(pg)
+
+
+def oracle_maps():
+    """The graphs and rotations of ``oracle_paired_maps``, then K5 under
+    every one of its 6^5 rotation systems."""
+    for pg in oracle_paired_maps():
         yield pg.graph, pg.rotation
-        aug = make_degree_faithful(pg)
-        yield aug.graph, aug.rotation
     k5 = k5_graph()
     cyclic_orders = {}
     for v in k5.vertices:
@@ -364,6 +407,14 @@ class TestFaceTracingOracle:
             assert sum(len(face) for face in faces) == 2 * len(g.edges)
             for face in faces:
                 assert succ[face[-1].flipped()] == face[0]
+
+    def test_components_match_breadth_first_search(self):
+        for g, _ in oracle_maps():
+            assert connected_components(g) == bfs_components(g)
+
+    def test_quotient_neighbours_match_the_simple_quotient(self):
+        for pg in oracle_paired_maps():
+            assert pg._quotient_neighbours == _neighbours(simple_quotient(pg))
 
 
 class TestGenus:
@@ -411,6 +462,87 @@ class TestGenus:
             )
 
 
+def end(edge, side):
+    return EdgeEnd(edge, side)
+
+
+# One rotation fault per case on the graph u -e- v with a loop f at v, and
+# the exact error it raises (two cases pin which of two faults is reported).
+ROTATION_FAULTS = {
+    "unknown-vertex": (
+        {"u": [end("e", 0)], "v": [end("e", 1), end("f", 0), end("f", 1)], "w": [end("e", 0)]},
+        "rotation mentions unknown vertex 'w'",
+    ),
+    "unknown-edge": (
+        {"u": [end("e", 0), end("x", 0)], "v": [end("e", 1), end("f", 0), end("f", 1)]},
+        "rotation mentions unknown edge 'x'",
+    ),
+    "wrong-vertex": (
+        {"u": [end("e", 1)], "v": [end("e", 0), end("f", 0), end("f", 1)]},
+        "edge-end EdgeEnd(edge='e', side=1) is not incident to vertex 'u'",
+    ),
+    "listed-twice": (
+        {"u": [end("e", 0)], "v": [end("e", 1), end("f", 0), end("f", 0)]},
+        "edge-end EdgeEnd(edge='f', side=0) appears twice in rotation system",
+    ),
+    "missing": (
+        {"u": [end("e", 0)], "v": [end("e", 1), end("f", 0)]},
+        "rotation system is missing 1 edge-end(s)",
+    ),
+    "twice-before-unknown-edge": (
+        {"u": [end("e", 0)], "v": [end("e", 1), end("f", 0), end("f", 0), end("x", 0)]},
+        "edge-end EdgeEnd(edge='f', side=0) appears twice in rotation system",
+    ),
+    "wrong-vertex-before-twice": (
+        {"u": [end("e", 0), end("f", 1), end("e", 0)], "v": [end("e", 1), end("f", 0)]},
+        "edge-end EdgeEnd(edge='f', side=1) is not incident to vertex 'u'",
+    ),
+}
+
+
+def fault_graph():
+    return Multigraph(("u", "v"), (Edge("e", "u", "v"), Edge("f", "v", "v")))
+
+
+class TestRotationFaults:
+    @pytest.mark.parametrize("case", sorted(ROTATION_FAULTS))
+    def test_every_entry_point_raises_the_same_text(self, case):
+        orders, message = ROTATION_FAULTS[case]
+        g, rot = fault_graph(), RotationSystem(orders)
+        for check in (
+            lambda: PairedGraph(g, Pairing((("u", "v"),)), rot),
+            lambda: genus_check(g, rot),
+            lambda: validate_rotation(g, rot),
+            lambda: trace_faces(g, rot),
+        ):
+            with pytest.raises(DomainError) as info:
+                check()
+            assert str(info.value) == message
+
+    def test_invalid_side(self):
+        with pytest.raises(DomainError) as info:
+            RotationSystem({"u": [end("e", 2)]})
+        assert str(info.value) == "edge-end EdgeEnd(edge='e', side=2) has an invalid side"
+
+    def test_valid_rotation_is_kept_as_a_compact_successor_array(self):
+        rot = RotationSystem({"u": [end("e", 0)], "v": [end("e", 1), end("f", 0), end("f", 1)]})
+        pg = PairedGraph(fault_graph(), Pairing((("u", "v"),)), rot)
+        # darts 2 * edge position + side: e0 = 0, e1 = 1, f0 = 2, f1 = 3
+        assert pg._succ.typecode == "i"
+        assert list(pg._succ) == [0, 2, 3, 1]
+
+    def test_require_planar_does_not_validate_again(self, monkeypatch):
+        import linkchroma.core as core
+
+        pg = random_planar_paired_graph(3, 30)
+
+        def refuse(*args):
+            raise AssertionError("rotation validated twice")
+
+        monkeypatch.setattr(core, "_rotation_successors", refuse)
+        pg.require_planar()
+
+
 class TestPairings:
     def test_classes_must_have_two_distinct_members(self):
         with pytest.raises(DomainError):
@@ -456,16 +588,18 @@ class TestPairedGraphCaches:
             with pytest.raises(DomainError, match="planarity certificate missing"):
                 pg.require_planar()
 
-    def test_cached_quotient_equals_simple_quotient(self):
+    def test_quotient_neighbours_and_order_are_built_once(self):
         for pg in (link_graph(tetrahedron_complex()), k5_paired()):
-            assert pg._simple_quotient == simple_quotient(pg)
-            assert pg._simple_quotient is pg._simple_quotient
+            assert pg._quotient_neighbours == _neighbours(simple_quotient(pg))
+            assert pg._quotient_neighbours is pg._quotient_neighbours
+            assert pg._smallest_last is pg._smallest_last
 
     def test_filled_caches_leave_equality_and_hash_alone(self):
         filled, fresh = k5_paired(), k5_paired()
         with pytest.raises(DomainError):
             filled.require_planar()
-        assert filled._simple_quotient == simple_quotient(fresh)
+        assert filled._quotient_neighbours == _neighbours(simple_quotient(fresh))
+        assert filled._smallest_last
         assert filled == fresh
         assert hash(filled) == hash(fresh)
         assert len({filled, fresh}) == 1
