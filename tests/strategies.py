@@ -54,6 +54,27 @@ def complexes(draw, max_vertices=4, max_edges=5, max_cells=3):
     return TwoComplex(g, cells, kind)
 
 
+# Ids of every kind: ints, strings, and tuples of these nested up to three deep.
+mixed_ids = st.recursive(
+    st.integers(min_value=-3, max_value=3) | st.text(alphabet="ab", max_size=2),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mixed_id_complexes(draw, **kwargs):
+    """A complex from ``complexes(**kwargs)`` with its vertices and edges
+    renamed to distinct ids drawn from ``mixed_ids``."""
+    c = draw(complexes(**kwargs))
+    g = c.skeleton
+    vid = dict(zip(g.vertices, draw(st.lists(mixed_ids, min_size=len(g.vertices), max_size=len(g.vertices), unique=True))))
+    eid = dict(zip(g.edge_ids(), draw(st.lists(mixed_ids, min_size=len(g.edges), max_size=len(g.edges), unique=True))))
+    skeleton = Multigraph(tuple(vid.values()), tuple(Edge(eid[e.id], vid[e.end0], vid[e.end1]) for e in g.edges))
+    cells = tuple(ClosedWalk(tuple(WalkStep(eid[s.edge], s.entry) for s in cell.steps)) for cell in c.cells)
+    return TwoComplex(skeleton, cells, c.kind)
+
+
 @st.composite
 def rotations(draw, g):
     """A uniformly shuffled rotation system for ``g``."""

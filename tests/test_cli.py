@@ -177,6 +177,18 @@ class TestPipeline:
         }
         assert digests == self.PINNED_SHA256
 
+    # SHA-256 of the ``link`` output file on the pipeline's ``sealed.json``.
+    SEALED_LINK_SHA256 = "71db6c1d7a13f839a1dbe1a27e368c7ba19c2075944d8bcdff1d8cf106315512"
+
+    def test_link_of_sealed_matches_pinned_digest(self, capsys, tmp_path):
+        out_dir = tmp_path / "stages"
+        run(capsys, "pipeline", "--out", str(out_dir))
+        link = tmp_path / "link.json"
+        code, stdout, _ = run(capsys, "link", "--in", str(out_dir / "sealed.json"), "--out", str(link))
+        assert code == 0
+        assert stdout == "link graph: 24 vertices, 348 edges, 12 pairs\n"
+        assert hashlib.sha256(link.read_bytes()).hexdigest() == self.SEALED_LINK_SHA256
+
     def test_byte_identical_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(capsys, "pipeline", "--out", str(a))
@@ -282,13 +294,16 @@ class TestStageCommands:
         )
         assert digests == self.HEAWOOD_SHA256[name]
 
-    # SHA-256 of the ``quotient``, ``quotient --simple``, ``augment`` and
-    # ``inverse-link`` output files for ``random_planar_paired_graph(0, 50)``.
+    # SHA-256 of the ``quotient``, ``quotient --simple``, ``augment``,
+    # ``inverse-link``, ``seal`` and ``link`` output files for
+    # ``random_planar_paired_graph(0, 50)``, each stage fed by the one before.
     MAP_STAGE_SHA256 = {
         "augmented.json": "b7dcac1e480a85ef71b50e0313002e5ac0a9583e11647c84df4bc27d0973ecc0",
         "quotient.json": "94f2237379fac09fbe178f1e66328746684de18381e3ba99ec7ccd18edfa10de",
         "simple.json": "9a98400457aa310d265ad070a3c2d46336dfe3e0be883f696e0d5f5e91c3055e",
         "punctured.json": "404ce9661f79f07e60047db2637c4b8360962e8e2f94b33b481966ab37adaf6a",
+        "sealed.json": "774cbd0a72923e4fb0429ca5543da27a1d8d11fd76d981541d67d68fca089305",
+        "link.json": "b1fea02bdf83d8b4734f64e6af0ac9cef0f13c7bca68fa3f4418d7da87844efc",
     }
 
     def test_map_stage_outputs_match_pinned_digests(self, capsys, tmp_path):
@@ -300,6 +315,8 @@ class TestStageCommands:
             ("quotient", "--in", paired, "--simple", "--out", out["simple.json"]),
             ("augment", "--in", paired, "--out", out["augmented.json"]),
             ("inverse-link", "--in", out["augmented.json"], "--out", out["punctured.json"]),
+            ("seal", "--in", out["punctured.json"], "--out", out["sealed.json"]),
+            ("link", "--in", out["sealed.json"], "--out", out["link.json"]),
         ):
             code, _, _ = run(capsys, *argv)
             assert code == 0

@@ -137,6 +137,63 @@ class TestTrailDecomposition:
         pg = random_degree_faithful_planar(5, 6)
         assert pi_trail_decomposition(pg) == pi_trail_decomposition(pg)
 
+    @staticmethod
+    def several_components():
+        """A degree-faithful map whose paired quotient has three components
+        with interleaved ids: two pairs joined by a path with a loop inside
+        one pair, three pairs in a triangle with parallels and loops, and a
+        pair with no edges."""
+        g = Multigraph(
+            (0, 1, 2, 3, 4, "a", "b", "c", ("t", 1), ("t", 2)),
+            (
+                Edge("e1", 0, 2),
+                Edge("e2", "a", "c"),
+                Edge(("in", 0), 0, "a"),
+                Edge(5, 1, ("t", 1)),
+                Edge(6, 1, ("t", 1)),
+                Edge(("p", 1), "b", ("t", 2)),
+                Edge(("p", 2), "b", ("t", 2)),
+                Edge(7, ("t", 1), 3),
+                Edge(8, ("t", 2), 4),
+                Edge("w", 4, 1),
+                Edge("v", 3, "b"),
+                Edge(("l", 0), 3, 3),
+                Edge(("l", 1), 4, 4),
+            ),
+        )
+        pairs = ((0, "a"), (2, "c"), (1, "b"), (("t", 1), ("t", 2)), (3, 4), ("iso", "x"))
+        g = Multigraph(g.vertices + ("iso", "x"), g.edges)
+        return PairedGraph(g, Pairing(pairs))
+
+    # SHA-256 of ``repr(pi_trail_decomposition(pg))``, joined by newlines over
+    # ``random_degree_faithful_planar(seed, n)`` for seeds 0-11, and of the
+    # hand-built map of several components.
+    TRAIL_SHA256 = {
+        1: "72bb65f90f519ab0b21d92ddc2b5482d2e9798de44c990a75f78a9f90016ef9e",
+        2: "3367424150fe61c8e3687e26874a6fb5ac9fe8acf84a53d5238ebcd689e4943c",
+        3: "b8350976372724459479a27159b867437060f7c43a61a70cc2d0034266467833",
+        7: "2125bf36afbbe0db5672ba86dda3503e5f6283515f8131b38e04d2e564e7074e",
+        25: "e68348027abcfe83ac928ef4193f4841ff80cc0777a52f85837e2af2c981860c",
+        "components": "fa42bdbb43c7644baa5b2628f7925be3826d6d01dab6fea569a9d96f8eaf8e96",
+    }
+
+    @pytest.mark.parametrize("case", list(TRAIL_SHA256), ids=str)
+    def test_trails_match_pinned_digests(self, case):
+        if case == "components":
+            maps = [self.several_components()]
+        else:
+            maps = [random_degree_faithful_planar(seed, case) for seed in range(12)]
+        reprs = []
+        for pg in maps:
+            trails = pi_trail_decomposition(pg)
+            for t in trails:
+                validate_trail(pg, t)
+            used = [s.edge for t in trails for s in t.steps]
+            assert sorted(used, key=id_sort_key) == list(pg.graph.edge_ids())
+            reprs.append(repr(trails))
+        digest = hashlib.sha256("\n".join(reprs).encode("utf-8")).hexdigest()
+        assert digest == self.TRAIL_SHA256[case]
+
 
 class TestInverseLink:
     def test_single_pair_single_edge(self):

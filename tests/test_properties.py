@@ -1,8 +1,14 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from linkchroma import (
+    ClosedWalk,
+    DomainError,
+    Edge,
+    Multigraph,
     TwoComplex,
+    WalkStep,
     chromatic_number,
     genus_check,
     link_graph,
@@ -16,7 +22,7 @@ from linkchroma import (
 from linkchroma.catalogue import k5_graph
 from linkchroma.corpus import chromatic_number_reference
 
-from strategies import complexes, multigraphs, rotations
+from strategies import complexes, mixed_id_complexes, multigraphs, rotations
 
 
 @given(complexes())
@@ -49,6 +55,43 @@ def test_quotient_preserves_edge_count(c):
     assert len(q.edges) == len(L.graph.edges)
     n = len(L.pairing.pairs)
     assert len(simple_quotient(L).edges) <= min(len(q.edges), n * (n - 1) // 2)
+
+
+def assert_sorted_as_built(x):
+    """``x`` stores exactly what the public constructor, which sorts its
+    parts by id, stores for the same parts."""
+    again = Multigraph(x.vertices, x.edges)
+    assert again == x
+    assert type(x.vertices) is tuple and type(x.edges) is tuple
+    assert all(type(e) is Edge for e in x.edges)
+    assert all(x.ends_at(v) == again.ends_at(v) for v in x.vertices)
+
+
+@given(mixed_id_complexes())
+def test_link_graph_and_quotients_keep_sorted_order(c):
+    L = link_graph(c)
+    for x in (L.graph, paired_quotient(L), simple_quotient(L)):
+        assert_sorted_as_built(x)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
+@settings(max_examples=25, deadline=None)
+def test_quotients_of_augmented_maps_keep_sorted_order(seed, n_pairs):
+    from linkchroma.construct import inverse_link, random_degree_faithful_planar
+
+    # edge ids mix ints with ("dup", k), ("dbl", ...) and ("bal", v, i)
+    pg = random_degree_faithful_planar(seed, n_pairs)
+    for x in (paired_quotient(pg), simple_quotient(pg), link_graph(inverse_link(pg)).graph):
+        assert_sorted_as_built(x)
+
+
+def test_link_graph_rejects_a_skeleton_edge_id_32_deep():
+    deep = 0
+    for _ in range(32):
+        deep = (deep,)
+    c = TwoComplex(Multigraph(("h",), (Edge(deep, "h", "h"),)), (ClosedWalk((WalkStep(deep, 0),)),))
+    with pytest.raises(DomainError, match="^ids may nest tuples at most 32 deep$"):
+        link_graph(c)
 
 
 @given(complexes())
