@@ -19,8 +19,9 @@ exactly 12:
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .colour import (
@@ -42,10 +43,9 @@ from .core import (
     RotationSystem,
     TwoComplex,
     WalkStep,
-    connected_components,
+    _dart_vertices,
     genus_check,
     link_graph,
-    paired_quotient,
     simple_quotient,
 )
 from .errors import DomainError
@@ -136,31 +136,76 @@ def validate_trail(pg: PairedGraph, trail: ClosedWalk) -> None:
             raise DomainError(f"trail breaks the partner-jump condition at step {i}")
 
 
-def _euler_circuit(q: Multigraph, start) -> list:
-    """Deterministic Hierholzer on ``q``, taking each vertex's edge-ends in
-    ``end_sort_key`` order; returns the circuit as entry-side walk steps."""
-    ptr = {v: 0 for v in q.vertices}
-    used = set()
-    stack = [(start, None)]
-    out = []
-    while stack:
-        v, instep = stack[-1]
-        lst = q.ends_at(v)
-        i = ptr[v]
-        while i < len(lst) and lst[i].edge in used:
-            i += 1
-        ptr[v] = i
-        if i == len(lst):
-            stack.pop()
-            if instep is not None:
-                out.append(instep)
-        else:
-            end = lst[i]
-            used.add(end.edge)
-            w = q.edge(end.edge).endpoint(1 - end.side)
-            stack.append((w, WalkStep(end.edge, end.side)))
-    out.reverse()
-    return out
+def _dart_trails(pg: PairedGraph) -> tuple:
+    """The trails of ``pi_trail_decomposition`` on darts ``2 * edge_position
+    + side``: returns the vertex position of each dart and the trails as
+    lists of entry darts.
+
+    The paired quotient stays implicit: its vertex of a pair is the pair's
+    position, and its ends at a pair are that pair's darts in edge order.
+    Hierholzer's walk starts at each pair in turn: the first pair of a
+    component with an edge takes every edge of the component, since all
+    quotient degrees are even, and later starts find theirs used.
+    """
+    index, at = _dart_vertices(pg.graph)
+    pair_at = [0] * len(index)
+    partner = [0] * len(index)
+    for k, (u, v) in enumerate(pg.pairing.pairs):
+        i, j = index[u], index[v]
+        pair_at[i] = pair_at[j] = k
+        partner[i], partner[j] = j, i
+    darts_at = [[] for _ in pg.pairing.pairs]
+    for d, i in enumerate(at):
+        darts_at[pair_at[i]].append(d)
+
+    # Orient each edge along its Euler circuit: ``entry[i]`` is the side
+    # the circuit enters edge i by, 2 until it is traversed.
+    entry = bytearray(b"\x02") * len(pg.graph.edges)
+    ptr = [0] * len(darts_at)
+    for start in range(len(darts_at)):
+        stack = [start]
+        while stack:
+            p = stack[-1]
+            darts, i = darts_at[p], ptr[p]
+            while i < len(darts) and entry[darts[i] >> 1] != 2:
+                i += 1
+            if i == len(darts):
+                ptr[p] = i
+                stack.pop()
+            else:
+                ptr[p] = i + 1
+                d = darts[i]
+                entry[d >> 1] = d & 1
+                stack.append(pair_at[at[d ^ 1]])
+
+    # Edges are walked in position order, so each list is in edge order.
+    heads_at = [[] for _ in index]
+    tails_at = [[] for _ in index]
+    for i, side in enumerate(entry):
+        d = 2 * i + side
+        tails_at[at[d]].append(d)
+        heads_at[at[d ^ 1]].append(d ^ 1)
+    successor = [0] * len(at)  # head dart -> entry dart of the next step
+    for y, heads in enumerate(heads_at):
+        tails = tails_at[partner[y]]
+        if len(heads) != len(tails):
+            raise DomainError("internal error: oriented end counts must balance across partners")
+        for h, t in zip(heads, tails):
+            successor[h] = t
+
+    trails = []
+    visited = bytearray(len(entry))
+    for i, side in enumerate(entry):
+        if visited[i]:
+            continue
+        trail = []
+        d = 2 * i + side
+        while not visited[d >> 1]:
+            visited[d >> 1] = 1
+            trail.append(d)
+            d = successor[d ^ 1]
+        trails.append(trail)
+    return at, trails
 
 
 def pi_trail_decomposition(pg: PairedGraph) -> tuple:
@@ -175,46 +220,9 @@ def pi_trail_decomposition(pg: PairedGraph) -> tuple:
     """
     if not is_degree_faithful(pg):
         raise DomainError("pairing is not degree-faithful")
-    q = paired_quotient(pg)
-    orient = {}
-    for comp in connected_components(q):
-        start = next((v for v in comp if q.ends_at(v)), None)
-        if start is None:
-            continue
-        for step in _euler_circuit(q, start):
-            orient[step.edge] = step.entry
-    if len(orient) != len(pg.graph.edges):
-        raise DomainError("internal error: Euler circuits missed an edge")
-
-    # edges are walked in id order, so each list is in end_sort_key order
-    heads_at = defaultdict(list)
-    tails_at = defaultdict(list)
-    for e in pg.graph.edges:
-        s = orient[e.id]
-        tails_at[e.endpoint(s)].append(EdgeEnd(e.id, s))
-        heads_at[e.endpoint(1 - s)].append(EdgeEnd(e.id, 1 - s))
-    successor = {}
-    for y in pg.graph.vertices:
-        heads, tails = heads_at[y], tails_at[pg.pairing.partner(y)]
-        if len(heads) != len(tails):
-            raise DomainError("internal error: oriented end counts must balance across partners")
-        for h, t in zip(heads, tails):
-            successor[h] = t
-
-    trails = []
-    visited = set()
-    for e in pg.graph.edges:
-        if e.id in visited:
-            continue
-        steps = []
-        cur = WalkStep(e.id, orient[e.id])
-        while cur.edge not in visited:
-            visited.add(cur.edge)
-            steps.append(cur)
-            tail_end = successor[EdgeEnd(cur.edge, 1 - cur.entry)]
-            cur = WalkStep(tail_end.edge, tail_end.side)
-        trails.append(ClosedWalk(tuple(steps)))
-    return tuple(trails)
+    _, trails = _dart_trails(pg)
+    ids = pg.graph.edge_ids()
+    return tuple(ClosedWalk(tuple(WalkStep(ids[d >> 1], d & 1) for d in trail)) for trail in trails)
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +254,16 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
     if not is_degree_faithful(pg):
         raise DomainError("pairing is not degree-faithful")
     pg.require_planar()
-    trails = pi_trail_decomposition(pg)
+    at, trails = _dart_trails(pg)
     loops = tuple(Edge(u, SKELETON_VERTEX, SKELETON_VERTEX) for u, _ in pg.pairing.pairs)
     skeleton = Multigraph((SKELETON_VERTEX,), loops)
-    cells = []
-    for trail in trails:
-        steps = []
-        for st in trail.steps:
-            head = pg.graph.edge(st.edge).endpoint(1 - st.entry)
-            u, v = pg.pairing.pair_of(head)
-            steps.append(WalkStep(u, 0 if head == u else 1))
-        cells.append(ClosedWalk(tuple(steps)))
-    return TwoComplex(skeleton, tuple(cells), kind=PUNCTURED)
+    # the step through the third-edge standing for each vertex position
+    enter = []
+    for v in pg.graph.vertices:
+        u = pg.pairing.representative(v)
+        enter.append(WalkStep(u, 0 if v == u else 1))
+    cells = tuple(ClosedWalk(tuple(enter[at[d ^ 1]] for d in trail)) for trail in trails)
+    return TwoComplex(skeleton, cells, kind=PUNCTURED)
 
 
 def endpoint_multiset(g: Multigraph, mapping: Optional[dict] = None) -> Counter:
@@ -327,6 +333,12 @@ class TwelvePireWitness:
     provenance: dict = field(default_factory=dict)
 
     def paired_graph(self) -> PairedGraph:
+        """The witness as a paired graph, built on first use and kept, so
+        its rotation is validated and its genus traced once."""
+        return self._paired_graph
+
+    @cached_property
+    def _paired_graph(self) -> PairedGraph:
         return PairedGraph(self.graph, Pairing(self.pairs), self.rotation)
 
 
@@ -356,44 +368,46 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
     designated pairs in the simple quotient, and pair-chromatic number
     exactly 12 (lower bound from the clique, upper bound from the
     degeneracy 12-colouring)."""
-    checks = []
-
-    if w.rotation is None:
-        checks.append(WitnessCheck("planar-embedding", False, "no rotation system"))
-    else:
-        try:
-            genera = [c.genus for c in genus_check(w.graph, w.rotation)]
-            ok = all(g == 0 for g in genera)
-            checks.append(
-                WitnessCheck(
-                    "planar-embedding",
-                    ok,
-                    f"component genera {genera}" if genera else "empty graph",
-                )
-            )
-        except DomainError as exc:
-            checks.append(WitnessCheck("planar-embedding", False, str(exc)))
-
     pairing = None
     try:
         pairing = Pairing(w.pairs)
         if set(pairing.members()) != set(w.graph.vertices):
             pairing = None
             raise DomainError("pairing does not cover exactly the vertex set")
-        checks.append(
-            WitnessCheck("perfect-pairing", True, f"{len(pairing.pairs)} pairs cover all vertices")
-        )
+        pairing_check = WitnessCheck("perfect-pairing", True, f"{len(pairing.pairs)} pairs cover all vertices")
     except DomainError as exc:
-        checks.append(WitnessCheck("perfect-pairing", False, str(exc)))
+        pairing_check = WitnessCheck("perfect-pairing", False, str(exc))
+
+    if w.rotation is None:
+        checks = [WitnessCheck("planar-embedding", False, "no rotation system")]
+    else:
+        try:
+            # With a valid pairing, the witness's kept paired graph can fail
+            # only on the rotation, and the pipeline reuses its genus.
+            if pairing is None:
+                components = genus_check(w.graph, w.rotation)
+            else:
+                components = w.paired_graph()._embedding
+            genera = [c.genus for c in components]
+            ok = all(g == 0 for g in genera)
+            checks = [
+                WitnessCheck(
+                    "planar-embedding",
+                    ok,
+                    f"component genera {genera}" if genera else "empty graph",
+                )
+            ]
+        except DomainError as exc:
+            checks = [WitnessCheck("planar-embedding", False, str(exc))]
+    checks.append(pairing_check)
 
     if pairing is None:
         checks.append(WitnessCheck("designated-k12", False, "pairing invalid"))
         checks.append(WitnessCheck("pair-chromatic-12", False, "pairing invalid"))
         return WitnessReport(tuple(checks))
 
-    # The rotation rides along only if the planar-embedding check passed,
-    # so building ``pg`` cannot fail on it.
-    pg = PairedGraph(w.graph, pairing, w.rotation if checks[0].passed else None)
+    # The rotation rides along only if the planar-embedding check passed.
+    pg = w.paired_graph() if checks[0].passed else PairedGraph(w.graph, pairing)
     q = simple_quotient(pg)
     pair_by_members = {frozenset(p): p for p in pairing.pairs}
     designated = [pair_by_members.get(frozenset(p)) for p in w.designated_pairs]

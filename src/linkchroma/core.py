@@ -102,20 +102,32 @@ class Multigraph:
     def __post_init__(self):
         verts = tuple(sorted(self.vertices, key=id_sort_key))
         edges = (e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
-        edges = tuple(sorted(edges, key=lambda e: id_sort_key(e.id)))
-        if len(set(verts)) != len(verts):
-            raise DomainError("duplicate vertex id")
-        vset = set(verts)
-        by_id = {}
+        self._index(verts, tuple(sorted(edges, key=lambda e: id_sort_key(e.id))))
+
+    @classmethod
+    def _sorted(cls, verts: tuple, edges: tuple) -> "Multigraph":
+        """A multigraph from parts already in id order, the edges as
+        ``Edge``s: the constructor without its sort.  Derived graphs whose
+        parts come from an existing container's stored order use it."""
+        g = object.__new__(cls)
+        g._index(verts, edges)
+        return g
+
+    def _index(self, verts: tuple, edges: tuple) -> None:
+        """Check sorted parts and store them with their lookup tables."""
         ends_at = {v: [] for v in verts}
+        if len(ends_at) != len(verts):
+            raise DomainError("duplicate vertex id")
+        by_id = {}
         for e in edges:
             if e.id in by_id:
                 raise DomainError(f"duplicate edge id {short_repr(e.id)}")
-            if e.end0 not in vset or e.end1 not in vset:
+            at0, at1 = ends_at.get(e.end0), ends_at.get(e.end1)
+            if at0 is None or at1 is None:
                 raise DomainError(f"edge {short_repr(e.id)} references a missing vertex")
             by_id[e.id] = e
-            ends_at[e.end0].append(EdgeEnd(e.id, 0))
-            ends_at[e.end1].append(EdgeEnd(e.id, 1))
+            at0.append(EdgeEnd(e.id, 0))
+            at1.append(EdgeEnd(e.id, 1))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_edge_by_id", by_id)
@@ -158,14 +170,20 @@ def _root(parent: list, a: int) -> int:
     return a
 
 
+def _dart_vertices(g: Multigraph) -> tuple:
+    """The position of each vertex id, and the vertex position of each dart
+    ``2 * edge_position + side``."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return index, [index[v] for e in g.edges for v in (e.end0, e.end1)]
+
+
 def _components(g: Multigraph) -> tuple:
     """Union-find over vertex positions.  Returns the vertex position of
     each dart ``2 * edge_position + side``, the component number of each
     vertex position, and the number of components.  A union keeps the
     smaller root, so every root is its component's first stored vertex and
     components are numbered in that order."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    at = [index[v] for e in g.edges for v in (e.end0, e.end1)]
+    index, at = _dart_vertices(g)
     parent = list(range(len(index)))
     for k in range(0, len(at), 2):
         a, b = _root(parent, at[k]), _root(parent, at[k + 1])
@@ -442,7 +460,7 @@ class PairedGraph:
         every component.  The faces are traced once per object."""
         if self.rotation is None:
             raise DomainError("planarity certificate missing: no rotation system")
-        if not self._genus_zero:
+        if not all(c.genus == 0 for c in self._embedding):
             raise DomainError("planarity certificate invalid: embedding has positive genus")
 
     # Derived data, computed on first use and kept on the object.  The
@@ -452,8 +470,9 @@ class PairedGraph:
     # costs nothing extra.
 
     @cached_property
-    def _genus_zero(self) -> bool:
-        return all(c.genus == 0 for c in _genus(self.graph, self._succ))
+    def _embedding(self) -> tuple:
+        """``genus_check`` of the rotation, from the kept successor array."""
+        return _genus(self.graph, self._succ)
 
     @cached_property
     def _quotient_neighbours(self) -> list:
@@ -615,23 +634,25 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     Parallel link edges and link loops are kept.  The default pairing puts
     (e, 0) with (e, 1) for every skeleton edge e.
     """
+    # The third-edges in stored edge order are in id order, and so are the
+    # link edges (ci, j) in walk order.  The pairing keys every third-edge,
+    # which rejects one nested too deep.
     verts = tuple(third_edges(c.skeleton))
+    pairing = Pairing(tuple(zip(verts[::2], verts[1::2])))
+    dart = {e.id: 2 * i for i, e in enumerate(c.skeleton.edges)}
     edges = []
     for ci, cell in enumerate(c.cells):
-        k = len(cell.steps)
-        for j in range(k):
-            a = cell.steps[j]
-            b = cell.steps[(j + 1) % k]
-            exit_third = EdgeEnd(a.edge, 1 - a.entry)
-            entry_third = EdgeEnd(b.edge, b.entry)
-            edges.append(Edge((ci, j), exit_third, entry_third))
-    pairing = Pairing(tuple((EdgeEnd(e.id, 0), EdgeEnd(e.id, 1)) for e in c.skeleton.edges))
-    return PairedGraph(Multigraph(verts, tuple(edges)), pairing)
+        # the third-edge each step enters by and exits by
+        ins = [verts[dart[s.edge] + s.entry] for s in cell.steps]
+        outs = [verts[dart[s.edge] + 1 - s.entry] for s in cell.steps]
+        edges += (Edge((ci, j), a, b) for j, (a, b) in enumerate(zip(outs, ins[1:] + ins[:1])))
+    return PairedGraph(Multigraph._sorted(verts, tuple(edges)), pairing)
 
 
 def _quotient_parts(pg: PairedGraph) -> tuple:
     """The quotient vertices (each pair's smaller member) and a generator of
-    the edges of ``pg`` renamed onto them, in edge-id order."""
+    the edges of ``pg`` renamed onto them, in edge-id order.  Pairs are
+    stored in the order of their smaller members, so both are in id order."""
     rep = {v: p[0] for p in pg.pairing.pairs for v in p}
     verts = tuple(p[0] for p in pg.pairing.pairs)
     return verts, (Edge(e.id, rep[e.end0], rep[e.end1]) for e in pg.graph.edges)
@@ -644,7 +665,7 @@ def paired_quotient(pg: PairedGraph) -> Multigraph:
     An edge inside one pair becomes a loop; parallel edges are preserved.
     """
     verts, edges = _quotient_parts(pg)
-    return Multigraph(verts, tuple(edges))
+    return Multigraph._sorted(verts, tuple(edges))
 
 
 def simple_quotient(pg: PairedGraph) -> Multigraph:
@@ -656,7 +677,7 @@ def simple_quotient(pg: PairedGraph) -> Multigraph:
     for e in edges:  # in edge-id order, so the first edge of a class is kept
         if not e.is_loop:
             keep.setdefault(frozenset((e.end0, e.end1)), e)
-    return Multigraph(verts, tuple(keep.values()))
+    return Multigraph._sorted(verts, tuple(keep.values()))
 
 
 def is_simplicial(c: TwoComplex) -> bool:

@@ -167,7 +167,8 @@ class TestTrailDecomposition:
 
     # SHA-256 of ``repr(pi_trail_decomposition(pg))``, joined by newlines over
     # ``random_degree_faithful_planar(seed, n)`` for seeds 0-11, and of the
-    # hand-built map of several components.
+    # hand-built map of several components; recorded by running the
+    # decomposition while it still walked the paired quotient by ids.
     TRAIL_SHA256 = {
         1: "72bb65f90f519ab0b21d92ddc2b5482d2e9798de44c990a75f78a9f90016ef9e",
         2: "3367424150fe61c8e3687e26874a6fb5ac9fe8acf84a53d5238ebcd689e4943c",

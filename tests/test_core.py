@@ -68,6 +68,22 @@ class TestMultigraph:
         with pytest.raises(DomainError):
             Multigraph(("u",), (Edge("e", "u", "v"),))
 
+    def test_parts_in_id_order_get_the_same_checks(self):
+        # Multigraph._sorted skips only the sort: the checks are shared.
+        faults = (
+            (("u", "u"), (), "duplicate vertex id"),
+            (("u", "v"), (Edge("e", "u", "v"), Edge("e", "v", "u")), "duplicate edge id 'e'"),
+            (("u",), (Edge("e", "u", "v"),), "edge 'e' references a missing vertex"),
+        )
+        for verts, edges, message in faults:
+            for build in (Multigraph, Multigraph._sorted):
+                with pytest.raises(DomainError) as info:
+                    build(verts, edges)
+                assert str(info.value) == message
+        g = Multigraph._sorted((1, 2), (Edge("a", 1, 2), Edge("b", 2, 2)))
+        assert g == Multigraph((2, 1), (Edge("b", 2, 2), Edge("a", 1, 2)))
+        assert g.ends_at(2) == (EdgeEnd("a", 1), EdgeEnd("b", 0), EdgeEnd("b", 1))
+
     def test_storage_is_sorted(self):
         g = Multigraph((3, 1, 2), (Edge("b", 1, 2), Edge("a", 2, 3)))
         assert g.vertices == (1, 2, 3)

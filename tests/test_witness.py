@@ -126,6 +126,89 @@ class TestShippedWitness:
         assert not report.all_passed
 
 
+def faulty_witness(fault):
+    """The shipped witness with one fault, or two: a rotation fault and a
+    pairing fault together."""
+    import dataclasses
+
+    w = load_shipped_witness()
+    orders = w.rotation.as_dict()
+    v0, v1 = w.graph.vertices[:2]
+    pairs = list(w.pairs)
+    if "swapped-ends" in fault:  # well-formed, but of positive genus
+        orders[v0] = [orders[v0][1], orders[v0][0]] + orders[v0][2:]
+    if "missing-end" in fault:
+        orders[v0] = orders[v0][1:]
+    if "wrong-vertex" in fault:
+        orders[v1] = orders[v1] + [orders[v0][0]]
+        orders[v0] = orders[v0][1:]
+    if "vertex-in-two-pairs" in fault:
+        pairs[0] = (pairs[0][0], pairs[1][0])
+    if "uncovered-pair" in fault:
+        pairs = pairs[1:]
+    rotation = None if fault == "no-rotation" else RotationSystem(orders)
+    return dataclasses.replace(w, pairs=tuple(pairs), rotation=rotation)
+
+
+class TestWitnessReportLines:
+    # ``verify_witness`` report lines for each fault, recorded by running
+    # the verifier before the witness's paired graph was built only once.
+    REPORTS = {
+        "none": [
+            "PASS planar-embedding: component genera [0]",
+            "PASS perfect-pairing: 12 pairs cover all vertices",
+            "PASS designated-k12: all 66 pair adjacencies realised",
+            "PASS pair-chromatic-12: exact pair-chromatic number 12; degeneracy colouring uses 12 colours",
+        ],
+        "no-rotation": [
+            "FAIL planar-embedding: no rotation system",
+            "PASS perfect-pairing: 12 pairs cover all vertices",
+            "PASS designated-k12: all 66 pair adjacencies realised",
+            "PASS pair-chromatic-12: exact pair-chromatic number 12",
+        ],
+        "swapped-ends": [
+            "FAIL planar-embedding: component genera [1]",
+            "PASS perfect-pairing: 12 pairs cover all vertices",
+            "PASS designated-k12: all 66 pair adjacencies realised",
+            "PASS pair-chromatic-12: exact pair-chromatic number 12",
+        ],
+        "missing-end": [
+            "FAIL planar-embedding: rotation system is missing 1 edge-end(s)",
+            "PASS perfect-pairing: 12 pairs cover all vertices",
+            "PASS designated-k12: all 66 pair adjacencies realised",
+            "PASS pair-chromatic-12: exact pair-chromatic number 12",
+        ],
+        "wrong-vertex": [
+            "FAIL planar-embedding: edge-end EdgeEnd(edge=12, side=1) is not incident to vertex 1",
+            "PASS perfect-pairing: 12 pairs cover all vertices",
+            "PASS designated-k12: all 66 pair adjacencies realised",
+            "PASS pair-chromatic-12: exact pair-chromatic number 12",
+        ],
+        "vertex-in-two-pairs": [
+            "PASS planar-embedding: component genera [0]",
+            "FAIL perfect-pairing: vertex 18 appears in more than one pair",
+            "FAIL designated-k12: pairing invalid",
+            "FAIL pair-chromatic-12: pairing invalid",
+        ],
+        "uncovered-pair": [
+            "PASS planar-embedding: component genera [0]",
+            "FAIL perfect-pairing: pairing does not cover exactly the vertex set",
+            "FAIL designated-k12: pairing invalid",
+            "FAIL pair-chromatic-12: pairing invalid",
+        ],
+        "missing-end+uncovered-pair": [
+            "FAIL planar-embedding: rotation system is missing 1 edge-end(s)",
+            "FAIL perfect-pairing: pairing does not cover exactly the vertex set",
+            "FAIL designated-k12: pairing invalid",
+            "FAIL pair-chromatic-12: pairing invalid",
+        ],
+    }
+
+    @pytest.mark.parametrize("fault", sorted(REPORTS))
+    def test_report_lines(self, fault):
+        assert verify_witness(faulty_witness(fault)).lines() == self.REPORTS[fault]
+
+
 class TestPipeline:
     def test_edge_chromatic_exactly_twelve(self):
         stages = run_pipeline()
@@ -133,6 +216,22 @@ class TestPipeline:
         assert stages.sealed.kind == "genuine"
         assert stages.exact_colouring.palette_size == 12
         assert stages.degeneracy_colouring.palette_size <= 12
+
+    def test_validates_and_traces_each_map_once(self, monkeypatch):
+        import linkchroma.core as core
+
+        witness = load_shipped_witness()
+        calls = Counter()
+        for name in ("_rotation_successors", "_genus"):
+
+            def counted(*args, _name=name, _original=getattr(core, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(core, name, counted)
+        run_pipeline(witness)
+        # the witness once and the augmented map once
+        assert calls == {"_rotation_successors": 2, "_genus": 2}
 
     def test_sealed_walk_lengths(self):
         stages = run_pipeline()
