@@ -118,3 +118,42 @@ def with_extras(pg):
     orders["q"] = (EdgeEnd("b", 1), EdgeEnd("a", 1))
     pairs = pg.pairing.pairs + (("loop", "iso"), ("p", "q"))
     return PairedGraph(g, Pairing(pairs), RotationSystem(orders))
+
+
+# One walk fault per case on the skeleton a -ab- b -bc- c -ca- a plus c -cd- d,
+# and the exact error every entry point raises: the first unknown edge wins
+# over any junction, then the first bad junction in step order.
+WALK_FAULT_SKELETON = (
+    ("a", "b", "c", "d"),
+    (Edge("ab", "a", "b"), Edge("bc", "b", "c"), Edge("ca", "c", "a"), Edge("cd", "c", "d")),
+)
+WALK_FAULTS = {
+    "unknown-edge": (
+        [("ab", 0), ("zz", 0)],
+        "walk not contained in skeleton: unknown edge 'zz'",
+    ),
+    "unknown-tuple-edge": (
+        [("ab", 0), (("z", 1), 1)],
+        "walk not contained in skeleton: unknown edge ('z', 1)",
+    ),
+    "unknown-edge-after-a-bad-junction": (
+        [("ab", 1), ("bc", 0), ("zz", 0)],
+        "walk not contained in skeleton: unknown edge 'zz'",
+    ),
+    "first-junction": (
+        [("ab", 1), ("bc", 0), ("ca", 0)],
+        "walk is not vertex-compatible between steps 0 and 1",
+    ),
+    "middle-junction": (
+        [("ab", 0), ("bc", 0), ("ca", 1)],
+        "walk is not vertex-compatible between steps 1 and 2",
+    ),
+    "wrap-around": (
+        [("ab", 0), ("bc", 0), ("cd", 0)],
+        "walk is not vertex-compatible between steps 2 and 0",
+    ),
+    "one-step": (
+        [("cd", 1)],
+        "walk is not vertex-compatible between steps 0 and 0",
+    ),
+}

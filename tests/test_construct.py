@@ -34,6 +34,8 @@ from linkchroma.construct import (
     validate_trail,
 )
 
+from strategies import side_by_side, with_extras
+
 
 def single_pair_single_edge():
     g = Multigraph(("u", "v"), (Edge("e", "u", "v"),))
@@ -98,6 +100,119 @@ class TestMakeDegreeFaithful:
             assert all(c.genus == 0 for c in genus_check(out.graph, out.rotation))
             assert cross_pair_adjacencies(out) == cross_pair_adjacencies(pg)
             assert pair_chromatic_number(out)[0] == pair_chromatic_number(pg)[0]
+
+
+def reference_degree_faithful(pg):
+    """``make_degree_faithful`` written on the public constructors: every
+    edge id keyed and sorted, every rotation pivot found by id order."""
+    twin = {e.id: ("dbl", e.id) for e in pg.graph.edges}
+    edges = list(pg.graph.edges) + [Edge(twin[e.id], e.end0, e.end1) for e in pg.graph.edges]
+    orders = {}
+    for v in pg.graph.vertices:
+        new = []
+        for end in pg.rotation.order_at(v):
+            t = EdgeEnd(twin[end.edge], end.side)
+            new += (end, t) if end.side == 0 else (t, end)
+        orders[v] = new
+    for u, v in pg.pairing.pairs:
+        du, dv = len(orders[u]), len(orders[v])
+        w = u if du < dv else v
+        for i in range(abs(du - dv) // 2):
+            edges.append(Edge(("bal", w, i), w, w))
+            orders[w] += [EdgeEnd(("bal", w, i), 0), EdgeEnd(("bal", w, i), 1)]
+    return PairedGraph(Multigraph(pg.graph.vertices, tuple(edges)), pg.pairing, RotationSystem(orders))
+
+
+def renamed(pg, vname, ename):
+    """``pg`` with its vertices and edges renamed, through the public
+    constructors."""
+    g = Multigraph(
+        tuple(map(vname, pg.graph.vertices)),
+        tuple(Edge(ename(e.id), vname(e.end0), vname(e.end1)) for e in pg.graph.edges),
+    )
+    orders = {
+        vname(v): tuple(EdgeEnd(ename(end.edge), end.side) for end in order) for v, order in pg.rotation.orders
+    }
+    pairs = tuple((vname(u), vname(v)) for u, v in pg.pairing.pairs)
+    return PairedGraph(g, Pairing(pairs), RotationSystem(orders))
+
+
+def mixed_vertex(v):
+    """Vertex ids whose ``("bal", w, i)`` loops interleave with edge ids."""
+    return (v, f"v{v}", ("bal", v), ("w", (v,)))[v % 4]
+
+
+def mixed_edge(e):
+    """Edge ids of every kind, some of which sort among the twins
+    ``("dbl", id)`` and the loops ``("bal", w, i)``."""
+    if isinstance(e, tuple):  # the generator's ("dup", k)
+        return ("dbl", ("dup",) + e[1:])
+    return (e, f"e{e}", ("dbl", "x", e), ("bal", e), ("a", e), (("t",), e), ("dbl", 10**6 + e))[e % 7]
+
+
+def nested(x, depth):
+    for _ in range(depth):
+        x = (x,)
+    return x
+
+
+class TestDegreeFaithfulOrder:
+    """``make_degree_faithful`` against the version built on the public
+    constructors: equal graphs, pairings and rotations, and the same errors."""
+
+    def maps(self):
+        for seed in range(12):
+            pg = random_planar_paired_graph(seed, 1 + (seed * 5) % 23)
+            yield pg
+            yield with_extras(pg)
+            yield renamed(pg, mixed_vertex, mixed_edge)
+        yield side_by_side(random_planar_paired_graph(1, 6), random_planar_paired_graph(2, 4))
+
+    def test_matches_the_public_constructors(self):
+        for pg in self.maps():
+            out = make_degree_faithful(pg)
+            ref = reference_degree_faithful(pg)
+            assert out == ref
+            assert out.graph.edges == ref.graph.edges
+            assert out.rotation.orders == ref.rotation.orders
+
+    def test_a_twin_id_taken_by_an_edge_is_a_duplicate(self):
+        g = Multigraph(("u", "v"), (Edge(3, "u", "v"), Edge(("dbl", 3), "u", "v")))
+        rot = RotationSystem({"u": (EdgeEnd(3, 0), EdgeEnd(("dbl", 3), 0)), "v": (EdgeEnd(3, 1), EdgeEnd(("dbl", 3), 1))})
+        pg = PairedGraph(g, Pairing((("u", "v"),)), rot)
+        for build in (make_degree_faithful, reference_degree_faithful):
+            with pytest.raises(DomainError) as info:
+                build(pg)
+            assert str(info.value) == "duplicate edge id ('dbl', 3)"
+
+    def test_a_new_id_nested_too_deep_is_rejected(self):
+        deep = nested("e", 32)
+        g = Multigraph(("u", "v"), (Edge(deep, "u", "v"), Edge(("dbl", 3), "u", "v"), Edge(3, "u", "v")))
+        rot = RotationSystem(
+            {
+                "u": (EdgeEnd(deep, 0), EdgeEnd(3, 0), EdgeEnd(("dbl", 3), 0)),
+                "v": (EdgeEnd(deep, 1), EdgeEnd(("dbl", 3), 1), EdgeEnd(3, 1)),
+            }
+        )
+        pg = PairedGraph(g, Pairing((("u", "v"),)), rot)
+        for build in (make_degree_faithful, reference_degree_faithful):
+            with pytest.raises(DomainError) as info:
+                build(pg)
+            assert str(info.value) == "ids may nest tuples at most 32 deep"
+
+    @pytest.mark.parametrize("depth, ok", [(31, True), (32, False)])
+    def test_a_balancing_loop_nested_too_deep_is_rejected(self, depth, ok):
+        w = nested("w", depth)  # a valid vertex id; ("bal", w, i) is one deeper
+        g = Multigraph((w, "v", "x", "y"), (Edge("e", "v", "x"),))
+        rot = RotationSystem({"v": (EdgeEnd("e", 0),), "x": (EdgeEnd("e", 1),)})
+        pg = PairedGraph(g, Pairing(((w, "v"), ("x", "y"))), rot)
+        for build in (make_degree_faithful, reference_degree_faithful):
+            if ok:
+                assert build(pg).graph.degree(w) == 2
+            else:
+                with pytest.raises(DomainError) as info:
+                    build(pg)
+                assert str(info.value) == "ids may nest tuples at most 32 deep"
 
 
 class TestTrailDecomposition:

@@ -40,7 +40,7 @@ from linkchroma.construct import make_degree_faithful, random_planar_paired_grap
 from linkchroma.core import MAX_ID_DEPTH, end_sort_key
 from linkchroma.corpus import enumerate_small_complexes
 
-from strategies import side_by_side, with_extras
+from strategies import WALK_FAULT_SKELETON, WALK_FAULTS, side_by_side, with_extras
 
 
 def edge_pairs(g):
@@ -173,6 +173,31 @@ class TestWalks:
         at_v = ClosedWalk((WalkStep("b", 0), WalkStep("b", 1)))  # v -> w -> v
         with pytest.raises(DomainError):
             walk_concat(g, [at_u, at_v])
+
+
+class TestWalkFaults:
+    @pytest.mark.parametrize("case", sorted(WALK_FAULTS))
+    def test_every_entry_point_raises_the_same_text(self, case):
+        steps, message = WALK_FAULTS[case]
+        g = Multigraph(*WALK_FAULT_SKELETON)
+        walk = ClosedWalk(tuple(WalkStep(*s) for s in steps))
+        good = ClosedWalk((WalkStep("ab", 0), WalkStep("bc", 0), WalkStep("ca", 0)))
+        for check in (
+            lambda: validate_walk(g, walk),
+            lambda: TwoComplex(g, (walk,)),
+            lambda: TwoComplex(g, (good, walk), "punctured"),
+            lambda: TwoComplex(g, (steps,)),
+        ):
+            with pytest.raises(DomainError) as info:
+                check()
+            assert str(info.value) == message
+
+    def test_the_first_faulty_cell_is_reported(self):
+        g = Multigraph(*WALK_FAULT_SKELETON)
+        cells = [WALK_FAULTS[case][0] for case in ("wrap-around", "unknown-edge")]
+        with pytest.raises(DomainError) as info:
+            TwoComplex(g, cells)
+        assert str(info.value) == WALK_FAULTS["wrap-around"][1]
 
 
 class TestLinkGraph:

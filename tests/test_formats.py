@@ -6,11 +6,14 @@ from linkchroma import (
     PairedGraph,
     Pairing,
     SchemaError,
+    TwoComplex,
     link_graph,
 )
 from linkchroma import formats
 from linkchroma.catalogue import k4_with_planar_rotation, tetrahedron_complex, triangle_complex
 from linkchroma.construct import load_shipped_witness
+
+from strategies import WALK_FAULT_SKELETON, WALK_FAULTS
 
 
 class TestGraphDocuments:
@@ -139,6 +142,36 @@ class TestComplexDocuments:
         doc["cells"][0][0][1] = side
         with pytest.raises(SchemaError, match="walk step"):
             formats.complex_from_doc(doc)
+
+
+    @pytest.mark.parametrize("case", sorted(WALK_FAULTS))
+    def test_walk_faults_keep_their_text(self, case):
+        steps, message = WALK_FAULTS[case]
+        doc = formats.complex_to_doc(TwoComplex(Multigraph(*WALK_FAULT_SKELETON)))
+        doc["cells"] = [[[formats.id_to_json(e), side] for e, side in steps]]
+        with pytest.raises(SchemaError) as info:
+            formats.complex_from_doc(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            (["ab", 2], "walk step ['ab', 2] must be [edge, entry_side]"),
+            (["ab", True], "walk step ['ab', True] must be [edge, entry_side]"),
+            (["ab"], "walk step ['ab'] must be [edge, entry_side]"),
+            ("ab", "walk step 'ab' must be [edge, entry_side]"),
+            ([True, 0], "booleans are not valid ids"),
+            ([1.5, 0], "unsupported id 1.5: ids are ints, strings or tuples"),
+            ([None, 0], "unsupported id None: ids are ints, strings or tuples"),
+            ([{"a": 1}, 0], "unsupported id {'a': 1}: ids are ints, strings or tuples"),
+        ],
+    )
+    def test_bad_steps_keep_their_text(self, step, message):
+        doc = formats.complex_to_doc(triangle_complex())
+        doc["cells"][0][1] = step
+        with pytest.raises(SchemaError) as info:
+            formats.complex_from_doc(doc)
+        assert str(info.value) == message
 
 
 class TestColouringDocuments:
