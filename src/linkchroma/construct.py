@@ -22,6 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional
 
 from .colour import (
@@ -53,7 +54,9 @@ from .triangulate import SphereTriangulation
 
 
 def is_degree_faithful(pg: PairedGraph) -> bool:
-    return all(pg.graph.degree(u) == pg.graph.degree(v) for u, v in pg.pairing.pairs)
+    degree = Counter(map(attrgetter("end0"), pg.graph.edges))
+    degree.update(map(attrgetter("end1"), pg.graph.edges))
+    return all(degree[u] == degree[v] for u, v in pg.pairing.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +83,6 @@ def _with_twins(orders: dict, twin: dict) -> dict:
     return out
 
 
-def _append_loop(orders: dict, v, new_id) -> None:
-    """Append a loop as two consecutive rotation entries, which adds a
-    monogon face and keeps the genus."""
-    orders[v].extend((EdgeEnd(new_id, 0), EdgeEnd(new_id, 1)))
-
-
 def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
     """Double every edge, then balance each pair with loops at its
     smaller-degree vertex.
@@ -93,29 +90,52 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
     The output pairing is degree-faithful, the genus is unchanged, and the
     simple quotient's cross-pair adjacencies are exactly those of the
     input.
+
+    Each twin ``("dbl", id)`` sits in the rotation right after its edge's
+    side-0 end and right before its side-1 end, so it bounds a bigon with
+    its edge.  The loops ``("bal", w, i)`` are appended at ``w`` as two
+    consecutive entries, each adding a monogon face.  Neither changes the
+    genus.  The rotation is built on darts from the input's validated
+    successor array.
     """
     if pg.rotation is None:
         raise DomainError("rotation system required to augment while preserving genus")
-    twin = {e.id: ("dbl", e.id) for e in pg.graph.edges}
-    edges = list(pg.graph.edges)
-    edges += (Edge(twin[e.id], e.end0, e.end1) for e in pg.graph.edges)
-    orders = _with_twins({v: pg.rotation.order_at(v) for v in pg.graph.vertices}, twin)
-    degree = {v: len(orders[v]) for v in pg.graph.vertices}
+    g = pg.graph
+    m = len(g.edges)
+    index, at = _dart_vertices(g)
+    # after doubling, degrees are twice these, so a pair whose degrees
+    # differ by k needs k loops of two ends each
+    degree = Counter(at)
+    new = [Edge(("dbl", e.id), e.end0, e.end1) for e in g.edges]
+    loops_at = [[] for _ in index]  # vertex position -> indices into new
     for u, v in pg.pairing.pairs:
-        if degree[u] == degree[v]:
-            continue
-        w = u if degree[u] < degree[v] else v
-        deficit = abs(degree[u] - degree[v])
-        # degrees are even after doubling, so the deficit is even
-        for i in range(deficit // 2):
-            new_id = ("bal", w, i)
-            edges.append(Edge(new_id, w, w))
-            _append_loop(orders, w, new_id)
-    return PairedGraph(
-        Multigraph(pg.graph.vertices, tuple(edges)),
-        pg.pairing,
-        RotationSystem(orders),
-    )
+        du, dv = degree[index[u]], degree[index[v]]
+        w = u if du < dv else v
+        for i in range(abs(du - dv)):
+            loops_at[index[w]].append(len(new))
+            new.append(Edge(("bal", w, i), w, w))
+    graph, position = Multigraph._extended(g, new)
+
+    # the new dart of each old dart, and of its twin's end on the same side
+    dart = [2 * position[d >> 1] + (d & 1) for d in range(2 * m)]
+    twin = [2 * position[m + (d >> 1)] + (d & 1) for d in range(2 * m)]
+    first = [-1] * len(index)  # the smallest old dart at each vertex position
+    for d in range(2 * m - 1, -1, -1):
+        first[at[d]] = d
+    darts_at = []
+    succ = pg._succ
+    for p, start in enumerate(first):
+        darts = []
+        d = start
+        while d >= 0:
+            darts += (dart[d], twin[d]) if d & 1 == 0 else (twin[d], dart[d])
+            d = succ[d]
+            if d == start:
+                break
+        for k in loops_at[p]:
+            darts += (2 * position[m + k], 2 * position[m + k] + 1)
+        darts_at.append(darts)
+    return PairedGraph(graph, pg.pairing, RotationSystem._from_darts(graph, darts_at))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +275,9 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
         raise DomainError("pairing is not degree-faithful")
     pg.require_planar()
     at, trails = _dart_trails(pg)
+    # one loop per pair, named by its smaller member: in id order
     loops = tuple(Edge(u, SKELETON_VERTEX, SKELETON_VERTEX) for u, _ in pg.pairing.pairs)
-    skeleton = Multigraph((SKELETON_VERTEX,), loops)
+    skeleton = Multigraph._sorted((SKELETON_VERTEX,), loops)
     # the step through the third-edge standing for each vertex position
     enter = []
     for v in pg.graph.vertices:
@@ -492,9 +513,12 @@ def random_planar_paired_graph(
     verts = list(range(n))
     rng.shuffle(verts)
     pairing = Pairing(tuple((verts[2 * i], verts[2 * i + 1]) for i in range(n_pairs)))
-    return PairedGraph(
-        Multigraph(tuple(range(n)), tuple(edges.values())), pairing, RotationSystem(orders)
-    )
+    # The edges are in id order as inserted: the int ids ascending, then
+    # their twins ("dup", id) in the same order.
+    graph = Multigraph._sorted(tuple(range(n)), tuple(edges.values()))
+    position = {e.id: i for i, e in enumerate(graph.edges)}
+    darts_at = [[2 * position[end.edge] + end.side for end in orders[v]] for v in graph.vertices]
+    return PairedGraph(graph, pairing, RotationSystem._from_darts(graph, darts_at))
 
 
 def random_degree_faithful_planar(seed, n_pairs: int) -> PairedGraph:

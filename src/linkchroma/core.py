@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, short_repr
@@ -39,6 +42,11 @@ def id_sort_key(value):
     Doubles as the id validator; raises DomainError for anything else,
     including tuples nested more than ``MAX_ID_DEPTH`` deep.
     """
+    t = type(value)
+    if t is int:
+        return (0, value)
+    if t is str:
+        return (1, value)
     if isinstance(value, bool):
         raise DomainError("booleans are not valid ids")
     if isinstance(value, int):
@@ -53,7 +61,7 @@ def id_sort_key(value):
 def _tuple_sort_key(value: tuple, depth: int) -> tuple:
     if depth > MAX_ID_DEPTH:
         raise DomainError(f"ids may nest tuples at most {MAX_ID_DEPTH} deep")
-    return (2, tuple(_tuple_sort_key(v, depth + 1) if isinstance(v, tuple) else id_sort_key(v) for v in value))
+    return (2, tuple([_tuple_sort_key(v, depth + 1) if isinstance(v, tuple) else id_sort_key(v) for v in value]))
 
 
 class EdgeEnd(NamedTuple):
@@ -113,26 +121,79 @@ class Multigraph:
         g._index(verts, edges)
         return g
 
+    @classmethod
+    def _extended(cls, g: "Multigraph", new: list) -> tuple:
+        """``g`` with the ``Edge``s ``new`` added, and the stored position
+        of each edge of ``g`` followed by each edge of ``new``.
+
+        The constructor, keying only what it must: every new id once, which
+        also validates it, and the ids of ``g`` where the merge of the two
+        sorted runs probes them, by galloping (as in timsort) from the last
+        position taken.  Ties put an edge of ``g`` first, as a stable sort
+        of ``g.edges + new`` does, so a repeated id is still reported as a
+        duplicate."""
+        old = g.edges
+        new_keys = [id_sort_key(e.id) for e in new]
+        order = sorted(range(len(new)), key=new_keys.__getitem__)
+        keys = [new_keys[j] for j in order]
+        probed = {}
+
+        def old_key(i):
+            k = probed.get(i)
+            if k is None:
+                k = probed[i] = id_sort_key(old[i].id)
+            return k
+
+        source = []  # stored position -> index into old + new
+        i = j = 0  # the next edge of g, the next new edge in key order
+        while j < len(keys) and i < len(old):
+            # the edges of g whose keys are at most that of new edge j
+            start, hi, step = i, i, 1
+            while hi < len(old) and not keys[j] < old_key(hi):
+                i, hi, step = hi + 1, hi + step, 2 * step
+            i = bisect_right(range(len(old)), keys[j], i, min(hi, len(old)), key=old_key)
+            source += range(start, i)
+            if i < len(old):
+                # the new edges whose keys are below that of edge i of g
+                k = bisect_left(keys, old_key(i), j)
+                source += (len(old) + t for t in order[j:k])
+                j = k
+        source += range(i, len(old))
+        source += (len(old) + t for t in order[j:])
+        pool = old + tuple(new)
+        position = [0] * len(pool)
+        for p, src in enumerate(source):
+            position[src] = p
+        return cls._sorted(g.vertices, tuple([pool[src] for src in source])), position
+
     def _index(self, verts: tuple, edges: tuple) -> None:
-        """Check sorted parts and store them with their lookup tables."""
-        ends_at = {v: [] for v in verts}
-        if len(ends_at) != len(verts):
+        """Check sorted parts and store them with the edge lookup table."""
+        vertex_set = set(verts)
+        if len(vertex_set) != len(verts):
             raise DomainError("duplicate vertex id")
         by_id = {}
         for e in edges:
             if e.id in by_id:
                 raise DomainError(f"duplicate edge id {short_repr(e.id)}")
-            at0, at1 = ends_at.get(e.end0), ends_at.get(e.end1)
-            if at0 is None or at1 is None:
+            if e.end0 not in vertex_set or e.end1 not in vertex_set:
                 raise DomainError(f"edge {short_repr(e.id)} references a missing vertex")
             by_id[e.id] = e
-            at0.append(EdgeEnd(e.id, 0))
-            at1.append(EdgeEnd(e.id, 1))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_vertex_set", vertex_set)
         object.__setattr__(self, "_edge_by_id", by_id)
-        # edges are walked in id order, so each list is in end_sort_key order
-        object.__setattr__(self, "_ends_at", {v: tuple(es) for v, es in ends_at.items()})
+
+    @cached_property
+    def _ends_at(self) -> dict:
+        """Each vertex's edge-ends, built on first use and kept: the
+        instance is frozen, and it is not a field, so equality and hashing
+        ignore it.  Edges are walked in id order, so each tuple is in
+        ``end_sort_key`` order."""
+        ends_at = {v: [] for v in self.vertices}
+        for e in self.edges:
+            ends_at[e.end0].append(EdgeEnd(e.id, 0))
+            ends_at[e.end1].append(EdgeEnd(e.id, 1))
+        return {v: tuple(es) for v, es in ends_at.items()}
 
     def edge(self, edge_id) -> Edge:
         try:
@@ -144,7 +205,7 @@ class Multigraph:
         return edge_id in self._edge_by_id
 
     def has_vertex(self, v) -> bool:
-        return v in self._ends_at
+        return v in self._vertex_set
 
     def ends_at(self, v) -> tuple:
         try:
@@ -249,12 +310,14 @@ class ClosedWalk:
     steps: tuple
 
     def __post_init__(self):
-        steps = tuple(s if isinstance(s, WalkStep) else WalkStep(*s) for s in self.steps)
+        steps = self.steps
+        if type(steps) is not tuple or not all(map(isinstance, steps, repeat(WalkStep))):
+            steps = tuple(s if isinstance(s, WalkStep) else WalkStep(*s) for s in steps)
         if not steps:
             raise DomainError("a closed walk must be nonempty")
-        for s in steps:
-            if s.entry not in (0, 1):
-                raise DomainError(f"walk step {short_repr(s)} has an invalid entry side")
+        if not all(map((0, 1).__contains__, map(itemgetter(1), steps))):
+            bad = next(s for s in steps if s.entry not in (0, 1))
+            raise DomainError(f"walk step {short_repr(bad)} has an invalid entry side")
         object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
@@ -271,17 +334,25 @@ def step_exit_vertex(g: Multigraph, step: WalkStep) -> VertexId:
 
 def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
     """Check that ``walk`` lives in ``g`` and is cyclically vertex-compatible."""
-    for s in walk.steps:
-        if not g.has_edge(s.edge):
-            raise DomainError(f"walk not contained in skeleton: unknown edge {short_repr(s.edge)}")
-    n = len(walk.steps)
-    for i in range(n):
-        here = step_exit_vertex(g, walk.steps[i])
-        there = step_entry_vertex(g, walk.steps[(i + 1) % n])
-        if here != there:
-            raise DomainError(
-                f"walk is not vertex-compatible between steps {i} and {(i + 1) % n}"
-            )
+    _check_steps(g._edge_by_id, walk.steps)
+
+
+def _check_steps(edge_by_id: dict, steps: tuple) -> None:
+    """``validate_walk`` on an edge table: every edge is known, then each
+    step exits where the next one enters, the first fault in step order
+    reported."""
+    edges = [edge_by_id.get(s[0]) for s in steps]
+    if None in edges:
+        raise DomainError(
+            f"walk not contained in skeleton: unknown edge {short_repr(steps[edges.index(None)].edge)}"
+        )
+    # An Edge is (id, end0, end1): a step with entry side 0 enters at end0.
+    ins = [e[2] if s[1] else e[1] for e, s in zip(edges, steps)]
+    outs = [e[1] if s[1] else e[2] for e, s in zip(edges, steps)]
+    ins.append(ins.pop(0))
+    if outs != ins:
+        i = next(i for i, (here, there) in enumerate(zip(outs, ins)) if here != there)
+        raise DomainError(f"walk is not vertex-compatible between steps {i} and {(i + 1) % len(steps)}")
 
 
 def walk_reverse(w: ClosedWalk) -> ClosedWalk:
@@ -316,22 +387,46 @@ class Pairing:
     pairs: tuple = ()
 
     def __post_init__(self):
-        canon = []
+        canon, firsts = self._checked(self.pairs)
+        order = sorted(range(len(canon)), key=firsts.__getitem__)
+        self._store(tuple([canon[i] for i in order]))
+
+    @classmethod
+    def _sorted(cls, pairs: tuple) -> "Pairing":
+        """A pairing from classes already in canonical order, each a tuple
+        of two members in id order, the classes in the order of their first
+        members: the constructor without its sort.  Every member is still
+        checked, and its id validated."""
+        p = object.__new__(cls)
+        p._store(tuple(p._checked(pairs)[0]))
+        return p
+
+    @staticmethod
+    def _checked(pairs) -> tuple:
+        """The classes with their members in id order, and the key of each
+        class's first member; raises unless every class has two distinct
+        members, each a valid id and in no other class."""
+        canon, firsts = [], []
         seen = set()
-        for raw in self.pairs:
+        for raw in pairs:
             members = tuple(raw)
             if len(members) != 2 or members[0] == members[1]:
                 raise DomainError(
                     f"pairing class {short_repr(members)} must have exactly two distinct members"
                 )
-            members = tuple(sorted(members, key=id_sort_key))
+            keys = (id_sort_key(members[0]), id_sort_key(members[1]))
+            if keys[1] < keys[0]:
+                members, keys = members[::-1], keys[::-1]
             for m in members:
                 if m in seen:
                     raise DomainError(f"vertex {short_repr(m)} appears in more than one pair")
                 seen.add(m)
             canon.append(members)
-        canon.sort(key=lambda p: id_sort_key(p[0]))
-        object.__setattr__(self, "pairs", tuple(canon))
+            firsts.append(keys[0])
+        return canon, firsts
+
+    def _store(self, canon: tuple) -> None:
+        object.__setattr__(self, "pairs", canon)
         object.__setattr__(self, "_pair_of", {m: p for p in canon for m in p})
 
     def pair_of(self, v) -> tuple:
@@ -382,7 +477,28 @@ class RotationSystem:
             ends = ends[pivot:] + ends[:pivot]
             norm.append((v, ends))
         norm.sort(key=lambda item: id_sort_key(item[0]))
-        object.__setattr__(self, "orders", tuple(norm))
+        self._store(tuple(norm))
+
+    @classmethod
+    def _from_darts(cls, g: Multigraph, darts_at: list) -> "RotationSystem":
+        """A rotation system of ``g`` from the cyclic order of the darts
+        ``2 * edge_position + side`` at each vertex, listed in stored vertex
+        order: the constructor with each pivot found as the smallest dart,
+        which is the smallest end in id order since edges are stored in id
+        order.  As with the constructor, the orders are checked against
+        ``g`` where a ``PairedGraph`` is built on them."""
+        ends = third_edges(g)
+        norm = []
+        for v, darts in zip(g.vertices, darts_at):
+            if darts:
+                pivot = darts.index(min(darts))
+                norm.append((v, tuple(map(ends.__getitem__, darts[pivot:] + darts[:pivot]))))
+        rot = object.__new__(cls)
+        rot._store(tuple(norm))
+        return rot
+
+    def _store(self, norm: tuple) -> None:
+        object.__setattr__(self, "orders", norm)
         object.__setattr__(self, "_order_at", dict(norm))
 
     def order_at(self, v) -> tuple:
@@ -396,8 +512,8 @@ def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
     """Check that ``rot`` lists every edge-end of ``g`` exactly once, at the
     right vertex, and return its successor array: the dart
     ``2 * edge_position + side`` maps to the next dart around its vertex."""
-    position = {e.id: i for i, e in enumerate(g.edges)}
     edges = g.edges
+    position = dict(zip(map(itemgetter(0), edges), range(len(edges))))
     succ = array("i", [-1]) * (2 * len(edges))
     listed = 0
     for v, order in rot.orders:
@@ -405,12 +521,13 @@ def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
             raise DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
         first = prev = -1
         for end in order:
-            i = position.get(end.edge)
+            i = position.get(end[0])
             if i is None:
                 raise DomainError(f"rotation mentions unknown edge {short_repr(end.edge)}")
-            if edges[i].endpoint(end.side) != v:
+            # an Edge is (id, end0, end1)
+            d, at = (2 * i, edges[i][1]) if end[1] == 0 else (2 * i + 1, edges[i][2])
+            if at != v:
                 raise DomainError(f"edge-end {short_repr(end)} is not incident to vertex {short_repr(v)}")
-            d = 2 * i if end.side == 0 else 2 * i + 1
             # every dart listed so far has its successor set, but the last
             if succ[d] >= 0 or d == prev:
                 raise DomainError(f"edge-end {short_repr(end)} appears twice in rotation system")
@@ -619,8 +736,9 @@ class TwoComplex:
         if self.kind not in (GENUINE, PUNCTURED):
             raise DomainError(f"unknown complex kind {short_repr(self.kind)}")
         cells = tuple(c if isinstance(c, ClosedWalk) else ClosedWalk(tuple(c)) for c in self.cells)
+        edge_by_id = self.skeleton._edge_by_id
         for walk in cells:
-            validate_walk(self.skeleton, walk)
+            _check_steps(edge_by_id, walk.steps)
         object.__setattr__(self, "cells", cells)
 
 
@@ -638,7 +756,7 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     # link edges (ci, j) in walk order.  The pairing keys every third-edge,
     # which rejects one nested too deep.
     verts = tuple(third_edges(c.skeleton))
-    pairing = Pairing(tuple(zip(verts[::2], verts[1::2])))
+    pairing = Pairing._sorted(tuple(zip(verts[::2], verts[1::2])))
     dart = {e.id: 2 * i for i, e in enumerate(c.skeleton.edges)}
     edges = []
     for ci, cell in enumerate(c.cells):

@@ -20,6 +20,8 @@ accompany.  Writing fails if two ids of one object share a text form.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional
 
 from .core import (
@@ -214,7 +216,8 @@ def complex_to_doc(c: TwoComplex) -> dict:
     return {
         "skeleton": graph_to_doc(c.skeleton),
         "cells": [
-            [[id_to_json(s.edge), s.entry] for s in cell.steps] for cell in c.cells
+            [[e if type(e) in (int, str) else id_to_json(e), entry] for e, entry in cell.steps]
+            for cell in c.cells
         ],
         "kind": c.kind,
     }
@@ -231,8 +234,19 @@ def complex_from_doc(doc) -> TwoComplex:
     for cell in doc["cells"]:
         if not isinstance(cell, list):
             raise SchemaError("each cell must be an array of steps")
+        # A step whose id is an int or a string has nothing to parse; any
+        # other step gets the full checks.
         steps = tuple(
-            WalkStep(*_parse_side_entry(item, "walk step", "[edge, entry_side]")) for item in cell
+            [
+                WalkStep(*item)
+                if type(item) is list
+                and len(item) == 2
+                and type(item[0]) in (int, str)
+                and type(item[1]) is int
+                and item[1] in (0, 1)
+                else WalkStep(*_parse_side_entry(item, "walk step", "[edge, entry_side]"))
+                for item in cell
+            ]
         )
         try:
             cells.append(ClosedWalk(steps))
@@ -327,8 +341,108 @@ def witness_from_doc(doc):
 # Serialisation helpers and document sniffing
 
 
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_INT = frozenset((int,))
+_LIST = frozenset((list,))
+
+
+def _scalar_text(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)  # repr, NaN, Infinity or -Infinity
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _scalar_texts(values):
+    """The texts of ``values`` if every one is a scalar, else None."""
+    kinds = frozenset(map(type, values))
+    if kinds == _INT:
+        return map(int.__repr__, values)
+    if kinds <= _SCALAR_TYPES:
+        return map(_scalar_text, values)
+    return None
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``doc`` as text, byte for byte ``json.dumps(doc, indent=2) + "\n"``,
+    for documents whose object keys are strings.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents.  This
+    writer is a loop over an explicit stack of open containers, so there
+    is no depth limit, and it writes in one piece each container that holds
+    only scalars, and each list of lists of ints (cell walks, rotation
+    orders), whose compact C-encoded text it re-indents.
+    """
+    out = []
+    newline = ["\n"]  # newline[d]: a line break and the indent of depth d
+    stack = []  # the open containers around the current one
+    open_ids = set()
+    items, is_dict, depth, sep = iter((doc,)), False, 0, ""
+    while True:
+        for item in items:
+            if is_dict:
+                key, value = item
+                head = sep + encode_basestring_ascii(key) + ": "
+            else:
+                value, head = item, sep
+            sep = "," + newline[depth]
+            if not isinstance(value, (list, tuple, dict)):
+                out.append(head + _scalar_text(value))
+                continue
+            brackets = "{}" if isinstance(value, dict) else "[]"
+            if not value:
+                out.append(head + brackets)
+                continue
+            while len(newline) < depth + 3:
+                newline.append(newline[-1] + "  ")
+            inner = newline[depth + 1]
+            close = newline[depth] + brackets[1]
+            if (
+                type(value) is list
+                and frozenset(map(type, value)) == _LIST
+                and all(value)
+                and frozenset(map(type, chain.from_iterable(value))) == _INT
+            ):
+                # "[[1,2],[3]]": every comma inside a row, then every "],["
+                # between rows, is a line break
+                rows = json.dumps(value, separators=(",", ":"))[2:-2].replace("],[", "\0")
+                rows = rows.replace(",", "," + newline[depth + 2])
+                rows = rows.replace("\0", inner + "]," + inner + "[" + newline[depth + 2])
+                out.append(head + "[" + inner + "[" + newline[depth + 2] + rows + inner + "]" + close)
+                continue
+            if isinstance(value, dict):
+                texts = _scalar_texts(value.values())
+                if texts is not None:
+                    texts = [encode_basestring_ascii(k) + ": " + t for k, t in zip(value, texts)]
+            else:
+                texts = _scalar_texts(value)
+            if texts is not None:
+                out.append(head + brackets[0] + inner + ("," + inner).join(texts) + close)
+                continue
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            open_ids.add(id(value))
+            out.append(head + brackets[0])
+            stack.append((items, is_dict, depth, sep, value, close))
+            is_dict = isinstance(value, dict)
+            items, depth, sep = iter(value.items() if is_dict else value), depth + 1, inner
+            break
+        else:
+            if not stack:
+                return "".join(out) + "\n"
+            items, is_dict, depth, sep, value, close = stack.pop()
+            open_ids.discard(id(value))
+            out.append(close)
 
 
 def loads(text: str) -> dict:

@@ -116,6 +116,49 @@ class TestMultigraph:
             Pairing(((deep, 1),))
 
 
+class TestEndsTable:
+    """The ends table is built on first use of ``ends_at``, ``degree`` or
+    ``end_vertex``, by every way of making a graph, and is not a field."""
+
+    def graphs(self):
+        yield Multigraph((3, "v", ("t", 1)), (Edge("b", "v", "v"), Edge("a", 3, "v"), Edge(("c",), ("t", 1), 3)))
+        yield Multigraph._sorted((1, 2), (Edge("a", 1, 2), Edge("b", 2, 2)))
+        yield link_graph(tetrahedron_complex()).graph
+        yield make_degree_faithful(random_planar_paired_graph(2, 9)).graph
+        yield Multigraph(("iso",), ())
+
+    def test_answers_match_the_edges(self):
+        for g in self.graphs():
+            assert "_ends_at" not in g.__dict__
+            assert all(g.has_vertex(v) for v in g.vertices) and not g.has_vertex("zz")
+            assert "_ends_at" not in g.__dict__
+            for v in g.vertices:
+                expected = tuple(EdgeEnd(e.id, s) for e in g.edges for s in (0, 1) if e.endpoint(s) == v)
+                assert g.ends_at(v) == expected
+                assert g.degree(v) == len(expected)
+                assert all(g.end_vertex(end) == v for end in expected)
+            assert g.ends_at is not None and g._ends_at is g._ends_at
+
+    def test_unknown_vertex_or_edge_is_a_domain_error(self):
+        for g in self.graphs():
+            for lookup in (g.ends_at, g.degree):
+                with pytest.raises(DomainError) as info:
+                    lookup("zz")
+                assert str(info.value) == "unknown vertex 'zz'"
+            with pytest.raises(DomainError) as info:
+                g.end_vertex(EdgeEnd("zz", 0))
+            assert str(info.value) == "unknown edge 'zz'"
+
+    def test_equality_and_hash_ignore_the_table(self):
+        for built, fresh in zip(self.graphs(), self.graphs()):
+            for v in built.vertices:
+                built.degree(v)
+            assert "_ends_at" in built.__dict__ and "_ends_at" not in fresh.__dict__
+            assert built == fresh
+            assert hash(built) == hash(fresh)
+            assert len({built, fresh}) == 1
+
+
 class TestThirdEdges:
     def test_single_edge(self):
         g = Multigraph(("u", "v"), (Edge("e", "u", "v"),))
@@ -143,6 +186,20 @@ class TestWalks:
     def test_empty_walk_rejected(self):
         with pytest.raises(DomainError):
             ClosedWalk(())
+
+    @pytest.mark.parametrize("entry", [2, -1, 0.5, [0], None])
+    def test_invalid_entry_side_rejected(self, entry):
+        steps = (WalkStep("e", 0), ("f", entry), ("g", 3))
+        with pytest.raises(DomainError) as info:
+            ClosedWalk(steps)
+        assert str(info.value) == f"walk step {WalkStep('f', entry)!r} has an invalid entry side"
+
+    def test_sides_equal_to_0_or_1_are_kept(self):
+        g = Multigraph(("u", "v"), (Edge("e", "u", "v"),))
+        walk = ClosedWalk((("e", False), ("e", 1.0)))
+        assert walk.steps == (WalkStep("e", 0), WalkStep("e", 1))
+        validate_walk(g, walk)
+        TwoComplex(g, (walk,))
 
     def test_reverse_flips_entry_side(self):
         w = ClosedWalk((WalkStep("e", 0),))
@@ -582,6 +639,103 @@ class TestRotationFaults:
 
         monkeypatch.setattr(core, "_rotation_successors", refuse)
         pg.require_planar()
+
+
+def dart_rotation(g, darts_at):
+    """``RotationSystem._from_darts`` and the public constructor on the
+    same edge-ends."""
+    ends = third_edges(g)
+    orders = {v: [ends[d] for d in darts] for v, darts in zip(g.vertices, darts_at)}
+    return RotationSystem._from_darts(g, darts_at), RotationSystem(orders)
+
+
+class TestRotationsOnDarts:
+    # darts of fault_graph(): e0 = 0 at u, e1 = 1, f0 = 2 and f1 = 3 at v
+    DART_FAULTS = {
+        "wrong-vertex": [[1], [0, 2, 3]],
+        "listed-twice": [[0], [3, 2, 2, 1]],
+        "missing": [[0], [2, 1]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(DART_FAULTS))
+    def test_a_bad_order_is_rejected_with_the_public_text(self, case):
+        g = fault_graph()
+        private, public = dart_rotation(g, self.DART_FAULTS[case])
+        assert private == public and private.orders == public.orders
+        message = ROTATION_FAULTS[case][1]
+        for check in (
+            lambda: PairedGraph(g, Pairing((("u", "v"),)), private),
+            lambda: genus_check(g, private),
+            lambda: validate_rotation(g, private),
+        ):
+            with pytest.raises(DomainError) as info:
+                check()
+            assert str(info.value) == message
+
+    def test_pivot_is_the_smallest_dart(self):
+        # stored as vertices (2, "h") and edges 5, "a", ("b", 0): darts 0-5
+        g = Multigraph(("h", 2), (Edge(("b", 0), "h", "h"), Edge(5, "h", 2), Edge("a", "h", "h")))
+        private, public = dart_rotation(g, [[1], [5, 4, 3, 0, 2]])
+        assert private.orders == public.orders
+        b = ("b", 0)
+        assert private.order_at("h") == (EdgeEnd(5, 0), EdgeEnd("a", 0), EdgeEnd(b, 1), EdgeEnd(b, 0), EdgeEnd("a", 1))
+        private, public = dart_rotation(g, [[], [4, 3, 0, 5, 2]])
+        assert private.orders == public.orders
+        assert private.order_at(2) == ()
+
+    def test_constructors_on_darts_still_validate_their_output(self, monkeypatch):
+        import linkchroma.core as core
+
+        build = core.RotationSystem._from_darts.__func__
+
+        def drop_one(cls, g, darts_at):
+            darts_at = [list(darts) for darts in darts_at]
+            next(darts for darts in darts_at if darts).pop()
+            return build(cls, g, darts_at)
+
+        monkeypatch.setattr(core.RotationSystem, "_from_darts", classmethod(drop_one))
+        g, rot = k4_with_planar_rotation()
+        pg = PairedGraph(g, Pairing(((1, 2), (3, 4))), rot)
+        for construct in (lambda: make_degree_faithful(pg), lambda: random_planar_paired_graph(0, 5)):
+            with pytest.raises(DomainError) as info:
+                construct()
+            assert str(info.value) == "rotation system is missing 1 edge-end(s)"
+
+
+class TestPairingsInOrder:
+    FAULTS = (
+        ((("u", "u"),), "pairing class ('u', 'u') must have exactly two distinct members"),
+        ((("u", "v", "w"),), "pairing class ('u', 'v', 'w') must have exactly two distinct members"),
+        ((("u", "v"), ("v", "w")), "vertex 'v' appears in more than one pair"),
+        ((("u", True),), "booleans are not valid ids"),
+        ((("x", "y"), ("z", 1.5)), "unsupported id 1.5: ids are ints, strings or tuples"),
+    )
+
+    @pytest.mark.parametrize("pairs, message", FAULTS)
+    def test_classes_in_order_get_the_same_checks(self, pairs, message):
+        for build in (Pairing, Pairing._sorted):
+            with pytest.raises(DomainError) as info:
+                build(pairs)
+            assert str(info.value) == message
+
+    def test_a_member_nested_too_deep_is_rejected(self):
+        deep = EdgeEnd(nested_id(MAX_ID_DEPTH), 0)
+        for build in (Pairing, Pairing._sorted):
+            with pytest.raises(DomainError) as info:
+                build(((deep, deep.flipped()),))
+            assert str(info.value) == f"ids may nest tuples at most {MAX_ID_DEPTH} deep"
+
+    def test_same_storage_as_the_constructor(self):
+        pairs = ((1, "a"), ("b", ("c",)), (("d", 0), ("d", 1)))
+        assert Pairing._sorted(pairs) == Pairing(pairs[::-1])
+        assert Pairing._sorted(pairs)._pair_of == Pairing(pairs)._pair_of
+
+
+def nested_id(depth):
+    x = 0
+    for _ in range(depth):
+        x = (x,)
+    return x
 
 
 class TestPairings:

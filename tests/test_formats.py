@@ -1,4 +1,9 @@
+import json
+import math
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from linkchroma import (
     Edge,
@@ -220,6 +225,80 @@ class TestWitnessDocuments:
         doc["extra"] = 1
         with pytest.raises(SchemaError):
             formats.witness_from_doc(doc)
+
+
+# Every value json.loads can return: scalars of each kind (ints past 64
+# bits, every float json writes, text with non-ASCII and control
+# characters), and arrays and objects of them, lists of int lists among
+# them.
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+    | st.text()
+    | st.sampled_from(["\x00\x1f\x7f", "é", "\U0001f600", "\\\"", "],[", ", "])
+)
+json_values = st.recursive(
+    json_scalars | st.lists(st.lists(st.integers(), max_size=3), max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def indented(value) -> str:
+    return json.dumps(value, indent=2) + "\n"
+
+
+class TestDumps:
+    @given(json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert formats.dumps(value) == indented(value)
+
+    def test_matches_json_dumps_on_documents(self):
+        w = load_shipped_witness()
+        docs = [
+            formats.witness_to_doc(w),
+            formats.paired_graph_to_doc(w.paired_graph()),
+            formats.complex_to_doc(tetrahedron_complex()),
+            formats.colouring_to_doc(2, {"a": 0, ("b", 1): 1}),
+            {"provenance": {"seed": -0.0, "big": 2**70, "list": [[1, 2], [], [True]], "empty": {}}},
+        ]
+        for doc in docs:
+            assert formats.dumps(doc) == indented(doc)
+
+    def test_provenance_nested_500_deep(self):
+        doc = formats.witness_to_doc(load_shipped_witness())
+        inner = doc["provenance"]
+        for _ in range(500):
+            inner["nested"] = {"steps": [[1, 2]], "name": "\u00e9"}
+            inner = inner["nested"]
+        assert formats.dumps(doc) == indented(doc)
+
+    def test_no_depth_limit(self):
+        depth = 5000  # past the recursion limit of json's indenting encoder
+        doc = 0
+        for _ in range(depth):
+            doc = {"p": doc}
+        lines = [" " * (2 * i) + ('{' if i == 0 else '"p": {') for i in range(depth)]
+        lines.append(" " * (2 * depth) + '"p": 0')
+        lines += [" " * (2 * i) + "}" for i in reversed(range(depth))]
+        assert formats.dumps(doc) == "\n".join(lines) + "\n"
+
+    def test_rejects_what_json_rejects(self):
+        loop = []
+        loop.append(loop)
+        for bad, error in (({"a": object()}, TypeError), ({"a": loop}, ValueError)):
+            with pytest.raises(error):
+                formats.dumps(bad)
+
+    def test_refuses_keys_that_are_not_strings(self):
+        # json.dumps would write the key 1 as "1"; documents never hold one
+        with pytest.raises(TypeError):
+            formats.dumps({1: 0})
 
 
 class TestSniffing:
