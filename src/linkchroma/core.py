@@ -387,28 +387,9 @@ class Pairing:
     pairs: tuple = ()
 
     def __post_init__(self):
-        canon, firsts = self._checked(self.pairs)
-        order = sorted(range(len(canon)), key=firsts.__getitem__)
-        self._store(tuple([canon[i] for i in order]))
-
-    @classmethod
-    def _sorted(cls, pairs: tuple) -> "Pairing":
-        """A pairing from classes already in canonical order, each a tuple
-        of two members in id order, the classes in the order of their first
-        members: the constructor without its sort.  Every member is still
-        checked, and its id validated."""
-        p = object.__new__(cls)
-        p._store(tuple(p._checked(pairs)[0]))
-        return p
-
-    @staticmethod
-    def _checked(pairs) -> tuple:
-        """The classes with their members in id order, and the key of each
-        class's first member; raises unless every class has two distinct
-        members, each a valid id and in no other class."""
         canon, firsts = [], []
         seen = set()
-        for raw in pairs:
+        for raw in self.pairs:
             members = tuple(raw)
             if len(members) != 2 or members[0] == members[1]:
                 raise DomainError(
@@ -423,9 +404,8 @@ class Pairing:
                 seen.add(m)
             canon.append(members)
             firsts.append(keys[0])
-        return canon, firsts
-
-    def _store(self, canon: tuple) -> None:
+        # every member is keyed once; classes already in order sort in one pass
+        canon = tuple([canon[i] for i in sorted(range(len(canon)), key=firsts.__getitem__)])
         object.__setattr__(self, "pairs", canon)
         object.__setattr__(self, "_pair_of", {m: p for p in canon for m in p})
 
@@ -756,7 +736,7 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     # link edges (ci, j) in walk order.  The pairing keys every third-edge,
     # which rejects one nested too deep.
     verts = tuple(third_edges(c.skeleton))
-    pairing = Pairing._sorted(tuple(zip(verts[::2], verts[1::2])))
+    pairing = Pairing(tuple(zip(verts[::2], verts[1::2])))
     dart = {e.id: 2 * i for i, e in enumerate(c.skeleton.edges)}
     edges = []
     for ci, cell in enumerate(c.cells):

@@ -7,7 +7,6 @@ from linkchroma import (
     DomainError,
     Edge,
     Multigraph,
-    Pairing,
     RotationSystem,
     TwoComplex,
     WalkStep,
@@ -74,15 +73,6 @@ def test_link_graph_and_quotients_keep_sorted_order(c):
     L = link_graph(c)
     for x in (L.graph, paired_quotient(L), simple_quotient(L)):
         assert_sorted_as_built(x)
-    assert_pairing_as_built(L.pairing)
-
-
-def assert_pairing_as_built(p):
-    """``p`` stores what the public constructor stores for its pairs."""
-    again = Pairing(p.pairs)
-    assert again == p and again.pairs == p.pairs
-    assert type(p.pairs) is tuple and all(type(pair) is tuple for pair in p.pairs)
-    assert p._pair_of == again._pair_of
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
