@@ -137,7 +137,7 @@ class TestEndsTable:
                 assert g.ends_at(v) == expected
                 assert g.degree(v) == len(expected)
                 assert all(g.end_vertex(end) == v for end in expected)
-            assert g.ends_at is not None and g._ends_at is g._ends_at
+            assert g._ends_at is g._ends_at  # built once
 
     def test_unknown_vertex_or_edge_is_a_domain_error(self):
         for g in self.graphs():

@@ -23,7 +23,7 @@ from linkchroma import (
 from linkchroma.catalogue import k5_graph
 from linkchroma.corpus import chromatic_number_reference
 
-from strategies import complexes, mixed_id_complexes, multigraphs, rotations
+from strategies import complexes, mixed_id_complexes, mixed_ids, multigraphs, rotations
 
 
 @given(complexes())
@@ -84,6 +84,35 @@ def test_quotients_of_augmented_maps_keep_sorted_order(seed, n_pairs):
     pg = random_degree_faithful_planar(seed, n_pairs)
     for x in (paired_quotient(pg), simple_quotient(pg), link_graph(inverse_link(pg)).graph):
         assert_sorted_as_built(x)
+
+
+@given(st.lists(mixed_ids, max_size=10, unique=True), st.lists(mixed_ids, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_extended_graph_is_what_the_constructor_stores(old_ids, new_ids):
+    # one loop per id at one vertex; a new id may repeat an old one or itself
+    g = Multigraph(("h",), tuple(Edge(i, "h", "h") for i in old_ids))
+    new = [Edge(i, "h", "h") for i in new_ids]
+    try:
+        expected = Multigraph(("h",), g.edges + tuple(new))
+    except DomainError as exc:
+        with pytest.raises(DomainError) as info:
+            Multigraph._extended(g, new)
+        assert str(info.value) == str(exc)
+        return
+    graph, position = Multigraph._extended(g, new)
+    assert graph == expected and graph.edges == expected.edges
+    assert [graph.edges[p] for p in position] == list(g.edges + tuple(new))
+
+
+@given(multigraphs(max_vertices=5, max_edges=7).flatmap(lambda g: st.tuples(st.just(g), rotations(g))))
+def test_rotation_from_darts_is_what_the_constructor_stores(g_and_rot):
+    g, rot = g_and_rot
+    dart = {end: d for d, end in enumerate(third_edges(g))}
+    darts_at = []
+    for v in g.vertices:
+        darts = [dart[end] for end in rot.order_at(v)]
+        darts_at.append(darts[len(darts) // 2 :] + darts[: len(darts) // 2])  # not at the pivot
+    assert RotationSystem._from_darts(g, darts_at).orders == rot.orders
 
 
 def test_link_graph_rejects_a_skeleton_edge_id_32_deep():
