@@ -13,20 +13,15 @@ from .core import (
     RotationSystem,
     TwoComplex,
     WalkStep,
-    connected_components,
     genus_check,
     id_sort_key,
-    is_planar_embedding,
     is_simplicial,
     link_graph,
     paired_quotient,
     simple_quotient,
     third_edges,
-    trace_faces,
     validate_rotation,
     validate_walk,
-    walk_concat,
-    walk_reverse,
 )
 from .colour import (
     Colouring,

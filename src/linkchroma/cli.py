@@ -29,7 +29,6 @@ from .construct import (
     seal,
     verify_witness,
 )
-from .core import genus_check
 from .errors import DomainError, SchemaError
 from .search import search_witness
 
@@ -197,7 +196,7 @@ def cmd_genus(args) -> int:
     pg = formats.paired_graph_from_doc(formats.load(args.input))
     if pg.rotation is None:
         raise DomainError("the paired-graph file carries no rotation system")
-    components = genus_check(pg.graph, pg.rotation)
+    components = pg._embedding
     for comp in components:
         print(f"component {formats.id_text(comp.vertices[0])}: genus {comp.genus} ({comp.face_count} faces)")
     planar = all(c.genus == 0 for c in components)

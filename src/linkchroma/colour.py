@@ -82,14 +82,25 @@ def is_valid_complex_colouring(c: TwoComplex, colouring: Colouring) -> bool:
     for e in c.skeleton.edges:
         if e.id not in colouring.assignment:
             raise DomainError(f"edge {e.id!r} is uncoloured")
-    col = colouring.assignment
+    return _clash_free(_junctions(c), colouring.assignment)
+
+
+def _junctions(c: TwoComplex) -> list:
+    """The (exit edge, entry edge) id pairs at which a cell walk passes
+    between two distinct edges, read off the walks alone."""
+    out = []
     for cell in c.cells:
-        k = len(cell.steps)
-        for i in range(k):
-            exit_edge = cell.steps[i].edge
-            entry_edge = cell.steps[(i + 1) % k].edge
-            if exit_edge != entry_edge and col[exit_edge] == col[entry_edge]:
-                return False
+        edges = [s.edge for s in cell.steps]
+        out += ((a, b) for a, b in zip(edges, edges[1:] + edges[:1]) if a != b)
+    return out
+
+
+def _clash_free(junctions: list, colour: dict) -> bool:
+    """True iff every junction joins two differently coloured edges under
+    ``colour``, a plain dict covering every edge of the junctions."""
+    for a, b in junctions:
+        if colour[a] == colour[b]:
+            return False
     return True
 
 
@@ -336,10 +347,10 @@ def brute_force_edge_chromatic(c: TwoComplex, k_max: int, force: bool = False) -
         raise DomainError("refusing brute force on more than 12 edges (use force=True)")
     if not edge_ids:
         return 0
+    junctions = _junctions(c)
     for k in range(1, k_max + 1):
         for rest in itertools.product(range(k), repeat=len(edge_ids) - 1):
-            assignment = dict(zip(edge_ids, (0,) + rest))
-            if is_valid_complex_colouring(c, Colouring(k, assignment)):
+            if _clash_free(junctions, dict(zip(edge_ids, (0,) + rest))):
                 return k
     raise DomainError(f"no valid colouring with at most {k_max} colours")
 

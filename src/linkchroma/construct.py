@@ -142,20 +142,6 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
 # Trail decomposition
 
 
-def validate_trail(pg: PairedGraph, trail: ClosedWalk) -> None:
-    """Check the partner-jump condition of a trail: each step enters its
-    edge at the tail side, and the next step's tail vertex is the partner
-    of the current step's head vertex."""
-    n = len(trail.steps)
-    for i in range(n):
-        here = trail.steps[i]
-        there = trail.steps[(i + 1) % n]
-        head = pg.graph.edge(here.edge).endpoint(1 - here.entry)
-        tail = pg.graph.edge(there.edge).endpoint(there.entry)
-        if tail != pg.pairing.partner(head):
-            raise DomainError(f"trail breaks the partner-jump condition at step {i}")
-
-
 def _dart_trails(pg: PairedGraph) -> tuple:
     """The trails of ``pi_trail_decomposition`` on darts ``2 * edge_position
     + side``: returns the vertex position of each dart and the trails as

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import DomainError, short_repr
 
@@ -79,10 +78,6 @@ class EdgeEnd(NamedTuple):
         return EdgeEnd(self.edge, 1 - self.side)
 
 
-def end_sort_key(end: EdgeEnd):
-    return (id_sort_key(end.edge), end.side)
-
-
 class Edge(NamedTuple):
     id: EdgeId
     end0: VertexId
@@ -126,41 +121,13 @@ class Multigraph:
         """``g`` with the ``Edge``s ``new`` added, and the stored position
         of each edge of ``g`` followed by each edge of ``new``.
 
-        The constructor, keying only what it must: every new id once, which
-        also validates it, and the ids of ``g`` where the merge of the two
-        sorted runs probes them, by galloping (as in timsort) from the last
-        position taken.  Ties put an edge of ``g`` first, as a stable sort
-        of ``g.edges + new`` does, so a repeated id is still reported as a
-        duplicate."""
-        old = g.edges
-        new_keys = [id_sort_key(e.id) for e in new]
-        order = sorted(range(len(new)), key=new_keys.__getitem__)
-        keys = [new_keys[j] for j in order]
-        probed = {}
-
-        def old_key(i):
-            k = probed.get(i)
-            if k is None:
-                k = probed[i] = id_sort_key(old[i].id)
-            return k
-
-        source = []  # stored position -> index into old + new
-        i = j = 0  # the next edge of g, the next new edge in key order
-        while j < len(keys) and i < len(old):
-            # the edges of g whose keys are at most that of new edge j
-            start, hi, step = i, i, 1
-            while hi < len(old) and not keys[j] < old_key(hi):
-                i, hi, step = hi + 1, hi + step, 2 * step
-            i = bisect_right(range(len(old)), keys[j], i, min(hi, len(old)), key=old_key)
-            source += range(start, i)
-            if i < len(old):
-                # the new edges whose keys are below that of edge i of g
-                k = bisect_left(keys, old_key(i), j)
-                source += (len(old) + t for t in order[j:k])
-                j = k
-        source += range(i, len(old))
-        source += (len(old) + t for t in order[j:])
-        pool = old + tuple(new)
+        The constructor's stable sort on positions: every id is keyed once,
+        which validates the new ones, and ``g.edges`` is one sorted run for
+        timsort to gallop over.  On a tie the edge of ``g`` comes first, so
+        a repeated id is still reported as a duplicate."""
+        pool = g.edges + tuple(new)
+        keys = [id_sort_key(e.id) for e in pool]
+        source = sorted(range(len(pool)), key=keys.__getitem__)
         position = [0] * len(pool)
         for p, src in enumerate(source):
             position[src] = p
@@ -188,7 +155,7 @@ class Multigraph:
         """Each vertex's edge-ends, built on first use and kept: the
         instance is frozen, and it is not a field, so equality and hashing
         ignore it.  Edges are walked in id order, so each tuple is in
-        ``end_sort_key`` order."""
+        (edge id, side) order."""
         ends_at = {v: [] for v in self.vertices}
         for e in self.edges:
             ends_at[e.end0].append(EdgeEnd(e.id, 0))
@@ -200,9 +167,6 @@ class Multigraph:
             return self._edge_by_id[edge_id]
         except KeyError:
             raise DomainError(f"unknown edge {short_repr(edge_id)}") from None
-
-    def has_edge(self, edge_id) -> bool:
-        return edge_id in self._edge_by_id
 
     def has_vertex(self, v) -> bool:
         return v in self._vertex_set
@@ -262,20 +226,6 @@ def _components(g: Multigraph) -> tuple:
         else:
             comp[i] = comp[r]
     return at, comp, count
-
-
-def _grouped(g: Multigraph, comp: list, count: int) -> tuple:
-    groups = [[] for _ in range(count)]
-    for v, c in zip(g.vertices, comp):
-        groups[c].append(v)
-    return tuple(map(tuple, groups))
-
-
-def connected_components(g: Multigraph) -> tuple:
-    """Vertex sets of the components of ``g``, each in stored vertex order,
-    ordered by their first vertex."""
-    _, comp, count = _components(g)
-    return _grouped(g, comp, count)
 
 
 def third_edges(g: Multigraph) -> list:
@@ -355,27 +305,6 @@ def _check_steps(edge_by_id: dict, steps: tuple) -> None:
         raise DomainError(f"walk is not vertex-compatible between steps {i} and {(i + 1) % len(steps)}")
 
 
-def walk_reverse(w: ClosedWalk) -> ClosedWalk:
-    """The same closed walk traversed backwards."""
-    return ClosedWalk(tuple(s.flipped() for s in reversed(w.steps)))
-
-
-def walk_concat(g: Multigraph, walks: Sequence[ClosedWalk]) -> ClosedWalk:
-    """Splice closed walks that share their basepoint into one closed walk."""
-    if not walks:
-        raise DomainError("nothing to concatenate")
-    n = len(walks)
-    for i in range(n):
-        here = step_exit_vertex(g, walks[i].steps[-1])
-        there = step_entry_vertex(g, walks[(i + 1) % n].steps[0])
-        if here != there:
-            raise DomainError(f"incompatible junction between walks {i} and {(i + 1) % n}")
-    steps = tuple(s for w in walks for s in w.steps)
-    out = ClosedWalk(steps)
-    validate_walk(g, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Pairings and paired graphs
 
@@ -453,7 +382,7 @@ class RotationSystem:
                     raise DomainError(f"edge-end {short_repr(e)} has an invalid side")
             if not ends:
                 continue
-            pivot = min(range(len(ends)), key=lambda i: end_sort_key(ends[i]))
+            pivot = min(range(len(ends)), key=lambda i: (id_sort_key(ends[i].edge), ends[i].side))
             ends = ends[pivot:] + ends[:pivot]
             norm.append((v, ends))
         norm.sort(key=lambda item: id_sort_key(item[0]))
@@ -624,38 +553,14 @@ class ComponentEmbedding(NamedTuple):
     genus: int
 
 
-def trace_faces(g: Multigraph, rot: RotationSystem) -> tuple:
-    """Face boundaries of the embedding: orbits of dart -> successor of the
-    reversed dart.  Every dart lies on exactly one face.
-
-    Each face starts at its first dart in the stored rotation order
-    (vertices in id order, each order from its smallest end), so the faces
-    are reproducible without sorting the darts.
-    """
-    succ = _rotation_successors(g, rot)
-    ends = third_edges(g)
-    dart = {end: d for d, end in enumerate(ends)}
-    seen = bytearray(len(succ))
-    faces = []
-    for _, order in rot.orders:
-        for end in order:
-            d = dart[end]
-            if seen[d]:
-                continue
-            face = []
-            while not seen[d]:
-                seen[d] = 1
-                face.append(ends[d])
-                d = succ[d ^ 1]
-            faces.append(tuple(face))
-    return tuple(faces)
-
-
 def _genus(g: Multigraph, succ: array) -> tuple:
     """Per-component genus from a validated successor array, in one pass
     over the darts: faces are the orbits of ``d -> succ[d ^ 1]``, and each
     is counted in the component of its first dart's vertex."""
     at, comp, count = _components(g)
+    groups = [[] for _ in range(count)]
+    for v, c in zip(g.vertices, comp):
+        groups[c].append(v)
     edge_counts = [0] * count
     for k in range(0, len(at), 2):
         edge_counts[comp[at[k]]] += 1
@@ -670,7 +575,7 @@ def _genus(g: Multigraph, succ: array) -> tuple:
             seen[d] = 1
             d = succ[d ^ 1]
     out = []
-    for i, members in enumerate(_grouped(g, comp, count)):
+    for i, members in enumerate(map(tuple, groups)):
         f = face_counts[i] if edge_counts[i] else 1
         euler = len(members) - edge_counts[i] + f
         if euler % 2:
@@ -689,10 +594,6 @@ def genus_check(g: Multigraph, rot: RotationSystem) -> tuple:
     rotation system is always a non-negative integer.
     """
     return _genus(g, _rotation_successors(g, rot))
-
-
-def is_planar_embedding(g: Multigraph, rot: RotationSystem) -> bool:
-    return all(c.genus == 0 for c in genus_check(g, rot))
 
 
 # ---------------------------------------------------------------------------

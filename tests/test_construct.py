@@ -31,10 +31,23 @@ from linkchroma.construct import (
     random_degree_faithful_planar,
     random_planar_paired_graph,
     seal,
-    validate_trail,
 )
 
 from strategies import side_by_side, with_extras
+
+
+def validate_trail(pg, trail):
+    """Oracle for the partner-jump condition of a trail: each step enters
+    its edge at the tail side, and the next step's tail vertex is the
+    partner of the current step's head vertex."""
+    n = len(trail.steps)
+    for i in range(n):
+        here = trail.steps[i]
+        there = trail.steps[(i + 1) % n]
+        head = pg.graph.edge(here.edge).endpoint(1 - here.entry)
+        tail = pg.graph.edge(there.edge).endpoint(there.entry)
+        if tail != pg.pairing.partner(head):
+            raise DomainError(f"trail breaks the partner-jump condition at step {i}")
 
 
 def single_pair_single_edge():

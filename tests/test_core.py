@@ -13,20 +13,15 @@ from linkchroma import (
     RotationSystem,
     TwoComplex,
     WalkStep,
-    connected_components,
     genus_check,
     id_sort_key,
-    is_planar_embedding,
     is_simplicial,
     link_graph,
     paired_quotient,
     simple_quotient,
     third_edges,
-    trace_faces,
     validate_rotation,
     validate_walk,
-    walk_concat,
-    walk_reverse,
 )
 from linkchroma.catalogue import (
     k4_with_planar_rotation,
@@ -37,7 +32,7 @@ from linkchroma.catalogue import (
 )
 from linkchroma.colour import _neighbours
 from linkchroma.construct import make_degree_faithful, random_planar_paired_graph
-from linkchroma.core import MAX_ID_DEPTH, end_sort_key
+from linkchroma.core import MAX_ID_DEPTH
 from linkchroma.corpus import enumerate_small_complexes
 
 from strategies import WALK_FAULT_SKELETON, WALK_FAULTS, side_by_side, with_extras
@@ -91,13 +86,15 @@ class TestMultigraph:
 
     def test_components(self):
         g = Multigraph((1, 2, 3, 4), (Edge("e", 1, 2),))
-        assert connected_components(g) == ((1, 2), (3,), (4,))
+        rot = RotationSystem({1: [EdgeEnd("e", 0)], 2: [EdgeEnd("e", 1)]})
+        assert [c.vertices for c in genus_check(g, rot)] == [(1, 2), (3,), (4,)]
 
     def test_components_keep_stored_order(self):
         ids = (5, "b", ("t", 1), 2, "a")
         edges = (Edge(0, ("t", 1), 2), Edge(1, 2, 5), Edge(2, "a", "b"))
         g = Multigraph(ids, edges)
-        assert connected_components(g) == ((2, 5, ("t", 1)), ("a", "b"))
+        rot = RotationSystem({v: g.ends_at(v) for v in g.vertices})
+        assert [c.vertices for c in genus_check(g, rot)] == [(2, 5, ("t", 1)), ("a", "b")]
 
     def test_ids_nested_too_deep_are_a_domain_error(self):
         def nested(depth):
@@ -202,34 +199,14 @@ class TestWalks:
         TwoComplex(g, (walk,))
 
     def test_reverse_flips_entry_side(self):
-        w = ClosedWalk((WalkStep("e", 0),))
-        assert walk_reverse(w).steps == (WalkStep("e", 1),)
-
-    def test_reverse_is_involution(self):
-        w = triangle_complex().cells[0]
-        assert walk_reverse(walk_reverse(w)) == w
+        assert WalkStep("e", 0).flipped() == WalkStep("e", 1)
+        assert EdgeEnd("e", 1).flipped() == EdgeEnd("e", 0)
 
     def test_reverse_preserves_validity(self):
+        # sealing appends each walk backwards: its steps reversed, each flipped
         c = tetrahedron_complex()
         for cell in c.cells:
-            validate_walk(c.skeleton, walk_reverse(cell))
-
-    def test_concat_lengths_add(self):
-        c = triangle_complex()
-        g = c.skeleton
-        w2 = ClosedWalk((WalkStep("a", 0), WalkStep("a", 1)))  # u -> v -> u
-        w3 = c.cells[0]  # u -> v -> w -> u
-        out = walk_concat(g, [w2, w3])
-        assert len(out) == 5
-        validate_walk(g, out)
-
-    def test_concat_rejects_incompatible_junctions(self):
-        c = triangle_complex()
-        g = c.skeleton
-        at_u = c.cells[0]
-        at_v = ClosedWalk((WalkStep("b", 0), WalkStep("b", 1)))  # v -> w -> v
-        with pytest.raises(DomainError):
-            walk_concat(g, [at_u, at_v])
+            validate_walk(c.skeleton, ClosedWalk(tuple(s.flipped() for s in reversed(cell.steps))))
 
 
 class TestWalkFaults:
@@ -271,7 +248,7 @@ class TestLinkGraph:
         L = link_graph(tetrahedron_complex())
         assert len(L.graph.vertices) == 12
         assert len(L.graph.edges) == 12
-        comps = connected_components(L.graph)
+        comps = bfs_components(L.graph)
         assert len(comps) == 4
         assert all(len(comp) == 3 for comp in comps)
         # each component is a triangle: 3 vertices, 3 edges among them
@@ -429,12 +406,12 @@ def bfs_components(g):
 
 
 def sorted_face_genera(g, rot):
-    """Oracle: faces traced from every dart in ``end_sort_key`` order;
+    """Oracle: faces traced from every dart in (edge id, side) order;
     returns (component vertices, face count, genus) per component."""
     succ = successor_map(rot)
     faces = []
     visited = set()
-    for start in sorted(succ, key=end_sort_key):
+    for start in sorted(succ, key=lambda e: (id_sort_key(e.edge), e.side)):
         if start in visited:
             continue
         d = start
@@ -498,17 +475,9 @@ class TestFaceTracingOracle:
             assert succ == successor_map(rot)
             assert list(succ) == [end for _, order in rot.orders for end in order]
 
-    def test_every_face_closes(self):
-        for g, rot in oracle_maps():
-            succ = successor_map(rot)
-            faces = trace_faces(g, rot)
-            assert sum(len(face) for face in faces) == 2 * len(g.edges)
-            for face in faces:
-                assert succ[face[-1].flipped()] == face[0]
-
     def test_components_match_breadth_first_search(self):
-        for g, _ in oracle_maps():
-            assert connected_components(g) == bfs_components(g)
+        for g, rot in oracle_maps():
+            assert tuple(c.vertices for c in genus_check(g, rot)) == bfs_components(g)
 
     def test_quotient_neighbours_match_the_simple_quotient(self):
         for pg in oracle_paired_maps():
@@ -521,7 +490,7 @@ class TestGenus:
         (comp,) = genus_check(g, rot)
         assert comp.face_count == 4
         assert comp.genus == 0
-        assert is_planar_embedding(g, rot)
+        assert all(c.genus == 0 for c in genus_check(g, rot))
 
     def test_k5_any_rotation_has_positive_genus(self):
         g = k5_graph()
@@ -532,13 +501,6 @@ class TestGenus:
         g = Multigraph((0,), ())
         (comp,) = genus_check(g, RotationSystem({}))
         assert comp == ((0,), 0, 1, 0)
-
-    def test_each_dart_on_exactly_one_face(self):
-        g, rot = k4_with_planar_rotation()
-        faces = trace_faces(g, rot)
-        darts = [d for face in faces for d in face]
-        assert len(darts) == 12
-        assert len(set(darts)) == 12
 
     def test_malformed_rotation_rejected(self):
         g = Multigraph(("u", "v"), (Edge("e", "u", "v"),))
@@ -611,7 +573,6 @@ class TestRotationFaults:
             lambda: PairedGraph(g, Pairing((("u", "v"),)), rot),
             lambda: genus_check(g, rot),
             lambda: validate_rotation(g, rot),
-            lambda: trace_faces(g, rot),
         ):
             with pytest.raises(DomainError) as info:
                 check()

@@ -16,9 +16,8 @@ from linkchroma import (
     paired_quotient,
     simple_quotient,
     third_edges,
-    trace_faces,
+    validate_rotation,
     validate_walk,
-    walk_reverse,
 )
 from linkchroma.catalogue import k5_graph
 from linkchroma.corpus import chromatic_number_reference
@@ -29,10 +28,9 @@ from strategies import complexes, mixed_id_complexes, mixed_ids, multigraphs, ro
 @given(complexes())
 def test_walk_reverse_is_involution_and_valid(c):
     for cell in c.cells:
-        validate_walk(c.skeleton, cell)
-        rev = walk_reverse(cell)
-        validate_walk(c.skeleton, rev)
-        assert walk_reverse(rev) == cell
+        rev = tuple(s.flipped() for s in reversed(cell.steps))
+        validate_walk(c.skeleton, ClosedWalk(rev))
+        assert tuple(s.flipped() for s in reversed(rev)) == cell.steps
 
 
 @given(complexes())
@@ -132,11 +130,19 @@ def test_third_edges_are_link_vertices(c):
 @given(multigraphs())
 def test_random_rotations_trace_consistently(g):
     rot = _any_rotation(g)
-    faces = trace_faces(g, rot)
-    darts = [d for f in faces for d in f]
-    assert len(darts) == 2 * len(g.edges)
-    assert len(set(darts)) == len(darts)
-    for comp in genus_check(g, rot):
+    # faces are the orbits of d -> successor of the flipped d
+    succ = validate_rotation(g, rot)
+    orbits, seen = 0, set()
+    for start in succ:
+        if start not in seen:
+            orbits += 1
+            d = start
+            while d not in seen:
+                seen.add(d)
+                d = succ[d.flipped()]
+    comps = genus_check(g, rot)
+    assert orbits == sum(comp.face_count for comp in comps if comp.edge_count)
+    for comp in comps:
         assert comp.genus >= 0
         assert (len(comp.vertices) - comp.edge_count + comp.face_count) % 2 == 0
 

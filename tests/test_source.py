@@ -110,3 +110,55 @@ def test_id_order_decided_only_by_constructors():
     ]
     assert "core" in found
     assert sorted(set(found) - ID_ORDER_ALLOWED) == []
+
+
+# Every name the package exports.  An addition or removal shows in this
+# list's diff, and a removed name needs its deprecation line in CHANGES.md.
+PUBLIC_NAMES = [
+    "BudgetExhausted",
+    "ClosedWalk",
+    "Colouring",
+    "ComponentEmbedding",
+    "DomainError",
+    "Edge",
+    "EdgeEnd",
+    "GENUINE",
+    "Multigraph",
+    "PUNCTURED",
+    "PairedGraph",
+    "Pairing",
+    "RotationSystem",
+    "SchemaError",
+    "SolverLog",
+    "TwoComplex",
+    "WalkStep",
+    "brute_force_edge_chromatic",
+    "chromatic_number",
+    "edge_chromatic_number_complex",
+    "genus_check",
+    "heawood_colour_12",
+    "heawood_degeneracy_order",
+    "id_sort_key",
+    "is_simplicial",
+    "is_valid_complex_colouring",
+    "is_valid_pair_colouring",
+    "link_graph",
+    "pair_chromatic_number",
+    "paired_quotient",
+    "simple_quotient",
+    "third_edges",
+    "validate_rotation",
+    "validate_walk",
+]
+
+
+def test_public_names_are_pinned():
+    tree = ast.parse(Path(linkchroma.__file__).read_text(encoding="utf-8"))
+    exported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(exported) == PUBLIC_NAMES
+    assert all(hasattr(linkchroma, name) for name in PUBLIC_NAMES)
