@@ -79,17 +79,26 @@ class TestChroma:
         resolved = formats.resolve_assignment(raw, complete_graph(4).vertices)
         assert sorted(resolved.values()) == [0, 1, 2, 3]
 
+    # The solver line of the triangle, every field pinned: the clique is
+    # reported by the link graph's third-edge ids, not by positions.
+    TRIANGLE_SOLVER_LINE = (
+        '{"solver": {"clique_size": 3, "clique": [["a", 0], ["b", 0], ["c", 0]], '
+        '"dsatur_upper": 3, "branch_nodes": 0}}\n'
+    )
+
     def test_colour_complex(self, capsys, triangle_file):
-        code, stdout, _ = run(capsys, "colour-complex", "--in", triangle_file)
+        code, stdout, stderr = run(capsys, "colour-complex", "--in", triangle_file)
         assert code == 0
-        assert stdout.strip() == "3"
+        assert stdout == "3\n"
+        assert stderr == self.TRIANGLE_SOLVER_LINE
 
     def test_pair_chroma(self, capsys, tmp_path, triangle_file):
         link_path = tmp_path / "link.json"
         run(capsys, "link", "--in", triangle_file, "--out", str(link_path))
-        code, stdout, _ = run(capsys, "pair-chroma", "--in", str(link_path))
+        code, stdout, stderr = run(capsys, "pair-chroma", "--in", str(link_path))
         assert code == 0
-        assert stdout.strip() == "3"
+        assert stdout == "3\n"
+        assert stderr == self.TRIANGLE_SOLVER_LINE
 
 
     def test_budget_exhaustion_exits_1_with_both_bounds(self, capsys, tmp_path):
