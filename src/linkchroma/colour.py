@@ -8,10 +8,11 @@ a walk-level brute-force oracle, and the degeneracy-greedy 12-colouring
 of planar paired graphs (empire maps with two countries per empire).
 
 Colouring semantics: an edge joining two vertices of the same pair,
-including loops, imposes no constraint.  All constraint checking routes
-through the simple quotient (``simple_quotient``, or the paired graph's
-neighbour sets of it), except the walk-level complex checker which is
-deliberately independent of link graphs.
+including loops, imposes no constraint.  The colourers work on the simple
+quotient's neighbour sets: ``chromatic_number`` builds them from a graph,
+and the pair colourers read the ones a paired graph keeps.  The checkers
+share none of that: the pair checker walks the paired graph's own edges,
+and the complex checker the cell walks, independently of link graphs.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .core import (
-    Multigraph,
-    PairedGraph,
-    TwoComplex,
-    EdgeEnd,
-    link_graph,
-    simple_quotient,
-)
+from .core import Multigraph, PairedGraph, TwoComplex, link_graph
 from .errors import BudgetExhausted, DomainError
 
 
@@ -58,18 +52,18 @@ class Colouring:
 def is_valid_pair_colouring(pg: PairedGraph, colouring: Colouring) -> bool:
     """True iff distinct pairs joined by an edge receive distinct colours.
 
-    Within-pair edges are exempt; the check runs on the simple quotient's
-    neighbour sets.
+    Within-pair edges are exempt.  The check walks the paired graph's own
+    edges, not the quotient neighbour sets the colourers work from.
     """
-    colour = []
+    colour = {}
     for pair in pg.pairing.pairs:
         if pair not in colouring.assignment:
             raise DomainError(f"pair {pair!r} is uncoloured")
-        colour.append(colouring.assignment[pair])
-    for c, ws in zip(colour, pg._quotient_neighbours):
-        for w in ws:
-            if colour[w] == c:
-                return False
+        colour[pair[0]] = colour[pair[1]] = colouring.assignment[pair]
+    pair_of = pg.pairing._pair_of
+    for e in pg.graph.edges:
+        if colour[e.end0] == colour[e.end1] and pair_of[e.end0] != pair_of[e.end1]:
+            return False
     return True
 
 
@@ -165,16 +159,23 @@ def chromatic_number(
     When it runs out, BudgetExhausted carries the proven lower bound (the
     clique size) and the best colouring's size as ``lower`` and ``upper``.
     """
+    ids = g.vertices  # in id order, so ties broken by index are broken by id
+    k, witness = _chromatic(ids, _neighbours(g), log, budget)
+    return k, {ids[i]: c for i, c in witness}
+
+
+def _chromatic(ids: tuple, nbrs: list, log: Optional[SolverLog], budget: Optional[int]):
+    """``chromatic_number`` on neighbour-index sets, the vertex at index
+    ``i`` named ``ids[i]`` in the log.  Returns the size and the witness as
+    (index, colour) items in colouring order."""
     if budget is not None and budget < 0:
         raise DomainError("budget must be non-negative")
-    ids = g.vertices  # in id order, so ties broken by index are broken by id
-    nbrs = _neighbours(g)
     n = len(nbrs)
     clique = _greedy_clique(nbrs)
     if log is not None:
         log.clique, log.dsatur_upper, log.branch_nodes = [ids[i] for i in clique], 0, 0
     if n == 0:
-        return 0, {}
+        return 0, []
 
     # Static rank: the higher, the earlier among equally saturated vertices
     # (higher degree, then lower index).
@@ -206,7 +207,7 @@ def chromatic_number(
         log.dsatur_upper = k
     if k > len(clique):
         k, witness = _branch_and_bound(nbrs, rank, clique, k, witness, log, budget)
-    return k, {ids[i]: c for i, c in witness}
+    return k, witness
 
 
 def _branch_and_bound(nbrs, rank, clique, best_k, best_witness, log, budget):
@@ -308,10 +309,23 @@ def pair_chromatic_number(
     pg: PairedGraph, log: Optional[SolverLog] = None, *, budget: Optional[int] = None
 ):
     """Exact pair-chromatic number: the chromatic number of the simple
-    quotient, with the witness lifted back to pairs."""
-    k, witness = chromatic_number(simple_quotient(pg), log, budget=budget)
-    assignment = {pair: witness[pair[0]] for pair in pg.pairing.pairs}
-    return k, Colouring(k, assignment)
+    quotient, with the witness lifted back to pairs.
+
+    The route-3 solver runs on the paired graph's kept quotient neighbour
+    sets, index ``i`` being pair ``i`` named by its smaller member.  Those
+    are the sets ``chromatic_number(simple_quotient(pg))`` builds, in the
+    same order, so the size, the witness and the log are the same.
+    """
+    k, colours = _pair_colours(pg, log, budget)
+    return k, Colouring(k, dict(zip(pg.pairing.pairs, colours)))
+
+
+def _pair_colours(pg: PairedGraph, log: Optional[SolverLog], budget: Optional[int]) -> tuple:
+    """``pair_chromatic_number``'s size and the colour of each pair, by
+    position."""
+    ids = tuple(p[0] for p in pg.pairing.pairs)
+    k, witness = _chromatic(ids, pg._quotient_neighbours, log, budget)
+    return k, [c for _, c in sorted(witness)]
 
 
 def edge_chromatic_number_complex(
@@ -323,12 +337,9 @@ def edge_chromatic_number_complex(
     {(e,0), (e,1)} and is checked against the walk-level validator before
     being returned.
     """
-    k, pair_witness = pair_chromatic_number(link_graph(c), log, budget=budget)
-    assignment = {
-        e.id: pair_witness.assignment[(EdgeEnd(e.id, 0), EdgeEnd(e.id, 1))]
-        for e in c.skeleton.edges
-    }
-    witness = Colouring(k, assignment)
+    # pair i of the link graph is the i-th skeleton edge's pair
+    k, colours = _pair_colours(link_graph(c), log, budget)
+    witness = Colouring(k, dict(zip(c.skeleton.edge_ids(), colours)))
     if not is_valid_complex_colouring(c, witness):
         raise DomainError("internal error: edge-chromatic witness failed the walk-level check")
     return k, witness

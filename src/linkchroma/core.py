@@ -334,7 +334,17 @@ class Pairing:
             canon.append(members)
             firsts.append(keys[0])
         # every member is keyed once; classes already in order sort in one pass
-        canon = tuple([canon[i] for i in sorted(range(len(canon)), key=firsts.__getitem__)])
+        self._store(tuple([canon[i] for i in sorted(range(len(canon)), key=firsts.__getitem__)]))
+
+    @classmethod
+    def _sorted(cls, canon: tuple) -> "Pairing":
+        """A pairing from classes that are already canonical and in order:
+        the constructor without its keys, as ``Multigraph._sorted``."""
+        p = object.__new__(cls)
+        p._store(canon)
+        return p
+
+    def _store(self, canon: tuple) -> None:
         object.__setattr__(self, "pairs", canon)
         object.__setattr__(self, "_pair_of", {m: p for p in canon for m in p})
 
@@ -505,9 +515,7 @@ class PairedGraph:
         """Neighbour-position sets of the simple quotient, built straight
         from the pairing and the edges: position ``i`` is
         ``pairing.pairs[i][0]``, and edges inside a pair are dropped."""
-        position = {}
-        for i, (a, b) in enumerate(self.pairing.pairs):
-            position[a] = position[b] = i
+        position = {m: i for i, p in enumerate(self.pairing.pairs) for m in p}
         nbrs = [set() for _ in self.pairing.pairs]
         for e in self.graph.edges:
             a, b = position[e.end0], position[e.end1]
@@ -633,11 +641,15 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     Parallel link edges and link loops are kept.  The default pairing puts
     (e, 0) with (e, 1) for every skeleton edge e.
     """
-    # The third-edges in stored edge order are in id order, and so are the
-    # link edges (ci, j) in walk order.  The pairing keys every third-edge,
-    # which rejects one nested too deep.
+    # The third-edges in stored edge order are in id order, (e, 0) before
+    # (e, 1), and so are the link edges (ci, j) in walk order.  A third-edge
+    # nests one tuple level deeper than its edge id, so only a tuple id can
+    # make it too deep.
+    for e in c.skeleton.edges:
+        if isinstance(e.id, tuple):
+            id_sort_key((e.id,))
     verts = tuple(third_edges(c.skeleton))
-    pairing = Pairing(tuple(zip(verts[::2], verts[1::2])))
+    pairing = Pairing._sorted(tuple(zip(verts[::2], verts[1::2])))
     dart = {e.id: 2 * i for i, e in enumerate(c.skeleton.edges)}
     edges = []
     for ci, cell in enumerate(c.cells):
@@ -648,35 +660,31 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     return PairedGraph(Multigraph._sorted(verts, tuple(edges)), pairing)
 
 
-def _quotient_parts(pg: PairedGraph) -> tuple:
-    """The quotient vertices (each pair's smaller member) and a generator of
-    the edges of ``pg`` renamed onto them, in edge-id order.  Pairs are
-    stored in the order of their smaller members, so both are in id order."""
-    rep = {v: p[0] for p in pg.pairing.pairs for v in p}
-    verts = tuple(p[0] for p in pg.pairing.pairs)
-    return verts, (Edge(e.id, rep[e.end0], rep[e.end1]) for e in pg.graph.edges)
-
-
 def paired_quotient(pg: PairedGraph) -> Multigraph:
     """Identify the two vertices of every pair, keeping all edges.
 
     The quotient vertex of a pair is named by the pair's smaller member.
     An edge inside one pair becomes a loop; parallel edges are preserved.
+    Pairs are stored by their smaller members, so the quotient is in id order.
     """
-    verts, edges = _quotient_parts(pg)
-    return Multigraph._sorted(verts, tuple(edges))
+    rep = {v: p[0] for p in pg.pairing.pairs for v in p}
+    edges = tuple([Edge(e.id, rep[e.end0], rep[e.end1]) for e in pg.graph.edges])
+    return Multigraph._sorted(tuple(p[0] for p in pg.pairing.pairs), edges)
 
 
 def simple_quotient(pg: PairedGraph) -> Multigraph:
     """The paired quotient with loops deleted and parallel classes collapsed
     to their smallest edge id.  This is the graph that carries all colouring
     constraints: within-pair adjacencies impose none."""
-    verts, edges = _quotient_parts(pg)
+    pairs = pg.pairing.pairs
+    position = {m: i for i, p in enumerate(pairs) for m in p}
     keep = {}
-    for e in edges:  # in edge-id order, so the first edge of a class is kept
-        if not e.is_loop:
-            keep.setdefault(frozenset((e.end0, e.end1)), e)
-    return Multigraph._sorted(verts, tuple(keep.values()))
+    for e in pg.graph.edges:  # in edge-id order, so the first edge of a class is kept
+        a, b = position[e.end0], position[e.end1]
+        if a != b:
+            keep.setdefault((a, b) if a < b else (b, a), (e.id, a, b))
+    edges = tuple([Edge(i, pairs[a][0], pairs[b][0]) for i, a, b in keep.values()])
+    return Multigraph._sorted(tuple(p[0] for p in pairs), edges)
 
 
 def is_simplicial(c: TwoComplex) -> bool:

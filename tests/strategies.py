@@ -76,6 +76,23 @@ def mixed_id_complexes(draw, **kwargs):
 
 
 @st.composite
+def paired_graphs(draw, max_pairs=5, max_edges=10):
+    """A multigraph on ``2n`` distinct ``mixed_ids`` vertices, loops and
+    parallel edges allowed, with distinct ``mixed_ids`` edge ids and a
+    random perfect pairing."""
+    from linkchroma import PairedGraph, Pairing
+
+    n = draw(st.integers(min_value=0, max_value=max_pairs))
+    verts = draw(st.lists(mixed_ids, min_size=2 * n, max_size=2 * n, unique=True))
+    edge_ids = draw(st.lists(mixed_ids, max_size=max_edges if n else 0, unique=True))
+    ends = st.sampled_from(verts) if verts else st.nothing()
+    edges = tuple(Edge(i, draw(ends), draw(ends)) for i in edge_ids)
+    order = draw(st.permutations(verts))
+    pairing = Pairing(tuple(zip(order[::2], order[1::2])))
+    return PairedGraph(Multigraph(tuple(verts), edges), pairing)
+
+
+@st.composite
 def rotations(draw, g):
     """A uniformly shuffled rotation system for ``g``."""
     orders = {}

@@ -8,6 +8,7 @@ from linkchroma import (
     Colouring,
     DomainError,
     Edge,
+    EdgeEnd,
     Multigraph,
     PairedGraph,
     Pairing,
@@ -17,6 +18,7 @@ from linkchroma import (
     brute_force_edge_chromatic,
     chromatic_number,
     edge_chromatic_number_complex,
+    heawood_colour_12,
     heawood_degeneracy_order,
     id_sort_key,
     is_valid_complex_colouring,
@@ -74,6 +76,20 @@ class TestPairColouringValidity:
         pg = PairedGraph(g, Pairing(((1, 2), (3, 4))))
         col = Colouring(1, {(1, 2): 0, (3, 4): 0})
         assert is_valid_pair_colouring(pg, col)
+
+    def test_a_lost_quotient_neighbour_does_not_hide_a_clash(self):
+        # Two pairs joined by one edge.  With that adjacency dropped from
+        # the kept quotient neighbour sets, the Heawood colouring, which
+        # reads those sets, gives both pairs colour 0; the checker walks the
+        # graph's own edges and rejects it.
+        g = Multigraph((1, 2, 3, 4), (Edge("e", 1, 3),))
+        rot = RotationSystem({1: (EdgeEnd("e", 0),), 3: (EdgeEnd("e", 1),)})
+        pg = PairedGraph(g, Pairing(((1, 2), (3, 4))), rot)
+        pg._quotient_neighbours[0].remove(1)
+        pg._quotient_neighbours[1].remove(0)
+        col = heawood_colour_12(pg)
+        assert col.assignment == {(1, 2): 0, (3, 4): 0}
+        assert not is_valid_pair_colouring(pg, col)
 
     def test_uncoloured_pair_raises(self):
         L, _ = triangle_pair_colouring({"a": 0, "b": 1, "c": 2})

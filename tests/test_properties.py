@@ -3,16 +3,20 @@ import pytest
 from hypothesis import given, settings
 
 from linkchroma import (
+    BudgetExhausted,
     ClosedWalk,
     DomainError,
     Edge,
     Multigraph,
+    Pairing,
     RotationSystem,
+    SolverLog,
     TwoComplex,
     WalkStep,
     chromatic_number,
     genus_check,
     link_graph,
+    pair_chromatic_number,
     paired_quotient,
     simple_quotient,
     third_edges,
@@ -22,7 +26,9 @@ from linkchroma import (
 from linkchroma.catalogue import k5_graph
 from linkchroma.corpus import chromatic_number_reference
 
-from strategies import complexes, mixed_id_complexes, mixed_ids, multigraphs, rotations
+from linkchroma.construct import random_planar_paired_graph
+
+from strategies import complexes, mixed_id_complexes, mixed_ids, multigraphs, paired_graphs, rotations
 
 
 @given(complexes())
@@ -217,3 +223,74 @@ def test_three_chromatic_quantities_agree(c):
     L = link_graph(genuine)
     assert bf == pair_chromatic_number(L)[0]
     assert bf == chromatic_number(simple_quotient(L))[0]
+
+
+# Pair colouring on the paired graph's kept quotient neighbour sets is the
+# quotient solve, and the quotient merges parallels on pair positions.
+any_paired_graphs = st.one_of(
+    paired_graphs(),
+    mixed_id_complexes().map(link_graph),
+    # maps on which the search branches (2-41 nodes), to reach the budget
+    st.sampled_from((0, 1, 2, 4)).map(lambda seed: random_planar_paired_graph(seed, 30)),
+)
+
+
+def _solve(solver, graph, budget=None):
+    """The size, the witness items and the log of one solve, or the bounds
+    and the text of the budget error and the log."""
+    log = SolverLog([], 0, 0)
+    try:
+        k, witness = solver(graph, log, budget=budget)
+    except BudgetExhausted as exc:
+        return (exc.lower, exc.upper, str(exc)), vars(log)
+    items = witness.assignment.items() if solver is pair_chromatic_number else witness.items()
+    return (k, list(items)), vars(log)
+
+
+@given(any_paired_graphs)
+@settings(max_examples=150, deadline=None)
+def test_pair_chromatic_number_is_the_quotient_solve(pg):
+    (k, items), log = _solve(pair_chromatic_number, pg)
+    (q_k, q_items), q_log = _solve(chromatic_number, simple_quotient(pg))
+    q_colour = dict(q_items)
+    assert (k, items) == (q_k, [(p, q_colour[p[0]]) for p in pg.pairing.pairs])
+    assert log == q_log
+
+
+@given(any_paired_graphs, st.integers(min_value=0, max_value=45))
+@settings(max_examples=150, deadline=None)
+def test_pair_chromatic_number_exhausts_a_budget_as_the_quotient_solve(pg, budget):
+    outcome, log = _solve(pair_chromatic_number, pg, budget)
+    q_outcome, q_log = _solve(chromatic_number, simple_quotient(pg), budget)
+    assert log == q_log
+    if len(outcome) == 3:  # lower, upper and the error text
+        assert outcome == q_outcome
+    else:
+        assert outcome[0] == q_outcome[0]
+
+
+@given(mixed_id_complexes())
+def test_link_graph_pairing_is_what_the_constructor_stores(c):
+    pairing = link_graph(c).pairing
+    rebuilt = Pairing(pairing.pairs)
+    assert pairing.pairs == rebuilt.pairs
+    assert list(pairing._pair_of.items()) == list(rebuilt._pair_of.items())
+
+
+def _frozenset_simple_quotient(pg):
+    """The simple quotient with each parallel class found by the frozenset
+    of its renamed ends, built through the sorting constructor."""
+    rep = {v: p[0] for p in pg.pairing.pairs for v in p}
+    keep = {}
+    for e in pg.graph.edges:
+        a, b = rep[e.end0], rep[e.end1]
+        if a != b:
+            keep.setdefault(frozenset((a, b)), Edge(e.id, a, b))
+    return Multigraph(tuple(p[0] for p in pg.pairing.pairs), tuple(keep.values()))
+
+
+@given(any_paired_graphs)
+@settings(max_examples=150, deadline=None)
+def test_position_keyed_simple_quotient_is_the_frozenset_one(pg):
+    q, ref = simple_quotient(pg), _frozenset_simple_quotient(pg)
+    assert (q.vertices, q.edges) == (ref.vertices, ref.edges)
