@@ -236,24 +236,22 @@ any_paired_graphs = st.one_of(
 
 
 def _solve(solver, graph, budget=None):
-    """The size, the witness items and the log of one solve, or the bounds
-    and the text of the budget error and the log."""
+    """One solve's result, or its budget error's bounds and text, and the
+    log it left."""
     log = SolverLog([], 0, 0)
     try:
-        k, witness = solver(graph, log, budget=budget)
+        return solver(graph, log, budget=budget), vars(log)
     except BudgetExhausted as exc:
         return (exc.lower, exc.upper, str(exc)), vars(log)
-    items = witness.assignment.items() if solver is pair_chromatic_number else witness.items()
-    return (k, list(items)), vars(log)
 
 
 @given(any_paired_graphs)
 @settings(max_examples=150, deadline=None)
 def test_pair_chromatic_number_is_the_quotient_solve(pg):
-    (k, items), log = _solve(pair_chromatic_number, pg)
-    (q_k, q_items), q_log = _solve(chromatic_number, simple_quotient(pg))
-    q_colour = dict(q_items)
-    assert (k, items) == (q_k, [(p, q_colour[p[0]]) for p in pg.pairing.pairs])
+    (k, witness), log = _solve(pair_chromatic_number, pg)
+    (q_k, q_witness), q_log = _solve(chromatic_number, simple_quotient(pg))
+    lifted = [(p, q_witness[p[0]]) for p in pg.pairing.pairs]
+    assert (k, list(witness.assignment.items())) == (q_k, lifted)
     assert log == q_log
 
 
@@ -263,6 +261,7 @@ def test_pair_chromatic_number_exhausts_a_budget_as_the_quotient_solve(pg, budge
     outcome, log = _solve(pair_chromatic_number, pg, budget)
     q_outcome, q_log = _solve(chromatic_number, simple_quotient(pg), budget)
     assert log == q_log
+    assert len(outcome) == len(q_outcome)  # both solved, or both ran out
     if len(outcome) == 3:  # lower, upper and the error text
         assert outcome == q_outcome
     else:
