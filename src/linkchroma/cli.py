@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import formats
 from .colour import (
+    DEFAULT_BUDGET,
     SolverLog,
     chromatic_number,
     edge_chromatic_number_complex,
@@ -229,12 +230,9 @@ def cmd_corpus(args) -> int:
     from .corpus import run_all_checks
 
     results = run_all_checks()
-    failed = 0
     for r in results:
         print(r.line())
-        if r.status == "fail":
-            failed += 1
-    return 1 if failed else 0
+    return 1 if any(r.status == "fail" for r in results) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=2_000_000,
+            default=DEFAULT_BUDGET,
             help="branch-node budget; fail (exit 1) with the proven bounds when it runs out",
         )
 

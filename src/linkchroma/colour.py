@@ -128,6 +128,10 @@ def _greedy_clique(nbrs: list) -> list:
     return clique
 
 
+# The branch-node budget of the exact solves the CLI and verify_witness run.
+DEFAULT_BUDGET = 2_000_000
+
+
 @dataclass
 class SolverLog:
     """Diagnostics from one exact solve."""
@@ -345,17 +349,17 @@ def edge_chromatic_number_complex(
     return k, witness
 
 
-def brute_force_edge_chromatic(c: TwoComplex, k_max: int, force: bool = False) -> int:
+def brute_force_edge_chromatic(c: TwoComplex, k_max: int) -> int:
     """Smallest palette size admitting a valid edge colouring, by exhaustive
     search over assignments checked with the walk-level validator.
 
     Independent of the link-graph route.  Guarded to complexes with at most
-    12 edges unless ``force`` is given.  The first edge's colour is fixed to
-    0 (colour permutations are symmetries).
+    12 edges.  The first edge's colour is fixed to 0 (colour permutations
+    are symmetries).
     """
     edge_ids = [e.id for e in c.skeleton.edges]
-    if len(edge_ids) > 12 and not force:
-        raise DomainError("refusing brute force on more than 12 edges (use force=True)")
+    if len(edge_ids) > 12:
+        raise DomainError("refusing brute force on more than 12 edges")
     if not edge_ids:
         return 0
     junctions = _junctions(c)

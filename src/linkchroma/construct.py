@@ -26,6 +26,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .colour import (
+    DEFAULT_BUDGET,
     Colouring,
     chromatic_number,
     edge_chromatic_number_complex,
@@ -49,7 +50,7 @@ from .core import (
     link_graph,
     simple_quotient,
 )
-from .errors import DomainError
+from .errors import BudgetExhausted, DomainError
 from .triangulate import SphereTriangulation
 
 
@@ -284,12 +285,10 @@ def endpoint_multiset(g: Multigraph, mapping: Optional[dict] = None) -> Counter:
     return Counter(map(frozenset, ends))
 
 
-def link_matches_paired_graph(link_pg: PairedGraph, pg: PairedGraph, ident: Optional[dict] = None) -> bool:
+def link_matches_paired_graph(link_pg: PairedGraph, pg: PairedGraph, ident: dict) -> bool:
     """Exact comparison of a link graph with a paired graph under a vertex
     identification: equal vertex sets, equal edge multisets (as endpoint
     pairs) and equal pairings."""
-    if ident is None:
-        ident = {v: v for v in link_pg.graph.vertices}
     mapped = [ident[v] for v in link_pg.graph.vertices]
     if len(set(mapped)) != len(mapped) or set(mapped) != set(pg.graph.vertices):
         return False
@@ -339,13 +338,10 @@ class TwelvePireWitness:
     designated_pairs: tuple
     provenance: dict = field(default_factory=dict)
 
+    @cached_property
     def paired_graph(self) -> PairedGraph:
         """The witness as a paired graph, built on first use and kept, so
         its rotation is validated and its genus traced once."""
-        return self._paired_graph
-
-    @cached_property
-    def _paired_graph(self) -> PairedGraph:
         return PairedGraph(self.graph, Pairing(self.pairs), self.rotation)
 
 
@@ -375,13 +371,10 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
     designated pairs in the simple quotient, and pair-chromatic number
     exactly 12 (lower bound from the clique, upper bound from the
     degeneracy 12-colouring)."""
-    pairing = None
+    plain = None
     try:
-        pairing = Pairing(w.pairs)
-        if set(pairing.members()) != set(w.graph.vertices):
-            pairing = None
-            raise DomainError("pairing does not cover exactly the vertex set")
-        pairing_check = WitnessCheck("perfect-pairing", True, f"{len(pairing.pairs)} pairs cover all vertices")
+        plain = PairedGraph(w.graph, Pairing(w.pairs))
+        pairing_check = WitnessCheck("perfect-pairing", True, f"{len(w.pairs)} pairs cover all vertices")
     except DomainError as exc:
         pairing_check = WitnessCheck("perfect-pairing", False, str(exc))
 
@@ -391,10 +384,10 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
         try:
             # With a valid pairing, the witness's kept paired graph can fail
             # only on the rotation, and the pipeline reuses its genus.
-            if pairing is None:
+            if plain is None:
                 components = genus_check(w.graph, w.rotation)
             else:
-                components = w.paired_graph()._embedding
+                components = w.paired_graph._embedding
             genera = [c.genus for c in components]
             ok = all(g == 0 for g in genera)
             checks = [
@@ -408,15 +401,15 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
             checks = [WitnessCheck("planar-embedding", False, str(exc))]
     checks.append(pairing_check)
 
-    if pairing is None:
+    if plain is None:
         checks.append(WitnessCheck("designated-k12", False, "pairing invalid"))
         checks.append(WitnessCheck("pair-chromatic-12", False, "pairing invalid"))
         return WitnessReport(tuple(checks))
 
     # The rotation rides along only if the planar-embedding check passed.
-    pg = w.paired_graph() if checks[0].passed else PairedGraph(w.graph, pairing)
+    pg = w.paired_graph if checks[0].passed else plain
     q = simple_quotient(pg)
-    pair_by_members = {frozenset(p): p for p in pairing.pairs}
+    pair_by_members = {frozenset(p): p for p in pg.pairing.pairs}
     designated = [pair_by_members.get(frozenset(p)) for p in w.designated_pairs]
     if len(designated) != 12 or None in designated:
         checks.append(
@@ -436,7 +429,11 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
             )
         )
 
-    k, _ = chromatic_number(q)
+    try:
+        k, _ = chromatic_number(q, budget=DEFAULT_BUDGET)
+    except BudgetExhausted as exc:
+        checks.append(WitnessCheck("pair-chromatic-12", False, str(exc)))
+        return WitnessReport(tuple(checks))
     detail = f"exact pair-chromatic number {k}"
     if k == 12 and pg.rotation is not None:
         hw = heawood_colour_12(pg)
@@ -462,15 +459,16 @@ def load_shipped_witness() -> TwelvePireWitness:
 # Random generators (property-test utilities)
 
 
-def random_planar_paired_graph(
-    seed,
-    n_pairs: int,
-    delete_prob: float = 0.12,
-    duplicate_prob: float = 0.12,
-) -> PairedGraph:
+# The share of a random map's triangulation edges deleted, and then of the
+# remaining edges duplicated.
+_DELETE_PROB = 0.12
+_DUPLICATE_PROB = 0.12
+
+
+def random_planar_paired_graph(seed, n_pairs: int) -> PairedGraph:
     """Random certified-planar paired graph: grow a triangulation by random
-    vertex insertions (genus 0 by construction), randomly delete and
-    duplicate some edges, then pair the vertices by a random matching."""
+    vertex insertions (genus 0 by construction), delete and then duplicate
+    edges at random, then pair the vertices by a random matching."""
     if n_pairs < 1:
         raise DomainError("need at least one pair")
     rng = random.Random(seed)
@@ -485,13 +483,13 @@ def random_planar_paired_graph(
         edges = {k: Edge(k, *tri.endpoints(k)) for k in range(tri.num_edges)}
         orders = tri.rotation_orders()
     for e in list(edges.values()):
-        if rng.random() < delete_prob:
+        if rng.random() < _DELETE_PROB:
             del edges[e.id]
             orders[e.end0].remove(EdgeEnd(e.id, 0))
             orders[e.end1].remove(EdgeEnd(e.id, 1))
     twin = {}
     for e in list(edges.values()):
-        if rng.random() < duplicate_prob:
+        if rng.random() < _DUPLICATE_PROB:
             new_id = ("dup", e.id)
             edges[new_id] = Edge(new_id, e.end0, e.end1)
             twin[e.id] = new_id
@@ -542,7 +540,7 @@ def run_pipeline(witness: Optional[TwelvePireWitness] = None) -> PipelineStages:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
         raise DomainError(f"witness failed verification: {failed}")
 
-    augmented = make_degree_faithful(witness.paired_graph())
+    augmented = make_degree_faithful(witness.paired_graph)
     punctured = inverse_link(augmented)
     link_p = link_graph(punctured)
     ident = canonical_link_identification(augmented)

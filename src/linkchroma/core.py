@@ -361,9 +361,6 @@ class Pairing:
     def representative(self, v):
         return self.pair_of(v)[0]
 
-    def members(self) -> tuple:
-        return tuple(m for p in self.pairs for m in p)
-
 
 @dataclass(frozen=True)
 class RotationSystem:
@@ -463,12 +460,10 @@ def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
     return succ
 
 
-def validate_rotation(g: Multigraph, rot: RotationSystem) -> dict:
+def validate_rotation(g: Multigraph, rot: RotationSystem) -> None:
     """Check that ``rot`` lists every edge-end of ``g`` exactly once, at the
-    right vertex.  Returns the dart successor map it checked: each edge-end
-    to the next end around its vertex, in stored rotation order."""
+    right vertex."""
     _rotation_successors(g, rot)
-    return {end: nxt for _, order in rot.orders for end, nxt in zip(order, order[1:] + order[:1])}
 
 
 @dataclass(frozen=True)
@@ -481,7 +476,7 @@ class PairedGraph:
     rotation: Optional[RotationSystem] = None
 
     def __post_init__(self):
-        if set(self.pairing.members()) != set(self.graph.vertices):
+        if self.pairing._pair_of.keys() != self.graph._vertex_set:
             raise DomainError("pairing does not cover exactly the vertex set")
         if self.rotation is not None:
             # Validated once; the successor array is what the faces are

@@ -68,8 +68,14 @@ def chromatic_number_reference(g: Multigraph) -> int:
 # Exhaustive enumeration of small genuine 2-complexes
 
 
-def enumerate_small_skeletons(max_edges: int = 3) -> Iterator[Multigraph]:
-    """All multigraphs with at most ``max_edges`` edges, one per isomorphism
+# The corpus bounds: skeleton edges, cells per complex, steps per cell walk.
+_MAX_EDGES = 3
+_MAX_CELLS = 2
+_MAX_WALK_LEN = 4
+
+
+def enumerate_small_skeletons() -> Iterator[Multigraph]:
+    """All multigraphs with at most ``_MAX_EDGES`` edges, one per isomorphism
     class, without isolated vertices (plus the single-vertex empty graph).
 
     Vertices are 0..v-1 and edge ids 0..m-1 in sorted endpoint order, which
@@ -77,7 +83,7 @@ def enumerate_small_skeletons(max_edges: int = 3) -> Iterator[Multigraph]:
     """
     yield Multigraph((0,), ())
     seen = set()
-    for m in range(1, max_edges + 1):
+    for m in range(1, _MAX_EDGES + 1):
         for v in range(1, 2 * m + 1):
             slots = list(itertools.combinations_with_replacement(range(v), 2))
             for chosen in itertools.combinations_with_replacement(slots, m):
@@ -101,9 +107,9 @@ def _canonical_edge_multiset(chosen, v):
     return best
 
 
-def enumerate_closed_walks(g: Multigraph, max_len: int = 4) -> list:
-    """All closed walks in ``g`` of length 1..max_len, one per equivalence
-    class under rotation and reversal.
+def enumerate_closed_walks(g: Multigraph) -> list:
+    """All closed walks in ``g`` of length 1 to ``_MAX_WALK_LEN``, one per
+    equivalence class under rotation and reversal.
 
     Rotations of a cyclic walk describe the same gluing, and a reversed
     walk yields the same (undirected) link edges, so one representative per
@@ -114,14 +120,12 @@ def enumerate_closed_walks(g: Multigraph, max_len: int = 4) -> list:
     darts = [WalkStep(e.id, s) for e in g.edges for s in (0, 1)]
 
     def extend(prefix):
-        if len(prefix) > max_len:
-            return
         if prefix and step_exit_vertex(g, prefix[-1]) == step_entry_vertex(g, prefix[0]):
             canon = _canonical_walk(prefix)
             if canon not in seen:
                 seen.add(canon)
                 out.append(ClosedWalk(tuple(prefix)))
-        if len(prefix) == max_len:
+        if len(prefix) == _MAX_WALK_LEN:
             return
         here = step_exit_vertex(g, prefix[-1]) if prefix else None
         for d in darts:
@@ -146,14 +150,12 @@ def _canonical_walk(steps) -> tuple:
     return min(variants)
 
 
-def enumerate_small_complexes(
-    max_edges: int = 3, max_cells: int = 2, max_walk_len: int = 4
-) -> Iterator[TwoComplex]:
+def enumerate_small_complexes() -> Iterator[TwoComplex]:
     """All genuine 2-complexes over the small skeleton corpus with at most
-    ``max_cells`` cells of walk length at most ``max_walk_len``."""
-    for g in enumerate_small_skeletons(max_edges):
-        walks = enumerate_closed_walks(g, max_walk_len)
-        for r in range(max_cells + 1):
+    ``_MAX_CELLS`` cells of walk length at most ``_MAX_WALK_LEN``."""
+    for g in enumerate_small_skeletons():
+        walks = enumerate_closed_walks(g)
+        for r in range(_MAX_CELLS + 1):
             for cells in itertools.combinations_with_replacement(walks, r):
                 yield TwoComplex(g, cells)
 
@@ -164,13 +166,13 @@ def enumerate_small_complexes(
 @dataclass
 class CheckResult:
     name: str
-    status: str  # "pass" | "fail" | "blocked"
+    status: str  # "pass" | "fail"
     detail: str
     seconds: float
     limit: Optional[float] = None
 
     def line(self) -> str:
-        tag = {"pass": "PASS", "fail": "FAIL", "blocked": "BLOCKED"}[self.status]
+        tag = {"pass": "PASS", "fail": "FAIL"}[self.status]
         budget = f", limit {self.limit:.0f}s" if self.limit else ""
         return f"{tag} {self.name} ({self.seconds:.1f}s{budget}): {self.detail}"
 
@@ -179,23 +181,10 @@ class CheckFailure(Exception):
     pass
 
 
-class CheckBlocked(Exception):
-    pass
-
-
-def _witness_or_blocked():
-    from .construct import load_shipped_witness
-
-    try:
-        return load_shipped_witness()
-    except DomainError as exc:
-        raise CheckBlocked(str(exc)) from None
-
-
 def _check_pipeline_twelve() -> str:
-    from .construct import run_pipeline
+    from .construct import load_shipped_witness, run_pipeline
 
-    stages = run_pipeline(_witness_or_blocked())
+    stages = run_pipeline(load_shipped_witness())
     if stages.edge_chromatic != 12:
         raise CheckFailure(f"edge-chromatic number {stages.edge_chromatic} != 12")
     return (
@@ -205,9 +194,9 @@ def _check_pipeline_twelve() -> str:
 
 
 def _check_witness_verification() -> str:
-    from .construct import verify_witness
+    from .construct import load_shipped_witness, verify_witness
 
-    report = verify_witness(_witness_or_blocked())
+    report = verify_witness(load_shipped_witness())
     if not report.all_passed:
         raise CheckFailure("; ".join(report.lines()))
     return "all four witness checks pass"
@@ -359,8 +348,6 @@ def run_check(name: str) -> CheckResult:
         if limit is not None and elapsed > limit:
             return CheckResult(name, "fail", f"over time limit: {detail}", elapsed, limit)
         return CheckResult(name, "pass", detail, elapsed, limit)
-    except CheckBlocked as exc:
-        return CheckResult(name, "blocked", str(exc), time.perf_counter() - start, limit)
     except (CheckFailure, DomainError) as exc:
         return CheckResult(name, "fail", str(exc), time.perf_counter() - start, limit)
 

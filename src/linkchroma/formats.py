@@ -271,32 +271,6 @@ def colouring_to_doc(palette_size: int, assignment: Mapping) -> dict:
     }
 
 
-def colouring_from_doc(doc):
-    """Returns (palette_size, {text: colour}); resolve the text keys against
-    a known id set with ``resolve_assignment``."""
-    _check_fields(doc, ("palette_size", "assignment"), (), "colouring")
-    k = doc["palette_size"]
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise SchemaError("'palette_size' must be a non-negative integer")
-    if not isinstance(doc["assignment"], Mapping):
-        raise SchemaError("'assignment' must be a JSON object")
-    for key, colour in doc["assignment"].items():
-        if not isinstance(colour, int) or isinstance(colour, bool):
-            raise SchemaError(f"colour of {short_repr(key)} must be an integer")
-    return k, dict(doc["assignment"])
-
-
-def resolve_assignment(mapping: Mapping, candidates) -> dict:
-    """Resolve text-form keys against the actual ids they refer to."""
-    by_text = text_key_map(candidates, "assignment")
-    out = {}
-    for key, value in mapping.items():
-        if key not in by_text:
-            raise SchemaError(f"assignment mentions unknown id {short_repr(key)}")
-        out[by_text[key]] = value
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Witnesses
 
@@ -492,10 +466,10 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(g: Multigraph, pairing: Optional[Pairing] = None, name: str = "G") -> str:
-    """DOT rendering of a multigraph; members of one pair share a border
-    colour (the palette repeats after 12 pairs)."""
-    lines = [f"graph {name} {{"]
+def to_dot(g: Multigraph, pairing: Optional[Pairing] = None) -> str:
+    """DOT rendering of a multigraph named ``G``; members of one pair share
+    a border colour (the palette repeats after 12 pairs)."""
+    lines = ["graph G {"]
     colour_of = {}
     if pairing is not None:
         for i, pair in enumerate(pairing.pairs):

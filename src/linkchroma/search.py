@@ -61,7 +61,7 @@ class _NodeCapHit(Exception):
     pass
 
 
-def exact_pairing(adj: dict, node_cap: int = _BACKTRACK_NODE_CAP) -> Optional[list]:
+def exact_pairing(adj: dict) -> Optional[list]:
     """Exact search for a pairing of a fixed triangulation realising all 66
     cross-pair adjacencies, or None.
 
@@ -69,7 +69,7 @@ def exact_pairing(adj: dict, node_cap: int = _BACKTRACK_NODE_CAP) -> Optional[li
     non-adjacent, and any two formed pairs may be joined by at most one
     edge; a complete conflict-free pairing then realises all 66 classes.
     Backtracking with a fewest-candidates-first variable order, capped at
-    ``node_cap`` search nodes.
+    ``_BACKTRACK_NODE_CAP`` search nodes.
     """
     if not _degree_feasible(adj):
         return None
@@ -116,7 +116,7 @@ def exact_pairing(adj: dict, node_cap: int = _BACKTRACK_NODE_CAP) -> Optional[li
                     break
         for v in best_c:
             nodes += 1
-            if nodes > node_cap:
+            if nodes > _BACKTRACK_NODE_CAP:
                 raise _NodeCapHit
             idx = len(pairs)
             pairs.append((best_u, v))

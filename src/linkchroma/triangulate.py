@@ -42,12 +42,6 @@ class SphereTriangulation:
     def endpoints(self, e: int):
         return self.origin[2 * e], self.origin[2 * e + 1]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def target(self, d: int) -> int:
-        return self.origin[d ^ 1]
-
     def _new_edge(self, u: int, v: int) -> int:
         """Allocate darts 2k (origin u) and 2k+1 (origin v); faces are wired
         up by the caller."""
@@ -77,17 +71,12 @@ class SphereTriangulation:
         self.fnext[b], self.fnext[xv], self.fnext[vz] = xv, vz, b
         return v
 
-    def flip_targets(self, e: int):
-        """The two opposite vertices (z, w) of the faces at edge ``e``."""
-        d, t = 2 * e, 2 * e + 1
-        a = self.fnext[d]
-        b = self.fnext[a]
-        c = self.fnext[t]
-        f = self.fnext[c]
-        return self.origin[b], self.origin[f]
-
     def flippable(self, e: int) -> bool:
-        z, w = self.flip_targets(e)
+        """True iff the opposite vertices z, w of the faces at edge ``e``
+        are distinct and not yet adjacent."""
+        fnext = self.fnext
+        z = self.origin[fnext[fnext[2 * e]]]
+        w = self.origin[fnext[fnext[2 * e + 1]]]
         return z != w and z not in self.adj[w]
 
     def flip(self, e: int):

@@ -8,6 +8,7 @@ from linkchroma import Multigraph, PairedGraph, Pairing, RotationSystem, formats
 from linkchroma.catalogue import complete_graph, triangle_complex
 from linkchroma.cli import main
 from linkchroma.construct import load_shipped_witness, random_planar_paired_graph
+from linkchroma.errors import DomainError
 
 from strategies import side_by_side, with_extras
 
@@ -74,10 +75,9 @@ class TestChroma:
         out = tmp_path / "col.json"
         code, stdout, _ = run(capsys, "chroma", "--in", str(path), "--out", str(out))
         assert code == 0
-        k, raw = formats.colouring_from_doc(formats.load(out))
-        assert k == 4
-        resolved = formats.resolve_assignment(raw, complete_graph(4).vertices)
-        assert sorted(resolved.values()) == [0, 1, 2, 3]
+        doc = formats.load(out)
+        assert doc["palette_size"] == 4
+        assert sorted(doc["assignment"].items()) == [("0", 0), ("1", 1), ("2", 2), ("3", 3)]
 
     # The solver line of the triangle, every field pinned: the clique is
     # reported by the link graph's third-edge ids, not by positions.
@@ -223,6 +223,21 @@ class TestWitnessCommands:
         assert "FAIL planar-embedding" in stdout
         assert "FAIL designated-k12" in stdout
 
+    def test_an_exhausted_solver_budget_fails_verification_and_pipeline(self, capsys, tmp_path, monkeypatch):
+        import linkchroma.construct as construct_mod
+
+        pg = random_planar_paired_graph(2, 160)
+        w = construct_mod.TwelvePireWitness(pg.graph, pg.pairing.pairs, pg.rotation, pg.pairing.pairs[:12])
+        path = tmp_path / "w160.json"
+        formats.save(path, formats.witness_to_doc(w))
+        monkeypatch.setattr(construct_mod, "DEFAULT_BUDGET", 1000)
+        code, stdout, _ = run(capsys, "verify-witness", "--in", str(path))
+        assert code == 1
+        assert stdout.splitlines()[-1].startswith("FAIL pair-chromatic-12: branch-and-bound budget of 1000 nodes")
+        code, stdout, stderr = run(capsys, "pipeline", "--in", str(path), "--out", str(tmp_path / "p"))
+        assert (code, stdout) == (1, "")
+        assert stderr == "error:domain: witness failed verification: designated-k12, pair-chromatic-12\n"
+
     def test_search_small_budget_reports_best(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "search-witness", "--seed", "5", "--budget", "100")
         assert code == 1
@@ -267,8 +282,8 @@ class TestStageCommands:
         code, stdout, _ = run(capsys, "heawood12", "--in", str(paired_path), "--out", str(out))
         assert code == 0
         assert stdout.strip() == "12"
-        k, raw = formats.colouring_from_doc(formats.load(out))
-        assert k == 12 and len(raw) == 12
+        doc = formats.load(out)
+        assert doc["palette_size"] == 12 and len(doc["assignment"]) == 12
 
     # SHA-256 of the stderr ``elimination_order`` line and of the ``--out``
     # colouring written by ``heawood12``: the shipped witness, and a random
@@ -568,3 +583,29 @@ class TestCorpusCommand:
         code, stdout, _ = run(capsys, "corpus")
         assert code == 0
         assert stdout.count("PASS") == 3
+
+    def test_a_missing_witness_fails_the_corpus(self, capsys, monkeypatch):
+        import linkchroma.construct as construct_mod
+        import linkchroma.corpus as corpus_mod
+
+        def missing():
+            raise DomainError("no shipped witness: data/k12_pire.json is missing")
+
+        monkeypatch.setattr(construct_mod, "load_shipped_witness", missing)
+        for name in ("pipeline-chromatic-12", "witness-verification"):
+            result = corpus_mod.run_check(name)
+            assert result.status == "fail"
+            assert result.detail == "no shipped witness: data/k12_pire.json is missing"
+        fast = tuple(
+            entry
+            for entry in corpus_mod.ALL_CHECKS
+            if entry[0] in ("pipeline-chromatic-12", "witness-verification", "classic-complexes")
+        )
+        monkeypatch.setattr(corpus_mod, "ALL_CHECKS", fast)
+        code, stdout, _ = run(capsys, "corpus")
+        assert code == 1
+        assert [line.split(" (")[0] for line in stdout.splitlines()] == [
+            "FAIL pipeline-chromatic-12",
+            "FAIL witness-verification",
+            "PASS classic-complexes",
+        ]

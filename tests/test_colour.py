@@ -424,7 +424,6 @@ class TestBruteForce:
         g = Multigraph((0, 1), tuple(Edge(i, 0, 1) for i in range(13)))
         with pytest.raises(DomainError):
             brute_force_edge_chromatic(TwoComplex(g, ()), 4)
-        assert brute_force_edge_chromatic(TwoComplex(g, ()), 4, force=True) == 1
 
     def test_k_max_exceeded(self):
         with pytest.raises(DomainError):

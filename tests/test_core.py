@@ -469,12 +469,6 @@ class TestFaceTracingOracle:
             got = [(c.vertices, c.face_count, c.genus) for c in genus_check(g, rot)]
             assert got == sorted_face_genera(g, rot)
 
-    def test_validate_rotation_returns_the_successor_map(self):
-        for g, rot in oracle_maps():
-            succ = validate_rotation(g, rot)
-            assert succ == successor_map(rot)
-            assert list(succ) == [end for _, order in rot.orders for end in order]
-
     def test_components_match_breadth_first_search(self):
         for g, rot in oracle_maps():
             assert tuple(c.vertices for c in genus_check(g, rot)) == bfs_components(g)

@@ -180,33 +180,9 @@ class TestComplexDocuments:
 
 
 class TestColouringDocuments:
-    def test_round_trip_with_resolution(self):
-        assignment = {"a": 0, "b": 1, "c": 2}
-        doc = formats.colouring_to_doc(3, assignment)
-        k, raw = formats.colouring_from_doc(doc)
-        assert k == 3
-        resolved = formats.resolve_assignment(raw, ["a", "b", "c"])
-        assert resolved == assignment
-
-    def test_tuple_keys_resolve(self):
-        pairs = (("x", 0), ("x", 1))
-        doc = formats.colouring_to_doc(1, {pairs: 0})
-        _, raw = formats.colouring_from_doc(doc)
-        assert formats.resolve_assignment(raw, [pairs]) == {pairs: 0}
-
     def test_text_collision_rejected_at_dump(self):
         with pytest.raises(SchemaError):
             formats.colouring_to_doc(1, {"1": 0, 1: 0})
-
-    def test_unknown_key_rejected_at_resolution(self):
-        doc = formats.colouring_to_doc(1, {"a": 0})
-        _, raw = formats.colouring_from_doc(doc)
-        with pytest.raises(SchemaError):
-            formats.resolve_assignment(raw, ["b"])
-
-    def test_bad_palette_rejected(self):
-        with pytest.raises(SchemaError):
-            formats.colouring_from_doc({"palette_size": -1, "assignment": {}})
 
 
 class TestWitnessDocuments:
@@ -262,7 +238,7 @@ class TestDumps:
         w = load_shipped_witness()
         docs = [
             formats.witness_to_doc(w),
-            formats.paired_graph_to_doc(w.paired_graph()),
+            formats.paired_graph_to_doc(w.paired_graph),
             formats.complex_to_doc(tetrahedron_complex()),
             formats.colouring_to_doc(2, {"a": 0, ("b", 1): 1}),
             {"provenance": {"seed": -0.0, "big": 2**70, "list": [[1, 2], [], [True]], "empty": {}}},

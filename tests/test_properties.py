@@ -137,7 +137,8 @@ def test_third_edges_are_link_vertices(c):
 def test_random_rotations_trace_consistently(g):
     rot = _any_rotation(g)
     # faces are the orbits of d -> successor of the flipped d
-    succ = validate_rotation(g, rot)
+    validate_rotation(g, rot)
+    succ = {end: nxt for _, order in rot.orders for end, nxt in zip(order, order[1:] + order[:1])}
     orbits, seen = 0, set()
     for start in succ:
         if start not in seen:

@@ -5,10 +5,11 @@ from importlib import resources
 
 import pytest
 
-from linkchroma import Multigraph, RotationSystem, formats
+from linkchroma import Multigraph, RotationSystem, construct, formats
 from linkchroma.construct import (
     TwelvePireWitness,
     load_shipped_witness,
+    random_planar_paired_graph,
     run_pipeline,
     verify_witness,
 )
@@ -77,7 +78,7 @@ class TestShippedWitness:
     def test_heawood_needs_exactly_twelve_on_the_witness(self):
         from linkchroma.colour import heawood_colour_12, heawood_degeneracy_order
 
-        pg = load_shipped_witness().paired_graph()
+        pg = load_shipped_witness().paired_graph
         order = heawood_degeneracy_order(pg)
         assert all(d <= 11 for _, d in order)
         assert heawood_colour_12(pg).colours_used() == 12
@@ -207,6 +208,20 @@ class TestWitnessReportLines:
     @pytest.mark.parametrize("fault", sorted(REPORTS))
     def test_report_lines(self, fault):
         assert verify_witness(faulty_witness(fault)).lines() == self.REPORTS[fault]
+
+    def test_an_exhausted_budget_fails_with_the_proven_bounds(self, monkeypatch):
+        # A 160-pair map, its first 12 pairs designated: without a budget
+        # the exact solve runs for minutes.
+        pg = random_planar_paired_graph(2, 160)
+        w = TwelvePireWitness(pg.graph, pg.pairing.pairs, pg.rotation, pg.pairing.pairs[:12])
+        monkeypatch.setattr(construct, "DEFAULT_BUDGET", 1000)
+        assert verify_witness(w).lines() == [
+            "PASS planar-embedding: component genera [0, 0, 0]",
+            "PASS perfect-pairing: 160 pairs cover all vertices",
+            "FAIL designated-k12: 35 adjacencies missing",
+            "FAIL pair-chromatic-12: branch-and-bound budget of 1000 nodes exhausted: "
+            "the chromatic number is at least 4 and at most 6",
+        ]
 
 
 class TestPipeline:
