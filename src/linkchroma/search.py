@@ -13,9 +13,11 @@ pairing on the current triangulation, used to close the final gap.
 Deterministic for a given seed.
 
 The objective is kept in one flat table of edge counts per cross-pair
-class, so a proposal costs O(degree) integer updates.  A flip and a swap
-are each their own inverse: a rejected proposal is undone by applying it
-again.
+class, so a proposal costs O(degree) integer updates.  A flip changes the
+class of one edge only, so it is scored from the table before it is
+applied; a rejected flip leaves the triangulation as it was except for
+its edge's two darts, which are exchanged, as two flips would leave
+them.  A swap is applied and, if rejected, undone by applying it again.
 """
 
 from __future__ import annotations
@@ -156,21 +158,26 @@ class _AnnealState:
     number of edges in each cross-pair class at its ``_SLOT`` index, and
     ``distinct`` the number of nonzero entries.  ``flip`` and
     ``swap_pairs`` each cost O(degree) integer updates and are their own
-    inverses, so a rejected move is undone by applying it again.
+    inverses (a flip up to the exchange of its edge's darts).
     """
 
     def __init__(self, tri: SphereTriangulation, pair_of: list):
         self.tri = tri
         self.pair_of = pair_of
         self.count = [0] * (N_PAIRS * N_PAIRS)
-        self.distinct = 0
         for e in range(tri.num_edges):
             u, v = tri.endpoints(e)
-            self._move(-1, _SLOT[pair_of[u]][pair_of[v]])
+            slot = _SLOT[pair_of[u]][pair_of[v]]
+            if slot >= 0:
+                self.count[slot] += 1
+        self.distinct = len(self.count) - self.count.count(0)
 
-    def _move(self, old: int, new: int):
-        """Move one edge from slot ``old`` to slot ``new`` (-1: no class)."""
-        count = self.count
+    def flip(self, e: int):
+        """Flip the flippable edge ``e`` and move its count from the old
+        diagonal's class to the new one's (-1: no class)."""
+        (x, y), (z, w) = self.tri.flip(e)
+        p, count = self.pair_of, self.count
+        old, new = _SLOT[p[x]][p[y]], _SLOT[p[z]][p[w]]
         if old >= 0:
             count[old] -= 1
             if not count[old]:
@@ -180,24 +187,27 @@ class _AnnealState:
             if count[new] == 1:
                 self.distinct += 1
 
-    def flip(self, e: int):
-        """Flip the flippable edge ``e`` and move its count from the old
-        diagonal's class to the new one's."""
-        (x, y), (z, w) = self.tri.flip(e)
-        p = self.pair_of
-        self._move(_SLOT[p[x]][p[y]], _SLOT[p[z]][p[w]])
-
     def swap_pairs(self, a: int, b: int):
         """Exchange the pairs of ``a`` and ``b``, which must differ.  Every
         edge at ``a`` or ``b`` moves one count to its new class, except the
         edge ``ab``, whose class does not change."""
-        pair_of, adj = self.pair_of, self.tri.adj
+        pair_of, adj, count = self.pair_of, self.tri.adj, self.count
+        distinct = self.distinct
         pa, pb = pair_of[a], pair_of[b]
         for v, other, old_row, new_row in ((a, b, _SLOT[pa], _SLOT[pb]), (b, a, _SLOT[pb], _SLOT[pa])):
             for nb in adj[v]:
                 if nb != other:
-                    self._move(old_row[pair_of[nb]], new_row[pair_of[nb]])
+                    old, new = old_row[pair_of[nb]], new_row[pair_of[nb]]
+                    if old >= 0:
+                        count[old] -= 1
+                        if not count[old]:
+                            distinct -= 1
+                    if new >= 0:
+                        count[new] += 1
+                        if count[new] == 1:
+                            distinct += 1
         pair_of[a], pair_of[b] = pb, pa
+        self.distinct = distinct
 
     def pairs(self) -> list:
         members = [[] for _ in range(N_PAIRS)]
@@ -248,6 +258,8 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
     if budget < 1:
         raise DomainError("budget must be positive")
     rng = random.Random(seed)
+    random_, getrandbits, exp = rng.random, rng.getrandbits, math.exp
+    vertex_bits = N_VERTICES.bit_length()
     best_overall = 0
     steps_used = 0
     restarts = 0
@@ -256,6 +268,10 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
     while steps_used < budget:
         restarts += 1
         state = _random_state(rng)
+        tri, pair_of, count = state.tri, state.pair_of, state.count
+        origin, fnext, adj = tri.origin, tri.fnext, tri.adj
+        num_edges = tri.num_edges  # a flip keeps the edge count
+        edge_bits = num_edges.bit_length()
         chain = min(_CHAIN_LENGTH, budget - steps_used)
         best_chain = state.distinct
         since_improvement = 0
@@ -263,34 +279,51 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
         for i in range(chain):
             steps_used += 1
             since_improvement += 1
-            if rng.random() < _FLIP_PROB:
-                e = rng.randrange(state.tri.num_edges)
-                move, args, legal = state.flip, (e,), state.tri.flippable(e)
+            # each getrandbits loop below draws what rng.randrange(n) draws
+            if random_() < _FLIP_PROB:
+                e = getrandbits(edge_bits)
+                while e >= num_edges:
+                    e = getrandbits(edge_bits)
+                d = 2 * e
+                z = origin[fnext[fnext[d]]]
+                w = origin[fnext[fnext[d + 1]]]
+                if z != w and z not in adj[w]:
+                    old = _SLOT[pair_of[origin[d]]][pair_of[origin[d + 1]]]
+                    new = _SLOT[pair_of[z]][pair_of[w]]
+                    if old == new:
+                        delta = 0
+                    else:
+                        delta = (new >= 0 and not count[new]) - (old >= 0 and count[old] == 1)
+                    if delta < 0 and random_() >= exp(delta / (_T_START * exp(cool * i / chain))):
+                        tri.exchange_darts(e)  # what flipping e twice leaves
+                    else:
+                        state.flip(e)
             else:
-                a = rng.randrange(N_VERTICES)
-                b = rng.randrange(N_VERTICES)
-                move, args, legal = state.swap_pairs, (a, b), state.pair_of[a] != state.pair_of[b]
-            if legal:
-                before = state.distinct
-                move(*args)
-                delta = state.distinct - before
-                if delta < 0 and rng.random() >= math.exp(delta / (_T_START * math.exp(cool * i / chain))):
-                    move(*args)  # a flip or a swap is its own inverse
+                a = getrandbits(vertex_bits)
+                while a >= N_VERTICES:
+                    a = getrandbits(vertex_bits)
+                b = getrandbits(vertex_bits)
+                while b >= N_VERTICES:
+                    b = getrandbits(vertex_bits)
+                if pair_of[a] != pair_of[b]:
+                    before = state.distinct
+                    state.swap_pairs(a, b)
+                    delta = state.distinct - before
+                    if delta < 0 and random_() >= exp(delta / (_T_START * exp(cool * i / chain))):
+                        state.swap_pairs(a, b)  # a swap is its own inverse
 
-            if state.distinct > best_chain:
-                best_chain = state.distinct
+            distinct = state.distinct
+            if distinct > best_chain:
+                best_chain = distinct
                 since_improvement = 0
-            best_overall = max(best_overall, state.distinct)
+            if distinct > best_overall:
+                best_overall = distinct
 
-            reached_target = state.distinct == OBJECTIVE_MAX
+            reached_target = distinct == OBJECTIVE_MAX
             periodic = i % _BACKTRACK_EVERY == _BACKTRACK_EVERY - 1
-            promising = state.distinct >= _BACKTRACK_TRIGGER and since_improvement == 0
-            if reached_target or ((periodic or promising) and _degree_feasible(state.tri.adj)):
-                pairs = (
-                    state.pairs()
-                    if reached_target
-                    else exact_pairing(state.tri.adj)
-                )
+            promising = distinct >= _BACKTRACK_TRIGGER and since_improvement == 0
+            if reached_target or ((periodic or promising) and _degree_feasible(adj)):
+                pairs = state.pairs() if reached_target else exact_pairing(adj)
                 if pairs is not None:
                     provenance = {
                         "method": "annealing+exact-pairing",
@@ -301,7 +334,7 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
                         "objective": OBJECTIVE_MAX,
                         "closed_by": "annealing" if reached_target else "backtracking",
                     }
-                    return _build_witness(state.tri, pairs, provenance)
+                    return _build_witness(tri, pairs, provenance)
 
             if since_improvement > _STALL_LIMIT:
                 break

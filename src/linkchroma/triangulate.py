@@ -83,7 +83,8 @@ class SphereTriangulation:
         """Replace edge xy by the other diagonal zw of its two faces.
 
         Returns ((x, y), (z, w)).  Flipping the same edge again restores
-        the original triangulation, with the two darts of ``e`` exchanged.
+        the original triangulation, with the two darts of ``e`` exchanged
+        (see ``exchange_darts``).
         """
         d, t = 2 * e, 2 * e + 1
         a = self.fnext[d]
@@ -102,6 +103,19 @@ class SphereTriangulation:
         self.fnext[b], self.fnext[c], self.fnext[d] = c, d, b
         self.fnext[f], self.fnext[a], self.fnext[t] = a, t, f
         return (x, y), (z, w)
+
+    def exchange_darts(self, e: int):
+        """Exchange the two darts of edge ``e`` and nothing else: the state
+        that ``flip(e); flip(e)`` leaves, without touching ``adj``.  Its own
+        inverse."""
+        fnext = self.fnext
+        d, t = 2 * e, 2 * e + 1
+        a = fnext[d]
+        c = fnext[t]
+        b = fnext[a]
+        f = fnext[c]
+        self.origin[d], self.origin[t] = self.origin[t], self.origin[d]
+        fnext[d], fnext[f], fnext[t], fnext[b] = c, d, a, t
 
     def rotation_orders(self) -> dict:
         """The rotation at every vertex as a list of edge-ends, starting at

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import math
 import random
 from collections import Counter
 from importlib import resources
@@ -13,8 +15,10 @@ from linkchroma.construct import (
     run_pipeline,
     verify_witness,
 )
-from linkchroma.errors import BudgetExhausted
+from linkchroma import search
+from linkchroma.errors import BudgetExhausted, DomainError
 from linkchroma.search import _random_state, exact_pairing, search_witness
+from linkchroma.triangulate import SphereTriangulation
 
 # Outcomes of search_witness(seed, 6000), recorded by running the search
 # before its class-count table was flattened: the best objective of every
@@ -50,6 +54,98 @@ def _snapshot(state, reversed_edge=None):
         origin[relabel(d)] = state.tri.origin[d]
         fnext[relabel(d)] = relabel(state.tri.fnext[d])
     return list(state.count), origin, fnext, list(state.pair_of), state.distinct
+
+
+def reference_search_witness(seed, budget):
+    """The annealing loop that applies every legal proposal and undoes a
+    rejected one by applying it again, drawing with ``rng.randrange``, kept
+    verbatim as the oracle for the loop that scores a flip before applying
+    it: same RNG calls, same outcome."""
+    if budget < 1:
+        raise DomainError("budget must be positive")
+    rng = random.Random(seed)
+    best_overall = 0
+    steps_used = 0
+    restarts = 0
+    cool = math.log(search._T_END / search._T_START)
+
+    while steps_used < budget:
+        restarts += 1
+        state = _random_state(rng)
+        chain = min(search._CHAIN_LENGTH, budget - steps_used)
+        best_chain = state.distinct
+        since_improvement = 0
+
+        for i in range(chain):
+            steps_used += 1
+            since_improvement += 1
+            if rng.random() < search._FLIP_PROB:
+                e = rng.randrange(state.tri.num_edges)
+                move, args, legal = state.flip, (e,), state.tri.flippable(e)
+            else:
+                a = rng.randrange(search.N_VERTICES)
+                b = rng.randrange(search.N_VERTICES)
+                move, args, legal = state.swap_pairs, (a, b), state.pair_of[a] != state.pair_of[b]
+            if legal:
+                before = state.distinct
+                move(*args)
+                delta = state.distinct - before
+                if delta < 0 and rng.random() >= math.exp(delta / (search._T_START * math.exp(cool * i / chain))):
+                    move(*args)  # a flip or a swap is its own inverse
+
+            if state.distinct > best_chain:
+                best_chain = state.distinct
+                since_improvement = 0
+            best_overall = max(best_overall, state.distinct)
+
+            reached_target = state.distinct == search.OBJECTIVE_MAX
+            periodic = i % search._BACKTRACK_EVERY == search._BACKTRACK_EVERY - 1
+            promising = state.distinct >= search._BACKTRACK_TRIGGER and since_improvement == 0
+            if reached_target or ((periodic or promising) and search._degree_feasible(state.tri.adj)):
+                pairs = (
+                    state.pairs()
+                    if reached_target
+                    else exact_pairing(state.tri.adj)
+                )
+                if pairs is not None:
+                    provenance = {
+                        "method": "annealing+exact-pairing",
+                        "seed": seed,
+                        "budget": budget,
+                        "steps_used": steps_used,
+                        "restarts": restarts,
+                        "objective": search.OBJECTIVE_MAX,
+                        "closed_by": "annealing" if reached_target else "backtracking",
+                    }
+                    return search._build_witness(state.tri, pairs, provenance)
+
+            if since_improvement > search._STALL_LIMIT:
+                break
+
+    raise BudgetExhausted(
+        f"no witness within {budget} proposals; best objective {best_overall}/66",
+        best_objective=best_overall,
+    )
+
+
+def _search_outcome(run, seed, budget):
+    """The whole outcome of one search: the best objective and message of
+    an exhausted one, or the steps used and the digest of the witness."""
+    try:
+        w = run(seed, budget)
+    except BudgetExhausted as exc:
+        return "exhausted", exc.best_objective, str(exc)
+    text = formats.dumps(formats.witness_to_doc(w))
+    return "found", w.provenance["steps_used"], hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _randbelow(rng, n):
+    """The draw ``search_witness`` inlines for ``rng.randrange(n)``."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 class TestShippedWitness:
@@ -338,3 +434,68 @@ class TestSearch:
         assert again.rotation == w.rotation
         shipped = resources.files("linkchroma").joinpath("data/k12_pire.json")
         assert formats.dumps(formats.witness_to_doc(again)) == shipped.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("seed", [*range(20), 34])
+    def test_matches_the_reference_loop(self, seed):
+        # seed 34 finds a witness within the budget; seeds 0-19 run it out
+        assert _search_outcome(search_witness, seed, 6000) == _search_outcome(
+            reference_search_witness, seed, 6000
+        )
+
+    @pytest.mark.parametrize("budget", [1, 399, 400, 401, 12_001])
+    def test_matches_the_reference_loop_at_period_and_chain_boundaries(self, budget):
+        # 400 is the backtracking period and 12,000 the chain length
+        assert _search_outcome(search_witness, 0, budget) == _search_outcome(
+            reference_search_witness, 0, budget
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_getrandbits_loop_draws_what_randrange_draws(self, seed):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 131):
+            for _ in range(5):
+                assert _randbelow(mine, n) == theirs.randrange(n)
+                assert mine.getstate() == theirs.getstate()
+
+
+def _seeded_triangulation(seed):
+    """A 24-vertex triangulation grown by seeded insertions, then mixed by
+    seeded flips."""
+    rng = random.Random(seed)
+    tri = SphereTriangulation()
+    while tri.num_vertices < 24:
+        tri.insert_vertex(rng.randrange(tri.num_darts))
+    for _ in range(200):
+        e = rng.randrange(tri.num_edges)
+        if tri.flippable(e):
+            tri.flip(e)
+    return tri
+
+
+def _tri_state(tri):
+    return list(tri.origin), list(tri.fnext), {v: set(n) for v, n in tri.adj.items()}, tri.rotation_orders()
+
+
+class TestExchangeDarts:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_leaves_what_two_flips_leave(self, seed):
+        tri = _seeded_triangulation(seed)
+        flippable = [e for e in range(tri.num_edges) if tri.flippable(e)]
+        assert len(flippable) > 20
+        for e in flippable:
+            exchanged, flipped = copy.deepcopy(tri), copy.deepcopy(tri)
+            exchanged.exchange_darts(e)
+            flipped.flip(e)
+            flipped.flip(e)
+            assert _tri_state(exchanged) == _tri_state(flipped)
+            assert _tri_state(exchanged) != _tri_state(tri)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_is_its_own_inverse(self, seed):
+        tri = _seeded_triangulation(seed)
+        for e in range(tri.num_edges):
+            if tri.flippable(e):
+                before = _tri_state(tri)
+                tri.exchange_darts(e)
+                tri.exchange_darts(e)
+                assert _tri_state(tri) == before
