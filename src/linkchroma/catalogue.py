@@ -106,7 +106,3 @@ def k4_with_planar_rotation():
         }
     )
     return g, rot
-
-
-def k5_graph() -> Multigraph:
-    return complete_graph(5)

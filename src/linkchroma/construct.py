@@ -64,24 +64,43 @@ def is_degree_faithful(pg: PairedGraph) -> bool:
 # Genus-preserving rotation surgery
 
 
-def _with_twins(orders: dict, twin: dict) -> dict:
-    """The rotations with a parallel twin beside every edge in ``twin``
-    (edge id -> twin id), in one pass per rotation: right after the edge's
-    side-0 end and right before its side-1 end.  Each twin bounds a bigon
-    with its edge, so the genus is unchanged."""
-    out = {}
-    for v, order in orders.items():
-        new = []
-        for end in order:
-            t = twin.get(end.edge)
-            if t is None:
-                new.append(end)
-            elif end.side == 0:
-                new += (end, EdgeEnd(t, 0))
+def _with_twins(g: Multigraph, succ, twin_of, new: list, loops_at: list) -> tuple:
+    """``g`` with the ``Edge``s ``new`` added, and its rotation system.
+
+    ``succ`` maps each dart ``2 * edge_position + side`` of ``g`` to the
+    next dart around its vertex.  The twin ``new[twin_of[i]]`` of edge
+    position ``i`` (none where ``twin_of[i]`` is -1) goes right after the
+    edge's side-0 dart and right before its side-1 dart, so it bounds a
+    bigon with its edge.  Each loop ``new[k]`` for ``k`` in ``loops_at[p]``
+    goes at vertex position ``p`` as two consecutive darts, after the walk
+    from its smallest dart, and adds a monogon face.  Neither changes the
+    genus.
+    """
+    m = len(g.edges)
+    graph, position = Multigraph._extended(g, new)
+    _, at = _dart_vertices(g)
+    first = [-1] * len(g.vertices)  # the smallest old dart at each vertex position
+    for d in range(2 * m - 1, -1, -1):
+        first[at[d]] = d
+    darts_at = []
+    for p, start in enumerate(first):
+        darts = []
+        d = start
+        while d >= 0:
+            here = 2 * position[d >> 1] + (d & 1)
+            k = twin_of[d >> 1]
+            if k < 0:
+                darts.append(here)
             else:
-                new += (EdgeEnd(t, 1), end)
-        out[v] = new
-    return out
+                twin = 2 * position[m + k] + (d & 1)
+                darts += (here, twin) if d & 1 == 0 else (twin, here)
+            d = succ[d]
+            if d == start:
+                break
+        for k in loops_at[p]:
+            darts += (2 * position[m + k], 2 * position[m + k] + 1)
+        darts_at.append(darts)
+    return graph, RotationSystem._from_darts(graph, darts_at)
 
 
 def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
@@ -92,17 +111,13 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
     simple quotient's cross-pair adjacencies are exactly those of the
     input.
 
-    Each twin ``("dbl", id)`` sits in the rotation right after its edge's
-    side-0 end and right before its side-1 end, so it bounds a bigon with
-    its edge.  The loops ``("bal", w, i)`` are appended at ``w`` as two
-    consecutive entries, each adding a monogon face.  Neither changes the
-    genus.  The rotation is built on darts from the input's validated
-    successor array.
+    Each edge gets a twin ``("dbl", id)`` and each pair a run of loops
+    ``("bal", w, i)``; ``_with_twins`` places both in the rotation, on
+    darts, from the input's validated successor array.
     """
     if pg.rotation is None:
         raise DomainError("rotation system required to augment while preserving genus")
     g = pg.graph
-    m = len(g.edges)
     index, at = _dart_vertices(g)
     # after doubling, degrees are twice these, so a pair whose degrees
     # differ by k needs k loops of two ends each
@@ -115,28 +130,8 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
         for i in range(abs(du - dv)):
             loops_at[index[w]].append(len(new))
             new.append(Edge(("bal", w, i), w, w))
-    graph, position = Multigraph._extended(g, new)
-
-    # the new dart of each old dart, and of its twin's end on the same side
-    dart = [2 * position[d >> 1] + (d & 1) for d in range(2 * m)]
-    twin = [2 * position[m + (d >> 1)] + (d & 1) for d in range(2 * m)]
-    first = [-1] * len(index)  # the smallest old dart at each vertex position
-    for d in range(2 * m - 1, -1, -1):
-        first[at[d]] = d
-    darts_at = []
-    succ = pg._succ
-    for p, start in enumerate(first):
-        darts = []
-        d = start
-        while d >= 0:
-            darts += (dart[d], twin[d]) if d & 1 == 0 else (twin[d], dart[d])
-            d = succ[d]
-            if d == start:
-                break
-        for k in loops_at[p]:
-            darts += (2 * position[m + k], 2 * position[m + k] + 1)
-        darts_at.append(darts)
-    return PairedGraph(graph, pg.pairing, RotationSystem._from_darts(graph, darts_at))
+    graph, rotation = _with_twins(g, pg._succ, range(len(g.edges)), new, loops_at)
+    return PairedGraph(graph, pg.pairing, rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -467,42 +462,46 @@ _DUPLICATE_PROB = 0.12
 
 def random_planar_paired_graph(seed, n_pairs: int) -> PairedGraph:
     """Random certified-planar paired graph: grow a triangulation by random
-    vertex insertions (genus 0 by construction), delete and then duplicate
-    edges at random, then pair the vertices by a random matching."""
+    vertex insertions (genus 0 by construction), delete edges at random,
+    give some of the rest a twin ``("dup", id)`` beside them with
+    ``_with_twins``, then pair the vertices by a random matching."""
     if n_pairs < 1:
         raise DomainError("need at least one pair")
     rng = random.Random(seed)
     n = 2 * n_pairs
     if n < 3:
-        edges = {0: Edge(0, 0, 1)}
-        orders = {0: [EdgeEnd(0, 0)], 1: [EdgeEnd(0, 1)]}
+        origin, fnext = (0, 1), (1, 0)  # one edge 0-1 and its one face
     else:
         tri = SphereTriangulation()
         while tri.num_vertices < n:
             tri.insert_vertex(rng.randrange(tri.num_darts))
-        edges = {k: Edge(k, *tri.endpoints(k)) for k in range(tri.num_edges)}
-        orders = tri.rotation_orders()
-    for e in list(edges.values()):
-        if rng.random() < _DELETE_PROB:
-            del edges[e.id]
-            orders[e.end0].remove(EdgeEnd(e.id, 0))
-            orders[e.end1].remove(EdgeEnd(e.id, 1))
-    twin = {}
-    for e in list(edges.values()):
+        origin, fnext = tri.origin, tri.fnext
+    kept = [k for k in range(len(origin) // 2) if rng.random() >= _DELETE_PROB]
+    position = [-1] * (len(origin) // 2)
+    for i, k in enumerate(kept):
+        position[k] = i
+    # Dart d's successor around its vertex is fnext[d ^ 1]; the darts of
+    # deleted edges are passed over.
+    succ = []
+    for k in kept:
+        for d in (2 * k, 2 * k + 1):
+            d = fnext[d ^ 1]
+            while position[d >> 1] < 0:
+                d = fnext[d ^ 1]
+            succ.append(2 * position[d >> 1] + (d & 1))
+    g = Multigraph._sorted(tuple(range(n)), tuple([Edge(k, origin[2 * k], origin[2 * k + 1]) for k in kept]))
+    twin_of, new = [], []
+    for e in g.edges:
         if rng.random() < _DUPLICATE_PROB:
-            new_id = ("dup", e.id)
-            edges[new_id] = Edge(new_id, e.end0, e.end1)
-            twin[e.id] = new_id
-    orders = _with_twins(orders, twin)
+            twin_of.append(len(new))
+            new.append(Edge(("dup", e.id), e.end0, e.end1))
+        else:
+            twin_of.append(-1)
     verts = list(range(n))
     rng.shuffle(verts)
     pairing = Pairing(tuple((verts[2 * i], verts[2 * i + 1]) for i in range(n_pairs)))
-    # The edges are in id order as inserted: the int ids ascending, then
-    # their twins ("dup", id) in the same order.
-    graph = Multigraph._sorted(tuple(range(n)), tuple(edges.values()))
-    position = {e.id: i for i, e in enumerate(graph.edges)}
-    darts_at = [[2 * position[end.edge] + end.side for end in orders[v]] for v in graph.vertices]
-    return PairedGraph(graph, pairing, RotationSystem._from_darts(graph, darts_at))
+    graph, rotation = _with_twins(g, succ, twin_of, new, [()] * n)
+    return PairedGraph(graph, pairing, rotation)
 
 
 def random_degree_faithful_planar(seed, n_pairs: int) -> PairedGraph:

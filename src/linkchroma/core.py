@@ -283,15 +283,11 @@ def step_exit_vertex(g: Multigraph, step: WalkStep) -> VertexId:
 
 
 def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
-    """Check that ``walk`` lives in ``g`` and is cyclically vertex-compatible."""
-    _check_steps(g._edge_by_id, walk.steps)
-
-
-def _check_steps(edge_by_id: dict, steps: tuple) -> None:
-    """``validate_walk`` on an edge table: every edge is known, then each
-    step exits where the next one enters, the first fault in step order
-    reported."""
-    edges = [edge_by_id.get(s[0]) for s in steps]
+    """Check that ``walk`` lives in ``g`` and is cyclically vertex-compatible:
+    every edge is known, then each step exits where the next one enters,
+    the first fault in step order reported."""
+    steps = walk.steps
+    edges = [g._edge_by_id.get(s[0]) for s in steps]
     if None in edges:
         raise DomainError(
             f"walk not contained in skeleton: unknown edge {short_repr(steps[edges.index(None)].edge)}"
@@ -393,7 +389,7 @@ class RotationSystem:
             ends = ends[pivot:] + ends[:pivot]
             norm.append((v, ends))
         norm.sort(key=lambda item: id_sort_key(item[0]))
-        self._store(tuple(norm))
+        object.__setattr__(self, "orders", tuple(norm))
 
     @classmethod
     def _from_darts(cls, g: Multigraph, darts_at: list) -> "RotationSystem":
@@ -410,18 +406,8 @@ class RotationSystem:
                 pivot = darts.index(min(darts))
                 norm.append((v, tuple(map(ends.__getitem__, darts[pivot:] + darts[:pivot]))))
         rot = object.__new__(cls)
-        rot._store(tuple(norm))
+        object.__setattr__(rot, "orders", tuple(norm))
         return rot
-
-    def _store(self, norm: tuple) -> None:
-        object.__setattr__(self, "orders", norm)
-        object.__setattr__(self, "_order_at", dict(norm))
-
-    def order_at(self, v) -> tuple:
-        return self._order_at.get(v, ())
-
-    def as_dict(self) -> dict:
-        return {v: list(order) for v, order in self.orders}
 
 
 def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
@@ -482,9 +468,6 @@ class PairedGraph:
             # Validated once; the successor array is what the faces are
             # traced on.  Not a field, so equality and hashing ignore it.
             object.__setattr__(self, "_succ", _rotation_successors(self.graph, self.rotation))
-
-    def pair_of(self, v) -> tuple:
-        return self.pairing.pair_of(v)
 
     def require_planar(self) -> None:
         """Raise DomainError unless the rotation system certifies genus 0 on
@@ -620,9 +603,8 @@ class TwoComplex:
         if self.kind not in (GENUINE, PUNCTURED):
             raise DomainError(f"unknown complex kind {short_repr(self.kind)}")
         cells = tuple(c if isinstance(c, ClosedWalk) else ClosedWalk(tuple(c)) for c in self.cells)
-        edge_by_id = self.skeleton._edge_by_id
         for walk in cells:
-            _check_steps(edge_by_id, walk.steps)
+            validate_walk(self.skeleton, walk)
         object.__setattr__(self, "cells", cells)
 
 

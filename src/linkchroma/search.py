@@ -27,8 +27,8 @@ import random
 from collections import Counter
 from typing import Optional
 
-from .construct import TwelvePireWitness, verify_witness
-from .core import Edge, Multigraph, RotationSystem
+from .construct import TwelvePireWitness, _with_twins, verify_witness
+from .core import Edge, Multigraph
 from .errors import BudgetExhausted, DomainError
 from .triangulate import SphereTriangulation
 
@@ -234,11 +234,15 @@ def _random_state(rng: random.Random) -> _AnnealState:
 
 
 def _build_witness(tri: SphereTriangulation, pairs, provenance: dict) -> TwelvePireWitness:
-    edges = tuple(Edge(k, *tri.endpoints(k)) for k in range(tri.num_edges))
+    n, m = tri.num_vertices, tri.num_edges
+    edges = tuple([Edge(k, *tri.endpoints(k)) for k in range(m)])
+    # dart d's successor around its vertex is fnext[d ^ 1]
+    succ = [tri.fnext[d ^ 1] for d in range(2 * m)]
+    graph, rotation = _with_twins(Multigraph._sorted(tuple(range(n)), edges), succ, [-1] * m, [], [()] * n)
     witness = TwelvePireWitness(
-        graph=Multigraph(tuple(range(tri.num_vertices)), edges),
+        graph=graph,
         pairs=tuple(pairs),
-        rotation=RotationSystem(tri.rotation_orders()),
+        rotation=rotation,
         designated_pairs=tuple(pairs),
         provenance=provenance,
     )

@@ -3,9 +3,9 @@ and edge flips.
 
 Darts are ints; edge ``k`` owns darts ``2k`` and ``2k + 1`` (its side-0 and
 side-1 ends), ``twin(d) = d ^ 1``.  ``fnext`` walks each triangular face
-counterclockwise, and the induced rotation at a vertex is
-``fnext(twin(d))``, so exported rotation systems trace the triangulation's
-faces and have genus 0 by construction.
+counterclockwise, and the rotation successor of a dart around its vertex
+is ``fnext(twin(d))``, so a rotation system read off ``fnext`` traces the
+triangulation's faces and has genus 0 by construction.
 
 The graph is kept simple: a flip is refused when it would create a loop or
 a parallel edge, which also keeps every degree at least 3.
@@ -13,7 +13,6 @@ a parallel edge, which also keeps every degree at least 3.
 
 from __future__ import annotations
 
-from .core import EdgeEnd
 from .errors import DomainError
 
 
@@ -116,24 +115,3 @@ class SphereTriangulation:
         f = fnext[c]
         self.origin[d], self.origin[t] = self.origin[t], self.origin[d]
         fnext[d], fnext[f], fnext[t], fnext[b] = c, d, a, t
-
-    def rotation_orders(self) -> dict:
-        """The rotation at every vertex as a list of edge-ends, starting at
-        its smallest dart, which is its smallest end."""
-        darts_at = {v: [] for v in range(self.num_vertices)}
-        for d, v in enumerate(self.origin):
-            darts_at[v].append(d)
-        orders = {}
-        for v, darts in darts_at.items():
-            start = min(darts)
-            cycle = []
-            d = start
-            while True:
-                cycle.append(EdgeEnd(d >> 1, d & 1))
-                d = self.fnext[d ^ 1]
-                if d == start:
-                    break
-            if len(cycle) != len(darts):
-                raise DomainError("corrupt triangulation: broken rotation cycle")
-            orders[v] = cycle
-        return orders

@@ -121,9 +121,10 @@ def reference_degree_faithful(pg):
     twin = {e.id: ("dbl", e.id) for e in pg.graph.edges}
     edges = list(pg.graph.edges) + [Edge(twin[e.id], e.end0, e.end1) for e in pg.graph.edges]
     orders = {}
+    rotation = dict(pg.rotation.orders)
     for v in pg.graph.vertices:
         new = []
-        for end in pg.rotation.order_at(v):
+        for end in rotation.get(v, ()):
             t = EdgeEnd(twin[end.edge], end.side)
             new += (end, t) if end.side == 0 else (t, end)
         orders[v] = new
@@ -399,6 +400,12 @@ class TestSeal:
                 assert len(after) == 2 * len(before) + 2
 
 
+def generator_case_id(case):
+    """``n`` for seed 0, else ``seed-n``."""
+    seed, n_pairs = case
+    return str(n_pairs) if seed == 0 else f"{seed}-{n_pairs}"
+
+
 class TestRandomGenerator:
     def test_one_pair(self):
         pg = random_planar_paired_graph(3, 1)
@@ -420,20 +427,54 @@ class TestRandomGenerator:
     def test_deterministic(self):
         assert random_planar_paired_graph(11, 9) == random_planar_paired_graph(11, 9)
 
-    # SHA-256 of the paired-graph document of ``random_planar_paired_graph(0, n)``;
-    # n = 1 takes the branch without a triangulation.
+    # SHA-256 of the paired-graph document of ``random_planar_paired_graph(seed,
+    # n)``, keyed by (seed, n); n = 1 takes the branch without a triangulation,
+    # whose one edge seed 4 duplicates and seed 14 deletes.
     GENERATOR_SHA256 = {
-        1: "f3ec6ac3d51984fc339c6bc66799cd42e8c030782080b6505c44653003a64678",
-        2: "16bdb3718062a8c7d039950ccc3d47262ab9632ba131059bf2e10e3190288766",
-        50: "fbfbe119669c87fa9d80627451f273283c44b6305d410e9be5954d26e57bfc89",
-        400: "222820bac315b33f69ee8d85029fd808e76c704ea290d34bf3d80e15b67c0736",
+        (0, 1): "f3ec6ac3d51984fc339c6bc66799cd42e8c030782080b6505c44653003a64678",
+        (0, 2): "16bdb3718062a8c7d039950ccc3d47262ab9632ba131059bf2e10e3190288766",
+        (0, 50): "fbfbe119669c87fa9d80627451f273283c44b6305d410e9be5954d26e57bfc89",
+        (0, 400): "222820bac315b33f69ee8d85029fd808e76c704ea290d34bf3d80e15b67c0736",
+        (1, 5): "af0dd58c9a46d3fe6cd0d2aae3e897900b19626666b20618b59fef8d91bee732",
+        (2, 5): "bb6d2a162b0834dc3104e2612adac766f0b19046a685be51870c32def444b488",
+        (3, 5): "22e1d5f556d9e3904fc5133de8799e05b2ade3d9e3afa1ebd7c21790e885db41",
+        (1, 60): "77059c0cdd72ec298e6179ae413421c2920cdb416b9e80e2671c6b8995360728",
+        (2, 60): "e1f9f002e019152b593b08abe63e1c1187a226d1e9b72176f0610270235871ae",
+        (3, 60): "660cc200e939b3c2159a6b2ace7db1a996b69f90b5a7fc826686bea08ab9ce17",
+        (1, 1600): "958d04a19d1af89940227f2e43dd6d61759e5417244642a400388a8728fa18b4",
+        (4, 1): "55407c79cecb958e142615c825726af904494556dc05774a02b0b7b5479c22c7",
+        (14, 1): "519bbc0861a7b70368b76669d0576f145b0b60d59735fe8e1096a7e0c6319e20",
+    }
+    # SHA-256 of the document of ``make_degree_faithful`` on each map above,
+    # rotation included.
+    DEGREE_FAITHFUL_SHA256 = {
+        (0, 1): "0dff9d8d3acc29603ed9c483f51546adf3d8f7a20555f9757d3a3176be6b407e",
+        (0, 2): "240cee0018c127eafc0a527465859b841de2660b7fd3482c5e6755fc52faa15f",
+        (0, 50): "b7dcac1e480a85ef71b50e0313002e5ac0a9583e11647c84df4bc27d0973ecc0",
+        (0, 400): "c287f5e31f130bc02cd41949cc17ea061c4d4b0472cd35361c4c27461105e0da",
+        (1, 5): "847e305a2bcce8902d8e264380b93e079e4fefd5b3fcafb55beb3a0d9da4d491",
+        (2, 5): "9e77a7e392e0a0e8f5c8a446bdca5a046c28227d0a87aa9461b3b52cd2684976",
+        (3, 5): "666b53faa2b0811f870cd0c84ffb4abaa74fa4f076f4e31f4f996bc74b8aae79",
+        (1, 60): "dc21cf9a6400f980cf7c2aada12a44bffa02690238a07c1571313b1b86cf353f",
+        (2, 60): "d870b5efd5881a0ddb0a1c49de804a109e78aeeccd78b99983c78cc98c975cef",
+        (3, 60): "b6fd540c222cc23d1823270dcf309c21f3538ba84b727f2ae1b474d57e747810",
+        (1, 1600): "b4bbb3ffbd9cddac6724883a8774b9cc099916bf87cbb61c91ccc997479a4b8f",
+        (4, 1): "b3bb81843c2c4874373578a969cb265e7fc1a0a16dad0c5b49f261fa7d686acb",
+        (14, 1): "519bbc0861a7b70368b76669d0576f145b0b60d59735fe8e1096a7e0c6319e20",
     }
 
-    @pytest.mark.parametrize("n_pairs", sorted(GENERATOR_SHA256))
-    def test_documents_match_pinned_digests(self, n_pairs):
-        text = formats.dumps(formats.paired_graph_to_doc(random_planar_paired_graph(0, n_pairs)))
+    @pytest.mark.parametrize("case", sorted(GENERATOR_SHA256), ids=generator_case_id)
+    def test_documents_match_pinned_digests(self, case):
+        text = formats.dumps(formats.paired_graph_to_doc(random_planar_paired_graph(*case)))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == self.GENERATOR_SHA256[n_pairs]
+        assert digest == self.GENERATOR_SHA256[case]
+
+    @pytest.mark.parametrize("case", sorted(DEGREE_FAITHFUL_SHA256), ids=generator_case_id)
+    def test_augmented_documents_match_pinned_digests(self, case):
+        out = make_degree_faithful(random_planar_paired_graph(*case))
+        text = formats.dumps(formats.paired_graph_to_doc(out))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == self.DEGREE_FAITHFUL_SHA256[case]
 
     def test_rejects_zero_pairs(self):
         with pytest.raises(DomainError):

@@ -194,7 +194,7 @@ class TestShippedWitness:
 
     def test_corrupted_rotation_fails_embedding_check(self):
         w = load_shipped_witness()
-        orders = w.rotation.as_dict()
+        orders = {v: list(order) for v, order in w.rotation.orders}
         # swap the cyclic order at one vertex; the rotation stays well-formed
         # as a set of edge-ends but no longer certifies a plane embedding
         v = w.graph.vertices[0]
@@ -229,7 +229,7 @@ def faulty_witness(fault):
     import dataclasses
 
     w = load_shipped_witness()
-    orders = w.rotation.as_dict()
+    orders = {v: list(order) for v, order in w.rotation.orders}
     v0, v1 = w.graph.vertices[:2]
     pairs = list(w.pairs)
     if "swapped-ends" in fault:  # well-formed, but of positive genus
@@ -473,7 +473,7 @@ def _seeded_triangulation(seed):
 
 
 def _tri_state(tri):
-    return list(tri.origin), list(tri.fnext), {v: set(n) for v, n in tri.adj.items()}, tri.rotation_orders()
+    return list(tri.origin), list(tri.fnext), {v: set(n) for v, n in tri.adj.items()}
 
 
 class TestExchangeDarts:
@@ -499,3 +499,20 @@ class TestExchangeDarts:
                 tri.exchange_darts(e)
                 tri.exchange_darts(e)
                 assert _tri_state(tri) == before
+
+
+class TestBuildWitness:
+    PAIRS = [(2 * i, 2 * i + 1) for i in range(12)]  # not a K12 pairing
+
+    def test_a_rotation_split_into_two_cycles_fails_the_embedding_check(self):
+        tri = _seeded_triangulation(0)
+        with pytest.raises(DomainError, match="PASS planar-embedding"):
+            search._build_witness(tri, self.PAIRS, {})
+        # The rotation successor of dart d is fnext[d ^ 1].  Exchanging the
+        # successors of two consecutive darts d0, d1 at vertex 0 leaves d1
+        # its own successor, and the other darts there a second cycle.
+        d0 = tri.origin.index(0)
+        d1 = tri.fnext[d0 ^ 1]
+        tri.fnext[d0 ^ 1], tri.fnext[d1 ^ 1] = tri.fnext[d1 ^ 1], tri.fnext[d0 ^ 1]
+        with pytest.raises(DomainError, match="FAIL planar-embedding: rotation system is missing"):
+            search._build_witness(tri, self.PAIRS, {})
