@@ -477,7 +477,7 @@ def random_planar_paired_graph(seed, n_pairs: int) -> PairedGraph:
             tri.insert_vertex(rng.randrange(tri.num_darts))
         origin, fnext = tri.origin, tri.fnext
     kept = [k for k in range(len(origin) // 2) if rng.random() >= _DELETE_PROB]
-    position = [-1] * (len(origin) // 2)
+    position = [-1] * (len(origin) // 2)  # of each kept edge in g, -1 if deleted
     for i, k in enumerate(kept):
         position[k] = i
     # Dart d's successor around its vertex is fnext[d ^ 1]; the darts of

@@ -401,7 +401,7 @@ class TestSeal:
 
 
 def generator_case_id(case):
-    """``n`` for seed 0, else ``seed-n``."""
+    """The test id of a (seed, n) case: ``n`` for seed 0, else ``seed-n``."""
     seed, n_pairs = case
     return str(n_pairs) if seed == 0 else f"{seed}-{n_pairs}"
 
