@@ -412,11 +412,16 @@ def heawood_colour_12(pg: PairedGraph) -> Colouring:
     order = _degeneracy(pg)
     nbrs = pg._quotient_neighbours
     pairs = pg.pairing.pairs
-    colour = [-1] * len(pairs)
+    bit = [0] * len(pairs)  # 1 << colour, 0 while uncoloured
     assignment = {}
     for v, _ in reversed(order):
-        used = {colour[w] for w in nbrs[v]}
-        colour[v] = next(c for c in range(12) if c not in used)
-        assignment[pairs[v]] = colour[v]
+        used = 0
+        for w in nbrs[v]:
+            used |= bit[w]
+        free = ~used & (used + 1)  # the lowest clear bit
+        if free >> 12:
+            raise DomainError("internal error: a pair needs a 13th colour")
+        bit[v] = free
+        assignment[pairs[v]] = free.bit_length() - 1
     palette = max(assignment.values()) + 1 if assignment else 0
     return Colouring(palette, assignment)

@@ -46,6 +46,8 @@ def id_sort_key(value):
         return (0, value)
     if t is str:
         return (1, value)
+    if t is tuple:
+        return _tuple_sort_key(value, 1)
     if isinstance(value, bool):
         raise DomainError("booleans are not valid ids")
     if isinstance(value, int):
@@ -60,7 +62,12 @@ def id_sort_key(value):
 def _tuple_sort_key(value: tuple, depth: int) -> tuple:
     if depth > MAX_ID_DEPTH:
         raise DomainError(f"ids may nest tuples at most {MAX_ID_DEPTH} deep")
-    return (2, tuple([_tuple_sort_key(v, depth + 1) if isinstance(v, tuple) else id_sort_key(v) for v in value]))
+    # plain ints, the common member, are keyed inline; bools and subclasses
+    # take id_sort_key's checks
+    return (2, tuple([
+        (0, v) if type(v) is int else _tuple_sort_key(v, depth + 1) if isinstance(v, tuple) else id_sort_key(v)
+        for v in value
+    ]))
 
 
 class EdgeEnd(NamedTuple):
@@ -162,6 +169,14 @@ class Multigraph:
             ends_at[e.end1].append(EdgeEnd(e.id, 1))
         return {v: tuple(es) for v, es in ends_at.items()}
 
+    @cached_property
+    def _darts(self) -> tuple:
+        """The position of each vertex id, and the vertex position of each
+        dart ``2 * edge_position + side``: built on first use and kept, as
+        ``_ends_at``.  Read through ``_dart_vertices``; never mutated."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return index, [index[v] for e in self.edges for v in (e.end0, e.end1)]
+
     def edge(self, edge_id) -> Edge:
         try:
             return self._edge_by_id[edge_id]
@@ -187,19 +202,10 @@ class Multigraph:
         return tuple(e.id for e in self.edges)
 
 
-def _root(parent: list, a: int) -> int:
-    """Union-find root of ``a``, halving the path on the way."""
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
-
-
 def _dart_vertices(g: Multigraph) -> tuple:
     """The position of each vertex id, and the vertex position of each dart
-    ``2 * edge_position + side``."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return index, [index[v] for e in g.edges for v in (e.end0, e.end1)]
+    ``2 * edge_position + side``, as kept on ``g``.  Callers only read them."""
+    return g._darts
 
 
 def _components(g: Multigraph) -> tuple:
@@ -210,21 +216,27 @@ def _components(g: Multigraph) -> tuple:
     components are numbered in that order."""
     index, at = _dart_vertices(g)
     parent = list(range(len(index)))
-    for k in range(0, len(at), 2):
-        a, b = _root(parent, at[k]), _root(parent, at[k + 1])
+    ends = iter(at)
+    for a, b in zip(ends, ends):  # the two ends of each edge
+        # the two finds, halving the path on the way
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a < b:
             parent[b] = a
         elif b < a:
             parent[a] = b
+    # Every link points to a smaller position, so a position's parent has
+    # its component number already.
     comp = [0] * len(parent)
     count = 0
-    for i in range(len(comp)):
-        r = _root(parent, i)
-        if r == i:
+    for i, p in enumerate(parent):
+        if p == i:
             comp[i] = count
             count += 1
         else:
-            comp[i] = comp[r]
+            comp[i] = comp[p]
     return at, comp, count
 
 
@@ -507,24 +519,35 @@ class PairedGraph:
         """Smallest-last order of the simple quotient (Matula and Beck, JACM
         1983) as (position, degree at removal) records: repeatedly remove a
         vertex of minimum current degree, the earliest position first on
-        ties.  O(m log n): a heap of (degree, position) entries, one pushed
-        whenever a neighbour's removal lowers a degree, with outdated
-        entries skipped when popped."""
+        ties.  O(m log n): a heap of entries, one pushed whenever a
+        neighbour's removal lowers a degree, with outdated entries skipped
+        when popped.
+
+        An entry is the int ``degree * n + position`` for ``n`` quotient
+        vertices.  Since ``0 <= position < n``, these ints order exactly as
+        the (degree, position) tuples would, and no tuple is pushed twice
+        (a vertex's degree only falls), so the pops and hence the order are
+        the tuple heap's."""
         nbrs = self._quotient_neighbours
+        n = len(nbrs)
         degree = [len(ws) for ws in nbrs]  # -1 once removed
-        heap = [(d, i) for i, d in enumerate(degree)]
+        heap = [d * n + i for i, d in enumerate(degree)]
         heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
         order = []
         while heap:
-            d, v = heapq.heappop(heap)
-            if degree[v] != d:
+            entry = heappop(heap)
+            v = entry % n
+            d = degree[v]
+            if d * n + v != entry:
                 continue  # removed, or its degree has dropped since this push
             order.append((v, d))
             degree[v] = -1
             for w in nbrs[v]:
-                if degree[w] >= 0:
-                    degree[w] -= 1
-                    heapq.heappush(heap, (degree[w], w))
+                dw = degree[w]
+                if dw >= 0:
+                    degree[w] = dw = dw - 1
+                    heappush(heap, dw * n + w)
         return order
 
 
@@ -548,17 +571,17 @@ def _genus(g: Multigraph, succ: array) -> tuple:
     for v, c in zip(g.vertices, comp):
         groups[c].append(v)
     edge_counts = [0] * count
-    for k in range(0, len(at), 2):
-        edge_counts[comp[at[k]]] += 1
+    for p in at[::2]:  # the vertex position of each edge's side-0 dart
+        edge_counts[comp[p]] += 1
     face_counts = [0] * count
-    seen = bytearray(len(succ))
+    seen = [False] * len(succ)  # a list reads faster than a bytearray
     for start in range(len(succ)):
         if seen[start]:
             continue
         face_counts[comp[at[start]]] += 1
         d = start
         while not seen[d]:
-            seen[d] = 1
+            seen[d] = True
             d = succ[d ^ 1]
     out = []
     for i, members in enumerate(map(tuple, groups)):

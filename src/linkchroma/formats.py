@@ -73,7 +73,7 @@ def id_from_json(value):
 def id_text(value) -> str:
     """Human-readable text form of an id, used for JSON mapping keys."""
     if isinstance(value, tuple):
-        return ":".join(id_text(v) for v in value)
+        return ":".join([id_text(v) for v in value])
     return str(value)
 
 

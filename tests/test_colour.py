@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -479,3 +480,77 @@ class TestHeawoodOrder:
             order = heawood_degeneracy_order(pg)
             assert {d for _, d in order} == {0, 1, 2}
             assert order == reference_degeneracy_order(pg)
+
+
+def reference_smallest_last(pg):
+    """``PairedGraph._smallest_last`` on a heap of (degree, position)
+    tuples, as it was before the entries were packed into ints."""
+    nbrs = pg._quotient_neighbours
+    degree = [len(ws) for ws in nbrs]  # -1 once removed
+    heap = [(d, i) for i, d in enumerate(degree)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if degree[v] != d:
+            continue  # removed, or its degree has dropped since this push
+        order.append((v, d))
+        degree[v] = -1
+        for w in nbrs[v]:
+            if degree[w] >= 0:
+                degree[w] -= 1
+                heapq.heappush(heap, (degree[w], w))
+    return order
+
+
+def reference_heawood_colour_12(pg):
+    """``heawood_colour_12`` with a set of used colours per pair, as it was
+    before the colours became bits."""
+    order = pg._smallest_last
+    nbrs = pg._quotient_neighbours
+    pairs = pg.pairing.pairs
+    colour = [-1] * len(pairs)
+    assignment = {}
+    for v, _ in reversed(order):
+        used = {colour[w] for w in nbrs[v]}
+        colour[v] = next(c for c in range(12) if c not in used)
+        assignment[pairs[v]] = colour[v]
+    palette = max(assignment.values()) + 1 if assignment else 0
+    return Colouring(palette, assignment)
+
+
+class TestHeawoodKernels:
+    """The packed heap and the colour bits against the loops they replaced,
+    on maps too large for the quadratic oracle and on all-tie rings."""
+
+    def test_packed_heap_pops_in_tuple_order(self):
+        maps = [random_planar_paired_graph(s, n) for s in (0, 1) for n in (1600, 3200)]
+        maps += [ring_map(n) for n in (3, 10, 60)]
+        for pg in maps:
+            assert pg._smallest_last == reference_smallest_last(pg)
+
+    def test_colour_bits_give_the_set_loop_colouring(self):
+        from linkchroma.construct import load_shipped_witness, make_degree_faithful
+
+        maps = [random_planar_paired_graph(s, n) for s in range(3) for n in (1, 2, 3, 5, 17, 60, 100, 400)]
+        maps += [ring_map(n) for n in (3, 10, 60)]
+        maps.append(make_degree_faithful(load_shipped_witness().paired_graph))
+        for pg in maps:
+            got, want = heawood_colour_12(pg), reference_heawood_colour_12(pg)
+            assert got == want
+            assert list(got.assignment.items()) == list(want.assignment.items())
+
+    def test_a_thirteenth_colour_is_a_domain_error(self, monkeypatch):
+        # K13 fails the planarity and degree checks, so both are bypassed
+        # with a forged order of degree-0 records
+        k13 = PairedGraph(
+            Multigraph(
+                tuple(range(26)),
+                tuple(Edge((a, b), 2 * a, 2 * b) for a in range(13) for b in range(a + 1, 13)),
+            ),
+            Pairing(tuple((2 * i, 2 * i + 1) for i in range(13))),
+        )
+        monkeypatch.setattr(PairedGraph, "require_planar", lambda self: None)
+        k13.__dict__["_smallest_last"] = [(v, 0) for v in range(13)]
+        with pytest.raises(DomainError, match="^internal error: a pair needs a 13th colour$"):
+            heawood_colour_12(k13)

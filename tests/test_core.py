@@ -30,9 +30,9 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
-from linkchroma.colour import _neighbours
-from linkchroma.construct import make_degree_faithful, random_planar_paired_graph
-from linkchroma.core import MAX_ID_DEPTH
+from linkchroma.colour import _neighbours, heawood_colour_12
+from linkchroma.construct import make_degree_faithful, pi_trail_decomposition, random_planar_paired_graph
+from linkchroma.core import MAX_ID_DEPTH, _dart_vertices
 from linkchroma.corpus import enumerate_small_complexes
 
 from strategies import WALK_FAULT_SKELETON, WALK_FAULTS, side_by_side, with_extras
@@ -146,11 +146,33 @@ class TestEndsTable:
                 g.end_vertex(EdgeEnd("zz", 0))
             assert str(info.value) == "unknown edge 'zz'"
 
+    def test_dart_positions_match_the_edges_and_are_built_once(self):
+        for g in self.graphs():
+            assert "_darts" not in g.__dict__
+            index, at = _dart_vertices(g)
+            assert index == {v: i for i, v in enumerate(g.vertices)}
+            assert at == [index[e.endpoint(s)] for e in g.edges for s in (0, 1)]
+            assert _dart_vertices(g) is g.__dict__["_darts"]
+
+    def test_the_heawood_path_and_augmentation_share_one_dart_table(self):
+        pg = random_planar_paired_graph(3, 40)
+        pg.require_planar()
+        table = pg.graph.__dict__["_darts"]
+        heawood_colour_12(pg)
+        augmented = make_degree_faithful(pg)
+        assert pg.graph.__dict__["_darts"] is table
+        augmented.require_planar()
+        table = augmented.graph.__dict__["_darts"]
+        pi_trail_decomposition(augmented)
+        assert augmented.graph.__dict__["_darts"] is table
+
     def test_equality_and_hash_ignore_the_table(self):
         for built, fresh in zip(self.graphs(), self.graphs()):
             for v in built.vertices:
                 built.degree(v)
+            _dart_vertices(built)
             assert "_ends_at" in built.__dict__ and "_ends_at" not in fresh.__dict__
+            assert "_darts" in built.__dict__ and "_darts" not in fresh.__dict__
             assert built == fresh
             assert hash(built) == hash(fresh)
             assert len({built, fresh}) == 1

@@ -7,6 +7,7 @@ from linkchroma import (
     ClosedWalk,
     DomainError,
     Edge,
+    EdgeEnd,
     Multigraph,
     Pairing,
     RotationSystem,
@@ -15,6 +16,7 @@ from linkchroma import (
     WalkStep,
     chromatic_number,
     genus_check,
+    id_sort_key,
     link_graph,
     pair_chromatic_number,
     paired_quotient,
@@ -24,7 +26,10 @@ from linkchroma import (
     validate_walk,
 )
 from linkchroma.catalogue import complete_graph
+from linkchroma.core import MAX_ID_DEPTH
 from linkchroma.corpus import chromatic_number_reference
+from linkchroma.errors import short_repr
+from linkchroma.formats import id_text
 
 from linkchroma.construct import random_planar_paired_graph
 
@@ -295,3 +300,103 @@ def _frozenset_simple_quotient(pg):
 def test_position_keyed_simple_quotient_is_the_frozenset_one(pg):
     q, ref = simple_quotient(pg), _frozenset_simple_quotient(pg)
     assert (q.vertices, q.edges) == (ref.vertices, ref.edges)
+
+
+# ``id_sort_key`` and ``id_text`` as they were before plain ints and tuples
+# got their inline paths, kept verbatim as the references.
+
+
+def reference_id_sort_key(value):
+    t = type(value)
+    if t is int:
+        return (0, value)
+    if t is str:
+        return (1, value)
+    if isinstance(value, bool):
+        raise DomainError("booleans are not valid ids")
+    if isinstance(value, int):
+        return (0, value)
+    if isinstance(value, str):
+        return (1, value)
+    if isinstance(value, tuple):
+        return reference_tuple_sort_key(value, 1)
+    raise DomainError(f"unsupported id {short_repr(value)}: ids are ints, strings or tuples")
+
+
+def reference_tuple_sort_key(value: tuple, depth: int) -> tuple:
+    if depth > MAX_ID_DEPTH:
+        raise DomainError(f"ids may nest tuples at most {MAX_ID_DEPTH} deep")
+    return (2, tuple([reference_tuple_sort_key(v, depth + 1) if isinstance(v, tuple) else reference_id_sort_key(v) for v in value]))
+
+
+def reference_id_text(value) -> str:
+    if isinstance(value, tuple):
+        return ":".join(reference_id_text(v) for v in value)
+    return str(value)
+
+
+def key_or_error(key, value):
+    try:
+        return key(value)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def assert_keyed_as_the_references(value):
+    assert key_or_error(id_sort_key, value) == key_or_error(reference_id_sort_key, value)
+    assert id_text(value) == reference_id_text(value)
+
+
+@given(st.lists(mixed_ids, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_id_keys_and_text_forms_match_the_references(ids):
+    for value in ids:
+        assert_keyed_as_the_references(value)
+    assert sorted(ids, key=id_sort_key) == sorted(ids, key=reference_id_sort_key)
+
+
+class IntId(int):
+    pass
+
+
+class StrId(str):
+    pass
+
+
+def nested_id(depth):
+    x = 0
+    for _ in range(depth):
+        x = (x,)
+    return x
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        (1, True),
+        ("u", (2, False)),
+        (False,),
+        True,
+        EdgeEnd(3, 1),
+        EdgeEnd(("e", 2), 0),
+        (EdgeEnd(3, 1), "x", 4),
+        IntId(5),
+        StrId("s"),
+        (IntId(5), StrId("s"), 6),
+        (1, (IntId(2), "t")),
+        nested_id(MAX_ID_DEPTH),
+        nested_id(MAX_ID_DEPTH + 1),
+        (1, nested_id(MAX_ID_DEPTH - 1)),
+        (1, nested_id(MAX_ID_DEPTH)),
+        (1, 1.5),
+        None,
+    ],
+)
+def test_id_keys_and_text_forms_match_the_references_on_edge_cases(value):
+    assert_keyed_as_the_references(value)
+
+
+def test_bools_inside_tuples_are_still_rejected():
+    for value in ((1, True), ("u", (2, False)), (False,)):
+        with pytest.raises(DomainError, match="^booleans are not valid ids$"):
+            id_sort_key(value)
