@@ -156,8 +156,9 @@ def chromatic_number(
 
     Loops are removed and parallel edges collapsed before colouring.  The
     search is a clique-seeded DSATUR branch and bound with deterministic
-    tie-breaking (lowest vertex id, lowest colour first), so the witness is
-    reproducible.  The empty graph has chromatic number 0.
+    tie-breaking, so the witness is reproducible: the next vertex is the most
+    saturated, then the one of highest degree, then the lowest id; colours
+    are tried lowest first.  The empty graph has chromatic number 0.
 
     ``budget`` caps the branch nodes; ``None`` leaves the search unbounded.
     When it runs out, BudgetExhausted carries the proven lower bound (the
@@ -181,74 +182,85 @@ def _chromatic(ids: tuple, nbrs: list, log: Optional[SolverLog], budget: Optiona
     if n == 0:
         return 0, []
 
-    # Static rank: the higher, the earlier among equally saturated vertices
-    # (higher degree, then lower index).
-    rank = [0] * n
-    for r, i in enumerate(sorted(range(n), key=lambda i: (len(nbrs[i]), -i))):
-        rank[i] = r
+    # Bit r of every vertex set is the vertex of static rank r: the higher, the
+    # earlier among equally saturated vertices (higher degree, then lower index).
+    order = sorted(range(n), key=lambda i: (len(nbrs[i]), -i))
+    bit_of = [0] * n
+    for r, i in enumerate(order):
+        bit_of[i] = 1 << r
+    adj = [sum(map(bit_of.__getitem__, nbrs[i])) for i in order]
 
     # DSATUR greedy upper bound, also the initial incumbent witness.
-    score = rank[:]
-    mask = [0] * n
-    free = set(range(n))
+    top = len(nbrs[order[-1]])  # no vertex sees more colours than it has neighbours
+    forb = [0] * (top + 1)  # forb[c]: the vertices with a neighbour coloured c
+    slices = [0] * top.bit_length()  # slices[j]: bit j of every saturation count
+    free = (1 << n) - 1
     witness = []  # (index, colour) items in colouring order
     while free:
-        v = max(free, key=score.__getitem__)
-        free.remove(v)
-        m = mask[v]
+        v = free  # narrowed to the most saturated, then the highest bit
+        for s in reversed(slices):
+            v = v & s or v
+        v = v.bit_length() - 1
+        bit = 1 << v
+        free ^= bit
         c = 0
-        while m >> c & 1:
+        while forb[c] & bit:
             c += 1
-        witness.append((v, c))
-        bit = 1 << c
-        for w in nbrs[v]:
-            if not mask[w] & bit:
-                mask[w] |= bit
-                score[w] += n
+        witness.append((order[v], c))
+        touched = adj[v] & ~forb[c]
+        forb[c] |= touched
+        _raise_counts(slices, touched)
     k = max(c for _, c in witness) + 1
 
     if log is not None:
         log.dsatur_upper = k
     if k > len(clique):
-        k, witness = _branch_and_bound(nbrs, rank, clique, k, witness, log, budget)
+        clique = [bit_of[i].bit_length() - 1 for i in clique]
+        k, witness = _branch_and_bound(adj, order, clique, k, witness, log, budget)
     return k, witness
 
 
-def _branch_and_bound(nbrs, rank, clique, best_k, best_witness, log, budget):
+def _raise_counts(slices: list, touched: int) -> None:
+    """Add one to the count of every vertex in ``touched``, one carry step per
+    slice; a count that would outgrow the slices raises IndexError."""
+    j = 0
+    while touched:
+        slices[j], touched = slices[j] ^ touched, slices[j] & touched
+        j += 1
+
+
+def _branch_and_bound(adj, order, clique, best_k, best_witness, log, budget):
     """DSATUR branch and bound (Brelaz, CACM 1979) below the incumbent
-    ``best_k``, run from an explicit stack over vertex indexes.
+    ``best_k``, run from an explicit stack over vertex ranks, the vertex of
+    rank ``r`` being index ``order[r]``.
 
     The clique is pre-coloured 0..len(clique)-1 and a fresh colour may only
     be the next unused one, both exactness-safe symmetry breaks.  The next
-    vertex has the most distinct neighbour colours, then the highest static
-    ``rank``; colours are tried lowest first, below a limit fixed when the
-    node opens.  Saturation is an int bitmask per vertex (in the spirit of
-    San Segundo et al.'s PASS, C&OR 2012), and the selection key
-    ``score = saturation * n + rank`` is kept current as colours are placed
-    and lifted.
+    vertex has the most distinct neighbour colours, then the highest rank;
+    colours are tried lowest first, below a limit fixed when the node opens.
+    Vertex sets are int bitsets, in the spirit of San Segundo et al.'s PASS
+    (C&OR 2012): ``forb[c]`` holds the vertices with a neighbour coloured
+    ``c`` and ``slices[j]`` bit ``j`` of every saturation count, so placing a
+    colour raises all the counts it touches in one carry chain.  Lifting it
+    XORs ``forb`` back and restores the slices its frame saved.
 
     Returns the best size and its colouring as (index, colour) items: the
     incumbent ``best_witness``, or else the clique then the stack in order.
     """
-    n = len(nbrs)
-    score = rank[:]
-    colour = [-1] * n
-    mask = [0] * n
-    free = set(range(n))
-    for c, i in enumerate(clique):
-        colour[i] = c
-        free.discard(i)
-        bit = 1 << c
-        for w in nbrs[i]:
-            if not mask[w] & bit:
-                mask[w] |= bit
-                score[w] += n
+    # Colours stay below best_k - 1, so no count exceeds best_k - 1.
+    forb = [0] * (best_k - 1)
+    slices = [0] * (best_k - 1).bit_length()
+    free = (1 << len(adj)) - 1
+    for c, v in enumerate(clique):
+        forb[c] = adj[v]
+        _raise_counts(slices, adj[v])
+        free ^= 1 << v
 
     lower = len(clique)
     nodes = 0
-    # One frame per open node: [vertex, next colour, limit, used, touched],
-    # where ``touched`` lists the neighbours whose saturation the vertex's
-    # current colour raised (None while it is uncoloured).
+    # One frame per open node: [vertex, next colour, limit, used, touched,
+    # slices]: the vertices whose count its current colour raised (None while
+    # it is uncoloured), and the counts from before that raise.
     stack = []
     used = lower
     while True:
@@ -256,26 +268,26 @@ def _branch_and_bound(nbrs, rank, clique, best_k, best_witness, log, budget):
         if not free:
             if used < best_k:
                 best_k = used
-                best_witness = [(v, c) for c, v in enumerate(clique)]
-                best_witness += [(f[0], colour[f[0]]) for f in stack]
+                best_witness = [(order[v], c) for c, v in enumerate(clique)]
+                best_witness += [(order[f[0]], f[1] - 1) for f in stack]
                 if best_k == lower:
                     break
         else:
-            v = max(free, key=score.__getitem__)
-            stack.append([v, 0, min(used + 1, best_k - 1), used, None])
+            v = free
+            for s in reversed(slices):
+                v = v & s or v
+            limit = used + 1 if used + 2 < best_k else best_k - 1
+            stack.append([v.bit_length() - 1, 0, limit, used, None, None])
         # Advance the deepest frame to its next colour, popping exhausted ones.
         while stack:
             frame = stack[-1]
-            v, c, limit, used, touched = frame
+            v, c, limit, used, touched, saved = frame
+            bit = 1 << v
             if touched is not None:
-                bit = 1 << colour[v]
-                for w in touched:
-                    mask[w] ^= bit
-                    score[w] -= n
-                colour[v] = -1
-                free.add(v)
-            m = mask[v]
-            while c < limit and m >> c & 1:
+                forb[c - 1] ^= touched
+                slices = saved
+                free |= bit
+            while c < limit and forb[c] & bit:
                 c += 1
             if c < limit:
                 break
@@ -292,15 +304,18 @@ def _branch_and_bound(nbrs, rank, clique, best_k, best_witness, log, budget):
                 upper=best_k,
             )
         nodes += 1
-        colour[v] = c
-        free.remove(v)
-        bit = 1 << c
-        touched = [w for w in nbrs[v] if colour[w] < 0 and not mask[w] & bit]
-        for w in touched:
-            mask[w] |= bit
-            score[w] += n
+        free ^= bit
+        touched = adj[v] & ~forb[c]
+        forb[c] |= touched
         frame[1] = c + 1
         frame[4] = touched
+        frame[5] = slices
+        if touched:  # _raise_counts on a copy, inlined in this hot loop
+            slices = slices[:]
+            j = 0
+            while touched:
+                slices[j], touched = slices[j] ^ touched, slices[j] & touched
+                j += 1
         if c + 1 > used:
             used = c + 1
 

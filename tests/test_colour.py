@@ -36,6 +36,7 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
+from linkchroma.colour import _chromatic, _greedy_clique, _neighbours
 from linkchroma.construct import random_planar_paired_graph
 
 
@@ -367,6 +368,215 @@ class TestExplicitStackSearch:
     def test_negative_budget_rejected(self):
         with pytest.raises(DomainError):
             chromatic_number(complete_graph(3), budget=-1)
+
+
+def reference_dsatur(ids, nbrs, log, budget):
+    """``colour._chromatic`` with a saturation mask and a ``score`` per
+    vertex, and ``max(free, key=score.__getitem__)`` to pick the next one,
+    as it was before the kernel became bit-parallel.  Kept as the oracle:
+    same size, same witness items in the same order, same solver log and
+    the same budget stops."""
+    if budget is not None and budget < 0:
+        raise DomainError("budget must be non-negative")
+    n = len(nbrs)
+    clique = _greedy_clique(nbrs)
+    if log is not None:
+        log.clique, log.dsatur_upper, log.branch_nodes = [ids[i] for i in clique], 0, 0
+    if n == 0:
+        return 0, []
+
+    # Static rank: the higher, the earlier among equally saturated vertices
+    # (higher degree, then lower index).
+    rank = [0] * n
+    for r, i in enumerate(sorted(range(n), key=lambda i: (len(nbrs[i]), -i))):
+        rank[i] = r
+
+    # DSATUR greedy upper bound, also the initial incumbent witness.
+    score = rank[:]
+    mask = [0] * n
+    free = set(range(n))
+    witness = []  # (index, colour) items in colouring order
+    while free:
+        v = max(free, key=score.__getitem__)
+        free.remove(v)
+        m = mask[v]
+        c = 0
+        while m >> c & 1:
+            c += 1
+        witness.append((v, c))
+        bit = 1 << c
+        for w in nbrs[v]:
+            if not mask[w] & bit:
+                mask[w] |= bit
+                score[w] += n
+    k = max(c for _, c in witness) + 1
+
+    if log is not None:
+        log.dsatur_upper = k
+    if k > len(clique):
+        k, witness = reference_branch_and_bound(nbrs, rank, clique, k, witness, log, budget)
+    return k, witness
+
+
+def reference_branch_and_bound(nbrs, rank, clique, best_k, best_witness, log, budget):
+    """DSATUR branch and bound (Brelaz, CACM 1979) below the incumbent
+    ``best_k``, run from an explicit stack over vertex indexes.
+
+    The clique is pre-coloured 0..len(clique)-1 and a fresh colour may only
+    be the next unused one, both exactness-safe symmetry breaks.  The next
+    vertex has the most distinct neighbour colours, then the highest static
+    ``rank``; colours are tried lowest first, below a limit fixed when the
+    node opens.  Saturation is an int bitmask per vertex (in the spirit of
+    San Segundo et al.'s PASS, C&OR 2012), and the selection key
+    ``score = saturation * n + rank`` is kept current as colours are placed
+    and lifted.
+
+    Returns the best size and its colouring as (index, colour) items: the
+    incumbent ``best_witness``, or else the clique then the stack in order.
+    """
+    n = len(nbrs)
+    score = rank[:]
+    colour = [-1] * n
+    mask = [0] * n
+    free = set(range(n))
+    for c, i in enumerate(clique):
+        colour[i] = c
+        free.discard(i)
+        bit = 1 << c
+        for w in nbrs[i]:
+            if not mask[w] & bit:
+                mask[w] |= bit
+                score[w] += n
+
+    lower = len(clique)
+    nodes = 0
+    # One frame per open node: [vertex, next colour, limit, used, touched],
+    # where ``touched`` lists the neighbours whose saturation the vertex's
+    # current colour raised (None while it is uncoloured).
+    stack = []
+    used = lower
+    while True:
+        # Open a node with ``used`` colours placed.
+        if not free:
+            if used < best_k:
+                best_k = used
+                best_witness = [(v, c) for c, v in enumerate(clique)]
+                best_witness += [(f[0], colour[f[0]]) for f in stack]
+                if best_k == lower:
+                    break
+        else:
+            v = max(free, key=score.__getitem__)
+            stack.append([v, 0, min(used + 1, best_k - 1), used, None])
+        # Advance the deepest frame to its next colour, popping exhausted ones.
+        while stack:
+            frame = stack[-1]
+            v, c, limit, used, touched = frame
+            if touched is not None:
+                bit = 1 << colour[v]
+                for w in touched:
+                    mask[w] ^= bit
+                    score[w] -= n
+                colour[v] = -1
+                free.add(v)
+            m = mask[v]
+            while c < limit and m >> c & 1:
+                c += 1
+            if c < limit:
+                break
+            stack.pop()
+        else:
+            break
+        if nodes == budget:
+            if log is not None:
+                log.branch_nodes = nodes
+            raise BudgetExhausted(
+                f"branch-and-bound budget of {budget} nodes exhausted: the chromatic "
+                f"number is at least {lower} and at most {best_k}",
+                lower=lower,
+                upper=best_k,
+            )
+        nodes += 1
+        colour[v] = c
+        free.remove(v)
+        bit = 1 << c
+        touched = [w for w in nbrs[v] if colour[w] < 0 and not mask[w] & bit]
+        for w in touched:
+            mask[w] |= bit
+            score[w] += n
+        frame[1] = c + 1
+        frame[4] = touched
+        if c + 1 > used:
+            used = c + 1
+
+    if log is not None:
+        log.branch_nodes = nodes
+    return best_k, best_witness
+
+
+def run_kernel(kernel, ids, nbrs, budget):
+    """The outcome of one solve and its log: (size, witness items) when it
+    closes, the proven bounds and the message when the budget stops it."""
+    log = SolverLog([], 0, 0)
+    try:
+        outcome = kernel(ids, nbrs, log, budget)
+    except BudgetExhausted as stop:
+        outcome = ("stopped", stop.lower, stop.upper, str(stop))
+    return outcome, log.as_dict()
+
+
+def assert_same_as_reference_dsatur(ids, nbrs, budget=None):
+    """Both kernels give the same outcome and log; returns the branch nodes."""
+    got = run_kernel(_chromatic, ids, nbrs, budget)
+    assert got == run_kernel(reference_dsatur, ids, nbrs, budget)
+    return got[1]["branch_nodes"]
+
+
+def assert_same_at_every_budget(ids, nbrs, cap):
+    """Compare the kernels at ``cap`` and, when the search closes below it,
+    unbounded and one node short; then at budgets 0 and 1."""
+    nodes = assert_same_as_reference_dsatur(ids, nbrs, cap)
+    budgets = [0, 1]
+    if nodes < cap:
+        budgets += [None, nodes - 1] if nodes else [None]
+    for budget in budgets:
+        assert_same_as_reference_dsatur(ids, nbrs, budget)
+    return nodes
+
+
+class TestBitParallelDsatur:
+    """The bitset kernel against the mask-and-score kernel it replaced, on
+    graphs of up to 70 vertices (several 30-bit int digits) and on large
+    map quotients, at budgets that stop the search at every stage."""
+
+    def test_matches_mask_kernel_on_gnp(self):
+        stopped = closed = 0
+        for n in (1, 2, 3, 5, 8, 13, 21, 30, 31, 32, 45, 61, 62, 70):
+            for p in (0.1, 0.5, 0.9):
+                rng = random.Random(n * 100 + int(p * 10))
+                for _ in range(2):
+                    g = random_graph(rng, n, p)
+                    nodes = assert_same_at_every_budget(g.vertices, _neighbours(g), 2000)
+                    stopped += nodes == 2000
+                    closed += 0 < nodes < 2000
+        assert stopped > 0 and closed > 10
+
+    def test_matches_mask_kernel_on_regular_graphs_with_mixed_ids(self):
+        cases = ((8, (1, 2)), (17, (1, 2)), (50, (1, 2)), (9, (1,)), (21, (1,)), (37, (1, 2, 5)), (49, (1, 2, 4)))
+        for n, offsets in cases:
+            g = circulant(n, offsets)
+            assert assert_same_at_every_budget(g.vertices, _neighbours(g), 20_000) > 0
+
+    def test_matches_mask_kernel_on_complete_graphs(self):
+        # every count reaches n - 1, the greedy bound less one
+        for n in range(1, 40):
+            g = complete_graph(n)
+            assert assert_same_as_reference_dsatur(g.vertices, _neighbours(g)) == 0
+
+    def test_matches_mask_kernel_on_large_map_quotients(self):
+        for seed in (0, 1):
+            pg = random_planar_paired_graph(seed, 1600)
+            ids = tuple(pair[0] for pair in pg.pairing.pairs)
+            assert assert_same_as_reference_dsatur(ids, pg._quotient_neighbours, 20_000) == 20_000
 
 
 class TestPairChromatic:
