@@ -12,12 +12,12 @@ realised, with restarts; plus an exact backtracking solver for the
 pairing on the current triangulation, used to close the final gap.
 Deterministic for a given seed.
 
-The objective is kept in one flat table of edge counts per cross-pair
-class, so a proposal costs O(degree) integer updates.  A flip changes the
-class of one edge only, so it is scored from the table before it is
-applied; a rejected flip leaves the triangulation as it was except for
-its edge's two darts, which are exchanged, as two flips would leave
-them.  A swap is applied and, if rejected, undone by applying it again.
+The objective is kept in packed ints of edge counts, one 4-bit field per
+pair, and every proposal is scored before it touches the state.  A
+rejected flip only exchanges its edge's two darts, as two flips would
+leave them; a rejected swap changes nothing.  A flip's score reads two
+fields, and a swap's rebuilds the rows of its two pairs from the counts
+of four vertices in O(1) big-int operations.
 """
 
 from __future__ import annotations
@@ -141,73 +141,96 @@ def exact_pairing(adj: dict) -> Optional[list]:
     return None
 
 
-# _SLOT[i][j]: the count-table slot of the edges joining pairs i and j
-# (symmetric), or -1 when i == j, since an edge inside a pair realises no
-# cross-pair adjacency.
-_SLOT = [
-    [-1 if i == j else min(i, j) * N_PAIRS + max(i, j) for j in range(N_PAIRS)]
-    for i in range(N_PAIRS)
-]
+# Pair counts are packed ints with one 4-bit field per pair, field q at
+# bits 4q..4q+3.  A field never exceeds 4 (two vertices with at most two
+# neighbours each in one pair), so adding 7 to every field sets bit 3 of
+# exactly the nonzero ones and carries into no neighbouring field.
+_FIELD = [1 << 4 * q for q in range(N_PAIRS)]
+_SEVENS = 7 * sum(_FIELD)
+# _KEEP[p]: bit 3 of every field except field p
+_KEEP = [8 * (sum(_FIELD) - f) for f in _FIELD]
 
 
 class _AnnealState:
     """Triangulation + pairing with an incrementally maintained count of
     distinct cross-pair adjacencies.
 
-    ``count`` is one flat table of ``N_PAIRS * N_PAIRS`` ints holding the
-    number of edges in each cross-pair class at its ``_SLOT`` index, and
-    ``distinct`` the number of nonzero entries.  ``flip`` and
-    ``swap_pairs`` each cost O(degree) integer updates and are their own
-    inverses (a flip up to the exchange of its edge's darts).
+    ``nbp[v]`` holds, in field q, the number of neighbours of ``v`` in pair
+    q; ``row[p]`` is the sum of ``nbp`` over the two members of pair p, so
+    its field q is the number of edges joining pairs p and q (field p
+    counts an edge inside the pair twice and realises no class).
+    ``partner[v]`` is the other member of ``v``'s pair, and ``distinct``
+    the number of nonzero cross-pair classes.  ``swap_delta`` scores a swap
+    in O(1) without touching the state; ``flip`` and ``swap_pairs`` cost
+    O(degree) updates and are their own inverses (a flip up to the
+    exchange of its edge's darts).
     """
 
     def __init__(self, tri: SphereTriangulation, pair_of: list):
         self.tri = tri
         self.pair_of = pair_of
-        self.count = [0] * (N_PAIRS * N_PAIRS)
-        for e in range(tri.num_edges):
-            u, v = tri.endpoints(e)
-            slot = _SLOT[pair_of[u]][pair_of[v]]
-            if slot >= 0:
-                self.count[slot] += 1
-        self.distinct = len(self.count) - self.count.count(0)
+        pairs = self.pairs()
+        self.partner = [sum(pairs[p]) - v for v, p in enumerate(pair_of)]
+        self.nbp = [sum(_FIELD[pair_of[u]] for u in tri.adj[v]) for v in range(len(pair_of))]
+        self.row = [self.nbp[u] + self.nbp[v] for u, v in pairs]
+        self.distinct = sum(((r + _SEVENS) & _KEEP[p]).bit_count() for p, r in enumerate(self.row)) // 2
 
     def flip(self, e: int):
-        """Flip the flippable edge ``e`` and move its count from the old
-        diagonal's class to the new one's (-1: no class)."""
+        """Flip the flippable edge ``e``: the old diagonal leaves its class
+        and the new one joins its class (none for an edge inside a pair)."""
         (x, y), (z, w) = self.tri.flip(e)
-        p, count = self.pair_of, self.count
-        old, new = _SLOT[p[x]][p[y]], _SLOT[p[z]][p[w]]
-        if old >= 0:
-            count[old] -= 1
-            if not count[old]:
-                self.distinct -= 1
-        if new >= 0:
-            count[new] += 1
-            if count[new] == 1:
-                self.distinct += 1
+        pair_of, nbp, row = self.pair_of, self.nbp, self.row
+        px, py, pz, pw = pair_of[x], pair_of[y], pair_of[z], pair_of[w]
+        lost = px != py and (row[px] >> 4 * py) & 15 == 1
+        fx, fy, fz, fw = _FIELD[px], _FIELD[py], _FIELD[pz], _FIELD[pw]
+        nbp[x], nbp[y], nbp[z], nbp[w] = nbp[x] - fy, nbp[y] - fx, nbp[z] + fw, nbp[w] + fz
+        row[px] -= fy  # the pairs need not differ
+        row[py] -= fx
+        row[pz] += fw
+        row[pw] += fz
+        # zw's class holds one edge now iff it was empty or is xy's (lost)
+        self.distinct += (pz != pw and (row[pz] >> 4 * pw) & 15 == 1) - lost
+
+    def swap_delta(self, a: int, b: int) -> int:
+        """The change in ``distinct`` that ``swap_pairs(a, b)`` would make,
+        read without touching the state: only the rows of the two pairs
+        change, and they follow from ``nbp`` of ``a``, ``b`` and partners."""
+        pair_of, partner, nbp, row = self.pair_of, self.partner, self.nbp, self.row
+        adj_a, adj_b = self.tri.adj[a], self.tri.adj[b]
+        pa, pb = pair_of[a], pair_of[b]
+        a2, b2 = partner[a], partner[b]
+        d = _FIELD[pb] - _FIELD[pa]  # a vertex moving from pair pa to pb
+        ab = b in adj_a
+        new_a = nbp[b] + nbp[a2] + d * (ab + (a2 in adj_a) - (a2 in adj_b))  # pair pa = {b, a2}
+        new_b = nbp[a] + nbp[b2] + d * ((b2 in adj_a) - (b2 in adj_b) - ab)  # pair pb = {a, b2}
+        # count class {pa, pb} in row pa only
+        keep_a = _KEEP[pa]
+        keep_b = keep_a & _KEEP[pb]
+        return (
+            ((new_a + _SEVENS) & keep_a).bit_count()
+            + ((new_b + _SEVENS) & keep_b).bit_count()
+            - ((row[pa] + _SEVENS) & keep_a).bit_count()
+            - ((row[pb] + _SEVENS) & keep_b).bit_count()
+        )
 
     def swap_pairs(self, a: int, b: int):
-        """Exchange the pairs of ``a`` and ``b``, which must differ.  Every
-        edge at ``a`` or ``b`` moves one count to its new class, except the
-        edge ``ab``, whose class does not change."""
-        pair_of, adj, count = self.pair_of, self.tri.adj, self.count
-        distinct = self.distinct
+        """Exchange the pairs of ``a`` and ``b``, which must differ: the
+        neighbours of ``a`` see it move to ``b``'s pair, those of ``b`` the
+        reverse, and the two pairs' rows are rebuilt from their members."""
+        self.distinct += self.swap_delta(a, b)
+        pair_of, partner, nbp, row = self.pair_of, self.partner, self.nbp, self.row
         pa, pb = pair_of[a], pair_of[b]
-        for v, other, old_row, new_row in ((a, b, _SLOT[pa], _SLOT[pb]), (b, a, _SLOT[pb], _SLOT[pa])):
-            for nb in adj[v]:
-                if nb != other:
-                    old, new = old_row[pair_of[nb]], new_row[pair_of[nb]]
-                    if old >= 0:
-                        count[old] -= 1
-                        if not count[old]:
-                            distinct -= 1
-                    if new >= 0:
-                        count[new] += 1
-                        if count[new] == 1:
-                            distinct += 1
+        a2, b2 = partner[a], partner[b]
+        d = _FIELD[pb] - _FIELD[pa]
+        for u in self.tri.adj[a]:
+            nbp[u] += d
+            row[pair_of[u]] += d
+        for u in self.tri.adj[b]:
+            nbp[u] -= d
+            row[pair_of[u]] -= d
         pair_of[a], pair_of[b] = pb, pa
-        self.distinct = distinct
+        partner[a], partner[b2], partner[b], partner[a2] = b2, a, a2, b
+        row[pa], row[pb] = nbp[b] + nbp[a2], nbp[a] + nbp[b2]
 
     def pairs(self) -> list:
         members = [[] for _ in range(N_PAIRS)]
@@ -220,9 +243,14 @@ def _random_state(rng: random.Random) -> _AnnealState:
     tri = SphereTriangulation()
     while tri.num_vertices < N_VERTICES:
         tri.insert_vertex(rng.randrange(tri.num_darts))
+    origin, fnext, adj, getrandbits = tri.origin, tri.fnext, tri.adj, rng.getrandbits
+    num_edges, edge_bits = tri.num_edges, tri.num_edges.bit_length()
     for _ in range(40 * N_VERTICES):
-        e = rng.randrange(tri.num_edges)
-        if tri.flippable(e):
+        e = getrandbits(edge_bits)  # the loop rng.randrange(num_edges) runs
+        while e >= num_edges:
+            e = getrandbits(edge_bits)
+        z, w = origin[fnext[fnext[2 * e]]], origin[fnext[fnext[2 * e + 1]]]
+        if z != w and z not in adj[w]:  # tri.flippable(e)
             tri.flip(e)
     perm = list(range(N_VERTICES))
     rng.shuffle(perm)
@@ -272,7 +300,7 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
     while steps_used < budget:
         restarts += 1
         state = _random_state(rng)
-        tri, pair_of, count = state.tri, state.pair_of, state.count
+        tri, pair_of, row = state.tri, state.pair_of, state.row
         origin, fnext, adj = tri.origin, tri.fnext, tri.adj
         num_edges = tri.num_edges  # a flip keeps the edge count
         edge_bits = num_edges.bit_length()
@@ -292,13 +320,17 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
                 z = origin[fnext[fnext[d]]]
                 w = origin[fnext[fnext[d + 1]]]
                 if z != w and z not in adj[w]:
-                    old = _SLOT[pair_of[origin[d]]][pair_of[origin[d + 1]]]
-                    new = _SLOT[pair_of[z]][pair_of[w]]
-                    if old == new:
-                        delta = 0
-                    else:
-                        delta = (new >= 0 and not count[new]) - (old >= 0 and count[old] == 1)
-                    if delta < 0 and random_() >= exp(delta / (_T_START * exp(cool * i / chain))):
+                    px, py = pair_of[origin[d]], pair_of[origin[d + 1]]
+                    pz, pw = pair_of[z], pair_of[w]
+                    # the flip loses one class iff the old diagonal is the
+                    # last edge of its class and the new one joins no
+                    # class, or another class that already has edges
+                    if (
+                        px != py
+                        and (row[px] >> 4 * py) & 15 == 1
+                        and (pz == pw or (row[pz] >> 4 * pw) & 15 and {pz, pw} != {px, py})
+                        and random_() >= exp(-1 / (_T_START * exp(cool * i / chain)))
+                    ):
                         tri.exchange_darts(e)  # what flipping e twice leaves
                     else:
                         state.flip(e)
@@ -310,11 +342,9 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
                 while b >= N_VERTICES:
                     b = getrandbits(vertex_bits)
                 if pair_of[a] != pair_of[b]:
-                    before = state.distinct
-                    state.swap_pairs(a, b)
-                    delta = state.distinct - before
-                    if delta < 0 and random_() >= exp(delta / (_T_START * exp(cool * i / chain))):
-                        state.swap_pairs(a, b)  # a swap is its own inverse
+                    delta = state.swap_delta(a, b)
+                    if delta >= 0 or random_() < exp(delta / (_T_START * exp(cool * i / chain))):
+                        state.swap_pairs(a, b)
 
             distinct = state.distinct
             if distinct > best_chain:

@@ -30,20 +30,62 @@ SEED_34_STEPS = 4334
 SEED_34_SHA256 = "666272b61a1901c20f7d1e4f7bdc6ec57ffeda9c6eee339059cf45f3cf27bea5"
 
 
-def _recount(state) -> Counter:
-    """Edges per cross-pair class, counted from scratch over the
-    triangulation's edges and the pairing."""
+def _recount(state):
+    """Edges per cross-pair class, and each vertex's neighbours per pair,
+    counted from scratch over the triangulation's edges and the pairing."""
     classes = Counter()
+    neighbours = [Counter() for _ in range(state.tri.num_vertices)]
     for k in range(state.tri.num_edges):
         u, v = state.tri.endpoints(k)
         i, j = state.pair_of[u], state.pair_of[v]
+        neighbours[u][j] += 1
+        neighbours[v][i] += 1
         if i != j:
             classes[frozenset((i, j))] += 1
-    return classes
+    return classes, neighbours
+
+
+def _fields(packed):
+    """The per-pair fields of a packed count, four bits each."""
+    return [(packed >> 4 * q) & 15 for q in range(search.N_PAIRS)]
+
+
+def _assert_matches_recount(state):
+    """The state's objective, class counts decoded from ``row``, every
+    ``nbp[v]`` and every ``partner[v]`` equal a recount from scratch."""
+    classes, neighbours = _recount(state)
+    assert state.distinct == len(classes)
+    rows = [_fields(r) for r in state.row]
+    decoded = Counter()
+    for p in range(search.N_PAIRS):
+        for q in range(search.N_PAIRS):
+            assert rows[p][q] == rows[q][p]
+            if p < q and rows[p][q]:
+                decoded[frozenset((p, q))] = rows[p][q]
+    assert decoded == classes
+    assert [_fields(n) for n in state.nbp] == [[c[q] for q in range(search.N_PAIRS)] for c in neighbours]
+    members = {}
+    for v, p in enumerate(state.pair_of):
+        members.setdefault(p, []).append(v)
+    assert all(len(m) == 2 for m in members.values())
+    assert state.partner == [sum(members[p]) - v for v, p in enumerate(state.pair_of)]
+
+
+def _assert_fields_bounded(state):
+    """No field exceeds its bound: 2 per vertex (a pair has two members)
+    and 4 per pair.  Counting nonzero fields with one carry-free addition
+    of 7 per field relies on it."""
+    assert all(max(_fields(n)) <= 2 for n in state.nbp)
+    assert all(max(_fields(r)) <= 4 for r in state.row)
+    assert all(0 <= x < 16**search.N_PAIRS for x in state.nbp + state.row)
+
+
+def _state_lists(state):
+    return list(state.pair_of), list(state.partner), list(state.nbp), list(state.row), state.distinct
 
 
 def _snapshot(state, reversed_edge=None):
-    """The state's count table, darts, pairing and objective; with
+    """The state's counts, darts, pairing and objective; with
     ``reversed_edge``, as if that edge's two darts were exchanged."""
 
     def relabel(d):
@@ -53,7 +95,38 @@ def _snapshot(state, reversed_edge=None):
     for d in range(len(origin)):
         origin[relabel(d)] = state.tri.origin[d]
         fnext[relabel(d)] = relabel(state.tri.fnext[d])
-    return list(state.count), origin, fnext, list(state.pair_of), state.distinct
+    return _state_lists(state), origin, fnext
+
+
+def _random_move(state, rng):
+    """A random legal move as (method, args, reversed_edge), or None."""
+    if rng.random() < 0.5:
+        e = rng.randrange(state.tri.num_edges)
+        if not state.tri.flippable(e):
+            return None
+        return state.flip, (e,), e
+    a, b = rng.sample(range(search.N_VERTICES), 2)
+    if state.pair_of[a] == state.pair_of[b]:
+        return None
+    return state.swap_pairs, (a, b), None
+
+
+def _walk_states(seed, count, every=300):
+    """``count`` states met along a walk from a random state that keeps a
+    move losing nothing, and a losing one with probability 0.01, so the
+    objective climbs to the annealer's range."""
+    rng = random.Random(seed)
+    state = _random_state(rng)
+    for step in range(count * every):
+        move = _random_move(state, rng)
+        if move is not None:
+            method, args, _ = move
+            before = state.distinct
+            method(*args)
+            if state.distinct < before and rng.random() >= 0.01:
+                method(*args)  # each move is its own inverse
+        if step % every == every - 1:
+            yield state
 
 
 def reference_search_witness(seed, budget):
@@ -399,30 +472,58 @@ class TestSearch:
     def test_incremental_objective_matches_a_recount(self, seed):
         rng = random.Random(seed)
         state = _random_state(rng)
+        _assert_matches_recount(state)
         undone = 0
         for _ in range(1500):
-            if rng.random() < 0.5:
-                e = rng.randrange(state.tri.num_edges)
-                if not state.tri.flippable(e):
-                    continue
-                move, args, reversed_edge = state.flip, (e,), e
-            else:
-                a, b = rng.sample(range(24), 2)
-                if state.pair_of[a] == state.pair_of[b]:
-                    continue
-                move, args, reversed_edge = state.swap_pairs, (a, b), None
+            move = _random_move(state, rng)
+            if move is None:
+                continue
+            method, args, reversed_edge = move
             # flipping an edge twice restores the triangulation with that
             # edge's darts exchanged; a swap twice restores it exactly
             before = _snapshot(state, reversed_edge)
-            move(*args)
-            classes = _recount(state)
-            assert state.distinct == len(classes)
-            assert sorted(c for c in state.count if c) == sorted(classes.values())
+            method(*args)
+            _assert_matches_recount(state)
+            _assert_fields_bounded(state)
             if rng.random() < 0.3:
-                move(*args)  # each move is its own inverse
+                method(*args)  # each move is its own inverse
                 assert _snapshot(state) == before
                 undone += 1
         assert undone > 100
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_swap_delta_scores_every_swap_without_touching_the_state(self, seed):
+        best = 0
+        for state in _walk_states(seed, 4):
+            best = max(best, state.distinct)
+            for a in range(search.N_VERTICES):
+                for b in range(search.N_VERTICES):
+                    if state.pair_of[a] == state.pair_of[b]:
+                        continue
+                    before = _state_lists(state)
+                    delta = state.swap_delta(a, b)
+                    assert _state_lists(state) == before
+                    objective = len(_recount(state)[0])
+                    state.swap_pairs(a, b)
+                    assert len(_recount(state)[0]) - objective == delta
+                    state.swap_pairs(a, b)
+                    assert _state_lists(state) == before
+        assert best >= 58  # mid-anneal: a random state starts near 45
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_no_field_exceeds_its_bound_over_long_walks(self, seed):
+        rng = random.Random(seed)
+        state = _random_state(rng)
+        seen = Counter()
+        for _ in range(10_000):
+            move = _random_move(state, rng)
+            if move is not None:
+                method, args, _ = move
+                method(*args)
+                _assert_fields_bounded(state)
+                seen.update(max(_fields(r)) for r in state.row)
+        assert seen[4] > 0  # the bound is reached
+        _assert_matches_recount(state)
 
     def test_replaying_the_shipped_seed_reproduces_the_witness(self):
         # determinism across runs: the shipped file was written by an earlier
