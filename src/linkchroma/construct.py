@@ -22,6 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from typing import Optional
 
@@ -46,6 +47,7 @@ from .core import (
     TwoComplex,
     WalkStep,
     _dart_vertices,
+    _other_end,
     genus_check,
     link_graph,
     simple_quotient,
@@ -257,16 +259,21 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
         raise DomainError("pairing is not degree-faithful")
     pg.require_planar()
     at, trails = _dart_trails(pg)
+    index, _ = _dart_vertices(pg.graph)
     # one loop per pair, named by its smaller member: in id order
     loops = tuple(Edge(u, SKELETON_VERTEX, SKELETON_VERTEX) for u, _ in pg.pairing.pairs)
     skeleton = Multigraph._sorted((SKELETON_VERTEX,), loops)
-    # the step through the third-edge standing for each vertex position
-    enter = []
-    for v in pg.graph.vertices:
-        u = pg.pairing.representative(v)
-        enter.append(WalkStep(u, 0 if v == u else 1))
-    cells = tuple(ClosedWalk(tuple(enter[at[d ^ 1]] for d in trail)) for trail in trails)
-    return TwoComplex(skeleton, cells, kind=PUNCTURED)
+    # the step through the third-edge standing for each vertex position:
+    # pair k's loop has darts 2k for its smaller member and 2k + 1
+    table, _ = skeleton._steps
+    enter = [None] * len(index)
+    for d, v in enumerate(chain.from_iterable(pg.pairing.pairs)):
+        enter[index[v]] = table[d]
+    cells = []
+    for trail in trails:
+        heads = map(at.__getitem__, map(_other_end, trail))  # the vertex each dart enters
+        cells.append(ClosedWalk(tuple(map(enter.__getitem__, heads))))
+    return TwoComplex(skeleton, tuple(cells), kind=PUNCTURED)
 
 
 def endpoint_multiset(g: Multigraph, mapping: Optional[dict] = None) -> Counter:
@@ -300,12 +307,14 @@ def seal(c: TwoComplex) -> TwoComplex:
     unchanged."""
     if c.kind != PUNCTURED:
         raise DomainError("only punctured complexes can be sealed")
+    # a step flipped is the step of the other dart of its edge
+    table, dart_of = c.skeleton._steps
     cells = []
     for walk in c.cells:
         steps = walk.steps
-        first = steps[0]
-        sealed = steps + (first, first.flipped()) + tuple(s.flipped() for s in reversed(steps))
-        cells.append(ClosedWalk(sealed))
+        flipped = list(map(table.__getitem__, map(_other_end, map(dart_of.__getitem__, steps))))
+        flipped.reverse()
+        cells.append(ClosedWalk(steps + (steps[0], flipped[-1]) + tuple(flipped)))
     return TwoComplex(c.skeleton, tuple(cells), GENUINE)
 
 

@@ -20,8 +20,8 @@ import heapq
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import is_, itemgetter
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import DomainError, short_repr
@@ -33,6 +33,7 @@ GENUINE = "genuine"
 PUNCTURED = "punctured"
 
 MAX_ID_DEPTH = 32  # deepest tuple nesting an id may have
+_INT_ONLY = frozenset((int,))
 
 
 def id_sort_key(value):
@@ -145,13 +146,19 @@ class Multigraph:
         vertex_set = set(verts)
         if len(vertex_set) != len(verts):
             raise DomainError("duplicate vertex id")
-        by_id = {}
-        for e in edges:
-            if e.id in by_id:
-                raise DomainError(f"duplicate edge id {short_repr(e.id)}")
-            if e.end0 not in vertex_set or e.end1 not in vertex_set:
-                raise DomainError(f"edge {short_repr(e.id)} references a missing vertex")
-            by_id[e.id] = e
+        by_id = dict(zip(map(itemgetter(0), edges), edges))
+        if not (
+            len(by_id) == len(edges)
+            and vertex_set.issuperset(map(itemgetter(1), edges))
+            and vertex_set.issuperset(map(itemgetter(2), edges))
+        ):
+            seen = set()  # find the first faulty edge in stored order
+            for e in edges:
+                if e.id in seen:
+                    raise DomainError(f"duplicate edge id {short_repr(e.id)}")
+                if e.end0 not in vertex_set or e.end1 not in vertex_set:
+                    raise DomainError(f"edge {short_repr(e.id)} references a missing vertex")
+                seen.add(e.id)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_vertex_set", vertex_set)
@@ -176,6 +183,14 @@ class Multigraph:
         ``_ends_at``.  Read through ``_dart_vertices``; never mutated."""
         index = {v: i for i, v in enumerate(self.vertices)}
         return index, [index[v] for e in self.edges for v in (e.end0, e.end1)]
+
+    @cached_property
+    def _steps(self) -> tuple:
+        """The ``WalkStep`` of each dart ``2 * edge_position + side``, and a
+        dict from step to dart: built on first use and kept, as ``_ends_at``.
+        Walks built by the library share these step objects."""
+        steps = tuple(_records(WalkStep, _dart_rows(self)))
+        return steps, dict(zip(steps, range(len(steps))))
 
     def edge(self, edge_id) -> Edge:
         try:
@@ -206,6 +221,9 @@ def _dart_vertices(g: Multigraph) -> tuple:
     """The position of each vertex id, and the vertex position of each dart
     ``2 * edge_position + side``, as kept on ``g``.  Callers only read them."""
     return g._darts
+
+
+_other_end = (1).__xor__  # a dart to the dart at the other end of its edge
 
 
 def _components(g: Multigraph) -> tuple:
@@ -242,7 +260,20 @@ def _components(g: Multigraph) -> tuple:
 
 def third_edges(g: Multigraph) -> list:
     """The 2|E| third-edges of ``g``, sorted by (edge id, side)."""
-    return [EdgeEnd(e.id, s) for e in g.edges for s in (0, 1)]
+    return list(_records(EdgeEnd, _dart_rows(g)))
+
+
+def _dart_rows(g: Multigraph) -> zip:
+    """(edge id, side) for each dart ``2 * edge_position + side`` of ``g``."""
+    ids = list(map(itemgetter(0), g.edges))
+    return zip(chain.from_iterable(zip(ids, ids)), (0, 1) * len(ids))
+
+
+def _records(cls, rows):
+    """``cls(*row)`` for each row: a ``NamedTuple`` is a tuple, so
+    ``tuple.__new__`` fills one from its row in C, where calling ``cls``
+    runs its Python-level ``__new__``."""
+    return map(tuple.__new__, repeat(cls), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +311,10 @@ class ClosedWalk:
         if not all(map((0, 1).__contains__, map(itemgetter(1), steps))):
             bad = next(s for s in steps if s.entry not in (0, 1))
             raise DomainError(f"walk step {short_repr(bad)} has an invalid entry side")
+        if frozenset(map(type, map(itemgetter(1), steps))) != _INT_ONLY:
+            # a side such as False or 1.0 is kept as the int it equals, so
+            # that a document written from the walk loads again
+            steps = tuple([WalkStep(s[0], 1 if s[1] else 0) for s in steps])
         object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
@@ -296,21 +331,41 @@ def step_exit_vertex(g: Multigraph, step: WalkStep) -> VertexId:
 
 def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
     """Check that ``walk`` lives in ``g`` and is cyclically vertex-compatible:
-    every edge is known, then each step exits where the next one enters,
-    the first fault in step order reported."""
+    every edge is known, then every step names its edge by that edge's id,
+    then each step exits where the next one enters, the first fault in step
+    order reported."""
     steps = walk.steps
-    edges = [g._edge_by_id.get(s[0]) for s in steps]
-    if None in edges:
-        raise DomainError(
-            f"walk not contained in skeleton: unknown edge {short_repr(steps[edges.index(None)].edge)}"
-        )
-    # An Edge is (id, end0, end1): a step with entry side 0 enters at end0.
-    ins = [e[2] if s[1] else e[1] for e, s in zip(edges, steps)]
-    outs = [e[1] if s[1] else e[2] for e, s in zip(edges, steps)]
+    table, dart_of = g._steps
+    try:
+        darts = list(map(dart_of.__getitem__, steps))
+    except KeyError:
+        unknown = next(s for s in steps if s not in dart_of)
+        raise DomainError(f"walk not contained in skeleton: unknown edge {short_repr(unknown.edge)}") from None
+    if not all(map(is_, steps, map(table.__getitem__, darts))):
+        for s, d in zip(steps, darts):
+            if s[0] is not table[d][0] and not _same_id(s[0], table[d][0]):
+                raise DomainError(
+                    f"walk step {short_repr(s)} names edge {short_repr(table[d][0])} "
+                    "by an id that only compares equal to it"
+                )
+    if len(g.vertices) == 1:
+        return  # every step enters and exits at the one vertex
+    _, at = g._darts
+    ins = list(map(at.__getitem__, darts))
+    outs = list(map(at.__getitem__, map(_other_end, darts)))
     ins.append(ins.pop(0))
     if outs != ins:
         i = next(i for i, (here, there) in enumerate(zip(outs, ins)) if here != there)
         raise DomainError(f"walk is not vertex-compatible between steps {i} and {(i + 1) % len(steps)}")
+
+
+def _same_id(value, edge_id) -> bool:
+    """Whether ``value`` is the id ``edge_id`` under ``id_sort_key``: an id
+    such as ``True`` or ``1.0`` compares equal to ``1`` but is not one."""
+    try:
+        return id_sort_key(value) == id_sort_key(edge_id)
+    except DomainError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -409,53 +464,79 @@ class RotationSystem:
         ``2 * edge_position + side`` at each vertex, listed in stored vertex
         order: the constructor with each pivot found as the smallest dart,
         which is the smallest end in id order since edges are stored in id
-        order.  As with the constructor, the orders are checked against
-        ``g`` where a ``PairedGraph`` is built on them."""
+        order.
+
+        The orders are checked on darts here, and a ``PairedGraph`` on ``g``
+        itself takes the successor array kept on the rotation.  Orders that
+        fail the check are stored as given and rejected, with the same text,
+        where a ``PairedGraph`` is built on them, as the constructor's are."""
         ends = third_edges(g)
         norm = []
         for v, darts in zip(g.vertices, darts_at):
             if darts:
                 pivot = darts.index(min(darts))
-                norm.append((v, tuple(map(ends.__getitem__, darts[pivot:] + darts[:pivot]))))
+                norm.append((v, darts[pivot:] + darts[:pivot]))
         rot = object.__new__(cls)
-        object.__setattr__(rot, "orders", tuple(norm))
+        object.__setattr__(rot, "orders", tuple([(v, tuple(map(ends.__getitem__, darts))) for v, darts in norm]))
+        try:
+            object.__setattr__(rot, "_succ_on", (g, _dart_successors(g, norm)))
+        except DomainError:
+            pass
         return rot
 
 
-def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
-    """Check that ``rot`` lists every edge-end of ``g`` exactly once, at the
-    right vertex, and return its successor array: the dart
-    ``2 * edge_position + side`` maps to the next dart around its vertex."""
+def _dart_successors(g: Multigraph, darts_at, fault: Optional[DomainError] = None) -> array:
+    """Check that the cyclic orders ``darts_at``, given as (vertex, darts)
+    pairs, list every dart ``2 * edge_position + side`` of ``g`` exactly
+    once, at its own vertex, and return the successor array: each dart maps
+    to the next dart around its vertex.  ``fault``, the error a caller met
+    just after the listed darts, is raised if none of them is at fault.
+    Nothing is kept on ``g``."""
     edges = g.edges
-    position = dict(zip(map(itemgetter(0), edges), range(len(edges))))
-    succ = array("i", [-1]) * (2 * len(edges))
+    owner = list(chain.from_iterable(map(itemgetter(1, 2), edges)))  # the vertex of each dart
+    succ = array("i", [-1]) * len(owner)
     listed = 0
-    for v, order in rot.orders:
-        if not g.has_vertex(v):
-            raise DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
-        first = prev = -1
-        for end in order:
-            i = position.get(end[0])
-            if i is None:
-                raise DomainError(f"rotation mentions unknown edge {short_repr(end.edge)}")
-            # an Edge is (id, end0, end1)
-            d, at = (2 * i, edges[i][1]) if end[1] == 0 else (2 * i + 1, edges[i][2])
-            if at != v:
+    for v, darts in darts_at:
+        for d, after in zip(darts, darts[1:] + darts[:1]):
+            if owner[d] != v:
+                end = EdgeEnd(edges[d >> 1][0], d & 1)
                 raise DomainError(f"edge-end {short_repr(end)} is not incident to vertex {short_repr(v)}")
-            # every dart listed so far has its successor set, but the last
-            if succ[d] >= 0 or d == prev:
+            if succ[d] >= 0:  # set for every dart listed so far
+                end = EdgeEnd(edges[d >> 1][0], d & 1)
                 raise DomainError(f"edge-end {short_repr(end)} appears twice in rotation system")
-            if prev < 0:
-                first = d
-            else:
-                succ[prev] = d
-            prev = d
-        succ[prev] = first  # orders are never empty
-        listed += len(order)
+            succ[d] = after
+        listed += len(darts)
+    if fault is not None:
+        raise fault
     missing = len(succ) - listed
     if missing:
         raise DomainError(f"rotation system is missing {missing} edge-end(s)")
     return succ
+
+
+def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
+    """``_dart_successors`` on the edge-ends of ``rot``, each translated to
+    its dart.  The translation stops at the first unknown vertex or edge,
+    which is reported only if the darts listed before it pass, so the first
+    fault in listing order is the one raised."""
+    edges = g.edges
+    position = dict(zip(map(itemgetter(0), edges), range(len(edges))))
+    darts_at = []
+    fault = None
+    for v, order in rot.orders:
+        if not g.has_vertex(v):
+            fault = DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
+            break
+        at = list(map(position.get, map(itemgetter(0), order)))
+        if None in at:
+            k = at.index(None)
+            fault = DomainError(f"rotation mentions unknown edge {short_repr(order[k][0])}")
+            at, order = at[:k], order[:k]
+        # a side is 0 or 1 or compares equal to one of them
+        darts_at.append((v, [2 * i if s == 0 else 2 * i + 1 for i, s in zip(at, map(itemgetter(1), order))]))
+        if fault is not None:
+            break
+    return _dart_successors(g, darts_at, fault)
 
 
 def validate_rotation(g: Multigraph, rot: RotationSystem) -> None:
@@ -479,7 +560,13 @@ class PairedGraph:
         if self.rotation is not None:
             # Validated once; the successor array is what the faces are
             # traced on.  Not a field, so equality and hashing ignore it.
-            object.__setattr__(self, "_succ", _rotation_successors(self.graph, self.rotation))
+            # A rotation built on darts of this very graph was checked there.
+            kept = self.rotation.__dict__.get("_succ_on")
+            if kept is not None and kept[0] is self.graph:
+                succ = kept[1]
+            else:
+                succ = _rotation_successors(self.graph, self.rotation)
+            object.__setattr__(self, "_succ", succ)
 
     def require_planar(self) -> None:
         """Raise DomainError unless the rotation system certifies genus 0 on
@@ -650,13 +737,15 @@ def link_graph(c: TwoComplex) -> PairedGraph:
             id_sort_key((e.id,))
     verts = tuple(third_edges(c.skeleton))
     pairing = Pairing._sorted(tuple(zip(verts[::2], verts[1::2])))
-    dart = {e.id: 2 * i for i, e in enumerate(c.skeleton.edges)}
+    _, dart_of = c.skeleton._steps
     edges = []
     for ci, cell in enumerate(c.cells):
-        # the third-edge each step enters by and exits by
-        ins = [verts[dart[s.edge] + s.entry] for s in cell.steps]
-        outs = [verts[dart[s.edge] + 1 - s.entry] for s in cell.steps]
-        edges += (Edge((ci, j), a, b) for j, (a, b) in enumerate(zip(outs, ins[1:] + ins[:1])))
+        darts = list(map(dart_of.__getitem__, cell.steps))
+        # the third-edge each step exits by, and the one the next step enters by
+        outs = map(verts.__getitem__, map(_other_end, darts))
+        ins = list(map(verts.__getitem__, darts))
+        ins.append(ins.pop(0))
+        edges += _records(Edge, zip(zip(repeat(ci), range(len(darts))), outs, ins))
     return PairedGraph(Multigraph._sorted(verts, tuple(edges)), pairing)
 
 

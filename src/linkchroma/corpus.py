@@ -117,7 +117,7 @@ def enumerate_closed_walks(g: Multigraph) -> list:
     """
     out = []
     seen = set()
-    darts = [WalkStep(e.id, s) for e in g.edges for s in (0, 1)]
+    darts, _ = g._steps  # the steps walks on g share
 
     def extend(prefix):
         if prefix and step_exit_vertex(g, prefix[-1]) == step_entry_vertex(g, prefix[0]):

@@ -20,8 +20,9 @@ accompany.  Writing fails if two ids of one object share a text form.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .core import (
@@ -213,14 +214,16 @@ def paired_graph_from_doc(doc) -> PairedGraph:
 
 
 def complex_to_doc(c: TwoComplex) -> dict:
-    return {
-        "skeleton": graph_to_doc(c.skeleton),
-        "cells": [
+    # a step names its edge by the edge's id, so only a tuple id needs
+    # converting
+    if any(map(isinstance, map(itemgetter(0), c.skeleton.edges), repeat(tuple))):
+        cells = [
             [[e if type(e) in (int, str) else id_to_json(e), entry] for e, entry in cell.steps]
             for cell in c.cells
-        ],
-        "kind": c.kind,
-    }
+        ]
+    else:
+        cells = [list(map(list, cell.steps)) for cell in c.cells]
+    return {"skeleton": graph_to_doc(c.skeleton), "cells": cells, "kind": c.kind}
 
 
 def complex_from_doc(doc) -> TwoComplex:
@@ -230,20 +233,22 @@ def complex_from_doc(doc) -> TwoComplex:
         raise SchemaError(f"unknown complex kind {short_repr(doc['kind'])}")
     if not isinstance(doc["cells"], list):
         raise SchemaError("'cells' must be an array")
+    table, dart_of = skeleton._steps
     cells = []
     for cell in doc["cells"]:
         if not isinstance(cell, list):
             raise SchemaError("each cell must be an array of steps")
-        # A step whose id is an int or a string has nothing to parse; any
-        # other step gets the full checks.
+        # A step whose id is an int or a string and whose side is an int is
+        # looked up in the skeleton's step table; any other step, and one
+        # the table does not hold, gets the full checks.
         steps = tuple(
             [
-                WalkStep(*item)
+                table[d]
                 if type(item) is list
                 and len(item) == 2
                 and type(item[0]) in (int, str)
                 and type(item[1]) is int
-                and item[1] in (0, 1)
+                and (d := dart_of.get(tuple(item))) is not None
                 else WalkStep(*_parse_side_entry(item, "walk step", "[edge, entry_side]"))
                 for item in cell
             ]

@@ -69,6 +69,10 @@ class TestMultigraph:
             (("u", "u"), (), "duplicate vertex id"),
             (("u", "v"), (Edge("e", "u", "v"), Edge("e", "v", "u")), "duplicate edge id 'e'"),
             (("u",), (Edge("e", "u", "v"),), "edge 'e' references a missing vertex"),
+            # the first faulty edge in stored order is reported
+            (("u",), (Edge("a", "u", "u"), Edge("b", "w", "u"), Edge("b", "u", "u")), "edge 'b' references a missing vertex"),
+            (("u",), (Edge("a", "u", "u"), Edge("a", "u", "u"), Edge("b", "u", "w")), "duplicate edge id 'a'"),
+            (("u",), (Edge("a", "u", "w"), Edge("a", "u", "u")), "edge 'a' references a missing vertex"),
         )
         for verts, edges, message in faults:
             for build in (Multigraph, Multigraph._sorted):
@@ -220,6 +224,11 @@ class TestWalks:
         validate_walk(g, walk)
         TwoComplex(g, (walk,))
 
+    def test_sides_equal_to_0_or_1_are_stored_as_ints(self):
+        walk = ClosedWalk((("e", False), ("e", 1.0), ("e", True), ("e", 0)))
+        assert [type(s.entry) for s in walk.steps] == [int] * 4
+        assert walk.steps == (WalkStep("e", 0), WalkStep("e", 1), WalkStep("e", 1), WalkStep("e", 0))
+
     def test_reverse_flips_entry_side(self):
         assert WalkStep("e", 0).flipped() == WalkStep("e", 1)
         assert EdgeEnd("e", 1).flipped() == EdgeEnd("e", 0)
@@ -254,6 +263,47 @@ class TestWalkFaults:
         with pytest.raises(DomainError) as info:
             TwoComplex(g, cells)
         assert str(info.value) == WALK_FAULTS["wrap-around"][1]
+
+
+class TestStepIds:
+    """A step names its edge by the edge's own id.  ``True`` and ``1.0``
+    compare equal to ``1``, and ``(True,)`` to ``(1,)``, but a document
+    written from such a step would not load."""
+
+    SKELETON = Multigraph(("h",), (Edge(1, "h", "h"), Edge((1,), "h", "h")))
+
+    @pytest.mark.parametrize(
+        "edge, name", [(True, 1), (1.0, 1), ((True,), (1,)), ((1.0,), (1,)), (("x", 1.0), None)]
+    )
+    def test_an_equal_id_of_another_kind_is_rejected(self, edge, name):
+        g = self.SKELETON
+        if name is None:  # a tuple id with a string in it
+            g, name = Multigraph(("h",), (Edge(("x", 1), "h", "h"),)), ("x", 1)
+        step = WalkStep(edge, 0)
+        message = f"walk step {step!r} names edge {name!r} by an id that only compares equal to it"
+        for check in (
+            lambda: validate_walk(g, ClosedWalk((step,))),
+            lambda: TwoComplex(g, ((step,),), "punctured"),
+            lambda: TwoComplex(g, ((WalkStep(name, 0), step),)),
+        ):
+            with pytest.raises(DomainError) as info:
+                check()
+            assert str(info.value) == message
+
+    def test_an_unknown_edge_is_reported_first(self):
+        walk = ClosedWalk((WalkStep(True, 0), WalkStep("zz", 0)))
+        with pytest.raises(DomainError) as info:
+            validate_walk(self.SKELETON, walk)
+        assert str(info.value) == "walk not contained in skeleton: unknown edge 'zz'"
+
+    def test_an_equal_id_of_the_same_kind_is_accepted(self):
+        # ints past the small-int cache are separate objects when rebuilt
+        big = 10**6
+        g = Multigraph(("h",), (Edge(big, "h", "h"), Edge(("a", big), "h", "h")))
+        walk = ClosedWalk((WalkStep(int(str(big)), 0), WalkStep(("a", int(str(big))), 1)))
+        assert walk.steps[0].edge is not g.edges[0].id
+        validate_walk(g, walk)
+        TwoComplex(g, (walk,))
 
 
 class TestLinkGraph:
@@ -659,6 +709,30 @@ class TestRotationsOnDarts:
         private, public = dart_rotation(g, [[], [4, 3, 0, 5, 2]])
         assert private.orders == public.orders
         assert 2 not in dict(private.orders)
+
+    def test_the_check_on_darts_serves_only_its_own_graph(self, monkeypatch):
+        import linkchroma.core as core
+
+        pg = random_planar_paired_graph(0, 20)
+        # the check keeps no dart table on the map it was built for
+        assert "_darts" not in pg.graph.__dict__
+        calls = []
+        original = core._rotation_successors
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(core, "_rotation_successors", counted)
+        assert PairedGraph(pg.graph, pg.pairing, pg.rotation)._succ is pg._succ
+        assert calls == []
+        equal = Multigraph(pg.graph.vertices, pg.graph.edges)
+        assert PairedGraph(equal, pg.pairing, pg.rotation)._succ == pg._succ
+        assert calls == [equal]
+        smaller = Multigraph(pg.graph.vertices, pg.graph.edges[1:])
+        with pytest.raises(DomainError) as info:
+            PairedGraph(smaller, pg.pairing, pg.rotation)
+        assert str(info.value) == f"rotation mentions unknown edge {pg.graph.edges[0].id!r}"
 
     def test_constructors_on_darts_still_validate_their_output(self, monkeypatch):
         import linkchroma.core as core

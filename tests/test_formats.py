@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 
 from linkchroma import (
+    ClosedWalk,
+    DomainError,
     Edge,
     Multigraph,
     PairedGraph,
     Pairing,
     SchemaError,
     TwoComplex,
+    WalkStep,
     link_graph,
 )
 from linkchroma import formats
 from linkchroma.catalogue import k4_with_planar_rotation, tetrahedron_complex, triangle_complex
-from linkchroma.construct import load_shipped_witness
+from linkchroma.construct import load_shipped_witness, seal
 
 from strategies import WALK_FAULT_SKELETON, WALK_FAULTS
 
@@ -148,6 +151,26 @@ class TestComplexDocuments:
         with pytest.raises(SchemaError, match="walk step"):
             formats.complex_from_doc(doc)
 
+
+    def test_what_is_written_loads(self):
+        # sides that only compare equal to 0 or 1, and an edge id that is
+        # equal to the skeleton's but another object, are written as ints
+        big = 10**6
+        g = Multigraph(("h",), (Edge(big, "h", "h"), Edge("e", "h", "h")))
+        walk = ClosedWalk((("e", False), ("e", 1.0), (int(str(big)), True)))
+        for c in (TwoComplex(g, (walk,), "punctured"), seal(TwoComplex(g, (walk,), "punctured"))):
+            text = formats.dumps(formats.complex_to_doc(c))
+            assert "true" not in text and "false" not in text and "1.0" not in text
+            assert formats.complex_from_doc(formats.loads(text)) == c
+
+    @pytest.mark.parametrize("edge", [True, 1.0, [True], [1.0]])
+    def test_an_equal_id_of_another_kind_cannot_be_written(self, edge):
+        # the step is rejected where the complex is built, so no document
+        # the library writes holds it
+        g = Multigraph(("h",), (Edge(1, "h", "h"), Edge((1,), "h", "h")))
+        step = WalkStep(tuple(edge) if isinstance(edge, list) else edge, 0)
+        with pytest.raises(DomainError, match="only compares equal"):
+            TwoComplex(g, ((step,),))
 
     @pytest.mark.parametrize("case", sorted(WALK_FAULTS))
     def test_walk_faults_keep_their_text(self, case):

@@ -406,7 +406,7 @@ class TestPipeline:
 
         witness = load_shipped_witness()
         calls = Counter()
-        for name in ("_rotation_successors", "_genus"):
+        for name in ("_dart_successors", "_genus"):
 
             def counted(*args, _name=name, _original=getattr(core, name)):
                 calls[_name] += 1
@@ -414,8 +414,9 @@ class TestPipeline:
 
             monkeypatch.setattr(core, name, counted)
         run_pipeline(witness)
-        # the witness once and the augmented map once
-        assert calls == {"_rotation_successors": 2, "_genus": 2}
+        # the witness once and the augmented map once: the witness's
+        # rotation is read from edge-ends, the augmented map's built on darts
+        assert calls == {"_dart_successors": 2, "_genus": 2}
 
     def test_sealed_walk_lengths(self):
         stages = run_pipeline()
