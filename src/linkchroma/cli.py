@@ -43,19 +43,6 @@ def _write_doc(path: str, doc: dict) -> None:
     _eprint(f"wrote {path}")
 
 
-def _report_colouring(args, log: SolverLog, k: int, assignment) -> int:
-    """Solver log to stderr, the colouring to ``--out`` if given and ``k``
-    to stdout; exit 1 if ``k`` exceeds ``--palette``."""
-    _eprint(json.dumps({"solver": log.as_dict()}))
-    if args.out:
-        _write_doc(args.out, formats.colouring_to_doc(k, assignment))
-    print(k)
-    if args.palette is not None and k > args.palette:
-        _eprint(f"error:domain: needs {k} colours, exceeding the requested palette of {args.palette}")
-        return 1
-    return 0
-
-
 def cmd_link(args) -> int:
     from .core import link_graph
 
@@ -82,25 +69,25 @@ def cmd_quotient(args) -> int:
     return 0
 
 
-def cmd_chroma(args) -> int:
-    g = formats.graph_from_doc(formats.load(args.input))
-    log = SolverLog([], 0, 0)
-    k, witness = chromatic_number(g, log, budget=args.budget)
-    return _report_colouring(args, log, k, witness)
+def _exact(read, solve):
+    """The handler of an exact-solver command: ``solve`` on the ``--in``
+    document as ``read``, the solver log to stderr, the colouring to ``--out``
+    if given and ``k`` to stdout; exit 1 if ``k`` exceeds ``--palette``."""
 
+    def handler(args) -> int:
+        log = SolverLog([], 0, 0)
+        k, witness = solve(read(formats.load(args.input)), log, budget=args.budget)
+        _eprint(json.dumps({"solver": log.as_dict()}))
+        if args.out:
+            # chromatic_number's witness is a plain mapping, the others' a Colouring
+            _write_doc(args.out, formats.colouring_to_doc(k, getattr(witness, "assignment", witness)))
+        print(k)
+        if args.palette is not None and k > args.palette:
+            _eprint(f"error:domain: needs {k} colours, exceeding the requested palette of {args.palette}")
+            return 1
+        return 0
 
-def cmd_pair_chroma(args) -> int:
-    pg = formats.paired_graph_from_doc(formats.load(args.input))
-    log = SolverLog([], 0, 0)
-    k, witness = pair_chromatic_number(pg, log, budget=args.budget)
-    return _report_colouring(args, log, k, witness.assignment)
-
-
-def cmd_colour_complex(args) -> int:
-    c = formats.complex_from_doc(formats.load(args.input))
-    log = SolverLog([], 0, 0)
-    k, witness = edge_chromatic_number_complex(c, log, budget=args.budget)
-    return _report_colouring(args, log, k, witness.assignment)
+    return handler
 
 
 def cmd_heawood12(args) -> int:
@@ -274,16 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--simple", action="store_true", help="drop loops and collapse parallels"
         ),
     )
-    add("chroma", cmd_chroma, "exact chromatic number of a graph", inp="required", out="optional", extra=solver_options)
-    add("pair-chroma", cmd_pair_chroma, "exact pair-chromatic number", inp="required", out="optional", extra=solver_options)
-    add(
-        "colour-complex",
-        cmd_colour_complex,
-        "exact edge-chromatic number of a 2-complex",
-        inp="required",
-        out="optional",
-        extra=solver_options,
-    )
+    for name, read, solve, help_text in (
+        ("chroma", formats.graph_from_doc, chromatic_number, "exact chromatic number of a graph"),
+        ("pair-chroma", formats.paired_graph_from_doc, pair_chromatic_number, "exact pair-chromatic number"),
+        (
+            "colour-complex",
+            formats.complex_from_doc,
+            edge_chromatic_number_complex,
+            "exact edge-chromatic number of a 2-complex",
+        ),
+    ):
+        add(name, _exact(read, solve), help_text, inp="required", out="optional", extra=solver_options)
     add("heawood12", cmd_heawood12, "12-colour a certified-planar paired graph", inp="required", out="optional")
     add("augment", cmd_augment, "make a paired graph degree-faithful", inp="required", out="required")
     add("inverse-link", cmd_inverse_link, "complex with a prescribed link graph", inp="required", out="required")

@@ -46,7 +46,6 @@ from .core import (
     RotationSystem,
     TwoComplex,
     WalkStep,
-    _dart_vertices,
     _other_end,
     genus_check,
     link_graph,
@@ -80,7 +79,7 @@ def _with_twins(g: Multigraph, succ, twin_of, new: list, loops_at: list) -> tupl
     """
     m = len(g.edges)
     graph, position = Multigraph._extended(g, new)
-    _, at = _dart_vertices(g)
+    _, at = g._darts
     first = [-1] * len(g.vertices)  # the smallest old dart at each vertex position
     for d in range(2 * m - 1, -1, -1):
         first[at[d]] = d
@@ -120,7 +119,7 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
     if pg.rotation is None:
         raise DomainError("rotation system required to augment while preserving genus")
     g = pg.graph
-    index, at = _dart_vertices(g)
+    index, at = g._darts
     # after doubling, degrees are twice these, so a pair whose degrees
     # differ by k needs k loops of two ends each
     degree = Counter(at)
@@ -151,7 +150,7 @@ def _dart_trails(pg: PairedGraph) -> tuple:
     component with an edge takes every edge of the component, since all
     quotient degrees are even, and later starts find theirs used.
     """
-    index, at = _dart_vertices(pg.graph)
+    index, at = pg.graph._darts
     pair_at = [0] * len(index)
     partner = [0] * len(index)
     for k, (u, v) in enumerate(pg.pairing.pairs):
@@ -259,7 +258,7 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
         raise DomainError("pairing is not degree-faithful")
     pg.require_planar()
     at, trails = _dart_trails(pg)
-    index, _ = _dart_vertices(pg.graph)
+    index, _ = pg.graph._darts
     # one loop per pair, named by its smaller member: in id order
     loops = tuple(Edge(u, SKELETON_VERTEX, SKELETON_VERTEX) for u, _ in pg.pairing.pairs)
     skeleton = Multigraph._sorted((SKELETON_VERTEX,), loops)

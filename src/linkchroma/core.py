@@ -34,6 +34,7 @@ PUNCTURED = "punctured"
 
 MAX_ID_DEPTH = 32  # deepest tuple nesting an id may have
 _INT_ONLY = frozenset((int,))
+_PLAIN_IDS = frozenset((int, str))
 
 
 def id_sort_key(value):
@@ -69,6 +70,16 @@ def _tuple_sort_key(value: tuple, depth: int) -> tuple:
         (0, v) if type(v) is int else _tuple_sort_key(v, depth + 1) if isinstance(v, tuple) else id_sort_key(v)
         for v in value
     ]))
+
+
+def _is_id(value) -> bool:
+    """Whether ``value`` is an id under ``id_sort_key``: ``True`` and ``1.0``
+    compare equal to the id ``1`` but are not ids."""
+    try:
+        id_sort_key(value)
+    except DomainError:
+        return False
+    return True
 
 
 class EdgeEnd(NamedTuple):
@@ -114,6 +125,11 @@ class Multigraph:
         verts = tuple(sorted(self.vertices, key=id_sort_key))
         edges = (e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
         self._index(verts, tuple(sorted(edges, key=lambda e: id_sort_key(e.id))))
+        if not _PLAIN_IDS.issuperset(map(type, chain.from_iterable(map(itemgetter(1, 2), self.edges)))):
+            # an end such as True or 1.0 is in the vertex set but is not an id
+            bad = next((e for e in self.edges if not (_is_id(e.end0) and _is_id(e.end1))), None)
+            if bad is not None:
+                raise DomainError(f"edge {short_repr(bad.id)} names a vertex by an id that only compares equal to it")
 
     @classmethod
     def _sorted(cls, verts: tuple, edges: tuple) -> "Multigraph":
@@ -180,7 +196,7 @@ class Multigraph:
     def _darts(self) -> tuple:
         """The position of each vertex id, and the vertex position of each
         dart ``2 * edge_position + side``: built on first use and kept, as
-        ``_ends_at``.  Read through ``_dart_vertices``; never mutated."""
+        ``_ends_at``.  Callers only read it."""
         index = {v: i for i, v in enumerate(self.vertices)}
         return index, [index[v] for e in self.edges for v in (e.end0, e.end1)]
 
@@ -210,17 +226,8 @@ class Multigraph:
     def degree(self, v) -> int:
         return len(self.ends_at(v))
 
-    def end_vertex(self, end: EdgeEnd) -> VertexId:
-        return self.edge(end.edge).endpoint(end.side)
-
     def edge_ids(self) -> tuple:
         return tuple(e.id for e in self.edges)
-
-
-def _dart_vertices(g: Multigraph) -> tuple:
-    """The position of each vertex id, and the vertex position of each dart
-    ``2 * edge_position + side``, as kept on ``g``.  Callers only read them."""
-    return g._darts
 
 
 _other_end = (1).__xor__  # a dart to the dart at the other end of its edge
@@ -232,7 +239,7 @@ def _components(g: Multigraph) -> tuple:
     vertex position, and the number of components.  A union keeps the
     smaller root, so every root is its component's first stored vertex and
     components are numbered in that order."""
-    index, at = _dart_vertices(g)
+    index, at = g._darts
     parent = list(range(len(index)))
     ends = iter(at)
     for a, b in zip(ends, ends):  # the two ends of each edge
@@ -276,6 +283,21 @@ def _records(cls, rows):
     return map(tuple.__new__, repeat(cls), rows)
 
 
+def _side_records(cls, rows, fault: str) -> tuple:
+    """``rows`` as a tuple of ``cls``, (id, side) records, with every side
+    checked to be 0 or 1, ``fault`` naming the first that is not.  A side
+    such as ``False`` or ``1.0`` is kept as the int it equals, so that a
+    document written from the rows loads again."""
+    if type(rows) is not tuple or not all(map(isinstance, rows, repeat(cls))):
+        rows = tuple(r if isinstance(r, cls) else cls(*r) for r in rows)
+    if not all(map((0, 1).__contains__, map(itemgetter(1), rows))):
+        bad = next(r for r in rows if r[1] not in (0, 1))
+        raise DomainError(fault.format(short_repr(bad)))
+    if frozenset(map(type, map(itemgetter(1), rows))) != _INT_ONLY:
+        rows = tuple(_records(cls, [(r[0], 1 if r[1] else 0) for r in rows]))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Closed walks
 
@@ -303,18 +325,9 @@ class ClosedWalk:
     steps: tuple
 
     def __post_init__(self):
-        steps = self.steps
-        if type(steps) is not tuple or not all(map(isinstance, steps, repeat(WalkStep))):
-            steps = tuple(s if isinstance(s, WalkStep) else WalkStep(*s) for s in steps)
+        steps = _side_records(WalkStep, self.steps, "walk step {} has an invalid entry side")
         if not steps:
             raise DomainError("a closed walk must be nonempty")
-        if not all(map((0, 1).__contains__, map(itemgetter(1), steps))):
-            bad = next(s for s in steps if s.entry not in (0, 1))
-            raise DomainError(f"walk step {short_repr(bad)} has an invalid entry side")
-        if frozenset(map(type, map(itemgetter(1), steps))) != _INT_ONLY:
-            # a side such as False or 1.0 is kept as the int it equals, so
-            # that a document written from the walk loads again
-            steps = tuple([WalkStep(s[0], 1 if s[1] else 0) for s in steps])
         object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
@@ -343,7 +356,7 @@ def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
         raise DomainError(f"walk not contained in skeleton: unknown edge {short_repr(unknown.edge)}") from None
     if not all(map(is_, steps, map(table.__getitem__, darts))):
         for s, d in zip(steps, darts):
-            if s[0] is not table[d][0] and not _same_id(s[0], table[d][0]):
+            if s[0] is not table[d][0] and not _is_id(s[0]):
                 raise DomainError(
                     f"walk step {short_repr(s)} names edge {short_repr(table[d][0])} "
                     "by an id that only compares equal to it"
@@ -357,15 +370,6 @@ def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
     if outs != ins:
         i = next(i for i, (here, there) in enumerate(zip(outs, ins)) if here != there)
         raise DomainError(f"walk is not vertex-compatible between steps {i} and {(i + 1) % len(steps)}")
-
-
-def _same_id(value, edge_id) -> bool:
-    """Whether ``value`` is the id ``edge_id`` under ``id_sort_key``: an id
-    such as ``True`` or ``1.0`` compares equal to ``1`` but is not one."""
-    try:
-        return id_sort_key(value) == id_sort_key(edge_id)
-    except DomainError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +415,6 @@ class Pairing:
         object.__setattr__(self, "pairs", canon)
         object.__setattr__(self, "_pair_of", {m: p for p in canon for m in p})
 
-    def pair_of(self, v) -> tuple:
-        try:
-            return self._pair_of[v]
-        except KeyError:
-            raise DomainError(f"vertex {short_repr(v)} is not paired") from None
-
-    def partner(self, v):
-        p = self.pair_of(v)
-        return p[1] if p[0] == v else p[0]
-
-    def representative(self, v):
-        return self.pair_of(v)[0]
-
 
 @dataclass(frozen=True)
 class RotationSystem:
@@ -446,10 +437,7 @@ class RotationSystem:
             if v in seen_vertices:
                 raise DomainError(f"vertex {short_repr(v)} appears twice in rotation system")
             seen_vertices.add(v)
-            ends = tuple(e if isinstance(e, EdgeEnd) else EdgeEnd(*e) for e in order)
-            for e in ends:
-                if e.side not in (0, 1):
-                    raise DomainError(f"edge-end {short_repr(e)} has an invalid side")
+            ends = _side_records(EdgeEnd, order, "edge-end {} has an invalid side")
             if not ends:
                 continue
             pivot = min(range(len(ends)), key=lambda i: (id_sort_key(ends[i].edge), ends[i].side))
@@ -532,8 +520,7 @@ def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
             k = at.index(None)
             fault = DomainError(f"rotation mentions unknown edge {short_repr(order[k][0])}")
             at, order = at[:k], order[:k]
-        # a side is 0 or 1 or compares equal to one of them
-        darts_at.append((v, [2 * i if s == 0 else 2 * i + 1 for i, s in zip(at, map(itemgetter(1), order))]))
+        darts_at.append((v, [2 * i + s for i, s in zip(at, map(itemgetter(1), order))]))
         if fault is not None:
             break
     return _dart_successors(g, darts_at, fault)

@@ -119,6 +119,26 @@ class TestChroma:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, doc, assignment",
+        [
+            ("chroma", lambda: formats.graph_to_doc(complete_graph(5)), {"0": 0, "1": 1, "2": 2, "3": 3, "4": 4}),
+            (
+                "pair-chroma",
+                lambda: formats.paired_graph_to_doc(link_graph(triangle_complex())),
+                {"a:0:a:1": 0, "b:0:b:1": 1, "c:0:c:1": 2},
+            ),
+            ("colour-complex", lambda: formats.complex_to_doc(triangle_complex()), {"a": 0, "b": 1, "c": 2}),
+        ],
+    )
+    def test_out_on_every_exact_command(self, capsys, tmp_path, command, doc, assignment):
+        path, out = tmp_path / "doc.json", tmp_path / "col.json"
+        formats.save(path, doc())
+        code, stdout, stderr = run(capsys, command, "--in", str(path), "--out", str(out))
+        assert code == 0
+        assert stderr.splitlines()[1] == f"wrote {out}"
+        assert formats.load(out) == {"palette_size": len(assignment), "assignment": assignment}
+
     @pytest.mark.parametrize("command", ["chroma", "pair-chroma", "colour-complex"])
     def test_budget_option_on_every_exact_command(self, capsys, tmp_path, command):
         doc = {

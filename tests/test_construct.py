@@ -40,13 +40,14 @@ def validate_trail(pg, trail):
     """Oracle for the partner-jump condition of a trail: each step enters
     its edge at the tail side, and the next step's tail vertex is the
     partner of the current step's head vertex."""
+    partner = {u: v for pair in pg.pairing.pairs for u, v in (pair, pair[::-1])}
     n = len(trail.steps)
     for i in range(n):
         here = trail.steps[i]
         there = trail.steps[(i + 1) % n]
         head = pg.graph.edge(here.edge).endpoint(1 - here.entry)
         tail = pg.graph.edge(there.edge).endpoint(there.entry)
-        if tail != pg.pairing.partner(head):
+        if tail != partner[head]:
             raise DomainError(f"trail breaks the partner-jump condition at step {i}")
 
 

@@ -32,7 +32,7 @@ from linkchroma.catalogue import (
 )
 from linkchroma.colour import _neighbours, heawood_colour_12
 from linkchroma.construct import make_degree_faithful, pi_trail_decomposition, random_planar_paired_graph
-from linkchroma.core import MAX_ID_DEPTH, _dart_vertices
+from linkchroma.core import MAX_ID_DEPTH
 from linkchroma.corpus import enumerate_small_complexes
 
 from strategies import WALK_FAULT_SKELETON, WALK_FAULTS, side_by_side, with_extras
@@ -118,8 +118,8 @@ class TestMultigraph:
 
 
 class TestEndsTable:
-    """The ends table is built on first use of ``ends_at``, ``degree`` or
-    ``end_vertex``, by every way of making a graph, and is not a field."""
+    """The ends table is built on first use of ``ends_at`` or ``degree``, by
+    every way of making a graph, and is not a field."""
 
     def graphs(self):
         yield Multigraph((3, "v", ("t", 1)), (Edge("b", "v", "v"), Edge("a", 3, "v"), Edge(("c",), ("t", 1), 3)))
@@ -137,7 +137,7 @@ class TestEndsTable:
                 expected = tuple(EdgeEnd(e.id, s) for e in g.edges for s in (0, 1) if e.endpoint(s) == v)
                 assert g.ends_at(v) == expected
                 assert g.degree(v) == len(expected)
-                assert all(g.end_vertex(end) == v for end in expected)
+                assert all(g.edge(end.edge).endpoint(end.side) == v for end in expected)
             assert g._ends_at is g._ends_at  # built once
 
     def test_unknown_vertex_or_edge_is_a_domain_error(self):
@@ -147,16 +147,16 @@ class TestEndsTable:
                     lookup("zz")
                 assert str(info.value) == "unknown vertex 'zz'"
             with pytest.raises(DomainError) as info:
-                g.end_vertex(EdgeEnd("zz", 0))
+                g.edge("zz")
             assert str(info.value) == "unknown edge 'zz'"
 
     def test_dart_positions_match_the_edges_and_are_built_once(self):
         for g in self.graphs():
             assert "_darts" not in g.__dict__
-            index, at = _dart_vertices(g)
+            index, at = g._darts
             assert index == {v: i for i, v in enumerate(g.vertices)}
             assert at == [index[e.endpoint(s)] for e in g.edges for s in (0, 1)]
-            assert _dart_vertices(g) is g.__dict__["_darts"]
+            assert g._darts is g.__dict__["_darts"]
 
     def test_the_heawood_path_and_augmentation_share_one_dart_table(self):
         pg = random_planar_paired_graph(3, 40)
@@ -174,7 +174,7 @@ class TestEndsTable:
         for built, fresh in zip(self.graphs(), self.graphs()):
             for v in built.vertices:
                 built.degree(v)
-            _dart_vertices(built)
+            built._darts
             assert "_ends_at" in built.__dict__ and "_ends_at" not in fresh.__dict__
             assert "_darts" in built.__dict__ and "_darts" not in fresh.__dict__
             assert built == fresh
@@ -497,7 +497,7 @@ def sorted_face_genera(g, rot):
     for comp in bfs_components(g):
         members = set(comp)
         edges = sum(1 for e in g.edges if e.end0 in members)
-        f = sum(1 for d in faces if g.end_vertex(d) in members) if edges else 1
+        f = sum(1 for d in faces if g.edge(d.edge).endpoint(d.side) in members) if edges else 1
         out.append((comp, f, (2 - (len(comp) - edges + f)) // 2))
     return out
 
@@ -794,11 +794,9 @@ class TestPairings:
         with pytest.raises(DomainError):
             PairedGraph(g, Pairing((("u", "v"),)))
 
-    def test_partner_and_representative(self):
+    def test_classes_are_stored_smaller_member_first(self):
         p = Pairing(((2, 1), (3, 4)))
         assert p.pairs == ((1, 2), (3, 4))
-        assert p.partner(2) == 1
-        assert p.representative(4) == 3
 
 
 def k5_paired(rotation=True):

@@ -9,9 +9,11 @@ from linkchroma import (
     ClosedWalk,
     DomainError,
     Edge,
+    EdgeEnd,
     Multigraph,
     PairedGraph,
     Pairing,
+    RotationSystem,
     SchemaError,
     TwoComplex,
     WalkStep,
@@ -200,6 +202,66 @@ class TestComplexDocuments:
         with pytest.raises(SchemaError) as info:
             formats.complex_from_doc(doc)
         assert str(info.value) == message
+
+
+def refused_or_read_back(build, to_doc, from_doc) -> bool:
+    """Whether ``build()`` raises DomainError; if it does not, what it builds
+    must read back equal from the text written for it, and write that text
+    again."""
+    try:
+        x = build()
+    except DomainError:
+        return True
+    text = formats.dumps(to_doc(x))
+    again = from_doc(formats.loads(text))
+    assert again == x
+    assert formats.dumps(to_doc(again)) == text
+    return False
+
+
+class TestWrittenThenRead:
+    @pytest.mark.parametrize(
+        "vertex, end, refused",
+        [
+            (1, 1, False),
+            (1, True, True),
+            (1, 1.0, True),
+            ((1,), (1,), False),
+            ((1,), (True,), True),
+            ((1,), (1.0,), True),
+        ],
+    )
+    def test_ends_equal_to_a_vertex_id(self, vertex, end, refused):
+        edges = (Edge("a", end, "w"), Edge("b", "w", vertex))
+        ends = {vertex: (EdgeEnd("a", 0), EdgeEnd("b", 1)), "w": (EdgeEnd("a", 1), EdgeEnd("b", 0))}
+        cases = [
+            (lambda: Multigraph((vertex, "w"), edges), formats.graph_to_doc, formats.graph_from_doc),
+            (
+                lambda: PairedGraph(Multigraph((vertex, "w"), edges), Pairing(((vertex, "w"),)), RotationSystem(ends)),
+                formats.paired_graph_to_doc,
+                formats.paired_graph_from_doc,
+            ),
+            (
+                lambda: TwoComplex(Multigraph((vertex, "w"), edges), ((("a", 0), ("b", 0)),)),
+                formats.complex_to_doc,
+                formats.complex_from_doc,
+            ),
+        ]
+        assert [refused_or_read_back(*case) for case in cases] == [refused] * 3
+        if refused:
+            with pytest.raises(DomainError) as info:
+                Multigraph((vertex, "w"), edges)
+            assert str(info.value) == "edge 'a' names a vertex by an id that only compares equal to it"
+
+    @pytest.mark.parametrize("side0, side1", [(0, 1), (False, True), (0.0, 1.0), (False, 1.0)])
+    def test_rotation_sides_equal_to_0_or_1(self, side0, side1):
+        g = Multigraph(("u", "v"), (Edge(1, "u", "v"),))
+        rotation = {"u": [EdgeEnd(1, side0)], "v": [EdgeEnd(1, side1)]}
+        assert not refused_or_read_back(
+            lambda: PairedGraph(g, Pairing((("u", "v"),)), RotationSystem(rotation)),
+            formats.paired_graph_to_doc,
+            formats.paired_graph_from_doc,
+        )
 
 
 class TestColouringDocuments:

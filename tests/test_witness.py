@@ -441,6 +441,31 @@ class TestSearch:
         adj = {0: {1, 2, 3}, 1: {0, 2, 3}, 2: {0, 1, 3}, 3: {0, 1, 2}}
         assert exact_pairing(adj) is None
 
+    @staticmethod
+    def shipped_adjacency():
+        """The shipped witness's graph, and its neighbour sets as
+        ``exact_pairing`` takes them."""
+        g = load_shipped_witness().graph
+        adj = {v: set() for v in g.vertices}
+        for e in g.edges:
+            adj[e.end0].add(e.end1)
+            adj[e.end1].add(e.end0)
+        return g, adj
+
+    def test_exact_pairing_pairs_the_shipped_triangulation(self):
+        g, adj = self.shipped_adjacency()
+        pairs = exact_pairing(adj)
+        pair_of = {m: i for i, p in enumerate(pairs) for m in p}
+        assert len(pairs) == search.N_PAIRS and sorted(pair_of) == sorted(adj)
+        classes = {frozenset((pair_of[e.end0], pair_of[e.end1])) for e in g.edges}
+        assert len(classes) == search.OBJECTIVE_MAX and all(len(c) == 2 for c in classes)
+
+    def test_exact_pairing_gives_up_at_its_node_cap(self, monkeypatch):
+        # the search above places one pair per node and never backtracks
+        _, adj = self.shipped_adjacency()
+        monkeypatch.setattr(search, "_BACKTRACK_NODE_CAP", search.N_PAIRS - 1)
+        assert exact_pairing(adj) is None
+
     def test_within_pair_edge_caps_the_objective(self):
         # pairing two adjacent vertices wastes that edge: at most 65 of the
         # 66 classes can then be realised
