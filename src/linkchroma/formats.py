@@ -38,6 +38,7 @@ from .core import (
     RotationSystem,
     TwoComplex,
     WalkStep,
+    _is_id,
     id_sort_key,
 )
 from .errors import DomainError, SchemaError, short_repr
@@ -281,6 +282,14 @@ def colouring_to_doc(palette_size: int, assignment: Mapping) -> dict:
 
 
 def witness_to_doc(witness) -> dict:
+    """The witness as a document.  A witness is held loosely, so a pair
+    member that is not an id (``5.0`` for vertex 5) is refused here rather
+    than written into a document that cannot be read back."""
+    for what, pairs in (("pair", witness.pairs), ("designated pair", witness.designated_pairs)):
+        for pair in pairs:
+            for v in pair:
+                if not _is_id(v):
+                    raise DomainError(f"{what} {short_repr(pair)} holds {short_repr(v)}, which is not an id")
     doc = _paired_doc(witness.graph, witness.pairs, witness.rotation)
     doc["designated_pairs"] = [
         [id_to_json(u), id_to_json(v)] for u, v in witness.designated_pairs

@@ -13,11 +13,14 @@ pairing on the current triangulation, used to close the final gap.
 Deterministic for a given seed.
 
 The objective is kept in packed ints of edge counts, one 4-bit field per
-pair, and every proposal is scored before it touches the state.  A
-rejected flip only exchanges its edge's two darts, as two flips would
-leave them; a rejected swap changes nothing.  A flip's score reads two
-fields, and a swap's rebuilds the rows of its two pairs from the counts
-of four vertices in O(1) big-int operations.
+pair, and every proposal is scored before it touches the state.  A flip's
+score reads two fields, and a swap's rebuilds the rows of its two pairs
+from the counts of four vertices in O(1) big-int operations; an accepted
+swap hands its score on, so no swap is scored twice.  A rejected swap
+changes nothing.  A rejected flip only toggles a parity bit for its edge:
+flipping an edge twice exchanges its two darts, a relabelling that
+commutes with every flip and leaves every vertex the loop reads unchanged,
+so the pending exchanges are applied just before a witness is built.
 """
 
 from __future__ import annotations
@@ -160,10 +163,9 @@ class _AnnealState:
     its field q is the number of edges joining pairs p and q (field p
     counts an edge inside the pair twice and realises no class).
     ``partner[v]`` is the other member of ``v``'s pair, and ``distinct``
-    the number of nonzero cross-pair classes.  ``swap_delta`` scores a swap
-    in O(1) without touching the state; ``flip`` and ``swap_pairs`` cost
-    O(degree) updates and are their own inverses (a flip up to the
-    exchange of its edge's darts).
+    the number of nonzero cross-pair classes.  ``search_witness`` scores
+    and applies flips inline and keeps its running objective in a local,
+    so ``distinct`` is exact only for callers that score every move.
     """
 
     def __init__(self, tri: SphereTriangulation, pair_of: list):
@@ -175,49 +177,13 @@ class _AnnealState:
         self.row = [self.nbp[u] + self.nbp[v] for u, v in pairs]
         self.distinct = sum(((r + _SEVENS) & _KEEP[p]).bit_count() for p, r in enumerate(self.row)) // 2
 
-    def flip(self, e: int):
-        """Flip the flippable edge ``e``: the old diagonal leaves its class
-        and the new one joins its class (none for an edge inside a pair)."""
-        (x, y), (z, w) = self.tri.flip(e)
-        pair_of, nbp, row = self.pair_of, self.nbp, self.row
-        px, py, pz, pw = pair_of[x], pair_of[y], pair_of[z], pair_of[w]
-        lost = px != py and (row[px] >> 4 * py) & 15 == 1
-        fx, fy, fz, fw = _FIELD[px], _FIELD[py], _FIELD[pz], _FIELD[pw]
-        nbp[x], nbp[y], nbp[z], nbp[w] = nbp[x] - fy, nbp[y] - fx, nbp[z] + fw, nbp[w] + fz
-        row[px] -= fy  # the pairs need not differ
-        row[py] -= fx
-        row[pz] += fw
-        row[pw] += fz
-        # zw's class holds one edge now iff it was empty or is xy's (lost)
-        self.distinct += (pz != pw and (row[pz] >> 4 * pw) & 15 == 1) - lost
-
-    def swap_delta(self, a: int, b: int) -> int:
-        """The change in ``distinct`` that ``swap_pairs(a, b)`` would make,
-        read without touching the state: only the rows of the two pairs
-        change, and they follow from ``nbp`` of ``a``, ``b`` and partners."""
-        pair_of, partner, nbp, row = self.pair_of, self.partner, self.nbp, self.row
-        adj_a, adj_b = self.tri.adj[a], self.tri.adj[b]
-        pa, pb = pair_of[a], pair_of[b]
-        a2, b2 = partner[a], partner[b]
-        d = _FIELD[pb] - _FIELD[pa]  # a vertex moving from pair pa to pb
-        ab = b in adj_a
-        new_a = nbp[b] + nbp[a2] + d * (ab + (a2 in adj_a) - (a2 in adj_b))  # pair pa = {b, a2}
-        new_b = nbp[a] + nbp[b2] + d * ((b2 in adj_a) - (b2 in adj_b) - ab)  # pair pb = {a, b2}
-        # count class {pa, pb} in row pa only
-        keep_a = _KEEP[pa]
-        keep_b = keep_a & _KEEP[pb]
-        return (
-            ((new_a + _SEVENS) & keep_a).bit_count()
-            + ((new_b + _SEVENS) & keep_b).bit_count()
-            - ((row[pa] + _SEVENS) & keep_a).bit_count()
-            - ((row[pb] + _SEVENS) & keep_b).bit_count()
-        )
-
-    def swap_pairs(self, a: int, b: int):
-        """Exchange the pairs of ``a`` and ``b``, which must differ: the
-        neighbours of ``a`` see it move to ``b``'s pair, those of ``b`` the
-        reverse, and the two pairs' rows are rebuilt from their members."""
-        self.distinct += self.swap_delta(a, b)
+    def swap_pairs(self, a: int, b: int, delta: int):
+        """Exchange the pairs of ``a`` and ``b``, which must differ, and add
+        ``delta``, the swap's score, to ``distinct``: the neighbours of
+        ``a`` see it move to ``b``'s pair, those of ``b`` the reverse, and
+        the two pairs' rows are rebuilt from their members.  Its own
+        inverse, with the score negated."""
+        self.distinct += delta
         pair_of, partner, nbp, row = self.pair_of, self.partner, self.nbp, self.row
         pa, pb = pair_of[a], pair_of[b]
         a2, b2 = partner[a], partner[b]
@@ -249,9 +215,14 @@ def _random_state(rng: random.Random) -> _AnnealState:
         e = getrandbits(edge_bits)  # the loop rng.randrange(num_edges) runs
         while e >= num_edges:
             e = getrandbits(edge_bits)
-        z, w = origin[fnext[fnext[2 * e]]], origin[fnext[fnext[2 * e + 1]]]
+        d = 2 * e
+        a = fnext[d]
+        b = fnext[a]
+        c = fnext[d + 1]
+        f = fnext[c]
+        z, w = origin[b], origin[f]
         if z != w and z not in adj[w]:  # tri.flippable(e)
-            tri.flip(e)
+            tri._flip_at(d, a, b, c, f, origin[d], origin[d + 1], z, w)
     perm = list(range(N_VERTICES))
     rng.shuffle(perm)
     pair_of = [0] * N_VERTICES
@@ -300,40 +271,56 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
     while steps_used < budget:
         restarts += 1
         state = _random_state(rng)
-        tri, pair_of, row = state.tri, state.pair_of, state.row
-        origin, fnext, adj = tri.origin, tri.fnext, tri.adj
+        tri, pair_of, partner, nbp, row = state.tri, state.pair_of, state.partner, state.nbp, state.row
+        origin, fnext, adj, flip_at = tri.origin, tri.fnext, tri.adj, tri._flip_at
         num_edges = tri.num_edges  # a flip keeps the edge count
         edge_bits = num_edges.bit_length()
+        exchanged = [0] * num_edges  # rejected flips per edge, mod 2
         chain = min(_CHAIN_LENGTH, budget - steps_used)
-        best_chain = state.distinct
-        since_improvement = 0
+        distinct = best_chain = state.distinct
+        last_improved = -1
 
         for i in range(chain):
-            steps_used += 1
-            since_improvement += 1
             # each getrandbits loop below draws what rng.randrange(n) draws
             if random_() < _FLIP_PROB:
                 e = getrandbits(edge_bits)
                 while e >= num_edges:
                     e = getrandbits(edge_bits)
                 d = 2 * e
-                z = origin[fnext[fnext[d]]]
-                w = origin[fnext[fnext[d + 1]]]
+                a = fnext[d]
+                b = fnext[a]
+                c = fnext[d + 1]
+                f = fnext[c]
+                z, w = origin[b], origin[f]
+                # A pending exchange swaps x with y and z with w, and every
+                # read below is symmetric under that.
                 if z != w and z not in adj[w]:
-                    px, py = pair_of[origin[d]], pair_of[origin[d + 1]]
-                    pz, pw = pair_of[z], pair_of[w]
+                    x, y = origin[d], origin[d + 1]
+                    px, py, pz, pw = pair_of[x], pair_of[y], pair_of[z], pair_of[w]
+                    lost = px != py and (row[px] >> 4 * py) & 15 == 1
                     # the flip loses one class iff the old diagonal is the
                     # last edge of its class and the new one joins no
                     # class, or another class that already has edges
                     if (
-                        px != py
-                        and (row[px] >> 4 * py) & 15 == 1
+                        lost
                         and (pz == pw or (row[pz] >> 4 * pw) & 15 and {pz, pw} != {px, py})
                         and random_() >= exp(-1 / (_T_START * exp(cool * i / chain)))
                     ):
-                        tri.exchange_darts(e)  # what flipping e twice leaves
+                        exchanged[e] ^= 1  # what flipping e twice leaves
                     else:
-                        state.flip(e)
+                        flip_at(d, a, b, c, f, x, y, z, w)
+                        fx, fy, fz, fw = _FIELD[px], _FIELD[py], _FIELD[pz], _FIELD[pw]
+                        nbp[x] -= fy
+                        nbp[y] -= fx
+                        nbp[z] += fw
+                        nbp[w] += fz
+                        row[px] -= fy  # the pairs need not differ
+                        row[py] -= fx
+                        row[pz] += fw
+                        row[pw] += fz
+                        # zw's class holds one edge now iff it was empty or
+                        # is xy's (lost)
+                        distinct += (pz != pw and (row[pz] >> 4 * pw) & 15 == 1) - lost
             else:
                 a = getrandbits(vertex_bits)
                 while a >= N_VERTICES:
@@ -341,37 +328,63 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
                 b = getrandbits(vertex_bits)
                 while b >= N_VERTICES:
                     b = getrandbits(vertex_bits)
-                if pair_of[a] != pair_of[b]:
-                    delta = state.swap_delta(a, b)
+                pa, pb = pair_of[a], pair_of[b]
+                if pa != pb:
+                    # only the rows of the two pairs change, and they follow
+                    # from nbp of a, b and their partners; a vertex moving
+                    # between pa and pb changes only fields pa and pb, and
+                    # row pb is counted without them
+                    adj_a = adj[a]
+                    a2, b2 = partner[a], partner[b]
+                    moved = _FIELD[pb] - _FIELD[pa]  # a vertex moving from pair pa to pb
+                    new_a = nbp[b] + nbp[a2] + moved * ((b in adj_a) + (a2 in adj_a) - (a2 in adj[b]))  # {b, a2}
+                    new_b = nbp[a] + nbp[b2]  # {a, b2}, but for fields pa and pb
+                    # count class {pa, pb} in row pa only
+                    keep_a = _KEEP[pa]
+                    keep_b = keep_a & _KEEP[pb]
+                    delta = (
+                        ((new_a + _SEVENS) & keep_a).bit_count()
+                        + ((new_b + _SEVENS) & keep_b).bit_count()
+                        - ((row[pa] + _SEVENS) & keep_a).bit_count()
+                        - ((row[pb] + _SEVENS) & keep_b).bit_count()
+                    )
                     if delta >= 0 or random_() < exp(delta / (_T_START * exp(cool * i / chain))):
-                        state.swap_pairs(a, b)
+                        state.swap_pairs(a, b, delta)
+                        distinct += delta
 
-            distinct = state.distinct
-            if distinct > best_chain:
-                best_chain = distinct
-                since_improvement = 0
-            if distinct > best_overall:
-                best_overall = distinct
+            # The bookkeeping below decides nothing unless the objective
+            # passed one of its two bests, or at the backtracking period.
+            if distinct > best_chain or distinct > best_overall or i % _BACKTRACK_EVERY == _BACKTRACK_EVERY - 1:
+                if distinct > best_chain:
+                    best_chain = distinct
+                    last_improved = i
+                if distinct > best_overall:
+                    best_overall = distinct
 
-            reached_target = distinct == OBJECTIVE_MAX
-            periodic = i % _BACKTRACK_EVERY == _BACKTRACK_EVERY - 1
-            promising = distinct >= _BACKTRACK_TRIGGER and since_improvement == 0
-            if reached_target or ((periodic or promising) and _degree_feasible(adj)):
-                pairs = state.pairs() if reached_target else exact_pairing(adj)
-                if pairs is not None:
-                    provenance = {
-                        "method": "annealing+exact-pairing",
-                        "seed": seed,
-                        "budget": budget,
-                        "steps_used": steps_used,
-                        "restarts": restarts,
-                        "objective": OBJECTIVE_MAX,
-                        "closed_by": "annealing" if reached_target else "backtracking",
-                    }
-                    return _build_witness(tri, pairs, provenance)
+                reached_target = distinct == OBJECTIVE_MAX
+                periodic = i % _BACKTRACK_EVERY == _BACKTRACK_EVERY - 1
+                promising = distinct >= _BACKTRACK_TRIGGER and last_improved == i
+                if reached_target or ((periodic or promising) and _degree_feasible(adj)):
+                    pairs = state.pairs() if reached_target else exact_pairing(adj)
+                    if pairs is not None:
+                        steps_used += i + 1
+                        provenance = {
+                            "method": "annealing+exact-pairing",
+                            "seed": seed,
+                            "budget": budget,
+                            "steps_used": steps_used,
+                            "restarts": restarts,
+                            "objective": OBJECTIVE_MAX,
+                            "closed_by": "annealing" if reached_target else "backtracking",
+                        }
+                        for e in range(num_edges):
+                            if exchanged[e]:
+                                tri.exchange_darts(e)
+                        return _build_witness(tri, pairs, provenance)
 
-            if since_improvement > _STALL_LIMIT:
+            if i - last_improved > _STALL_LIMIT:
                 break
+        steps_used += i + 1
 
     raise BudgetExhausted(
         f"no witness within {budget} proposals; best objective {best_overall}/66",

@@ -83,30 +83,42 @@ class SphereTriangulation:
 
         Returns ((x, y), (z, w)).  Flipping the same edge again restores
         the original triangulation, with the two darts of ``e`` exchanged
-        (see ``exchange_darts``).
+        (see ``exchange_darts``).  Raises ``DomainError`` if ``e`` is not
+        flippable.
         """
-        d, t = 2 * e, 2 * e + 1
-        a = self.fnext[d]
-        b = self.fnext[a]
-        c = self.fnext[t]
-        f = self.fnext[c]
-        x, y = self.origin[d], self.origin[t]
-        z, w = self.origin[b], self.origin[f]
+        origin, fnext = self.origin, self.fnext
+        d = 2 * e
+        a = fnext[d]
+        b = fnext[a]
+        c = fnext[d + 1]
+        f = fnext[c]
+        x, y, z, w = origin[d], origin[d + 1], origin[b], origin[f]
         if z == w or z in self.adj[w]:
             raise DomainError(f"edge {e} is not flippable")
-        self.adj[x].discard(y)
-        self.adj[y].discard(x)
-        self.adj[z].add(w)
-        self.adj[w].add(z)
-        self.origin[d], self.origin[t] = w, z
-        self.fnext[b], self.fnext[c], self.fnext[d] = c, d, b
-        self.fnext[f], self.fnext[a], self.fnext[t] = a, t, f
+        self._flip_at(d, a, b, c, f, x, y, z, w)
         return (x, y), (z, w)
+
+    def _flip_at(self, d, a, b, c, f, x, y, z, w):
+        """The surgery of ``flip`` on corners the caller has read and
+        checked: ``d`` a dart of the edge, ``a = fnext[d]``, ``b =
+        fnext[a]``, ``c = fnext[d ^ 1]``, ``f = fnext[c]``, and the origins
+        ``x, y, z, w`` of ``d``, ``d ^ 1``, ``b`` and ``f``."""
+        t = d ^ 1
+        adj, fnext = self.adj, self.fnext
+        adj[x].discard(y)
+        adj[y].discard(x)
+        adj[z].add(w)
+        adj[w].add(z)
+        self.origin[d], self.origin[t] = w, z
+        fnext[b], fnext[c], fnext[d] = c, d, b
+        fnext[f], fnext[a], fnext[t] = a, t, f
 
     def exchange_darts(self, e: int):
         """Exchange the two darts of edge ``e`` and nothing else: the state
         that ``flip(e); flip(e)`` leaves, without touching ``adj``.  Its own
-        inverse."""
+        inverse.  A relabelling of two darts, it commutes with every flip,
+        of ``e`` or of any other edge, so exchanges may be left pending and
+        applied later in any order."""
         fnext = self.fnext
         d, t = 2 * e, 2 * e + 1
         a = fnext[d]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -21,7 +22,7 @@ from linkchroma import (
 )
 from linkchroma import formats
 from linkchroma.catalogue import k4_with_planar_rotation, tetrahedron_complex, triangle_complex
-from linkchroma.construct import load_shipped_witness, seal
+from linkchroma.construct import load_shipped_witness, seal, verify_witness
 
 from strategies import WALK_FAULT_SKELETON, WALK_FAULTS
 
@@ -280,6 +281,24 @@ class TestWitnessDocuments:
         assert again.rotation == w.rotation
         assert again.designated_pairs == w.designated_pairs
         assert again.provenance == w.provenance
+
+    def test_a_pair_member_that_is_not_an_id_is_not_written(self):
+        # 5.0 equals vertex 5 but is not an id: a document holding it
+        # would fail to load, so the object's failed checks would never
+        # be reported for it
+        w = load_shipped_witness()
+        floated = tuple((float(a), b) for a, b in w.pairs)
+        a, b = w.pairs[0]
+        cases = [
+            (dataclasses.replace(w, pairs=floated, designated_pairs=floated), "pair"),
+            (dataclasses.replace(w, designated_pairs=floated), "designated pair"),
+        ]
+        for changed, what in cases:
+            with pytest.raises(DomainError) as info:
+                formats.witness_to_doc(changed)
+            assert str(info.value) == f"{what} ({float(a)!r}, {b!r}) holds {float(a)!r}, which is not an id"
+        lines = verify_witness(cases[0][0]).lines()
+        assert f"FAIL perfect-pairing: unsupported id {float(a)!r}: ids are ints, strings or tuples" in lines
 
     def test_unknown_field_rejected(self):
         doc = formats.witness_to_doc(load_shipped_witness())

@@ -17,7 +17,7 @@ from linkchroma.construct import (
 )
 from linkchroma import search
 from linkchroma.errors import BudgetExhausted, DomainError
-from linkchroma.search import _random_state, exact_pairing, search_witness
+from linkchroma.search import _FIELD, _KEEP, _SEVENS, _AnnealState, _random_state, exact_pairing, search_witness
 from linkchroma.triangulate import SphereTriangulation
 
 # Outcomes of search_witness(seed, 6000), recorded by running the search
@@ -28,6 +28,64 @@ PINNED_BEST_OBJECTIVE = {
 }
 SEED_34_STEPS = 4334
 SEED_34_SHA256 = "666272b61a1901c20f7d1e4f7bdc6ec57ffeda9c6eee339059cf45f3cf27bea5"
+# _outcomes_digest(search_witness, range(100), 6000), recorded before the
+# proposal loop flipped inline and left rejected flips' exchanges pending.
+# The CI workflow times the same sweep and checks it against this value.
+SEEDS_0_TO_99_SHA256 = "b9884b61a639a504300773a9408ec8f2388265f4e559e93d0fb3f8c6471911bd"
+
+
+class _ReferenceState(_AnnealState):
+    """The annealing state with the flip and the swap score that
+    ``search_witness`` now runs inline, kept verbatim as methods: the
+    oracles for that loop, and for ``swap_pairs`` given a score."""
+
+    def flip(self, e: int):
+        """Flip the flippable edge ``e``: the old diagonal leaves its class
+        and the new one joins its class (none for an edge inside a pair)."""
+        (x, y), (z, w) = self.tri.flip(e)
+        pair_of, nbp, row = self.pair_of, self.nbp, self.row
+        px, py, pz, pw = pair_of[x], pair_of[y], pair_of[z], pair_of[w]
+        lost = px != py and (row[px] >> 4 * py) & 15 == 1
+        fx, fy, fz, fw = _FIELD[px], _FIELD[py], _FIELD[pz], _FIELD[pw]
+        nbp[x], nbp[y], nbp[z], nbp[w] = nbp[x] - fy, nbp[y] - fx, nbp[z] + fw, nbp[w] + fz
+        row[px] -= fy  # the pairs need not differ
+        row[py] -= fx
+        row[pz] += fw
+        row[pw] += fz
+        # zw's class holds one edge now iff it was empty or is xy's (lost)
+        self.distinct += (pz != pw and (row[pz] >> 4 * pw) & 15 == 1) - lost
+
+    def swap_delta(self, a: int, b: int) -> int:
+        """The change in ``distinct`` that ``swap_pairs(a, b)`` would make,
+        read without touching the state: only the rows of the two pairs
+        change, and they follow from ``nbp`` of ``a``, ``b`` and partners."""
+        pair_of, partner, nbp, row = self.pair_of, self.partner, self.nbp, self.row
+        adj_a, adj_b = self.tri.adj[a], self.tri.adj[b]
+        pa, pb = pair_of[a], pair_of[b]
+        a2, b2 = partner[a], partner[b]
+        d = _FIELD[pb] - _FIELD[pa]  # a vertex moving from pair pa to pb
+        ab = b in adj_a
+        new_a = nbp[b] + nbp[a2] + d * (ab + (a2 in adj_a) - (a2 in adj_b))  # pair pa = {b, a2}
+        new_b = nbp[a] + nbp[b2] + d * ((b2 in adj_a) - (b2 in adj_b) - ab)  # pair pb = {a, b2}
+        # count class {pa, pb} in row pa only
+        keep_a = _KEEP[pa]
+        keep_b = keep_a & _KEEP[pb]
+        return (
+            ((new_a + _SEVENS) & keep_a).bit_count()
+            + ((new_b + _SEVENS) & keep_b).bit_count()
+            - ((row[pa] + _SEVENS) & keep_a).bit_count()
+            - ((row[pb] + _SEVENS) & keep_b).bit_count()
+        )
+
+    def swap_pairs(self, a: int, b: int):
+        super().swap_pairs(a, b, self.swap_delta(a, b))
+
+
+def _reference_state(rng):
+    """``_random_state(rng)`` as a ``_ReferenceState``: the same draws, the
+    same counts."""
+    state = _random_state(rng)
+    return _ReferenceState(state.tri, state.pair_of)
 
 
 def _recount(state):
@@ -116,7 +174,7 @@ def _walk_states(seed, count, every=300):
     move losing nothing, and a losing one with probability 0.01, so the
     objective climbs to the annealer's range."""
     rng = random.Random(seed)
-    state = _random_state(rng)
+    state = _reference_state(rng)
     for step in range(count * every):
         move = _random_move(state, rng)
         if move is not None:
@@ -133,7 +191,8 @@ def reference_search_witness(seed, budget):
     """The annealing loop that applies every legal proposal and undoes a
     rejected one by applying it again, drawing with ``rng.randrange``, kept
     verbatim as the oracle for the loop that scores a flip before applying
-    it: same RNG calls, same outcome."""
+    it: same RNG calls, same outcome.  It moves a ``_ReferenceState``, so
+    every flip goes through the checked ``SphereTriangulation.flip``."""
     if budget < 1:
         raise DomainError("budget must be positive")
     rng = random.Random(seed)
@@ -144,7 +203,7 @@ def reference_search_witness(seed, budget):
 
     while steps_used < budget:
         restarts += 1
-        state = _random_state(rng)
+        state = _reference_state(rng)
         chain = min(search._CHAIN_LENGTH, budget - steps_used)
         best_chain = state.distinct
         since_improvement = 0
@@ -210,6 +269,13 @@ def _search_outcome(run, seed, budget):
         return "exhausted", exc.best_objective, str(exc)
     text = formats.dumps(formats.witness_to_doc(w))
     return "found", w.provenance["steps_used"], hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _outcomes_digest(run, seeds, budget):
+    """One SHA-256 over the outcomes of the searches at ``seeds``, one
+    ``repr`` a line."""
+    text = "".join(f"{_search_outcome(run, seed, budget)!r}\n" for seed in seeds)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _randbelow(rng, n):
@@ -494,10 +560,13 @@ class TestSearch:
         text = formats.dumps(formats.witness_to_doc(w))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED_34_SHA256
 
+    def test_pinned_outcomes_of_seeds_0_to_99(self):
+        assert _outcomes_digest(search_witness, range(100), 6000) == SEEDS_0_TO_99_SHA256
+
     @pytest.mark.parametrize("seed", range(4))
     def test_incremental_objective_matches_a_recount(self, seed):
         rng = random.Random(seed)
-        state = _random_state(rng)
+        state = _reference_state(rng)
         _assert_matches_recount(state)
         undone = 0
         for _ in range(1500):
@@ -539,7 +608,7 @@ class TestSearch:
     @pytest.mark.parametrize("seed", range(2))
     def test_no_field_exceeds_its_bound_over_long_walks(self, seed):
         rng = random.Random(seed)
-        state = _random_state(rng)
+        state = _reference_state(rng)
         seen = Counter()
         for _ in range(10_000):
             move = _random_move(state, rng)
@@ -626,6 +695,55 @@ class TestExchangeDarts:
                 tri.exchange_darts(e)
                 tri.exchange_darts(e)
                 assert _tri_state(tri) == before
+
+
+def _copy(tri):
+    """An independent copy of ``tri``."""
+    out = SphereTriangulation()
+    out.origin, out.fnext, out.adj = _tri_state(tri)
+    return out
+
+
+class TestFlipAt:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_leaves_what_flip_leaves(self, seed):
+        tri = _seeded_triangulation(seed)
+        flippable = [e for e in range(tri.num_edges) if tri.flippable(e)]
+        assert len(flippable) > 20
+        for e in flippable:
+            checked, direct = _copy(tri), _copy(tri)
+            checked.flip(e)
+            o, f = direct.origin, direct.fnext
+            d = 2 * e
+            a, c = f[d], f[d + 1]
+            direct._flip_at(d, a, f[a], c, f[c], o[d], o[d + 1], o[f[a]], o[f[c]])
+            assert _tri_state(direct) == _tri_state(checked)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flip_refuses_an_edge_that_is_not_flippable(self, seed):
+        tri = _seeded_triangulation(seed)
+        refused = [e for e in range(tri.num_edges) if not tri.flippable(e)]
+        assert refused
+        before = _tri_state(tri)
+        for e in refused:
+            with pytest.raises(DomainError, match=f"edge {e} is not flippable"):
+                tri.flip(e)
+        assert _tri_state(tri) == before
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_an_exchange_commutes_with_every_flip(self, seed):
+        # the search leaves a rejected flip's exchange pending and applies
+        # it after later flips, of that edge or of others
+        tri = _seeded_triangulation(seed)
+        flippable = [e for e in range(tri.num_edges) if tri.flippable(e)]
+        for e in range(tri.num_edges):
+            for other in flippable:
+                exchanged_first, flipped_first = _copy(tri), _copy(tri)
+                exchanged_first.exchange_darts(e)
+                exchanged_first.flip(other)
+                flipped_first.flip(other)
+                flipped_first.exchange_darts(e)
+                assert _tri_state(exchanged_first) == _tri_state(flipped_first)
 
 
 class TestBuildWitness:
