@@ -9,7 +9,6 @@ from .core import (
     ClosedWalk,
     Edge,
     Multigraph,
-    RotationSystem,
     TwoComplex,
     WalkStep,
 )
@@ -51,12 +50,6 @@ def tetrahedron_complex() -> TwoComplex:
     return TwoComplex(g, cells)
 
 
-def one_loop_complex() -> TwoComplex:
-    """One vertex, one loop, one cell traversing the loop once."""
-    g = Multigraph(vertices=("h",), edges=(Edge("e", "h", "h"),))
-    return TwoComplex(g, (ClosedWalk((WalkStep("e", 0),)),))
-
-
 def complete_graph(n: int) -> Multigraph:
     verts = tuple(range(n))
     edges = tuple(Edge((u, v), u, v) for u, v in combinations(verts, 2))
@@ -81,28 +74,3 @@ def petersen_graph() -> Multigraph:
         edges.append(Edge(("inner", i), 5 + i, 5 + (i + 2) % 5))
         edges.append(Edge(("spoke", i), i, 5 + i))
     return Multigraph(tuple(range(10)), tuple(edges))
-
-
-def k4_with_planar_rotation():
-    """K4 with the rotation system of its standard plane drawing (vertex 4
-    inside triangle 1,2,3).  Face tracing yields the four triangular faces."""
-    g = Multigraph(
-        vertices=(1, 2, 3, 4),
-        edges=(
-            Edge("12", 1, 2),
-            Edge("13", 1, 3),
-            Edge("14", 1, 4),
-            Edge("23", 2, 3),
-            Edge("24", 2, 4),
-            Edge("34", 3, 4),
-        ),
-    )
-    rot = RotationSystem(
-        {
-            1: (("12", 0), ("14", 0), ("13", 0)),
-            2: (("23", 0), ("24", 0), ("12", 1)),
-            3: (("13", 1), ("34", 0), ("23", 1)),
-            4: (("34", 1), ("14", 1), ("24", 1)),
-        }
-    )
-    return g, rot

@@ -20,7 +20,7 @@ import heapq
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from operator import is_, itemgetter
 from typing import Mapping, NamedTuple, Optional, Union
 
@@ -82,6 +82,11 @@ def _is_id(value) -> bool:
     return True
 
 
+def _is_end_id(value) -> bool:
+    """``_is_id``, with a tuple of plain members passed without keying."""
+    return (isinstance(value, tuple) and _PLAIN_IDS.issuperset(map(type, value))) or _is_id(value)
+
+
 class EdgeEnd(NamedTuple):
     """One of the two distinguishable ends of an edge.
 
@@ -125,9 +130,14 @@ class Multigraph:
         verts = tuple(sorted(self.vertices, key=id_sort_key))
         edges = (e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
         self._index(verts, tuple(sorted(edges, key=lambda e: id_sort_key(e.id))))
-        if not _PLAIN_IDS.issuperset(map(type, chain.from_iterable(map(itemgetter(1, 2), self.edges)))):
+        ends = list(chain.from_iterable(map(itemgetter(1, 2), self.edges)))
+        if not _PLAIN_IDS.issuperset(map(type, ends)) and not (
+            # a tuple end, EdgeEnd included, whose members are plain is an id
+            _PLAIN_IDS.issuperset(map(type, filterfalse(tuple.__instancecheck__, ends)))
+            and _PLAIN_IDS.issuperset(map(type, chain.from_iterable(filter(tuple.__instancecheck__, ends))))
+        ):
             # an end such as True or 1.0 is in the vertex set but is not an id
-            bad = next((e for e in self.edges if not (_is_id(e.end0) and _is_id(e.end1))), None)
+            bad = next((e for e in self.edges if not (_is_end_id(e.end0) and _is_end_id(e.end1))), None)
             if bad is not None:
                 raise DomainError(f"edge {short_repr(bad.id)} names a vertex by an id that only compares equal to it")
 
@@ -198,7 +208,7 @@ class Multigraph:
         dart ``2 * edge_position + side``: built on first use and kept, as
         ``_ends_at``.  Callers only read it."""
         index = {v: i for i, v in enumerate(self.vertices)}
-        return index, [index[v] for e in self.edges for v in (e.end0, e.end1)]
+        return index, list(map(index.__getitem__, chain.from_iterable(map(itemgetter(1, 2), self.edges))))
 
     @cached_property
     def _steps(self) -> tuple:
@@ -213,9 +223,6 @@ class Multigraph:
             return self._edge_by_id[edge_id]
         except KeyError:
             raise DomainError(f"unknown edge {short_repr(edge_id)}") from None
-
-    def has_vertex(self, v) -> bool:
-        return v in self._vertex_set
 
     def ends_at(self, v) -> tuple:
         try:
@@ -512,7 +519,7 @@ def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
     darts_at = []
     fault = None
     for v, order in rot.orders:
-        if not g.has_vertex(v):
+        if v not in g._vertex_set:
             fault = DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
             break
         at = list(map(position.get, map(itemgetter(0), order)))
@@ -595,7 +602,8 @@ class PairedGraph:
         vertex of minimum current degree, the earliest position first on
         ties.  O(m log n): a heap of entries, one pushed whenever a
         neighbour's removal lowers a degree, with outdated entries skipped
-        when popped.
+        when popped.  The loop stops at the n-th removal: every entry still
+        on the heap then is outdated, and on maps most pops were of those.
 
         An entry is the int ``degree * n + position`` for ``n`` quotient
         vertices.  Since ``0 <= position < n``, these ints order exactly as
@@ -609,7 +617,7 @@ class PairedGraph:
         heapq.heapify(heap)
         heappop, heappush = heapq.heappop, heapq.heappush
         order = []
-        while heap:
+        while len(order) < n:
             entry = heappop(heap)
             v = entry % n
             d = degree[v]

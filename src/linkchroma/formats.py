@@ -20,6 +20,7 @@ accompany.  Writing fails if two ids of one object share a text form.
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -269,12 +270,23 @@ def complex_from_doc(doc) -> TwoComplex:
 
 
 def colouring_to_doc(palette_size: int, assignment: Mapping) -> dict:
-    # one text form per key, in id order; text-form collisions are rejected
-    by_text = text_key_map(sorted(assignment, key=id_sort_key), "colouring")
-    return {
-        "palette_size": palette_size,
-        "assignment": {t: assignment[k] for t, k in by_text.items()},
-    }
+    # one text form per key, in id order; text-form collisions are rejected.
+    # A column of exact ints, of exact strings or of flat tuples of exact
+    # ints sorts natively in id order, and is keyed and texted in one pass.
+    keys = list(assignment)
+    kinds = frozenset(map(type, keys))
+    texts = None
+    if kinds == _INT or kinds == _STR:
+        keys.sort()
+        texts = map(str, keys)
+    elif kinds == _TUPLE and _INT.issuperset(map(type, chain.from_iterable(keys))):
+        keys.sort()
+        texts = map(":".join, map(partial(map, str), keys))
+    doc = None if texts is None else dict(zip(texts, map(assignment.__getitem__, keys)))
+    if doc is None or len(doc) != len(keys):  # any other column, or a shared text form
+        by_text = text_key_map(sorted(assignment, key=id_sort_key), "colouring")
+        doc = {t: assignment[k] for t, k in by_text.items()}
+    return {"palette_size": palette_size, "assignment": doc}
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +343,8 @@ def witness_from_doc(doc):
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _INT = frozenset((int,))
+_STR = frozenset((str,))
+_TUPLE = frozenset((tuple,))
 _LIST = frozenset((list,))
 
 

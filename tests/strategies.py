@@ -1,4 +1,5 @@
-"""Hypothesis strategies for small multigraphs, walks and complexes."""
+"""Hypothesis strategies for small multigraphs, walks and complexes, and
+small fixed instances that only the tests use."""
 
 import hypothesis.strategies as st
 
@@ -174,3 +175,34 @@ WALK_FAULTS = {
         "walk is not vertex-compatible between steps 0 and 0",
     ),
 }
+
+
+def one_loop_complex() -> TwoComplex:
+    """One vertex, one loop, one cell traversing the loop once."""
+    g = Multigraph(vertices=("h",), edges=(Edge("e", "h", "h"),))
+    return TwoComplex(g, (ClosedWalk((WalkStep("e", 0),)),))
+
+
+def k4_with_planar_rotation():
+    """K4 with the rotation system of its standard plane drawing (vertex 4
+    inside triangle 1,2,3).  Face tracing yields the four triangular faces."""
+    g = Multigraph(
+        vertices=(1, 2, 3, 4),
+        edges=(
+            Edge("12", 1, 2),
+            Edge("13", 1, 3),
+            Edge("14", 1, 4),
+            Edge("23", 2, 3),
+            Edge("24", 2, 4),
+            Edge("34", 3, 4),
+        ),
+    )
+    rot = RotationSystem(
+        {
+            1: (("12", 0), ("14", 0), ("13", 0)),
+            2: (("23", 0), ("24", 0), ("12", 1)),
+            3: (("13", 1), ("34", 0), ("23", 1)),
+            4: (("34", 1), ("14", 1), ("24", 1)),
+        }
+    )
+    return g, rot

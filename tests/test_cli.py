@@ -27,6 +27,15 @@ def witness_file(tmp_path):
     return str(path)
 
 
+# SHA-256 of the stderr ``elimination_order`` line and of the ``--out``
+# colouring that ``heawood12`` writes for ``random_planar_paired_graph(0,
+# 1600)``.  The CI step that times this run checks it against these too.
+HEAWOOD_1600_SHA256 = (
+    "055c638a0c83a27682e98f77edd2603ccd589e6234e8470b3f5bd9ed8f79d936",
+    "7abdf199cbcf0946bded58717a260e59ba93a0ee17795909c5bd5dd2d2b6ee06",
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -306,9 +315,10 @@ class TestStageCommands:
         assert doc["palette_size"] == 12 and len(doc["assignment"]) == 12
 
     # SHA-256 of the stderr ``elimination_order`` line and of the ``--out``
-    # colouring written by ``heawood12``: the shipped witness, and a random
-    # 200-pair planar map (seed 0).
+    # colouring written by ``heawood12``: the shipped witness, and random
+    # planar maps of 200 and 1600 pairs (seed 0).
     HEAWOOD_SHA256 = {
+        "random-1600": HEAWOOD_1600_SHA256,
         "witness": (
             "0f21b7d8425d641683d3e01cb56c8c8dc4a24884b02b45a173f6bed5540b31e0",
             "738cc290d86662da7878884739722c2bc3abafbaa5d29aa5389902fdfc2a2404",
@@ -325,7 +335,7 @@ class TestStageCommands:
             doc = formats.witness_to_doc(load_shipped_witness())
             doc = {k: doc[k] for k in ("vertices", "edges", "pairs", "rotation")}
         else:
-            doc = formats.paired_graph_to_doc(random_planar_paired_graph(0, 200))
+            doc = formats.paired_graph_to_doc(random_planar_paired_graph(0, int(name.split("-")[1])))
         paired_path = tmp_path / "paired.json"
         formats.save(paired_path, doc)
         out = tmp_path / "colouring.json"

@@ -31,7 +31,6 @@ from linkchroma import (
 from linkchroma.catalogue import (
     complete_graph,
     octahedron_graph,
-    one_loop_complex,
     petersen_graph,
     tetrahedron_complex,
     triangle_complex,
@@ -39,6 +38,8 @@ from linkchroma.catalogue import (
 from linkchroma.colour import _chromatic, _greedy_clique, _neighbours
 from linkchroma.construct import random_planar_paired_graph
 from linkchroma.corpus import chromatic_number_reference
+
+from strategies import one_loop_complex
 
 
 def random_graph(rng, n, p):
@@ -706,6 +707,40 @@ def reference_smallest_last(pg):
     return order
 
 
+def reference_drained_smallest_last(pg):
+    """``PairedGraph._smallest_last`` as it was before the loop stopped at
+    the last removal: the packed-int heap popped until it is empty."""
+    nbrs = pg._quotient_neighbours
+    n = len(nbrs)
+    degree = [len(ws) for ws in nbrs]  # -1 once removed
+    heap = [d * n + i for i, d in enumerate(degree)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry % n
+        d = degree[v]
+        if d * n + v != entry:
+            continue  # removed, or its degree has dropped since this push
+        order.append((v, d))
+        degree[v] = -1
+        for w in nbrs[v]:
+            dw = degree[w]
+            if dw >= 0:
+                degree[w] = dw = dw - 1
+                heapq.heappush(heap, dw * n + w)
+    return order
+
+
+def mixed_id_map(pg):
+    """``pg`` with vertex ``i`` renamed to ``i``, ``"v<i>"`` or ``("t", i)``
+    by ``i % 3``: the stored order, and with it every tie, changes."""
+    name = {v: (v, f"v{v}", ("t", v))[v % 3] for v in pg.graph.vertices}
+    g = Multigraph(tuple(name.values()), tuple(Edge(e.id, name[e.end0], name[e.end1]) for e in pg.graph.edges))
+    rot = RotationSystem({name[v]: ends for v, ends in pg.rotation.orders})
+    return PairedGraph(g, Pairing(tuple((name[a], name[b]) for a, b in pg.pairing.pairs)), rot)
+
+
 def reference_heawood_colour_12(pg):
     """``heawood_colour_12`` with a set of used colours per pair, as it was
     before the colours became bits."""
@@ -731,6 +766,15 @@ class TestHeawoodKernels:
         maps += [ring_map(n) for n in (3, 10, 60)]
         for pg in maps:
             assert pg._smallest_last == reference_smallest_last(pg)
+
+    def test_stopping_at_the_last_removal_keeps_the_drained_order(self):
+        maps = [random_planar_paired_graph(s, n) for s in (0, 1) for n in (1, 2, 3, 7, 25, 100, 400)]
+        maps += [random_planar_paired_graph(2, n) for n in (1600, 3200)]
+        maps += [ring_map(n) for n in (1, 2, 3, 10, 60)]
+        maps += [mixed_id_map(random_planar_paired_graph(s, n)) for s in (0, 3) for n in (5, 60, 400)]
+        for pg in maps:
+            assert pg._smallest_last == reference_drained_smallest_last(pg)
+            assert len(pg._smallest_last) == len(pg.pairing.pairs)
 
     def test_colour_bits_give_the_set_loop_colouring(self):
         from linkchroma.construct import load_shipped_witness, make_degree_faithful

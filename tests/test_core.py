@@ -25,8 +25,6 @@ from linkchroma import (
 )
 from linkchroma.catalogue import (
     complete_graph,
-    k4_with_planar_rotation,
-    one_loop_complex,
     tetrahedron_complex,
     triangle_complex,
 )
@@ -35,7 +33,14 @@ from linkchroma.construct import make_degree_faithful, pi_trail_decomposition, r
 from linkchroma.core import MAX_ID_DEPTH
 from linkchroma.corpus import enumerate_small_complexes
 
-from strategies import WALK_FAULT_SKELETON, WALK_FAULTS, side_by_side, with_extras
+from strategies import (
+    WALK_FAULT_SKELETON,
+    WALK_FAULTS,
+    k4_with_planar_rotation,
+    one_loop_complex,
+    side_by_side,
+    with_extras,
+)
 
 
 def edge_pairs(g):
@@ -62,6 +67,17 @@ class TestMultigraph:
     def test_dangling_endpoint_rejected(self):
         with pytest.raises(DomainError):
             Multigraph(("u",), (Edge("e", "u", "v"),))
+
+    def test_tuple_ends_of_plain_members_pass_and_the_first_fault_is_reported(self):
+        # link-graph vertices are EdgeEnds; nested and empty tuples are ids too
+        verts = (EdgeEnd("a", 0), EdgeEnd("a", 1), (("x", 1), 0), (), 7)
+        edges = [Edge(1, EdgeEnd("a", 0), (("x", 1), 0)), Edge(2, (), 7), Edge(3, EdgeEnd("a", 1), ("a", 0))]
+        assert len(Multigraph(verts, tuple(edges)).edges) == 3
+        for bad in (Edge(9, 7, ("a", True)), Edge(4, ("a", 1.0), 7), Edge(5, (("x", True), 0), 7)):
+            with pytest.raises(DomainError) as info:
+                Multigraph(verts, tuple(edges) + (bad, Edge(8, 7.0, 7)))
+            first = min(bad.id, 8)
+            assert str(info.value) == f"edge {first} names a vertex by an id that only compares equal to it"
 
     def test_parts_in_id_order_get_the_same_checks(self):
         # Multigraph._sorted skips only the sort: the checks are shared.
@@ -131,7 +147,7 @@ class TestEndsTable:
     def test_answers_match_the_edges(self):
         for g in self.graphs():
             assert "_ends_at" not in g.__dict__
-            assert all(g.has_vertex(v) for v in g.vertices) and not g.has_vertex("zz")
+            assert all(v in g._vertex_set for v in g.vertices) and "zz" not in g._vertex_set
             assert "_ends_at" not in g.__dict__
             for v in g.vertices:
                 expected = tuple(EdgeEnd(e.id, s) for e in g.edges for s in (0, 1) if e.endpoint(s) == v)

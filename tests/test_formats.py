@@ -4,7 +4,7 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from linkchroma import (
     ClosedWalk,
@@ -18,13 +18,14 @@ from linkchroma import (
     SchemaError,
     TwoComplex,
     WalkStep,
+    id_sort_key,
     link_graph,
 )
 from linkchroma import formats
-from linkchroma.catalogue import k4_with_planar_rotation, tetrahedron_complex, triangle_complex
+from linkchroma.catalogue import tetrahedron_complex, triangle_complex
 from linkchroma.construct import load_shipped_witness, seal, verify_witness
 
-from strategies import WALK_FAULT_SKELETON, WALK_FAULTS
+from strategies import WALK_FAULT_SKELETON, WALK_FAULTS, k4_with_planar_rotation
 
 
 class TestGraphDocuments:
@@ -265,10 +266,63 @@ class TestWrittenThenRead:
         )
 
 
+def reference_colouring_to_doc(palette_size, assignment):
+    """``formats.colouring_to_doc`` as it was before key columns were typed
+    in one pass: every key sorted by ``id_sort_key`` and texted alone."""
+    by_text = formats.text_key_map(sorted(assignment, key=id_sort_key), "colouring")
+    return {"palette_size": palette_size, "assignment": {t: assignment[k] for t, k in by_text.items()}}
+
+
+class IntKey(int):
+    pass
+
+
+_flat_int_tuples = st.lists(st.integers(-30, 30), max_size=4).map(tuple)
+_key_atoms = st.one_of(
+    st.integers(-30, 30),
+    st.text(alphabet="ab1:2-", max_size=3),
+    st.booleans(),
+    st.integers(-3, 3).map(IntKey),
+    _flat_int_tuples,
+)
+# columns the writer types in one pass, and columns that only look like them
+key_columns = st.one_of(
+    st.lists(st.integers(-(10**6), 10**6), max_size=30),
+    st.lists(st.text(max_size=4), max_size=30),
+    st.lists(_flat_int_tuples, max_size=30),
+    st.lists(st.one_of(st.integers(-30, 30), st.text(alphabet="12:", max_size=3)), max_size=12),
+    st.lists(st.recursive(_key_atoms, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6), max_size=12),
+)
+
+
+def written_or_refused(write, palette_size, assignment):
+    try:
+        doc = write(palette_size, assignment)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return doc, formats.dumps(doc)
+
+
 class TestColouringDocuments:
     def test_text_collision_rejected_at_dump(self):
         with pytest.raises(SchemaError):
             formats.colouring_to_doc(1, {"1": 0, 1: 0})
+
+    @given(key_columns)
+    @example(["1:2", (1, 2)])
+    @example([(1, 2), "1:2"])
+    @example([(1, 2), (True, 2)])
+    @example([(), (0,), (-1, 5), (0, 0, 0)])
+    @example([((1, 2), 3), (1, 2)])
+    @example([IntKey(3), 4])
+    @example([True])
+    @example([(1, "a")])
+    @settings(max_examples=400, deadline=None)
+    def test_writes_what_the_reference_writer_writes(self, keys):
+        assignment = {k: i % 12 for i, k in enumerate(keys)}
+        # the same document and bytes (so the same key order), or the same error
+        got = written_or_refused(formats.colouring_to_doc, 12, assignment)
+        assert got == written_or_refused(reference_colouring_to_doc, 12, assignment)
 
 
 class TestWitnessDocuments:

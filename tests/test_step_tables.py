@@ -149,7 +149,7 @@ def rotation_successors_reference(g: Multigraph, rot: RotationSystem) -> array:
     succ = array("i", [-1]) * (2 * len(edges))
     listed = 0
     for v, order in rot.orders:
-        if not g.has_vertex(v):
+        if v not in g._vertex_set:
             raise DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
         first = prev = -1
         for end in order:
