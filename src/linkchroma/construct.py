@@ -268,11 +268,13 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
     enter = [None] * len(index)
     for d, v in enumerate(chain.from_iterable(pg.pairing.pairs)):
         enter[index[v]] = table[d]
+    # every trail is nonempty, and on one vertex every walk is
+    # vertex-compatible
     cells = []
     for trail in trails:
         heads = map(at.__getitem__, map(_other_end, trail))  # the vertex each dart enters
-        cells.append(ClosedWalk(tuple(map(enter.__getitem__, heads))))
-    return TwoComplex(skeleton, tuple(cells), kind=PUNCTURED)
+        cells.append(tuple(map(enter.__getitem__, heads)))
+    return TwoComplex._from_steps(skeleton, cells, PUNCTURED)
 
 
 def endpoint_multiset(g: Multigraph, mapping: Optional[dict] = None) -> Counter:
@@ -306,15 +308,16 @@ def seal(c: TwoComplex) -> TwoComplex:
     unchanged."""
     if c.kind != PUNCTURED:
         raise DomainError("only punctured complexes can be sealed")
-    # a step flipped is the step of the other dart of its edge
+    # a step flipped is the step of the other dart of its edge; W U U~ W~
+    # is vertex-compatible because W is
     table, dart_of = c.skeleton._steps
     cells = []
     for walk in c.cells:
         steps = walk.steps
         flipped = list(map(table.__getitem__, map(_other_end, map(dart_of.__getitem__, steps))))
         flipped.reverse()
-        cells.append(ClosedWalk(steps + (steps[0], flipped[-1]) + tuple(flipped)))
-    return TwoComplex(c.skeleton, tuple(cells), GENUINE)
+        cells.append(steps + (steps[0], flipped[-1]) + tuple(flipped))
+    return TwoComplex._from_steps(c.skeleton, cells, GENUINE)
 
 
 def check_seal_invariants(punctured_link: PairedGraph, sealed_link: PairedGraph) -> None:

@@ -368,6 +368,13 @@ def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
                     f"walk step {short_repr(s)} names edge {short_repr(table[d][0])} "
                     "by an id that only compares equal to it"
                 )
+    _check_junctions(g, darts)
+
+
+def _check_junctions(g: Multigraph, darts: list) -> None:
+    """Check that the walk through the darts ``2 * edge_position + entry``
+    of ``g`` exits each step where the next one enters, the first fault in
+    step order reported."""
     if len(g.vertices) == 1:
         return  # every step enters and exits at the one vertex
     _, at = g._darts
@@ -376,7 +383,7 @@ def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
     ins.append(ins.pop(0))
     if outs != ins:
         i = next(i for i, (here, there) in enumerate(zip(outs, ins)) if here != there)
-        raise DomainError(f"walk is not vertex-compatible between steps {i} and {(i + 1) % len(steps)}")
+        raise DomainError(f"walk is not vertex-compatible between steps {i} and {(i + 1) % len(darts)}")
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +430,24 @@ class Pairing:
         object.__setattr__(self, "_pair_of", {m: p for p in canon for m in p})
 
 
+class _DartOrders:
+    """The ``orders`` field of ``RotationSystem``, whose default is ``()``.
+    The constructor stores its orders on the instance, which shadows this
+    non-data descriptor; a rotation built by ``_from_darts`` keeps its
+    darts instead, and its orders are made from them on first read and
+    stored the same way.  Equality, hashing and ``repr`` read the field,
+    so they see the same orders either way."""
+
+    def __get__(self, rot, owner=None):
+        if rot is None:
+            return ()
+        g, norm = rot.__dict__["_norm"]
+        ends = third_edges(g)
+        orders = tuple([(v, tuple(map(ends.__getitem__, darts))) for v, darts in norm])
+        object.__setattr__(rot, "orders", orders)
+        return orders
+
+
 @dataclass(frozen=True)
 class RotationSystem:
     """Cyclic orders of the edge-ends at each vertex.
@@ -432,7 +457,7 @@ class RotationSystem:
     equal embeddings compare equal.
     """
 
-    orders: tuple = ()
+    orders: tuple = _DartOrders()
 
     def __post_init__(self):
         raw = self.orders
@@ -463,16 +488,16 @@ class RotationSystem:
 
         The orders are checked on darts here, and a ``PairedGraph`` on ``g``
         itself takes the successor array kept on the rotation.  Orders that
-        fail the check are stored as given and rejected, with the same text,
-        where a ``PairedGraph`` is built on them, as the constructor's are."""
-        ends = third_edges(g)
+        fail the check are kept as given and rejected, with the same text,
+        where a ``PairedGraph`` is built on them, as the constructor's are.
+        The edge-ends of ``orders`` are made only if it is read."""
         norm = []
         for v, darts in zip(g.vertices, darts_at):
             if darts:
                 pivot = darts.index(min(darts))
                 norm.append((v, darts[pivot:] + darts[:pivot]))
         rot = object.__new__(cls)
-        object.__setattr__(rot, "orders", tuple([(v, tuple(map(ends.__getitem__, darts))) for v, darts in norm]))
+        object.__setattr__(rot, "_norm", (g, norm))
         try:
             object.__setattr__(rot, "_succ_on", (g, _dart_successors(g, norm)))
         except DomainError:
@@ -711,6 +736,25 @@ class TwoComplex:
         for walk in cells:
             validate_walk(self.skeleton, walk)
         object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def _from_steps(cls, skeleton: Multigraph, cells, kind: str) -> "TwoComplex":
+        """A complex from cells given as tuples of steps that already pass
+        ``validate_walk`` on ``skeleton``: nonempty, with int sides, and
+        vertex-compatible.  The constructor without its checks, as
+        ``Multigraph._sorted``.  ``seal`` and ``inverse_link`` take their
+        steps from the step table, where those facts hold by construction,
+        and ``complex_from_doc`` checks them on darts."""
+        walks = []
+        for steps in cells:
+            walk = object.__new__(ClosedWalk)
+            object.__setattr__(walk, "steps", steps)
+            walks.append(walk)
+        c = object.__new__(cls)
+        object.__setattr__(c, "skeleton", skeleton)
+        object.__setattr__(c, "cells", tuple(walks))
+        object.__setattr__(c, "kind", kind)
+        return c
 
 
 def link_graph(c: TwoComplex) -> PairedGraph:

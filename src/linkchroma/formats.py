@@ -39,8 +39,10 @@ from .core import (
     RotationSystem,
     TwoComplex,
     WalkStep,
+    _check_junctions,
     _is_id,
     id_sort_key,
+    validate_walk,
 )
 from .errors import DomainError, SchemaError, short_repr
 
@@ -95,7 +97,7 @@ def text_key_map(ids, what: str) -> dict:
 
 
 def _check_fields(doc, required, optional, what):
-    if not isinstance(doc, Mapping):
+    if type(doc) is not dict and not isinstance(doc, Mapping):  # a dict skips the ABC check
         raise SchemaError(f"{what} document must be a JSON object")
     for name in required:
         if name not in doc:
@@ -236,13 +238,27 @@ def complex_from_doc(doc) -> TwoComplex:
     if not isinstance(doc["cells"], list):
         raise SchemaError("'cells' must be an array")
     table, dart_of = skeleton._steps
-    cells = []
+    cells = []  # the steps of each cell, and its darts if it is all in the table
     for cell in doc["cells"]:
         if not isinstance(cell, list):
             raise SchemaError("each cell must be an array of steps")
-        # A step whose id is an int or a string and whose side is an int is
-        # looked up in the skeleton's step table; any other step, and one
-        # the table does not hold, gets the full checks.
+        # A cell of [int or str, int] rows is typed a column at a time, and
+        # its rows are looked up in the skeleton's step table at once.
+        darts = None
+        if (
+            frozenset(map(type, cell)) == _LIST
+            and frozenset(map(len, cell)) == _PAIR
+            and _PLAIN.issuperset(map(type, map(itemgetter(0), cell)))
+            and frozenset(map(type, map(itemgetter(1), cell))) == _INT
+        ):
+            darts = list(map(dart_of.get, map(tuple, cell)))
+        if darts is not None and None not in darts:
+            cells.append((tuple(map(table.__getitem__, darts)), darts))
+            continue
+        # Any other cell is read a step at a time: a step whose id is an
+        # int or a string and whose side is an int is looked up in the
+        # table, and any other step, or one the table does not hold, gets
+        # the full checks.
         steps = tuple(
             [
                 table[d]
@@ -256,13 +272,19 @@ def complex_from_doc(doc) -> TwoComplex:
             ]
         )
         try:
-            cells.append(ClosedWalk(steps))
+            cells.append((ClosedWalk(steps).steps, None))
         except DomainError as exc:
             raise SchemaError(str(exc)) from None
+    # each cell checked as the constructor checks it, in cell order
     try:
-        return TwoComplex(skeleton, tuple(cells), doc["kind"])
+        for steps, darts in cells:
+            if darts is None:
+                validate_walk(skeleton, ClosedWalk(steps))
+            else:
+                _check_junctions(skeleton, darts)
     except DomainError as exc:
         raise SchemaError(str(exc)) from None
+    return TwoComplex._from_steps(skeleton, [steps for steps, _ in cells], doc["kind"])
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +368,10 @@ _INT = frozenset((int,))
 _STR = frozenset((str,))
 _TUPLE = frozenset((tuple,))
 _LIST = frozenset((list,))
+_DICT = frozenset((dict,))
+_CELL_TYPES = _SCALAR_TYPES | _LIST
+_PLAIN = frozenset((int, str))
+_PAIR = frozenset((2,))
 
 
 def _scalar_text(value) -> str:
@@ -375,6 +401,77 @@ def _scalar_texts(values):
     return None
 
 
+def _cell_text(newline: list, depth: int, value) -> str:
+    """A scalar, or a list at ``depth`` that nests only lists and scalars."""
+    if type(value) is not list:
+        return _scalar_text(value)
+    if not value:
+        return "[]"
+    inner = newline[depth + 1]
+    return "[" + inner + ("," + inner).join([_cell_text(newline, depth + 1, v) for v in value]) + newline[depth] + "]"
+
+
+def _cell_nesting(column) -> Optional[int]:
+    """How deep the lists among ``column`` nest, if they hold only lists
+    and scalars and nest at most ``MAX_ID_DEPTH`` deep, as array ids do;
+    else None."""
+    level = column
+    for nesting in range(MAX_ID_DEPTH + 1):
+        kinds = frozenset(map(type, level))
+        if kinds <= _SCALAR_TYPES:
+            return nesting
+        if not kinds <= _CELL_TYPES:
+            return None
+        level = list(chain.from_iterable(filter(list.__instancecheck__, level)))
+    return None
+
+
+def _table_text(rows: list, newline: list, depth: int) -> Optional[str]:
+    """The text of ``rows``, a list at ``depth``, if it is a table: every
+    item a list of one nonzero length, or every item a dict with one key
+    order, and every cell a scalar or a list as ``_cell_nesting`` allows.
+    Edge lists and rotation orders are tables.  Each column is typed in
+    one pass, and texted by ``map``; None for any other list."""
+    kinds = frozenset(map(type, rows))
+    if kinds == _LIST:
+        widths = frozenset(map(len, rows))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        columns = zip(*rows)
+        heads = [""] * min(widths)
+        opening, closing = "[", "]"
+    elif kinds == _DICT:
+        orders = frozenset(map(tuple, rows))
+        if len(orders) != 1:
+            return None
+        (keys,) = orders
+        if not keys or frozenset(map(type, keys)) != _STR:
+            return None
+        columns = zip(*map(dict.values, rows))
+        # a key's text may hold braces, which the row template must escape
+        heads = [encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}") + ": " for k in keys]
+        opening, closing = "{{", "}}"  # escaped for the template
+    else:
+        return None
+    texts = []
+    for column in columns:
+        kinds = frozenset(map(type, column))
+        if kinds == _INT:
+            texts.append(map(int.__repr__, column))
+        elif kinds <= _SCALAR_TYPES:
+            texts.append(map(_scalar_text, column))
+        else:
+            nesting = _cell_nesting(column)
+            if nesting is None:
+                return None
+            while len(newline) < depth + nesting + 3:
+                newline.append(newline[-1] + "  ")
+            texts.append(map(partial(_cell_text, newline, depth + 2), column))
+    inner, row_in = newline[depth + 1], newline[depth + 2]
+    template = opening + row_in + ("," + row_in).join([h + "{}" for h in heads]) + inner + closing
+    return "[" + inner + ("," + inner).join(map(template.format, *texts)) + newline[depth] + "]"
+
+
 def dumps(doc: dict) -> str:
     """``doc`` as text, byte for byte ``json.dumps(doc, indent=2) + "\n"``,
     for documents whose object keys are strings.
@@ -382,8 +479,9 @@ def dumps(doc: dict) -> str:
     ``json.dumps`` runs its pure-Python encoder whenever it indents.  This
     writer is a loop over an explicit stack of open containers, so there
     is no depth limit, and it writes in one piece each container that holds
-    only scalars, and each list of lists of ints (cell walks, rotation
-    orders), whose compact C-encoded text it re-indents.
+    only scalars, each list of lists of ints (cell walks, rotation orders),
+    whose compact C-encoded text it re-indents, and each table of
+    ``_table_text`` (edge lists, rotation orders with array ids).
     """
     out = []
     newline = ["\n"]  # newline[d]: a line break and the indent of depth d
@@ -430,6 +528,9 @@ def dumps(doc: dict) -> str:
                 texts = _scalar_texts(value)
             if texts is not None:
                 out.append(head + brackets[0] + inner + ("," + inner).join(texts) + close)
+                continue
+            if type(value) is list and (text := _table_text(value, newline, depth)) is not None:
+                out.append(head + text)
                 continue
             if id(value) in open_ids:
                 raise ValueError("Circular reference detected")

@@ -35,6 +35,18 @@ HEAWOOD_1600_SHA256 = (
     "7abdf199cbcf0946bded58717a260e59ba93a0ee17795909c5bd5dd2d2b6ee06",
 )
 
+# SHA-256 of the map document of ``random_planar_paired_graph(0, 1600)`` and
+# of the files that ``augment``, ``inverse-link``, ``seal`` and ``link
+# --out`` write from it, each stage fed by the one before.  The CI step that
+# times this chain checks its files against these too.
+CHAIN_1600_SHA256 = {
+    "map": "de5b269f17f678d8b2b928c8ec455e4d4e2e918a34c092a4c84e92e182a397a2",
+    "augmented": "845bfdd838fed9cb4b3999009331c8feec5a500adbf7c98af3d6241caddd0506",
+    "punctured": "8baf8463e36ad2a4cf32ae03c1311a0d2912ff571d875b70f2a6e22544620513",
+    "sealed": "b5f1eab7579a4251916c01150b30ea8da830dd27462b9ffd47777f27a4952c77",
+    "link": "9d65b1c7b4ddddf9f88d1ed21436de7a7a30ccf68571a4c9189e4bb2ccc4fb31",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -379,6 +391,20 @@ class TestStageCommands:
             for name in self.MAP_STAGE_SHA256
         }
         assert digests == self.MAP_STAGE_SHA256
+
+    def test_chain_on_1600_pairs_matches_pinned_digests(self, capsys, tmp_path):
+        path = {name: str(tmp_path / f"{name}.json") for name in CHAIN_1600_SHA256}
+        formats.save(path["map"], formats.paired_graph_to_doc(random_planar_paired_graph(0, 1600)))
+        for command, source, target in (
+            ("augment", "map", "augmented"),
+            ("inverse-link", "augmented", "punctured"),
+            ("seal", "punctured", "sealed"),
+            ("link", "sealed", "link"),
+        ):
+            code, _, _ = run(capsys, command, "--in", path[source], "--out", path[target])
+            assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest() for name in path}
+        assert digests == CHAIN_1600_SHA256
 
     def test_genus(self, capsys, tmp_path, witness_file):
         doc = formats.load(witness_file)

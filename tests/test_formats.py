@@ -381,6 +381,27 @@ json_values = st.recursive(
     max_leaves=40,
 )
 
+# Tables, which dumps writes a column at a time: arrays of rows of one
+# width, or of objects with one key order, whose cells are scalars or
+# arrays nesting arrays and scalars, as array ids do.  Some are broken by
+# one row of another width, other keys, a tuple or an empty array.
+table_cells = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+table_keys = st.text(max_size=3) | st.sampled_from(["{", "}", "{}", "{0}", "\"", "é", "id"])
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 3))
+        rows = [draw(st.lists(table_cells, min_size=width, max_size=width)) for _ in range(n)]
+    else:
+        keys = draw(st.lists(table_keys, min_size=1, max_size=3, unique=True))
+        rows = [{k: draw(table_cells) for k in keys} for _ in range(n)]
+    if draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, n)), draw(st.sampled_from([[], {}, [0, 1, 2, 3], {"x": 0}, (1, 2)])))
+    return rows
+
 
 def indented(value) -> str:
     return json.dumps(value, indent=2) + "\n"
@@ -403,6 +424,31 @@ class TestDumps:
         ]
         for doc in docs:
             assert formats.dumps(doc) == indented(doc)
+
+    @given(tables() | st.lists(tables(), max_size=3) | st.dictionaries(st.text(max_size=2), tables(), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps_on_tables(self, value):
+        assert formats.dumps(value) == indented(value)
+
+    def test_matches_json_dumps_on_augmented_maps(self):
+        # edge lists and rotation orders whose ids are arrays, nested ones
+        # among them: ("dbl", ("dup", 3)), and ("bal", ("t", 5), 0) at a
+        # vertex named by a tuple
+        from test_colour import mixed_id_map
+
+        from linkchroma.construct import make_degree_faithful, random_planar_paired_graph
+
+        for pg in (random_planar_paired_graph(2, 40), mixed_id_map(random_planar_paired_graph(3, 40))):
+            doc = formats.paired_graph_to_doc(make_degree_faithful(pg))
+            assert any(type(e["id"]) is list and type(e["id"][1]) is list for e in doc["edges"])
+            assert formats.dumps(doc) == indented(doc)
+
+    def test_table_cells_past_the_id_depth_take_the_general_loop(self):
+        deep = 0
+        for _ in range(40):
+            deep = [deep, "x"]
+        for rows in ([[deep, 0], [1, 0]], [{"id": deep}, {"id": [1]}]):
+            assert formats.dumps({"rows": rows}) == indented({"rows": rows})
 
     def test_provenance_nested_500_deep(self):
         doc = formats.witness_to_doc(load_shipped_witness())

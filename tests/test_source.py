@@ -28,6 +28,7 @@ RECURSION_ALLOWED = {
     "formats.id_to_json": "id nesting, at most core.MAX_ID_DEPTH in any constructed object",
     "formats._tuple_from_json": "id nesting, stops at core.MAX_ID_DEPTH",
     "formats.id_text": "id nesting, at most core.MAX_ID_DEPTH in any constructed object",
+    "formats._cell_text": "array nesting in a table cell, at most core.MAX_ID_DEPTH by formats._cell_nesting",
     "search.exact_pairing.search": "one level per pair, 12 pairs",
     "corpus.enumerate_closed_walks.extend": "one level per step, corpus._MAX_WALK_LEN (4)",
     "corpus.chromatic_number_reference.feasible.place": "one level per vertex, oracle graphs of <= 12",

@@ -2,11 +2,13 @@
 
 Each ``*_reference`` below is the replaced code, kept verbatim: sealing by
 ``WalkStep.flipped``, the list-comprehension ``validate_walk`` and
-``link_graph``, the ``WalkStep(*item)`` parse of ``complex_from_doc``, the
-per-step ``complex_to_doc`` and the id-level ``_rotation_successors``.  The
-tests check that the library's outputs and error texts are equal to theirs
-on random certified maps, on the complexes the chain builds from them, and
-on a sample of the small-complex corpus.
+``link_graph``, the ``WalkStep(*item)`` parse of ``complex_from_doc`` and
+the per-step reader that followed it, the per-step ``complex_to_doc`` and
+the id-level ``_rotation_successors``.  The tests check that the library's
+outputs and error texts are equal to theirs on random certified maps, on
+the complexes the chain builds from them, and on a sample of the
+small-complex corpus.  Rotations built on darts are checked against the
+constructor's.
 """
 
 import random
@@ -126,6 +128,43 @@ def complex_from_doc_reference(doc) -> TwoComplex:
                 and type(item[0]) in (int, str)
                 and type(item[1]) is int
                 and item[1] in (0, 1)
+                else WalkStep(*_parse_side_entry(item, "walk step", "[edge, entry_side]"))
+                for item in cell
+            ]
+        )
+        try:
+            cells.append(ClosedWalk(steps))
+        except DomainError as exc:
+            raise SchemaError(str(exc)) from None
+    try:
+        return TwoComplex(skeleton, tuple(cells), doc["kind"])
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from None
+
+
+def complex_from_doc_per_step_reference(doc) -> TwoComplex:
+    _check_fields(doc, ("skeleton", "cells", "kind"), (), "complex")
+    skeleton = graph_from_doc(doc["skeleton"])
+    if doc["kind"] not in (GENUINE, PUNCTURED):
+        raise SchemaError(f"unknown complex kind {short_repr(doc['kind'])}")
+    if not isinstance(doc["cells"], list):
+        raise SchemaError("'cells' must be an array")
+    table, dart_of = skeleton._steps
+    cells = []
+    for cell in doc["cells"]:
+        if not isinstance(cell, list):
+            raise SchemaError("each cell must be an array of steps")
+        # A step whose id is an int or a string and whose side is an int is
+        # looked up in the skeleton's step table; any other step, and one
+        # the table does not hold, gets the full checks.
+        steps = tuple(
+            [
+                table[d]
+                if type(item) is list
+                and len(item) == 2
+                and type(item[0]) in (int, str)
+                and type(item[1]) is int
+                and (d := dart_of.get(tuple(item))) is not None
                 else WalkStep(*_parse_side_entry(item, "walk step", "[edge, entry_side]"))
                 for item in cell
             ]
@@ -393,3 +432,161 @@ def test_the_chain_shares_each_skeletons_steps(chains):
     for c in (punctured, seal(punctured), formats.complex_from_doc(formats.complex_to_doc(punctured))):
         table, dart_of = c.skeleton._steps
         assert all(s is table[dart_of[s]] for cell in c.cells for s in cell.steps)
+
+
+# ---------------------------------------------------------------------------
+# Cells read a column at a time
+
+
+class Int(int):
+    """An int subclass: an id, but not on the column reader's path."""
+
+
+def crafted_documents() -> list:
+    """Complex documents whose cells mix rows the column reader takes with
+    each kind of row it leaves to the per-step reader, on a one-vertex
+    skeleton and on one with several vertices."""
+    one = {
+        "vertices": ["h"],
+        "edges": [{"id": i, "end0": "h", "end1": "h"} for i in (0, 1, "x")],
+    }
+    # a triangle 0-1-"x" with a pendant edge "p"
+    several = {
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [
+            {"id": 0, "end0": "a", "end1": "b"},
+            {"id": 1, "end0": "b", "end1": "c"},
+            {"id": "x", "end0": "c", "end1": "a"},
+            {"id": "p", "end0": "c", "end1": "d"},
+        ],
+    }
+    good = {
+        "one": [[[0, 0], [1, 1], ["x", 0]], [[1, 0]], [["x", 1], [0, 1]]],
+        "several": [[[0, 0], [1, 0], ["x", 0]], [["x", 1], [1, 1], [0, 1]], [["p", 0], ["p", 1], [1, 1], [0, 1], ["x", 1]]],
+    }
+    bad_rows = [
+        [True, 0], [1, False], [1.0, 0], [1, 2], [1], [1, 0, 0], [[1], 0], "ab", {},
+        ["zz", 0], [Int(1), 0], [1, Int(0)], ["x", 1],
+    ]
+    docs = []
+    for name, skeleton in (("one", one), ("several", several)):
+        cells = good[name]
+        docs.append({"skeleton": skeleton, "cells": cells, "kind": GENUINE})
+        docs.append({"skeleton": skeleton, "cells": [*cells, []], "kind": GENUINE})
+        for row in bad_rows:
+            for k in range(len(cells)):
+                for j in (0, len(cells[k]) - 1):
+                    changed = [list(c) for c in cells]
+                    changed[k][j] = row
+                    docs.append({"skeleton": skeleton, "cells": changed, "kind": PUNCTURED})
+            # one cell of only this row, and a fault in a later cell after it
+            docs.append({"skeleton": skeleton, "cells": [[row], *cells], "kind": GENUINE})
+            docs.append({"skeleton": skeleton, "cells": [*cells, [row], [[1, 2]]], "kind": GENUINE})
+            docs.append({"skeleton": skeleton, "cells": [[row], [], *cells], "kind": GENUINE})
+    # a walk that breaks at a junction, before and after a row the per-step
+    # reader refuses, and before an unknown edge
+    broken = [[0, 0], ["x", 0], [1, 0]]
+    for later in ([[True, 0]], [["zz", 0]], [[Int(1), 1], [0, 1], ["x", 1]], []):
+        docs.append({"skeleton": several, "cells": [broken, later], "kind": GENUINE})
+        docs.append({"skeleton": several, "cells": [later, broken], "kind": GENUINE})
+    return docs
+
+
+def read_outcome(reader, doc):
+    """``outcome`` of ``reader(doc)``, with each step's id type beside the
+    complex: an ``Int`` id equals the int in the table."""
+    got = outcome(lambda: reader(doc))
+    if got[0] == "ok":
+        return got, [[type(s.edge) for s in w.steps] for w in got[1].cells]
+    return got, None
+
+
+def test_column_reader_faults_match_the_per_step_reader():
+    docs = crafted_documents()
+    outcomes = [read_outcome(formats.complex_from_doc, doc) for doc in docs]
+    assert outcomes == [read_outcome(complex_from_doc_per_step_reference, doc) for doc in docs]
+    kinds = {got[0] for got, _ in outcomes}
+    texts = {got[1] for got, _ in outcomes if got[0] != "ok"}
+    assert kinds == {"ok", "SchemaError"}
+    assert "walk is not vertex-compatible between steps 2 and 0" in texts
+    assert "walk not contained in skeleton: unknown edge 'zz'" in texts
+    assert "a closed walk must be nonempty" in texts
+    assert any(types and Int in types[0] for _, types in outcomes)
+
+
+def test_column_reader_keeps_the_tables_steps_and_the_complex(chains, corpus_sample):
+    complexes = [c for _, _, punctured in chains for c in (punctured, seal(punctured))] + corpus_sample
+    for c in complexes:
+        doc = formats.loads(dump(c))
+        read = formats.complex_from_doc(doc)
+        assert read == complex_from_doc_per_step_reference(doc) == c
+        table, dart_of = read.skeleton._steps
+        assert all(s is table[dart_of[s]] for cell in read.cells for s in cell.steps)
+
+
+def test_chain_walks_pass_the_public_constructor(chains, corpus_sample):
+    complexes = [punctured for _, _, punctured in chains]
+    complexes += [seal(c) for c in complexes]
+    complexes += [seal(TwoComplex(c.skeleton, c.cells, PUNCTURED)) for c in corpus_sample]
+    for c in complexes:
+        assert all(type(w) is ClosedWalk for w in c.cells)
+        assert TwoComplex(c.skeleton, tuple(ClosedWalk(w.steps) for w in c.cells), c.kind) == c
+
+
+# ---------------------------------------------------------------------------
+# Rotations built on darts
+
+
+def rebuilt_on_darts(g: Multigraph, rot: RotationSystem, rng: random.Random) -> RotationSystem:
+    """``rot`` built again by ``_from_darts``, each order started at a
+    random end."""
+    position = {e.id: i for i, e in enumerate(g.edges)}
+    order_at = dict(rot.orders)
+    darts_at = []
+    for v in g.vertices:
+        darts = [2 * position[e] + s for e, s in order_at.get(v, ())]
+        k = rng.randrange(len(darts)) if darts else 0
+        darts_at.append(darts[k:] + darts[:k])
+    return RotationSystem._from_darts(g, darts_at)
+
+
+def built_on_darts() -> list:
+    """Paired graphs whose rotations the library built on darts: random
+    maps, their augmentations, and the witness that the search finds from
+    seed 34, as a paired graph."""
+    from linkchroma.search import search_witness
+
+    out = []
+    for seed, n in ((0, 1), (1, 2), (5, 7), (2, 50), (3, 120), (9, 400)):
+        pg = random_planar_paired_graph(seed, n)
+        out += [pg, make_degree_faithful(pg)]
+    w = search_witness(seed=34, budget=6000)
+    assert "orders" not in w.rotation.__dict__
+    return out + [w.paired_graph]
+
+
+def test_rotations_built_on_darts_are_the_constructors(monkeypatch):
+    from linkchroma import core
+
+    built = []
+    counted = core.third_edges
+    monkeypatch.setattr(core, "third_edges", lambda g: built.append(g) or counted(g))
+    rng = random.Random(23)
+    for pg in built_on_darts():
+        rot = pg.rotation
+        assert "orders" not in rot.__dict__
+        built.clear()
+        text = formats.dumps(formats.paired_graph_to_doc(pg))
+        reference = RotationSystem(rot.orders)
+        assert rot == reference and reference == rot
+        assert hash(rot) == hash(reference) and repr(rot) == repr(reference)
+        assert rot.orders is rot.orders
+        assert len(built) == 1  # the orders were made once, for the document
+        with_reference = PairedGraph(pg.graph, pg.pairing, reference)
+        assert with_reference == pg
+        assert formats.dumps(formats.paired_graph_to_doc(with_reference)) == text
+        # each comparison on a rotation whose orders are not made yet
+        assert rebuilt_on_darts(pg.graph, reference, rng) == reference
+        assert hash(rebuilt_on_darts(pg.graph, reference, rng)) == hash(reference)
+        assert repr(rebuilt_on_darts(pg.graph, reference, rng)) == repr(reference)
+        assert PairedGraph(pg.graph, pg.pairing, rebuilt_on_darts(pg.graph, reference, rng)) == with_reference
