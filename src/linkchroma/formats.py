@@ -428,31 +428,35 @@ def _cell_nesting(column) -> Optional[int]:
 
 def _table_text(rows: list, newline: list, depth: int) -> Optional[str]:
     """The text of ``rows``, a list at ``depth``, if it is a table: every
-    item a list of one nonzero length, or every item a dict with one key
-    order, and every cell a scalar or a list as ``_cell_nesting`` allows.
-    Edge lists and rotation orders are tables.  Each column is typed in
-    one pass, and texted by ``map``; None for any other list."""
+    item a list of one length, or every item a dict with one key order,
+    fewer columns than rows, and every cell a scalar or a list as
+    ``_cell_nesting`` allows.  Edge lists and rotation orders are tables.
+    Each column is typed in one pass, and texted by ``map``; None for any
+    other list."""
     kinds = frozenset(map(type, rows))
     if kinds == _LIST:
-        widths = frozenset(map(len, rows))
-        if len(widths) != 1 or 0 in widths:
-            return None
-        columns = zip(*rows)
-        heads = [""] * min(widths)
-        opening, closing = "[", "]"
+        shapes = frozenset(map(len, rows))
     elif kinds == _DICT:
-        orders = frozenset(map(tuple, rows))
-        if len(orders) != 1:
-            return None
-        (keys,) = orders
-        if not keys or frozenset(map(type, keys)) != _STR:
+        shapes = frozenset(map(tuple, rows))
+    else:
+        return None
+    if len(shapes) != 1:
+        return None
+    (shape,) = shapes
+    width = shape if kinds == _LIST else len(shape)
+    if not 0 < width < len(rows):
+        return None  # a list with more columns than rows costs less in the loop
+    if kinds == _LIST:
+        columns = zip(*rows)
+        heads = [""] * width
+        opening, closing = "[", "]"
+    else:
+        if frozenset(map(type, shape)) != _STR:
             return None
         columns = zip(*map(dict.values, rows))
         # a key's text may hold braces, which the row template must escape
-        heads = [encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}") + ": " for k in keys]
+        heads = [encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}") + ": " for k in shape]
         opening, closing = "{{", "}}"  # escaped for the template
-    else:
-        return None
     texts = []
     for column in columns:
         kinds = frozenset(map(type, column))
