@@ -41,6 +41,7 @@ from .core import (
     WalkStep,
     _check_junctions,
     _is_id,
+    _records,
     id_sort_key,
     validate_walk,
 )
@@ -134,11 +135,22 @@ def graph_from_doc(doc) -> Multigraph:
     _check_fields(doc, ("vertices", "edges"), (), "graph")
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise SchemaError("graph fields 'vertices' and 'edges' must be arrays")
-    vertices = tuple(id_from_json(v) for v in doc["vertices"])
-    edges = []
-    for e in doc["edges"]:
-        _check_fields(e, ("id", "end0", "end1"), (), "edge")
-        edges.append(Edge(id_from_json(e["id"]), id_from_json(e["end0"]), id_from_json(e["end1"])))
+    raw = doc["edges"]
+    # Edge objects that are dicts of the three fields, and ids that are all
+    # ints and strings, which parse to themselves, are taken a column at a
+    # time; any other graph is read an edge at a time.
+    columns = None
+    if _DICT.issuperset(map(type, raw)) and _EDGE_FIELDS.issuperset(map(frozenset, raw)):
+        columns = [list(map(itemgetter(k), raw)) for k in ("id", "end0", "end1")]
+    if columns is not None and _PLAIN.issuperset(map(type, chain(doc["vertices"], *columns))):
+        vertices = tuple(doc["vertices"])
+        edges = list(_records(Edge, zip(*columns)))
+    else:
+        vertices = tuple(id_from_json(v) for v in doc["vertices"])
+        edges = []
+        for e in doc["edges"]:
+            _check_fields(e, ("id", "end0", "end1"), (), "edge")
+            edges.append(Edge(id_from_json(e["id"]), id_from_json(e["end0"]), id_from_json(e["end1"])))
     try:
         return Multigraph(vertices, tuple(edges))
     except DomainError as exc:
@@ -372,6 +384,7 @@ _DICT = frozenset((dict,))
 _CELL_TYPES = _SCALAR_TYPES | _LIST
 _PLAIN = frozenset((int, str))
 _PAIR = frozenset((2,))
+_EDGE_FIELDS = frozenset((frozenset(("id", "end0", "end1")),))
 
 
 def _scalar_text(value) -> str:

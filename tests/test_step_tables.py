@@ -41,7 +41,7 @@ from linkchroma.core import (
 )
 from linkchroma.corpus import enumerate_small_complexes
 from linkchroma.errors import DomainError, SchemaError, short_repr
-from linkchroma.formats import _check_fields, _parse_side_entry, graph_from_doc, id_to_json
+from linkchroma.formats import _check_fields, _parse_side_entry, graph_from_doc, id_from_json, id_to_json
 
 from strategies import WALK_FAULT_SKELETON, WALK_FAULTS
 
@@ -175,6 +175,21 @@ def complex_from_doc_per_step_reference(doc) -> TwoComplex:
             raise SchemaError(str(exc)) from None
     try:
         return TwoComplex(skeleton, tuple(cells), doc["kind"])
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from None
+
+
+def graph_from_doc_reference(doc) -> Multigraph:
+    _check_fields(doc, ("vertices", "edges"), (), "graph")
+    if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
+        raise SchemaError("graph fields 'vertices' and 'edges' must be arrays")
+    vertices = tuple(id_from_json(v) for v in doc["vertices"])
+    edges = []
+    for e in doc["edges"]:
+        _check_fields(e, ("id", "end0", "end1"), (), "edge")
+        edges.append(Edge(id_from_json(e["id"]), id_from_json(e["end0"]), id_from_json(e["end1"])))
+    try:
+        return Multigraph(vertices, tuple(edges))
     except DomainError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -490,6 +505,30 @@ def crafted_documents() -> list:
         docs.append({"skeleton": several, "cells": [broken, later], "kind": GENUINE})
         docs.append({"skeleton": several, "cells": [later, broken], "kind": GENUINE})
     return docs
+
+
+def test_graph_reader_by_column_is_the_edge_at_a_time_reader():
+    base = {
+        "vertices": ["a", 0, "b"],
+        "edges": [{"id": 0, "end0": "a", "end1": 0}, {"id": "e", "end0": 0, "end1": "b"}, {"id": 2, "end0": "b", "end1": "b"}],
+    }
+    docs = [base, {"vertices": [], "edges": []}, {"vertices": [1], "edges": []}]
+    for value in (True, 1.0, [1], ["a", [2]], Int(1), None, "zz", 2, 0):
+        for field in ("id", "end0", "end1"):
+            for k in (0, 2):
+                edges = [dict(e) for e in base["edges"]]
+                edges[k][field] = value
+                docs.append({**base, "edges": edges})
+        docs.append({**base, "vertices": [*base["vertices"], value]})
+    for odd in ({"id": 5, "end0": 0}, {"id": 5, "end0": 0, "end1": 0, "x": 1}, [5, 0, 0], "e", {"end1": 0, "id": 5, "end0": 0}):
+        docs.append({**base, "edges": [*base["edges"], odd]})
+    docs.append({**base, "vertices": (0, "a", "b")})
+    for doc in docs:
+        got = outcome(lambda: graph_from_doc(doc))
+        assert got == outcome(lambda: graph_from_doc_reference(doc))
+        if got[0] == "ok":
+            assert [tuple(map(type, e)) for e in got[1].edges] == [tuple(map(type, e)) for e in graph_from_doc_reference(doc).edges]
+            assert {type(e) for e in got[1].edges} == {Edge} or not got[1].edges
 
 
 def read_outcome(reader, doc):
