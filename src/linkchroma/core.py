@@ -744,7 +744,7 @@ class TwoComplex:
         vertex-compatible.  The constructor without its checks, as
         ``Multigraph._sorted``.  ``seal`` and ``inverse_link`` take their
         steps from the step table, where those facts hold by construction,
-        and ``complex_from_doc`` checks them on darts."""
+        and ``complex_from_doc`` checks each cell first."""
         walks = []
         for steps in cells:
             walk = object.__new__(ClosedWalk)

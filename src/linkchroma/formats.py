@@ -443,9 +443,10 @@ def _table_text(rows: list, newline: list, depth: int) -> Optional[str]:
     """The text of ``rows``, a list at ``depth``, if it is a table: every
     item a list of one length, or every item a dict with one key order,
     fewer columns than rows, and every cell a scalar or a list as
-    ``_cell_nesting`` allows.  Edge lists and rotation orders are tables.
-    Each column is typed in one pass, and texted by ``map``; None for any
-    other list."""
+    ``_cell_nesting`` allows.  Cell walks, edge lists, pairs and rotation
+    orders are tables.  A table of int rows is C-encoded compactly and
+    re-indented; any other is typed a column at a time and texted by
+    ``map``.  None for any other list."""
     kinds = frozenset(map(type, rows))
     if kinds == _LIST:
         shapes = frozenset(map(len, rows))
@@ -459,6 +460,13 @@ def _table_text(rows: list, newline: list, depth: int) -> Optional[str]:
     width = shape if kinds == _LIST else len(shape)
     if not 0 < width < len(rows):
         return None  # a list with more columns than rows costs less in the loop
+    inner, row_in = newline[depth + 1], newline[depth + 2]
+    if kinds == _LIST and frozenset(map(type, chain.from_iterable(rows))) == _INT:
+        # "[[1,2],[3,4]]", C-encoded: every comma inside a row, then every
+        # "],[" between rows, is a line break
+        text = json.dumps(rows, separators=(",", ":"), check_circular=False)[2:-2].replace("],[", "\0")
+        text = text.replace(",", "," + row_in).replace("\0", inner + "]," + inner + "[" + row_in)
+        return "[" + inner + "[" + row_in + text + inner + "]" + newline[depth] + "]"
     if kinds == _LIST:
         columns = zip(*rows)
         heads = [""] * width
@@ -484,7 +492,6 @@ def _table_text(rows: list, newline: list, depth: int) -> Optional[str]:
             while len(newline) < depth + nesting + 3:
                 newline.append(newline[-1] + "  ")
             texts.append(map(partial(_cell_text, newline, depth + 2), column))
-    inner, row_in = newline[depth + 1], newline[depth + 2]
     template = opening + row_in + ("," + row_in).join([h + "{}" for h in heads]) + inner + closing
     return "[" + inner + ("," + inner).join(map(template.format, *texts)) + newline[depth] + "]"
 
@@ -496,9 +503,8 @@ def dumps(doc: dict) -> str:
     ``json.dumps`` runs its pure-Python encoder whenever it indents.  This
     writer is a loop over an explicit stack of open containers, so there
     is no depth limit, and it writes in one piece each container that holds
-    only scalars, each list of lists of ints (cell walks, rotation orders),
-    whose compact C-encoded text it re-indents, and each table of
-    ``_table_text`` (edge lists, rotation orders with array ids).
+    only scalars and each table of ``_table_text``: cell walks, edge lists,
+    pairs and rotation orders.
     """
     out = []
     newline = ["\n"]  # newline[d]: a line break and the indent of depth d
@@ -524,19 +530,6 @@ def dumps(doc: dict) -> str:
                 newline.append(newline[-1] + "  ")
             inner = newline[depth + 1]
             close = newline[depth] + brackets[1]
-            if (
-                type(value) is list
-                and frozenset(map(type, value)) == _LIST
-                and all(value)
-                and frozenset(map(type, chain.from_iterable(value))) == _INT
-            ):
-                # "[[1,2],[3]]": every comma inside a row, then every "],["
-                # between rows, is a line break
-                rows = json.dumps(value, separators=(",", ":"))[2:-2].replace("],[", "\0")
-                rows = rows.replace(",", "," + newline[depth + 2])
-                rows = rows.replace("\0", inner + "]," + inner + "[" + newline[depth + 2])
-                out.append(head + "[" + inner + "[" + newline[depth + 2] + rows + inner + "]" + close)
-                continue
             if isinstance(value, dict):
                 texts = _scalar_texts(value.values())
                 if texts is not None:
