@@ -82,6 +82,14 @@ def _is_id(value) -> bool:
     return True
 
 
+def _member(value, container) -> bool:
+    """``value in container``, false for an unhashable value, which no id is."""
+    try:
+        return value in container
+    except TypeError:
+        return False
+
+
 def _is_end_id(value) -> bool:
     """``_is_id``, with a tuple of plain members passed without keying."""
     return (isinstance(value, tuple) and _PLAIN_IDS.issuperset(map(type, value))) or _is_id(value)
@@ -97,9 +105,6 @@ class EdgeEnd(NamedTuple):
 
     edge: EdgeId
     side: int
-
-    def flipped(self) -> "EdgeEnd":
-        return EdgeEnd(self.edge, 1 - self.side)
 
 
 class Edge(NamedTuple):
@@ -173,16 +178,16 @@ class Multigraph:
         if len(vertex_set) != len(verts):
             raise DomainError("duplicate vertex id")
         by_id = dict(zip(map(itemgetter(0), edges), edges))
-        if not (
-            len(by_id) == len(edges)
-            and vertex_set.issuperset(map(itemgetter(1), edges))
-            and vertex_set.issuperset(map(itemgetter(2), edges))
-        ):
+        try:  # an unhashable end names no vertex
+            known = vertex_set.issuperset(chain(map(itemgetter(1), edges), map(itemgetter(2), edges)))
+        except TypeError:
+            known = False
+        if len(by_id) != len(edges) or not known:
             seen = set()  # find the first faulty edge in stored order
             for e in edges:
                 if e.id in seen:
                     raise DomainError(f"duplicate edge id {short_repr(e.id)}")
-                if e.end0 not in vertex_set or e.end1 not in vertex_set:
+                if not (_member(e.end0, vertex_set) and _member(e.end1, vertex_set)):
                     raise DomainError(f"edge {short_repr(e.id)} references a missing vertex")
                 seen.add(e.id)
         object.__setattr__(self, "vertices", verts)
@@ -294,12 +299,13 @@ def _side_records(cls, rows, fault: str) -> tuple:
     """``rows`` as a tuple of ``cls``, (id, side) records, with every side
     checked to be 0 or 1, ``fault`` naming the first that is not.  A side
     such as ``False`` or ``1.0`` is kept as the int it equals, so that a
-    document written from the rows loads again."""
+    document written from the rows loads again.  A row that is not a pair
+    is refused with ``fault`` too."""
     if type(rows) is not tuple or not all(map(isinstance, rows, repeat(cls))):
-        rows = tuple(r if isinstance(r, cls) else cls(*r) for r in rows)
-    if not all(map((0, 1).__contains__, map(itemgetter(1), rows))):
-        bad = next(r for r in rows if r[1] not in (0, 1))
-        raise DomainError(fault.format(short_repr(bad)))
+        rows = tuple(r if isinstance(r, cls) else tuple.__new__(cls, r) for r in rows)
+    if not (all(map((2).__eq__, map(len, rows))) and all(map((0, 1).__contains__, map(itemgetter(1), rows)))):
+        bad = next(r for r in rows if len(r) != 2 or r[1] not in (0, 1))
+        raise DomainError(fault.format(short_repr(bad if len(bad) == 2 else tuple(bad))))
     if frozenset(map(type, map(itemgetter(1), rows))) != _INT_ONLY:
         rows = tuple(_records(cls, [(r[0], 1 if r[1] else 0) for r in rows]))
     return rows
@@ -357,24 +363,25 @@ def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
     steps = walk.steps
     table, dart_of = g._steps
     try:
-        darts = list(map(dart_of.__getitem__, steps))
-    except KeyError:
-        unknown = next(s for s in steps if s not in dart_of)
-        raise DomainError(f"walk not contained in skeleton: unknown edge {short_repr(unknown.edge)}") from None
-    if not all(map(is_, steps, map(table.__getitem__, darts))):
+        darts = list(map(dart_of.get, steps))
+    except TypeError:  # an unhashable id, which names no edge
+        darts = [dart_of[s] if _member(s, dart_of) else None for s in steps]
+    if None not in darts and not all(map(is_, steps, map(table.__getitem__, darts))):
         for s, d in zip(steps, darts):
             if s[0] is not table[d][0] and not _is_id(s[0]):
                 raise DomainError(
                     f"walk step {short_repr(s)} names edge {short_repr(table[d][0])} "
                     "by an id that only compares equal to it"
                 )
-    _check_junctions(g, darts)
+    _check_junctions(g, steps, darts)
 
 
-def _check_junctions(g: Multigraph, darts: list) -> None:
-    """Check that the walk through the darts ``2 * edge_position + entry``
-    of ``g`` exits each step where the next one enters, the first fault in
-    step order reported."""
+def _check_junctions(g: Multigraph, steps: tuple, darts: list) -> None:
+    """Check the walk ``steps`` on its darts ``2 * edge_position + entry``
+    of ``g``, ``None`` where ``g`` lacks the step: every edge is known, then
+    each step exits where the next one enters, the first fault reported."""
+    if None in darts:
+        raise DomainError(f"walk not contained in skeleton: unknown edge {short_repr(steps[darts.index(None)].edge)}")
     if len(g.vertices) == 1:
         return  # every step enters and exits at the one vertex
     _, at = g._darts
@@ -466,9 +473,12 @@ class RotationSystem:
         norm = []
         seen_vertices = set()
         for v, order in raw:
-            if v in seen_vertices:
-                raise DomainError(f"vertex {short_repr(v)} appears twice in rotation system")
-            seen_vertices.add(v)
+            try:
+                if v in seen_vertices:
+                    raise DomainError(f"vertex {short_repr(v)} appears twice in rotation system")
+                seen_vertices.add(v)
+            except TypeError:  # an unhashable vertex is no id, and the sort below says so
+                pass
             ends = _side_records(EdgeEnd, order, "edge-end {} has an invalid side")
             if not ends:
                 continue
@@ -740,11 +750,11 @@ class TwoComplex:
     @classmethod
     def _from_steps(cls, skeleton: Multigraph, cells, kind: str) -> "TwoComplex":
         """A complex from cells given as tuples of steps that already pass
-        ``validate_walk`` on ``skeleton``: nonempty, with int sides, and
-        vertex-compatible.  The constructor without its checks, as
-        ``Multigraph._sorted``.  ``seal`` and ``inverse_link`` take their
-        steps from the step table, where those facts hold by construction,
-        and ``complex_from_doc`` checks each cell first."""
+        ``validate_walk`` on ``skeleton``: the constructor without its
+        checks, as ``Multigraph._sorted``.  ``seal`` and ``inverse_link``
+        take the table's steps, which pass by construction.  The steps
+        ``complex_from_doc`` parses have keyed ids, so it runs only
+        ``_check_junctions``, the check ``validate_walk`` ends in."""
         walks = []
         for steps in cells:
             walk = object.__new__(ClosedWalk)

@@ -30,7 +30,6 @@ from .core import (
     GENUINE,
     MAX_ID_DEPTH,
     PUNCTURED,
-    ClosedWalk,
     Edge,
     EdgeEnd,
     Multigraph,
@@ -43,7 +42,6 @@ from .core import (
     _is_id,
     _records,
     id_sort_key,
-    validate_walk,
 )
 from .errors import DomainError, SchemaError, short_repr
 
@@ -250,50 +248,30 @@ def complex_from_doc(doc) -> TwoComplex:
     if not isinstance(doc["cells"], list):
         raise SchemaError("'cells' must be an array")
     table, dart_of = skeleton._steps
-    cells = []  # the steps of each cell, and its darts if it is all in the table
+    cells = []  # the steps of each cell, and its darts, None where the table lacks the step
     for cell in doc["cells"]:
         if not isinstance(cell, list):
             raise SchemaError("each cell must be an array of steps")
-        # A cell of [int or str, int] rows is typed a column at a time, and
-        # its rows are looked up in the skeleton's step table at once.
-        darts = None
+        # A cell of [int or str, int] rows is typed a column at a time and,
+        # if the table holds every row, takes the table's steps.  Any other
+        # cell is parsed a row at a time and keeps the steps it parsed.
         if (
             frozenset(map(type, cell)) == _LIST
             and frozenset(map(len, cell)) == _PAIR
             and _PLAIN.issuperset(map(type, map(itemgetter(0), cell)))
             and frozenset(map(type, map(itemgetter(1), cell))) == _INT
+            and None not in (darts := list(map(dart_of.get, map(tuple, cell))))
         ):
-            darts = list(map(dart_of.get, map(tuple, cell)))
-        if darts is not None and None not in darts:
-            cells.append((tuple(map(table.__getitem__, darts)), darts))
-            continue
-        # Any other cell is read a step at a time: a step whose id is an
-        # int or a string and whose side is an int is looked up in the
-        # table, and any other step, or one the table does not hold, gets
-        # the full checks.
-        steps = tuple(
-            [
-                table[d]
-                if type(item) is list
-                and len(item) == 2
-                and type(item[0]) in (int, str)
-                and type(item[1]) is int
-                and (d := dart_of.get(tuple(item))) is not None
-                else WalkStep(*_parse_side_entry(item, "walk step", "[edge, entry_side]"))
-                for item in cell
-            ]
-        )
-        try:
-            cells.append((ClosedWalk(steps).steps, None))
-        except DomainError as exc:
-            raise SchemaError(str(exc)) from None
-    # each cell checked as the constructor checks it, in cell order
-    try:
+            steps = tuple(map(table.__getitem__, darts))
+        else:
+            steps = tuple(WalkStep(*_parse_side_entry(item, "walk step", "[edge, entry_side]")) for item in cell)
+            if not steps:
+                raise SchemaError("a closed walk must be nonempty")
+            darts = list(map(dart_of.get, steps))
+        cells.append((steps, darts))
+    try:  # each cell checked as the constructor checks it, in cell order
         for steps, darts in cells:
-            if darts is None:
-                validate_walk(skeleton, ClosedWalk(steps))
-            else:
-                _check_junctions(skeleton, darts)
+            _check_junctions(skeleton, steps, darts)
     except DomainError as exc:
         raise SchemaError(str(exc)) from None
     return TwoComplex._from_steps(skeleton, [steps for steps, _ in cells], doc["kind"])

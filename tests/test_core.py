@@ -32,6 +32,7 @@ from linkchroma.colour import _neighbours, heawood_colour_12
 from linkchroma.construct import make_degree_faithful, pi_trail_decomposition, random_planar_paired_graph
 from linkchroma.core import MAX_ID_DEPTH
 from linkchroma.corpus import enumerate_small_complexes
+from linkchroma.errors import short_repr
 
 from strategies import (
     WALK_FAULT_SKELETON,
@@ -247,7 +248,6 @@ class TestWalks:
 
     def test_reverse_flips_entry_side(self):
         assert WalkStep("e", 0).flipped() == WalkStep("e", 1)
-        assert EdgeEnd("e", 1).flipped() == EdgeEnd("e", 0)
 
     def test_reverse_preserves_validity(self):
         # sealing appends each walk backwards: its steps reversed, each flipped
@@ -320,6 +320,85 @@ class TestStepIds:
         assert walk.steps[0].edge is not g.edges[0].id
         validate_walk(g, walk)
         TwoComplex(g, (walk,))
+
+
+# Each builds with ``bad`` in one place, behind or ahead of another fault;
+# the expected text names ``bad`` as ``{}``.
+UNHASHABLE_CASES = {
+    "walk step": (
+        lambda bad: TwoComplex(TestStepIds.SKELETON, [[(1, 0), (bad, 0)]]),
+        "walk not contained in skeleton: unknown edge {}",
+    ),
+    "walk step after an equal id": (
+        lambda bad: TwoComplex(TestStepIds.SKELETON, [[(True, 0), (bad, 1)]]),
+        "walk not contained in skeleton: unknown edge {}",
+    ),
+    "walk step after an unknown edge": (
+        lambda bad: TwoComplex(TestStepIds.SKELETON, [[("zz", 0), (bad, 0)]]),
+        "walk not contained in skeleton: unknown edge 'zz'",
+    ),
+    "rotation vertex": (
+        lambda bad: RotationSystem(((bad, (EdgeEnd("e", 0),)), ("w", (EdgeEnd("e", 1),)))),
+        "unsupported id {}: ids are ints, strings or tuples",
+    ),
+    "rotation vertex before a bad side": (
+        lambda bad: RotationSystem(((bad, (EdgeEnd("e", 0),)), ("w", (EdgeEnd("e", 2),)))),
+        "edge-end EdgeEnd(edge='e', side=2) has an invalid side",
+    ),
+    "edge end": (
+        lambda bad: Multigraph(("v",), (Edge("a", bad, "v"), Edge("b", "v", "v"))),
+        "edge 'a' references a missing vertex",
+    ),
+    "edge end after a missing vertex": (
+        lambda bad: Multigraph(("v",), (Edge("a", "v", "w"), Edge("b", "v", bad))),
+        "edge 'a' references a missing vertex",
+    ),
+}
+
+
+class TestUnhashableIds:
+    """An unhashable value is no id, and gets the error that a hashable
+    non-id such as ``1.5`` gets in the same place, in the same order."""
+
+    @pytest.mark.parametrize("bad", [1.5, ["a"], {"a": 1}])
+    @pytest.mark.parametrize("case", sorted(UNHASHABLE_CASES))
+    def test_is_refused_as_a_hashable_non_id_is(self, case, bad):
+        build, message = UNHASHABLE_CASES[case]
+        with pytest.raises(DomainError) as info:
+            build(bad)
+        assert str(info.value) == message.format(short_repr(bad))
+
+    @pytest.mark.parametrize("case", sorted(UNHASHABLE_CASES))
+    def test_inside_a_tuple(self, case):
+        build, _ = UNHASHABLE_CASES[case]
+        texts = []
+        for bad in (("a", 1.5), ("a", ["b"])):
+            with pytest.raises(DomainError) as info:
+                build(bad)
+            texts.append(str(info.value))
+        assert texts[1] == texts[0].replace("1.5", "['b']")
+
+
+class TestRowsOfTheWrongLength:
+    @pytest.mark.parametrize("row", [("a",), ("a", 0, 1), ()])
+    def test_a_walk_step_is_refused(self, row):
+        g = Multigraph(("h",), (Edge("a", "h", "h"),))
+        for build in (lambda: ClosedWalk((("a", 0), row)), lambda: TwoComplex(g, [[("a", 0), row]])):
+            with pytest.raises(DomainError) as info:
+                build()
+            assert str(info.value) == f"walk step {row!r} has an invalid entry side"
+
+    @pytest.mark.parametrize("row", [("a",), ("a", 0, 1), ()])
+    def test_an_edge_end_is_refused(self, row):
+        for orders in ({"v": [("a", 0), row]}, (("v", [row, ("a", 5)]),)):
+            with pytest.raises(DomainError) as info:
+                RotationSystem(orders)
+            assert str(info.value) == f"edge-end {row!r} has an invalid side"
+
+    def test_the_first_faulty_row_is_named(self):
+        with pytest.raises(DomainError) as info:
+            ClosedWalk((("a", 0), ("a", 2), ("a",)))
+        assert str(info.value) == "walk step WalkStep(edge='a', entry=2) has an invalid entry side"
 
 
 class TestLinkGraph:
@@ -506,7 +585,7 @@ def sorted_face_genera(g, rot):
         faces.append(start)
         while True:
             visited.add(d)
-            d = succ[d.flipped()]
+            d = succ[EdgeEnd(d.edge, 1 - d.side)]
             if d == start:
                 break
     out = []

@@ -395,7 +395,7 @@ def rotation_variants(pg: PairedGraph, rng: random.Random) -> list:
         elif kind == 4:
             orders.append((("zz", k), [order[j]]))
         else:
-            order[j] = order[j].flipped()
+            order[j] = EdgeEnd(order[j].edge, 1 - order[j].side)
         return orders
 
     out = [orders, fault(orders), fault(orders), fault(fault(orders))]
@@ -459,8 +459,9 @@ class Int(int):
 
 def crafted_documents() -> list:
     """Complex documents whose cells mix rows the column reader takes with
-    each kind of row it leaves to the per-step reader, on a one-vertex
-    skeleton and on one with several vertices."""
+    each kind of row that makes it parse the cell a row at a time, on a
+    one-vertex skeleton, on one with several vertices and on one with an
+    array id."""
     one = {
         "vertices": ["h"],
         "edges": [{"id": i, "end0": "h", "end1": "h"} for i in (0, 1, "x")],
@@ -504,6 +505,32 @@ def crafted_documents() -> list:
     for later in ([[True, 0]], [["zz", 0]], [[Int(1), 1], [0, 1], ["x", 1]], []):
         docs.append({"skeleton": several, "cells": [broken, later], "kind": GENUINE})
         docs.append({"skeleton": several, "cells": [later, broken], "kind": GENUINE})
+    # an Int id on a row the table holds, among plain rows; a plain cell
+    # with an unknown edge before a later shape fault or empty cell
+    for cells in (
+        [[[0, 0], [Int(1), 0], ["x", 0]]],
+        [[[0, 0], [1, 0], ["x", 0]], [["x", 1], [Int(1), 1], [0, 1]]],
+        [[[0, 0], ["zz", 0], ["x", 0]], [[0, 0], [1]]],
+        [[[0, 0], ["zz", 0], ["x", 0]], [[0, 0], [1, 2]]],
+        [[[0, 0], ["zz", 0], ["x", 0]], []],
+        [[["zz", 0]], [[0, 0], [1, 0], ["x", 0]], []],
+    ):
+        docs.append({"skeleton": several, "cells": cells, "kind": GENUINE})
+    # one cell that mixes array-id rows with plain rows
+    arrays = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": 0, "end0": "a", "end1": "b"}, {"id": [0, "t"], "end0": "b", "end1": "a"}],
+    }
+    for cell in (
+        [[0, 0], [[0, "t"], 0]],
+        [[[0, "t"], 1], [0, 1]],
+        [[0, 0], [[0, "t"], 0], [0, 0], [[0, "t"], 0]],
+        [[0, 0], [[0, "t"], 1]],
+        [[0, 0], [[0, "t"], 0], [Int(0), 0], [[0, "t"], 0]],
+        [[0, 0], [[0, "u"], 0]],
+    ):
+        docs.append({"skeleton": arrays, "cells": [cell], "kind": GENUINE})
+        docs.append({"skeleton": arrays, "cells": [[[0, 0], [[0, "t"], 0]], cell, [[0, 1], [0, 0]]], "kind": PUNCTURED})
     return docs
 
 
