@@ -52,7 +52,7 @@ def cmd_link(args) -> int:
         _write_doc(args.out, formats.paired_graph_to_doc(L))
     print(
         f"link graph: {len(L.graph.vertices)} vertices, "
-        f"{len(L.graph.edges)} edges, {len(L.pairing.pairs)} pairs"
+        f"{len(L.graph.edge_ids())} edges, {len(L.pairing.pairs)} pairs"
     )
     return 0
 
@@ -65,7 +65,7 @@ def cmd_quotient(args) -> int:
     if args.out:
         _write_doc(args.out, formats.graph_to_doc(q))
     label = "simple quotient" if args.simple else "paired quotient"
-    print(f"{label}: {len(q.vertices)} vertices, {len(q.edges)} edges")
+    print(f"{label}: {len(q.vertices)} vertices, {len(q.edge_ids())} edges")
     return 0
 
 
@@ -115,7 +115,7 @@ def cmd_augment(args) -> int:
     pg = formats.paired_graph_from_doc(formats.load(args.input))
     out = make_degree_faithful(pg)
     _write_doc(args.out, formats.paired_graph_to_doc(out))
-    print(f"augmented: {len(out.graph.edges)} edges (from {len(pg.graph.edges)})")
+    print(f"augmented: {len(out.graph.edge_ids())} edges (from {len(pg.graph.edge_ids())})")
     return 0
 
 
@@ -123,7 +123,7 @@ def cmd_inverse_link(args) -> int:
     pg = formats.paired_graph_from_doc(formats.load(args.input))
     c = inverse_link(pg)
     _write_doc(args.out, formats.complex_to_doc(c))
-    print(f"punctured complex: {len(c.skeleton.edges)} loops, {len(c.cells)} cells")
+    print(f"punctured complex: {len(c.skeleton.edge_ids())} loops, {len(c.cells)} cells")
     return 0
 
 

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .core import Multigraph, PairedGraph, TwoComplex, link_graph
+from .core import Multigraph, PairedGraph, TwoComplex, _neighbour_sets, link_graph
 from .errors import BudgetExhausted, DomainError
 
 
@@ -55,14 +55,16 @@ def is_valid_pair_colouring(pg: PairedGraph, colouring: Colouring) -> bool:
     Within-pair edges are exempt.  The check walks the paired graph's own
     edges, not the quotient neighbour sets the colourers work from.
     """
-    colour = {}
-    for pair in pg.pairing.pairs:
+    index, at = pg.graph._darts
+    colour, pair_at = [0] * len(index), [0] * len(index)  # by vertex position
+    for k, pair in enumerate(pg.pairing.pairs):
         if pair not in colouring.assignment:
             raise DomainError(f"pair {pair!r} is uncoloured")
-        colour[pair[0]] = colour[pair[1]] = colouring.assignment[pair]
-    pair_of = pg.pairing._pair_of
-    for e in pg.graph.edges:
-        if colour[e.end0] == colour[e.end1] and pair_of[e.end0] != pair_of[e.end1]:
+        for p in map(index.__getitem__, pair):
+            colour[p], pair_at[p] = colouring.assignment[pair], k
+    ends = iter(at)
+    for a, b in zip(ends, ends):  # the two ends of each edge
+        if colour[a] == colour[b] and pair_at[a] != pair_at[b]:
             return False
     return True
 
@@ -73,9 +75,9 @@ def is_valid_complex_colouring(c: TwoComplex, colouring: Colouring) -> bool:
 
     Checked directly on the cell walks, independently of the link graph.
     """
-    for e in c.skeleton.edges:
-        if e.id not in colouring.assignment:
-            raise DomainError(f"edge {e.id!r} is uncoloured")
+    for i in c.skeleton.edge_ids():
+        if i not in colouring.assignment:
+            raise DomainError(f"edge {i!r} is uncoloured")
     return _clash_free(_junctions(c), colouring.assignment)
 
 
@@ -105,14 +107,7 @@ def _clash_free(junctions: list, colour: dict) -> bool:
 def _neighbours(g: Multigraph) -> list:
     """Neighbour-index sets by position in ``g.vertices``, with loops
     dropped and parallels collapsed."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [set() for _ in g.vertices]
-    for e in g.edges:
-        if not e.is_loop:
-            a, b = index[e.end0], index[e.end1]
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-    return nbrs
+    return _neighbour_sets(len(g.vertices), g._at)
 
 
 def _greedy_clique(nbrs: list) -> list:
@@ -372,7 +367,7 @@ def brute_force_edge_chromatic(c: TwoComplex, k_max: int) -> int:
     12 edges.  The first edge's colour is fixed to 0 (colour permutations
     are symmetries).
     """
-    edge_ids = [e.id for e in c.skeleton.edges]
+    edge_ids = c.skeleton.edge_ids()
     if len(edge_ids) > 12:
         raise DomainError("refusing brute force on more than 12 edges")
     if not edge_ids:

@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
 from typing import Optional
 
 from .colour import (
@@ -38,7 +37,6 @@ from .core import (
     GENUINE,
     PUNCTURED,
     ClosedWalk,
-    Edge,
     EdgeEnd,
     Multigraph,
     PairedGraph,
@@ -56,45 +54,44 @@ from .triangulate import SphereTriangulation
 
 
 def is_degree_faithful(pg: PairedGraph) -> bool:
-    degree = Counter(map(attrgetter("end0"), pg.graph.edges))
-    degree.update(map(attrgetter("end1"), pg.graph.edges))
-    return all(degree[u] == degree[v] for u, v in pg.pairing.pairs)
+    index, at = pg.graph._darts
+    degree = Counter(at)
+    return all(degree[index[u]] == degree[index[v]] for u, v in pg.pairing.pairs)
 
 
 # ---------------------------------------------------------------------------
 # Genus-preserving rotation surgery
 
 
-def _with_twins(g: Multigraph, succ, twin_of, new: list, loops_at: list) -> tuple:
-    """``g`` with the ``Edge``s ``new`` added, and its rotation system.
+def _with_twins(g: Multigraph, succ, twin_of, new_ids: list, new_at: list, loops_at: list) -> tuple:
+    """``g`` with the edges ``new_ids`` added, their ends given as in ``_at``
+    by ``new_at``, and its rotation system.
 
     ``succ`` maps each dart ``2 * edge_position + side`` of ``g`` to the
-    next dart around its vertex.  The twin ``new[twin_of[i]]`` of edge
-    position ``i`` (none where ``twin_of[i]`` is -1) goes right after the
-    edge's side-0 dart and right before its side-1 dart, so it bounds a
-    bigon with its edge.  Each loop ``new[k]`` for ``k`` in ``loops_at[p]``
-    goes at vertex position ``p`` as two consecutive darts, after the walk
-    from its smallest dart, and adds a monogon face.  Neither changes the
-    genus.
+    next dart around its vertex.  The twin ``new_ids[twin_of[i]]`` of edge
+    position ``i`` (none where ``twin_of[i]`` is -1) has the edge's ends;
+    it goes right after the edge's side-0 dart and right before its side-1
+    dart, so it bounds a bigon with its edge.  Each loop ``new_ids[k]`` for
+    ``k`` in ``loops_at[p]`` goes at vertex position ``p`` as two
+    consecutive darts, after the walk from its smallest dart, and adds a
+    monogon face.  Neither changes the genus.
     """
-    m = len(g.edges)
-    graph, position = Multigraph._extended(g, new)
-    _, at = g._darts
+    at = g._at
+    m = len(at) // 2
+    graph, position = Multigraph._extended(g, new_ids, new_at)
     first = [-1] * len(g.vertices)  # the smallest old dart at each vertex position
     for d in range(2 * m - 1, -1, -1):
         first[at[d]] = d
+    stands = []  # the new darts that stand in each old dart's place
+    for i, k in enumerate(twin_of):
+        d, t = 2 * position[i], 2 * position[m + k]  # t is read only for a twin
+        stands += ((d,), (d + 1,)) if k < 0 else ((d, t), (t + 1, d + 1))
     darts_at = []
     for p, start in enumerate(first):
         darts = []
         d = start
         while d >= 0:
-            here = 2 * position[d >> 1] + (d & 1)
-            k = twin_of[d >> 1]
-            if k < 0:
-                darts.append(here)
-            else:
-                twin = 2 * position[m + k] + (d & 1)
-                darts += (here, twin) if d & 1 == 0 else (twin, here)
+            darts += stands[d]
             d = succ[d]
             if d == start:
                 break
@@ -123,15 +120,17 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
     # after doubling, degrees are twice these, so a pair whose degrees
     # differ by k needs k loops of two ends each
     degree = Counter(at)
-    new = [Edge(("dbl", e.id), e.end0, e.end1) for e in g.edges]
-    loops_at = [[] for _ in index]  # vertex position -> indices into new
+    new_ids = [("dbl", i) for i in g._ids]
+    new_at = list(at)  # each twin has its edge's ends
+    loops_at = [[] for _ in index]  # vertex position -> indices into new_ids
     for u, v in pg.pairing.pairs:
         du, dv = degree[index[u]], degree[index[v]]
         w = u if du < dv else v
         for i in range(abs(du - dv)):
-            loops_at[index[w]].append(len(new))
-            new.append(Edge(("bal", w, i), w, w))
-    graph, rotation = _with_twins(g, pg._succ, range(len(g.edges)), new, loops_at)
+            loops_at[index[w]].append(len(new_ids))
+            new_ids.append(("bal", w, i))
+            new_at += (index[w], index[w])
+    graph, rotation = _with_twins(g, pg._succ, range(len(at) // 2), new_ids, new_at, loops_at)
     return PairedGraph(graph, pg.pairing, rotation)
 
 
@@ -163,7 +162,7 @@ def _dart_trails(pg: PairedGraph) -> tuple:
 
     # Orient each edge along its Euler circuit: ``entry[i]`` is the side
     # the circuit enters edge i by, 2 until it is traversed.
-    entry = bytearray(b"\x02") * len(pg.graph.edges)
+    entry = bytearray(b"\x02") * (len(at) // 2)
     ptr = [0] * len(darts_at)
     for start in range(len(darts_at)):
         stack = [start]
@@ -260,13 +259,13 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
     at, trails = _dart_trails(pg)
     index, _ = pg.graph._darts
     # one loop per pair, named by its smaller member: in id order
-    loops = tuple(Edge(u, SKELETON_VERTEX, SKELETON_VERTEX) for u, _ in pg.pairing.pairs)
-    skeleton = Multigraph._sorted((SKELETON_VERTEX,), loops)
+    pairs = pg.pairing.pairs
+    skeleton = Multigraph._from_columns((SKELETON_VERTEX,), tuple([u for u, _ in pairs]), [0] * (2 * len(pairs)))
     # the step through the third-edge standing for each vertex position:
     # pair k's loop has darts 2k for its smaller member and 2k + 1
     table, _ = skeleton._steps
     enter = [None] * len(index)
-    for d, v in enumerate(chain.from_iterable(pg.pairing.pairs)):
+    for d, v in enumerate(chain.from_iterable(pairs)):
         enter[index[v]] = table[d]
     # every trail is nonempty, and on one vertex every walk is
     # vertex-compatible
@@ -500,18 +499,19 @@ def random_planar_paired_graph(seed, n_pairs: int) -> PairedGraph:
             while position[d >> 1] < 0:
                 d = fnext[d ^ 1]
             succ.append(2 * position[d >> 1] + (d & 1))
-    g = Multigraph._sorted(tuple(range(n)), tuple([Edge(k, origin[2 * k], origin[2 * k + 1]) for k in kept]))
-    twin_of, new = [], []
-    for e in g.edges:
+    g = Multigraph._from_columns(tuple(range(n)), tuple(kept), [origin[d] for k in kept for d in (2 * k, 2 * k + 1)])
+    twin_of, new_ids, new_at = [], [], []
+    for k in kept:
         if rng.random() < _DUPLICATE_PROB:
-            twin_of.append(len(new))
-            new.append(Edge(("dup", e.id), e.end0, e.end1))
+            twin_of.append(len(new_ids))
+            new_ids.append(("dup", k))
+            new_at += origin[2 * k : 2 * k + 2]
         else:
             twin_of.append(-1)
     verts = list(range(n))
     rng.shuffle(verts)
     pairing = Pairing(tuple((verts[2 * i], verts[2 * i + 1]) for i in range(n_pairs)))
-    graph, rotation = _with_twins(g, succ, twin_of, new, [()] * n)
+    graph, rotation = _with_twins(g, succ, twin_of, new_ids, new_at, [()] * n)
     return PairedGraph(graph, pairing, rotation)
 
 

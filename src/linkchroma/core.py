@@ -11,6 +11,10 @@ Conventions used throughout:
   derived objects are reproducible byte-for-byte.
 * An edge has two distinguishable ends, side 0 and side 1.  A loop has
   both ends at the same vertex but the sides remain distinct.
+* Ids are keyed at the boundary, positions are used inside.  A graph the
+  library builds stores its vertex ids, its edge ids and its dart column,
+  the vertex position of each dart ``2 * edge_position + side``; its
+  ``edges`` are built on first read.
 * All types are immutable; every operation is a pure function.
 """
 
@@ -64,10 +68,11 @@ def id_sort_key(value):
 def _tuple_sort_key(value: tuple, depth: int) -> tuple:
     if depth > MAX_ID_DEPTH:
         raise DomainError(f"ids may nest tuples at most {MAX_ID_DEPTH} deep")
-    # plain ints, the common member, are keyed inline; bools and subclasses
-    # take id_sort_key's checks
+    # plain ints and strings, the common members, are keyed inline; bools
+    # and subclasses take id_sort_key's checks
     return (2, tuple([
-        (0, v) if type(v) is int else _tuple_sort_key(v, depth + 1) if isinstance(v, tuple) else id_sort_key(v)
+        (0, v) if type(v) is int else (1, v) if type(v) is str
+        else _tuple_sort_key(v, depth + 1) if isinstance(v, tuple) else id_sort_key(v)
         for v in value
     ]))
 
@@ -120,6 +125,28 @@ class Edge(NamedTuple):
         return self.end0 if side == 0 else self.end1
 
 
+def _edge_records(g: "Multigraph") -> tuple:
+    """The ``Edge``s of a graph built on its columns."""
+    ends = list(map(g.vertices.__getitem__, g._at))
+    return tuple(_records(Edge, zip(g._ids, ends[::2], ends[1::2])))
+
+
+class _BuiltOnRead:
+    """A field, default ``()``, that an internal constructor leaves unset: a
+    non-data descriptor, shadowed by a stored value, whose first read stores
+    what ``build`` makes.  Equality, hashing and ``repr`` see either alike."""
+
+    def __init__(self, name: str, build):
+        self.name, self.build = name, build
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return ()
+        value = self.build(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 @dataclass(frozen=True)
 class Multigraph:
     """Vertices plus edges with two distinguishable ends.
@@ -129,55 +156,17 @@ class Multigraph:
     """
 
     vertices: tuple = ()
-    edges: tuple = ()
+    edges: tuple = _BuiltOnRead("edges", _edge_records)
 
     def __post_init__(self):
         verts = tuple(sorted(self.vertices, key=id_sort_key))
         edges = (e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
-        self._index(verts, tuple(sorted(edges, key=lambda e: id_sort_key(e.id))))
-        ends = list(chain.from_iterable(map(itemgetter(1, 2), self.edges)))
-        if not _PLAIN_IDS.issuperset(map(type, ends)) and not (
-            # a tuple end, EdgeEnd included, whose members are plain is an id
-            _PLAIN_IDS.issuperset(map(type, filterfalse(tuple.__instancecheck__, ends)))
-            and _PLAIN_IDS.issuperset(map(type, chain.from_iterable(filter(tuple.__instancecheck__, ends))))
-        ):
-            # an end such as True or 1.0 is in the vertex set but is not an id
-            bad = next((e for e in self.edges if not (_is_end_id(e.end0) and _is_end_id(e.end1))), None)
-            if bad is not None:
-                raise DomainError(f"edge {short_repr(bad.id)} names a vertex by an id that only compares equal to it")
-
-    @classmethod
-    def _sorted(cls, verts: tuple, edges: tuple) -> "Multigraph":
-        """A multigraph from parts already in id order, the edges as
-        ``Edge``s: the constructor without its sort.  Derived graphs whose
-        parts come from an existing container's stored order use it."""
-        g = object.__new__(cls)
-        g._index(verts, edges)
-        return g
-
-    @classmethod
-    def _extended(cls, g: "Multigraph", new: list) -> tuple:
-        """``g`` with the ``Edge``s ``new`` added, and the stored position
-        of each edge of ``g`` followed by each edge of ``new``.
-
-        The constructor's stable sort on positions: every id is keyed once,
-        which validates the new ones, and ``g.edges`` is one sorted run for
-        timsort to gallop over.  On a tie the edge of ``g`` comes first, so
-        a repeated id is still reported as a duplicate."""
-        pool = g.edges + tuple(new)
-        keys = [id_sort_key(e.id) for e in pool]
-        source = sorted(range(len(pool)), key=keys.__getitem__)
-        position = [0] * len(pool)
-        for p, src in enumerate(source):
-            position[src] = p
-        return cls._sorted(g.vertices, tuple([pool[src] for src in source])), position
-
-    def _index(self, verts: tuple, edges: tuple) -> None:
-        """Check sorted parts and store them with the edge lookup table."""
+        edges = tuple(sorted(edges, key=lambda e: id_sort_key(e.id)))
         vertex_set = set(verts)
         if len(vertex_set) != len(verts):
             raise DomainError("duplicate vertex id")
-        by_id = dict(zip(map(itemgetter(0), edges), edges))
+        ids = tuple(map(itemgetter(0), edges))
+        by_id = dict(zip(ids, edges))
         try:  # an unhashable end names no vertex
             known = vertex_set.issuperset(chain(map(itemgetter(1), edges), map(itemgetter(2), edges)))
         except TypeError:
@@ -192,28 +181,81 @@ class Multigraph:
                 seen.add(e.id)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_vertex_set", vertex_set)
         object.__setattr__(self, "_edge_by_id", by_id)
+        ends = list(chain.from_iterable(map(itemgetter(1, 2), self.edges)))
+        if not _PLAIN_IDS.issuperset(map(type, ends)) and not (
+            # a tuple end, EdgeEnd included, whose members are plain is an id
+            _PLAIN_IDS.issuperset(map(type, filterfalse(tuple.__instancecheck__, ends)))
+            and _PLAIN_IDS.issuperset(map(type, chain.from_iterable(filter(tuple.__instancecheck__, ends))))
+        ):
+            # an end such as True or 1.0 is in the vertex set but is not an id
+            bad = next((e for e in self.edges if not (_is_end_id(e.end0) and _is_end_id(e.end1))), None)
+            if bad is not None:
+                raise DomainError(f"edge {short_repr(bad.id)} names a vertex by an id that only compares equal to it")
+
+    @classmethod
+    def _from_columns(cls, verts: tuple, ids: tuple, at: list) -> "Multigraph":
+        """The internal constructor, on vertex ids and edge ids in id order
+        and the dart column ``at``: nothing is keyed or checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", verts)
+        object.__setattr__(g, "_ids", ids)
+        object.__setattr__(g, "_at", at)
+        object.__setattr__(g, "_vertex_set", set(verts))
+        return g
+
+    @classmethod
+    def _extended(cls, g: "Multigraph", new_ids: list, new_at: list) -> tuple:
+        """``g`` with the edges ``new_ids`` added, their ends in ``new_at``,
+        and the stored position of each old then new edge.  The constructor's
+        stable sort: each id is keyed once, which validates the new ones.  A
+        repeated id leaves equal keys side by side, ``g``'s first, and the
+        later is reported, as the constructor's scan in stored order does."""
+        ids = g._ids + tuple(new_ids)
+        keys = list(map(id_sort_key, ids))
+        source = sorted(range(len(ids)), key=keys.__getitem__)
+        if len(set(ids)) != len(ids):
+            k = next(k for k in range(1, len(ids)) if keys[source[k - 1]] == keys[source[k]])
+            raise DomainError(f"duplicate edge id {short_repr(ids[source[k]])}")
+        position = [0] * len(ids)
+        for p, src in enumerate(source):
+            position[src] = p
+        ends = g._at + new_at
+        ends = list(zip(ends[::2], ends[1::2]))
+        at = list(chain.from_iterable(map(ends.__getitem__, source)))
+        return cls._from_columns(g.vertices, tuple(map(ids.__getitem__, source)), at), position
+
+    @cached_property
+    def _edge_by_id(self) -> dict:
+        """Each edge by its id: built on first use and kept, as ``_ends_at``."""
+        return dict(zip(self._ids, self.edges))
 
     @cached_property
     def _ends_at(self) -> dict:
         """Each vertex's edge-ends, built on first use and kept: the
         instance is frozen, and it is not a field, so equality and hashing
-        ignore it.  Edges are walked in id order, so each tuple is in
+        ignore it.  Darts are walked in edge order, so each tuple is in
         (edge id, side) order."""
-        ends_at = {v: [] for v in self.vertices}
-        for e in self.edges:
-            ends_at[e.end0].append(EdgeEnd(e.id, 0))
-            ends_at[e.end1].append(EdgeEnd(e.id, 1))
-        return {v: tuple(es) for v, es in ends_at.items()}
+        ends_at = [[] for _ in self.vertices]
+        for end, p in zip(third_edges(self), self._at):
+            ends_at[p].append(end)
+        return dict(zip(self.vertices, map(tuple, ends_at)))
 
     @cached_property
     def _darts(self) -> tuple:
-        """The position of each vertex id, and the vertex position of each
-        dart ``2 * edge_position + side``: built on first use and kept, as
-        ``_ends_at``.  Callers only read it."""
+        """The position of each vertex id, and the dart column ``_at``: built
+        on first use and kept, as ``_ends_at``.  Callers only read it."""
         index = {v: i for i, v in enumerate(self.vertices)}
+        if "_at" in self.__dict__:
+            return index, self._at
         return index, list(map(index.__getitem__, chain.from_iterable(map(itemgetter(1, 2), self.edges))))
+
+    @cached_property
+    def _at(self) -> list:
+        """The dart column, unless the internal constructor was given it."""
+        return self._darts[1]
 
     @cached_property
     def _steps(self) -> tuple:
@@ -239,7 +281,7 @@ class Multigraph:
         return len(self.ends_at(v))
 
     def edge_ids(self) -> tuple:
-        return tuple(e.id for e in self.edges)
+        return self._ids
 
 
 _other_end = (1).__xor__  # a dart to the dart at the other end of its edge
@@ -251,8 +293,8 @@ def _components(g: Multigraph) -> tuple:
     vertex position, and the number of components.  A union keeps the
     smaller root, so every root is its component's first stored vertex and
     components are numbered in that order."""
-    index, at = g._darts
-    parent = list(range(len(index)))
+    at = g._at
+    parent = list(range(len(g.vertices)))
     ends = iter(at)
     for a, b in zip(ends, ends):  # the two ends of each edge
         # the two finds, halving the path on the way
@@ -284,7 +326,7 @@ def third_edges(g: Multigraph) -> list:
 
 def _dart_rows(g: Multigraph) -> zip:
     """(edge id, side) for each dart ``2 * edge_position + side`` of ``g``."""
-    ids = list(map(itemgetter(0), g.edges))
+    ids = g._ids
     return zip(chain.from_iterable(zip(ids, ids)), (0, 1) * len(ids))
 
 
@@ -300,15 +342,30 @@ def _side_records(cls, rows, fault: str) -> tuple:
     checked to be 0 or 1, ``fault`` naming the first that is not.  A side
     such as ``False`` or ``1.0`` is kept as the int it equals, so that a
     document written from the rows loads again.  A row that is not a pair
-    is refused with ``fault`` too."""
+    is refused with ``fault`` too, and so is a row that is not iterable."""
     if type(rows) is not tuple or not all(map(isinstance, rows, repeat(cls))):
-        rows = tuple(r if isinstance(r, cls) else tuple.__new__(cls, r) for r in rows)
+        rows = tuple(rows)
+        try:
+            rows = tuple([r if isinstance(r, cls) else tuple.__new__(cls, r) for r in rows])
+        except TypeError:  # a row that is not iterable
+            raise DomainError(fault.format(short_repr(_first_bad_row(cls, rows)))) from None
     if not (all(map((2).__eq__, map(len, rows))) and all(map((0, 1).__contains__, map(itemgetter(1), rows)))):
-        bad = next(r for r in rows if len(r) != 2 or r[1] not in (0, 1))
-        raise DomainError(fault.format(short_repr(bad if len(bad) == 2 else tuple(bad))))
+        raise DomainError(fault.format(short_repr(_first_bad_row(cls, rows))))
     if frozenset(map(type, map(itemgetter(1), rows))) != _INT_ONLY:
         rows = tuple(_records(cls, [(r[0], 1 if r[1] else 0) for r in rows]))
     return rows
+
+
+def _first_bad_row(cls, rows):
+    """The first row that is not a ``cls`` pair with side 0 or 1, as a
+    fault names it: as given if it is not iterable, else as a record."""
+    for r in rows:
+        try:
+            r = r if isinstance(r, cls) else tuple.__new__(cls, r)
+        except TypeError:
+            return r
+        if len(r) != 2 or r[1] not in (0, 1):
+            return r if len(r) == 2 else tuple(r)
 
 
 # ---------------------------------------------------------------------------
@@ -427,32 +484,22 @@ class Pairing:
     @classmethod
     def _sorted(cls, canon: tuple) -> "Pairing":
         """A pairing from classes that are already canonical and in order:
-        the constructor without its keys, as ``Multigraph._sorted``."""
+        the constructor without its keys."""
         p = object.__new__(cls)
         p._store(canon)
         return p
 
     def _store(self, canon: tuple) -> None:
         object.__setattr__(self, "pairs", canon)
-        object.__setattr__(self, "_pair_of", {m: p for p in canon for m in p})
+        # the position of each member's pair
+        object.__setattr__(self, "_pair_of", {m: k for k, p in enumerate(canon) for m in p})
 
 
-class _DartOrders:
-    """The ``orders`` field of ``RotationSystem``, whose default is ``()``.
-    The constructor stores its orders on the instance, which shadows this
-    non-data descriptor; a rotation built by ``_from_darts`` keeps its
-    darts instead, and its orders are made from them on first read and
-    stored the same way.  Equality, hashing and ``repr`` read the field,
-    so they see the same orders either way."""
-
-    def __get__(self, rot, owner=None):
-        if rot is None:
-            return ()
-        g, norm = rot.__dict__["_norm"]
-        ends = third_edges(g)
-        orders = tuple([(v, tuple(map(ends.__getitem__, darts))) for v, darts in norm])
-        object.__setattr__(rot, "orders", orders)
-        return orders
+def _orders_from_darts(rot: "RotationSystem") -> tuple:
+    """The edge-ends of a rotation built by ``_from_darts``, from its darts."""
+    g, norm = rot.__dict__["_norm"]
+    ends = third_edges(g)
+    return tuple([(v, tuple(map(ends.__getitem__, darts))) for v, _, darts in norm])
 
 
 @dataclass(frozen=True)
@@ -464,7 +511,7 @@ class RotationSystem:
     equal embeddings compare equal.
     """
 
-    orders: tuple = _DartOrders()
+    orders: tuple = _BuiltOnRead("orders", _orders_from_darts)
 
     def __post_init__(self):
         raw = self.orders
@@ -480,13 +527,13 @@ class RotationSystem:
             except TypeError:  # an unhashable vertex is no id, and the sort below says so
                 pass
             ends = _side_records(EdgeEnd, order, "edge-end {} has an invalid side")
-            if not ends:
-                continue
-            pivot = min(range(len(ends)), key=lambda i: (id_sort_key(ends[i].edge), ends[i].side))
-            ends = ends[pivot:] + ends[:pivot]
+            if ends:
+                pivot = min(range(len(ends)), key=lambda i: (id_sort_key(ends[i].edge), ends[i].side))
+                ends = ends[pivot:] + ends[:pivot]
             norm.append((v, ends))
+        # the vertex of an empty order is keyed too, and then dropped
         norm.sort(key=lambda item: id_sort_key(item[0]))
-        object.__setattr__(self, "orders", tuple(norm))
+        object.__setattr__(self, "orders", tuple([item for item in norm if item[1]]))
 
     @classmethod
     def _from_darts(cls, g: Multigraph, darts_at: list) -> "RotationSystem":
@@ -501,11 +548,11 @@ class RotationSystem:
         fail the check are kept as given and rejected, with the same text,
         where a ``PairedGraph`` is built on them, as the constructor's are.
         The edge-ends of ``orders`` are made only if it is read."""
-        norm = []
-        for v, darts in zip(g.vertices, darts_at):
+        norm = []  # (vertex id, vertex position, darts) records
+        for p, (v, darts) in enumerate(zip(g.vertices, darts_at)):
             if darts:
                 pivot = darts.index(min(darts))
-                norm.append((v, darts[pivot:] + darts[:pivot]))
+                norm.append((v, p, darts[pivot:] + darts[:pivot]))
         rot = object.__new__(cls)
         object.__setattr__(rot, "_norm", (g, norm))
         try:
@@ -516,23 +563,22 @@ class RotationSystem:
 
 
 def _dart_successors(g: Multigraph, darts_at, fault: Optional[DomainError] = None) -> array:
-    """Check that the cyclic orders ``darts_at``, given as (vertex, darts)
-    pairs, list every dart ``2 * edge_position + side`` of ``g`` exactly
-    once, at its own vertex, and return the successor array: each dart maps
-    to the next dart around its vertex.  ``fault``, the error a caller met
-    just after the listed darts, is raised if none of them is at fault.
-    Nothing is kept on ``g``."""
-    edges = g.edges
-    owner = list(chain.from_iterable(map(itemgetter(1, 2), edges)))  # the vertex of each dart
+    """Check that the cyclic orders ``darts_at``, given as (vertex id, vertex
+    position, darts) records, list every dart ``2 * edge_position + side``
+    of ``g`` exactly once, at its own vertex, and return the successor
+    array: each dart maps to the next dart around its vertex.  ``fault``,
+    the error a caller met just after the listed darts, is raised if none
+    of them is at fault.  Nothing is kept on ``g``."""
+    ids, owner = g._ids, g._at  # the vertex position of each dart
     succ = array("i", [-1]) * len(owner)
     listed = 0
-    for v, darts in darts_at:
+    for v, p, darts in darts_at:
         for d, after in zip(darts, darts[1:] + darts[:1]):
-            if owner[d] != v:
-                end = EdgeEnd(edges[d >> 1][0], d & 1)
+            if owner[d] != p:
+                end = EdgeEnd(ids[d >> 1], d & 1)
                 raise DomainError(f"edge-end {short_repr(end)} is not incident to vertex {short_repr(v)}")
             if succ[d] >= 0:  # set for every dart listed so far
-                end = EdgeEnd(edges[d >> 1][0], d & 1)
+                end = EdgeEnd(ids[d >> 1], d & 1)
                 raise DomainError(f"edge-end {short_repr(end)} appears twice in rotation system")
             succ[d] = after
         listed += len(darts)
@@ -549,8 +595,9 @@ def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
     its dart.  The translation stops at the first unknown vertex or edge,
     which is reported only if the darts listed before it pass, so the first
     fault in listing order is the one raised."""
-    edges = g.edges
-    position = dict(zip(map(itemgetter(0), edges), range(len(edges))))
+    ids = g._ids
+    position = dict(zip(ids, range(len(ids))))
+    index, _ = g._darts
     darts_at = []
     fault = None
     for v, order in rot.orders:
@@ -562,7 +609,7 @@ def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
             k = at.index(None)
             fault = DomainError(f"rotation mentions unknown edge {short_repr(order[k][0])}")
             at, order = at[:k], order[:k]
-        darts_at.append((v, [2 * i + s for i, s in zip(at, map(itemgetter(1), order))]))
+        darts_at.append((v, index[v], [2 * i + s for i, s in zip(at, map(itemgetter(1), order))]))
         if fault is not None:
             break
     return _dart_successors(g, darts_at, fault)
@@ -619,16 +666,9 @@ class PairedGraph:
     @cached_property
     def _quotient_neighbours(self) -> list:
         """Neighbour-position sets of the simple quotient, built straight
-        from the pairing and the edges: position ``i`` is
+        from the pairing and the dart column: position ``i`` is
         ``pairing.pairs[i][0]``, and edges inside a pair are dropped."""
-        position = {m: i for i, p in enumerate(self.pairing.pairs) for m in p}
-        nbrs = [set() for _ in self.pairing.pairs]
-        for e in self.graph.edges:
-            a, b = position[e.end0], position[e.end1]
-            if a != b:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-        return nbrs
+        return _neighbour_sets(len(self.pairing.pairs), map(_pair_positions(self).__getitem__, self.graph._at))
 
     @cached_property
     def _smallest_last(self) -> list:
@@ -666,6 +706,23 @@ class PairedGraph:
                     degree[w] = dw = dw - 1
                     heappush(heap, dw * n + w)
         return order
+
+
+def _neighbour_sets(n: int, ends) -> list:
+    """The neighbour-position sets of ``n`` positions joined by edges whose
+    two ends come in turn from ``ends``, with loops dropped."""
+    nbrs = [set() for _ in range(n)]
+    ends = iter(ends)
+    for a, b in zip(ends, ends):
+        if a != b:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return nbrs
+
+
+def _pair_positions(pg: PairedGraph) -> list:
+    """The pair position of each vertex position of ``pg.graph``."""
+    return list(map(pg.pairing._pair_of.__getitem__, pg.graph.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +808,7 @@ class TwoComplex:
     def _from_steps(cls, skeleton: Multigraph, cells, kind: str) -> "TwoComplex":
         """A complex from cells given as tuples of steps that already pass
         ``validate_walk`` on ``skeleton``: the constructor without its
-        checks, as ``Multigraph._sorted``.  ``seal`` and ``inverse_link``
+        checks.  ``seal`` and ``inverse_link``
         take the table's steps, which pass by construction.  The steps
         ``complex_from_doc`` parses have keyed ids, so it runs only
         ``_check_junctions``, the check ``validate_walk`` ends in."""
@@ -778,24 +835,22 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     (e, 0) with (e, 1) for every skeleton edge e.
     """
     # The third-edges in stored edge order are in id order, (e, 0) before
-    # (e, 1), and so are the link edges (ci, j) in walk order.  A third-edge
-    # nests one tuple level deeper than its edge id, so only a tuple id can
-    # make it too deep.
-    for e in c.skeleton.edges:
-        if isinstance(e.id, tuple):
-            id_sort_key((e.id,))
+    # (e, 1), and so are the link edges (ci, j) in walk order.  Link vertex
+    # i is skeleton dart i.  A third-edge nests one tuple level deeper than
+    # its edge id, so only a tuple id can make it too deep.
+    for i in c.skeleton._ids:
+        if isinstance(i, tuple):
+            id_sort_key((i,))
     verts = tuple(third_edges(c.skeleton))
     pairing = Pairing._sorted(tuple(zip(verts[::2], verts[1::2])))
     _, dart_of = c.skeleton._steps
-    edges = []
+    ids, at = [], []
     for ci, cell in enumerate(c.cells):
         darts = list(map(dart_of.__getitem__, cell.steps))
-        # the third-edge each step exits by, and the one the next step enters by
-        outs = map(verts.__getitem__, map(_other_end, darts))
-        ins = list(map(verts.__getitem__, darts))
-        ins.append(ins.pop(0))
-        edges += _records(Edge, zip(zip(repeat(ci), range(len(darts))), outs, ins))
-    return PairedGraph(Multigraph._sorted(verts, tuple(edges)), pairing)
+        ids += zip(repeat(ci), range(len(darts)))
+        # the dart each step exits by, and the one the next step enters by
+        at += chain.from_iterable(zip(map(_other_end, darts), darts[1:] + darts[:1]))
+    return PairedGraph(Multigraph._from_columns(verts, tuple(ids), at), pairing)
 
 
 def paired_quotient(pg: PairedGraph) -> Multigraph:
@@ -805,24 +860,22 @@ def paired_quotient(pg: PairedGraph) -> Multigraph:
     An edge inside one pair becomes a loop; parallel edges are preserved.
     Pairs are stored by their smaller members, so the quotient is in id order.
     """
-    rep = {v: p[0] for p in pg.pairing.pairs for v in p}
-    edges = tuple([Edge(e.id, rep[e.end0], rep[e.end1]) for e in pg.graph.edges])
-    return Multigraph._sorted(tuple(p[0] for p in pg.pairing.pairs), edges)
+    at = list(map(_pair_positions(pg).__getitem__, pg.graph._at))
+    return Multigraph._from_columns(tuple(p[0] for p in pg.pairing.pairs), pg.graph._ids, at)
 
 
 def simple_quotient(pg: PairedGraph) -> Multigraph:
     """The paired quotient with loops deleted and parallel classes collapsed
     to their smallest edge id.  This is the graph that carries all colouring
     constraints: within-pair adjacencies impose none."""
-    pairs = pg.pairing.pairs
-    position = {m: i for i, p in enumerate(pairs) for m in p}
+    ends = map(_pair_positions(pg).__getitem__, pg.graph._at)
     keep = {}
-    for e in pg.graph.edges:  # in edge-id order, so the first edge of a class is kept
-        a, b = position[e.end0], position[e.end1]
+    for i, a, b in zip(pg.graph._ids, ends, ends):  # in edge-id order, so the first edge of a class is kept
         if a != b:
-            keep.setdefault((a, b) if a < b else (b, a), (e.id, a, b))
-    edges = tuple([Edge(i, pairs[a][0], pairs[b][0]) for i, a, b in keep.values()])
-    return Multigraph._sorted(tuple(p[0] for p in pairs), edges)
+            keep.setdefault((a, b) if a < b else (b, a), (i, a, b))
+    kept = keep.values()
+    at = list(chain.from_iterable(map(itemgetter(1, 2), kept)))
+    return Multigraph._from_columns(tuple(p[0] for p in pg.pairing.pairs), tuple(map(itemgetter(0), kept)), at)
 
 
 def is_simplicial(c: TwoComplex) -> bool:

@@ -230,7 +230,7 @@ def paired_graph_from_doc(doc) -> PairedGraph:
 def complex_to_doc(c: TwoComplex) -> dict:
     # a step names its edge by the edge's id, so only a tuple id needs
     # converting
-    if any(map(isinstance, map(itemgetter(0), c.skeleton.edges), repeat(tuple))):
+    if any(map(isinstance, c.skeleton.edge_ids(), repeat(tuple))):
         cells = [
             [[e if type(e) in (int, str) else id_to_json(e), entry] for e, entry in cell.steps]
             for cell in c.cells

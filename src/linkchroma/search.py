@@ -31,7 +31,7 @@ from collections import Counter
 from typing import Optional
 
 from .construct import TwelvePireWitness, _with_twins, verify_witness
-from .core import Edge, Multigraph
+from .core import Multigraph
 from .errors import BudgetExhausted, DomainError
 from .triangulate import SphereTriangulation
 
@@ -234,10 +234,10 @@ def _random_state(rng: random.Random) -> _AnnealState:
 
 def _build_witness(tri: SphereTriangulation, pairs, provenance: dict) -> TwelvePireWitness:
     n, m = tri.num_vertices, tri.num_edges
-    edges = tuple([Edge(k, *tri.endpoints(k)) for k in range(m)])
+    g = Multigraph._from_columns(tuple(range(n)), tuple(range(m)), list(tri.origin[: 2 * m]))
     # dart d's successor around its vertex is fnext[d ^ 1]
     succ = [tri.fnext[d ^ 1] for d in range(2 * m)]
-    graph, rotation = _with_twins(Multigraph._sorted(tuple(range(n)), edges), succ, [-1] * m, [], [()] * n)
+    graph, rotation = _with_twins(g, succ, [-1] * m, [], [], [()] * n)
     witness = TwelvePireWitness(
         graph=graph,
         pairs=tuple(pairs),

@@ -81,7 +81,10 @@ class TestMultigraph:
             assert str(info.value) == f"edge {first} names a vertex by an id that only compares equal to it"
 
     def test_parts_in_id_order_get_the_same_checks(self):
-        # Multigraph._sorted skips only the sort: the checks are shared.
+        # Parts already in id order get the constructor's checks; the
+        # internal constructor builds the same graph from them as columns,
+        # and _extended, the internal path that adds ids, reports a
+        # repeated one with the constructor's text.
         faults = (
             (("u", "u"), (), "duplicate vertex id"),
             (("u", "v"), (Edge("e", "u", "v"), Edge("e", "v", "u")), "duplicate edge id 'e'"),
@@ -92,13 +95,19 @@ class TestMultigraph:
             (("u",), (Edge("a", "u", "w"), Edge("a", "u", "u")), "edge 'a' references a missing vertex"),
         )
         for verts, edges, message in faults:
-            for build in (Multigraph, Multigraph._sorted):
-                with pytest.raises(DomainError) as info:
-                    build(verts, edges)
-                assert str(info.value) == message
-        g = Multigraph._sorted((1, 2), (Edge("a", 1, 2), Edge("b", 2, 2)))
+            with pytest.raises(DomainError) as info:
+                Multigraph(verts, edges)
+            assert str(info.value) == message
+        g = Multigraph._from_columns((1, 2), ("a", "b"), [0, 1, 1, 1])
         assert g == Multigraph((2, 1), (Edge("b", 2, 2), Edge("a", 1, 2)))
         assert g.ends_at(2) == (EdgeEnd("a", 1), EdgeEnd("b", 0), EdgeEnd("b", 1))
+        for new_ids, message in ((["b"], "duplicate edge id 'b'"), (["c", "a", "c"], "duplicate edge id 'a'")):
+            with pytest.raises(DomainError) as info:
+                Multigraph._extended(g, new_ids, [0, 0] * len(new_ids))
+            assert str(info.value) == message
+            with pytest.raises(DomainError) as info:
+                Multigraph(g.vertices, g.edges + tuple(Edge(i, 1, 1) for i in new_ids))
+            assert str(info.value) == message
 
     def test_storage_is_sorted(self):
         g = Multigraph((3, 1, 2), (Edge("b", 1, 2), Edge("a", 2, 3)))
@@ -140,7 +149,7 @@ class TestEndsTable:
 
     def graphs(self):
         yield Multigraph((3, "v", ("t", 1)), (Edge("b", "v", "v"), Edge("a", 3, "v"), Edge(("c",), ("t", 1), 3)))
-        yield Multigraph._sorted((1, 2), (Edge("a", 1, 2), Edge("b", 2, 2)))
+        yield Multigraph._from_columns((1, 2), ("a", "b"), [0, 1, 1, 1])
         yield link_graph(tetrahedron_complex()).graph
         yield make_degree_faithful(random_planar_paired_graph(2, 9)).graph
         yield Multigraph(("iso",), ())
@@ -176,16 +185,17 @@ class TestEndsTable:
             assert g._darts is g.__dict__["_darts"]
 
     def test_the_heawood_path_and_augmentation_share_one_dart_table(self):
+        # both graphs are built on their dart column, which every reader shares
         pg = random_planar_paired_graph(3, 40)
         pg.require_planar()
-        table = pg.graph.__dict__["_darts"]
+        table = pg.graph.__dict__["_at"]
         heawood_colour_12(pg)
         augmented = make_degree_faithful(pg)
-        assert pg.graph.__dict__["_darts"] is table
+        assert pg.graph.__dict__["_at"] is table and pg.graph._darts[1] is table
         augmented.require_planar()
-        table = augmented.graph.__dict__["_darts"]
+        table = augmented.graph.__dict__["_at"]
         pi_trail_decomposition(augmented)
-        assert augmented.graph.__dict__["_darts"] is table
+        assert augmented.graph.__dict__["_at"] is table and augmented.graph._darts[1] is table
 
     def test_equality_and_hash_ignore_the_table(self):
         for built, fresh in zip(self.graphs(), self.graphs()):
@@ -399,6 +409,48 @@ class TestRowsOfTheWrongLength:
         with pytest.raises(DomainError) as info:
             ClosedWalk((("a", 0), ("a", 2), ("a",)))
         assert str(info.value) == "walk step WalkStep(edge='a', entry=2) has an invalid entry side"
+
+
+class TestRowsThatAreNotIterable:
+    def test_each_constructor_names_the_row(self):
+        g = Multigraph(("h",), (Edge("a", "h", "h"),))
+        for build, message in (
+            (lambda: TwoComplex(g, [[5]]), "walk step 5 has an invalid entry side"),
+            (lambda: RotationSystem({"v": [5]}), "edge-end 5 has an invalid side"),
+            (lambda: ClosedWalk((("a", 0), None)), "walk step None has an invalid entry side"),
+        ):
+            with pytest.raises(DomainError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_the_first_faulty_row_is_named(self):
+        for steps, bad in (
+            ((("a", 0), ("a", 2), None), "WalkStep(edge='a', entry=2)"),
+            ((("a", 0), 7, ("a",)), "7"),
+            (iter((("a", 1), ("a",), None)), "('a',)"),
+        ):
+            with pytest.raises(DomainError) as info:
+                ClosedWalk(steps)
+            assert str(info.value) == f"walk step {bad} has an invalid entry side"
+
+
+class TestEmptyRotationOrders:
+    @pytest.mark.parametrize("vertex", [1.5, ["v"], True])
+    def test_the_vertex_of_an_empty_order_is_checked(self, vertex):
+        with pytest.raises(DomainError) as nonempty:
+            RotationSystem(((vertex, [("a", 0)]),))
+        assert str(nonempty.value) in ("booleans are not valid ids", f"unsupported id {vertex!r}: ids are ints, strings or tuples")
+        for orders in (((vertex, ()),), (("u", [("a", 0)]), (vertex, []))):
+            with pytest.raises(DomainError) as info:
+                RotationSystem(orders)
+            assert str(info.value) == str(nonempty.value)
+
+    def test_an_empty_order_is_dropped_and_its_side_faults_come_first(self):
+        assert RotationSystem({"v": (), "u": [("a", 0)]}) == RotationSystem({"u": [("a", 0)]})
+        assert RotationSystem({"v": ()}).orders == ()
+        with pytest.raises(DomainError) as info:
+            RotationSystem(((1.5, ()), ("u", [("a", 3)])))
+        assert str(info.value) == "edge-end EdgeEnd(edge='a', side=3) has an invalid side"
 
 
 class TestLinkGraph:

@@ -102,14 +102,15 @@ def test_extended_graph_is_what_the_constructor_stores(old_ids, new_ids):
     # one loop per id at one vertex; a new id may repeat an old one or itself
     g = Multigraph(("h",), tuple(Edge(i, "h", "h") for i in old_ids))
     new = [Edge(i, "h", "h") for i in new_ids]
+    new_at = [0, 0] * len(new_ids)
     try:
         expected = Multigraph(("h",), g.edges + tuple(new))
     except DomainError as exc:
         with pytest.raises(DomainError) as info:
-            Multigraph._extended(g, new)
+            Multigraph._extended(g, list(new_ids), new_at)
         assert str(info.value) == str(exc)
         return
-    graph, position = Multigraph._extended(g, new)
+    graph, position = Multigraph._extended(g, list(new_ids), new_at)
     assert graph == expected and graph.edges == expected.edges
     assert [graph.edges[p] for p in position] == list(g.edges + tuple(new))
 

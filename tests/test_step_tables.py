@@ -81,7 +81,7 @@ def link_graph_reference(c: TwoComplex) -> PairedGraph:
         ins = [verts[dart[s.edge] + s.entry] for s in cell.steps]
         outs = [verts[dart[s.edge] + 1 - s.entry] for s in cell.steps]
         edges += (Edge((ci, j), a, b) for j, (a, b) in enumerate(zip(outs, ins[1:] + ins[:1])))
-    return PairedGraph(Multigraph._sorted(verts, tuple(edges)), pairing)
+    return PairedGraph(Multigraph(verts, tuple(edges)), pairing)
 
 
 def seal_reference(c: TwoComplex) -> TwoComplex:

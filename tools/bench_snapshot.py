@@ -1,6 +1,7 @@
 """Snapshot of the benchmark at the checked-out commit, as one JSON file.
 
     python3 tools/bench_snapshot.py [--seconds 15] [--out-dir .]
+    python3 tools/bench_snapshot.py --against REV --pairs N [--workload W ...] [--seconds 15] [--out-dir .]
 
 Run from anywhere inside a checkout.  For every workload of
 ``perfbench/run.py`` it runs the benchmark once untraced (``--trace 0``,
@@ -12,6 +13,20 @@ Its path is the last line printed.  At the default 15 s a snapshot took
 72 s of wall time on a 2-core x86-64 host with CPython 3.11.
 
 A speed-up is shown by two such files, one per commit, from one host.
+
+With ``--against REV`` the committed files of REV are checked out into a
+temporary ``git worktree`` (local only, removed on exit), and each workload
+(every one, or those given by ``--workload``) runs ``--pairs`` alternating
+pairs of untraced runs, REV's checkout against this one, at seeds 1 to N;
+the side that goes first flips from pair to pair.  Each side then gets one
+traced run at seed 0.  It writes ``BENCH_<short-rev>_vs_<REV's short
+rev>.json``, adding to that file's workloads if it exists: each side's
+per-run metrics, and for each end-to-end metric the medians and quartiles
+(``statistics.quantiles``, exclusive method) of both sides, the ratio of
+the medians, the pairs the change won by the direction ``BENCHMARK.json``
+gives, and whether the medians differ by more than the parent's
+interquartile range.  It prints that table.  One pair of 15 s runs took
+about 50 s of wall time on the host above.
 """
 
 from __future__ import annotations
@@ -20,8 +35,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,42 +47,38 @@ WORKLOADS = ("empire-maps", "complex-build", "small-complexes", "exact-colour", 
 SEED = 0
 
 
-def short_rev() -> str:
-    out = subprocess.run(
-        ["git", "rev-parse", "--short=7", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
-    )
-    return out.stdout.strip()
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def src_lines() -> int:
-    return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in (ROOT / "src" / "linkchroma").glob("*.py"))
+def short_rev(rev: str = "HEAD") -> str:
+    return git("rev-parse", "--short=7", rev)
 
 
-def run(workload: str, seconds: int, trace: int) -> dict:
-    """The result line of one benchmark run."""
+def src_lines(root: Path = ROOT) -> int:
+    return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in (root / "src" / "linkchroma").glob("*.py"))
+
+
+def run(workload: str, seconds: int, trace: int, seed: int = SEED, root: Path = ROOT) -> dict:
+    """The result line of one benchmark run of the checkout at ``root``."""
     cmd = [
         sys.executable,
         "perfbench/run.py",
         "--workload", workload,
-        "--seed", str(SEED),
+        "--seed", str(seed),
         "--seconds", str(seconds),
         "--trace", str(trace),
     ]
-    out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if out.returncode != 0:
         sys.stderr.write(out.stderr)
-        raise SystemExit(f"error: {' '.join(cmd[1:])} exited with {out.returncode}")
+        raise SystemExit(f"error: {' '.join(cmd[1:])} in {root} exited with {out.returncode}")
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", type=int, default=15, help="timed seconds per untraced run (default 15)")
-    parser.add_argument("--out-dir", type=Path, default=ROOT, help="where to write the file (default: the checkout)")
-    args = parser.parse_args(argv)
-
+def snapshot(args) -> Path:
     rev = short_rev()
-    snapshot = {
+    snap = {
         "rev": rev,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
@@ -74,11 +88,106 @@ def main(argv=None) -> int:
         "runs": {},
     }
     for workload in WORKLOADS:
-        snapshot["runs"][workload] = {f"trace{t}": run(workload, args.seconds, t) for t in (0, 1)}
-        print(f"{workload}: correct={all(r['correct'] for r in snapshot['runs'][workload].values())}")
+        snap["runs"][workload] = {f"trace{t}": run(workload, args.seconds, t) for t in (0, 1)}
+        print(f"{workload}: correct={all(r['correct'] for r in snap['runs'][workload].values())}")
     path = args.out_dir / f"BENCH_{rev}.json"
-    path.write_text(json.dumps(snapshot, indent=2) + "\n", encoding="utf-8")
-    print(path)
+    path.write_text(json.dumps(snap, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def summary(runs: dict, better: dict) -> dict:
+    """Medians, quartiles, ratio and wins of each end-to-end metric over
+    the paired runs ``runs["parent"][i]`` and ``runs["change"][i]``."""
+    out = {}
+    for name, direction in better.items():
+        values = {side: [r["metrics"][name] for r in runs[side]] for side in ("parent", "change")}
+        stats = {}
+        for side, xs in values.items():
+            q1, median, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+            stats[side] = {"median": median, "q1": q1, "q3": q3}
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        gap = abs(stats["change"]["median"] - stats["parent"]["median"])
+        out[name] = {
+            "better": direction,
+            **stats,
+            "ratio": stats["change"]["median"] / stats["parent"]["median"] if stats["parent"]["median"] else None,
+            "wins": wins,
+            "pairs": len(values["parent"]),
+            "gap_exceeds_parent_iqr": gap > stats["parent"]["q3"] - stats["parent"]["q1"],
+        }
+    return out
+
+
+def against(args) -> Path:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    rev, parent = short_rev(), short_rev(args.against)
+    path = args.out_dir / f"BENCH_{rev}_vs_{parent}.json"
+    ab = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    ab.update({"rev": rev, "against": parent, "python": platform.python_version(), "nproc": os.cpu_count()})
+    ab.setdefault("workloads", {})
+    tmp = Path(tempfile.mkdtemp(prefix="bench-against-"))
+    tree = tmp / parent
+    git("worktree", "add", "--detach", str(tree), args.against)
+    try:
+        roots = {"parent": tree, "change": ROOT}
+        ab["src_lines"] = {side: src_lines(root) for side, root in roots.items()}
+        for workload in args.workload or WORKLOADS:
+            seeds = list(range(1, args.pairs + 1))
+            first = ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)]
+            runs = {"parent": [], "change": []}
+            for seed, lead in zip(seeds, first):
+                for side in (lead, "change" if lead == "parent" else "parent"):
+                    result = run(workload, args.seconds, 0, seed, roots[side])
+                    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+                    runs[side].append({"seed": seed, "correct": result["correct"], "metrics": metrics})
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{side} {runs[side][-1]['metrics']['ops_per_s']:.3f} ops/s" for side in ("parent", "change")
+                ), flush=True)
+            ab["workloads"][workload] = {
+                "seconds": args.seconds,
+                "seeds": seeds,
+                "first": first,
+                "runs": runs,
+                "summary": summary(runs, better),
+                "traced": {side: run(workload, args.seconds, 1, SEED, root) for side, root in roots.items()},
+            }
+            path.write_text(json.dumps(ab, indent=2) + "\n", encoding="utf-8")
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+    print_table(ab)
+    return path
+
+
+def print_table(ab: dict) -> None:
+    print(f"| workload | metric | {ab['against']} median [q1, q3] | {ab['rev']} median [q1, q3] | ratio | wins | gap > IQR |")
+    print("|---|---|---|---|---|---|---|")
+    for workload, w in ab["workloads"].items():
+        for name, s in w["summary"].items():
+            p, c = s["parent"], s["change"]
+            print(
+                f"| {workload} | {name} | {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] "
+                f"| {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {s['ratio']:.3f} "
+                f"| {s['wins']}/{s['pairs']} | {'yes' if s['gap_exceeds_parent_iqr'] else 'no'} |"
+            )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seconds", type=int, default=15, help="timed seconds per untraced run (default 15)")
+    parser.add_argument("--out-dir", type=Path, default=ROOT, help="where to write the file (default: the checkout)")
+    parser.add_argument("--against", metavar="REV", help="compare with REV in alternating pairs of runs")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload with --against (default 10)")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS, help="with --against: only this workload (repeatable)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    if args.workload and not args.against:
+        parser.error("--workload needs --against")
+    print(against(args) if args.against else snapshot(args))
     return 0
 
 
