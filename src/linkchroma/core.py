@@ -219,17 +219,15 @@ class Multigraph:
         if len(set(ids)) != len(ids):
             k = next(k for k in range(1, len(ids)) if keys[source[k - 1]] == keys[source[k]])
             raise DomainError(f"duplicate edge id {short_repr(ids[source[k]])}")
-        position = [0] * len(ids)
-        for p, src in enumerate(source):
-            position[src] = p
-        ends = g._at + new_at
-        ends = list(zip(ends[::2], ends[1::2]))
+        position = sorted(range(len(ids)), key=source.__getitem__)  # the inverse of source
+        pool = g._at + new_at
+        ends = list(zip(pool[::2], pool[1::2]))  # of each old then new edge
         at = list(chain.from_iterable(map(ends.__getitem__, source)))
         return cls._from_columns(g.vertices, tuple(map(ids.__getitem__, source)), at), position
 
     @cached_property
     def _edge_by_id(self) -> dict:
-        """Each edge by its id: built on first use and kept, as ``_ends_at``."""
+        """Each edge by its id: stored by the public constructor, else built."""
         return dict(zip(self._ids, self.edges))
 
     @cached_property

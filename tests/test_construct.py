@@ -94,6 +94,11 @@ class TestMakeDegreeFaithful:
         )
         pg = PairedGraph(g, Pairing((("u", "v"), ("x", "y"))), rot)
         assert all(c.genus == 0 for c in genus_check(g, rot))
+        assert not is_degree_faithful(pg)
+        for stage in (pi_trail_decomposition, inverse_link):
+            with pytest.raises(DomainError) as info:
+                stage(pg)
+            assert str(info.value) == "pairing is not degree-faithful"
         out = make_degree_faithful(pg)
         assert is_degree_faithful(out)
         assert out.graph.degree("u") == out.graph.degree("v") == 6

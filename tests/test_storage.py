@@ -36,6 +36,7 @@ def assert_column_built_graph_is_the_constructors(g: Multigraph) -> None:
     thirds = third_edges(g)
     assert "edges" not in g.__dict__
     edges = [g.edge(i) for i in ids]
+    assert g.edges is g.edges  # built once
     public = Multigraph(g.vertices, g.edges)
     assert public == g and g == public
     assert hash(public) == hash(g) and repr(public) == repr(g)
