@@ -220,9 +220,10 @@ class Multigraph:
             k = next(k for k in range(1, len(ids)) if keys[source[k - 1]] == keys[source[k]])
             raise DomainError(f"duplicate edge id {short_repr(ids[source[k]])}")
         position = sorted(range(len(ids)), key=source.__getitem__)  # the inverse of source
-        pool = g._at + new_at
-        ends = list(zip(pool[::2], pool[1::2]))  # of each old then new edge
-        at = list(chain.from_iterable(map(ends.__getitem__, source)))
+        pool = g._at + new_at  # of each old then new edge
+        at = pool[:]
+        at[::2] = map(pool[::2].__getitem__, source)
+        at[1::2] = map(pool[1::2].__getitem__, source)
         return cls._from_columns(g.vertices, tuple(map(ids.__getitem__, source)), at), position
 
     @cached_property
@@ -355,8 +356,7 @@ def _side_records(cls, rows, fault: str) -> tuple:
 
 
 def _first_bad_row(cls, rows):
-    """The first row that is not a ``cls`` pair with side 0 or 1, as a
-    fault names it: as given if it is not iterable, else as a record."""
+    """The first row that is not a ``cls`` pair with side 0 or 1, as a fault names it."""
     for r in rows:
         try:
             r = r if isinstance(r, cls) else tuple.__new__(cls, r)
@@ -842,12 +842,15 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     verts = tuple(third_edges(c.skeleton))
     pairing = Pairing._sorted(tuple(zip(verts[::2], verts[1::2])))
     _, dart_of = c.skeleton._steps
-    ids, at = [], []
+    ids, outs, ins = [], [], []
     for ci, cell in enumerate(c.cells):
         darts = list(map(dart_of.__getitem__, cell.steps))
         ids += zip(repeat(ci), range(len(darts)))
         # the dart each step exits by, and the one the next step enters by
-        at += chain.from_iterable(zip(map(_other_end, darts), darts[1:] + darts[:1]))
+        outs += map(_other_end, darts)
+        ins += darts[1:] + darts[:1]
+    at = outs + ins
+    at[::2], at[1::2] = outs, ins
     return PairedGraph(Multigraph._from_columns(verts, tuple(ids), at), pairing)
 
 
