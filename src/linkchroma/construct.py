@@ -22,7 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Optional
 
 from .colour import (
@@ -120,17 +120,21 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
     # after doubling, degrees are twice these, so a pair whose degrees
     # differ by k needs k loops of two ends each
     degree = Counter(at)
-    new_ids = [("dbl", i) for i in g._ids]
-    new_at = list(at)  # each twin has its edge's ends
-    loops_at = [[] for _ in index]  # vertex position -> indices into new_ids
+    loops = [0] * len(index)  # the number of loops at each vertex position
     for u, v in pg.pairing.pairs:
         du, dv = degree[index[u]], degree[index[v]]
-        w = u if du < dv else v
-        for i in range(abs(du - dv)):
-            loops_at[index[w]].append(len(new_ids))
-            new_ids.append(("bal", w, i))
-            new_at += (index[w], index[w])
-    graph, rotation = _with_twins(g, pg._succ, range(len(at) // 2), new_ids, new_at, loops_at)
+        loops[index[u] if du < dv else index[v]] = abs(du - dv)
+    # In id order: the loops by the position of w, then i, and then the
+    # twins in edge order.
+    new_ids, new_at, loops_at = [], [], []  # loops_at: indices into new_ids
+    for p, (w, k) in enumerate(zip(g.vertices, loops)):
+        loops_at.append(range(len(new_ids), len(new_ids) + k))
+        new_ids += zip(repeat("bal"), repeat(w), range(k))
+        new_at += (p, p) * k
+    twins = len(new_ids)
+    new_ids += zip(repeat("dbl"), g._ids)
+    new_at += at  # each twin has its edge's ends
+    graph, rotation = _with_twins(g, pg._succ, range(twins, twins + len(at) // 2), new_ids, new_at, loops_at)
     return PairedGraph(graph, pg.pairing, rotation)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, filterfalse, repeat
@@ -39,6 +40,7 @@ PUNCTURED = "punctured"
 MAX_ID_DEPTH = 32  # deepest tuple nesting an id may have
 _INT_ONLY = frozenset((int,))
 _PLAIN_IDS = frozenset((int, str))
+_ID_TYPES = _PLAIN_IDS | {tuple}
 
 
 def id_sort_key(value):
@@ -209,22 +211,44 @@ class Multigraph:
     @classmethod
     def _extended(cls, g: "Multigraph", new_ids: list, new_at: list) -> tuple:
         """``g`` with the edges ``new_ids`` added, their ends in ``new_at``,
-        and the stored position of each old then new edge.  The constructor's
-        stable sort: each id is keyed once, which validates the new ones.  A
-        repeated id leaves equal keys side by side, ``g``'s first, and the
-        later is reported, as the constructor's scan in stored order does."""
+        and the stored position of each old then new edge.  ``new_ids`` must
+        be in id order, as ``g``'s are; the two runs are merged a block at a
+        time, each block ended by galloping (``_gallop``), so only the ids
+        the merge compares are keyed.  New ids are typed a nesting level at
+        a time (``_plainly_nested``); only if that fails is each one keyed,
+        which reports the first that is not an id.  A repeated id is reported
+        as the constructor reports it: all ids are then keyed and stably
+        sorted, ``g``'s first among equals, and the later one named."""
+        if not _plainly_nested(new_ids):
+            for i in new_ids:
+                id_sort_key(i)
         ids = g._ids + tuple(new_ids)
-        keys = list(map(id_sort_key, ids))
-        source = sorted(range(len(ids)), key=keys.__getitem__)
         if len(set(ids)) != len(ids):
+            keys = list(map(id_sort_key, ids))
+            source = sorted(range(len(ids)), key=keys.__getitem__)
             k = next(k for k in range(1, len(ids)) if keys[source[k - 1]] == keys[source[k]])
             raise DomainError(f"duplicate edge id {short_repr(ids[source[k]])}")
-        position = sorted(range(len(ids)), key=source.__getitem__)  # the inverse of source
+        m = len(g._ids)
+        blocks = []  # ranges of ids, old ids in [0, m), in merged order
+        i, j = 0, m
+        while j < len(ids):
+            if i < m:
+                k = _gallop(ids, id_sort_key(ids[j]), i, m)
+                blocks.append((i, k))
+                i = k
+            if i == m:
+                break
+            k = _gallop(ids, id_sort_key(ids[i]), j, len(ids))
+            blocks.append((j, k))
+            j = k
+        blocks += ((i, m), (j, len(ids)))
         pool = g._at + new_at  # of each old then new edge
-        at = pool[:]
-        at[::2] = map(pool[::2].__getitem__, source)
-        at[1::2] = map(pool[1::2].__getitem__, source)
-        return cls._from_columns(g.vertices, tuple(map(ids.__getitem__, source)), at), position
+        order, at, position = [], [], [0] * len(ids)
+        for lo, hi in blocks:
+            position[lo:hi] = range(len(order), len(order) + hi - lo)
+            order += ids[lo:hi]
+            at += pool[2 * lo : 2 * hi]
+        return cls._from_columns(g.vertices, tuple(order), at), position
 
     @cached_property
     def _edge_by_id(self) -> dict:
@@ -281,6 +305,32 @@ class Multigraph:
 
     def edge_ids(self) -> tuple:
         return self._ids
+
+
+def _plainly_nested(ids) -> bool:
+    """Whether every one of ``ids`` is an int, a str or a tuple of such ids
+    nested at most ``MAX_ID_DEPTH`` deep, with no subclass among them: typed
+    a nesting level at a time, so no key is made."""
+    level = ids
+    for _ in range(MAX_ID_DEPTH):
+        kinds = set(map(type, level))
+        if kinds <= _PLAIN_IDS:
+            return True
+        if not kinds <= _ID_TYPES:
+            return False
+        level = list(chain.from_iterable(filter(tuple.__instancecheck__, level)))
+    return _PLAIN_IDS.issuperset(map(type, level))
+
+
+def _gallop(ids: tuple, key, lo: int, end: int) -> int:
+    """The first index in ``ids[lo:end]``, a run in id order, whose id sorts
+    after ``key``, else ``end``: probed at ``lo``, ``lo + 1``, ``lo + 3``,
+    ``lo + 7``, ... and then bisected, so a block of b ids costs about
+    2 log b keys (the galloping of timsort)."""
+    hi, step = lo, 1
+    while hi < end and not key < id_sort_key(ids[hi]):
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    return bisect_right(ids, key, lo, min(hi, end), key=id_sort_key)
 
 
 _other_end = (1).__xor__  # a dart to the dart at the other end of its edge
@@ -421,22 +471,26 @@ def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
         darts = list(map(dart_of.get, steps))
     except TypeError:  # an unhashable id, which names no edge
         darts = [dart_of[s] if _member(s, dart_of) else None for s in steps]
-    if None not in darts and not all(map(is_, steps, map(table.__getitem__, darts))):
+    if None in darts:
+        raise _unknown_edge(steps, darts)
+    if not all(map(is_, steps, map(table.__getitem__, darts))):
         for s, d in zip(steps, darts):
             if s[0] is not table[d][0] and not _is_id(s[0]):
                 raise DomainError(
                     f"walk step {short_repr(s)} names edge {short_repr(table[d][0])} "
                     "by an id that only compares equal to it"
                 )
-    _check_junctions(g, steps, darts)
+    _check_junctions(g, darts)
 
 
-def _check_junctions(g: Multigraph, steps: tuple, darts: list) -> None:
-    """Check the walk ``steps`` on its darts ``2 * edge_position + entry``
-    of ``g``, ``None`` where ``g`` lacks the step: every edge is known, then
-    each step exits where the next one enters, the first fault reported."""
-    if None in darts:
-        raise DomainError(f"walk not contained in skeleton: unknown edge {short_repr(steps[darts.index(None)].edge)}")
+def _unknown_edge(steps: tuple, darts: list) -> DomainError:
+    """The fault of the first step of ``steps`` whose dart is ``None``."""
+    return DomainError(f"walk not contained in skeleton: unknown edge {short_repr(steps[darts.index(None)].edge)}")
+
+
+def _check_junctions(g: Multigraph, darts: list) -> None:
+    """Check that a walk on the darts ``2 * edge_position + entry`` of ``g``
+    exits each step where the next one enters, the first fault reported."""
     if len(g.vertices) == 1:
         return  # every step enters and exits at the one vertex
     _, at = g._darts
@@ -529,9 +583,13 @@ class RotationSystem:
                 pivot = min(range(len(ends)), key=lambda i: (id_sort_key(ends[i].edge), ends[i].side))
                 ends = ends[pivot:] + ends[:pivot]
             norm.append((v, ends))
-        # the vertex of an empty order is keyed too, and then dropped
+        # the vertex of an empty order is keyed too, and dropped from
+        # ``orders``; the graph a rotation is checked on must still have it
         norm.sort(key=lambda item: id_sort_key(item[0]))
-        object.__setattr__(self, "orders", tuple([item for item in norm if item[1]]))
+        orders = tuple([item for item in norm if item[1]])
+        object.__setattr__(self, "orders", orders)
+        if len(orders) != len(norm):
+            object.__setattr__(self, "_listed", tuple(norm))
 
     @classmethod
     def _from_darts(cls, g: Multigraph, darts_at: list) -> "RotationSystem":
@@ -598,7 +656,7 @@ def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
     index, _ = g._darts
     darts_at = []
     fault = None
-    for v, order in rot.orders:
+    for v, order in rot.__dict__.get("_listed", rot.orders):  # empty orders too
         if v not in g._vertex_set:
             fault = DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
             break
@@ -808,8 +866,9 @@ class TwoComplex:
         ``validate_walk`` on ``skeleton``: the constructor without its
         checks.  ``seal`` and ``inverse_link``
         take the table's steps, which pass by construction.  The steps
-        ``complex_from_doc`` parses have keyed ids, so it runs only
-        ``_check_junctions``, the check ``validate_walk`` ends in."""
+        ``complex_from_doc`` parses have keyed ids, so it runs only the
+        unknown-edge check and ``_check_junctions``, the check
+        ``validate_walk`` ends in."""
         walks = []
         for steps in cells:
             walk = object.__new__(ClosedWalk)

@@ -41,6 +41,7 @@ from .core import (
     _check_junctions,
     _is_id,
     _records,
+    _unknown_edge,
     id_sort_key,
 )
 from .errors import DomainError, SchemaError, short_repr
@@ -120,11 +121,14 @@ def _parse_side_entry(item, what: str, shape: str) -> tuple:
 
 
 def graph_to_doc(g: Multigraph) -> dict:
+    """The graph as a document, written from its vertex ids, edge ids and
+    dart column, so a graph the library built makes no ``Edge`` record."""
+    ends = list(map(id_to_json, map(g.vertices.__getitem__, g._at)))
     return {
         "vertices": [id_to_json(v) for v in g.vertices],
         "edges": [
-            {"id": id_to_json(e.id), "end0": id_to_json(e.end0), "end1": id_to_json(e.end1)}
-            for e in g.edges
+            {"id": id_to_json(i), "end0": a, "end1": b}
+            for i, a, b in zip(g._ids, ends[::2], ends[1::2])
         ],
     }
 
@@ -248,30 +252,35 @@ def complex_from_doc(doc) -> TwoComplex:
     if not isinstance(doc["cells"], list):
         raise SchemaError("'cells' must be an array")
     table, dart_of = skeleton._steps
-    cells = []  # the steps of each cell, and its darts, None where the table lacks the step
+    cells = []  # the steps of each cell, and its darts or, if the table lacks a step, the fault
     for cell in doc["cells"]:
         if not isinstance(cell, list):
             raise SchemaError("each cell must be an array of steps")
-        # A cell of [int or str, int] rows is typed a column at a time and,
-        # if the table holds every row, takes the table's steps.  Any other
-        # cell is parsed a row at a time and keeps the steps it parsed.
-        if (
-            frozenset(map(type, cell)) == _LIST
-            and frozenset(map(len, cell)) == _PAIR
-            and _PLAIN.issuperset(map(type, map(itemgetter(0), cell)))
-            and frozenset(map(type, map(itemgetter(1), cell))) == _INT
-            and None not in (darts := list(map(dart_of.get, map(tuple, cell))))
-        ):
+        # A cell of list rows that the table holds, every member an int or
+        # a str, takes the table's steps: a row equal to a step is a pair of
+        # an edge id and an int side.  Any other cell is parsed a row at a
+        # time and keeps the steps it parsed.
+        darts = None
+        if frozenset(map(type, cell)) == _LIST:
+            try:
+                darts = list(map(dart_of.get, map(tuple, cell)))
+            except TypeError:  # an unhashable member
+                pass
+        if darts is not None and None not in darts and _PLAIN.issuperset(map(type, chain.from_iterable(cell))):
             steps = tuple(map(table.__getitem__, darts))
         else:
             steps = tuple(WalkStep(*_parse_side_entry(item, "walk step", "[edge, entry_side]")) for item in cell)
             if not steps:
                 raise SchemaError("a closed walk must be nonempty")
             darts = list(map(dart_of.get, steps))
+            if None in darts:
+                darts = _unknown_edge(steps, darts)
         cells.append((steps, darts))
     try:  # each cell checked as the constructor checks it, in cell order
         for steps, darts in cells:
-            _check_junctions(skeleton, steps, darts)
+            if isinstance(darts, DomainError):
+                raise darts
+            _check_junctions(skeleton, darts)
     except DomainError as exc:
         raise SchemaError(str(exc)) from None
     return TwoComplex._from_steps(skeleton, [steps for steps, _ in cells], doc["kind"])
@@ -361,7 +370,6 @@ _LIST = frozenset((list,))
 _DICT = frozenset((dict,))
 _CELL_TYPES = _SCALAR_TYPES | _LIST
 _PLAIN = frozenset((int, str))
-_PAIR = frozenset((2,))
 _EDGE_FIELDS = frozenset((frozenset(("id", "end0", "end1")),))
 
 

@@ -196,6 +196,40 @@ class TestDegreeFaithfulOrder:
             assert out.graph.edges == ref.graph.edges
             assert out.rotation.orders == ref.rotation.orders
 
+    def test_every_caller_hands_extended_new_ids_in_id_order(self, monkeypatch):
+        from linkchroma.search import search_witness
+
+        extended = Multigraph._extended.__func__
+        added = []
+
+        def checked(cls, g, new_ids, new_at):
+            keys = list(map(id_sort_key, new_ids))
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            added.append(len(new_ids))
+            return extended(cls, g, new_ids, new_at)
+
+        monkeypatch.setattr(Multigraph, "_extended", classmethod(checked))
+        for pg in self.maps():  # random maps are built through _extended too
+            make_degree_faithful(pg)
+        witnesses = len(added)
+        search_witness(seed=34, budget=6000)
+        assert added[witnesses:] == [0]  # the witness adds no edge
+        assert len(added) > 40 and sum(added) > 1000
+
+    def test_augmenting_a_1600_pair_map_keys_few_ids(self, monkeypatch):
+        from linkchroma import core
+
+        pg = random_planar_paired_graph(0, 1600)
+        keyed = []
+        key = core.id_sort_key
+        monkeypatch.setattr(core, "id_sort_key", lambda v: keyed.append(v) or key(v))
+        out = make_degree_faithful(pg)
+        # The new ids are validated by type, with no key, and the merge
+        # probes about 2 log2 of the 9457 old ids: a few dozen keys of the
+        # 26,502 ids the map ends with.
+        assert len(pg.graph.edge_ids()) == 9457 and len(out.graph.edge_ids()) == 26502
+        assert len(keyed) <= 64
+
     def test_a_twin_id_taken_by_an_edge_is_a_duplicate(self):
         g = Multigraph(("u", "v"), (Edge(3, "u", "v"), Edge(("dbl", 3), "u", "v")))
         rot = RotationSystem({"u": (EdgeEnd(3, 0), EdgeEnd(("dbl", 3), 0)), "v": (EdgeEnd(3, 1), EdgeEnd(("dbl", 3), 1))})

@@ -772,6 +772,23 @@ ROTATION_FAULTS = {
     ),
 }
 
+# An empty order at a vertex the graph lacks is refused in its place in
+# vertex order, as a nonempty order there is.
+EMPTY_ORDER_FAULTS = {
+    "last": (
+        {"u": [end("e", 0)], "v": [end("e", 1), end("f", 0), end("f", 1)], "zz": ()},
+        "rotation mentions unknown vertex 'zz'",
+    ),
+    "first": (
+        {"a": (), "u": [end("e", 1)], "v": [end("e", 0), end("f", 0), end("f", 1)]},
+        "rotation mentions unknown vertex 'a'",
+    ),
+    "after-a-fault": (
+        {"u": [end("e", 0)], "v": [end("e", 1), end("f", 0), end("f", 0)], "zz": []},
+        "edge-end EdgeEnd(edge='f', side=0) appears twice in rotation system",
+    ),
+}
+
 
 def fault_graph():
     return Multigraph(("u", "v"), (Edge("e", "u", "v"), Edge("f", "v", "v")))
@@ -790,6 +807,24 @@ class TestRotationFaults:
             with pytest.raises(DomainError) as info:
                 check()
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", sorted(EMPTY_ORDER_FAULTS))
+    def test_an_empty_order_at_an_unknown_vertex_is_refused(self, case):
+        orders, message = EMPTY_ORDER_FAULTS[case]
+        g, rot = fault_graph(), RotationSystem(orders)
+        assert rot == RotationSystem({v: order for v, order in orders.items() if order})
+        for check in (
+            lambda: PairedGraph(g, Pairing((("u", "v"),)), rot),
+            lambda: genus_check(g, rot),
+            lambda: validate_rotation(g, rot),
+        ):
+            with pytest.raises(DomainError) as info:
+                check()
+            assert str(info.value) == message
+        # at a vertex the graph has, an empty order is accepted
+        g = Multigraph(("u", "v", "zz"), (Edge("e", "u", "v"),))
+        rot = RotationSystem({"u": [end("e", 0)], "v": [end("e", 1)], "zz": ()})
+        assert genus_check(g, rot)[-1].vertices == ("zz",)
 
     def test_invalid_side(self):
         with pytest.raises(DomainError) as info:

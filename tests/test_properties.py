@@ -96,10 +96,25 @@ def test_quotients_of_augmented_maps_keep_sorted_order(seed, n_pairs):
         assert_sorted_as_built(x)
 
 
-@given(st.lists(mixed_ids, max_size=10, unique=True), st.lists(mixed_ids, max_size=10))
+@st.composite
+def old_and_new_ids(draw):
+    """Distinct old ids, and new ids in id order that sort among them; a
+    new id may repeat an old one or itself."""
+    pool = draw(st.lists(mixed_ids, max_size=16, unique=True))
+    is_new = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    old = [i for i, new in zip(pool, is_new) if not new]
+    new = [i for i, new in zip(pool, is_new) if new]
+    if pool:
+        new += draw(st.lists(st.sampled_from(pool), max_size=3))
+    return old, sorted(new, key=id_sort_key)
+
+
+@given(old_and_new_ids())
 @settings(max_examples=200, deadline=None)
-def test_extended_graph_is_what_the_constructor_stores(old_ids, new_ids):
-    # one loop per id at one vertex; a new id may repeat an old one or itself
+def test_extended_graph_is_what_the_constructor_stores(ids):
+    # one loop per id at one vertex; _extended takes its new ids in id
+    # order, so they are sorted, with their repeats kept
+    old_ids, new_ids = ids
     g = Multigraph(("h",), tuple(Edge(i, "h", "h") for i in old_ids))
     new = [Edge(i, "h", "h") for i in new_ids]
     new_at = [0, 0] * len(new_ids)

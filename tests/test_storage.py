@@ -19,6 +19,7 @@ from linkchroma import (
     simple_quotient,
     third_edges,
 )
+from linkchroma import formats
 from linkchroma.catalogue import tetrahedron_complex, triangle_complex
 from linkchroma.construct import inverse_link, make_degree_faithful, random_planar_paired_graph, seal
 from linkchroma.corpus import enumerate_small_complexes
@@ -98,6 +99,21 @@ def test_the_construction_chain_makes_no_edges():
         assert "_ids" in g.__dict__
         for built in ("edges", "_edge_by_id", "_ends_at"):
             assert built not in g.__dict__
+
+
+def test_writing_a_library_built_graph_makes_no_edges():
+    augmented = make_degree_faithful(random_planar_paired_graph(4, 200))
+    sealed = seal(inverse_link(augmented))
+    L = link_graph(sealed)
+    docs = [formats.paired_graph_to_doc(augmented), formats.complex_to_doc(sealed), formats.paired_graph_to_doc(L)]
+    graphs = (augmented.graph, sealed.skeleton, L.graph)
+    for g in graphs:
+        assert "_ids" in g.__dict__ and "edges" not in g.__dict__
+    # the same bytes as the public constructor's graphs write
+    for doc, g in zip(docs, graphs):
+        assert formats.dumps(doc["skeleton"] if "skeleton" in doc else {k: doc[k] for k in ("vertices", "edges")}) == (
+            formats.dumps(formats.graph_to_doc(Multigraph(g.vertices, g.edges)))
+        )
 
 
 def test_augmenting_a_map_that_has_a_twin_id_reports_the_duplicate():

@@ -14,8 +14,8 @@ Its path is the last line printed.  At the default 15 s a snapshot took
 
 A speed-up is shown by two such files, one per commit, from one host.
 
-With ``--against REV`` the committed files of REV are checked out into a
-temporary ``git worktree`` (local only, removed on exit), and each workload
+With ``--against REV`` the committed files of REV are unpacked from
+``git archive`` into a temporary directory (removed on exit), and each workload
 (every one, or those given by ``--workload``) runs ``--pairs`` alternating
 pairs of untraced runs, REV's checkout against this one, at seeds 1 to N;
 the side that goes first flips from pair to pair.  Each side then gets one
@@ -25,13 +25,18 @@ per-run metrics, and for each end-to-end metric the medians and quartiles
 (``statistics.quantiles``, exclusive method) of both sides, the ratio of
 the medians, the pairs the change won by the direction ``BENCHMARK.json``
 gives, and whether the medians differ by more than the parent's
-interquartile range.  It prints that table.  One pair of 15 s runs took
+interquartile range.  Each run also keeps, from its ``{"detail": ...}``
+line, the ``ops_per_s`` before rescaling by the speed probe and the probe's
+median, and the same summary is made of the unscaled ``ops_per_s``: a
+change in the rescaled metric that the unscaled one does not show comes
+from the probe.  It prints that table.  One pair of 15 s runs took
 about 50 s of wall time on the host above.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -39,6 +44,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -60,7 +66,8 @@ def src_lines(root: Path = ROOT) -> int:
 
 
 def run(workload: str, seconds: int, trace: int, seed: int = SEED, root: Path = ROOT) -> dict:
-    """The result line of one benchmark run of the checkout at ``root``."""
+    """The result line of one benchmark run of the checkout at ``root``,
+    with the run's ``detail`` line under ``"detail"``."""
     cmd = [
         sys.executable,
         "perfbench/run.py",
@@ -73,7 +80,10 @@ def run(workload: str, seconds: int, trace: int, seed: int = SEED, root: Path = 
     if out.returncode != 0:
         sys.stderr.write(out.stderr)
         raise SystemExit(f"error: {' '.join(cmd[1:])} in {root} exited with {out.returncode}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    lines = [json.loads(line) for line in out.stdout.strip().splitlines()]
+    result = lines[-1]
+    result["detail"] = next((line["detail"] for line in lines if "detail" in line), {})
+    return result
 
 
 def snapshot(args) -> Path:
@@ -95,12 +105,12 @@ def snapshot(args) -> Path:
     return path
 
 
-def summary(runs: dict, better: dict) -> dict:
-    """Medians, quartiles, ratio and wins of each end-to-end metric over
+def summary(runs: dict, better: dict, field: str = "metrics") -> dict:
+    """Medians, quartiles, ratio and wins of each metric of ``field`` over
     the paired runs ``runs["parent"][i]`` and ``runs["change"][i]``."""
     out = {}
     for name, direction in better.items():
-        values = {side: [r["metrics"][name] for r in runs[side]] for side in ("parent", "change")}
+        values = {side: [r[field][name] for r in runs[side]] for side in ("parent", "change")}
         stats = {}
         for side, xs in values.items():
             q1, median, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
@@ -129,7 +139,9 @@ def against(args) -> Path:
     ab.setdefault("workloads", {})
     tmp = Path(tempfile.mkdtemp(prefix="bench-against-"))
     tree = tmp / parent
-    git("worktree", "add", "--detach", str(tree), args.against)
+    archive = subprocess.run(["git", "archive", "--format=tar", args.against], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tree, filter="data")
     try:
         roots = {"parent": tree, "change": ROOT}
         ab["src_lines"] = {side: src_lines(root) for side, root in roots.items()}
@@ -141,7 +153,14 @@ def against(args) -> Path:
                 for side in (lead, "change" if lead == "parent" else "parent"):
                     result = run(workload, args.seconds, 0, seed, roots[side])
                     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-                    runs[side].append({"seed": seed, "correct": result["correct"], "metrics": metrics})
+                    detail = result["detail"]
+                    runs[side].append({
+                        "seed": seed,
+                        "correct": result["correct"],
+                        "metrics": metrics,
+                        "unscaled": {"ops_per_s": detail["unscaled"]["ops_per_s"]},
+                        "probe_median_ms": detail["probe_median_ms"],
+                    })
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {runs[side][-1]['metrics']['ops_per_s']:.3f} ops/s" for side in ("parent", "change")
                 ), flush=True)
@@ -151,13 +170,12 @@ def against(args) -> Path:
                 "first": first,
                 "runs": runs,
                 "summary": summary(runs, better),
+                "summary_unscaled": summary(runs, {"ops_per_s": "higher"}, "unscaled"),
                 "traced": {side: run(workload, args.seconds, 1, SEED, root) for side, root in roots.items()},
             }
             path.write_text(json.dumps(ab, indent=2) + "\n", encoding="utf-8")
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
     print_table(ab)
     return path
 
@@ -166,7 +184,9 @@ def print_table(ab: dict) -> None:
     print(f"| workload | metric | {ab['against']} median [q1, q3] | {ab['rev']} median [q1, q3] | ratio | wins | gap > IQR |")
     print("|---|---|---|---|---|---|---|")
     for workload, w in ab["workloads"].items():
-        for name, s in w["summary"].items():
+        rows = list(w["summary"].items())
+        rows += [(f"{name} (unscaled)", s) for name, s in w.get("summary_unscaled", {}).items()]
+        for name, s in rows:
             p, c = s["parent"], s["change"]
             print(
                 f"| {workload} | {name} | {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] "
