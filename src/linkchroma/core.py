@@ -25,7 +25,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, filterfalse, repeat
+from itertools import chain, repeat
 from operator import is_, itemgetter
 from typing import Mapping, NamedTuple, Optional, Union
 
@@ -40,7 +40,6 @@ PUNCTURED = "punctured"
 MAX_ID_DEPTH = 32  # deepest tuple nesting an id may have
 _INT_ONLY = frozenset((int,))
 _PLAIN_IDS = frozenset((int, str))
-_ID_TYPES = _PLAIN_IDS | {tuple}
 
 
 def id_sort_key(value):
@@ -95,11 +94,6 @@ def _member(value, container) -> bool:
         return value in container
     except TypeError:
         return False
-
-
-def _is_end_id(value) -> bool:
-    """``_is_id``, with a tuple of plain members passed without keying."""
-    return (isinstance(value, tuple) and _PLAIN_IDS.issuperset(map(type, value))) or _is_id(value)
 
 
 class EdgeEnd(NamedTuple):
@@ -186,14 +180,9 @@ class Multigraph:
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_vertex_set", vertex_set)
         object.__setattr__(self, "_edge_by_id", by_id)
-        ends = list(chain.from_iterable(map(itemgetter(1, 2), self.edges)))
-        if not _PLAIN_IDS.issuperset(map(type, ends)) and not (
-            # a tuple end, EdgeEnd included, whose members are plain is an id
-            _PLAIN_IDS.issuperset(map(type, filterfalse(tuple.__instancecheck__, ends)))
-            and _PLAIN_IDS.issuperset(map(type, chain.from_iterable(filter(tuple.__instancecheck__, ends))))
-        ):
+        if not _plainly_nested(list(chain.from_iterable(map(itemgetter(1, 2), self.edges)))):
             # an end such as True or 1.0 is in the vertex set but is not an id
-            bad = next((e for e in self.edges if not (_is_end_id(e.end0) and _is_end_id(e.end1))), None)
+            bad = next((e for e in self.edges if not (_is_id(e.end0) and _is_id(e.end1))), None)
             if bad is not None:
                 raise DomainError(f"edge {short_repr(bad.id)} names a vertex by an id that only compares equal to it")
 
@@ -212,13 +201,12 @@ class Multigraph:
     def _extended(cls, g: "Multigraph", new_ids: list, new_at: list) -> tuple:
         """``g`` with the edges ``new_ids`` added, their ends in ``new_at``,
         and the stored position of each old then new edge.  ``new_ids`` must
-        be in id order, as ``g``'s are; the two runs are merged a block at a
-        time, each block ended by galloping (``_gallop``), so only the ids
-        the merge compares are keyed.  New ids are typed a nesting level at
-        a time (``_plainly_nested``); only if that fails is each one keyed,
-        which reports the first that is not an id.  A repeated id is reported
-        as the constructor reports it: all ids are then keyed and stably
-        sorted, ``g``'s first among equals, and the later one named."""
+        be in id order, as ``g``'s are: the two runs are merged a block at a
+        time by ``_gallop``, which keys only the ids it compares.  New ids
+        are keyed, to name the first that is not an id, only if
+        ``_plainly_nested`` fails.  A repeated id gets the constructor's
+        report: all ids are keyed and stably sorted, ``g``'s first among
+        equals, and the later one named."""
         if not _plainly_nested(new_ids):
             for i in new_ids:
                 id_sort_key(i)
@@ -228,20 +216,15 @@ class Multigraph:
             source = sorted(range(len(ids)), key=keys.__getitem__)
             k = next(k for k in range(1, len(ids)) if keys[source[k - 1]] == keys[source[k]])
             raise DomainError(f"duplicate edge id {short_repr(ids[source[k]])}")
-        m = len(g._ids)
-        blocks = []  # ranges of ids, old ids in [0, m), in merged order
-        i, j = 0, m
-        while j < len(ids):
-            if i < m:
-                k = _gallop(ids, id_sort_key(ids[j]), i, m)
-                blocks.append((i, k))
-                i = k
-            if i == m:
-                break
-            k = _gallop(ids, id_sort_key(ids[i]), j, len(ids))
-            blocks.append((j, k))
-            j = k
-        blocks += ((i, m), (j, len(ids)))
+        # ``runs``: what is left of the old and the new run, the one due
+        # first first; ids are distinct, so a block ends at the other's head
+        blocks, runs = [], [(0, len(g._ids)), (len(g._ids), len(ids))]
+        while runs[0][0] < runs[0][1] and runs[1][0] < runs[1][1]:
+            (lo, hi), other = runs
+            k = _gallop(ids, id_sort_key(ids[other[0]]), lo, hi)
+            blocks.append((lo, k))
+            runs = [other, (k, hi)]
+        blocks += runs
         pool = g._at + new_at  # of each old then new edge
         order, at, position = [], [], [0] * len(ids)
         for lo, hi in blocks:
@@ -307,16 +290,16 @@ class Multigraph:
         return self._ids
 
 
-def _plainly_nested(ids) -> bool:
-    """Whether every one of ``ids`` is an int, a str or a tuple of such ids
-    nested at most ``MAX_ID_DEPTH`` deep, with no subclass among them: typed
-    a nesting level at a time, so no key is made."""
+def _plainly_nested(ids: list) -> bool:
+    """Whether each of ``ids`` is an exact int or str, or a tuple of such ids
+    nested at most ``MAX_ID_DEPTH`` deep: typed a level at a time, with no
+    key made.  ``False`` means only that the ids must be keyed to tell."""
     level = ids
     for _ in range(MAX_ID_DEPTH):
-        kinds = set(map(type, level))
-        if kinds <= _PLAIN_IDS:
+        kinds = set(map(type, level)) - _PLAIN_IDS
+        if not kinds:
             return True
-        if not kinds <= _ID_TYPES:
+        if not all(issubclass(k, tuple) for k in kinds):
             return False
         level = list(chain.from_iterable(filter(tuple.__instancecheck__, level)))
     return _PLAIN_IDS.issuperset(map(type, level))
@@ -324,9 +307,8 @@ def _plainly_nested(ids) -> bool:
 
 def _gallop(ids: tuple, key, lo: int, end: int) -> int:
     """The first index in ``ids[lo:end]``, a run in id order, whose id sorts
-    after ``key``, else ``end``: probed at ``lo``, ``lo + 1``, ``lo + 3``,
-    ``lo + 7``, ... and then bisected, so a block of b ids costs about
-    2 log b keys (the galloping of timsort)."""
+    after ``key``, else ``end``: probed at ``lo``, ``lo + 1``, ``lo + 3``, ...
+    then bisected, so a block of b ids costs about 2 log b keys (timsort's)."""
     hi, step = lo, 1
     while hi < end and not key < id_sort_key(ids[hi]):
         lo, hi, step = hi + 1, hi + step, 2 * step
@@ -866,9 +848,8 @@ class TwoComplex:
         ``validate_walk`` on ``skeleton``: the constructor without its
         checks.  ``seal`` and ``inverse_link``
         take the table's steps, which pass by construction.  The steps
-        ``complex_from_doc`` parses have keyed ids, so it runs only the
-        unknown-edge check and ``_check_junctions``, the check
-        ``validate_walk`` ends in."""
+        ``complex_from_doc`` parses have keyed ids, so it runs only the two
+        checks ``validate_walk`` ends in: unknown edges and junctions."""
         walks = []
         for steps in cells:
             walk = object.__new__(ClosedWalk)

@@ -260,13 +260,11 @@ def complex_from_doc(doc) -> TwoComplex:
         # a str, takes the table's steps: a row equal to a step is a pair of
         # an edge id and an int side.  Any other cell is parsed a row at a
         # time and keeps the steps it parsed.
-        darts = None
-        if frozenset(map(type, cell)) == _LIST:
-            try:
-                darts = list(map(dart_of.get, map(tuple, cell)))
-            except TypeError:  # an unhashable member
-                pass
-        if darts is not None and None not in darts and _PLAIN.issuperset(map(type, chain.from_iterable(cell))):
+        try:
+            darts = list(map(dart_of.get, map(tuple, cell)))
+        except TypeError:  # a row that is not iterable, or an unhashable member
+            darts = [None]
+        if None not in darts and frozenset(map(type, cell)) == _LIST and _PLAIN.issuperset(map(type, chain.from_iterable(cell))):
             steps = tuple(map(table.__getitem__, darts))
         else:
             steps = tuple(WalkStep(*_parse_side_entry(item, "walk step", "[edge, entry_side]")) for item in cell)

@@ -109,6 +109,30 @@ class TestMultigraph:
                 Multigraph(g.vertices, g.edges + tuple(Edge(i, 1, 1) for i in new_ids))
             assert str(info.value) == message
 
+    def test_extended_refuses_a_new_id_as_the_constructor_does(self):
+        class Int(int):
+            pass
+
+        g = Multigraph._from_columns((1, 2), ("a", "b"), [0, 1, 1, 1])
+        for new_ids in (
+            [True],
+            [1.5, True],
+            [("c", 1.0)],
+            [("c", ("d", [1]))],
+            [("dbl", nested_id(MAX_ID_DEPTH))],  # one deeper than an id may be
+            [Int(3), ("dbl", nested_id(MAX_ID_DEPTH - 1))],
+            ["c", ("c", Int(0))],
+        ):
+            edges = g.edges + tuple(Edge(i, 1, 1) for i in new_ids)
+            try:
+                expected = Multigraph(g.vertices, edges)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as info:
+                    Multigraph._extended(g, new_ids, [0, 0] * len(new_ids))
+                assert str(info.value) == str(exc)
+            else:
+                assert Multigraph._extended(g, new_ids, [0, 0] * len(new_ids))[0] == expected
+
     def test_storage_is_sorted(self):
         g = Multigraph((3, 1, 2), (Edge("b", 1, 2), Edge("a", 2, 3)))
         assert g.vertices == (1, 2, 3)
