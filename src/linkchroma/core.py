@@ -216,8 +216,8 @@ class Multigraph:
             source = sorted(range(len(ids)), key=keys.__getitem__)
             k = next(k for k in range(1, len(ids)) if keys[source[k - 1]] == keys[source[k]])
             raise DomainError(f"duplicate edge id {short_repr(ids[source[k]])}")
-        # ``runs``: what is left of the old and the new run, the one due
-        # first first; ids are distinct, so a block ends at the other's head
+        # ``runs``: the rest of each run, the one whose block is next first;
+        # ids are distinct, so a block ends where the other run's head goes
         blocks, runs = [], [(0, len(g._ids)), (len(g._ids), len(ids))]
         while runs[0][0] < runs[0][1] and runs[1][0] < runs[1][1]:
             (lo, hi), other = runs

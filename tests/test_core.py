@@ -845,9 +845,11 @@ class TestRotationFaults:
             with pytest.raises(DomainError) as info:
                 check()
             assert str(info.value) == message
-        # at a vertex the graph has, an empty order is accepted
+
+    def test_an_empty_order_at_a_known_vertex_is_accepted(self):
         g = Multigraph(("u", "v", "zz"), (Edge("e", "u", "v"),))
         rot = RotationSystem({"u": [end("e", 0)], "v": [end("e", 1)], "zz": ()})
+        validate_rotation(g, rot)
         assert genus_check(g, rot)[-1].vertices == ("zz",)
 
     def test_invalid_side(self):
