@@ -207,6 +207,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     if args.workload and not args.against:
         parser.error("--workload needs --against")
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     print(against(args) if args.against else snapshot(args))
     return 0
 
