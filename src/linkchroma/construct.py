@@ -22,7 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Optional
 
 from .colour import (
@@ -125,12 +125,11 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
         du, dv = degree[index[u]], degree[index[v]]
         loops[index[u] if du < dv else index[v]] = abs(du - dv)
     # In id order: the loops by the position of w, then i, and then the
-    # twins in edge order.
-    new_ids, new_at, loops_at = [], [], []  # loops_at: indices into new_ids
-    for p, (w, k) in enumerate(zip(g.vertices, loops)):
-        loops_at.append(range(len(new_ids), len(new_ids) + k))
-        new_ids += zip(repeat("bal"), repeat(w), range(k))
-        new_at += (p, p) * k
+    # twins in edge order; loops_at[p] indexes the loops at position p.
+    starts = list(accumulate(loops, initial=0))
+    loops_at = list(map(range, starts, starts[1:]))
+    new_ids = [("bal", w, i) for w, k in zip(g.vertices, loops) for i in range(k)]
+    new_at = [p for p, k in enumerate(loops) for _ in range(2 * k)]
     twins = len(new_ids)
     new_ids += zip(repeat("dbl"), g._ids)
     new_at += at  # each twin has its edge's ends
