@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .core import Multigraph, PairedGraph, TwoComplex, _neighbour_sets, link_graph
-from .errors import BudgetExhausted, DomainError
+from .errors import BudgetExhausted, DomainError, short_repr
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,10 @@ class Colouring:
         assignment = dict(self.assignment)
         for key, colour in assignment.items():
             if not isinstance(colour, int) or isinstance(colour, bool):
-                raise DomainError(f"colour of {key!r} must be an integer")
+                raise DomainError(f"colour of {short_repr(key)} must be an integer")
             if not 0 <= colour < self.palette_size:
                 raise DomainError(
-                    f"colour {colour} of {key!r} is outside palette of size {self.palette_size}"
+                    f"colour {short_repr(colour)} of {short_repr(key)} is outside palette of size {short_repr(self.palette_size)}"
                 )
         object.__setattr__(self, "assignment", assignment)
 
@@ -55,11 +55,11 @@ def is_valid_pair_colouring(pg: PairedGraph, colouring: Colouring) -> bool:
     Within-pair edges are exempt.  The check walks the paired graph's own
     edges, not the quotient neighbour sets the colourers work from.
     """
-    index, at = pg.graph._darts
+    index, at = pg.graph._index, pg.graph._at
     colour, pair_at = [0] * len(index), [0] * len(index)  # by vertex position
     for k, pair in enumerate(pg.pairing.pairs):
         if pair not in colouring.assignment:
-            raise DomainError(f"pair {pair!r} is uncoloured")
+            raise DomainError(f"pair {short_repr(pair)} is uncoloured")
         for p in map(index.__getitem__, pair):
             colour[p], pair_at[p] = colouring.assignment[pair], k
     ends = iter(at)
@@ -77,7 +77,7 @@ def is_valid_complex_colouring(c: TwoComplex, colouring: Colouring) -> bool:
     """
     for i in c.skeleton.edge_ids():
         if i not in colouring.assignment:
-            raise DomainError(f"edge {i!r} is uncoloured")
+            raise DomainError(f"edge {short_repr(i)} is uncoloured")
     return _clash_free(_junctions(c), colouring.assignment)
 
 

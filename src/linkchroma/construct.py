@@ -54,7 +54,7 @@ from .triangulate import SphereTriangulation
 
 
 def is_degree_faithful(pg: PairedGraph) -> bool:
-    index, at = pg.graph._darts
+    index, at = pg.graph._index, pg.graph._at
     degree = Counter(at)
     return all(degree[index[u]] == degree[index[v]] for u, v in pg.pairing.pairs)
 
@@ -116,7 +116,7 @@ def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
     if pg.rotation is None:
         raise DomainError("rotation system required to augment while preserving genus")
     g = pg.graph
-    index, at = g._darts
+    index, at = g._index, g._at
     # after doubling, degrees are twice these, so a pair whose degrees
     # differ by k needs k loops of two ends each
     degree = Counter(at)
@@ -152,13 +152,7 @@ def _dart_trails(pg: PairedGraph) -> tuple:
     component with an edge takes every edge of the component, since all
     quotient degrees are even, and later starts find theirs used.
     """
-    index, at = pg.graph._darts
-    pair_at = [0] * len(index)
-    partner = [0] * len(index)
-    for k, (u, v) in enumerate(pg.pairing.pairs):
-        i, j = index[u], index[v]
-        pair_at[i] = pair_at[j] = k
-        partner[i], partner[j] = j, i
+    index, at, pair_at = pg.graph._index, pg.graph._at, pg._pair_at
     darts_at = [[] for _ in pg.pairing.pairs]
     for d, i in enumerate(at):
         darts_at[pair_at[i]].append(d)
@@ -191,12 +185,13 @@ def _dart_trails(pg: PairedGraph) -> tuple:
         tails_at[at[d]].append(d)
         heads_at[at[d ^ 1]].append(d ^ 1)
     successor = [0] * len(at)  # head dart -> entry dart of the next step
-    for y, heads in enumerate(heads_at):
-        tails = tails_at[partner[y]]
-        if len(heads) != len(tails):
-            raise DomainError("internal error: oriented end counts must balance across partners")
-        for h, t in zip(heads, tails):
-            successor[h] = t
+    for u, v in pg.pairing.pairs:  # the heads at each vertex, the tails at its partner
+        i, j = index[u], index[v]
+        for heads, tails in ((heads_at[i], tails_at[j]), (heads_at[j], tails_at[i])):
+            if len(heads) != len(tails):
+                raise DomainError("internal error: oriented end counts must balance across partners")
+            for h, t in zip(heads, tails):
+                successor[h] = t
 
     trails = []
     visited = bytearray(len(entry))
@@ -260,7 +255,7 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
         raise DomainError("pairing is not degree-faithful")
     pg.require_planar()
     at, trails = _dart_trails(pg)
-    index, _ = pg.graph._darts
+    index = pg.graph._index
     # one loop per pair, named by its smaller member: in id order
     pairs = pg.pairing.pairs
     skeleton = Multigraph._from_columns((SKELETON_VERTEX,), tuple([u for u, _ in pairs]), [0] * (2 * len(pairs)))
@@ -451,8 +446,8 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
 
 
 def load_shipped_witness() -> TwelvePireWitness:
-    """The witness shipped with the package (also at data/k12_pire.json in
-    the source tree)."""
+    """The witness shipped with the package, at
+    src/linkchroma/data/k12_pire.json in the source tree."""
     from importlib import resources
 
     from . import formats

@@ -11,10 +11,10 @@ Conventions used throughout:
   derived objects are reproducible byte-for-byte.
 * An edge has two distinguishable ends, side 0 and side 1.  A loop has
   both ends at the same vertex but the sides remain distinct.
-* Ids are keyed at the boundary, positions are used inside.  A graph the
-  library builds stores its vertex ids, its edge ids and its dart column,
-  the vertex position of each dart ``2 * edge_position + side``; its
-  ``edges`` are built on first read.
+* Ids are keyed at the boundary, positions are used inside.  A graph
+  stores what its constructor computed and builds the rest on first
+  read; the library's store vertex ids, edge ids and the dart column,
+  the vertex position of each dart ``2 * edge_position + side``.
 * All types are immutable; every operation is a pure function.
 """
 
@@ -158,13 +158,13 @@ class Multigraph:
         verts = tuple(sorted(self.vertices, key=id_sort_key))
         edges = (e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
         edges = tuple(sorted(edges, key=lambda e: id_sort_key(e.id)))
-        vertex_set = set(verts)
-        if len(vertex_set) != len(verts):
+        index = {v: i for i, v in enumerate(verts)}
+        if len(index) != len(verts):
             raise DomainError("duplicate vertex id")
         ids = tuple(map(itemgetter(0), edges))
         by_id = dict(zip(ids, edges))
         try:  # an unhashable end names no vertex
-            known = vertex_set.issuperset(chain(map(itemgetter(1), edges), map(itemgetter(2), edges)))
+            known = all(map(index.__contains__, chain(map(itemgetter(1), edges), map(itemgetter(2), edges))))
         except TypeError:
             known = False
         if len(by_id) != len(edges) or not known:
@@ -172,13 +172,13 @@ class Multigraph:
             for e in edges:
                 if e.id in seen:
                     raise DomainError(f"duplicate edge id {short_repr(e.id)}")
-                if not (_member(e.end0, vertex_set) and _member(e.end1, vertex_set)):
+                if not (_member(e.end0, index) and _member(e.end1, index)):
                     raise DomainError(f"edge {short_repr(e.id)} references a missing vertex")
                 seen.add(e.id)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "_vertex_set", vertex_set)
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_edge_by_id", by_id)
         if not _plainly_nested(list(chain.from_iterable(map(itemgetter(1, 2), self.edges)))):
             # an end such as True or 1.0 is in the vertex set but is not an id
@@ -188,13 +188,12 @@ class Multigraph:
 
     @classmethod
     def _from_columns(cls, verts: tuple, ids: tuple, at: list) -> "Multigraph":
-        """The internal constructor, on vertex ids and edge ids in id order
-        and the dart column ``at``: nothing is keyed or checked."""
+        """The internal constructor: stores only vertex ids and edge ids in
+        id order and the dart column ``at``, and keys or checks nothing."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", verts)
         object.__setattr__(g, "_ids", ids)
         object.__setattr__(g, "_at", at)
-        object.__setattr__(g, "_vertex_set", set(verts))
         return g
 
     @classmethod
@@ -250,18 +249,16 @@ class Multigraph:
         return dict(zip(self.vertices, map(tuple, ends_at)))
 
     @cached_property
-    def _darts(self) -> tuple:
-        """The position of each vertex id, and the dart column ``_at``: built
-        on first use and kept, as ``_ends_at``.  Callers only read it."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        if "_at" in self.__dict__:
-            return index, self._at
-        return index, list(map(index.__getitem__, chain.from_iterable(map(itemgetter(1, 2), self.edges))))
+    def _index(self) -> dict:
+        """The position of each vertex id: stored by the public constructor,
+        else built on first read and kept, as ``_ends_at``."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def _at(self) -> list:
-        """The dart column, unless the internal constructor was given it."""
-        return self._darts[1]
+        """The dart column: stored by the internal constructor, else built
+        from ``edges`` on first read and kept.  Callers only read it."""
+        return list(map(self._index.__getitem__, chain.from_iterable(map(itemgetter(1, 2), self.edges))))
 
     @cached_property
     def _steps(self) -> tuple:
@@ -475,7 +472,7 @@ def _check_junctions(g: Multigraph, darts: list) -> None:
     exits each step where the next one enters, the first fault reported."""
     if len(g.vertices) == 1:
         return  # every step enters and exits at the one vertex
-    _, at = g._darts
+    at = g._at
     ins = list(map(at.__getitem__, darts))
     outs = list(map(at.__getitem__, map(_other_end, darts)))
     ins.append(ins.pop(0))
@@ -635,11 +632,11 @@ def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
     fault in listing order is the one raised."""
     ids = g._ids
     position = dict(zip(ids, range(len(ids))))
-    index, _ = g._darts
+    index = g._index
     darts_at = []
     fault = None
     for v, order in rot.__dict__.get("_listed", rot.orders):  # empty orders too
-        if v not in g._vertex_set:
+        if v not in index:
             fault = DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
             break
         at = list(map(position.get, map(itemgetter(0), order)))
@@ -669,7 +666,8 @@ class PairedGraph:
     rotation: Optional[RotationSystem] = None
 
     def __post_init__(self):
-        if self.pairing._pair_of.keys() != self.graph._vertex_set:
+        pair_of, verts = self.pairing._pair_of, self.graph.vertices
+        if len(pair_of) != len(verts) or not all(map(pair_of.__contains__, verts)):
             raise DomainError("pairing does not cover exactly the vertex set")
         if self.rotation is not None:
             # Validated once; the successor array is what the faces are
@@ -706,7 +704,12 @@ class PairedGraph:
         """Neighbour-position sets of the simple quotient, built straight
         from the pairing and the dart column: position ``i`` is
         ``pairing.pairs[i][0]``, and edges inside a pair are dropped."""
-        return _neighbour_sets(len(self.pairing.pairs), map(_pair_positions(self).__getitem__, self.graph._at))
+        return _neighbour_sets(len(self.pairing.pairs), map(self._pair_at.__getitem__, self.graph._at))
+
+    @cached_property
+    def _pair_at(self) -> list:
+        """The pair position of each vertex position of ``graph``."""
+        return list(map(self.pairing._pair_of.__getitem__, self.graph.vertices))
 
     @cached_property
     def _smallest_last(self) -> list:
@@ -756,11 +759,6 @@ def _neighbour_sets(n: int, ends) -> list:
             nbrs[a].add(b)
             nbrs[b].add(a)
     return nbrs
-
-
-def _pair_positions(pg: PairedGraph) -> list:
-    """The pair position of each vertex position of ``pg.graph``."""
-    return list(map(pg.pairing._pair_of.__getitem__, pg.graph.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +899,7 @@ def paired_quotient(pg: PairedGraph) -> Multigraph:
     An edge inside one pair becomes a loop; parallel edges are preserved.
     Pairs are stored by their smaller members, so the quotient is in id order.
     """
-    at = list(map(_pair_positions(pg).__getitem__, pg.graph._at))
+    at = list(map(pg._pair_at.__getitem__, pg.graph._at))
     return Multigraph._from_columns(tuple(p[0] for p in pg.pairing.pairs), pg.graph._ids, at)
 
 
@@ -909,7 +907,7 @@ def simple_quotient(pg: PairedGraph) -> Multigraph:
     """The paired quotient with loops deleted and parallel classes collapsed
     to their smallest edge id.  This is the graph that carries all colouring
     constraints: within-pair adjacencies impose none."""
-    ends = map(_pair_positions(pg).__getitem__, pg.graph._at)
+    ends = map(pg._pair_at.__getitem__, pg.graph._at)
     keep = {}
     for i, a, b in zip(pg.graph._ids, ends, ends):  # in edge-id order, so the first edge of a class is kept
         if a != b:
@@ -921,20 +919,13 @@ def simple_quotient(pg: PairedGraph) -> Multigraph:
 
 def is_simplicial(c: TwoComplex) -> bool:
     """True iff the skeleton is simple and every cell goes once around a
-    triangle (3 distinct vertices, 3 distinct edges)."""
-    seen_endpoints = set()
-    for e in c.skeleton.edges:
-        if e.is_loop:
-            return False
-        key = frozenset((e.end0, e.end1))
-        if key in seen_endpoints:
-            return False
-        seen_endpoints.add(key)
-    for cell in c.cells:
-        if len(cell.steps) != 3:
-            return False
-        edges = {s.edge for s in cell.steps}
-        corners = {step_entry_vertex(c.skeleton, s) for s in cell.steps}
-        if len(edges) != 3 or len(corners) != 3:
-            return False
-    return True
+    triangle (3 distinct vertices, 3 distinct edges).  With no loop, each
+    step of a closed walk leaves the vertex it enters, so every walk of 3
+    steps is such a triangle."""
+    at = c.skeleton._at
+    ends = iter(at)
+    endpoints = set(map(frozenset, zip(ends, ends)))
+    # a loop has one endpoint, and parallel edges share theirs
+    if len(endpoints) != len(at) // 2 or any(len(e) == 1 for e in endpoints):
+        return False
+    return all(len(cell) == 3 for cell in c.cells)

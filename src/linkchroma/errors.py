@@ -5,7 +5,16 @@ import reprlib
 
 ECHO_LIMIT = 60
 
-_echo = reprlib.Repr()
+
+class _Echo(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:  # repr refuses an int of more digits than sys.get_int_max_str_digits()
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
+_echo = _Echo()
 _echo.maxstring = _echo.maxother = ECHO_LIMIT
 
 

@@ -38,6 +38,7 @@ from linkchroma.catalogue import (
 from linkchroma.colour import _chromatic, _greedy_clique, _neighbours
 from linkchroma.construct import random_planar_paired_graph
 from linkchroma.corpus import chromatic_number_reference
+from linkchroma.errors import short_repr
 
 from strategies import one_loop_complex
 
@@ -95,6 +96,32 @@ class TestPairColouringValidity:
     def test_colour_outside_palette_rejected(self):
         with pytest.raises(DomainError):
             Colouring(2, {("u", "v"): 2})
+
+
+class TestColouringEchoes:
+    """Each colouring message quotes its input through ``short_repr``."""
+
+    LONG = "x" * 100000
+
+    def message(self, build) -> str:
+        with pytest.raises(DomainError) as info:
+            build()
+        return str(info.value)
+
+    def test_colouring_messages(self):
+        assert self.message(lambda: Colouring(2, {("u", "v"): 2})) == "colour 2 of ('u', 'v') is outside palette of size 2"
+        assert self.message(lambda: Colouring(3, {"a": 10**5000})) == "colour <int of 16610 bits> of 'a' is outside palette of size 3"
+        assert self.message(lambda: Colouring(10**5000, {"a": -1})) == "colour -1 of 'a' is outside palette of size <int of 16610 bits>"
+        assert self.message(lambda: Colouring(3, {self.LONG: 7})) == f"colour 7 of {short_repr(self.LONG)} is outside palette of size 3"
+        assert self.message(lambda: Colouring(3, {self.LONG: "red"})) == f"colour of {short_repr(self.LONG)} must be an integer"
+
+    def test_checker_messages(self):
+        pair = (self.LONG + "a", self.LONG + "b")
+        pg = PairedGraph(Multigraph(pair, ()), Pairing((pair,)))
+        assert self.message(lambda: is_valid_pair_colouring(pg, Colouring(1, {}))) == f"pair {short_repr(pair)} is uncoloured"
+        c = TwoComplex(Multigraph(("v",), (Edge(self.LONG, "v", "v"),)), ())
+        assert self.message(lambda: is_valid_complex_colouring(c, Colouring(1, {}))) == f"edge {short_repr(self.LONG)} is uncoloured"
+        assert len(short_repr(pair)) <= 60
 
 
 class TestComplexColouringValidity:

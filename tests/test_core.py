@@ -29,7 +29,7 @@ from linkchroma.catalogue import (
     triangle_complex,
 )
 from linkchroma.colour import _neighbours, heawood_colour_12
-from linkchroma.construct import make_degree_faithful, pi_trail_decomposition, random_planar_paired_graph
+from linkchroma.construct import inverse_link, make_degree_faithful, pi_trail_decomposition, random_planar_paired_graph
 from linkchroma.core import MAX_ID_DEPTH
 from linkchroma.corpus import enumerate_small_complexes
 from linkchroma.errors import short_repr
@@ -181,7 +181,7 @@ class TestEndsTable:
     def test_answers_match_the_edges(self):
         for g in self.graphs():
             assert "_ends_at" not in g.__dict__
-            assert all(v in g._vertex_set for v in g.vertices) and "zz" not in g._vertex_set
+            assert all(v in g._index for v in g.vertices) and "zz" not in g._index
             assert "_ends_at" not in g.__dict__
             for v in g.vertices:
                 expected = tuple(EdgeEnd(e.id, s) for e in g.edges for s in (0, 1) if e.endpoint(s) == v)
@@ -201,12 +201,17 @@ class TestEndsTable:
             assert str(info.value) == "unknown edge 'zz'"
 
     def test_dart_positions_match_the_edges_and_are_built_once(self):
+        # a graph stores what its constructor computed: the internal
+        # constructor the dart column, the public one the vertex positions
         for g in self.graphs():
-            assert "_darts" not in g.__dict__
-            index, at = g._darts
+            if "edges" in g.__dict__:
+                assert "_index" in g.__dict__ and "_at" not in g.__dict__
+            else:
+                assert set(g.__dict__) == {"vertices", "_ids", "_at"}
+            index, at = g._index, g._at
             assert index == {v: i for i, v in enumerate(g.vertices)}
             assert at == [index[e.endpoint(s)] for e in g.edges for s in (0, 1)]
-            assert g._darts is g.__dict__["_darts"]
+            assert g._index is index and g._at is at  # built once
 
     def test_the_heawood_path_and_augmentation_share_one_dart_table(self):
         # both graphs are built on their dart column, which every reader shares
@@ -215,19 +220,20 @@ class TestEndsTable:
         table = pg.graph.__dict__["_at"]
         heawood_colour_12(pg)
         augmented = make_degree_faithful(pg)
-        assert pg.graph.__dict__["_at"] is table and pg.graph._darts[1] is table
+        assert pg.graph.__dict__["_at"] is table and pg.graph._at is table
         augmented.require_planar()
         table = augmented.graph.__dict__["_at"]
         pi_trail_decomposition(augmented)
-        assert augmented.graph.__dict__["_at"] is table and augmented.graph._darts[1] is table
+        assert augmented.graph.__dict__["_at"] is table and augmented.graph._at is table
 
     def test_equality_and_hash_ignore_the_table(self):
         for built, fresh in zip(self.graphs(), self.graphs()):
             for v in built.vertices:
                 built.degree(v)
-            built._darts
+            built._index, built._at
             assert "_ends_at" in built.__dict__ and "_ends_at" not in fresh.__dict__
-            assert "_darts" in built.__dict__ and "_darts" not in fresh.__dict__
+            assert {"_index", "_at"} <= built.__dict__.keys()
+            assert not {"_index", "_at"} <= fresh.__dict__.keys()
             assert built == fresh
             assert hash(built) == hash(fresh)
             assert len({built, fresh}) == 1
@@ -411,6 +417,17 @@ class TestUnhashableIds:
                 build(bad)
             texts.append(str(info.value))
         assert texts[1] == texts[0].replace("1.5", "['b']")
+
+
+class TestHugeIds:
+    def test_an_int_too_long_to_print_is_echoed_by_its_size(self):
+        # repr refuses an int of more digits than sys.get_int_max_str_digits()
+        assert short_repr(10**5000) == short_repr(-(10**5000)) == "<int of 16610 bits>"
+        assert short_repr(("a", 10**5000)) == "('a', <int of 16610 bits>)"
+        assert short_repr(10**30) == repr(10**30) and short_repr(-7) == "-7"
+        with pytest.raises(DomainError) as info:
+            Multigraph((), (Edge(10**5000, 1, 1),))
+        assert str(info.value) == "edge <int of 16610 bits> references a missing vertex"
 
 
 class TestRowsOfTheWrongLength:
@@ -922,8 +939,8 @@ class TestRotationsOnDarts:
         import linkchroma.core as core
 
         pg = random_planar_paired_graph(0, 20)
-        # the check keeps no dart table on the map it was built for
-        assert "_darts" not in pg.graph.__dict__
+        # the check keeps no vertex positions on the map it was built for
+        assert "_index" not in pg.graph.__dict__
         calls = []
         original = core._rotation_successors
 
@@ -1060,3 +1077,35 @@ class TestSimplicial:
         c = triangle_complex()
         back_and_forth = ClosedWalk((WalkStep("a", 0), WalkStep("a", 1)))
         assert not is_simplicial(TwoComplex(c.skeleton, (back_and_forth,)))
+
+    def test_agrees_with_the_edge_level_reading(self):
+        def reference(c):
+            g = c.skeleton
+            pairs = [frozenset((e.end0, e.end1)) for e in g.edges]
+            if any(e.is_loop for e in g.edges) or len(set(pairs)) != len(pairs):
+                return False
+            return all(
+                len(cell) == 3
+                and len({s.edge for s in cell.steps}) == 3
+                and len({g.edge(s.edge).endpoint(s.entry) for s in cell.steps}) == 3
+                for cell in c.cells
+            )
+
+        # on a simple triangle: its boundary both ways, twice, and a walk
+        # of four steps; an edge parallel to another the other way round;
+        # and a loop
+        g = Multigraph(("u", "v", "w"), (Edge("a", "u", "v"), Edge("b", "v", "w"), Edge("c", "w", "u")))
+        around = (WalkStep("a", 0), WalkStep("b", 0), WalkStep("c", 0))
+        back = (WalkStep("c", 1), WalkStep("b", 1), WalkStep("a", 1))
+        parallel = Multigraph(g.vertices, g.edges + (Edge("d", "v", "u"),))
+        odd = [
+            TwoComplex(g, (around, back, around)),
+            TwoComplex(g, (around, (WalkStep("a", 0), WalkStep("a", 1)) * 2)),
+            TwoComplex(parallel, (around,)),
+            TwoComplex(Multigraph(g.vertices, g.edges + (Edge("e", "w", "w"),)), (around,)),
+        ]
+        punctured = inverse_link(make_degree_faithful(random_planar_paired_graph(1, 6)))
+        complexes = list(enumerate_small_complexes())[::13] + odd + [tetrahedron_complex(), punctured]
+        answers = [is_simplicial(c) for c in complexes]
+        assert answers == [reference(c) for c in complexes]
+        assert True in answers and False in answers

@@ -532,10 +532,13 @@ class TestFileIO:
         with pytest.raises(SchemaError):
             formats.load(path)
 
-    def test_shipped_copies_are_identical(self):
+    def test_paths_named_in_the_readme_exist(self):
         import pathlib
+        import re
 
+        # a path in the README under one of the repository's directories
         root = pathlib.Path(__file__).resolve().parents[1]
-        a = (root / "data" / "k12_pire.json").read_text()
-        b = (root / "src" / "linkchroma" / "data" / "k12_pire.json").read_text()
-        assert a == b
+        text = (root / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"(?<![\w./-])((?:data|perfbench|src|tests|tools)/[\w./-]*[\w/])", text))
+        assert {"src/linkchroma/data/k12_pire.json", "data/k12_pire.search.json", "tests/test_acceptance.py"} <= named
+        assert sorted(p for p in named if not (root / p).exists()) == []

@@ -1,6 +1,7 @@
 """Static checks over the library's own source files."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import linkchroma
@@ -163,3 +164,48 @@ def test_public_names_are_pinned():
     ]
     assert sorted(exported) == PUBLIC_NAMES
     assert all(hasattr(linkchroma, name) for name in PUBLIC_NAMES)
+
+
+def _literal(tree, name):
+    """The literal assigned to ``name`` at the top of a parsed module."""
+    (value,) = [n.value for n in tree.body if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == name]
+    return ast.literal_eval(value)
+
+
+def _resolve(dotted: str):
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"linkchroma.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_the_bench_names_only_what_the_library_has():
+    """``perfbench`` reads the library by name: its traced ``SPECS``, its
+    module list and every ``lib.<module>.<name>`` chain must resolve, and
+    the tracer wraps a class entry through the method in the class body
+    (``__post_init__`` for a constructor), so deleting or renaming one
+    breaks ``--trace 1``."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(bench.glob("*.py"))}
+    for module in _literal(trees["run.py"], "LIB_MODULES"):
+        importlib.import_module(f"linkchroma.{module}")
+    specs = [name for name, _, _ in _literal(trees["tracer.py"], "SPECS")]
+    constructors = _literal(trees["tracer.py"], "_CONSTRUCTORS")
+    assert specs and constructors <= set(specs)
+    for name in specs:
+        module, _, attr = name.partition(".")
+        if "." in attr or name in constructors:
+            cls_name, _, method = attr.partition(".")
+            assert (method or "__post_init__") in vars(_resolve(f"{module}.{cls_name}")), name
+        else:
+            assert callable(_resolve(name)), name
+    chains = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            text = ast.unparse(node) if isinstance(node, ast.Attribute) else ""
+            if text.startswith("lib.") and text.count(".") >= 2 and all(map(str.isidentifier, text.split("."))):
+                chains.add(text)
+    assert "lib.core.Multigraph" in chains and "lib.construct.make_degree_faithful" in chains
+    for chain in sorted(chains):
+        _resolve(chain[len("lib."):])

@@ -202,8 +202,9 @@ def rotation_successors_reference(g: Multigraph, rot: RotationSystem) -> array:
     position = dict(zip(map(itemgetter(0), edges), range(len(edges))))
     succ = array("i", [-1]) * (2 * len(edges))
     listed = 0
+    vertices = set(g.vertices)
     for v, order in rot.orders:
-        if v not in g._vertex_set:
+        if v not in vertices:
             raise DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
         first = prev = -1
         for end in order:

@@ -31,7 +31,7 @@ from test_step_tables import built_on_darts
 def assert_column_built_graph_is_the_constructors(g: Multigraph) -> None:
     assert "edges" not in g.__dict__
     # answers read off the columns, before any Edge exists
-    index, at = g._darts
+    index, at = g._index, g._at
     ids = g.edge_ids()
     ends = {v: g.ends_at(v) for v in g.vertices}
     thirds = third_edges(g)
@@ -41,7 +41,7 @@ def assert_column_built_graph_is_the_constructors(g: Multigraph) -> None:
     public = Multigraph(g.vertices, g.edges)
     assert public == g and g == public
     assert hash(public) == hash(g) and repr(public) == repr(g)
-    assert public._darts == (index, at)
+    assert public._index == index and public._at == at
     assert public.edge_ids() == ids
     assert {v: public.ends_at(v) for v in public.vertices} == ends
     assert [public.edge(i) for i in ids] == edges == list(g.edges)
@@ -121,3 +121,62 @@ def test_augmenting_a_map_that_has_a_twin_id_reports_the_duplicate():
     with pytest.raises(DomainError) as info:
         make_degree_faithful(pg)
     assert str(info.value) == "duplicate edge id ('dbl', 5)"
+
+
+def assert_positions_are_the_edges(g: Multigraph) -> None:
+    """``_index`` and ``_at``, stored or built on read, are what the
+    vertices and ``edges`` give."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    assert g._at == [index[end] for e in g.edges for end in (e.end0, e.end1)]
+    assert g._index == index
+
+
+def test_each_graph_stores_what_its_constructor_computed():
+    # fresh from a constructor, a graph holds what that constructor
+    # computed: the internal one the dart column, the public one the
+    # vertex positions; reading either builds the other
+    def public(g):
+        assert "_index" in g.__dict__ and "_at" not in g.__dict__
+        graphs.append(g)
+        return g
+
+    def columns(g):
+        assert set(g.__dict__) == {"vertices", "_ids", "_at"}
+        graphs.append(g)
+        return g
+
+    graphs = []
+    tetrahedron = tetrahedron_complex().skeleton
+    public(Multigraph(tetrahedron.vertices, tetrahedron.edges))
+    public(Multigraph((2, "v"), (Edge(0, "v", 2), Edge("a", 2, 2))))
+    columns(Multigraph._from_columns((1, 2), ("a", "b"), [0, 1, 1, 1]))
+    columns(random_planar_paired_graph(5, 30).graph)
+    columns(make_degree_faithful(random_planar_paired_graph(0, 1)).graph)
+    columns(link_graph(tetrahedron_complex()).graph)
+    augmented = make_degree_faithful(random_planar_paired_graph(5, 30))
+    columns(augmented.graph)
+    columns(paired_quotient(augmented))
+    columns(simple_quotient(augmented))
+    public(formats.graph_from_doc(formats.graph_to_doc(augmented.graph)))
+    sealed = seal(inverse_link(augmented))
+    link = link_graph(sealed)
+    columns(link.graph)
+    columns(paired_quotient(link))
+    columns(simple_quotient(link))
+    # and graphs that checks have read already
+    graphs += [
+        tetrahedron,
+        formats.paired_graph_from_doc(formats.paired_graph_to_doc(augmented)).graph,
+        formats.complex_from_doc(formats.complex_to_doc(sealed)).skeleton,
+    ]
+    for g in graphs:
+        assert_positions_are_the_edges(g)
+
+
+def test_the_pair_position_of_each_vertex_is_its_pairs():
+    augmented = make_degree_faithful(random_planar_paired_graph(5, 30))
+    for pg in (augmented, link_graph(seal(inverse_link(augmented))), random_planar_paired_graph(1, 2)):
+        pairs = pg.pairing.pairs
+        assert len(pg._pair_at) == len(pg.graph.vertices)
+        assert all(v in pairs[k] for v, k in zip(pg.graph.vertices, pg._pair_at))
+        assert pg._pair_at == [pg.pairing._pair_of[v] for v in pg.graph.vertices]

@@ -29,7 +29,8 @@ interquartile range.  Each run also keeps, from its ``{"detail": ...}``
 line, the ``ops_per_s`` before rescaling by the speed probe and the probe's
 median, and the same summary is made of the unscaled ``ops_per_s``: a
 change in the rescaled metric that the unscaled one does not show comes
-from the probe.  It prints that table.  One pair of 15 s runs took
+from the probe.  It prints that table, under the line counts of
+``src/linkchroma/*.py`` on both sides.  One pair of 15 s runs took
 about 50 s of wall time on the host above.
 """
 
@@ -181,6 +182,9 @@ def against(args) -> Path:
 
 
 def print_table(ab: dict) -> None:
+    if "src_lines" in ab:
+        lines = ab["src_lines"]
+        print(f"src/linkchroma/*.py: {lines['parent']} -> {lines['change']} lines")
     print(f"| workload | metric | {ab['against']} median [q1, q3] | {ab['rev']} median [q1, q3] | ratio | wins | gap > IQR |")
     print("|---|---|---|---|---|---|---|")
     for workload, w in ab["workloads"].items():
