@@ -13,8 +13,8 @@ Conventions used throughout:
   both ends at the same vertex but the sides remain distinct.
 * Ids are keyed at the boundary, positions are used inside.  A graph
   stores what its constructor computed and builds the rest on first
-  read; the library's store vertex ids, edge ids and the dart column,
-  the vertex position of each dart ``2 * edge_position + side``.
+  read; the library's graphs store vertex ids, edge ids and the dart
+  column, the vertex position of each dart ``2 * edge_position + side``.
 * All types are immutable; every operation is a pure function.
 """
 
