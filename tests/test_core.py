@@ -1018,6 +1018,13 @@ class TestPairings:
         g = Multigraph(("u", "v", "w"), ())
         with pytest.raises(DomainError):
             PairedGraph(g, Pairing((("u", "v"),)))
+        # as many members as vertices, but not the same ones, on graphs
+        # built both ways
+        for g in (Multigraph(("u", "v"), ()), Multigraph._from_columns(("u", "v"), (), [])):
+            for pairs in ((("u", "w"),), (("u", "v"), ("w", "x"))):
+                with pytest.raises(DomainError) as info:
+                    PairedGraph(g, Pairing(pairs))
+                assert str(info.value) == "pairing does not cover exactly the vertex set"
 
     def test_classes_are_stored_smaller_member_first(self):
         p = Pairing(((2, 1), (3, 4)))

@@ -138,12 +138,10 @@ def test_each_graph_stores_what_its_constructor_computed():
     def public(g):
         assert "_index" in g.__dict__ and "_at" not in g.__dict__
         graphs.append(g)
-        return g
 
     def columns(g):
         assert set(g.__dict__) == {"vertices", "_ids", "_at"}
         graphs.append(g)
-        return g
 
     graphs = []
     tetrahedron = tetrahedron_complex().skeleton
