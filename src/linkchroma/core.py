@@ -156,8 +156,13 @@ class Multigraph:
 
     def __post_init__(self):
         verts = tuple(sorted(self.vertices, key=id_sort_key))
-        edges = (e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
-        edges = tuple(sorted(edges, key=lambda e: id_sort_key(e.id)))
+        rows = iter(self.edges)
+        try:  # ``row``: the row being made an Edge, the first faulty one on a failure
+            edges = [e if isinstance(e, Edge) else Edge(*(row := e)) for e in rows]
+        except TypeError:
+            raise DomainError(f"edge {short_repr(row)} must be an (id, end0, end1) row") from None
+        edges.sort(key=lambda e: id_sort_key(e.id))
+        edges = tuple(edges)
         index = {v: i for i, v in enumerate(verts)}
         if len(index) != len(verts):
             raise DomainError("duplicate vertex id")
@@ -494,12 +499,14 @@ class Pairing:
     def __post_init__(self):
         canon, firsts = [], []
         seen = set()
+        fault = "pairing class {} must have exactly two distinct members"
         for raw in self.pairs:
-            members = tuple(raw)
+            try:
+                members = tuple(raw)
+            except TypeError:  # a class that is not iterable
+                raise DomainError(fault.format(short_repr(raw))) from None
             if len(members) != 2 or members[0] == members[1]:
-                raise DomainError(
-                    f"pairing class {short_repr(members)} must have exactly two distinct members"
-                )
+                raise DomainError(fault.format(short_repr(members)))
             keys = (id_sort_key(members[0]), id_sort_key(members[1]))
             if keys[1] < keys[0]:
                 members, keys = members[::-1], keys[::-1]
@@ -528,7 +535,7 @@ class Pairing:
 
 def _orders_from_darts(rot: "RotationSystem") -> tuple:
     """The edge-ends of a rotation built by ``_from_darts``, from its darts."""
-    g, norm = rot.__dict__["_norm"]
+    g, norm = rot._norm
     ends = third_edges(g)
     return tuple([(v, tuple(map(ends.__getitem__, darts))) for v, _, darts in norm])
 
@@ -543,6 +550,7 @@ class RotationSystem:
     """
 
     orders: tuple = _BuiltOnRead("orders", _orders_from_darts)
+    _norm = (None, ())  # (graph, (vertex id, position, darts) records) from ``_from_darts``
 
     def __post_init__(self):
         raw = self.orders
@@ -550,7 +558,11 @@ class RotationSystem:
             raw = tuple(raw.items())
         norm = []
         seen_vertices = set()
-        for v, order in raw:
+        for entry in raw:
+            try:
+                v, order = entry
+            except (TypeError, ValueError):  # an entry that is not a pair
+                raise DomainError(f"rotation entry {short_repr(entry)} must be a (vertex, order) pair") from None
             try:
                 if v in seen_vertices:
                     raise DomainError(f"vertex {short_repr(v)} appears twice in rotation system")
@@ -570,6 +582,11 @@ class RotationSystem:
         if len(orders) != len(norm):
             object.__setattr__(self, "_listed", tuple(norm))
 
+    @cached_property
+    def _listed(self) -> tuple:
+        """``orders``, or what the constructor stored: that and the empty orders it dropped."""
+        return self.orders
+
     @classmethod
     def _from_darts(cls, g: Multigraph, darts_at: list) -> "RotationSystem":
         """A rotation system of ``g`` from the cyclic order of the darts
@@ -578,11 +595,10 @@ class RotationSystem:
         which is the smallest end in id order since edges are stored in id
         order.
 
-        The orders are checked on darts here, and a ``PairedGraph`` on ``g``
-        itself takes the successor array kept on the rotation.  Orders that
-        fail the check are kept as given and rejected, with the same text,
-        where a ``PairedGraph`` is built on them, as the constructor's are.
-        The edge-ends of ``orders`` are made only if it is read."""
+        Nothing is checked here.  ``validate_rotation`` checks the stored
+        darts as they are where the rotation meets ``g`` itself, and orders
+        that fail are rejected there with the constructor's text.  The
+        edge-ends of ``orders`` are made only if it is read."""
         norm = []  # (vertex id, vertex position, darts) records
         for p, (v, darts) in enumerate(zip(g.vertices, darts_at)):
             if darts:
@@ -590,21 +606,37 @@ class RotationSystem:
                 norm.append((v, p, darts[pivot:] + darts[:pivot]))
         rot = object.__new__(cls)
         object.__setattr__(rot, "_norm", (g, norm))
-        try:
-            object.__setattr__(rot, "_succ_on", (g, _dart_successors(g, norm)))
-        except DomainError:
-            pass
         return rot
 
 
-def _dart_successors(g: Multigraph, darts_at, fault: Optional[DomainError] = None) -> array:
-    """Check that the cyclic orders ``darts_at``, given as (vertex id, vertex
-    position, darts) records, list every dart ``2 * edge_position + side``
-    of ``g`` exactly once, at its own vertex, and return the successor
-    array: each dart maps to the next dart around its vertex.  ``fault``,
-    the error a caller met just after the listed darts, is raised if none
-    of them is at fault.  Nothing is kept on ``g``."""
-    ids, owner = g._ids, g._at  # the vertex position of each dart
+def validate_rotation(g: Multigraph, rot: RotationSystem) -> array:
+    """The one rotation check, run by ``PairedGraph`` and ``genus_check``:
+    that ``rot`` lists every edge-end of ``g`` exactly once, at the right
+    vertex.  Returns the successor array, each dart ``2 * edge_position +
+    side`` to the next dart around its vertex.  A rotation built on the
+    darts of ``g`` itself is checked on them; any other is translated to
+    darts of ``g`` up to its first unknown vertex or edge, which is raised
+    only if the darts listed before it pass."""
+    built_on, darts_at = rot._norm
+    fault = None
+    ids = g._ids
+    if built_on is not g:
+        position = dict(zip(ids, range(len(ids))))
+        index = g._index
+        darts_at = []
+        for v, order in rot._listed:
+            if v not in index:
+                fault = DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
+                break
+            at = list(map(position.get, map(itemgetter(0), order)))
+            if None in at:
+                k = at.index(None)
+                fault = DomainError(f"rotation mentions unknown edge {short_repr(order[k][0])}")
+                at, order = at[:k], order[:k]
+            darts_at.append((v, index[v], [2 * i + s for i, s in zip(at, map(itemgetter(1), order))]))
+            if fault is not None:
+                break
+    owner = g._at  # the vertex position of each dart
     succ = array("i", [-1]) * len(owner)
     listed = 0
     for v, p, darts in darts_at:
@@ -625,37 +657,6 @@ def _dart_successors(g: Multigraph, darts_at, fault: Optional[DomainError] = Non
     return succ
 
 
-def _rotation_successors(g: Multigraph, rot: RotationSystem) -> array:
-    """``_dart_successors`` on the edge-ends of ``rot``, each translated to
-    its dart.  The translation stops at the first unknown vertex or edge,
-    which is reported only if the darts listed before it pass, so the first
-    fault in listing order is the one raised."""
-    ids = g._ids
-    position = dict(zip(ids, range(len(ids))))
-    index = g._index
-    darts_at = []
-    fault = None
-    for v, order in rot.__dict__.get("_listed", rot.orders):  # empty orders too
-        if v not in index:
-            fault = DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
-            break
-        at = list(map(position.get, map(itemgetter(0), order)))
-        if None in at:
-            k = at.index(None)
-            fault = DomainError(f"rotation mentions unknown edge {short_repr(order[k][0])}")
-            at, order = at[:k], order[:k]
-        darts_at.append((v, index[v], [2 * i + s for i, s in zip(at, map(itemgetter(1), order))]))
-        if fault is not None:
-            break
-    return _dart_successors(g, darts_at, fault)
-
-
-def validate_rotation(g: Multigraph, rot: RotationSystem) -> None:
-    """Check that ``rot`` lists every edge-end of ``g`` exactly once, at the
-    right vertex."""
-    _rotation_successors(g, rot)
-
-
 @dataclass(frozen=True)
 class PairedGraph:
     """A multigraph with a perfect pairing of its vertices, optionally
@@ -672,13 +673,7 @@ class PairedGraph:
         if self.rotation is not None:
             # Validated once; the successor array is what the faces are
             # traced on.  Not a field, so equality and hashing ignore it.
-            # A rotation built on darts of this very graph was checked there.
-            kept = self.rotation.__dict__.get("_succ_on")
-            if kept is not None and kept[0] is self.graph:
-                succ = kept[1]
-            else:
-                succ = _rotation_successors(self.graph, self.rotation)
-            object.__setattr__(self, "_succ", succ)
+            object.__setattr__(self, "_succ", validate_rotation(self.graph, self.rotation))
 
     def require_planar(self) -> None:
         """Raise DomainError unless the rotation system certifies genus 0 on
@@ -812,7 +807,7 @@ def genus_check(g: Multigraph, rot: RotationSystem) -> tuple:
     A component with no edges counts one face.  The genus of a valid
     rotation system is always a non-negative integer.
     """
-    return _genus(g, _rotation_successors(g, rot))
+    return _genus(g, validate_rotation(g, rot))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,10 @@ from .errors import DomainError
 def chromatic_number_reference(g: Multigraph) -> int:
     """Exhaustive chromatic number: plain backtracking in sorted vertex
     order, trying palette sizes 1, 2, ... in turn.  No saturation order, no
-    clique seeding, no bounding; only usable on small graphs."""
+    clique seeding, no bounding.  It recurses once per vertex, so graphs of
+    more than 12 vertices are refused."""
+    if len(g.vertices) > 12:
+        raise DomainError("refusing the exhaustive chromatic number on more than 12 vertices")
     adj = {v: set() for v in g.vertices}
     for e in g.edges:
         if not e.is_loop:

@@ -193,6 +193,14 @@ class TestChromaticNumber:
             g = random_graph(rng, rng.randint(0, 8), rng.choice((0.2, 0.5, 0.8)))
             assert chromatic_number(g)[0] == chromatic_number_reference(g)
 
+    @pytest.mark.parametrize("n", [13, 1200])
+    def test_the_reference_oracle_refuses_more_than_12_vertices(self, n):
+        path = Multigraph(tuple(range(n)), tuple(Edge(i, i, i + 1) for i in range(n - 1)))
+        with pytest.raises(DomainError) as info:
+            chromatic_number_reference(path)
+        assert str(info.value) == "refusing the exhaustive chromatic number on more than 12 vertices"
+        assert chromatic_number_reference(Multigraph(path.vertices[:12], path.edges[:11])) == 2
+
     def test_deterministic_witness(self):
         g = petersen_graph()
         assert chromatic_number(g) == chromatic_number(g)

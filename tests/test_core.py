@@ -475,6 +475,34 @@ class TestRowsThatAreNotIterable:
             assert str(info.value) == f"walk step {bad} has an invalid entry side"
 
 
+class TestRowsThatAreNotRows:
+    CASES = {
+        "edge-too-short": (lambda: Multigraph(("u",), [("e", "u")]), "edge ('e', 'u') must be an (id, end0, end1) row"),
+        "edge-not-iterable": (lambda: Multigraph(("u",), [5]), "edge 5 must be an (id, end0, end1) row"),
+        "edge-first-given": (
+            lambda: Multigraph(("u",), iter([("b", "u", "u"), 7, ("a",)])),
+            "edge 7 must be an (id, end0, end1) row",
+        ),
+        "pairing-class": (lambda: Pairing([5]), "pairing class 5 must have exactly two distinct members"),
+        "pairing-first-given": (
+            lambda: Pairing([("x", "x"), 5]),
+            "pairing class ('x', 'x') must have exactly two distinct members",
+        ),
+        "rotation-entry": (lambda: RotationSystem([("u",)]), "rotation entry ('u',) must be a (vertex, order) pair"),
+        "rotation-first-given": (
+            lambda: RotationSystem([("v", ()), 5, ("u", (), 3)]),
+            "rotation entry 5 must be a (vertex, order) pair",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_first_faulty_row_is_named(self, case):
+        build, message = self.CASES[case]
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == message
+
+
 class TestEmptyRotationOrders:
     @pytest.mark.parametrize("vertex", [1.5, ["v"], True])
     def test_the_vertex_of_an_empty_order_is_checked(self, vertex):
@@ -889,7 +917,7 @@ class TestRotationFaults:
         def refuse(*args):
             raise AssertionError("rotation validated twice")
 
-        monkeypatch.setattr(core, "_rotation_successors", refuse)
+        monkeypatch.setattr(core, "validate_rotation", refuse)
         pg.require_planar()
 
 
@@ -913,16 +941,20 @@ class TestRotationsOnDarts:
     def test_a_bad_order_is_rejected_with_the_public_text(self, case):
         g = fault_graph()
         private, public = dart_rotation(g, self.DART_FAULTS[case])
-        assert private == public and private.orders == public.orders
         message = ROTATION_FAULTS[case][1]
-        for check in (
-            lambda: PairedGraph(g, Pairing((("u", "v"),)), private),
-            lambda: genus_check(g, private),
-            lambda: validate_rotation(g, private),
-        ):
-            with pytest.raises(DomainError) as info:
-                check()
-            assert str(info.value) == message
+        # on its own graph the dart rotation is checked on its darts, on an
+        # equal copy through its edge-ends, as the public twin always is
+        for on in (g, fault_graph()):
+            for rot in (private, public):
+                for check in (
+                    lambda: PairedGraph(on, Pairing((("u", "v"),)), rot),
+                    lambda: genus_check(on, rot),
+                    lambda: validate_rotation(on, rot),
+                ):
+                    with pytest.raises(DomainError) as info:
+                        check()
+                    assert str(info.value) == message
+        assert private == public and private.orders == public.orders
 
     def test_pivot_is_the_smallest_dart(self):
         # stored as vertices (2, "h") and edges 5, "a", ("b", 0): darts 0-5
@@ -935,25 +967,15 @@ class TestRotationsOnDarts:
         assert private.orders == public.orders
         assert 2 not in dict(private.orders)
 
-    def test_the_check_on_darts_serves_only_its_own_graph(self, monkeypatch):
-        import linkchroma.core as core
-
+    def test_the_check_on_darts_serves_only_its_own_graph(self):
         pg = random_planar_paired_graph(0, 20)
-        # the check keeps no vertex positions on the map it was built for
-        assert "_index" not in pg.graph.__dict__
-        calls = []
-        original = core._rotation_successors
-
-        def counted(*args):
-            calls.append(args[0])
-            return original(*args)
-
-        monkeypatch.setattr(core, "_rotation_successors", counted)
-        assert PairedGraph(pg.graph, pg.pairing, pg.rotation)._succ is pg._succ
-        assert calls == []
+        # on the map it was built for, the check keys no vertex and makes
+        # no edge-end
+        assert PairedGraph(pg.graph, pg.pairing, pg.rotation)._succ == pg._succ
+        assert "_index" not in pg.graph.__dict__ and "orders" not in pg.rotation.__dict__
         equal = Multigraph(pg.graph.vertices, pg.graph.edges)
         assert PairedGraph(equal, pg.pairing, pg.rotation)._succ == pg._succ
-        assert calls == [equal]
+        assert "orders" in pg.rotation.__dict__  # only translation makes them
         smaller = Multigraph(pg.graph.vertices, pg.graph.edges[1:])
         with pytest.raises(DomainError) as info:
             PairedGraph(smaller, pg.pairing, pg.rotation)

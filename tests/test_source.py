@@ -32,7 +32,7 @@ RECURSION_ALLOWED = {
     "formats._cell_text": "array nesting in a table cell, at most core.MAX_ID_DEPTH by formats._cell_nesting",
     "search.exact_pairing.search": "one level per pair, 12 pairs",
     "corpus.enumerate_closed_walks.extend": "one level per step, corpus._MAX_WALK_LEN (4)",
-    "corpus.chromatic_number_reference.feasible.place": "one level per vertex, oracle graphs of <= 12",
+    "corpus.chromatic_number_reference.feasible.place": "one level per vertex, refuses more than 12 vertices",
 }
 
 
@@ -209,3 +209,18 @@ def test_the_bench_names_only_what_the_library_has():
     assert "lib.core.Multigraph" in chains and "lib.construct.make_degree_faithful" in chains
     for chain in sorted(chains):
         _resolve(chain[len("lib."):])
+
+
+def test_no_code_asks_how_an_object_was_built():
+    """A constructor stores what it computed and the rest is built on first
+    read, so no module reads an object's ``__dict__``, directly or through
+    ``vars``, to learn which constructor made it."""
+    paths = sorted(Path(linkchroma.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars")
+    ]
+    assert found == []

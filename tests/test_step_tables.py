@@ -4,10 +4,10 @@ Each ``*_reference`` below is the replaced code, kept verbatim: sealing by
 ``WalkStep.flipped``, the list-comprehension ``validate_walk`` and
 ``link_graph``, the ``WalkStep(*item)`` parse of ``complex_from_doc`` and
 the per-step reader that followed it, the per-step ``complex_to_doc`` and
-the id-level ``_rotation_successors``.  The tests check that the library's
-outputs and error texts are equal to theirs on random certified maps, on
-the complexes the chain builds from them, and on a sample of the
-small-complex corpus.  Rotations built on darts are checked against the
+the id-level rotation check that ``validate_rotation`` replaced.  The tests
+check that the library's outputs and error texts are equal to theirs on
+random certified maps, on the complexes the chain builds from them, and on
+a sample of the small-complex corpus.  Rotations built on darts are checked against the
 constructor's.
 """
 
@@ -33,10 +33,10 @@ from linkchroma.core import (
     RotationSystem,
     TwoComplex,
     WalkStep,
-    _rotation_successors,
     id_sort_key,
     link_graph,
     third_edges,
+    validate_rotation,
     validate_walk,
 )
 from linkchroma.corpus import enumerate_small_complexes
@@ -407,7 +407,8 @@ def test_rotation_successors_are_the_id_level_loop(chains):
     for pg, augmented, _ in chains:
         for g, rot, succ in ((pg.graph, pg.rotation, pg._succ), (augmented.graph, augmented.rotation, augmented._succ)):
             reference = rotation_successors_reference(g, rot)
-            assert succ == reference and _rotation_successors(g, rot) == reference
+            assert succ == reference and validate_rotation(g, rot) == reference
+            assert validate_rotation(g, RotationSystem(rot.orders)) == reference
 
 
 def test_rotation_faults_are_reported_as_before(chains):
@@ -421,7 +422,7 @@ def test_rotation_faults_are_reported_as_before(chains):
             cases += [(augmented.graph, rot) for rot in rotation_variants(augmented, rng)[1:]]
     faults = 0
     for g, rot in cases:
-        got = outcome(lambda: list(_rotation_successors(g, rot)))
+        got = outcome(lambda: list(validate_rotation(g, rot)))
         assert got == outcome(lambda: list(rotation_successors_reference(g, rot)))
         faults += got[0] != "ok"
     assert faults > len(cases) // 2

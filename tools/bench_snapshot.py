@@ -30,8 +30,11 @@ line, the ``ops_per_s`` before rescaling by the speed probe and the probe's
 median, and the same summary is made of the unscaled ``ops_per_s``: a
 change in the rescaled metric that the unscaled one does not show comes
 from the probe.  It prints that table, under the line counts of
-``src/linkchroma/*.py`` on both sides.  One pair of 15 s runs took
-about 50 s of wall time on the host above.
+``src/linkchroma/*.py`` on both sides, and under the table each traced
+metric counted in calls or calls per operation whose value differs
+between the two traced runs, one line per metric such as
+``complex-build core.validate_rotation.calls 0 -> 17``.  One pair of
+15 s runs took about 50 s of wall time on the host above.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("empire-maps", "complex-build", "small-complexes", "exact-colour", "witness-search")
 SEED = 0
+TRACED_COUNT_UNITS = ("count", "calls/op")
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -197,6 +201,19 @@ def print_table(ab: dict) -> None:
                 f"| {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {s['ratio']:.3f} "
                 f"| {s['wins']}/{s['pairs']} | {'yes' if s['gap_exceeds_parent_iqr'] else 'no'} |"
             )
+    print(f"traced counts that differ, {ab['against']} -> {ab['rev']}:")
+    for workload, w in ab["workloads"].items():
+        sides = [w["traced"][side]["metrics"] for side in ("parent", "change")]
+        for name in sorted(set(sides[0]) | set(sides[1])):
+            p, c = (side.get(name, {}) for side in sides)
+            if (p or c)["unit"] in TRACED_COUNT_UNITS and p.get("value") != c.get("value"):
+                print(f"{workload} {name} {count_text(p)} -> {count_text(c)}")
+
+
+def count_text(metric: dict) -> str:
+    """A traced count as printed: ``-`` where the run lacks the metric."""
+    value = metric.get("value", "-")
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
 def main(argv=None) -> int:
