@@ -156,8 +156,8 @@ class Multigraph:
 
     def __post_init__(self):
         verts = tuple(sorted(self.vertices, key=id_sort_key))
-        rows = iter(self.edges)
-        try:  # ``row``: the row being made an Edge, the first faulty one on a failure
+        rows = iter(self.edges)  # outside the try, as ``row`` is unset until a row is read
+        try:  # ``row`` is the row being made an Edge when that fails
             edges = [e if isinstance(e, Edge) else Edge(*(row := e)) for e in rows]
         except TypeError:
             raise DomainError(f"edge {short_repr(row)} must be an (id, end0, end1) row") from None
