@@ -28,10 +28,10 @@ from typing import Optional
 from .colour import (
     DEFAULT_BUDGET,
     Colouring,
-    chromatic_number,
     edge_chromatic_number_complex,
     heawood_colour_12,
     is_valid_complex_colouring,
+    pair_chromatic_number,
 )
 from .core import (
     GENUINE,
@@ -47,7 +47,6 @@ from .core import (
     _other_end,
     genus_check,
     link_graph,
-    simple_quotient,
 )
 from .errors import BudgetExhausted, DomainError
 from .triangulate import SphereTriangulation
@@ -277,12 +276,10 @@ def inverse_link(pg: PairedGraph) -> TwoComplex:
 def endpoint_multiset(g: Multigraph, mapping: Optional[dict] = None) -> Counter:
     """The edges of ``g`` as a multiset of unordered endpoint pairs
     (frozensets), with the endpoints renamed through ``mapping`` when one is
-    given."""
-    if mapping is None:
-        ends = ((e.end0, e.end1) for e in g.edges)
-    else:
-        ends = ((mapping[e.end0], mapping[e.end1]) for e in g.edges)
-    return Counter(map(frozenset, ends))
+    given, read off the dart column with each vertex renamed once."""
+    names = g.vertices if mapping is None else tuple(map(mapping.__getitem__, g.vertices))
+    ends = map(names.__getitem__, g._at)
+    return Counter(map(frozenset, zip(ends, ends)))
 
 
 def link_matches_paired_graph(link_pg: PairedGraph, pg: PairedGraph, ident: dict) -> bool:
@@ -373,7 +370,8 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
     """Four checks: genus 0 on every component, perfect pairing, K12 on the
     designated pairs in the simple quotient, and pair-chromatic number
     exactly 12 (lower bound from the clique, upper bound from the
-    degeneracy 12-colouring)."""
+    degeneracy 12-colouring).  The last two read the quotient neighbour
+    sets the paired graph keeps, which ``heawood_colour_12`` shares."""
     plain = None
     try:
         plain = PairedGraph(w.graph, Pairing(w.pairs))
@@ -411,19 +409,15 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
 
     # The rotation rides along only if the planar-embedding check passed.
     pg = w.paired_graph if checks[0].passed else plain
-    q = simple_quotient(pg)
-    pair_by_members = {frozenset(p): p for p in pg.pairing.pairs}
-    designated = [pair_by_members.get(frozenset(p)) for p in w.designated_pairs]
+    nbrs = pg._quotient_neighbours  # by pair position
+    position = {frozenset(p): k for k, p in enumerate(pg.pairing.pairs)}
+    designated = [position.get(frozenset(p)) for p in w.designated_pairs]
     if len(designated) != 12 or None in designated:
         checks.append(
             WitnessCheck("designated-k12", False, "must designate 12 pairs of the pairing")
         )
     else:
-        present = {frozenset((e.end0, e.end1)) for e in q.edges}
-        reps = [p[0] for p in designated]
-        missing = [
-            (a, b) for i, a in enumerate(reps) for b in reps[i + 1 :] if frozenset((a, b)) not in present
-        ]
+        missing = [(a, b) for i, a in enumerate(designated) for b in designated[i + 1 :] if b not in nbrs[a]]
         checks.append(
             WitnessCheck(
                 "designated-k12",
@@ -433,7 +427,7 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
         )
 
     try:
-        k, _ = chromatic_number(q, budget=DEFAULT_BUDGET)
+        k, _ = pair_chromatic_number(pg, budget=DEFAULT_BUDGET)
     except BudgetExhausted as exc:
         checks.append(WitnessCheck("pair-chromatic-12", False, str(exc)))
         return WitnessReport(tuple(checks))

@@ -436,14 +436,6 @@ class ClosedWalk:
         return len(self.steps)
 
 
-def step_entry_vertex(g: Multigraph, step: WalkStep) -> VertexId:
-    return g.edge(step.edge).endpoint(step.entry)
-
-
-def step_exit_vertex(g: Multigraph, step: WalkStep) -> VertexId:
-    return g.edge(step.edge).endpoint(1 - step.entry)
-
-
 def validate_walk(g: Multigraph, walk: ClosedWalk) -> None:
     """Check that ``walk`` lives in ``g`` and is cyclically vertex-compatible:
     every edge is known, then every step names its edge by that edge's id,

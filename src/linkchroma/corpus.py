@@ -14,15 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import (
-    ClosedWalk,
-    Edge,
-    Multigraph,
-    TwoComplex,
-    WalkStep,
-    step_entry_vertex,
-    step_exit_vertex,
-)
+from .core import ClosedWalk, Edge, Multigraph, TwoComplex
 from .errors import DomainError
 
 
@@ -117,22 +109,27 @@ def enumerate_closed_walks(g: Multigraph) -> list:
     Rotations of a cyclic walk describe the same gluing, and a reversed
     walk yields the same (undirected) link edges, so one representative per
     class is enough for colouring questions.
+
+    Walks are enumerated on the darts ``2 * edge_position + entry``: dart
+    ``d`` enters at ``at[d]`` and exits at ``at[d ^ 1]``.  Each kept walk
+    is made of the steps of ``g``'s table.
     """
     out = []
     seen = set()
-    darts, _ = g._steps  # the steps walks on g share
+    at = g._at
+    table, _ = g._steps  # the steps walks on g share
 
     def extend(prefix):
-        if prefix and step_exit_vertex(g, prefix[-1]) == step_entry_vertex(g, prefix[0]):
+        if prefix and at[prefix[-1] ^ 1] == at[prefix[0]]:
             canon = _canonical_walk(prefix)
             if canon not in seen:
                 seen.add(canon)
-                out.append(ClosedWalk(tuple(prefix)))
+                out.append(ClosedWalk(tuple(map(table.__getitem__, prefix))))
         if len(prefix) == _MAX_WALK_LEN:
             return
-        here = step_exit_vertex(g, prefix[-1]) if prefix else None
-        for d in darts:
-            if prefix and step_entry_vertex(g, d) != here:
+        here = at[prefix[-1] ^ 1] if prefix else None
+        for d in range(len(at)):
+            if prefix and at[d] != here:
                 continue
             prefix.append(d)
             extend(prefix)
@@ -142,10 +139,12 @@ def enumerate_closed_walks(g: Multigraph) -> list:
     return out
 
 
-def _canonical_walk(steps) -> tuple:
+def _canonical_walk(darts) -> tuple:
+    """The least rotation of a dart walk or of its reversal, whose darts
+    are the flips ``d ^ 1``."""
     variants = []
-    seq = tuple(steps)
-    rev = tuple(s.flipped() for s in reversed(seq))
+    seq = tuple(darts)
+    rev = tuple(d ^ 1 for d in reversed(seq))
     for word in (seq, rev):
         n = len(word)
         for i in range(n):

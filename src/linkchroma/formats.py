@@ -591,22 +591,22 @@ def _dot_quote(text: str) -> str:
 
 def to_dot(g: Multigraph, pairing: Optional[Pairing] = None) -> str:
     """DOT rendering of a multigraph named ``G``; members of one pair share
-    a border colour (the palette repeats after 12 pairs)."""
+    a border colour (the palette repeats after 12 pairs).  Edges are written
+    from the edge ids and the dart column, as ``graph_to_doc`` does."""
     lines = ["graph G {"]
     colour_of = {}
     if pairing is not None:
         for i, pair in enumerate(pairing.pairs):
             for v in pair:
                 colour_of[v] = DOT_PALETTE[i % len(DOT_PALETTE)]
-    for v in g.vertices:
+    names = [_dot_quote(id_text(v)) for v in g.vertices]
+    for v, name in zip(g.vertices, names):
         attrs = ""
         if v in colour_of:
             attrs = f' [color="{colour_of[v]}", penwidth=3]'
-        lines.append(f"  {_dot_quote(id_text(v))}{attrs};")
-    for e in g.edges:
-        lines.append(
-            f"  {_dot_quote(id_text(e.end0))} -- {_dot_quote(id_text(e.end1))}"
-            f' [label={_dot_quote(id_text(e.id))}];'
-        )
+        lines.append(f"  {name}{attrs};")
+    ends = map(names.__getitem__, g._at)
+    for i, a, b in zip(g._ids, ends, ends):
+        lines.append(f"  {a} -- {b} [label={_dot_quote(id_text(i))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
