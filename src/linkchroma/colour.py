@@ -35,11 +35,18 @@ class Colouring:
     assignment: Mapping
 
     def __post_init__(self):
-        assignment = dict(self.assignment)
+        try:
+            assignment = dict(self.assignment)
+        except (TypeError, ValueError):  # not a mapping, nor an iterable of pairs
+            raise DomainError(f"colouring assignment {short_repr(self.assignment)} must be a mapping") from None
         for key, colour in assignment.items():
             if not isinstance(colour, int) or isinstance(colour, bool):
                 raise DomainError(f"colour of {short_repr(key)} must be an integer")
-            if not 0 <= colour < self.palette_size:
+            try:
+                inside = 0 <= colour < self.palette_size
+            except TypeError:
+                raise DomainError(f"palette size {short_repr(self.palette_size)} must be an integer") from None
+            if not inside:
                 raise DomainError(
                     f"colour {short_repr(colour)} of {short_repr(key)} is outside palette of size {short_repr(self.palette_size)}"
                 )

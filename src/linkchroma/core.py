@@ -88,6 +88,15 @@ def _is_id(value) -> bool:
     return True
 
 
+def _rows(value, fault: str):
+    """``iter(value)``, or a DomainError naming ``value`` in ``fault`` if
+    it is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise DomainError(fault.format(short_repr(value))) from None
+
+
 def _member(value, container) -> bool:
     """``value in container``, false for an unhashable value, which no id is."""
     try:
@@ -155,8 +164,9 @@ class Multigraph:
     edges: tuple = _BuiltOnRead("edges", _edge_records)
 
     def __post_init__(self):
-        verts = tuple(sorted(self.vertices, key=id_sort_key))
-        rows = iter(self.edges)  # outside the try, as ``row`` is unset until a row is read
+        verts = tuple(sorted(_rows(self.vertices, "graph vertices {} must be an iterable of ids"), key=id_sort_key))
+        # outside the try, as ``row`` is unset until a row is read
+        rows = _rows(self.edges, "graph edges {} must be an iterable of (id, end0, end1) rows")
         try:  # ``row`` is the row being made an Edge when that fails
             edges = [e if isinstance(e, Edge) else Edge(*(row := e)) for e in rows]
         except TypeError:
@@ -427,7 +437,10 @@ class ClosedWalk:
     steps: tuple
 
     def __post_init__(self):
-        steps = _side_records(WalkStep, self.steps, "walk step {} has an invalid entry side")
+        try:
+            steps = _side_records(WalkStep, self.steps, "walk step {} has an invalid entry side")
+        except TypeError:  # steps that are not iterable
+            raise DomainError(f"walk steps {short_repr(self.steps)} must be an iterable of steps") from None
         if not steps:
             raise DomainError("a closed walk must be nonempty")
         object.__setattr__(self, "steps", steps)
@@ -492,7 +505,7 @@ class Pairing:
         canon, firsts = [], []
         seen = set()
         fault = "pairing class {} must have exactly two distinct members"
-        for raw in self.pairs:
+        for raw in _rows(self.pairs, "pairing {} must be an iterable of classes"):
             try:
                 members = tuple(raw)
             except TypeError:  # a class that is not iterable
@@ -550,7 +563,7 @@ class RotationSystem:
             raw = tuple(raw.items())
         norm = []
         seen_vertices = set()
-        for entry in raw:
+        for entry in _rows(raw, "rotation system {} must be a mapping or an iterable of (vertex, order) pairs"):
             try:
                 v, order = entry
             except (TypeError, ValueError):  # an entry that is not a pair
@@ -561,7 +574,11 @@ class RotationSystem:
                 seen_vertices.add(v)
             except TypeError:  # an unhashable vertex is no id, and the sort below says so
                 pass
-            ends = _side_records(EdgeEnd, order, "edge-end {} has an invalid side")
+            try:
+                ends = _side_records(EdgeEnd, order, "edge-end {} has an invalid side")
+            except TypeError:  # an order that is not iterable
+                fault = f"rotation order {short_repr(order)} at {short_repr(v)} must be an iterable of edge-ends"
+                raise DomainError(fault) from None
             if ends:
                 pivot = min(range(len(ends)), key=lambda i: (id_sort_key(ends[i].edge), ends[i].side))
                 ends = ends[pivot:] + ends[:pivot]
@@ -659,10 +676,16 @@ class PairedGraph:
     rotation: Optional[RotationSystem] = None
 
     def __post_init__(self):
+        if not isinstance(self.graph, Multigraph):
+            raise DomainError(f"paired-graph graph {short_repr(self.graph)} must be a Multigraph")
+        if not isinstance(self.pairing, Pairing):
+            raise DomainError(f"paired-graph pairing {short_repr(self.pairing)} must be a Pairing")
         pair_of, verts = self.pairing._pair_of, self.graph.vertices
         if len(pair_of) != len(verts) or not all(map(pair_of.__contains__, verts)):
             raise DomainError("pairing does not cover exactly the vertex set")
         if self.rotation is not None:
+            if not isinstance(self.rotation, RotationSystem):
+                raise DomainError(f"paired-graph rotation {short_repr(self.rotation)} must be a RotationSystem")
             # Validated once; the successor array is what the faces are
             # traced on.  Not a field, so equality and hashing ignore it.
             object.__setattr__(self, "_succ", validate_rotation(self.graph, self.rotation))
@@ -822,7 +845,10 @@ class TwoComplex:
     def __post_init__(self):
         if self.kind not in (GENUINE, PUNCTURED):
             raise DomainError(f"unknown complex kind {short_repr(self.kind)}")
-        cells = tuple(c if isinstance(c, ClosedWalk) else ClosedWalk(tuple(c)) for c in self.cells)
+        if not isinstance(self.skeleton, Multigraph):
+            raise DomainError(f"complex skeleton {short_repr(self.skeleton)} must be a Multigraph")
+        cells = _rows(self.cells, "complex cells {} must be an iterable of walks")
+        cells = tuple(c if isinstance(c, ClosedWalk) else ClosedWalk(c) for c in cells)
         for walk in cells:
             validate_walk(self.skeleton, walk)
         object.__setattr__(self, "cells", cells)
