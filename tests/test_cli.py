@@ -1,10 +1,11 @@
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from linkchroma import Multigraph, PairedGraph, Pairing, RotationSystem, formats, link_graph
+from linkchroma import Edge, Multigraph, PairedGraph, Pairing, RotationSystem, cli, formats, link_graph
 from linkchroma.catalogue import complete_graph, triangle_complex
 from linkchroma.cli import main
 from linkchroma.construct import load_shipped_witness, random_planar_paired_graph
@@ -46,6 +47,15 @@ CHAIN_1600_SHA256 = {
     "sealed": "b5f1eab7579a4251916c01150b30ea8da830dd27462b9ffd47777f27a4952c77",
     "link": "9d65b1c7b4ddddf9f88d1ed21436de7a7a30ccf68571a4c9189e4bb2ccc4fb31",
 }
+
+
+def renamed_vertices(pg: PairedGraph, name) -> PairedGraph:
+    """``pg`` with each vertex ``v`` renamed ``name(v)``, its pairing and
+    rotation carried over."""
+    g = pg.graph
+    graph = Multigraph(tuple(map(name, g.vertices)), tuple(Edge(e.id, name(e.end0), name(e.end1)) for e in g.edges))
+    pairing = Pairing(tuple((name(u), name(v)) for u, v in pg.pairing.pairs))
+    return PairedGraph(graph, pairing, RotationSystem(tuple((name(v), order) for v, order in pg.rotation.orders)))
 
 
 def run(capsys, *argv):
@@ -284,6 +294,20 @@ class TestWitnessCommands:
         assert code == 1
         assert "best objective" in stderr
 
+    def test_search_budget_must_be_positive(self, capsys):
+        code, stdout, stderr = run(capsys, "search-witness", "--seed", "0", "--budget", "0")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error:domain: budget must be positive\n"
+
+    def test_search_writes_the_witness_it_found(self, capsys, tmp_path, monkeypatch):
+        # the search stands in for the seed-0 replay, which takes seconds
+        shipped = load_shipped_witness()
+        monkeypatch.setattr(cli, "search_witness", lambda seed, budget: shipped)
+        out = tmp_path / "w.json"
+        code, stdout, _ = run(capsys, "search-witness", "--seed", "0", "--out", str(out))
+        assert (code, stdout) == (0, "witness found after 371115 proposals\n")
+        assert out.read_bytes() == (Path(cli.__file__).parent / "data" / "k12_pire.json").read_bytes()
+
     def test_search_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["search-witness", "--budget", "10"])
@@ -362,20 +386,36 @@ class TestStageCommands:
 
     # SHA-256 of the ``quotient``, ``quotient --simple``, ``augment``,
     # ``inverse-link``, ``seal`` and ``link`` output files for
-    # ``random_planar_paired_graph(0, 50)``, each stage fed by the one before.
+    # ``random_planar_paired_graph(0, 50)``, each stage fed by the one before,
+    # with int vertex ids and with each vertex ``v`` renamed ``("v", v)``:
+    # the second runs the array-id paths of the complex writer and reader.
     MAP_STAGE_SHA256 = {
-        "augmented.json": "b7dcac1e480a85ef71b50e0313002e5ac0a9583e11647c84df4bc27d0973ecc0",
-        "quotient.json": "94f2237379fac09fbe178f1e66328746684de18381e3ba99ec7ccd18edfa10de",
-        "simple.json": "9a98400457aa310d265ad070a3c2d46336dfe3e0be883f696e0d5f5e91c3055e",
-        "punctured.json": "404ce9661f79f07e60047db2637c4b8360962e8e2f94b33b481966ab37adaf6a",
-        "sealed.json": "774cbd0a72923e4fb0429ca5543da27a1d8d11fd76d981541d67d68fca089305",
-        "link.json": "b1fea02bdf83d8b4734f64e6af0ac9cef0f13c7bca68fa3f4418d7da87844efc",
+        "int-ids": {
+            "augmented.json": "b7dcac1e480a85ef71b50e0313002e5ac0a9583e11647c84df4bc27d0973ecc0",
+            "quotient.json": "94f2237379fac09fbe178f1e66328746684de18381e3ba99ec7ccd18edfa10de",
+            "simple.json": "9a98400457aa310d265ad070a3c2d46336dfe3e0be883f696e0d5f5e91c3055e",
+            "punctured.json": "404ce9661f79f07e60047db2637c4b8360962e8e2f94b33b481966ab37adaf6a",
+            "sealed.json": "774cbd0a72923e4fb0429ca5543da27a1d8d11fd76d981541d67d68fca089305",
+            "link.json": "b1fea02bdf83d8b4734f64e6af0ac9cef0f13c7bca68fa3f4418d7da87844efc",
+        },
+        "array-ids": {
+            "augmented.json": "8050bb758cc9a894c65952e5dc80e0daac6a5e979600391665e38eac12defb8b",
+            "quotient.json": "8c1042eeb80fd79c85aa4b9dfcae6d1683ba3ae2f94ed45ac16b3691d6b2deba",
+            "simple.json": "18de366d585599300559b9f9751ba6cd14ca95ba772f5de2621fd702d93e13de",
+            "punctured.json": "3572546d8f3c4282d30bbc8bfd46d434e1d0a39e11220e34eedf701269a558bc",
+            "sealed.json": "94b47284b25704b29a3c0c923f4779448720a4f6ba5b3e20af564dffd34a4475",
+            "link.json": "997cbbb66fe656b078c1daad77426983215e37f5301431e5e661000b02bf9b5e",
+        },
     }
 
-    def test_map_stage_outputs_match_pinned_digests(self, capsys, tmp_path):
+    @pytest.mark.parametrize("ids", sorted(MAP_STAGE_SHA256))
+    def test_map_stage_outputs_match_pinned_digests(self, capsys, tmp_path, ids):
+        pg = random_planar_paired_graph(0, 50)
+        if ids == "array-ids":
+            pg = renamed_vertices(pg, lambda v: ("v", v))
         paired = str(tmp_path / "paired.json")
-        formats.save(paired, formats.paired_graph_to_doc(random_planar_paired_graph(0, 50)))
-        out = {name: str(tmp_path / name) for name in self.MAP_STAGE_SHA256}
+        formats.save(paired, formats.paired_graph_to_doc(pg))
+        out = {name: str(tmp_path / name) for name in self.MAP_STAGE_SHA256[ids]}
         for argv in (
             ("quotient", "--in", paired, "--out", out["quotient.json"]),
             ("quotient", "--in", paired, "--simple", "--out", out["simple.json"]),
@@ -386,11 +426,8 @@ class TestStageCommands:
         ):
             code, _, _ = run(capsys, *argv)
             assert code == 0
-        digests = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in self.MAP_STAGE_SHA256
-        }
-        assert digests == self.MAP_STAGE_SHA256
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in out}
+        assert digests == self.MAP_STAGE_SHA256[ids]
 
     def test_chain_on_1600_pairs_matches_pinned_digests(self, capsys, tmp_path):
         path = {name: str(tmp_path / f"{name}.json") for name in CHAIN_1600_SHA256}
@@ -503,6 +540,16 @@ class TestDotAndErrors:
         text = out.read_text()
         assert text.startswith("graph G {")
         assert '"u" -- "v"' in text
+
+    def test_dot_on_paired_graph_uses_pair_colours(self, capsys, tmp_path):
+        pg = link_graph(triangle_complex())
+        paired = tmp_path / "link.json"
+        formats.save(paired, formats.paired_graph_to_doc(pg))
+        out = tmp_path / "link.dot"
+        code, _, stderr = run(capsys, "dot", "--in", str(paired), "--out", str(out))
+        assert (code, stderr) == (0, f"wrote {out}\n")
+        text = out.read_text(encoding="utf-8")
+        assert text == formats.to_dot(pg.graph, pg.pairing) and "penwidth=3" in text
 
     def test_dot_on_witness_uses_pair_colours(self, capsys, tmp_path, witness_file):
         out = tmp_path / "w.dot"

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from linkchroma import (
     ClosedWalk,
+    Colouring,
     DomainError,
     Edge,
     EdgeEnd,
@@ -31,7 +34,7 @@ from linkchroma.catalogue import (
 from linkchroma.colour import _neighbours, heawood_colour_12
 from linkchroma.construct import inverse_link, make_degree_faithful, pi_trail_decomposition, random_planar_paired_graph
 from linkchroma.core import MAX_ID_DEPTH
-from linkchroma.corpus import enumerate_small_complexes
+from linkchroma.corpus import enumerate_closed_walks, enumerate_small_complexes, enumerate_small_skeletons
 from linkchroma.errors import short_repr
 
 from strategies import (
@@ -501,6 +504,86 @@ class TestRowsThatAreNotRows:
         with pytest.raises(DomainError) as info:
             build()
         assert str(info.value) == message
+
+
+class TestContainersAndPartsOfTheWrongType:
+    # a container that is not iterable, or a part that is not of its type,
+    # is named in a DomainError; the last two keep their place in the
+    # first-fault order
+    CASES = {
+        "graph-edges": (lambda: Multigraph(("u",), 5), "graph edges 5 must be an iterable of (id, end0, end1) rows"),
+        "graph-vertices": (lambda: Multigraph(5, ()), "graph vertices 5 must be an iterable of ids"),
+        "pairing": (lambda: Pairing(5), "pairing 5 must be an iterable of classes"),
+        "rotation": (
+            lambda: RotationSystem(5),
+            "rotation system 5 must be a mapping or an iterable of (vertex, order) pairs",
+        ),
+        "rotation-order": (lambda: RotationSystem({"v": 5}), "rotation order 5 at 'v' must be an iterable of edge-ends"),
+        "walk": (lambda: ClosedWalk(5), "walk steps 5 must be an iterable of steps"),
+        "complex-cells": (
+            lambda: TwoComplex(Multigraph(("h",), (Edge("a", "h", "h"),)), 5),
+            "complex cells 5 must be an iterable of walks",
+        ),
+        "complex-cell": (
+            lambda: TwoComplex(Multigraph(("h",), (Edge("a", "h", "h"),)), [5]),
+            "walk steps 5 must be an iterable of steps",
+        ),
+        "colouring-assignment": (lambda: Colouring(3, 5), "colouring assignment 5 must be a mapping"),
+        "colouring-assignment-rows": (lambda: Colouring(3, [1]), "colouring assignment [1] must be a mapping"),
+        "colouring-palette": (lambda: Colouring("3", {"a": 0}), "palette size '3' must be an integer"),
+        "complex-skeleton": (lambda: TwoComplex(5), "complex skeleton 5 must be a Multigraph"),
+        "complex-skeleton-with-cells": (
+            lambda: TwoComplex(5, [[("a", 0)]]),
+            "complex skeleton 5 must be a Multigraph",
+        ),
+        "paired-graph": (lambda: PairedGraph(5, Pairing(())), "paired-graph graph 5 must be a Multigraph"),
+        "paired-pairing": (lambda: PairedGraph(Multigraph(), 5), "paired-graph pairing 5 must be a Pairing"),
+        "paired-rotation": (
+            lambda: PairedGraph(Multigraph(), Pairing(()), 5),
+            "paired-graph rotation 5 must be a RotationSystem",
+        ),
+        "complex-kind-first": (lambda: TwoComplex(5, (), "solid"), "unknown complex kind 'solid'"),
+        "rotation-vertex-twice": (
+            lambda: RotationSystem((("v", ()), ("v", ()))),
+            "vertex 'v' appears twice in rotation system",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_value_is_named(self, case):
+        build, message = self.CASES[case]
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == message
+
+
+class TestClosedWalkEnumeration:
+    # SHA-256 of the walks of ``enumerate_closed_walks`` over
+    # ``enumerate_small_skeletons()``, in order, each walk a list of
+    # [edge, entry] steps, as JSON; recorded before the enumeration moved
+    # onto darts
+    WALKS_SHA256 = "dc2decc545f8d110dc9be74a7aafe6824ff244a049ee43882394568fa8722728"
+
+    def test_the_walks_match_their_pinned_digest(self):
+        walks = [[[list(s) for s in w.steps] for w in enumerate_closed_walks(g)] for g in enumerate_small_skeletons()]
+        assert sum(map(len, walks)) == 902
+        assert hashlib.sha256(json.dumps(walks).encode("utf-8")).hexdigest() == self.WALKS_SHA256
+
+    def test_mixed_edge_ids_are_enumerated(self):
+        g = Multigraph(("u", "v"), (Edge(1, "u", "v"), Edge("a", "u", "v"), Edge((0, "x"), "v", "v")))
+        walks = enumerate_closed_walks(g)
+        assert len(walks) == 33
+        table, _ = g._steps
+        for w in walks:
+            validate_walk(g, w)
+            assert all(any(s is t for t in table) for s in w.steps)
+        # one walk per class under rotation and reversal
+        classes = set()
+        for w in walks:
+            darts = [table.index(s) for s in w.steps]
+            words = (darts, [d ^ 1 for d in reversed(darts)])
+            classes.add(min(tuple(x[i:] + x[:i]) for x in words for i in range(len(x))))
+        assert len(classes) == len(walks)
 
 
 class TestEmptyRotationOrders:

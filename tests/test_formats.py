@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -23,7 +24,7 @@ from linkchroma import (
 )
 from linkchroma import formats
 from linkchroma.catalogue import tetrahedron_complex, triangle_complex
-from linkchroma.construct import load_shipped_witness, seal, verify_witness
+from linkchroma.construct import load_shipped_witness, run_pipeline, seal, verify_witness
 
 from strategies import WALK_FAULT_SKELETON, WALK_FAULTS, k4_with_planar_rotation
 
@@ -116,6 +117,17 @@ class TestPairedGraphDocuments:
         with pytest.raises(SchemaError, match="rotation entry"):
             formats.paired_graph_from_doc(doc)
 
+    def test_a_rotation_order_that_is_not_an_array_is_refused(self):
+        doc = {
+            "vertices": ["u", "v"],
+            "edges": [{"id": "e", "end0": "u", "end1": "v"}],
+            "pairs": [["u", "v"]],
+            "rotation": {"u": 5},
+        }
+        with pytest.raises(SchemaError) as info:
+            formats.paired_graph_from_doc(doc)
+        assert str(info.value) == "rotation order at 'u' must be an array"
+
     def test_rotation_key_for_unknown_vertex_rejected(self):
         g, rot = k4_with_planar_rotation()
         pg = PairedGraph(g, Pairing(((1, 2), (3, 4))), rot)
@@ -141,6 +153,17 @@ class TestComplexDocuments:
         doc["cells"][0][0][0] = "zzz"
         with pytest.raises(SchemaError):
             formats.complex_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [(5, "'cells' must be an array"), ([5], "each cell must be an array of steps")],
+    )
+    def test_cells_that_are_not_arrays_are_refused(self, cells, message):
+        doc = formats.complex_to_doc(triangle_complex())
+        doc["cells"] = cells
+        with pytest.raises(SchemaError) as info:
+            formats.complex_from_doc(doc)
+        assert str(info.value) == message
 
     def test_bad_step_shape_rejected(self):
         doc = formats.complex_to_doc(triangle_complex())
@@ -354,6 +377,13 @@ class TestWitnessDocuments:
         lines = verify_witness(cases[0][0]).lines()
         assert f"FAIL perfect-pairing: unsupported id {float(a)!r}: ids are ints, strings or tuples" in lines
 
+    def test_provenance_that_is_not_an_object_is_refused(self):
+        doc = formats.witness_to_doc(load_shipped_witness())
+        doc["provenance"] = 5
+        with pytest.raises(SchemaError) as info:
+            formats.witness_from_doc(doc)
+        assert str(info.value) == "'provenance' must be a JSON object"
+
     def test_unknown_field_rejected(self):
         doc = formats.witness_to_doc(load_shipped_witness())
         doc["extra"] = 1
@@ -490,6 +520,11 @@ class TestSniffing:
         assert formats.sniff_kind(formats.paired_graph_to_doc(pg)) == "paired"
         assert formats.sniff_kind(formats.graph_to_doc(pg.graph)) == "graph"
 
+    def test_a_document_that_is_not_an_object_is_refused(self):
+        with pytest.raises(SchemaError) as info:
+            formats.sniff_kind([])
+        assert str(info.value) == "top-level document must be a JSON object"
+
 
 class TestDot:
     def test_contains_nodes_edges_and_pair_colours(self):
@@ -507,6 +542,15 @@ class TestDot:
     def test_deterministic(self):
         g = tetrahedron_complex().skeleton
         assert formats.to_dot(g) == formats.to_dot(g)
+
+    # SHA-256 of the DOT text of the sealed pipeline complex's link graph,
+    # with its pairing, recorded before the writer moved onto the dart column
+    SEALED_LINK_DOT_SHA256 = "91d396707803e0accf4dc1c2e9bae07dddcc25c04fc1761d49539def458c0443"
+
+    def test_the_sealed_link_graph_matches_its_pinned_digest(self):
+        L = link_graph(run_pipeline().sealed)
+        dot = formats.to_dot(L.graph, L.pairing)
+        assert hashlib.sha256(dot.encode("utf-8")).hexdigest() == self.SEALED_LINK_DOT_SHA256
 
     def test_loops_render(self):
         g = Multigraph(("v",), (Edge("e", "v", "v"),))

@@ -211,6 +211,38 @@ def test_the_bench_names_only_what_the_library_has():
         _resolve(chain[len("lib."):])
 
 
+# Where the library reads a graph's ``Edge`` records: the public constructor
+# that makes them, the two fields built from them on a graph the public
+# constructor made, and the exhaustive oracle, which stays independent of
+# the dart column.  Everything else reads ids and darts.
+EDGE_READERS_ALLOWED = {
+    "core.Multigraph.__post_init__",
+    "core.Multigraph._edge_by_id",
+    "core.Multigraph._at",
+    "corpus.chromatic_number_reference",
+}
+
+
+def test_only_the_allowed_functions_read_edge_records():
+    found = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "edges":
+                found.add(name)
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "edge":
+                found.add(name)
+            visit(child, name)
+
+    for path in sorted(Path(linkchroma.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(found - EDGE_READERS_ALLOWED) == []
+    assert sorted(EDGE_READERS_ALLOWED - found) == []  # no stale entries
+
+
 def test_no_code_asks_how_an_object_was_built():
     """A constructor stores what it computed and the rest is built on first
     read, so no module reads an object's ``__dict__``, directly or through

@@ -21,8 +21,16 @@ from linkchroma import (
 )
 from linkchroma import formats
 from linkchroma.catalogue import tetrahedron_complex, triangle_complex
-from linkchroma.construct import inverse_link, make_degree_faithful, random_planar_paired_graph, seal
-from linkchroma.corpus import enumerate_small_complexes
+from linkchroma.construct import (
+    inverse_link,
+    load_shipped_witness,
+    make_degree_faithful,
+    random_planar_paired_graph,
+    run_pipeline,
+    seal,
+    verify_witness,
+)
+from linkchroma.corpus import enumerate_small_complexes, run_check
 
 from strategies import mixed_id_complexes
 from test_step_tables import built_on_darts
@@ -108,6 +116,24 @@ def test_writing_a_library_built_graph_makes_no_edges():
     formats.paired_graph_to_doc(augmented), formats.complex_to_doc(sealed), formats.paired_graph_to_doc(L)
     for g in (augmented.graph, sealed.skeleton, L.graph):
         assert "_ids" in g.__dict__ and "edges" not in g.__dict__
+
+
+def test_the_pipeline_and_its_checks_make_no_edges(monkeypatch):
+    # every Edge record of a graph built on its columns is made by the
+    # ``edges`` field's build on first read
+    built = []
+    field = Multigraph.__dict__["edges"]
+    build = field.build
+    monkeypatch.setattr(field, "build", lambda g: built.append(g) or build(g))
+    stages = run_pipeline(load_shipped_witness())
+    verify_witness(load_shipped_witness())
+    for name in ("inverse-link-round-trip", "sealing-invariants"):
+        assert run_check(name).status == "pass"
+    L = link_graph(stages.sealed)
+    formats.to_dot(L.graph, L.pairing)
+    assert built == []
+    L.graph.edges
+    assert built == [L.graph]
 
 
 def test_augmenting_a_map_that_has_a_twin_id_reports_the_duplicate():

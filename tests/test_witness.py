@@ -382,8 +382,20 @@ def faulty_witness(fault):
         pairs[0] = (pairs[0][0], pairs[1][0])
     if "uncovered-pair" in fault:
         pairs = pairs[1:]
+    designated = list(w.designated_pairs)
+    if fault == "eleven-designated":
+        designated = designated[:11]
+    if fault == "repeated-designated":
+        designated = designated[:11] + designated[:1]
+    if fault == "reversed-designated":  # the same pairs, members swapped
+        designated = [p[::-1] for p in designated]
+    graph = w.graph
+    if fault == "dropped-edge":  # a planar map whose quotient misses one K12 edge
+        dropped = graph.edge_ids()[0]
+        graph = Multigraph(graph.vertices, [e for e in graph.edges if e.id != dropped])
+        orders = {v: [end for end in order if end.edge != dropped] for v, order in orders.items()}
     rotation = None if fault == "no-rotation" else RotationSystem(orders)
-    return dataclasses.replace(w, pairs=tuple(pairs), rotation=rotation)
+    return dataclasses.replace(w, graph=graph, pairs=tuple(pairs), rotation=rotation, designated_pairs=tuple(designated))
 
 
 class TestWitnessReportLines:
@@ -438,6 +450,31 @@ class TestWitnessReportLines:
             "FAIL designated-k12: pairing invalid",
             "FAIL pair-chromatic-12: pairing invalid",
         ],
+        # recorded before the last two checks read the kept quotient
+        "eleven-designated": [
+            "PASS planar-embedding: component genera [0]",
+            "PASS perfect-pairing: 12 pairs cover all vertices",
+            "FAIL designated-k12: must designate 12 pairs of the pairing",
+            "PASS pair-chromatic-12: exact pair-chromatic number 12; degeneracy colouring uses 12 colours",
+        ],
+        "repeated-designated": [
+            "PASS planar-embedding: component genera [0]",
+            "PASS perfect-pairing: 12 pairs cover all vertices",
+            "FAIL designated-k12: 1 adjacencies missing",
+            "PASS pair-chromatic-12: exact pair-chromatic number 12; degeneracy colouring uses 12 colours",
+        ],
+        "reversed-designated": [
+            "PASS planar-embedding: component genera [0]",
+            "PASS perfect-pairing: 12 pairs cover all vertices",
+            "PASS designated-k12: all 66 pair adjacencies realised",
+            "PASS pair-chromatic-12: exact pair-chromatic number 12; degeneracy colouring uses 12 colours",
+        ],
+        "dropped-edge": [
+            "PASS planar-embedding: component genera [0]",
+            "PASS perfect-pairing: 12 pairs cover all vertices",
+            "FAIL designated-k12: 1 adjacencies missing",
+            "FAIL pair-chromatic-12: exact pair-chromatic number 11",
+        ],
     }
 
     @pytest.mark.parametrize("fault", sorted(REPORTS))
@@ -484,6 +521,23 @@ class TestPipeline:
         # rotation is read from edge-ends, the augmented map's built on darts
         assert calls == {"validate_rotation": 2, "_genus": 2}
 
+    def test_the_witness_quotient_is_built_once(self, monkeypatch):
+        # the designated-K12 check, the exact solve and the degeneracy
+        # colouring all read the neighbour sets the witness's paired graph keeps
+        import linkchroma.colour as colour
+        import linkchroma.core as core
+
+        calls = []
+
+        def counted(*args, _original=core._neighbour_sets):
+            calls.append(args[0])
+            return _original(*args)
+
+        for module in (core, colour):
+            monkeypatch.setattr(module, "_neighbour_sets", counted)
+        assert verify_witness(load_shipped_witness()).all_passed
+        assert calls == [12]
+
     def test_sealed_walk_lengths(self):
         stages = run_pipeline()
         for before, after in zip(stages.punctured.cells, stages.sealed.cells):
@@ -501,6 +555,12 @@ class TestSearch:
         with pytest.raises(BudgetExhausted) as info:
             search_witness(seed=42, budget=200)
         assert 0 <= info.value.best_objective <= 66
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_must_be_positive(self, budget):
+        with pytest.raises(DomainError) as info:
+            search_witness(seed=0, budget=budget)
+        assert str(info.value) == "budget must be positive"
 
     def test_exact_pairing_rejects_infeasible_degrees(self):
         # K4: all degrees 3, no degree-8 partners available
