@@ -44,15 +44,16 @@ def run_pytest(args: list) -> tuple:
     """pytest's exit status on ``args``, and the (real path, line) of each
     line of ``PACKAGE`` that ran."""
     monitoring = sys.monitoring
-    tool, inside, ran = monitoring.COVERAGE_ID, {}, set()
+    tool, paths, ran = monitoring.COVERAGE_ID, {}, set()
     prefix = str(PACKAGE) + os.sep
 
     def line(code, number):
         name = code.co_filename
-        if name not in inside:
-            inside[name] = os.path.realpath(name).startswith(prefix)
-        if inside[name]:
-            ran.add((os.path.realpath(name), number))
+        if name not in paths:  # the real path of a file of PACKAGE, else None
+            path = os.path.realpath(name)
+            paths[name] = path if path.startswith(prefix) else None
+        if paths[name] is not None:
+            ran.add((paths[name], number))
         return monitoring.DISABLE
 
     monitoring.use_tool_id(tool, "src_coverage")
