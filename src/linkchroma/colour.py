@@ -50,6 +50,11 @@ class Colouring:
                 raise DomainError(
                     f"colour {short_repr(colour)} of {short_repr(key)} is outside palette of size {short_repr(self.palette_size)}"
                 )
+        # checked after the colours, whose faults come first
+        if not isinstance(self.palette_size, int) or isinstance(self.palette_size, bool):
+            raise DomainError(f"palette size {short_repr(self.palette_size)} must be an integer")
+        if self.palette_size < 0:
+            raise DomainError(f"palette size {short_repr(self.palette_size)} must not be negative")
         object.__setattr__(self, "assignment", assignment)
 
     def colours_used(self) -> int:

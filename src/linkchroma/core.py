@@ -13,8 +13,11 @@ Conventions used throughout:
   both ends at the same vertex but the sides remain distinct.
 * Ids are keyed at the boundary, positions are used inside.  A graph
   stores what its constructor computed and builds the rest on first
-  read; the library's graphs store vertex ids, edge ids and the dart
-  column, the vertex position of each dart ``2 * edge_position + side``.
+  read.  Every graph stores its vertex ids, its edge ids and the dart
+  column, the vertex position of each dart ``2 * edge_position + side``;
+  the public constructor also stores the ``Edge`` records and the
+  vertex positions it checked them with.  Every paired graph stores the
+  pair position of each vertex position.
 * All types are immutable; every operation is a pure function.
 """
 
@@ -38,7 +41,6 @@ GENUINE = "genuine"
 PUNCTURED = "punctured"
 
 MAX_ID_DEPTH = 32  # deepest tuple nesting an id may have
-_INT_ONLY = frozenset((int,))
 _PLAIN_IDS = frozenset((int, str))
 
 
@@ -178,11 +180,12 @@ class Multigraph:
             raise DomainError("duplicate vertex id")
         ids = tuple(map(itemgetter(0), edges))
         by_id = dict(zip(ids, edges))
-        try:  # an unhashable end names no vertex
-            known = all(map(index.__contains__, chain(map(itemgetter(1), edges), map(itemgetter(2), edges))))
-        except TypeError:
-            known = False
-        if len(by_id) != len(edges) or not known:
+        ends = list(chain.from_iterable(map(itemgetter(1, 2), edges)))
+        try:  # the dart column; an unhashable end names no vertex
+            at = list(map(index.__getitem__, ends))
+        except (KeyError, TypeError):
+            at = None
+        if len(by_id) != len(edges) or at is None:
             seen = set()  # find the first faulty edge in stored order
             for e in edges:
                 if e.id in seen:
@@ -195,7 +198,8 @@ class Multigraph:
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_edge_by_id", by_id)
-        if not _plainly_nested(list(chain.from_iterable(map(itemgetter(1, 2), self.edges)))):
+        object.__setattr__(self, "_at", at)
+        if not _plainly_nested(ends):
             # an end such as True or 1.0 is in the vertex set but is not an id
             bad = next((e for e in self.edges if not (_is_id(e.end0) and _is_id(e.end1))), None)
             if bad is not None:
@@ -268,12 +272,6 @@ class Multigraph:
         """The position of each vertex id: stored by the public constructor,
         else built on first read and kept, as ``_ends_at``."""
         return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _at(self) -> list:
-        """The dart column: stored by the internal constructor, else built
-        from ``edges`` on first read and kept.  Callers only read it."""
-        return list(map(self._index.__getitem__, chain.from_iterable(map(itemgetter(1, 2), self.edges))))
 
     @cached_property
     def _steps(self) -> tuple:
@@ -381,33 +379,24 @@ def _records(cls, rows):
 
 
 def _side_records(cls, rows, fault: str) -> tuple:
-    """``rows`` as a tuple of ``cls``, (id, side) records, with every side
-    checked to be 0 or 1, ``fault`` naming the first that is not.  A side
-    such as ``False`` or ``1.0`` is kept as the int it equals, so that a
-    document written from the rows loads again.  A row that is not a pair
-    is refused with ``fault`` too, and so is a row that is not iterable."""
-    if type(rows) is not tuple or not all(map(isinstance, rows, repeat(cls))):
-        rows = tuple(rows)
-        try:
-            rows = tuple([r if isinstance(r, cls) else tuple.__new__(cls, r) for r in rows])
-        except TypeError:  # a row that is not iterable
-            raise DomainError(fault.format(short_repr(_first_bad_row(cls, rows)))) from None
-    if not (all(map((2).__eq__, map(len, rows))) and all(map((0, 1).__contains__, map(itemgetter(1), rows)))):
-        raise DomainError(fault.format(short_repr(_first_bad_row(cls, rows))))
-    if frozenset(map(type, map(itemgetter(1), rows))) != _INT_ONLY:
-        rows = tuple(_records(cls, [(r[0], 1 if r[1] else 0) for r in rows]))
-    return rows
-
-
-def _first_bad_row(cls, rows):
-    """The first row that is not a ``cls`` pair with side 0 or 1, as a fault names it."""
+    """``rows`` as a tuple of ``cls``, (id, side) records, in one pass that
+    raises at the first row that is not a pair with side 0 or 1, ``fault``
+    naming it; a row that is not iterable is refused too.  A side such as
+    ``False`` or ``1.0`` is kept as the int it equals, so that a document
+    written from the rows loads again."""
+    out = []
     for r in rows:
-        try:
-            r = r if isinstance(r, cls) else tuple.__new__(cls, r)
-        except TypeError:
-            return r
+        if not isinstance(r, cls):
+            try:
+                r = tuple.__new__(cls, r)
+            except TypeError:  # a row that is not iterable
+                raise DomainError(fault.format(short_repr(r))) from None
         if len(r) != 2 or r[1] not in (0, 1):
-            return r if len(r) == 2 else tuple(r)
+            raise DomainError(fault.format(short_repr(r if len(r) == 2 else tuple(r))))
+        if type(r[1]) is not int:
+            r = tuple.__new__(cls, (r[0], 1 if r[1] else 0))
+        out.append(r)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +615,10 @@ def validate_rotation(g: Multigraph, rot: RotationSystem) -> array:
     darts of ``g`` itself is checked on them; any other is translated to
     darts of ``g`` up to its first unknown vertex or edge, which is raised
     only if the darts listed before it pass."""
+    if not isinstance(g, Multigraph):
+        raise DomainError(f"graph {short_repr(g)} must be a Multigraph")
+    if not isinstance(rot, RotationSystem):
+        raise DomainError(f"rotation {short_repr(rot)} must be a RotationSystem")
     built_on, darts_at = rot._norm
     fault = None
     ids = g._ids
@@ -680,9 +673,11 @@ class PairedGraph:
             raise DomainError(f"paired-graph graph {short_repr(self.graph)} must be a Multigraph")
         if not isinstance(self.pairing, Pairing):
             raise DomainError(f"paired-graph pairing {short_repr(self.pairing)} must be a Pairing")
-        pair_of, verts = self.pairing._pair_of, self.graph.vertices
-        if len(pair_of) != len(verts) or not all(map(pair_of.__contains__, verts)):
+        pair_of = self.pairing._pair_of
+        pair_at = list(map(pair_of.get, self.graph.vertices))  # None where no pair has the vertex
+        if None in pair_at or len(pair_of) != len(pair_at):
             raise DomainError("pairing does not cover exactly the vertex set")
+        object.__setattr__(self, "_pair_at", pair_at)
         if self.rotation is not None:
             if not isinstance(self.rotation, RotationSystem):
                 raise DomainError(f"paired-graph rotation {short_repr(self.rotation)} must be a RotationSystem")
@@ -698,11 +693,10 @@ class PairedGraph:
         if not all(c.genus == 0 for c in self._embedding):
             raise DomainError("planarity certificate invalid: embedding has positive genus")
 
-    # Derived data, computed on first use and kept on the object.  The
-    # instance is frozen, so none of it can go stale, and none of it is a
-    # field, so equality and hashing ignore it.  It is not filled in
-    # ``__post_init__``, so building a paired graph that never needs it
-    # costs nothing extra.
+    # Derived data, computed on first use and kept on the object, beside
+    # ``_pair_at`` and ``_succ``, which ``__post_init__`` stores as its
+    # checks compute them.  The instance is frozen, so none of it can go
+    # stale, and none of it is a field, so equality and hashing ignore it.
 
     @cached_property
     def _embedding(self) -> tuple:
@@ -715,11 +709,6 @@ class PairedGraph:
         from the pairing and the dart column: position ``i`` is
         ``pairing.pairs[i][0]``, and edges inside a pair are dropped."""
         return _neighbour_sets(len(self.pairing.pairs), map(self._pair_at.__getitem__, self.graph._at))
-
-    @cached_property
-    def _pair_at(self) -> list:
-        """The pair position of each vertex position of ``graph``."""
-        return list(map(self.pairing._pair_of.__getitem__, self.graph.vertices))
 
     @cached_property
     def _smallest_last(self) -> list:

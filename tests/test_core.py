@@ -204,11 +204,12 @@ class TestEndsTable:
             assert str(info.value) == "unknown edge 'zz'"
 
     def test_dart_positions_match_the_edges_and_are_built_once(self):
-        # a graph stores what its constructor computed: the internal
-        # constructor the dart column, the public one the vertex positions
+        # a graph stores what its constructor computed: every constructor
+        # the dart column, the public one also the edges, by id too, and the
+        # vertex positions it resolved the ends with
         for g in self.graphs():
             if "edges" in g.__dict__:
-                assert "_index" in g.__dict__ and "_at" not in g.__dict__
+                assert set(g.__dict__) == {"vertices", "edges", "_ids", "_index", "_edge_by_id", "_at"}
             else:
                 assert set(g.__dict__) == {"vertices", "_ids", "_at"}
             index, at = g._index, g._at
@@ -236,7 +237,8 @@ class TestEndsTable:
             built._index, built._at
             assert "_ends_at" in built.__dict__ and "_ends_at" not in fresh.__dict__
             assert {"_index", "_at"} <= built.__dict__.keys()
-            assert not {"_index", "_at"} <= fresh.__dict__.keys()
+            # every constructor stores the dart column, only the public one the positions
+            assert "_at" in fresh.__dict__ and ("_index" in fresh.__dict__) == ("edges" in fresh.__dict__)
             assert built == fresh
             assert hash(built) == hash(fresh)
             assert len({built, fresh}) == 1
@@ -478,6 +480,10 @@ class TestRowsThatAreNotIterable:
             assert str(info.value) == f"walk step {bad} has an invalid entry side"
 
 
+class _Side(int):
+    """An int subclass: a side that compares equal to an int but is not one."""
+
+
 class TestRowsThatAreNotRows:
     CASES = {
         "edge-too-short": (lambda: Multigraph(("u",), [("e", "u")]), "edge ('e', 'u') must be an (id, end0, end1) row"),
@@ -496,14 +502,74 @@ class TestRowsThatAreNotRows:
             lambda: RotationSystem([("v", ()), 5, ("u", (), 3)]),
             "rotation entry 5 must be a (vertex, order) pair",
         ),
+        # a pairing that does not name exactly the graph's vertices
+        "pairing-one-vertex-too-many": (
+            lambda: PairedGraph(Multigraph(("a", "b")), Pairing([("a", "b"), ("c", "d")])),
+            "pairing does not cover exactly the vertex set",
+        ),
+        "pairing-one-vertex-too-few": (
+            lambda: PairedGraph(Multigraph(("a", "b", "c", "d", "e")), Pairing([("a", "b"), ("c", "d")])),
+            "pairing does not cover exactly the vertex set",
+        ),
+        "pairing-one-vertex-renamed": (
+            lambda: PairedGraph(Multigraph(("a", "b", "c", "d")), Pairing([("a", "b"), ("c", "z")])),
+            "pairing does not cover exactly the vertex set",
+        ),
     }
+
+    # (id, side) rows, each sent through a closed walk and a rotation order:
+    # the fault each names, or the records each stores, every side an int
+    SIDE_ROWS = {
+        "bad-side-before-not-iterable": (
+            lambda: [("a", 2), 5],
+            "walk step WalkStep(edge='a', entry=2) has an invalid entry side",
+            "edge-end EdgeEnd(edge='a', side=2) has an invalid side",
+        ),
+        "not-iterable-before-bad-side": (
+            lambda: [5, ("a", 2)],
+            "walk step 5 has an invalid entry side",
+            "edge-end 5 has an invalid side",
+        ),
+        "string": (
+            lambda: ["ab"],
+            "walk step WalkStep(edge='a', entry='b') has an invalid entry side",
+            "edge-end EdgeEnd(edge='a', side='b') has an invalid side",
+        ),
+        "one-member": (
+            lambda: [("a",)],
+            "walk step ('a',) has an invalid entry side",
+            "edge-end ('a',) has an invalid side",
+        ),
+        "three-members": (
+            lambda: [("a", 0, 1)],
+            "walk step ('a', 0, 1) has an invalid entry side",
+            "edge-end ('a', 0, 1) has an invalid side",
+        ),
+        "generator": (
+            lambda: (row for row in [("a", 0), ("b", 3)]),
+            "walk step WalkStep(edge='b', entry=3) has an invalid entry side",
+            "edge-end EdgeEnd(edge='b', side=3) has an invalid side",
+        ),
+        "int-subclass-side": (lambda: [("a", _Side(1))], (WalkStep("a", 1),), (EdgeEnd("a", 1),)),
+        "bool-side": (lambda: [("a", True)], (WalkStep("a", 1),), (EdgeEnd("a", 1),)),
+        "float-side": (lambda: [("b", 1.0)], (WalkStep("b", 1),), (EdgeEnd("b", 1),)),
+    }
+    for name, (rows, walk, order) in SIDE_ROWS.items():
+        CASES[f"walk-{name}"] = (lambda rows=rows: ClosedWalk(rows()).steps, walk)
+        CASES[f"order-{name}"] = (lambda rows=rows: RotationSystem({"v": rows()}).orders[0][1], order)
+    del name, rows, walk, order
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_the_first_faulty_row_is_named(self, case):
-        build, message = self.CASES[case]
+        build, expected = self.CASES[case]
+        if not isinstance(expected, str):  # accepted: the records stored, each side an int
+            stored = build()
+            assert stored == expected and list(map(type, stored)) == list(map(type, expected))
+            assert all(type(side) is int for _, side in stored)
+            return
         with pytest.raises(DomainError) as info:
             build()
-        assert str(info.value) == message
+        assert str(info.value) == expected
 
 
 class TestContainersAndPartsOfTheWrongType:
@@ -531,6 +597,18 @@ class TestContainersAndPartsOfTheWrongType:
         "colouring-assignment": (lambda: Colouring(3, 5), "colouring assignment 5 must be a mapping"),
         "colouring-assignment-rows": (lambda: Colouring(3, [1]), "colouring assignment [1] must be a mapping"),
         "colouring-palette": (lambda: Colouring("3", {"a": 0}), "palette size '3' must be an integer"),
+        "colouring-palette-str-nothing-coloured": (lambda: Colouring("3", {}), "palette size '3' must be an integer"),
+        "colouring-palette-float": (lambda: Colouring(2.5, {"a": 1}), "palette size 2.5 must be an integer"),
+        "colouring-palette-bool": (lambda: Colouring(True, {"a": 0}), "palette size True must be an integer"),
+        "colouring-palette-negative": (lambda: Colouring(-1, {}), "palette size -1 must not be negative"),
+        "colouring-palette-negative-colour-first": (
+            lambda: Colouring(-1, {"a": 0}),
+            "colour 0 of 'a' is outside palette of size -1",
+        ),
+        "validate-rotation-rotation": (lambda: validate_rotation(Multigraph(), 5), "rotation 5 must be a RotationSystem"),
+        "validate-rotation-graph": (lambda: validate_rotation(5, RotationSystem({})), "graph 5 must be a Multigraph"),
+        "genus-check-rotation": (lambda: genus_check(Multigraph(), 5), "rotation 5 must be a RotationSystem"),
+        "genus-check-graph": (lambda: genus_check(5, RotationSystem({})), "graph 5 must be a Multigraph"),
         "complex-skeleton": (lambda: TwoComplex(5), "complex skeleton 5 must be a Multigraph"),
         "complex-skeleton-with-cells": (
             lambda: TwoComplex(5, [[("a", 0)]]),

@@ -212,13 +212,13 @@ def test_the_bench_names_only_what_the_library_has():
 
 
 # Where the library reads a graph's ``Edge`` records: the public constructor
-# that makes them, the two fields built from them on a graph the public
-# constructor made, and the exhaustive oracle, which stays independent of
-# the dart column.  Everything else reads ids and darts.
+# that makes them and stores the dart column from them, the one field built
+# from them on a graph the public constructor made, and the exhaustive
+# oracle, which stays independent of the dart column.  Everything else reads
+# ids and darts.
 EDGE_READERS_ALLOWED = {
     "core.Multigraph.__post_init__",
     "core.Multigraph._edge_by_id",
-    "core.Multigraph._at",
     "corpus.chromatic_number_reference",
 }
 

@@ -150,8 +150,8 @@ def test_augmenting_a_map_that_has_a_twin_id_reports_the_duplicate():
 
 
 def assert_positions_are_the_edges(g: Multigraph) -> None:
-    """``_index`` and ``_at``, stored or built on read, are what the
-    vertices and ``edges`` give."""
+    """``_at``, stored, and ``_index``, stored or built on read, are what
+    the vertices and ``edges`` give."""
     index = {v: i for i, v in enumerate(g.vertices)}
     assert g._at == [index[end] for e in g.edges for end in (e.end0, e.end1)]
     assert g._index == index
@@ -159,10 +159,11 @@ def assert_positions_are_the_edges(g: Multigraph) -> None:
 
 def test_each_graph_stores_what_its_constructor_computed():
     # fresh from a constructor, a graph holds what that constructor
-    # computed: the internal one the dart column, the public one the
-    # vertex positions; reading either builds the other
+    # computed: every constructor the dart column, the public one also the
+    # edges, by id too, and the vertex positions it resolved the ends with;
+    # reading the positions of a graph the internal one made builds them
     def public(g):
-        assert "_index" in g.__dict__ and "_at" not in g.__dict__
+        assert set(g.__dict__) == {"vertices", "edges", "_ids", "_index", "_edge_by_id", "_at"}
         graphs.append(g)
 
     def columns(g):
@@ -200,6 +201,7 @@ def test_each_graph_stores_what_its_constructor_computed():
 def test_the_pair_position_of_each_vertex_is_its_pairs():
     augmented = make_degree_faithful(random_planar_paired_graph(5, 30))
     for pg in (augmented, link_graph(seal(inverse_link(augmented))), random_planar_paired_graph(1, 2)):
+        assert "_pair_at" in pg.__dict__  # stored by the constructor's cover check
         pairs = pg.pairing.pairs
         assert len(pg._pair_at) == len(pg.graph.vertices)
         assert all(v in pairs[k] for v, k in zip(pg.graph.vertices, pg._pair_at))
