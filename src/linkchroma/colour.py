@@ -10,9 +10,11 @@ of planar paired graphs (empire maps with two countries per empire).
 Colouring semantics: an edge joining two vertices of the same pair,
 including loops, imposes no constraint.  The colourers work on the simple
 quotient's neighbour sets: ``chromatic_number`` builds them from a graph,
-and the pair colourers read the ones a paired graph keeps.  The checkers
-share none of that: the pair checker walks the paired graph's own edges,
-and the complex checker the cell walks, independently of link graphs.
+the pair colourer reads the ones a paired graph keeps, and the complex
+colourer reads them from the cell junctions, building no link graph.
+The checkers share none of that: the pair checker walks the paired
+graph's own edges, and the complex checker the cell walks, independently
+of link graphs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .core import Multigraph, PairedGraph, TwoComplex, _neighbour_sets, link_graph
+from .core import EdgeEnd, Multigraph, PairedGraph, TwoComplex, _neighbour_sets, _require_third_edge_ids
 from .errors import BudgetExhausted, DomainError, short_repr
 
 
@@ -122,16 +124,22 @@ def _neighbours(g: Multigraph) -> list:
     return _neighbour_sets(len(g.vertices), g._at)
 
 
-def _greedy_clique(nbrs: list) -> list:
-    """Deterministic greedy clique of vertex indexes: repeatedly add the
-    candidate of highest degree within the candidate set, lowest index
-    first on ties."""
-    clique = []
-    candidates = set(range(len(nbrs)))
+def _greedy_clique(nbrs: list, degree: list) -> list:
+    """Deterministic greedy clique of vertex indexes of a nonempty graph:
+    repeatedly add the candidate of highest degree within the candidate set,
+    lowest index first on ties.  ``degree`` holds each ``len(nbrs[i])``, the
+    degrees within the first candidate set, every vertex."""
+    v = degree.index(max(degree))
+    clique = [v]
+    candidates = nbrs[v]
     while candidates:
-        v = min(candidates, key=lambda u: (-len(nbrs[u] & candidates), u))
+        best = -1
+        for u in sorted(candidates):  # in index order, so ties keep the first
+            d = len(nbrs[u] & candidates)
+            if d > best:
+                best, v = d, u
         clique.append(v)
-        candidates &= nbrs[v]
+        candidates = candidates & nbrs[v]
     return clique
 
 
@@ -178,12 +186,14 @@ def chromatic_number(
 
 def _chromatic(ids: tuple, nbrs: list, log: Optional[SolverLog], budget: Optional[int]):
     """``chromatic_number`` on neighbour-index sets, the vertex at index
-    ``i`` named ``ids[i]`` in the log.  Returns the size and the witness as
-    (index, colour) items in colouring order."""
+    ``i`` named ``ids[i]`` in the log; ``ids`` is read only when a log is
+    given.  Returns the size and the witness as (index, colour) items in
+    colouring order."""
     if budget is not None and budget < 0:
         raise DomainError("budget must be non-negative")
     n = len(nbrs)
-    clique = _greedy_clique(nbrs)
+    degree = list(map(len, nbrs))
+    clique = _greedy_clique(nbrs, degree) if n else []
     if log is not None:
         log.clique, log.dsatur_upper, log.branch_nodes = [ids[i] for i in clique], 0, 0
     if n == 0:
@@ -191,18 +201,19 @@ def _chromatic(ids: tuple, nbrs: list, log: Optional[SolverLog], budget: Optiona
 
     # Bit r of every vertex set is the vertex of static rank r: the higher, the
     # earlier among equally saturated vertices (higher degree, then lower index).
-    order = sorted(range(n), key=lambda i: (len(nbrs[i]), -i))
+    order = sorted(range(n - 1, -1, -1), key=degree.__getitem__)  # stable: ties by -i
     bit_of = [0] * n
     for r, i in enumerate(order):
         bit_of[i] = 1 << r
     adj = [sum(map(bit_of.__getitem__, nbrs[i])) for i in order]
 
     # DSATUR greedy upper bound, also the initial incumbent witness.
-    top = len(nbrs[order[-1]])  # no vertex sees more colours than it has neighbours
+    top = degree[order[-1]]  # no vertex sees more colours than it has neighbours
     forb = [0] * (top + 1)  # forb[c]: the vertices with a neighbour coloured c
     slices = [0] * top.bit_length()  # slices[j]: bit j of every saturation count
     free = (1 << n) - 1
     witness = []  # (index, colour) items in colouring order
+    k = 0  # colours placed so far; each vertex takes at most the next one
     while free:
         v = free  # narrowed to the most saturated, then the highest bit
         for s in reversed(slices):
@@ -213,11 +224,12 @@ def _chromatic(ids: tuple, nbrs: list, log: Optional[SolverLog], budget: Optiona
         c = 0
         while forb[c] & bit:
             c += 1
+        if c == k:
+            k += 1
         witness.append((order[v], c))
         touched = adj[v] & ~forb[c]
         forb[c] |= touched
         _raise_counts(slices, touched)
-    k = max(c for _, c in witness) + 1
 
     if log is not None:
         log.dsatur_upper = k
@@ -342,30 +354,31 @@ def pair_chromatic_number(
     are the sets ``chromatic_number(simple_quotient(pg))`` builds, in the
     same order, so the size, the witness and the log are the same.
     """
-    k, colours = _pair_colours(pg, log, budget)
-    return k, Colouring(k, dict(zip(pg.pairing.pairs, colours)))
-
-
-def _pair_colours(pg: PairedGraph, log: Optional[SolverLog], budget: Optional[int]) -> tuple:
-    """``pair_chromatic_number``'s size and the colour of each pair, by
-    position."""
-    ids = tuple(p[0] for p in pg.pairing.pairs)
+    ids = () if log is None else tuple(p[0] for p in pg.pairing.pairs)  # named only for a log
     k, witness = _chromatic(ids, pg._quotient_neighbours, log, budget)
-    return k, [c for _, c in sorted(witness)]
+    return k, Colouring(k, dict(zip(pg.pairing.pairs, [c for _, c in sorted(witness)])))
 
 
 def edge_chromatic_number_complex(
     c: TwoComplex, log: Optional[SolverLog] = None, *, budget: Optional[int] = None
 ):
-    """Exact edge-chromatic number of a 2-complex via its link graph.
-
-    The witness colours each edge e with the colour of the pair
-    {(e,0), (e,1)} and is checked against the walk-level validator before
-    being returned.
+    """Exact edge-chromatic number of a 2-complex, read from its cell
+    junctions: two edges conflict where a cell walk passes from one to the
+    other, as the link graph joins their pairs {(e,0), (e,1)}.  Edge ``i``
+    stands for link pair ``i``, so the size, witness and log are those of
+    ``pair_chromatic_number(link_graph(c))``.  The witness is checked
+    against the walk-level validator before being returned.
     """
-    # pair i of the link graph is the i-th skeleton edge's pair
-    k, colours = _pair_colours(link_graph(c), log, budget)
-    witness = Colouring(k, dict(zip(c.skeleton.edge_ids(), colours)))
+    ids = c.skeleton._ids
+    _require_third_edge_ids(c.skeleton)  # link_graph(c) refuses these
+    _, dart_of = c.skeleton._steps
+    ends = []  # the link graph's _quotient_neighbours edges, in its order
+    for cell in c.cells:
+        edges = [d >> 1 for d in map(dart_of.__getitem__, cell.steps)]
+        ends += itertools.chain.from_iterable(zip(edges, edges[1:] + edges[:1]))
+    names = () if log is None else tuple(EdgeEnd(i, 0) for i in ids)
+    k, placed = _chromatic(names, _neighbour_sets(len(ids), ends), log, budget)
+    witness = Colouring(k, dict(zip(ids, [col for _, col in sorted(placed)])))
     if not is_valid_complex_colouring(c, witness):
         raise DomainError("internal error: edge-chromatic witness failed the walk-level check")
     return k, witness

@@ -316,11 +316,15 @@ def seal(c: TwoComplex) -> TwoComplex:
 
 def check_seal_invariants(punctured_link: PairedGraph, sealed_link: PairedGraph) -> None:
     """Raise DomainError unless sealing kept the link graph's vertex set and
-    every one of its edges, given the link graphs before and after."""
+    every one of its edges, and added only loops and parallels of them,
+    given the link graphs before and after."""
     if set(sealed_link.graph.vertices) != set(punctured_link.graph.vertices):
         raise DomainError("sealing changed the link graph's vertex set")
-    if endpoint_multiset(punctured_link.graph) - endpoint_multiset(sealed_link.graph):
+    before, after = endpoint_multiset(punctured_link.graph), endpoint_multiset(sealed_link.graph)
+    if before - after:
         raise DomainError("sealing lost link edges")
+    if any(len(ends) == 2 and ends not in before for ends in after):
+        raise DomainError("sealing added a link edge that is neither a loop nor a parallel")
 
 
 # ---------------------------------------------------------------------------

@@ -874,11 +874,8 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     """
     # The third-edges in stored edge order are in id order, (e, 0) before
     # (e, 1), and so are the link edges (ci, j) in walk order.  Link vertex
-    # i is skeleton dart i.  A third-edge nests one tuple level deeper than
-    # its edge id, so only a tuple id can make it too deep.
-    for i in c.skeleton._ids:
-        if isinstance(i, tuple):
-            id_sort_key((i,))
+    # i is skeleton dart i.
+    _require_third_edge_ids(c.skeleton)
     verts = tuple(third_edges(c.skeleton))
     pairing = Pairing._sorted(tuple(zip(verts[::2], verts[1::2])))
     _, dart_of = c.skeleton._steps
@@ -892,6 +889,15 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     at = outs + ins
     at[::2], at[1::2] = outs, ins
     return PairedGraph(Multigraph._from_columns(verts, tuple(ids), at), pairing)
+
+
+def _require_third_edge_ids(g: Multigraph) -> None:
+    """Raise DomainError unless every third-edge of ``g`` is an id.  A
+    third-edge nests one tuple level deeper than its edge id, so only a
+    tuple id can make it too deep."""
+    for i in g._ids:
+        if isinstance(i, tuple):
+            id_sort_key((i,))
 
 
 def paired_quotient(pg: PairedGraph) -> Multigraph:

@@ -206,7 +206,7 @@ def _check_witness_verification() -> str:
 
 def _check_three_quantity_agreement() -> str:
     from .catalogue import tetrahedron_complex, triangle_complex
-    from .colour import brute_force_edge_chromatic, chromatic_number, pair_chromatic_number
+    from .colour import brute_force_edge_chromatic, chromatic_number, edge_chromatic_number_complex, pair_chromatic_number
     from .core import link_graph, simple_quotient
 
     count = 0
@@ -215,13 +215,14 @@ def _check_three_quantity_agreement() -> str:
     )
     for c in instances:
         bf = brute_force_edge_chromatic(c, k_max=8)
+        ec = edge_chromatic_number_complex(c)[0]
         L = link_graph(c)
         pc = pair_chromatic_number(L)[0]
         qc = chromatic_number(simple_quotient(L))[0]
-        if not bf == pc == qc:
-            raise CheckFailure(f"disagreement {bf}/{pc}/{qc} on {c}")
+        if not bf == ec == pc == qc:
+            raise CheckFailure(f"disagreement on {c}: brute force {bf}, junctions {ec}, link {pc}, quotient {qc}")
         count += 1
-    return f"brute force, link-graph and quotient routes agree on {count} complexes"
+    return f"brute force, cell-junction, link-graph and quotient routes agree on {count} complexes"
 
 
 def _check_planar_twelve_colouring() -> str:
@@ -277,7 +278,7 @@ def _check_sealing_invariants() -> str:
         for w, s in zip(punctured.cells, sealed.cells):
             if len(s) != 2 * len(w) + 2:
                 raise CheckFailure(f"sealed length {len(s)} != 2*{len(w)}+2 at seed {i}")
-    return "50 sealed complexes keep link vertices, link-edge supersets, and 2k+2 lengths"
+    return "50 sealed complexes keep link vertices and edges, add only loops and parallels, and have 2k+2 lengths"
 
 
 def _check_solver_soundness() -> str:

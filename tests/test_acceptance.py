@@ -50,3 +50,14 @@ def test_criterion_8_classic_complexes():
 def test_all_criteria_are_covered():
     names = {name for name, _, _ in ALL_CHECKS}
     assert len(names) == 8
+
+
+def test_a_disagreement_names_all_four_numbers(monkeypatch):
+    from linkchroma import colour
+
+    solve = colour.edge_chromatic_number_complex
+    monkeypatch.setattr(colour, "edge_chromatic_number_complex", lambda c: (solve(c)[0] + 1, None))
+    result = run_check("three-quantity-agreement")
+    assert result.status == "fail"
+    assert result.detail.startswith("disagreement on ")
+    assert result.detail.endswith(": brute force 0, junctions 1, link 0, quotient 0")

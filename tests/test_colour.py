@@ -35,12 +35,13 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
-from linkchroma.colour import _chromatic, _greedy_clique, _neighbours
+from linkchroma.colour import _chromatic, _neighbours
 from linkchroma.construct import random_planar_paired_graph
 from linkchroma.corpus import chromatic_number_reference
 from linkchroma.errors import short_repr
 
 from strategies import one_loop_complex
+from test_solver_front_end import greedy_clique_reference
 
 
 def random_graph(rng, n, p):
@@ -408,7 +409,7 @@ def reference_dsatur(ids, nbrs, log, budget):
     if budget is not None and budget < 0:
         raise DomainError("budget must be non-negative")
     n = len(nbrs)
-    clique = _greedy_clique(nbrs)
+    clique = greedy_clique_reference(nbrs)
     if log is not None:
         log.clique, log.dsatur_upper, log.branch_nodes = [ids[i] for i in clique], 0, 0
     if n == 0:

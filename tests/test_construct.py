@@ -23,6 +23,7 @@ from linkchroma import (
 from linkchroma import formats
 from linkchroma.construct import (
     canonical_link_identification,
+    check_seal_invariants,
     inverse_link,
     is_degree_faithful,
     link_matches_paired_graph,
@@ -397,6 +398,15 @@ class TestInverseLink:
             assert link_matches_paired_graph(L, pg, canonical_link_identification(pg)), seed
 
 
+    def test_a_wrong_vertex_set_or_edge_multiset_does_not_match(self):
+        pg = make_degree_faithful(single_pair_single_edge())
+        L, ident = link_graph(inverse_link(pg)), canonical_link_identification(pg)
+        first, second = L.graph.vertices[:2]
+        assert not link_matches_paired_graph(L, pg, {**ident, second: ident[first]})  # two on one
+        fewer = PairedGraph(Multigraph(pg.graph.vertices, pg.graph.edges[1:]), pg.pairing)
+        assert not link_matches_paired_graph(L, fewer, ident)
+
+
 class TestSeal:
     def test_rejects_genuine_complex(self):
         g = Multigraph(("h",), (Edge("e", "h", "h"),))
@@ -438,6 +448,37 @@ class TestSeal:
             assert not (multiset(Lc) - multiset(Ls))  # superset
             for before, after in zip(c.cells, s.cells):
                 assert len(after) == 2 * len(before) + 2
+
+
+class TestSealInvariants:
+    """``check_seal_invariants`` on the chain and on hand-built faults."""
+
+    @staticmethod
+    def step_pattern():
+        g = Multigraph(("h",), (Edge("x", "h", "h"), Edge("y", "h", "h"), Edge("z", "h", "h")))
+        c = TwoComplex(g, (ClosedWalk((WalkStep("x", 0), WalkStep("y", 1), WalkStep("z", 0))),), kind="punctured")
+        return c, link_graph(c), link_graph(seal(c))
+
+    def test_sealing_adds_only_loops_and_parallels(self):
+        for seed in range(30):
+            c = inverse_link(make_degree_faithful(random_planar_paired_graph(seed, 40)))
+            check_seal_invariants(link_graph(c), link_graph(seal(c)))
+        _, before, after = self.step_pattern()
+        check_seal_invariants(before, after)
+
+    def test_faults_are_named(self):
+        c, before, after = self.step_pattern()
+        other = link_graph(TwoComplex(Multigraph(("h",), (Edge("x", "h", "h"),)), (), kind="punctured"))
+        no_cells = link_graph(TwoComplex(c.skeleton, (), kind="punctured"))
+        faults = [
+            (before, other, "sealing changed the link graph's vertex set"),
+            (after, before, "sealing lost link edges"),
+            (no_cells, after, "sealing added a link edge that is neither a loop nor a parallel"),
+        ]
+        for punctured_link, sealed_link, message in faults:
+            with pytest.raises(DomainError) as info:
+                check_seal_invariants(punctured_link, sealed_link)
+            assert str(info.value) == message
 
 
 def generator_case_id(case):

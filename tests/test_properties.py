@@ -15,6 +15,7 @@ from linkchroma import (
     TwoComplex,
     WalkStep,
     chromatic_number,
+    edge_chromatic_number_complex,
     genus_check,
     id_sort_key,
     link_graph,
@@ -149,6 +150,22 @@ def test_link_graph_rejects_a_skeleton_edge_id_32_deep():
     c = TwoComplex(Multigraph(("h",), (Edge(deep, "h", "h"),)), (ClosedWalk((WalkStep(deep, 0),)),))
     with pytest.raises(DomainError, match="^ids may nest tuples at most 32 deep$"):
         link_graph(c)
+
+
+@pytest.mark.parametrize("depth, ok", [(31, True), (32, False)])
+def test_edge_chromatic_number_rejects_a_skeleton_edge_id_32_deep(depth, ok):
+    """Route 1 reads no link graph, yet refuses what ``link_graph`` does,
+    and before it checks the budget."""
+    deep = 0
+    for _ in range(depth):
+        deep = (deep,)
+    c = TwoComplex(Multigraph(("h",), (Edge(deep, "h", "h"),)), (ClosedWalk((WalkStep(deep, 0),)),))
+    if ok:
+        assert edge_chromatic_number_complex(c)[0] == 1
+        return
+    for budget in (None, -1):
+        with pytest.raises(DomainError, match="^ids may nest tuples at most 32 deep$"):
+            edge_chromatic_number_complex(c, budget=budget)
 
 
 @given(complexes())

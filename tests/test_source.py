@@ -114,6 +114,16 @@ def test_id_order_decided_only_by_constructors():
     assert sorted(set(found) - ID_ORDER_ALLOWED) == []
 
 
+def test_route_one_reads_no_link_graph():
+    """Route 1 solves from the cell junctions: neither
+    ``edge_chromatic_number_complex`` nor its module names ``link_graph``,
+    which routes 2 and 3 are read from."""
+    tree = ast.parse(Path(linkchroma.__file__).with_name("colour.py").read_text(encoding="utf-8"))
+    (route,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "edge_chromatic_number_complex"]
+    assert _names(route, "_chromatic")
+    assert not _names(tree, "link_graph")
+
+
 # Every name the package exports.  An addition or removal shows in this
 # list's diff, and a removed name needs its deprecation line in CHANGES.md.
 PUBLIC_NAMES = [
