@@ -43,6 +43,10 @@ def _write_doc(path: str, doc: dict) -> None:
     _eprint(f"wrote {path}")
 
 
+def _colouring_doc(c) -> dict:
+    return formats.colouring_to_doc(c.palette_size, c.assignment)
+
+
 def cmd_link(args) -> int:
     from .core import link_graph
 
@@ -106,7 +110,7 @@ def cmd_heawood12(args) -> int:
     )
     colouring = heawood_colour_12(pg)
     if args.out:
-        _write_doc(args.out, formats.colouring_to_doc(colouring.palette_size, colouring.assignment))
+        _write_doc(args.out, _colouring_doc(colouring))
     print(colouring.colours_used())
     return 0
 
@@ -142,23 +146,17 @@ def cmd_pipeline(args) -> int:
     stages = run_pipeline(witness)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_doc(out_dir / "witness.json", formats.witness_to_doc(stages.witness))
-    _write_doc(out_dir / "augmented.json", formats.paired_graph_to_doc(stages.augmented))
-    _write_doc(out_dir / "punctured.json", formats.complex_to_doc(stages.punctured))
-    _write_doc(out_dir / "sealed.json", formats.complex_to_doc(stages.sealed))
-    _write_doc(
-        out_dir / "colouring-exact.json",
-        formats.colouring_to_doc(
-            stages.exact_colouring.palette_size, stages.exact_colouring.assignment
-        ),
-    )
-    _write_doc(
-        out_dir / "colouring-degeneracy.json",
-        formats.colouring_to_doc(
-            stages.degeneracy_colouring.palette_size,
-            stages.degeneracy_colouring.assignment,
-        ),
-    )
+    # each document is made just before it is written, so a writer that
+    # raises leaves only the files before it
+    for name, to_doc, stage in (
+        ("witness.json", formats.witness_to_doc, stages.witness),
+        ("augmented.json", formats.paired_graph_to_doc, stages.augmented),
+        ("punctured.json", formats.complex_to_doc, stages.punctured),
+        ("sealed.json", formats.complex_to_doc, stages.sealed),
+        ("colouring-exact.json", _colouring_doc, stages.exact_colouring),
+        ("colouring-degeneracy.json", _colouring_doc, stages.degeneracy_colouring),
+    ):
+        _write_doc(out_dir / name, to_doc(stage))
     print(f"edge-chromatic number: {stages.edge_chromatic}")
     return 0
 

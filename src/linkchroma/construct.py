@@ -157,40 +157,36 @@ def _dart_trails(pg: PairedGraph) -> tuple:
         darts_at[pair_at[i]].append(d)
 
     # Orient each edge along its Euler circuit: ``entry[i]`` is the side
-    # the circuit enters edge i by, 2 until it is traversed.
+    # the circuit enters edge i by, 2 until it is traversed.  Each pair's
+    # iterator resumes where its last step left off.
     entry = bytearray(b"\x02") * (len(at) // 2)
-    ptr = [0] * len(darts_at)
+    unread = list(map(iter, darts_at))
     for start in range(len(darts_at)):
         stack = [start]
         while stack:
-            p = stack[-1]
-            darts, i = darts_at[p], ptr[p]
-            while i < len(darts) and entry[darts[i] >> 1] != 2:
-                i += 1
-            if i == len(darts):
-                ptr[p] = i
-                stack.pop()
+            for d in unread[stack[-1]]:
+                if entry[d >> 1] == 2:
+                    entry[d >> 1] = d & 1
+                    stack.append(pair_at[at[d ^ 1]])
+                    break
             else:
-                ptr[p] = i + 1
-                d = darts[i]
-                entry[d >> 1] = d & 1
-                stack.append(pair_at[at[d ^ 1]])
+                stack.pop()
 
-    # Edges are walked in position order, so each list is in edge order.
-    heads_at = [[] for _ in index]
-    tails_at = [[] for _ in index]
+    # The k-th head at a vertex, in edge order, steps on to the k-th tail
+    # at its partner; every head finding a tail balances every vertex.
+    partner = [0] * len(index)
+    for u, v in pg.pairing.pairs:
+        partner[index[u]], partner[index[v]] = index[v], index[u]
+    waiting = [[] for _ in index]  # the tails for the heads at each position
     for i, side in enumerate(entry):
-        d = 2 * i + side
-        tails_at[at[d]].append(d)
-        heads_at[at[d ^ 1]].append(d ^ 1)
-    successor = [0] * len(at)  # head dart -> entry dart of the next step
-    for u, v in pg.pairing.pairs:  # the heads at each vertex, the tails at its partner
-        i, j = index[u], index[v]
-        for heads, tails in ((heads_at[i], tails_at[j]), (heads_at[j], tails_at[i])):
-            if len(heads) != len(tails):
-                raise DomainError("internal error: oriented end counts must balance across partners")
-            for h, t in zip(heads, tails):
-                successor[h] = t
+        waiting[partner[at[2 * i + side]]].append(2 * i + side)
+    waiting = list(map(iter, waiting))
+    successor = [0] * len(at)  # entry dart -> entry dart of the next step
+    try:
+        for i, side in enumerate(entry):
+            successor[2 * i + side] = next(waiting[at[2 * i + 1 - side]])
+    except StopIteration:
+        raise DomainError("internal error: oriented end counts must balance across partners") from None
 
     trails = []
     visited = bytearray(len(entry))
@@ -202,7 +198,7 @@ def _dart_trails(pg: PairedGraph) -> tuple:
         while not visited[d >> 1]:
             visited[d >> 1] = 1
             trail.append(d)
-            d = successor[d ^ 1]
+            d = successor[d]
         trails.append(trail)
     return at, trails
 

@@ -122,10 +122,15 @@ def _parse_side_entry(item, what: str, shape: str) -> tuple:
 
 def graph_to_doc(g: Multigraph) -> dict:
     """The graph as a document, written from its vertex ids, edge ids and
-    dart column, so a graph the library built makes no ``Edge`` record."""
-    ends = list(map(id_to_json, map(g.vertices.__getitem__, g._at)))
+    dart column, so a graph the library built makes no ``Edge`` record.
+    Each vertex id is converted once, and each end gets its own copy."""
+    vertices = [id_to_json(v) for v in g.vertices]
+    # a flat list is copied; any other id is converted again, which copies
+    # the inner lists of an id that nests tuples
+    flat = [type(n) is list and list not in map(type, n) for n in vertices]
+    ends = [vertices[p].copy() if flat[p] else id_to_json(g.vertices[p]) for p in g._at]
     return {
-        "vertices": [id_to_json(v) for v in g.vertices],
+        "vertices": vertices,
         "edges": [
             {"id": id_to_json(i), "end0": a, "end1": b}
             for i, a, b in zip(g._ids, ends[::2], ends[1::2])

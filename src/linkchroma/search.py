@@ -53,13 +53,7 @@ def _degree_feasible(adj: dict) -> bool:
     """Necessary for a perfect pairing: degrees within 3..8 and the counts
     of complementary degrees (summing to 11) balanced."""
     counts = Counter(len(adj[v]) for v in adj)
-    if any(d < 3 or d > 8 for d in counts):
-        return False
-    return (
-        counts[3] == counts[8]
-        and counts[4] == counts[7]
-        and counts[5] == counts[6]
-    )
+    return all(3 <= d <= 8 and counts[d] == counts[11 - d] for d in counts)
 
 
 class _NodeCapHit(Exception):
@@ -90,19 +84,9 @@ def exact_pairing(adj: dict) -> Optional[list]:
         for v in sorted(unpaired):
             if v == u or deg[v] != 11 - deg[u] or v in adj[u]:
                 continue
-            clash = Counter()
-            ok = True
-            for x in (u, v):
-                for w in adj[x]:
-                    j = pair_index.get(w)
-                    if j is not None:
-                        clash[j] += 1
-                        if clash[j] > 1:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
+            # the formed pairs that u and v reach: each at most once
+            reached = [pair_index[w] for x in (u, v) for w in adj[x] if w in pair_index]
+            if len(set(reached)) == len(reached):
                 out.append(v)
         return out
 
@@ -123,25 +107,20 @@ def exact_pairing(adj: dict) -> Optional[list]:
             nodes += 1
             if nodes > _BACKTRACK_NODE_CAP:
                 raise _NodeCapHit
-            idx = len(pairs)
+            pair_index[best_u] = pair_index[v] = len(pairs)
             pairs.append((best_u, v))
-            pair_index[best_u] = pair_index[v] = idx
-            unpaired.discard(best_u)
-            unpaired.discard(v)
+            unpaired.difference_update((best_u, v))
             if search():
                 return True
-            unpaired.add(best_u)
-            unpaired.add(v)
+            unpaired.update((best_u, v))
             del pair_index[best_u], pair_index[v]
             pairs.pop()
         return False
 
     try:
-        if search():
-            return pairs
+        return pairs if search() else None
     except _NodeCapHit:
         return None
-    return None
 
 
 # Pair counts are packed ints with one 4-bit field per pair, field q at

@@ -201,6 +201,29 @@ class TestPipeline:
         ):
             assert (out_dir / name).is_file(), name
 
+    @pytest.mark.parametrize("fails, written", [(1, 2), (2, 3)])
+    def test_a_writer_that_raises_leaves_the_files_before_it(self, capsys, tmp_path, monkeypatch, fails, written):
+        """The ``fails``-th complex document raises: the files in front of
+        it are written, in order, and no later one."""
+        names = ["witness.json", "augmented.json", "punctured.json", "sealed.json"]
+        made = []
+        original = formats.complex_to_doc
+
+        def complex_to_doc(c):
+            made.append(c)
+            if len(made) == fails:
+                raise DomainError("writer failed")
+            return original(c)
+
+        monkeypatch.setattr(formats, "complex_to_doc", complex_to_doc)
+        out_dir = tmp_path / "stages"
+        code, stdout, stderr = run(capsys, "pipeline", "--out", str(out_dir))
+        assert (code, stdout) == (1, "")
+        assert stderr.splitlines() == [f"wrote {out_dir / n}" for n in names[:written]] + [
+            "error:domain: writer failed"
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(names[:written])
+
     def test_sealed_output_feeds_colour_complex(self, capsys, tmp_path):
         out_dir = tmp_path / "stages"
         run(capsys, "pipeline", "--out", str(out_dir))

@@ -54,6 +54,32 @@ class TestGraphDocuments:
         with pytest.raises(SchemaError):
             formats.graph_from_doc(doc)
 
+    def test_no_list_is_shared(self):
+        """Each vertex id is converted once, and each end gets its own copy,
+        inner lists included: a flat id, an id that nests tuples, a scalar
+        and loops, on a link graph and on a hand-built graph."""
+        g = Multigraph(
+            (1, ("t", 2), ("n", ("a", (3, "b")))),
+            (
+                Edge("e", 1, ("t", 2)),
+                Edge("f", ("t", 2), ("n", ("a", (3, "b")))),
+                Edge("l", ("n", ("a", (3, "b"))), ("n", ("a", (3, "b")))),
+                Edge("m", ("t", 2), ("t", 2)),
+            ),
+        )
+        for graph in (g, link_graph(seal(run_pipeline().punctured)).graph):
+            doc = formats.graph_to_doc(graph)
+            lists = []
+            stack = [doc["vertices"], *doc["edges"]]
+            while stack:
+                item = stack.pop()
+                for value in item.values() if isinstance(item, dict) else item:
+                    if isinstance(value, list):
+                        lists.append(value)
+                        stack.append(value)
+            assert len(set(map(id, lists))) == len(lists) > len(graph.vertices)
+            assert formats.graph_from_doc(doc) == graph
+
     def test_tuple_ids_become_arrays(self):
         g = Multigraph(((1, 2),), ())
         doc = formats.graph_to_doc(g)
