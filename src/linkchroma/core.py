@@ -855,9 +855,18 @@ class TwoComplex:
             walk = object.__new__(ClosedWalk)
             object.__setattr__(walk, "steps", steps)
             walks.append(walk)
+        return cls._from_walks(skeleton, tuple(walks), kind)
+
+    @classmethod
+    def _from_walks(cls, skeleton: Multigraph, cells: tuple, kind: str) -> "TwoComplex":
+        """A complex from a tuple of ``ClosedWalk`` cells that already pass
+        ``validate_walk`` on ``skeleton``, stored as given, so complexes
+        built from one set of walks share them.  ``_from_steps`` ends here,
+        and ``corpus.enumerate_small_complexes`` builds each complex from
+        the walks of its skeleton, each checked once."""
         c = object.__new__(cls)
         object.__setattr__(c, "skeleton", skeleton)
-        object.__setattr__(c, "cells", tuple(walks))
+        object.__setattr__(c, "cells", cells)
         object.__setattr__(c, "kind", kind)
         return c
 

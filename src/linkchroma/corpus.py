@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import ClosedWalk, Edge, Multigraph, TwoComplex
+from .core import GENUINE, ClosedWalk, Edge, Multigraph, TwoComplex, validate_walk
 from .errors import DomainError
 
 
@@ -154,12 +154,17 @@ def _canonical_walk(darts) -> tuple:
 
 def enumerate_small_complexes() -> Iterator[TwoComplex]:
     """All genuine 2-complexes over the small skeleton corpus with at most
-    ``_MAX_CELLS`` cells of walk length at most ``_MAX_WALK_LEN``."""
+    ``_MAX_CELLS`` cells of walk length at most ``_MAX_WALK_LEN``.
+
+    Each walk of a skeleton passes ``validate_walk`` once, here, and every
+    complex over that skeleton holds the same walk objects as its cells."""
     for g in enumerate_small_skeletons():
         walks = enumerate_closed_walks(g)
+        for walk in walks:
+            validate_walk(g, walk)
         for r in range(_MAX_CELLS + 1):
             for cells in itertools.combinations_with_replacement(walks, r):
-                yield TwoComplex(g, cells)
+                yield TwoComplex._from_walks(g, cells, GENUINE)
 
 # ---------------------------------------------------------------------------
 # Acceptance checks

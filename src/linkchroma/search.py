@@ -82,7 +82,7 @@ def exact_pairing(adj: dict) -> Optional[list]:
     def candidates(u):
         out = []
         for v in sorted(unpaired):
-            if v == u or deg[v] != 11 - deg[u] or v in adj[u]:
+            if deg[v] != 11 - deg[u] or v in adj[u]:  # 11 is odd, so u is never its own candidate
                 continue
             # the formed pairs that u and v reach: each at most once
             reached = [pair_index[w] for x in (u, v) for w in adj[x] if w in pair_index]
