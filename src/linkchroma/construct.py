@@ -384,7 +384,8 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
     else:
         try:
             # With a valid pairing, the witness's kept paired graph can fail
-            # only on the rotation, and the pipeline reuses its genus.
+            # only on the rotation, and the pipeline reuses that paired graph
+            # and its validated ``_succ``.
             if plain is None:
                 components = genus_check(w.graph, w.rotation)
             else:
@@ -411,7 +412,10 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
     pg = w.paired_graph if checks[0].passed else plain
     nbrs = pg._quotient_neighbours  # by pair position
     position = {frozenset(p): k for k, p in enumerate(pg.pairing.pairs)}
-    designated = [position.get(frozenset(p)) for p in w.designated_pairs]
+    try:  # held loosely: an entry may not be a pair of ids
+        designated = [position.get(frozenset(p)) for p in w.designated_pairs]
+    except TypeError:
+        designated = [None]
     if len(designated) != 12 or None in designated:
         checks.append(
             WitnessCheck("designated-k12", False, "must designate 12 pairs of the pairing")

@@ -16,8 +16,9 @@ Conventions used throughout:
   read.  Every graph stores its vertex ids, its edge ids and the dart
   column, the vertex position of each dart ``2 * edge_position + side``;
   the public constructor also stores the ``Edge`` records and the
-  vertex positions it checked them with.  Every paired graph stores the
-  pair position of each vertex position.
+  vertex positions it checked them with.  The edge index, the stored
+  position of each edge id, is built on first read.  Every paired graph
+  stores the pair position of each vertex position.
 * All types are immutable; every operation is a pure function.
 """
 
@@ -179,13 +180,12 @@ class Multigraph:
         if len(index) != len(verts):
             raise DomainError("duplicate vertex id")
         ids = tuple(map(itemgetter(0), edges))
-        by_id = dict(zip(ids, edges))
         ends = list(chain.from_iterable(map(itemgetter(1, 2), edges)))
         try:  # the dart column; an unhashable end names no vertex
             at = list(map(index.__getitem__, ends))
         except (KeyError, TypeError):
             at = None
-        if len(by_id) != len(edges) or at is None:
+        if len(set(ids)) != len(ids) or at is None:
             seen = set()  # find the first faulty edge in stored order
             for e in edges:
                 if e.id in seen:
@@ -197,7 +197,6 @@ class Multigraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_edge_by_id", by_id)
         object.__setattr__(self, "_at", at)
         if not _plainly_nested(ends):
             # an end such as True or 1.0 is in the vertex set but is not an id
@@ -252,11 +251,6 @@ class Multigraph:
         return cls._from_columns(g.vertices, tuple(order), at), position
 
     @cached_property
-    def _edge_by_id(self) -> dict:
-        """Each edge by its id: stored by the public constructor, else built."""
-        return dict(zip(self._ids, self.edges))
-
-    @cached_property
     def _ends_at(self) -> dict:
         """Each vertex's edge-ends, built on first use and kept: the
         instance is frozen, and it is not a field, so equality and hashing
@@ -274,6 +268,12 @@ class Multigraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
+    def _position(self) -> dict:
+        """The stored position of each edge id, built on first read and
+        kept, as ``_ends_at``."""
+        return dict(zip(self._ids, range(len(self._ids))))
+
+    @cached_property
     def _steps(self) -> tuple:
         """The ``WalkStep`` of each dart ``2 * edge_position + side``, and a
         dict from step to dart: built on first use and kept, as ``_ends_at``.
@@ -283,7 +283,7 @@ class Multigraph:
 
     def edge(self, edge_id) -> Edge:
         try:
-            return self._edge_by_id[edge_id]
+            return self.edges[self._position[edge_id]]
         except KeyError:
             raise DomainError(f"unknown edge {short_repr(edge_id)}") from None
 
@@ -540,11 +540,11 @@ class RotationSystem:
 
     Certifies a combinatorial embedding; its genus is computable by face
     tracing.  Stored orders are rotated to start at their smallest end so
-    equal embeddings compare equal.
+    equal embeddings compare equal.  ``_norm`` is ``(None, rows)``: the
+    ``(vertex, edge-ends)`` rows in vertex order, empty orders included.
     """
 
     orders: tuple = _BuiltOnRead("orders", _orders_from_darts)
-    _norm = (None, ())  # (graph, (vertex id, position, darts) records) from ``_from_darts``
 
     def __post_init__(self):
         raw = self.orders
@@ -575,15 +575,8 @@ class RotationSystem:
         # the vertex of an empty order is keyed too, and dropped from
         # ``orders``; the graph a rotation is checked on must still have it
         norm.sort(key=lambda item: id_sort_key(item[0]))
-        orders = tuple([item for item in norm if item[1]])
-        object.__setattr__(self, "orders", orders)
-        if len(orders) != len(norm):
-            object.__setattr__(self, "_listed", tuple(norm))
-
-    @cached_property
-    def _listed(self) -> tuple:
-        """``orders``, or what the constructor stored: that and the empty orders it dropped."""
-        return self.orders
+        object.__setattr__(self, "orders", tuple([item for item in norm if item[1]]))
+        object.__setattr__(self, "_norm", (None, tuple(norm)))
 
     @classmethod
     def _from_darts(cls, g: Multigraph, darts_at: list) -> "RotationSystem":
@@ -593,11 +586,13 @@ class RotationSystem:
         which is the smallest end in id order since edges are stored in id
         order.
 
-        Nothing is checked here.  ``validate_rotation`` checks the stored
-        darts as they are where the rotation meets ``g`` itself, and orders
-        that fail are rejected there with the constructor's text.  The
-        edge-ends of ``orders`` are made only if it is read."""
-        norm = []  # (vertex id, vertex position, darts) records
+        Nothing is checked here.  ``_norm`` is ``(g, records)``, one
+        ``(vertex id, vertex position, darts)`` record per nonempty order,
+        whose darts ``validate_rotation`` checks as they are where the
+        rotation meets ``g`` itself; orders that fail are rejected there
+        with the constructor's text.  The edge-ends of ``orders`` are made
+        only if it is read."""
+        norm = []
         for p, (v, darts) in enumerate(zip(g.vertices, darts_at)):
             if darts:
                 pivot = darts.index(min(darts))
@@ -623,10 +618,10 @@ def validate_rotation(g: Multigraph, rot: RotationSystem) -> array:
     fault = None
     ids = g._ids
     if built_on is not g:
-        position = dict(zip(ids, range(len(ids))))
-        index = g._index
+        rows = darts_at if built_on is None else rot.orders
+        position, index = g._position, g._index
         darts_at = []
-        for v, order in rot._listed:
+        for v, order in rows:
             if v not in index:
                 fault = DomainError(f"rotation mentions unknown vertex {short_repr(v)}")
                 break

@@ -41,6 +41,7 @@ from .core import (
     _check_junctions,
     _is_id,
     _records,
+    _rows,
     _unknown_edge,
     id_sort_key,
 )
@@ -322,8 +323,11 @@ def witness_to_doc(witness) -> dict:
     member that is not an id (``5.0`` for vertex 5) is refused here rather
     than written into a document that cannot be read back."""
     for what, pairs in (("pair", witness.pairs), ("designated pair", witness.designated_pairs)):
-        for pair in pairs:
-            for v in pair:
+        for pair in _rows(pairs, f"{what}s {{}} must be an iterable of pairs"):
+            members = tuple(_rows(pair, f"{what} {{}} must be a pair of ids"))
+            if len(members) != 2:
+                raise DomainError(f"{what} {short_repr(pair)} must be a pair of ids")
+            for v in members:
                 if not _is_id(v):
                     raise DomainError(f"{what} {short_repr(pair)} holds {short_repr(v)}, which is not an id")
     doc = _paired_doc(witness.graph, witness.pairs, witness.rotation)

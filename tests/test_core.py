@@ -205,11 +205,11 @@ class TestEndsTable:
 
     def test_dart_positions_match_the_edges_and_are_built_once(self):
         # a graph stores what its constructor computed: every constructor
-        # the dart column, the public one also the edges, by id too, and the
-        # vertex positions it resolved the ends with
+        # the dart column, the public one also the edges and the vertex
+        # positions it resolved the ends with
         for g in self.graphs():
             if "edges" in g.__dict__:
-                assert set(g.__dict__) == {"vertices", "edges", "_ids", "_index", "_edge_by_id", "_at"}
+                assert set(g.__dict__) == {"vertices", "edges", "_ids", "_index", "_at"}
             else:
                 assert set(g.__dict__) == {"vertices", "_ids", "_at"}
             index, at = g._index, g._at
@@ -681,6 +681,17 @@ class TestEmptyRotationOrders:
         with pytest.raises(DomainError) as info:
             RotationSystem(((1.5, ()), ("u", [("a", 3)])))
         assert str(info.value) == "edge-end EdgeEnd(edge='a', side=3) has an invalid side"
+
+    def test_each_constructor_stores_one_listing(self):
+        # the constructor's rows keep the empty orders that ``orders`` drops
+        rot = RotationSystem({"v": (), "u": [("a", 0)]})
+        assert set(rot.__dict__) == {"orders", "_norm"}
+        assert rot._norm == (None, (("u", (EdgeEnd("a", 0),)), ("v", ())))
+        assert rot.orders[0] is rot._norm[1][0]
+        # a rotation built on darts stores its graph and dart records only
+        pg = random_planar_paired_graph(0, 3)
+        assert set(pg.rotation.__dict__) == {"_norm"} and pg.rotation._norm[0] is pg.graph
+        assert not hasattr(RotationSystem, "_norm") and not hasattr(RotationSystem, "_listed")
 
 
 class TestLinkGraph:

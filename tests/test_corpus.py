@@ -9,9 +9,10 @@ from itertools import islice
 
 import pytest
 
-from linkchroma import corpus
-from linkchroma.core import ClosedWalk, TwoComplex, WalkStep, validate_walk
-from linkchroma.corpus import enumerate_small_complexes
+from linkchroma import colour, corpus
+from linkchroma.colour import SolverLog, edge_chromatic_number_complex
+from linkchroma.core import ClosedWalk, EdgeEnd, TwoComplex, WalkStep, link_graph, simple_quotient, validate_walk
+from linkchroma.corpus import enumerate_small_complexes, run_check
 from linkchroma.errors import DomainError
 
 # SHA-256 over ``enumerate_small_complexes()``, in order, one JSON line a
@@ -94,3 +95,68 @@ def test_a_faulty_walk_is_refused(monkeypatch, fault, message):
     with pytest.raises(DomainError) as info:
         list(enumerate_small_complexes())
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The conflict graphs the agreement check adds so that the exact solver
+# must search: each member's chromatic number, found by
+# ``chromatic_number_reference`` when the family was chosen
+BRANCHING_CHROMATIC = {
+    "C5": 3,
+    "C7": 3,
+    "wheel W5": 4,
+    "Groetzsch graph": 4,
+    "G(12, 0.3) seed 185": 3,
+    "G(12, 0.3) seed 261": 3,
+    "G(12, 0.5) seed 21": 4,
+    "G(12, 0.5) seed 105": 4,
+    "G(12, 0.7) seed 277": 6,
+}
+
+
+def test_each_conflict_complex_has_its_graph_as_conflict_graph():
+    for name, n, edges, _ in corpus._branching_family():
+        c = corpus._conflict_complex(n, edges)
+        assert c.skeleton.vertices == (0,) and c.skeleton.edge_ids() == tuple(range(n))
+        q = simple_quotient(link_graph(c))
+        # quotient vertex a is the pair of loop a, named by its side-0 end
+        assert q.vertices == tuple(EdgeEnd(a, 0) for a in range(n))
+        got = sorted(sorted((e.end0.edge, e.end1.edge)) for e in q.edges)
+        assert got == sorted(sorted(e) for e in edges), name
+
+
+def test_every_family_member_makes_the_solver_branch():
+    family = corpus._branching_family()
+    assert {name: None for name, *_ in family}.keys() == BRANCHING_CHROMATIC.keys()
+    for name, n, edges, _ in family:
+        log = SolverLog([], 0, 0)
+        k, _ = edge_chromatic_number_complex(corpus._conflict_complex(n, edges), log)
+        assert k == BRANCHING_CHROMATIC[name]
+        assert log.branch_nodes >= 1, name
+        assert len(log.clique) < log.dsatur_upper, name
+        if name.startswith("G(12"):
+            assert k < log.dsatur_upper, name  # the search beats the greedy bound
+
+
+def test_the_agreement_check_passes_on_the_family(monkeypatch):
+    # with the corpus left out, only the triangle, the tetrahedron and the family are checked
+    monkeypatch.setattr(corpus, "enumerate_small_complexes", lambda: iter(()))
+    result = run_check("three-quantity-agreement")
+    assert result.status == "pass"
+    assert result.detail == (
+        "exhaustive, cell-junction, link-graph and quotient routes agree on 2 complexes "
+        "and 9 that make the exact solver branch"
+    )
+
+
+@pytest.mark.parametrize("member, oracle", [(4, "brute force 3"), (6, "reference 4")])
+def test_the_agreement_check_names_a_family_disagreement(monkeypatch, member, oracle):
+    # a route one colour off on one member only
+    monkeypatch.setattr(corpus, "enumerate_small_complexes", lambda: iter(()))
+    name, n, edges, _ = corpus._branching_family()[member]
+    target = corpus._conflict_complex(n, edges)
+    solve = colour.edge_chromatic_number_complex
+    monkeypatch.setattr(colour, "edge_chromatic_number_complex", lambda c: (solve(c)[0] + (c == target), None))
+    result = run_check("three-quantity-agreement")
+    k = BRANCHING_CHROMATIC[name]
+    assert result.detail == f"disagreement on {name}: {oracle}, junctions {k + 1}, link {k}, quotient {k}"

@@ -403,6 +403,22 @@ class TestWitnessDocuments:
         lines = verify_witness(cases[0][0]).lines()
         assert f"FAIL perfect-pairing: unsupported id {float(a)!r}: ids are ints, strings or tuples" in lines
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("designated_pairs", [5], "designated pair 5 must be a pair of ids"),
+            ("designated_pairs", [([1], [2])], "designated pair ([1], [2]) holds [1], which is not an id"),
+            ("designated_pairs", None, "designated pairs None must be an iterable of pairs"),
+            ("designated_pairs", [(1, 2, 3)], "designated pair (1, 2, 3) must be a pair of ids"),
+            ("pairs", [5], "pair 5 must be a pair of ids"),
+        ],
+    )
+    def test_an_entry_that_is_not_a_pair_of_ids_is_not_written(self, field, value, message):
+        w = dataclasses.replace(load_shipped_witness(), **{field: value})
+        with pytest.raises(DomainError) as info:
+            formats.witness_to_doc(w)
+        assert str(info.value) == message
+
     def test_provenance_that_is_not_an_object_is_refused(self):
         doc = formats.witness_to_doc(load_shipped_witness())
         doc["provenance"] = 5

@@ -54,7 +54,8 @@ def validate_walk_reference(g: Multigraph, walk: ClosedWalk) -> None:
     every edge is known, then each step exits where the next one enters,
     the first fault in step order reported."""
     steps = walk.steps
-    edges = [g._edge_by_id.get(s[0]) for s in steps]
+    by_id = {e.id: e for e in g.edges}
+    edges = [by_id.get(s[0]) for s in steps]
     if None in edges:
         raise DomainError(
             f"walk not contained in skeleton: unknown edge {short_repr(steps[edges.index(None)].edge)}"

@@ -105,7 +105,7 @@ def test_the_construction_chain_makes_no_edges():
     heawood_colour_12(augmented)
     for g in (pg.graph, augmented.graph, L.graph):
         assert "_ids" in g.__dict__
-        for built in ("edges", "_edge_by_id", "_ends_at"):
+        for built in ("edges", "_position", "_ends_at"):
             assert built not in g.__dict__
 
 
@@ -150,20 +150,22 @@ def test_augmenting_a_map_that_has_a_twin_id_reports_the_duplicate():
 
 
 def assert_positions_are_the_edges(g: Multigraph) -> None:
-    """``_at``, stored, and ``_index``, stored or built on read, are what
-    the vertices and ``edges`` give."""
+    """``_at``, stored, ``_index``, stored or built on read, and
+    ``_position``, built on read, are what the vertices and ``edges`` give."""
     index = {v: i for i, v in enumerate(g.vertices)}
     assert g._at == [index[end] for e in g.edges for end in (e.end0, e.end1)]
     assert g._index == index
+    assert g._position == {e.id: i for i, e in enumerate(g.edges)}
 
 
 def test_each_graph_stores_what_its_constructor_computed():
     # fresh from a constructor, a graph holds what that constructor
     # computed: every constructor the dart column, the public one also the
-    # edges, by id too, and the vertex positions it resolved the ends with;
-    # reading the positions of a graph the internal one made builds them
+    # edges and the vertex positions it resolved the ends with; reading the
+    # vertex positions of a graph the internal one made builds them, and
+    # reading the edge positions of any graph
     def public(g):
-        assert set(g.__dict__) == {"vertices", "edges", "_ids", "_index", "_edge_by_id", "_at"}
+        assert set(g.__dict__) == {"vertices", "edges", "_ids", "_index", "_at"}
         graphs.append(g)
 
     def columns(g):

@@ -32,6 +32,11 @@ SEED_34_SHA256 = "666272b61a1901c20f7d1e4f7bdc6ec57ffeda9c6eee339059cf45f3cf27be
 # proposal loop flipped inline and left rejected flips' exchanges pending.
 # The CI workflow times the same sweep and checks it against this value.
 SEEDS_0_TO_99_SHA256 = "b9884b61a639a504300773a9408ec8f2388265f4e559e93d0fb3f8c6471911bd"
+# search_witness(18, 2_000_000), the search the exact pairing closes, recorded
+# before the rotation kept one listing: the proposals it took and the SHA-256
+# of dumps(witness_to_doc(w)).  The CI workflow replays it through the CLI.
+SEED_18_STEPS = 723883
+SEED_18_SHA256 = "d9e378c119d5fbb052469656165da66475886d2e78e8f86cbd02423ffe2663b6"
 
 
 class _ReferenceState(_AnnealState):
@@ -481,6 +486,12 @@ class TestWitnessReportLines:
     def test_report_lines(self, fault):
         assert verify_witness(faulty_witness(fault)).lines() == self.REPORTS[fault]
 
+    @pytest.mark.parametrize("designated", [[5], [([1], [2])], None], ids=["int", "lists", "none"])
+    def test_designated_pairs_that_are_not_pairs_of_ids_fail_the_check(self, designated):
+        w = load_shipped_witness()
+        loose = TwelvePireWitness(w.graph, w.pairs, w.rotation, designated)
+        assert verify_witness(loose).lines() == self.REPORTS["eleven-designated"]
+
     def test_an_exhausted_budget_fails_with_the_proven_bounds(self, monkeypatch):
         # A 160-pair map, its first 12 pairs designated: without a budget
         # the exact solve runs for minutes.
@@ -679,6 +690,22 @@ class TestSearch:
                 seen.update(max(_fields(r)) for r in state.row)
         assert seen[4] > 0  # the bound is reached
         _assert_matches_recount(state)
+
+    def test_the_exact_pairing_closes_seed_18s_search(self):
+        w = search_witness(seed=18, budget=2_000_000)
+        assert w.provenance["closed_by"] == "backtracking"
+        assert w.provenance["steps_used"] == SEED_18_STEPS
+        text = formats.dumps(formats.witness_to_doc(w))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED_18_SHA256
+        assert verify_witness(w).all_passed and run_pipeline(w).edge_chromatic == 12
+
+    @pytest.mark.parametrize("seed", [4, 9, 11, 14, 17])
+    def test_each_found_witness_gives_twelve(self, seed):
+        # witnesses other than the shipped one, each found in well under 1 s
+        w = search_witness(seed=seed, budget=2_000_000)
+        assert w.provenance["closed_by"] == "annealing"
+        assert verify_witness(w).all_passed
+        assert run_pipeline(w).edge_chromatic == 12
 
     def test_replaying_the_shipped_seed_reproduces_the_witness(self):
         # determinism across runs: the shipped file was written by an earlier
