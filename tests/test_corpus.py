@@ -127,13 +127,12 @@ def test_each_conflict_complex_has_its_graph_as_conflict_graph():
 
 def test_every_family_member_makes_the_solver_branch():
     family = corpus._branching_family()
-    assert {name: None for name, *_ in family}.keys() == BRANCHING_CHROMATIC.keys()
+    assert [name for name, *_ in family] == list(BRANCHING_CHROMATIC)
     for name, n, edges, _ in family:
         log = SolverLog([], 0, 0)
         k, _ = edge_chromatic_number_complex(corpus._conflict_complex(n, edges), log)
         assert k == BRANCHING_CHROMATIC[name]
         assert log.branch_nodes >= 1, name
-        assert len(log.clique) < log.dsatur_upper, name
         if name.startswith("G(12"):
             assert k < log.dsatur_upper, name  # the search beats the greedy bound
 
