@@ -175,9 +175,10 @@ def chromatic_number(
     saturated, then the one of highest degree, then the lowest id; colours
     are tried lowest first.  The empty graph has chromatic number 0.
 
-    ``budget`` caps the branch nodes; ``None`` leaves the search unbounded.
-    When it runs out, BudgetExhausted carries the proven lower bound (the
-    clique size) and the best colouring's size as ``lower`` and ``upper``.
+    ``budget``, a non-negative int, caps the branch nodes; ``None`` leaves
+    the search unbounded, and anything else is refused.  When it runs out,
+    BudgetExhausted carries the proven lower bound (the clique size) and the
+    best colouring's size as ``lower`` and ``upper``.
     """
     ids = g.vertices  # in id order, so ties broken by index are broken by id
     k, witness = _chromatic(ids, _neighbours(g), log, budget)
@@ -189,8 +190,8 @@ def _chromatic(ids: tuple, nbrs: list, log: Optional[SolverLog], budget: Optiona
     ``i`` named ``ids[i]`` in the log; ``ids`` is read only when a log is
     given.  Returns the size and the witness as (index, colour) items in
     colouring order."""
-    if budget is not None and budget < 0:
-        raise DomainError("budget must be non-negative")
+    if budget is not None and (not isinstance(budget, int) or isinstance(budget, bool) or budget < 0):
+        raise DomainError("budget must be a non-negative integer")
     n = len(nbrs)
     degree = list(map(len, nbrs))
     clique = _greedy_clique(nbrs, degree) if n else []

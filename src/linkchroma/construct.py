@@ -22,7 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import Optional
 
 from .colour import (
@@ -48,7 +48,7 @@ from .core import (
     genus_check,
     link_graph,
 )
-from .errors import BudgetExhausted, DomainError
+from .errors import BudgetExhausted, DomainError, short_repr
 from .triangulate import SphereTriangulation
 
 
@@ -64,26 +64,38 @@ def is_degree_faithful(pg: PairedGraph) -> bool:
 
 def _with_twins(g: Multigraph, succ, twin_of, new_ids: list, new_at: list, loops_at: list) -> tuple:
     """``g`` with the edges ``new_ids`` added, their ends given as in ``_at``
-    by ``new_at``, and its rotation system.
+    by ``new_at``, and some of its own edges dropped, and its rotation
+    system.
 
     ``succ`` maps each dart ``2 * edge_position + side`` of ``g`` to the
-    next dart around its vertex.  The twin ``new_ids[twin_of[i]]`` of edge
+    next dart around its vertex.  Where ``twin_of[i]`` is -2, edge position
+    ``i`` is dropped: its darts stand for no dart, and the walk around their
+    vertices passes over them.  The twin ``new_ids[twin_of[i]]`` of edge
     position ``i`` (none where ``twin_of[i]`` is -1) has the edge's ends;
     it goes right after the edge's side-0 dart and right before its side-1
     dart, so it bounds a bigon with its edge.  Each loop ``new_ids[k]`` for
     ``k`` in ``loops_at[p]`` goes at vertex position ``p`` as two
     consecutive darts, after the walk from its smallest dart, and adds a
-    monogon face.  Neither changes the genus.
+    monogon face.  None of these changes the genus.
     """
     at = g._at
     m = len(at) // 2
+    if -2 in twin_of:  # the kept edges' columns
+        keep = [k != -2 for k in twin_of]
+        ids, ends = tuple(compress(g._ids, keep)), list(compress(at, chain.from_iterable(zip(keep, keep))))
+        g = Multigraph._from_columns(g.vertices, ids, ends)
     graph, position = Multigraph._extended(g, new_ids, new_at)
-    first = [-1] * len(g.vertices)  # the smallest old dart at each vertex position
+    old = len(g._ids)
+    first = [-1] * len(g.vertices)  # the smallest dart of g at each vertex position
     for d in range(2 * m - 1, -1, -1):
         first[at[d]] = d
-    stands = []  # the new darts that stand in each old dart's place
-    for i, k in enumerate(twin_of):
-        d, t = 2 * position[i], 2 * position[m + k]  # t is read only for a twin
+    stands = []  # the new darts that stand in each dart's place
+    slots = iter(position)  # of each kept edge, in order
+    for k in twin_of:
+        if k == -2:
+            stands += ((), ())
+            continue
+        d, t = 2 * next(slots), 2 * position[old + k]  # t is read only for a twin
         stands += ((d,), (d + 1,)) if k < 0 else ((d, t), (t + 1, d + 1))
     darts_at = []
     for p, start in enumerate(first):
@@ -95,7 +107,7 @@ def _with_twins(g: Multigraph, succ, twin_of, new_ids: list, new_at: list, loops
             if d == start:
                 break
         for k in loops_at[p]:
-            darts += (2 * position[m + k], 2 * position[m + k] + 1)
+            darts += (2 * position[old + k], 2 * position[old + k] + 1)
         darts_at.append(darts)
     return graph, RotationSystem._from_darts(graph, darts_at)
 
@@ -467,48 +479,37 @@ _DUPLICATE_PROB = 0.12
 
 
 def random_planar_paired_graph(seed, n_pairs: int) -> PairedGraph:
-    """Random certified-planar paired graph: grow a triangulation by random
-    vertex insertions (genus 0 by construction), delete edges at random,
-    give some of the rest a twin ``("dup", id)`` beside them with
-    ``_with_twins``, then pair the vertices by a random matching."""
+    """Random certified-planar paired graph on the vertices ``0 .. 2 *
+    n_pairs - 1``: grow a triangulation by random vertex insertions (genus 0
+    by construction), then hand all of it to ``_with_twins``, which drops
+    the edges deleted at random and gives some of the rest a twin ``("dup",
+    id)`` beside them, and pair the vertices by a random matching."""
+    if not isinstance(n_pairs, int) or isinstance(n_pairs, bool):
+        raise DomainError(f"the number of pairs {short_repr(n_pairs)} must be an int")
     if n_pairs < 1:
         raise DomainError("need at least one pair")
     rng = random.Random(seed)
     n = 2 * n_pairs
-    if n < 3:
-        origin, fnext = (0, 1), (1, 0)  # one edge 0-1 and its one face
-    else:
-        tri = SphereTriangulation()
-        while tri.num_vertices < n:
-            tri.insert_vertex(rng.randrange(tri.num_darts))
-        origin, fnext = tri.origin, tri.fnext
-    kept = [k for k in range(len(origin) // 2) if rng.random() >= _DELETE_PROB]
-    position = [-1] * (len(origin) // 2)  # of each kept edge in g, -1 if deleted
-    for i, k in enumerate(kept):
-        position[k] = i
-    # Dart d's successor around its vertex is fnext[d ^ 1]; the darts of
-    # deleted edges are passed over.
-    succ = []
-    for k in kept:
-        for d in (2 * k, 2 * k + 1):
-            d = fnext[d ^ 1]
-            while position[d >> 1] < 0:
-                d = fnext[d ^ 1]
-            succ.append(2 * position[d >> 1] + (d & 1))
-    g = Multigraph._from_columns(tuple(range(n)), tuple(kept), [origin[d] for k in kept for d in (2 * k, 2 * k + 1)])
-    twin_of, new_ids, new_at = [], [], []
-    for k in kept:
-        if rng.random() < _DUPLICATE_PROB:
-            twin_of.append(len(new_ids))
+    tri = SphereTriangulation()
+    tri.grow(n, rng)  # draws nothing for n = 2, which takes one edge 0-1 and its one face
+    origin, fnext = (tri.origin, tri.fnext) if n > 2 else ([0, 1], [1, 0])
+    m = len(origin) // 2
+    succ = [0] * (2 * m)  # dart d's successor around its vertex is fnext[d ^ 1]
+    succ[::2], succ[1::2] = fnext[1::2], fnext[::2]
+    # each edge kept (-1) or deleted (-2), then a twin for some kept ones
+    twin_of, new_ids, new_at = [-1 if rng.random() >= _DELETE_PROB else -2 for _ in range(m)], [], []
+    for k in range(m):
+        if twin_of[k] == -1 and rng.random() < _DUPLICATE_PROB:
+            twin_of[k] = len(new_ids)
             new_ids.append(("dup", k))
             new_at += origin[2 * k : 2 * k + 2]
-        else:
-            twin_of.append(-1)
     verts = list(range(n))
     rng.shuffle(verts)
-    pairing = Pairing(tuple((verts[2 * i], verts[2 * i + 1]) for i in range(n_pairs)))
+    # canonical by construction: each class as (min, max), classes in order
+    pairs = sorted(zip(map(min, verts[::2], verts[1::2]), map(max, verts[::2], verts[1::2])))
+    g = Multigraph._from_columns(tuple(range(n)), tuple(range(m)), origin)
     graph, rotation = _with_twins(g, succ, twin_of, new_ids, new_at, [()] * n)
-    return PairedGraph(graph, pairing, rotation)
+    return PairedGraph(graph, Pairing._sorted(tuple(pairs)), rotation)
 
 
 def random_degree_faithful_planar(seed, n_pairs: int) -> PairedGraph:

@@ -186,8 +186,7 @@ class _AnnealState:
 
 def _random_state(rng: random.Random) -> _AnnealState:
     tri = SphereTriangulation()
-    while tri.num_vertices < N_VERTICES:
-        tri.insert_vertex(rng.randrange(tri.num_darts))
+    tri.grow(N_VERTICES, rng)
     origin, fnext, adj, getrandbits = tri.origin, tri.fnext, tri.adj, rng.getrandbits
     num_edges, edge_bits = tri.num_edges, tri.num_edges.bit_length()
     for _ in range(40 * N_VERTICES):

@@ -1,5 +1,5 @@
-"""Mutable sphere triangulations, dart-based, supporting vertex insertion
-and edge flips.
+"""Mutable sphere triangulations, dart-based, grown by random vertex
+insertions and changed by edge flips.
 
 Darts are ints; edge ``k`` owns darts ``2k`` and ``2k + 1`` (its side-0 and
 side-1 ends), ``twin(d) = d ^ 1``.  ``fnext`` walks each triangular face
@@ -7,68 +7,68 @@ counterclockwise, and the rotation successor of a dart around its vertex
 is ``fnext(twin(d))``, so a rotation system read off ``fnext`` traces the
 triangulation's faces and has genus 0 by construction.
 
-The graph is kept simple: a flip is refused when it would create a loop or
-a parallel edge, which also keeps every degree at least 3.
+The neighbour sets ``adj`` are built from ``origin`` on first read, then
+kept by flips.  The graph is kept simple: a flip is refused when it would
+create a loop or a parallel edge, which also keeps every degree at least 3.
 """
 
 from __future__ import annotations
 
+from .core import _BuiltOnRead
 from .errors import DomainError
+
+
+def _adjacency(tri: SphereTriangulation) -> dict:
+    """Each vertex's neighbour set, from ``origin``."""
+    origin = tri.origin
+    adj = {v: set() for v in range(tri.num_vertices)}
+    for u, v in zip(origin[::2], origin[1::2]):
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 class SphereTriangulation:
     """Triangulation of the sphere grown from a triangle by vertex
     insertions into faces."""
 
+    # stored without ``__dict__``, which ``cached_property`` writes through
+    # and which, once made, slows every attribute read of the instance
+    adj = _BuiltOnRead("adj", _adjacency)
+
     def __init__(self):
         # triangle 0,1,2: inner face (0->1, 1->2, 2->0), outer face reversed
         self.origin = [0, 1, 1, 2, 2, 0]
         self.fnext = [2, 5, 4, 1, 0, 3]
-        self.adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
 
     @property
     def num_vertices(self) -> int:
-        return len(self.adj)
+        return len(self.origin) // 6 + 2  # V = E - F + 2 with 3F = 2E
 
     @property
     def num_edges(self) -> int:
         return len(self.origin) // 2
 
-    @property
-    def num_darts(self) -> int:
-        return len(self.origin)
-
     def endpoints(self, e: int):
         return self.origin[2 * e], self.origin[2 * e + 1]
 
-    def _new_edge(self, u: int, v: int) -> int:
-        """Allocate darts 2k (origin u) and 2k+1 (origin v); faces are wired
-        up by the caller."""
-        k = self.num_edges
-        self.origin.extend((u, v))
-        self.fnext.extend((-1, -1))
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        return k
-
-    def insert_vertex(self, dart: int) -> int:
-        """Subdivide the face containing ``dart`` into three by a new vertex."""
-        d = dart
-        a = self.fnext[d]
-        b = self.fnext[a]
-        x, y, z = self.origin[d], self.origin[a], self.origin[b]
-        v = self.num_vertices
-        self.adj[v] = set()
-        ex = self._new_edge(x, v)
-        ey = self._new_edge(y, v)
-        ez = self._new_edge(z, v)
-        xv, vx = 2 * ex, 2 * ex + 1
-        yv, vy = 2 * ey, 2 * ey + 1
-        zv, vz = 2 * ez, 2 * ez + 1
-        self.fnext[d], self.fnext[yv], self.fnext[vx] = yv, vx, d
-        self.fnext[a], self.fnext[zv], self.fnext[vy] = zv, vy, a
-        self.fnext[b], self.fnext[xv], self.fnext[vz] = xv, vz, b
-        return v
+    def grow(self, n: int, rng) -> None:
+        """Insert vertices until there are ``n``, each into the face of a
+        dart drawn as ``rng.randrange`` draws it: vertex ``v`` joins the
+        face's corners by new darts ``D``, ``D + 2`` and ``D + 4`` to it."""
+        origin, fnext, getrandbits = self.origin, self.fnext, rng.getrandbits
+        darts = len(origin)
+        for v in range(self.num_vertices, n):
+            bits = darts.bit_length()
+            d = getrandbits(bits)  # the loop rng.randrange(darts) runs
+            while d >= darts:
+                d = getrandbits(bits)
+            a = fnext[d]
+            b = fnext[a]
+            origin += (origin[d], v, origin[a], v, origin[b], v)
+            fnext += (darts + 5, d, darts + 1, a, darts + 3, b)
+            fnext[d], fnext[a], fnext[b] = darts + 2, darts + 4, darts
+            darts += 6
 
     def flippable(self, e: int) -> bool:
         """True iff the opposite vertices z, w of the faces at edge ``e``

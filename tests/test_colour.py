@@ -37,7 +37,7 @@ from linkchroma.catalogue import (
 )
 from linkchroma.colour import _chromatic, _neighbours
 from linkchroma.construct import random_planar_paired_graph
-from linkchroma.corpus import chromatic_number_reference
+from linkchroma.corpus import _conflict_complex, chromatic_number_reference
 from linkchroma.errors import short_repr
 
 from strategies import one_loop_complex
@@ -398,6 +398,29 @@ class TestExplicitStackSearch:
     def test_negative_budget_rejected(self):
         with pytest.raises(DomainError):
             chromatic_number(complete_graph(3), budget=-1)
+
+    # each exact solver on an instance that opens branch nodes
+    BUDGET_SOLVERS = {
+        "chromatic_number": lambda budget: chromatic_number(random_graph(random.Random(0), 30, 0.5), budget=budget),
+        "pair_chromatic_number": lambda budget: pair_chromatic_number(random_planar_paired_graph(0, 30), budget=budget),
+        "edge_chromatic_number_complex": lambda budget: edge_chromatic_number_complex(
+            _conflict_complex(17, [(i, (i + o) % 17) for i in range(17) for o in (1, 2)]), budget=budget
+        ),
+    }
+
+    @pytest.mark.parametrize("budget", [True, False, 1.5, 1e9, "3"], ids=repr)
+    @pytest.mark.parametrize("solver", sorted(BUDGET_SOLVERS))
+    def test_budget_that_is_not_an_int_rejected(self, solver, budget):
+        # a float once ran unbounded, True stopped at one node, "3" raised TypeError
+        with pytest.raises(DomainError, match="^budget must be a non-negative integer$"):
+            self.BUDGET_SOLVERS[solver](budget)
+
+    @pytest.mark.parametrize("solver", sorted(BUDGET_SOLVERS))
+    def test_budget_of_none_or_an_int_is_taken(self, solver):
+        full = self.BUDGET_SOLVERS[solver](None)
+        assert self.BUDGET_SOLVERS[solver](10**6) == full
+        with pytest.raises(BudgetExhausted):
+            self.BUDGET_SOLVERS[solver](0)
 
 
 def reference_dsatur(ids, nbrs, log, budget):

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import random
 from collections import Counter
 
 import pytest
@@ -22,6 +24,9 @@ from linkchroma import (
 )
 from linkchroma import formats
 from linkchroma.construct import (
+    _DELETE_PROB,
+    _DUPLICATE_PROB,
+    _with_twins,
     canonical_link_identification,
     check_seal_invariants,
     inverse_link,
@@ -33,6 +38,7 @@ from linkchroma.construct import (
     random_planar_paired_graph,
     seal,
 )
+from linkchroma.triangulate import SphereTriangulation
 
 from strategies import side_by_side, with_extras
 
@@ -546,3 +552,129 @@ class TestRandomGenerator:
     def test_rejects_zero_pairs(self):
         with pytest.raises(DomainError):
             random_planar_paired_graph(0, 0)
+
+    @pytest.mark.parametrize("n_pairs", [2.5, 2.0, "3", True, False, None])
+    def test_rejects_a_pair_count_that_is_not_an_int(self, n_pairs):
+        with pytest.raises(DomainError, match="^the number of pairs .* must be an int$"):
+            random_planar_paired_graph(0, n_pairs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_replaced_generator(self, seed):
+        for n_pairs in range(1, 31):
+            assert_same_maps(random_planar_paired_graph(seed, n_pairs), reference_generator(seed, n_pairs))
+
+    def test_matches_the_replaced_generator_where_the_one_edge_is_deleted(self):
+        pg = random_planar_paired_graph(14, 1)
+        assert pg.graph._ids == () and pg.rotation.orders == ()
+        assert_same_maps(pg, reference_generator(14, 1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_grow_draws_what_randrange_draws_per_insertion(self, seed):
+        for n in (3, 4, 5, 24, 100, 257):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            tri = SphereTriangulation()
+            tri.grow(n, mine)
+            origin, fnext, adj = reference_triangulation(n, theirs)
+            assert mine.getstate() == theirs.getstate()
+            assert (tri.origin, tri.fnext, tri.num_vertices) == (origin, fnext, n)
+            # the sets built on read hold, and iterate, as those kept per insertion
+            assert list(tri.adj) == list(adj)
+            assert list(map(list, tri.adj.values())) == list(map(list, adj.values()))
+
+    def test_the_maps_match_their_pinned_digest(self):
+        assert _random_maps_digest(random_planar_paired_graph) == RANDOM_MAPS_SHA256
+
+
+# SHA-256 over the paired-graph documents of ``random_planar_paired_graph`` on
+# RANDOM_MAP_CASES, in order, one JSON line a map: the maps of the
+# ``planar-twelve-colouring`` acceptance check, then two large ones; recorded
+# before the generator grew its triangulation with ``SphereTriangulation.grow``
+RANDOM_MAP_CASES = [(i, (i % 100) + 1) for i in range(1000)] + [(0, 1600), (0, 3200)]
+RANDOM_MAPS_SHA256 = "fcab57bed56dc9f033ca2659794dbbb17668d08b615f1bd8cc01db6d394459f1"
+
+
+def _random_maps_digest(generate):
+    h = hashlib.sha256()
+    for seed, n_pairs in RANDOM_MAP_CASES:
+        h.update(json.dumps(formats.paired_graph_to_doc(generate(seed, n_pairs))).encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+def reference_triangulation(n, rng):
+    """The replaced insertion loop: a triangle grown to ``n`` vertices by
+    ``insert_vertex(rng.randrange(num_darts))``, each new edge added to the
+    adjacency sets as it is made.  Returns ``origin``, ``fnext`` and the
+    sets."""
+    origin, fnext = [0, 1, 1, 2, 2, 0], [2, 5, 4, 1, 0, 3]
+    adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+
+    def new_edge(u, v):
+        k = len(origin) // 2
+        origin.extend((u, v))
+        fnext.extend((-1, -1))
+        adj[u].add(v)
+        adj[v].add(u)
+        return k
+
+    while len(adj) < n:
+        d = rng.randrange(len(origin))
+        a = fnext[d]
+        b = fnext[a]
+        x, y, z = origin[d], origin[a], origin[b]
+        v = len(adj)
+        adj[v] = set()
+        ex, ey, ez = new_edge(x, v), new_edge(y, v), new_edge(z, v)
+        xv, vx = 2 * ex, 2 * ex + 1
+        yv, vy = 2 * ey, 2 * ey + 1
+        zv, vz = 2 * ez, 2 * ez + 1
+        fnext[d], fnext[yv], fnext[vx] = yv, vx, d
+        fnext[a], fnext[zv], fnext[vy] = zv, vy, a
+        fnext[b], fnext[xv], fnext[vz] = xv, vz, b
+    return origin, fnext, adj
+
+
+def reference_generator(seed, n_pairs):
+    """The replaced ``random_planar_paired_graph``: its own graph of the kept
+    edges and successor column that passes over the deleted ones, handed to
+    ``_with_twins`` with no edge to drop, and the public ``Pairing``."""
+    rng = random.Random(seed)
+    n = 2 * n_pairs
+    if n < 3:
+        origin, fnext = (0, 1), (1, 0)
+    else:
+        origin, fnext, _ = reference_triangulation(n, rng)
+    kept = [k for k in range(len(origin) // 2) if rng.random() >= _DELETE_PROB]
+    position = [-1] * (len(origin) // 2)
+    for i, k in enumerate(kept):
+        position[k] = i
+    succ = []
+    for k in kept:
+        for d in (2 * k, 2 * k + 1):
+            d = fnext[d ^ 1]
+            while position[d >> 1] < 0:
+                d = fnext[d ^ 1]
+            succ.append(2 * position[d >> 1] + (d & 1))
+    g = Multigraph._from_columns(tuple(range(n)), tuple(kept), [origin[d] for k in kept for d in (2 * k, 2 * k + 1)])
+    twin_of, new_ids, new_at = [], [], []
+    for k in kept:
+        if rng.random() < _DUPLICATE_PROB:
+            twin_of.append(len(new_ids))
+            new_ids.append(("dup", k))
+            new_at += origin[2 * k : 2 * k + 2]
+        else:
+            twin_of.append(-1)
+    verts = list(range(n))
+    rng.shuffle(verts)
+    pairing = Pairing(tuple((verts[2 * i], verts[2 * i + 1]) for i in range(n_pairs)))
+    graph, rotation = _with_twins(g, succ, twin_of, new_ids, new_at, [()] * n)
+    return PairedGraph(graph, pairing, rotation)
+
+
+def assert_same_maps(pg, ref):
+    """Equal vertex and edge ids, dart columns, pairings, stored rotation
+    records and successor arrays."""
+    assert (pg.graph.vertices, pg.graph._ids, pg.graph._at) == (ref.graph.vertices, ref.graph._ids, ref.graph._at)
+    assert pg.pairing.pairs == ref.pairing.pairs
+    assert pg.rotation._norm[1] == ref.rotation._norm[1]
+    assert list(pg._succ) == list(ref._succ)
+    assert pg == ref

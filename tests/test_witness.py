@@ -613,8 +613,7 @@ class TestSearch:
 
         rng = random.Random(0)
         tri = SphereTriangulation()
-        while tri.num_vertices < 24:
-            tri.insert_vertex(rng.randrange(tri.num_darts))
+        tri.grow(24, rng)
         pair_of = [i // 2 for i in range(24)]  # puts adjacent 0 and 1 together
         state = _AnnealState(tri, pair_of)
         assert state.distinct <= 65
@@ -746,8 +745,7 @@ def _seeded_triangulation(seed):
     seeded flips."""
     rng = random.Random(seed)
     tri = SphereTriangulation()
-    while tri.num_vertices < 24:
-        tri.insert_vertex(rng.randrange(tri.num_darts))
+    tri.grow(24, rng)
     for _ in range(200):
         e = rng.randrange(tri.num_edges)
         if tri.flippable(e):
