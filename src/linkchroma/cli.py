@@ -195,9 +195,7 @@ def cmd_dot(args) -> int:
     kind = formats.sniff_kind(doc)
     if kind == "witness":
         w = formats.witness_from_doc(doc)
-        from .core import Pairing
-
-        dot = formats.to_dot(w.graph, Pairing(w.pairs))
+        dot = formats.to_dot(w.graph, w.pairing)
     elif kind == "complex":
         dot = formats.to_dot(formats.complex_from_doc(doc).skeleton)
     elif kind == "paired":

@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from typing import Optional
 
@@ -44,6 +43,7 @@ from .core import (
     RotationSystem,
     TwoComplex,
     WalkStep,
+    _BuiltOnRead,
     _other_end,
     genus_check,
     link_graph,
@@ -350,11 +350,17 @@ class TwelvePireWitness:
     designated_pairs: tuple
     provenance: dict = field(default_factory=dict)
 
-    @cached_property
+    @_BuiltOnRead
+    def pairing(self) -> Pairing:
+        """``pairs`` as a ``Pairing``; a loose witness's pairs that are not
+        one raise DomainError on every read."""
+        return Pairing(self.pairs)
+
+    @_BuiltOnRead
     def paired_graph(self) -> PairedGraph:
-        """The witness as a paired graph, built on first use and kept, so
-        its rotation is validated and its genus traced once."""
-        return PairedGraph(self.graph, Pairing(self.pairs), self.rotation)
+        """The witness as a paired graph, kept so that its rotation is
+        validated and its genus traced once."""
+        return PairedGraph(self.graph, self.pairing, self.rotation)
 
 
 @dataclass(frozen=True)
@@ -386,7 +392,7 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
     sets the paired graph keeps, which ``heawood_colour_12`` shares."""
     plain = None
     try:
-        plain = PairedGraph(w.graph, Pairing(w.pairs))
+        plain = PairedGraph(w.graph, w.pairing)
         pairing_check = WitnessCheck("perfect-pairing", True, f"{len(w.pairs)} pairs cover all vertices")
     except DomainError as exc:
         pairing_check = WitnessCheck("perfect-pairing", False, str(exc))

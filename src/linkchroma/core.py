@@ -11,14 +11,20 @@ Conventions used throughout:
   derived objects are reproducible byte-for-byte.
 * An edge has two distinguishable ends, side 0 and side 1.  A loop has
   both ends at the same vertex but the sides remain distinct.
-* Ids are keyed at the boundary, positions are used inside.  A graph
-  stores what its constructor computed and builds the rest on first
-  read.  Every graph stores its vertex ids, its edge ids and the dart
-  column, the vertex position of each dart ``2 * edge_position + side``;
-  the public constructor also stores the ``Edge`` records and the
-  vertex positions it checked them with.  The edge index, the stored
-  position of each edge id, is built on first read.  Every paired graph
-  stores the pair position of each vertex position.
+* A constructor stores what it computed.  The rest is built on first
+  read by a ``_BuiltOnRead`` descriptor and kept, which instances being
+  frozen makes safe.  It is stored with ``object.__setattr__``, which
+  passes the frozen check and, unlike a write through ``__dict__``, keeps
+  CPython's fast attribute reads of the instance.  Equality, hashing and
+  ``repr`` see no difference: only ``edges`` and ``orders`` are fields,
+  and they are built as the public constructors store them.
+* Ids are keyed at the boundary, positions are used inside.  Every graph
+  stores its vertex ids, its edge ids and the dart column, the vertex
+  position of each dart ``2 * edge_position + side``; the public
+  constructor also stores the ``Edge`` records and the vertex positions
+  it checked them with.  The edge index, the stored position of each
+  edge id, is built on first read.  Every paired graph stores the pair
+  position of each vertex position.
 * All types are immutable; every operation is a pure function.
 """
 
@@ -28,7 +34,6 @@ import heapq
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, repeat
 from operator import is_, itemgetter
 from typing import Mapping, NamedTuple, Optional, Union
@@ -140,12 +145,16 @@ def _edge_records(g: "Multigraph") -> tuple:
 
 
 class _BuiltOnRead:
-    """A field, default ``()``, that an internal constructor leaves unset: a
-    non-data descriptor, shadowed by a stored value, whose first read stores
-    what ``build`` makes.  Equality, hashing and ``repr`` see either alike."""
+    """A value built on first read and kept under the name it is bound to:
+    a non-data descriptor, so a stored value shadows it.  Written as a
+    decorator on ``build``, or as the default, ``()`` through the class, of
+    a field that an internal constructor leaves unset."""
 
-    def __init__(self, name: str, build):
-        self.name, self.build = name, build
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -164,7 +173,7 @@ class Multigraph:
     """
 
     vertices: tuple = ()
-    edges: tuple = _BuiltOnRead("edges", _edge_records)
+    edges: tuple = _BuiltOnRead(_edge_records)
 
     def __post_init__(self):
         verts = tuple(sorted(_rows(self.vertices, "graph vertices {} must be an iterable of ids"), key=id_sort_key))
@@ -250,34 +259,30 @@ class Multigraph:
             at += pool[2 * lo : 2 * hi]
         return cls._from_columns(g.vertices, tuple(order), at), position
 
-    @cached_property
+    @_BuiltOnRead
     def _ends_at(self) -> dict:
-        """Each vertex's edge-ends, built on first use and kept: the
-        instance is frozen, and it is not a field, so equality and hashing
-        ignore it.  Darts are walked in edge order, so each tuple is in
-        (edge id, side) order."""
+        """Each vertex's edge-ends.  Darts are walked in edge order, so each
+        tuple is in (edge id, side) order."""
         ends_at = [[] for _ in self.vertices]
         for end, p in zip(third_edges(self), self._at):
             ends_at[p].append(end)
         return dict(zip(self.vertices, map(tuple, ends_at)))
 
-    @cached_property
+    @_BuiltOnRead
     def _index(self) -> dict:
-        """The position of each vertex id: stored by the public constructor,
-        else built on first read and kept, as ``_ends_at``."""
+        """The position of each vertex id, stored by the public constructor."""
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
+    @_BuiltOnRead
     def _position(self) -> dict:
-        """The stored position of each edge id, built on first read and
-        kept, as ``_ends_at``."""
+        """The stored position of each edge id."""
         return dict(zip(self._ids, range(len(self._ids))))
 
-    @cached_property
+    @_BuiltOnRead
     def _steps(self) -> tuple:
         """The ``WalkStep`` of each dart ``2 * edge_position + side``, and a
-        dict from step to dart: built on first use and kept, as ``_ends_at``.
-        Walks built by the library share these step objects."""
+        dict from step to dart.  Walks built by the library share these step
+        objects."""
         steps = tuple(_records(WalkStep, _dart_rows(self)))
         return steps, dict(zip(steps, range(len(steps))))
 
@@ -544,7 +549,7 @@ class RotationSystem:
     ``(vertex, edge-ends)`` rows in vertex order, empty orders included.
     """
 
-    orders: tuple = _BuiltOnRead("orders", _orders_from_darts)
+    orders: tuple = _BuiltOnRead(_orders_from_darts)
 
     def __post_init__(self):
         raw = self.orders
@@ -676,8 +681,7 @@ class PairedGraph:
         if self.rotation is not None:
             if not isinstance(self.rotation, RotationSystem):
                 raise DomainError(f"paired-graph rotation {short_repr(self.rotation)} must be a RotationSystem")
-            # Validated once; the successor array is what the faces are
-            # traced on.  Not a field, so equality and hashing ignore it.
+            # validated once; the successor array is what the faces are traced on
             object.__setattr__(self, "_succ", validate_rotation(self.graph, self.rotation))
 
     def require_planar(self) -> None:
@@ -688,24 +692,19 @@ class PairedGraph:
         if not all(c.genus == 0 for c in self._embedding):
             raise DomainError("planarity certificate invalid: embedding has positive genus")
 
-    # Derived data, computed on first use and kept on the object, beside
-    # ``_pair_at`` and ``_succ``, which ``__post_init__`` stores as its
-    # checks compute them.  The instance is frozen, so none of it can go
-    # stale, and none of it is a field, so equality and hashing ignore it.
-
-    @cached_property
+    @_BuiltOnRead
     def _embedding(self) -> tuple:
         """``genus_check`` of the rotation, from the kept successor array."""
         return _genus(self.graph, self._succ)
 
-    @cached_property
+    @_BuiltOnRead
     def _quotient_neighbours(self) -> list:
         """Neighbour-position sets of the simple quotient, built straight
         from the pairing and the dart column: position ``i`` is
         ``pairing.pairs[i][0]``, and edges inside a pair are dropped."""
         return _neighbour_sets(len(self.pairing.pairs), map(self._pair_at.__getitem__, self.graph._at))
 
-    @cached_property
+    @_BuiltOnRead
     def _smallest_last(self) -> list:
         """Smallest-last order of the simple quotient (Matula and Beck, JACM
         1983) as (position, degree at removal) records: repeatedly remove a

@@ -236,8 +236,8 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
     """Search with a total budget of annealing proposals.  Returns a fully
     verified witness or raises BudgetExhausted carrying the best objective
     reached (at most 66)."""
-    if budget < 1:
-        raise DomainError("budget must be positive")
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+        raise DomainError("budget must be a positive integer")
     rng = random.Random(seed)
     random_, getrandbits, exp = rng.random, rng.getrandbits, math.exp
     vertex_bits = N_VERTICES.bit_length()

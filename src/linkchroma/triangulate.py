@@ -18,28 +18,24 @@ from .core import _BuiltOnRead
 from .errors import DomainError
 
 
-def _adjacency(tri: SphereTriangulation) -> dict:
-    """Each vertex's neighbour set, from ``origin``."""
-    origin = tri.origin
-    adj = {v: set() for v in range(tri.num_vertices)}
-    for u, v in zip(origin[::2], origin[1::2]):
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 class SphereTriangulation:
     """Triangulation of the sphere grown from a triangle by vertex
     insertions into faces."""
-
-    # stored without ``__dict__``, which ``cached_property`` writes through
-    # and which, once made, slows every attribute read of the instance
-    adj = _BuiltOnRead("adj", _adjacency)
 
     def __init__(self):
         # triangle 0,1,2: inner face (0->1, 1->2, 2->0), outer face reversed
         self.origin = [0, 1, 1, 2, 2, 0]
         self.fnext = [2, 5, 4, 1, 0, 3]
+
+    @_BuiltOnRead
+    def adj(self) -> dict:
+        """Each vertex's neighbour set, from ``origin``."""
+        origin = self.origin
+        adj = {v: set() for v in range(self.num_vertices)}
+        for u, v in zip(origin[::2], origin[1::2]):
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
 
     @property
     def num_vertices(self) -> int:

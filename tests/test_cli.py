@@ -320,7 +320,7 @@ class TestWitnessCommands:
     def test_search_budget_must_be_positive(self, capsys):
         code, stdout, stderr = run(capsys, "search-witness", "--seed", "0", "--budget", "0")
         assert (code, stdout) == (1, "")
-        assert stderr == "error:domain: budget must be positive\n"
+        assert stderr == "error:domain: budget must be a positive integer\n"
 
     def test_search_writes_the_witness_it_found(self, capsys, tmp_path, monkeypatch):
         # the search stands in for the seed-0 replay, which takes seconds

@@ -103,6 +103,15 @@ def _names(tree, name):
     return False
 
 
+def test_no_module_uses_cached_property():
+    """Derived data is built on first read by ``core._BuiltOnRead`` alone:
+    ``cached_property`` writes through ``__dict__``, which slows every
+    later attribute read of the instance."""
+    paths = sorted(Path(linkchroma.__file__).parent.glob("*.py"))
+    found = [path.name for path in paths if _names(ast.parse(path.read_text(encoding="utf-8")), "cached_property")]
+    assert found == []
+
+
 def test_id_order_decided_only_by_constructors():
     paths = sorted(Path(linkchroma.__file__).parent.glob("*.py"))
     found = [

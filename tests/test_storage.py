@@ -2,6 +2,10 @@
 dart column) answer exactly as the same graph built by the public
 constructor, and make their ``Edge`` records only when ``edges`` is read."""
 
+import dataclasses
+import inspect
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -22,6 +26,7 @@ from linkchroma import (
 from linkchroma import formats
 from linkchroma.catalogue import tetrahedron_complex, triangle_complex
 from linkchroma.construct import (
+    TwelvePireWitness,
     inverse_link,
     load_shipped_witness,
     make_degree_faithful,
@@ -30,7 +35,9 @@ from linkchroma.construct import (
     seal,
     verify_witness,
 )
+from linkchroma.core import _BuiltOnRead
 from linkchroma.corpus import enumerate_small_complexes, run_check
+from linkchroma.triangulate import SphereTriangulation
 
 from strategies import mixed_id_complexes
 from test_step_tables import built_on_darts
@@ -198,6 +205,63 @@ def test_each_graph_stores_what_its_constructor_computed():
     ]
     for g in graphs:
         assert_positions_are_the_edges(g)
+
+
+def _public_graph() -> Multigraph:
+    tetrahedron = tetrahedron_complex().skeleton
+    return Multigraph(tetrahedron.vertices, tetrahedron.edges)
+
+
+def _grown_triangulation() -> SphereTriangulation:
+    tri = SphereTriangulation()
+    tri.grow(20, random.Random(0))
+    return tri
+
+
+# Every attribute built on first read, with a maker of fresh instances that
+# hold none of it: graphs and rotations the library built on darts, a
+# public graph for the edge-end and step tables, and a witness as loaded.
+BUILT_ON_READ = [
+    (Multigraph, "edges", lambda: random_planar_paired_graph(1, 12).graph),
+    (Multigraph, "_index", lambda: random_planar_paired_graph(1, 12).graph),
+    (Multigraph, "_position", lambda: random_planar_paired_graph(1, 12).graph),
+    (Multigraph, "_ends_at", _public_graph),
+    (Multigraph, "_steps", _public_graph),
+    (RotationSystem, "orders", lambda: random_planar_paired_graph(1, 12).rotation),
+    (PairedGraph, "_embedding", lambda: random_planar_paired_graph(1, 12)),
+    (PairedGraph, "_quotient_neighbours", lambda: random_planar_paired_graph(1, 12)),
+    (PairedGraph, "_smallest_last", lambda: random_planar_paired_graph(1, 12)),
+    (TwelvePireWitness, "pairing", load_shipped_witness),
+    (TwelvePireWitness, "paired_graph", load_shipped_witness),
+    (SphereTriangulation, "adj", _grown_triangulation),
+]
+
+
+def _hash_or_none(obj):
+    try:
+        return hash(obj)
+    except TypeError:  # a witness's provenance is a dict
+        return None
+
+
+@pytest.mark.parametrize("cls, name, fresh", BUILT_ON_READ, ids=[f"{c.__name__}.{n}" for c, n, _ in BUILT_ON_READ])
+def test_each_derived_attribute_is_built_on_first_read_and_kept(cls, name, fresh):
+    # a constructor stores what it computed, and everything else is built
+    # on first read by the one descriptor, kept, and ignored by == and hash
+    descriptor = cls.__dict__[name]
+    assert type(descriptor) is _BuiltOnRead and descriptor.name == name
+    assert list(inspect.signature(_BuiltOnRead).parameters) == ["build"]  # named by __set_name__
+    obj, twin = fresh(), fresh()
+    assert name not in obj.__dict__
+    value = getattr(obj, name)
+    assert obj.__dict__[name] is value and getattr(obj, name) is value
+    if dataclasses.is_dataclass(cls):
+        # a twin that has not read it compares, hashes and prints alike;
+        # only a field that an internal constructor left unset is built by
+        # the read that == makes
+        assert obj == twin and twin == obj and _hash_or_none(obj) == _hash_or_none(twin)
+        assert repr(obj) == repr(twin)
+        assert (name in twin.__dict__) == (name in {f.name for f in dataclasses.fields(cls)})
 
 
 def test_the_pair_position_of_each_vertex_is_its_pairs():

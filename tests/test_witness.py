@@ -549,6 +549,24 @@ class TestPipeline:
         assert verify_witness(load_shipped_witness()).all_passed
         assert calls == [12]
 
+    def test_the_witness_pairing_is_built_once(self, monkeypatch):
+        # the perfect-pairing check and the kept paired graph share one
+        # Pairing, made on the first read of ``w.pairing``
+        from linkchroma.core import Pairing
+
+        made = []
+        post_init = Pairing.__post_init__
+
+        def counted(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Pairing, "__post_init__", counted)
+        w = load_shipped_witness()
+        assert verify_witness(w).all_passed
+        assert len(made) == 1
+        assert made[0] is w.pairing and w.paired_graph.pairing is w.pairing
+
     def test_sealed_walk_lengths(self):
         stages = run_pipeline()
         for before, after in zip(stages.punctured.cells, stages.sealed.cells):
@@ -567,11 +585,11 @@ class TestSearch:
             search_witness(seed=42, budget=200)
         assert 0 <= info.value.best_objective <= 66
 
-    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("budget", [True, False, 2.5, "3", None, 0, -1])
     def test_budget_must_be_positive(self, budget):
         with pytest.raises(DomainError) as info:
             search_witness(seed=0, budget=budget)
-        assert str(info.value) == "budget must be positive"
+        assert str(info.value) == "budget must be a positive integer"
 
     def test_exact_pairing_rejects_infeasible_degrees(self):
         # K4: all degrees 3, no degree-8 partners available
