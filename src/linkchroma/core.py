@@ -12,12 +12,12 @@ Conventions used throughout:
 * An edge has two distinguishable ends, side 0 and side 1.  A loop has
   both ends at the same vertex but the sides remain distinct.
 * A constructor stores what it computed.  The rest is built on first
-  read by a ``_BuiltOnRead`` descriptor and kept, which instances being
-  frozen makes safe.  It is stored with ``object.__setattr__``, which
-  passes the frozen check and, unlike a write through ``__dict__``, keeps
-  CPython's fast attribute reads of the instance.  Equality, hashing and
-  ``repr`` see no difference: only ``edges`` and ``orders`` are fields,
-  and they are built as the public constructors store them.
+  read by a ``_BuiltOnRead`` descriptor and kept, safely, as instances
+  are frozen.  It is stored with ``object.__setattr__``, which passes the
+  frozen check and, unlike a write through ``__dict__``, keeps CPython's
+  fast attribute reads of the instance.  Equality, hashing and ``repr``
+  see no difference: only ``edges`` and ``orders`` are fields, and they
+  are built as the public constructors store them.
 * Ids are keyed at the boundary, positions are used inside.  Every graph
   stores its vertex ids, its edge ids and the dart column, the vertex
   position of each dart ``2 * edge_position + side``; the public

@@ -12,8 +12,9 @@ on exit, and ``GITHUB_STEP_SUMMARY`` a file in it, printed at the end.
 interpreter given by ``--python`` (by default the one running this
 script), each putting the checkout's ``src`` first on ``PYTHONPATH``, so
 nothing is installed.  That interpreter must import pytest and
-hypothesis for the steps that run tests; another interpreter's
-``site-packages`` may be put on ``PYTHONPATH`` beforehand.
+hypothesis for the steps that run tests.  A ``PYTHONPATH`` this script
+is given, such as another interpreter's ``site-packages``, goes last on
+the shims' path, where a step's own ``PYTHONPATH`` does not replace it.
 
 Each step's ``if:`` is evaluated (``matrix.python-version``, string
 literals, ``==``, ``!=``, ``!``, ``&&``, ``||``, parentheses and
@@ -79,22 +80,23 @@ def skip_reason(step: dict, version: str, failed: bool):
     return None
 
 
-def shims(bin_dir: Path, python: str) -> None:
+def shims(bin_dir: Path, python: str, site: str) -> None:
     """``python``, ``python3`` and ``linkchroma`` in ``bin_dir``, all run by
-    ``python`` with ``src`` put first on the ``PYTHONPATH`` they are given,
-    as an installed package would be importable whatever a step sets."""
+    ``python`` with ``src`` put before and ``site`` after the
+    ``PYTHONPATH`` a step gives them, so that the package and what
+    ``site`` holds import whatever a step sets, as installed ones would."""
     bin_dir.mkdir()
-    src = shlex.quote(str(ROOT / "src"))
-    run = f'PYTHONPATH={src}"${{PYTHONPATH:+:$PYTHONPATH}}" exec {shlex.quote(python)}'
+    path = shlex.quote(str(ROOT / "src")) + '"${PYTHONPATH:+:$PYTHONPATH}"' + (":" + shlex.quote(site) if site else "")
+    run = f"PYTHONPATH={path} exec {shlex.quote(python)}"
     console = 'import sys; sys.argv[0] = "linkchroma"; from linkchroma.cli import app; app()'
     for name, body in (
         ("python", f'{run} "$@"'),
         ("python3", f'{run} "$@"'),
         ("linkchroma", f'{run} -c {shlex.quote(console)} "$@"'),
     ):
-        path = bin_dir / name
-        path.write_text(f"#!/bin/sh\n{body}\n", encoding="utf-8")
-        path.chmod(0o755)
+        shim = bin_dir / name
+        shim.write_text(f"#!/bin/sh\n{body}\n", encoding="utf-8")
+        shim.chmod(0o755)
 
 
 def main(argv=None) -> int:
@@ -114,9 +116,9 @@ def main(argv=None) -> int:
         runner_temp, summary = temp / "runner", temp / "step_summary.md"
         runner_temp.mkdir()
         summary.touch()
-        shims(temp / "bin", args.python)
-        env = dict(
-            os.environ,
+        env = dict(os.environ)
+        shims(temp / "bin", args.python, env.pop("PYTHONPATH", ""))
+        env.update(
             PATH=f"{temp / 'bin'}{os.pathsep}{os.environ.get('PATH', '')}",
             RUNNER_TEMP=str(runner_temp),
             GITHUB_STEP_SUMMARY=str(summary),
