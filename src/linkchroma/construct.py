@@ -112,6 +112,17 @@ def _with_twins(g: Multigraph, succ, twin_of, new_ids: list, new_at: list, loops
     return graph, RotationSystem._from_darts(graph, darts_at)
 
 
+def _triangulation_map(n: int, origin: list, fnext: list, twin_of, new_ids: list, new_at: list) -> tuple:
+    """``_with_twins`` on the graph with vertices ``0 .. n - 1`` and edge
+    ``k`` from ``origin[2 * k]`` to ``origin[2 * k + 1]``, whose rotation
+    follows dart ``d`` by ``fnext[d ^ 1]``: the map of a triangulation's
+    columns, its faces those that ``fnext`` walks."""
+    succ = [0] * len(origin)
+    succ[::2], succ[1::2] = fnext[1::2], fnext[::2]
+    g = Multigraph._from_columns(tuple(range(n)), tuple(range(len(origin) // 2)), origin)
+    return _with_twins(g, succ, twin_of, new_ids, new_at, [()] * n)
+
+
 def make_degree_faithful(pg: PairedGraph) -> PairedGraph:
     """Double every edge, then balance each pair with loops at its
     smaller-degree vertex.
@@ -348,7 +359,7 @@ class TwelvePireWitness:
     pairs: tuple
     rotation: Optional[RotationSystem]
     designated_pairs: tuple
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict, hash=False)  # compared, not hashed
 
     @_BuiltOnRead
     def pairing(self) -> Pairing:
@@ -434,7 +445,7 @@ def verify_witness(w: TwelvePireWitness) -> WitnessReport:
         designated = [position.get(frozenset(p)) for p in w.designated_pairs]
     except TypeError:
         designated = [None]
-    if len(designated) != 12 or None in designated:
+    if len(designated) != 12 or len(set(designated)) != 12 or None in designated:
         checks.append(
             WitnessCheck("designated-k12", False, "must designate 12 pairs of the pairing")
         )
@@ -487,9 +498,9 @@ _DUPLICATE_PROB = 0.12
 def random_planar_paired_graph(seed, n_pairs: int) -> PairedGraph:
     """Random certified-planar paired graph on the vertices ``0 .. 2 *
     n_pairs - 1``: grow a triangulation by random vertex insertions (genus 0
-    by construction), then hand all of it to ``_with_twins``, which drops
-    the edges deleted at random and gives some of the rest a twin ``("dup",
-    id)`` beside them, and pair the vertices by a random matching."""
+    by construction), then hand all of it to ``_triangulation_map``, which
+    drops the edges deleted at random and gives some of the rest a twin
+    ``("dup", id)`` beside them, and pair the vertices by a random matching."""
     if not isinstance(n_pairs, int) or isinstance(n_pairs, bool):
         raise DomainError(f"the number of pairs {short_repr(n_pairs)} must be an int")
     if n_pairs < 1:
@@ -500,8 +511,6 @@ def random_planar_paired_graph(seed, n_pairs: int) -> PairedGraph:
     tri.grow(n, rng)  # draws nothing for n = 2, which takes one edge 0-1 and its one face
     origin, fnext = (tri.origin, tri.fnext) if n > 2 else ([0, 1], [1, 0])
     m = len(origin) // 2
-    succ = [0] * (2 * m)  # dart d's successor around its vertex is fnext[d ^ 1]
-    succ[::2], succ[1::2] = fnext[1::2], fnext[::2]
     # each edge kept (-1) or deleted (-2), then a twin for some kept ones
     twin_of, new_ids, new_at = [-1 if rng.random() >= _DELETE_PROB else -2 for _ in range(m)], [], []
     for k in range(m):
@@ -513,8 +522,7 @@ def random_planar_paired_graph(seed, n_pairs: int) -> PairedGraph:
     rng.shuffle(verts)
     # canonical by construction: each class as (min, max), classes in order
     pairs = sorted(zip(map(min, verts[::2], verts[1::2]), map(max, verts[::2], verts[1::2])))
-    g = Multigraph._from_columns(tuple(range(n)), tuple(range(m)), origin)
-    graph, rotation = _with_twins(g, succ, twin_of, new_ids, new_at, [()] * n)
+    graph, rotation = _triangulation_map(n, origin, fnext, twin_of, new_ids, new_at)
     return PairedGraph(graph, Pairing._sorted(tuple(pairs)), rotation)
 
 

@@ -13,10 +13,12 @@ pairing on the current triangulation, used to close the final gap.
 Deterministic for a given seed.
 
 The objective is kept in packed ints of edge counts, one 4-bit field per
-pair, and every proposal is scored before it touches the state.  A flip's
-score reads two fields, and a swap's rebuilds the rows of its two pairs
-from the counts of four vertices in O(1) big-int operations; an accepted
-swap hands its score on, so no swap is scored twice.  A rejected swap
+pair, in plain columns that ``_counts`` builds at each restart and the
+proposal loop keeps; every proposal is scored before it touches them.  A
+flip's score reads two fields, and a swap's rebuilds the rows of its two
+pairs from the counts of four vertices in O(1) big-int operations; an
+accepted move adds its score to the one running count, so no move is
+scored twice.  A rejected swap
 changes nothing.  A rejected flip only toggles a parity bit for its edge:
 flipping an edge twice exchanges its two darts, a relabelling that
 commutes with every flip and leaves every vertex the loop reads unchanged,
@@ -30,8 +32,7 @@ import random
 from collections import Counter
 from typing import Optional
 
-from .construct import TwelvePireWitness, _with_twins, verify_witness
-from .core import Multigraph
+from .construct import TwelvePireWitness, _triangulation_map, verify_witness
 from .errors import BudgetExhausted, DomainError
 from .triangulate import SphereTriangulation
 
@@ -133,58 +134,32 @@ _SEVENS = 7 * sum(_FIELD)
 _KEEP = [8 * (sum(_FIELD) - f) for f in _FIELD]
 
 
-class _AnnealState:
-    """Triangulation + pairing with an incrementally maintained count of
-    distinct cross-pair adjacencies.
-
-    ``nbp[v]`` holds, in field q, the number of neighbours of ``v`` in pair
-    q; ``row[p]`` is the sum of ``nbp`` over the two members of pair p, so
-    its field q is the number of edges joining pairs p and q (field p
-    counts an edge inside the pair twice and realises no class).
-    ``partner[v]`` is the other member of ``v``'s pair, and ``distinct``
-    the number of nonzero cross-pair classes.  ``search_witness`` scores
-    and applies flips inline and keeps its running objective in a local,
-    so ``distinct`` is exact only for callers that score every move.
-    """
-
-    def __init__(self, tri: SphereTriangulation, pair_of: list):
-        self.tri = tri
-        self.pair_of = pair_of
-        pairs = self.pairs()
-        self.partner = [sum(pairs[p]) - v for v, p in enumerate(pair_of)]
-        self.nbp = [sum(_FIELD[pair_of[u]] for u in tri.adj[v]) for v in range(len(pair_of))]
-        self.row = [self.nbp[u] + self.nbp[v] for u, v in pairs]
-        self.distinct = sum(((r + _SEVENS) & _KEEP[p]).bit_count() for p, r in enumerate(self.row)) // 2
-
-    def swap_pairs(self, a: int, b: int, delta: int):
-        """Exchange the pairs of ``a`` and ``b``, which must differ, and add
-        ``delta``, the swap's score, to ``distinct``: the neighbours of
-        ``a`` see it move to ``b``'s pair, those of ``b`` the reverse, and
-        the two pairs' rows are rebuilt from their members.  Its own
-        inverse, with the score negated."""
-        self.distinct += delta
-        pair_of, partner, nbp, row = self.pair_of, self.partner, self.nbp, self.row
-        pa, pb = pair_of[a], pair_of[b]
-        a2, b2 = partner[a], partner[b]
-        d = _FIELD[pb] - _FIELD[pa]
-        for u in self.tri.adj[a]:
-            nbp[u] += d
-            row[pair_of[u]] += d
-        for u in self.tri.adj[b]:
-            nbp[u] -= d
-            row[pair_of[u]] -= d
-        pair_of[a], pair_of[b] = pb, pa
-        partner[a], partner[b2], partner[b], partner[a2] = b2, a, a2, b
-        row[pa], row[pb] = nbp[b] + nbp[a2], nbp[a] + nbp[b2]
-
-    def pairs(self) -> list:
-        members = [[] for _ in range(N_PAIRS)]
-        for v, i in enumerate(self.pair_of):
-            members[i].append(v)
-        return [tuple(sorted(m)) for m in members]
+def _pairs(pair_of: list) -> list:
+    """The members of each pair, in pair order, each pair sorted."""
+    members = [[] for _ in range(N_PAIRS)]
+    for v, i in enumerate(pair_of):
+        members[i].append(v)
+    return [tuple(sorted(m)) for m in members]
 
 
-def _random_state(rng: random.Random) -> _AnnealState:
+def _counts(adj: dict, pair_of: list) -> tuple:
+    """The annealer's columns for a triangulation's neighbour sets and a
+    pairing, from scratch: ``partner[v]`` is the other member of ``v``'s
+    pair; ``nbp[v]`` holds, in field q, the number of neighbours of ``v``
+    in pair q; ``row[p]`` is the sum of ``nbp`` over the two members of
+    pair p, so its field q is the number of edges joining pairs p and q
+    (field p counts an edge inside the pair twice and realises no class);
+    and ``distinct`` is the number of nonzero cross-pair classes."""
+    pairs = _pairs(pair_of)
+    partner = [sum(pairs[p]) - v for v, p in enumerate(pair_of)]
+    nbp = [sum(_FIELD[pair_of[u]] for u in adj[v]) for v in range(len(pair_of))]
+    row = [nbp[u] + nbp[v] for u, v in pairs]
+    distinct = sum(((r + _SEVENS) & _KEEP[p]).bit_count() for p, r in enumerate(row)) // 2
+    return partner, nbp, row, distinct
+
+
+def _random_state(rng: random.Random) -> tuple:
+    """A random triangulation mixed by flips, and a random ``pair_of``."""
     tri = SphereTriangulation()
     tri.grow(N_VERTICES, rng)
     origin, fnext, adj, getrandbits = tri.origin, tri.fnext, tri.adj, rng.getrandbits
@@ -199,7 +174,7 @@ def _random_state(rng: random.Random) -> _AnnealState:
         c = fnext[d + 1]
         f = fnext[c]
         z, w = origin[b], origin[f]
-        if z != w and z not in adj[w]:  # tri.flippable(e)
+        if z != w and z not in adj[w]:  # the check of tri.flip(e)
             tri._flip_at(d, a, b, c, f, origin[d], origin[d + 1], z, w)
     perm = list(range(N_VERTICES))
     rng.shuffle(perm)
@@ -207,15 +182,11 @@ def _random_state(rng: random.Random) -> _AnnealState:
     for i in range(N_PAIRS):
         pair_of[perm[2 * i]] = i
         pair_of[perm[2 * i + 1]] = i
-    return _AnnealState(tri, pair_of)
+    return tri, pair_of
 
 
 def _build_witness(tri: SphereTriangulation, pairs, provenance: dict) -> TwelvePireWitness:
-    n, m = tri.num_vertices, tri.num_edges
-    g = Multigraph._from_columns(tuple(range(n)), tuple(range(m)), list(tri.origin[: 2 * m]))
-    # dart d's successor around its vertex is fnext[d ^ 1]
-    succ = [tri.fnext[d ^ 1] for d in range(2 * m)]
-    graph, rotation = _with_twins(g, succ, [-1] * m, [], [], [()] * n)
+    graph, rotation = _triangulation_map(tri.num_vertices, tri.origin, tri.fnext, [-1] * tri.num_edges, [], [])
     witness = TwelvePireWitness(
         graph=graph,
         pairs=tuple(pairs),
@@ -248,14 +219,14 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
 
     while steps_used < budget:
         restarts += 1
-        state = _random_state(rng)
-        tri, pair_of, partner, nbp, row = state.tri, state.pair_of, state.partner, state.nbp, state.row
+        tri, pair_of = _random_state(rng)
+        partner, nbp, row, distinct = _counts(tri.adj, pair_of)
         origin, fnext, adj, flip_at = tri.origin, tri.fnext, tri.adj, tri._flip_at
         num_edges = tri.num_edges  # a flip keeps the edge count
         edge_bits = num_edges.bit_length()
         exchanged = [0] * num_edges  # rejected flips per edge, mod 2
         chain = min(_CHAIN_LENGTH, budget - steps_used)
-        distinct = best_chain = state.distinct
+        best_chain = distinct
         last_improved = -1
 
         for i in range(chain):
@@ -327,8 +298,18 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
                         - ((row[pb] + _SEVENS) & keep_b).bit_count()
                     )
                     if delta >= 0 or random_() < exp(delta / (_T_START * exp(cool * i / chain))):
-                        state.swap_pairs(a, b, delta)
+                        # the neighbours of a see it move to pair pb, those
+                        # of b the reverse; new_a is now exact, new_b is not
                         distinct += delta
+                        for u in adj_a:
+                            nbp[u] += moved
+                            row[pair_of[u]] += moved
+                        for u in adj[b]:
+                            nbp[u] -= moved
+                            row[pair_of[u]] -= moved
+                        pair_of[a], pair_of[b] = pb, pa
+                        partner[a], partner[b2], partner[b], partner[a2] = b2, a, a2, b
+                        row[pa], row[pb] = new_a, nbp[a] + nbp[b2]
 
             # The bookkeeping below decides nothing unless the objective
             # passed one of its two bests, or at the backtracking period.
@@ -343,7 +324,7 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
                 periodic = i % _BACKTRACK_EVERY == _BACKTRACK_EVERY - 1
                 promising = distinct >= _BACKTRACK_TRIGGER and last_improved == i
                 if reached_target or ((periodic or promising) and _degree_feasible(adj)):
-                    pairs = state.pairs() if reached_target else exact_pairing(adj)
+                    pairs = _pairs(pair_of) if reached_target else exact_pairing(adj)
                     if pairs is not None:
                         steps_used += i + 1
                         provenance = {

@@ -4,7 +4,8 @@ insertions and changed by edge flips.
 Darts are ints; edge ``k`` owns darts ``2k`` and ``2k + 1`` (its side-0 and
 side-1 ends), ``twin(d) = d ^ 1``.  ``fnext`` walks each triangular face
 counterclockwise, and the rotation successor of a dart around its vertex
-is ``fnext(twin(d))``, so a rotation system read off ``fnext`` traces the
+is ``fnext(twin(d))``, so the rotation system that
+``construct._triangulation_map`` reads off ``fnext`` traces the
 triangulation's faces and has genus 0 by construction.
 
 The neighbour sets ``adj`` are built from ``origin`` on first read, then
@@ -45,9 +46,6 @@ class SphereTriangulation:
     def num_edges(self) -> int:
         return len(self.origin) // 2
 
-    def endpoints(self, e: int):
-        return self.origin[2 * e], self.origin[2 * e + 1]
-
     def grow(self, n: int, rng) -> None:
         """Insert vertices until there are ``n``, each into the face of a
         dart drawn as ``rng.randrange`` draws it: vertex ``v`` joins the
@@ -65,14 +63,6 @@ class SphereTriangulation:
             fnext += (darts + 5, d, darts + 1, a, darts + 3, b)
             fnext[d], fnext[a], fnext[b] = darts + 2, darts + 4, darts
             darts += 6
-
-    def flippable(self, e: int) -> bool:
-        """True iff the opposite vertices z, w of the faces at edge ``e``
-        are distinct and not yet adjacent."""
-        fnext = self.fnext
-        z = self.origin[fnext[fnext[2 * e]]]
-        w = self.origin[fnext[fnext[2 * e + 1]]]
-        return z != w and z not in self.adj[w]
 
     def flip(self, e: int):
         """Replace edge xy by the other diagonal zw of its two faces.

@@ -525,6 +525,7 @@ class TestStageCommands:
             {"u": [["e", 0]], "v": [["e", 1], ["f", 0]]},
             "error:schema: rotation system is missing 1 edge-end(s)",
         ),
+        "not-an-object": ([], "error:schema: rotation must be a JSON object"),
         "invalid-side": (
             {"u": [["e", 2]], "v": [["e", 1], ["f", 0], ["f", 1]]},
             "error:schema: rotation entry ['e', 2] must be [edge, side]",

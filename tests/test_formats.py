@@ -154,6 +154,17 @@ class TestPairedGraphDocuments:
             formats.paired_graph_from_doc(doc)
         assert str(info.value) == "rotation order at 'u' must be an array"
 
+    def test_a_rotation_that_is_not_an_object_is_refused(self):
+        doc = {
+            "vertices": ["u", "v"],
+            "edges": [{"id": "e", "end0": "u", "end1": "v"}],
+            "pairs": [["u", "v"]],
+            "rotation": [],
+        }
+        with pytest.raises(SchemaError) as info:
+            formats.paired_graph_from_doc(doc)
+        assert str(info.value) == "rotation must be a JSON object"
+
     def test_rotation_key_for_unknown_vertex_rejected(self):
         g, rot = k4_with_planar_rotation()
         pg = PairedGraph(g, Pairing(((1, 2), (3, 4))), rot)
@@ -520,6 +531,11 @@ class TestDumps:
         for _ in range(40):
             deep = [deep, "x"]
         for rows in ([[deep, 0], [1, 0]], [{"id": deep}, {"id": [1]}]):
+            assert formats.dumps({"rows": rows}) == indented({"rows": rows})
+
+    def test_table_cells_nesting_a_dict_in_a_list_take_the_general_loop(self):
+        for rows in ([[1, [{"a": 1}]], [2, [3]], [4, [5]]], [{"id": [{"a": [1]}]}, {"id": [1]}, {"id": 2}]):
+            assert formats._cell_nesting([row[1] if type(row) is list else row["id"] for row in rows]) is None
             assert formats.dumps({"rows": rows}) == indented({"rows": rows})
 
     def test_provenance_nested_500_deep(self):

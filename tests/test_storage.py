@@ -237,13 +237,6 @@ BUILT_ON_READ = [
 ]
 
 
-def _hash_or_none(obj):
-    try:
-        return hash(obj)
-    except TypeError:  # a witness's provenance is a dict
-        return None
-
-
 @pytest.mark.parametrize("cls, name, fresh", BUILT_ON_READ, ids=[f"{c.__name__}.{n}" for c, n, _ in BUILT_ON_READ])
 def test_each_derived_attribute_is_built_on_first_read_and_kept(cls, name, fresh):
     # a constructor stores what it computed, and everything else is built
@@ -259,7 +252,7 @@ def test_each_derived_attribute_is_built_on_first_read_and_kept(cls, name, fresh
         # a twin that has not read it compares, hashes and prints alike;
         # only a field that an internal constructor left unset is built by
         # the read that == makes
-        assert obj == twin and twin == obj and _hash_or_none(obj) == _hash_or_none(twin)
+        assert obj == twin and twin == obj and hash(obj) == hash(twin)
         assert repr(obj) == repr(twin)
         assert (name in twin.__dict__) == (name in {f.name for f in dataclasses.fields(cls)})
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import random
@@ -17,7 +18,7 @@ from linkchroma.construct import (
 )
 from linkchroma import search
 from linkchroma.errors import BudgetExhausted, DomainError
-from linkchroma.search import _FIELD, _KEEP, _SEVENS, _AnnealState, _random_state, exact_pairing, search_witness
+from linkchroma.search import _FIELD, _KEEP, _SEVENS, _counts, _pairs, _random_state, exact_pairing, search_witness
 from linkchroma.triangulate import SphereTriangulation
 
 # Outcomes of search_witness(seed, 6000), recorded by running the search
@@ -37,6 +38,69 @@ SEEDS_0_TO_99_SHA256 = "b9884b61a639a504300773a9408ec8f2388265f4e559e93d0fb3f8c6
 # of dumps(witness_to_doc(w)).  The CI workflow replays it through the CLI.
 SEED_18_STEPS = 723883
 SEED_18_SHA256 = "d9e378c119d5fbb052469656165da66475886d2e78e8f86cbd02423ffe2663b6"
+
+
+def flippable(tri, e: int) -> bool:
+    """True iff the opposite vertices z, w of the faces at edge ``e`` of
+    ``tri`` are distinct and not yet adjacent: the check of ``tri.flip``."""
+    fnext = tri.fnext
+    z = tri.origin[fnext[fnext[2 * e]]]
+    w = tri.origin[fnext[fnext[2 * e + 1]]]
+    return z != w and z not in tri.adj[w]
+
+
+def endpoints(tri, e: int) -> tuple:
+    return tri.origin[2 * e], tri.origin[2 * e + 1]
+
+
+class _AnnealState:
+    """Triangulation + pairing with an incrementally maintained count of
+    distinct cross-pair adjacencies: the state class the annealer ran on
+    before it kept plain columns, kept verbatim as a reference.
+
+    ``nbp[v]`` holds, in field q, the number of neighbours of ``v`` in pair
+    q; ``row[p]`` is the sum of ``nbp`` over the two members of pair p, so
+    its field q is the number of edges joining pairs p and q (field p
+    counts an edge inside the pair twice and realises no class).
+    ``partner[v]`` is the other member of ``v``'s pair, and ``distinct``
+    the number of nonzero cross-pair classes.
+    """
+
+    def __init__(self, tri: SphereTriangulation, pair_of: list):
+        self.tri = tri
+        self.pair_of = pair_of
+        pairs = self.pairs()
+        self.partner = [sum(pairs[p]) - v for v, p in enumerate(pair_of)]
+        self.nbp = [sum(_FIELD[pair_of[u]] for u in tri.adj[v]) for v in range(len(pair_of))]
+        self.row = [self.nbp[u] + self.nbp[v] for u, v in pairs]
+        self.distinct = sum(((r + _SEVENS) & _KEEP[p]).bit_count() for p, r in enumerate(self.row)) // 2
+
+    def swap_pairs(self, a: int, b: int, delta: int):
+        """Exchange the pairs of ``a`` and ``b``, which must differ, and add
+        ``delta``, the swap's score, to ``distinct``: the neighbours of
+        ``a`` see it move to ``b``'s pair, those of ``b`` the reverse, and
+        the two pairs' rows are rebuilt from their members.  Its own
+        inverse, with the score negated."""
+        self.distinct += delta
+        pair_of, partner, nbp, row = self.pair_of, self.partner, self.nbp, self.row
+        pa, pb = pair_of[a], pair_of[b]
+        a2, b2 = partner[a], partner[b]
+        d = _FIELD[pb] - _FIELD[pa]
+        for u in self.tri.adj[a]:
+            nbp[u] += d
+            row[pair_of[u]] += d
+        for u in self.tri.adj[b]:
+            nbp[u] -= d
+            row[pair_of[u]] -= d
+        pair_of[a], pair_of[b] = pb, pa
+        partner[a], partner[b2], partner[b], partner[a2] = b2, a, a2, b
+        row[pa], row[pb] = nbp[b] + nbp[a2], nbp[a] + nbp[b2]
+
+    def pairs(self) -> list:
+        members = [[] for _ in range(search.N_PAIRS)]
+        for v, i in enumerate(self.pair_of):
+            members[i].append(v)
+        return [tuple(sorted(m)) for m in members]
 
 
 class _ReferenceState(_AnnealState):
@@ -89,8 +153,7 @@ class _ReferenceState(_AnnealState):
 def _reference_state(rng):
     """``_random_state(rng)`` as a ``_ReferenceState``: the same draws, the
     same counts."""
-    state = _random_state(rng)
-    return _ReferenceState(state.tri, state.pair_of)
+    return _ReferenceState(*_random_state(rng))
 
 
 def _recount(state):
@@ -99,7 +162,7 @@ def _recount(state):
     classes = Counter()
     neighbours = [Counter() for _ in range(state.tri.num_vertices)]
     for k in range(state.tri.num_edges):
-        u, v = state.tri.endpoints(k)
+        u, v = endpoints(state.tri, k)
         i, j = state.pair_of[u], state.pair_of[v]
         neighbours[u][j] += 1
         neighbours[v][i] += 1
@@ -165,7 +228,7 @@ def _random_move(state, rng):
     """A random legal move as (method, args, reversed_edge), or None."""
     if rng.random() < 0.5:
         e = rng.randrange(state.tri.num_edges)
-        if not state.tri.flippable(e):
+        if not flippable(state.tri, e):
             return None
         return state.flip, (e,), e
     a, b = rng.sample(range(search.N_VERTICES), 2)
@@ -218,7 +281,7 @@ def reference_search_witness(seed, budget):
             since_improvement += 1
             if rng.random() < search._FLIP_PROB:
                 e = rng.randrange(state.tri.num_edges)
-                move, args, legal = state.flip, (e,), state.tri.flippable(e)
+                move, args, legal = state.flip, (e,), flippable(state.tri, e)
             else:
                 a = rng.randrange(search.N_VERTICES)
                 b = rng.randrange(search.N_VERTICES)
@@ -323,6 +386,15 @@ class TestShippedWitness:
         assert all(d <= 11 for _, d in order)
         assert heawood_colour_12(pg).colours_used() == 12
 
+    def test_witnesses_hash_and_twins_hash_alike(self):
+        # the provenance, a dict, is compared but left out of the hash
+        w, twin = load_shipped_witness(), load_shipped_witness()
+        assert w == twin and hash(w) == hash(twin)
+        found = search_witness(seed=34, budget=6000)
+        assert hash(found) == hash(dataclasses.replace(found))
+        other = dataclasses.replace(w, provenance={})
+        assert other != w and hash(other) == hash(w)
+
     def test_deleting_an_adjacency_fails_k12_check(self):
         w = load_shipped_witness()
         broken = TwelvePireWitness(
@@ -370,8 +442,6 @@ class TestShippedWitness:
 def faulty_witness(fault):
     """The shipped witness with one fault, or two: a rotation fault and a
     pairing fault together."""
-    import dataclasses
-
     w = load_shipped_witness()
     orders = {v: list(order) for v, order in w.rotation.orders}
     v0, v1 = w.graph.vertices[:2]
@@ -392,6 +462,10 @@ def faulty_witness(fault):
         designated = designated[:11]
     if fault == "repeated-designated":
         designated = designated[:11] + designated[:1]
+    if fault == "reversed-repeated-designated":  # the repeat's members swapped
+        designated = designated[:11] + [designated[0][::-1]]
+    if fault == "thirteen-designated":
+        designated = designated + designated[:1]
     if fault == "reversed-designated":  # the same pairs, members swapped
         designated = [p[::-1] for p in designated]
     graph = w.graph
@@ -462,12 +536,16 @@ class TestWitnessReportLines:
             "FAIL designated-k12: must designate 12 pairs of the pairing",
             "PASS pair-chromatic-12: exact pair-chromatic number 12; degeneracy colouring uses 12 colours",
         ],
-        "repeated-designated": [
-            "PASS planar-embedding: component genera [0]",
-            "PASS perfect-pairing: 12 pairs cover all vertices",
-            "FAIL designated-k12: 1 adjacencies missing",
-            "PASS pair-chromatic-12: exact pair-chromatic number 12; degeneracy colouring uses 12 colours",
-        ],
+        # a pair named twice leaves 11 distinct pairs designated
+        **{
+            fault: [
+                "PASS planar-embedding: component genera [0]",
+                "PASS perfect-pairing: 12 pairs cover all vertices",
+                "FAIL designated-k12: must designate 12 pairs of the pairing",
+                "PASS pair-chromatic-12: exact pair-chromatic number 12; degeneracy colouring uses 12 colours",
+            ]
+            for fault in ("repeated-designated", "reversed-repeated-designated", "thirteen-designated")
+        },
         "reversed-designated": [
             "PASS planar-embedding: component genera [0]",
             "PASS perfect-pairing: 12 pairs cover all vertices",
@@ -579,6 +657,14 @@ class TestPipeline:
         assert all(e.is_loop for e in sealed.skeleton.edges)
 
 
+def _within_pair_state():
+    """A grown 24-vertex triangulation whose pairing puts the adjacent
+    vertices 0 and 1 together."""
+    tri = SphereTriangulation()
+    tri.grow(24, random.Random(0))
+    return tri, [i // 2 for i in range(24)]
+
+
 class TestSearch:
     def test_budget_exhaustion_reports_best_objective(self):
         with pytest.raises(BudgetExhausted) as info:
@@ -624,17 +710,18 @@ class TestSearch:
     def test_within_pair_edge_caps_the_objective(self):
         # pairing two adjacent vertices wastes that edge: at most 65 of the
         # 66 classes can then be realised
-        import random
+        tri, pair_of = _within_pair_state()
+        assert 1 in tri.adj[0]
+        assert _counts(tri.adj, pair_of)[3] <= 65
 
-        from linkchroma.search import _AnnealState
-        from linkchroma.triangulate import SphereTriangulation
-
-        rng = random.Random(0)
-        tri = SphereTriangulation()
-        tri.grow(24, rng)
-        pair_of = [i // 2 for i in range(24)]  # puts adjacent 0 and 1 together
+    @pytest.mark.parametrize("seed", [*range(10), "within-pair"])
+    def test_counts_from_scratch_match_the_reference_state_and_a_recount(self, seed):
+        tri, pair_of = _within_pair_state() if seed == "within-pair" else _random_state(random.Random(seed))
+        partner, nbp, row, distinct = _counts(tri.adj, pair_of)
         state = _AnnealState(tri, pair_of)
-        assert state.distinct <= 65
+        assert (partner, nbp, row, distinct) == (state.partner, state.nbp, state.row, state.distinct)
+        assert _pairs(pair_of) == state.pairs()
+        _assert_matches_recount(state)
 
     @pytest.mark.parametrize("seed", sorted(PINNED_BEST_OBJECTIVE))
     def test_pinned_search_outcome(self, seed):
@@ -766,7 +853,7 @@ def _seeded_triangulation(seed):
     tri.grow(24, rng)
     for _ in range(200):
         e = rng.randrange(tri.num_edges)
-        if tri.flippable(e):
+        if flippable(tri, e):
             tri.flip(e)
     return tri
 
@@ -779,9 +866,9 @@ class TestExchangeDarts:
     @pytest.mark.parametrize("seed", range(5))
     def test_leaves_what_two_flips_leave(self, seed):
         tri = _seeded_triangulation(seed)
-        flippable = [e for e in range(tri.num_edges) if tri.flippable(e)]
-        assert len(flippable) > 20
-        for e in flippable:
+        edges = [e for e in range(tri.num_edges) if flippable(tri, e)]
+        assert len(edges) > 20
+        for e in edges:
             exchanged, flipped = copy.deepcopy(tri), copy.deepcopy(tri)
             exchanged.exchange_darts(e)
             flipped.flip(e)
@@ -793,7 +880,7 @@ class TestExchangeDarts:
     def test_is_its_own_inverse(self, seed):
         tri = _seeded_triangulation(seed)
         for e in range(tri.num_edges):
-            if tri.flippable(e):
+            if flippable(tri, e):
                 before = _tri_state(tri)
                 tri.exchange_darts(e)
                 tri.exchange_darts(e)
@@ -811,9 +898,9 @@ class TestFlipAt:
     @pytest.mark.parametrize("seed", range(5))
     def test_leaves_what_flip_leaves(self, seed):
         tri = _seeded_triangulation(seed)
-        flippable = [e for e in range(tri.num_edges) if tri.flippable(e)]
-        assert len(flippable) > 20
-        for e in flippable:
+        edges = [e for e in range(tri.num_edges) if flippable(tri, e)]
+        assert len(edges) > 20
+        for e in edges:
             checked, direct = _copy(tri), _copy(tri)
             checked.flip(e)
             o, f = direct.origin, direct.fnext
@@ -825,7 +912,7 @@ class TestFlipAt:
     @pytest.mark.parametrize("seed", range(5))
     def test_flip_refuses_an_edge_that_is_not_flippable(self, seed):
         tri = _seeded_triangulation(seed)
-        refused = [e for e in range(tri.num_edges) if not tri.flippable(e)]
+        refused = [e for e in range(tri.num_edges) if not flippable(tri, e)]
         assert refused
         before = _tri_state(tri)
         for e in refused:
@@ -838,9 +925,9 @@ class TestFlipAt:
         # the search leaves a rejected flip's exchange pending and applies
         # it after later flips, of that edge or of others
         tri = _seeded_triangulation(seed)
-        flippable = [e for e in range(tri.num_edges) if tri.flippable(e)]
+        edges = [e for e in range(tri.num_edges) if flippable(tri, e)]
         for e in range(tri.num_edges):
-            for other in flippable:
+            for other in edges:
                 exchanged_first, flipped_first = _copy(tri), _copy(tri)
                 exchanged_first.exchange_darts(e)
                 exchanged_first.flip(other)
