@@ -113,10 +113,11 @@ def _with_twins(g: Multigraph, succ, twin_of, new_ids: list, new_at: list, loops
 
 
 def _triangulation_map(n: int, origin: list, fnext: list, twin_of, new_ids: list, new_at: list) -> tuple:
-    """``_with_twins`` on the graph with vertices ``0 .. n - 1`` and edge
-    ``k`` from ``origin[2 * k]`` to ``origin[2 * k + 1]``, whose rotation
-    follows dart ``d`` by ``fnext[d ^ 1]``: the map of a triangulation's
-    columns, its faces those that ``fnext`` walks."""
+    """A triangulation's columns as a map, through ``_with_twins`` with
+    ``twin_of``, ``new_ids`` and ``new_at``: edge ``k`` of the graph on
+    ``0 .. n - 1`` joins ``origin[2 * k]`` to ``origin[2 * k + 1]``, and
+    the rotation follows dart ``d`` by ``fnext[d ^ 1]``, so its faces are
+    the ones ``fnext`` walks."""
     succ = [0] * len(origin)
     succ[::2], succ[1::2] = fnext[1::2], fnext[::2]
     g = Multigraph._from_columns(tuple(range(n)), tuple(range(len(origin) // 2)), origin)
