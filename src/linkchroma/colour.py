@@ -393,6 +393,8 @@ def brute_force_edge_chromatic(c: TwoComplex, k_max: int) -> int:
     12 edges.  The first edge's colour is fixed to 0 (colour permutations
     are symmetries).
     """
+    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
+        raise DomainError("k_max must be a non-negative integer")
     edge_ids = c.skeleton.edge_ids()
     if len(edge_ids) > 12:
         raise DomainError("refusing brute force on more than 12 edges")

@@ -496,6 +496,14 @@ _DELETE_PROB = 0.12
 _DUPLICATE_PROB = 0.12
 
 
+def _seeded_rng(seed) -> random.Random:
+    """``random.Random(seed)`` for an int or str seed, which replays; any
+    other seed, ``None`` (drawn from the OS) included, is refused."""
+    if not isinstance(seed, (int, str)) or isinstance(seed, bool):
+        raise DomainError(f"seed {short_repr(seed)} must be an int or a str")
+    return random.Random(seed)
+
+
 def random_planar_paired_graph(seed, n_pairs: int) -> PairedGraph:
     """Random certified-planar paired graph on the vertices ``0 .. 2 *
     n_pairs - 1``: grow a triangulation by random vertex insertions (genus 0
@@ -506,7 +514,7 @@ def random_planar_paired_graph(seed, n_pairs: int) -> PairedGraph:
         raise DomainError(f"the number of pairs {short_repr(n_pairs)} must be an int")
     if n_pairs < 1:
         raise DomainError("need at least one pair")
-    rng = random.Random(seed)
+    rng = _seeded_rng(seed)
     n = 2 * n_pairs
     tri = SphereTriangulation()
     tri.grow(n, rng)  # draws nothing for n = 2, which takes one edge 0-1 and its one face

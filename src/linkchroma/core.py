@@ -23,8 +23,9 @@ Conventions used throughout:
   position of each dart ``2 * edge_position + side``; the public
   constructor also stores the ``Edge`` records and the vertex positions
   it checked them with.  The edge index, the stored position of each
-  edge id, is built on first read.  Every paired graph stores the pair
-  position of each vertex position.
+  edge id, is built on first read, and so are a skeleton's link-graph
+  vertices and default pairing, which every complex on it shares.  Every
+  paired graph stores the pair position of each vertex position.
 * All types are immutable; every operation is a pure function.
 """
 
@@ -285,6 +286,14 @@ class Multigraph:
         objects."""
         steps = tuple(_records(WalkStep, _dart_rows(self)))
         return steps, dict(zip(steps, range(len(steps))))
+
+    @_BuiltOnRead
+    def _link_frame(self) -> tuple:
+        """The link-graph vertices, the third-edges, and their default
+        pairing: every complex on this graph shares them."""
+        _require_third_edge_ids(self)
+        verts = tuple(third_edges(self))
+        return verts, Pairing._sorted(tuple(zip(verts[::2], verts[1::2])))
 
     def edge(self, edge_id) -> Edge:
         try:
@@ -873,14 +882,14 @@ def link_graph(c: TwoComplex) -> PairedGraph:
     joining the exit third-edge of the first step to the entry third-edge
     of the next; a walk of length k contributes exactly k link edges.
     Parallel link edges and link loops are kept.  The default pairing puts
-    (e, 0) with (e, 1) for every skeleton edge e.
+    (e, 0) with (e, 1) for every skeleton edge e.  The skeleton builds
+    its link vertices and that pairing on first read, and every complex on
+    it shares them.
     """
     # The third-edges in stored edge order are in id order, (e, 0) before
     # (e, 1), and so are the link edges (ci, j) in walk order.  Link vertex
     # i is skeleton dart i.
-    _require_third_edge_ids(c.skeleton)
-    verts = tuple(third_edges(c.skeleton))
-    pairing = Pairing._sorted(tuple(zip(verts[::2], verts[1::2])))
+    verts, pairing = c.skeleton._link_frame
     _, dart_of = c.skeleton._steps
     ids, outs, ins = [], [], []
     for ci, cell in enumerate(c.cells):

@@ -32,7 +32,7 @@ import random
 from collections import Counter
 from typing import Optional
 
-from .construct import TwelvePireWitness, _triangulation_map, verify_witness
+from .construct import TwelvePireWitness, _seeded_rng, _triangulation_map, verify_witness
 from .errors import BudgetExhausted, DomainError
 from .triangulate import SphereTriangulation
 
@@ -209,7 +209,7 @@ def search_witness(seed, budget: int) -> TwelvePireWitness:
     reached (at most 66)."""
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise DomainError("budget must be a positive integer")
-    rng = random.Random(seed)
+    rng = _seeded_rng(seed)
     random_, getrandbits, exp = rng.random, rng.getrandbits, math.exp
     vertex_bits = N_VERTICES.bit_length()
     best_overall = 0

@@ -693,6 +693,21 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_edge_chromatic(triangle_complex(), 2)
 
+    @pytest.mark.parametrize("k_max", ["a", 2.5, 3.0, True, False, None, -1])
+    def test_k_max_must_be_a_non_negative_integer(self, k_max):
+        # checked first, before the edge-count guard
+        many = TwoComplex(Multigraph((0, 1), tuple(Edge(i, 0, 1) for i in range(13))), ())
+        for c in (triangle_complex(), many):
+            with pytest.raises(DomainError) as info:
+                brute_force_edge_chromatic(c, k_max)
+            assert str(info.value) == "k_max must be a non-negative integer"
+
+    def test_k_max_zero(self):
+        assert brute_force_edge_chromatic(TwoComplex(Multigraph((1,), ()), ()), 0) == 0
+        with pytest.raises(DomainError) as info:
+            brute_force_edge_chromatic(triangle_complex(), 0)
+        assert str(info.value) == "no valid colouring with at most 0 colours"
+
     def test_agrees_with_link_route_on_classics(self):
         for c in (triangle_complex(), tetrahedron_complex(), one_loop_complex()):
             assert brute_force_edge_chromatic(c, 4) == edge_chromatic_number_complex(c)[0]

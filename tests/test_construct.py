@@ -38,6 +38,7 @@ from linkchroma.construct import (
     random_planar_paired_graph,
     seal,
 )
+from linkchroma.errors import short_repr
 from linkchroma.triangulate import SphereTriangulation
 
 from strategies import side_by_side, with_extras
@@ -557,6 +558,17 @@ class TestRandomGenerator:
     def test_rejects_a_pair_count_that_is_not_an_int(self, n_pairs):
         with pytest.raises(DomainError, match="^the number of pairs .* must be an int$"):
             random_planar_paired_graph(0, n_pairs)
+
+    @pytest.mark.parametrize("seed", [None, True, False, 2.5, [1], (1,), b"1"])
+    def test_rejects_a_seed_that_is_not_an_int_or_a_str(self, seed):
+        # None would draw from the OS, and the map could not be replayed
+        for build in (random_planar_paired_graph, random_degree_faithful_planar):
+            with pytest.raises(DomainError) as info:
+                build(seed, 5)
+            assert str(info.value) == f"seed {short_repr(seed)} must be an int or a str"
+
+    def test_a_str_seed_replays(self):
+        assert random_planar_paired_graph("a", 20) == random_planar_paired_graph("a", 20)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_replaced_generator(self, seed):

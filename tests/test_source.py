@@ -126,11 +126,26 @@ def test_id_order_decided_only_by_constructors():
 def test_route_one_reads_no_link_graph():
     """Route 1 solves from the cell junctions: neither
     ``edge_chromatic_number_complex`` nor its module names ``link_graph``,
-    which routes 2 and 3 are read from."""
+    which routes 2 and 3 are read from, or the skeleton's ``_link_frame``,
+    which ``link_graph`` builds on."""
     tree = ast.parse(Path(linkchroma.__file__).with_name("colour.py").read_text(encoding="utf-8"))
     (route,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "edge_chromatic_number_complex"]
     assert _names(route, "_chromatic")
     assert not _names(tree, "link_graph")
+    assert not _names(tree, "_link_frame")
+
+
+def test_link_graph_reads_its_vertices_and_pairing_from_the_link_frame():
+    """Only ``Multigraph._link_frame`` builds the link vertices and the
+    default pairing; ``link_graph`` reads them from it and still builds its
+    ``PairedGraph`` through the public constructor."""
+    tree = ast.parse(Path(linkchroma.__file__).with_name("core.py").read_text(encoding="utf-8"))
+    (link,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "link_graph"]
+    assert _names(link, "_link_frame")
+    assert not _names(link, "third_edges") and not _names(link, "_sorted")
+    assert not _names(link, "_require_third_edge_ids")
+    calls = [n.func for n in ast.walk(link) if isinstance(n, ast.Call)]
+    assert any(isinstance(f, ast.Name) and f.id == "PairedGraph" for f in calls)
 
 
 # Every name the package exports.  An addition or removal shows in this

@@ -227,6 +227,7 @@ BUILT_ON_READ = [
     (Multigraph, "_position", lambda: random_planar_paired_graph(1, 12).graph),
     (Multigraph, "_ends_at", _public_graph),
     (Multigraph, "_steps", _public_graph),
+    (Multigraph, "_link_frame", _public_graph),
     (RotationSystem, "orders", lambda: random_planar_paired_graph(1, 12).rotation),
     (PairedGraph, "_embedding", lambda: random_planar_paired_graph(1, 12)),
     (PairedGraph, "_quotient_neighbours", lambda: random_planar_paired_graph(1, 12)),

@@ -17,7 +17,7 @@ from linkchroma.construct import (
     verify_witness,
 )
 from linkchroma import search
-from linkchroma.errors import BudgetExhausted, DomainError
+from linkchroma.errors import BudgetExhausted, DomainError, short_repr
 from linkchroma.search import _FIELD, _KEEP, _SEVENS, _counts, _pairs, _random_state, exact_pairing, search_witness
 from linkchroma.triangulate import SphereTriangulation
 
@@ -676,6 +676,13 @@ class TestSearch:
         with pytest.raises(DomainError) as info:
             search_witness(seed=0, budget=budget)
         assert str(info.value) == "budget must be a positive integer"
+
+    @pytest.mark.parametrize("seed", [None, True, 2.5, [1]])
+    def test_seed_must_be_an_int_or_a_str(self, seed):
+        # a witness records its seed, and None would draw from the OS
+        with pytest.raises(DomainError) as info:
+            search_witness(seed=seed, budget=300)
+        assert str(info.value) == f"seed {short_repr(seed)} must be an int or a str"
 
     def test_exact_pairing_rejects_infeasible_degrees(self):
         # K4: all degrees 3, no degree-8 partners available

@@ -24,8 +24,9 @@ rev>.json``, adding to that file's workloads if it exists: each side's
 per-run metrics, and for each end-to-end metric the medians and quartiles
 (``statistics.quantiles``, exclusive method) of both sides, the ratio of
 the medians, the pairs the change won by the direction ``BENCHMARK.json``
-gives, and whether the medians differ by more than the parent's
-interquartile range.  Each run also keeps, from its ``{"detail": ...}``
+gives, whether the medians differ by more than the parent's
+interquartile range, and the verdict against the metric's ``bound`` in
+``BENCHMARK.json`` (see ``summary``).  Each run also keeps, from its ``{"detail": ...}``
 line, the ``ops_per_s`` before rescaling by the speed probe and the probe's
 median, and the same summary is made of the unscaled ``ops_per_s``: a
 change in the rescaled metric that the unscaled one does not show comes
@@ -110,33 +111,52 @@ def snapshot(args) -> Path:
     return path
 
 
-def summary(runs: dict, better: dict, field: str = "metrics") -> dict:
-    """Medians, quartiles, ratio and wins of each metric of ``field`` over
-    the paired runs ``runs["parent"][i]`` and ``runs["change"][i]``."""
+def summary(runs: dict, metrics: dict, field: str = "metrics") -> dict:
+    """Medians, quartiles, ratio, wins and verdict of each metric of
+    ``field`` over the paired runs ``runs["parent"][i]`` and
+    ``runs["change"][i]``.  ``metrics`` maps each name to its entry in
+    ``BENCHMARK.json``'s ``end_to_end``: its ``better`` direction and its
+    ``bound``.  A pair won counts the change's run better than the
+    parent's, so a tie counts for neither side.  The verdict is ``worse
+    than bound`` where the change's median is worse than the parent's by
+    more than ``bound`` times the parent's median; else ``unresolved``
+    where the parent's interquartile range is wider than that, unless
+    every run of the change is better than every run of the parent; else
+    ``within bound``."""
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         values = {side: [r[field][name] for r in runs[side]] for side in ("parent", "change")}
         stats = {}
         for side, xs in values.items():
             q1, median, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
             stats[side] = {"median": median, "q1": q1, "q3": q3}
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        gap = abs(stats["change"]["median"] - stats["parent"]["median"])
+        parent, change = stats["parent"]["median"], stats["change"]["median"]
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        allowed = metric["bound"] * abs(parent)
+        if sign * (parent - change) > allowed:
+            verdict = "worse than bound"
+        elif iqr > allowed and not all(sign * (c - p) > 0 for p in values["parent"] for c in values["change"]):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         out[name] = {
-            "better": direction,
+            "better": metric["better"],
             **stats,
-            "ratio": stats["change"]["median"] / stats["parent"]["median"] if stats["parent"]["median"] else None,
+            "ratio": change / parent if parent else None,
             "wins": wins,
             "pairs": len(values["parent"]),
-            "gap_exceeds_parent_iqr": gap > stats["parent"]["q3"] - stats["parent"]["q1"],
+            "gap_exceeds_parent_iqr": abs(change - parent) > iqr,
+            "bound": metric["bound"],
+            "verdict": verdict,
         }
     return out
 
 
 def against(args) -> Path:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     rev, parent = short_rev(), short_rev(args.against)
     path = args.out_dir / f"BENCH_{rev}_vs_{parent}.json"
     ab = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
@@ -174,8 +194,8 @@ def against(args) -> Path:
                 "seeds": seeds,
                 "first": first,
                 "runs": runs,
-                "summary": summary(runs, better),
-                "summary_unscaled": summary(runs, {"ops_per_s": "higher"}, "unscaled"),
+                "summary": summary(runs, end_to_end),
+                "summary_unscaled": summary(runs, {"ops_per_s": end_to_end["ops_per_s"]}, "unscaled"),
                 "traced": {side: run(workload, args.seconds, 1, SEED, root) for side, root in roots.items()},
             }
             path.write_text(json.dumps(ab, indent=2) + "\n", encoding="utf-8")
@@ -189,8 +209,11 @@ def print_table(ab: dict) -> None:
     if "src_lines" in ab:
         lines = ab["src_lines"]
         print(f"src/linkchroma/*.py: {lines['parent']} -> {lines['change']} lines")
-    print(f"| workload | metric | {ab['against']} median [q1, q3] | {ab['rev']} median [q1, q3] | ratio | wins | gap > IQR |")
-    print("|---|---|---|---|---|---|---|")
+    print(
+        f"| workload | metric | {ab['against']} median [q1, q3] | {ab['rev']} median [q1, q3] "
+        "| ratio | wins | gap > IQR | verdict |"
+    )
+    print("|---|---|---|---|---|---|---|---|")
     for workload, w in ab["workloads"].items():
         rows = list(w["summary"].items())
         rows += [(f"{name} (unscaled)", s) for name, s in w.get("summary_unscaled", {}).items()]
@@ -199,7 +222,7 @@ def print_table(ab: dict) -> None:
             print(
                 f"| {workload} | {name} | {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] "
                 f"| {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {s['ratio']:.3f} "
-                f"| {s['wins']}/{s['pairs']} | {'yes' if s['gap_exceeds_parent_iqr'] else 'no'} |"
+                f"| {s['wins']}/{s['pairs']} | {'yes' if s['gap_exceeds_parent_iqr'] else 'no'} | {s['verdict']} |"
             )
     print(f"traced counts that differ, {ab['against']} -> {ab['rev']}:")
     for workload, w in ab["workloads"].items():
