@@ -24,9 +24,9 @@ rev>.json``, adding to that file's workloads if it exists: each side's
 per-run metrics, and for each end-to-end metric the medians and quartiles
 (``statistics.quantiles``, exclusive method) of both sides, the ratio of
 the medians, the pairs the change won by the direction ``BENCHMARK.json``
-gives, whether the medians differ by more than the parent's
-interquartile range, and the verdict against the metric's ``bound`` in
-``BENCHMARK.json`` (see ``summary``).  Each run also keeps, from its ``{"detail": ...}``
+gives, whether the medians differ by more than the parent's interquartile
+range, and the verdict against the metric's ``bound`` in ``BENCHMARK.json``
+(see ``summary``).  Each run also keeps, from its ``{"detail": ...}``
 line, the ``ops_per_s`` before rescaling by the speed probe and the probe's
 median, and the same summary is made of the unscaled ``ops_per_s``: a
 change in the rescaled metric that the unscaled one does not show comes
