@@ -118,12 +118,6 @@ def _clash_free(junctions: list, colour: dict) -> bool:
 # Exact vertex chromatic number: clique-seeded DSATUR branch and bound
 
 
-def _neighbours(g: Multigraph) -> list:
-    """Neighbour-index sets by position in ``g.vertices``, with loops
-    dropped and parallels collapsed."""
-    return _neighbour_sets(len(g.vertices), g._at)
-
-
 def _greedy_clique(nbrs: list, degree: list) -> list:
     """Deterministic greedy clique of vertex indexes of a nonempty graph:
     repeatedly add the candidate of highest degree within the candidate set,
@@ -181,7 +175,7 @@ def chromatic_number(
     best colouring's size as ``lower`` and ``upper``.
     """
     ids = g.vertices  # in id order, so ties broken by index are broken by id
-    k, witness = _chromatic(ids, _neighbours(g), log, budget)
+    k, witness = _chromatic(ids, _neighbour_sets(len(ids), g._at), log, budget)
     return k, {ids[i]: c for i, c in witness}
 
 

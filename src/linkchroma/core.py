@@ -135,9 +135,6 @@ class Edge(NamedTuple):
     def is_loop(self) -> bool:
         return self.end0 == self.end1
 
-    def endpoint(self, side: int) -> VertexId:
-        return self.end0 if side == 0 else self.end1
-
 
 def _edge_records(g: "Multigraph") -> tuple:
     """The ``Edge``s of a graph built on its columns."""
@@ -261,15 +258,6 @@ class Multigraph:
         return cls._from_columns(g.vertices, tuple(order), at), position
 
     @_BuiltOnRead
-    def _ends_at(self) -> dict:
-        """Each vertex's edge-ends.  Darts are walked in edge order, so each
-        tuple is in (edge id, side) order."""
-        ends_at = [[] for _ in self.vertices]
-        for end, p in zip(third_edges(self), self._at):
-            ends_at[p].append(end)
-        return dict(zip(self.vertices, map(tuple, ends_at)))
-
-    @_BuiltOnRead
     def _index(self) -> dict:
         """The position of each vertex id, stored by the public constructor."""
         return {v: i for i, v in enumerate(self.vertices)}
@@ -294,21 +282,6 @@ class Multigraph:
         _require_third_edge_ids(self)
         verts = tuple(third_edges(self))
         return verts, Pairing._sorted(tuple(zip(verts[::2], verts[1::2])))
-
-    def edge(self, edge_id) -> Edge:
-        try:
-            return self.edges[self._position[edge_id]]
-        except KeyError:
-            raise DomainError(f"unknown edge {short_repr(edge_id)}") from None
-
-    def ends_at(self, v) -> tuple:
-        try:
-            return self._ends_at[v]
-        except KeyError:
-            raise DomainError(f"unknown vertex {short_repr(v)}") from None
-
-    def degree(self, v) -> int:
-        return len(self.ends_at(v))
 
     def edge_ids(self) -> tuple:
         return self._ids
@@ -424,9 +397,6 @@ class WalkStep(NamedTuple):
 
     edge: EdgeId
     entry: int
-
-    def flipped(self) -> "WalkStep":
-        return WalkStep(self.edge, 1 - self.entry)
 
 
 @dataclass(frozen=True)

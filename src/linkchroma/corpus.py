@@ -242,7 +242,8 @@ def _check_three_quantity_agreement() -> str:
     from .colour import brute_force_edge_chromatic, chromatic_number, edge_chromatic_number_complex, pair_chromatic_number
     from .core import link_graph, simple_quotient
 
-    def agree(c: TwoComplex, what: str, oracle: str, expected: int) -> None:
+    def agree(c: TwoComplex, what, oracle: str, expected: int) -> None:
+        # ``what``, a name or the complex itself, is formatted only on failure
         ec = edge_chromatic_number_complex(c)[0]
         L = link_graph(c)
         pc = pair_chromatic_number(L)[0]
@@ -252,7 +253,7 @@ def _check_three_quantity_agreement() -> str:
 
     count = 0
     for c in itertools.chain(enumerate_small_complexes(), (triangle_complex(), tetrahedron_complex())):
-        agree(c, str(c), "brute force", brute_force_edge_chromatic(c, k_max=8))
+        agree(c, c, "brute force", brute_force_edge_chromatic(c, k_max=8))
         count += 1
     family = _branching_family()
     for name, n, edges, brute in family:

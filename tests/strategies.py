@@ -3,7 +3,48 @@ small fixed instances that only the tests use."""
 
 import hypothesis.strategies as st
 
-from linkchroma import ClosedWalk, Edge, Multigraph, RotationSystem, TwoComplex, WalkStep
+from linkchroma import ClosedWalk, Edge, EdgeEnd, Multigraph, RotationSystem, TwoComplex, WalkStep
+
+
+# Incidence read off a graph's ``Edge`` records, so that the tests do not
+# lean on the dart column the library reads.
+
+
+def endpoint(e, side):
+    """The vertex at end ``side`` of the edge record ``e``."""
+    return (e.end0, e.end1)[side]
+
+
+def ends_at(g):
+    """Each vertex of ``g`` to its edge-ends in (edge id, side) order."""
+    out = {v: [] for v in g.vertices}
+    for e in g.edges:
+        for side in (0, 1):
+            out[endpoint(e, side)].append(EdgeEnd(e.id, side))
+    return {v: tuple(ends) for v, ends in out.items()}
+
+
+def degree(g, v):
+    """The number of edge-ends at ``v``: a loop counts 2."""
+    return sum((e.end0, e.end1).count(v) for e in g.edges)
+
+
+def flipped(step):
+    """``step`` entered at its other side."""
+    return WalkStep(step.edge, 1 - step.entry)
+
+
+def neighbour_sets(g):
+    """The neighbour-position sets of ``g.vertices``, loops dropped and
+    parallel edges collapsed."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [set() for _ in g.vertices]
+    for e in g.edges:
+        a, b = index[e.end0], index[e.end1]
+        if a != b:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return nbrs
 
 
 @st.composite
@@ -29,16 +70,17 @@ def closed_walks(draw, g, max_len=6):
 
     darts = [WalkStep(e.id, s) for e in g.edges for s in (0, 1)]
     assume(darts)
+    edge = {e.id: e for e in g.edges}
     first = draw(st.sampled_from(darts))
     steps = [first]
-    start = g.edge(first.edge).endpoint(first.entry)
-    here = g.edge(first.edge).endpoint(1 - first.entry)
+    start = endpoint(edge[first.edge], first.entry)
+    here = endpoint(edge[first.edge], 1 - first.entry)
     length = draw(st.integers(min_value=1, max_value=max_len))
     while len(steps) < length:
-        options = [d for d in darts if g.edge(d.edge).endpoint(d.entry) == here]
+        options = [d for d in darts if endpoint(edge[d.edge], d.entry) == here]
         step = draw(st.sampled_from(options))
         steps.append(step)
-        here = g.edge(step.edge).endpoint(1 - step.entry)
+        here = endpoint(edge[step.edge], 1 - step.entry)
     assume(here == start)
     return ClosedWalk(tuple(steps))
 
@@ -97,8 +139,7 @@ def paired_graphs(draw, max_pairs=5, max_edges=10):
 def rotations(draw, g):
     """A uniformly shuffled rotation system for ``g``."""
     orders = {}
-    for v in g.vertices:
-        ends = list(g.ends_at(v))
+    for v, ends in ends_at(g).items():
         orders[v] = tuple(draw(st.permutations(ends)))
     return RotationSystem(orders)
 

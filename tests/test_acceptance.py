@@ -61,3 +61,37 @@ def test_a_disagreement_names_all_four_numbers(monkeypatch):
     assert result.status == "fail"
     assert result.detail.startswith("disagreement on ")
     assert result.detail.endswith(": brute force 0, junctions 1, link 0, quotient 0")
+
+
+def test_a_disagreement_names_the_complex_as_it_prints(monkeypatch):
+    from linkchroma import colour, corpus
+
+    first = next(corpus.enumerate_small_complexes())
+    solve = colour.edge_chromatic_number_complex
+    monkeypatch.setattr(colour, "edge_chromatic_number_complex", lambda c: (solve(c)[0] + 1, None))
+    result = run_check("three-quantity-agreement")
+    assert result.detail == f"disagreement on {first!r}: brute force 0, junctions 1, link 0, quotient 0"
+
+
+def test_a_passing_agreement_check_formats_no_complex(monkeypatch):
+    # the complexes of a passing run are formatted nowhere: only a
+    # disagreement names one
+    from itertools import islice
+
+    from linkchroma import corpus
+    from linkchroma.core import TwoComplex
+
+    enumerate_all = corpus.enumerate_small_complexes
+    monkeypatch.setattr(corpus, "enumerate_small_complexes", lambda: islice(enumerate_all(), 60))
+    formatted = []
+    as_text = TwoComplex.__repr__
+
+    def counted(c):
+        formatted.append(c)
+        return as_text(c)
+
+    monkeypatch.setattr(TwoComplex, "__repr__", counted)
+    result = run_check("three-quantity-agreement")
+    assert result.status == "pass", result.detail
+    assert "agree on 62 complexes" in result.detail  # and the triangle and tetrahedron
+    assert formatted == []

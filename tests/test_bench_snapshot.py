@@ -101,3 +101,61 @@ def test_against_writes_a_verdict_for_every_end_to_end_metric(monkeypatch, tmp_p
     assert verdicts["ops_per_s"] == "within bound" and verdicts["op_p50_ms"] == "worse than bound"
     assert ab["workloads"]["small-complexes"]["summary_unscaled"]["ops_per_s"]["verdict"] == "within bound"
     assert "| worse than bound |" in capsys.readouterr().out
+
+
+def test_an_interrupted_against_keeps_every_pair_it_finished(monkeypatch, tmp_path, capsys):
+    """A run that exits on the third pair of the second workload leaves the
+    first workload complete and two pairs of the second in the file; a
+    second call, whose runs all work, completes both and prints the table."""
+    bench = json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in bench["end_to_end"]]
+    archive = io.BytesIO()
+    tarfile.open(fileobj=archive, mode="w").close()
+    calls = []
+
+    def working_run(workload, seconds, trace, seed=0, root=bench_snapshot.ROOT):
+        value = 2.0 if root == bench_snapshot.ROOT else 1.0
+        return {
+            "correct": True,
+            "metrics": {} if trace else {name: {"value": value} for name in names},
+            "detail": {"unscaled": {"ops_per_s": value}, "probe_median_ms": 1.0},
+        }
+
+    def failing_run(workload, seconds, trace, seed=0, root=bench_snapshot.ROOT):
+        calls.append((workload, trace, seed))
+        if (workload, trace, seed) == ("exact-colour", 0, 3):
+            raise SystemExit("error: perfbench/run.py exited with 1")
+        return working_run(workload, seconds, trace, seed, root)
+
+    monkeypatch.setattr(bench_snapshot, "short_rev", lambda rev="HEAD": "change1" if rev == "HEAD" else "parent1")
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", lambda *a, **k: SimpleNamespace(stdout=archive.getvalue()))
+    argv = ["--against", "p", "--pairs", "4", "--out-dir", str(tmp_path)]
+    argv += ["--workload", "small-complexes", "--workload", "exact-colour"]
+    path = tmp_path / "BENCH_change1_vs_parent1.json"
+
+    monkeypatch.setattr(bench_snapshot, "run", failing_run)
+    with pytest.raises(SystemExit):
+        bench_snapshot.main(argv)
+    assert calls[-1] == ("exact-colour", 0, 3)
+    ab = json.loads(path.read_text(encoding="utf-8"))
+    first, second = ab["workloads"]["small-complexes"], ab["workloads"]["exact-colour"]
+    assert first["seeds"] == [1, 2, 3, 4] and first["first"] == ["parent", "change"] * 2
+    assert [len(first["runs"][side]) for side in ("parent", "change")] == [4, 4]
+    assert {"summary", "summary_unscaled", "traced"} <= first.keys()
+    assert second["seeds"] == [1, 2] and second["first"] == ["parent", "change"]
+    assert [len(second["runs"][side]) for side in ("parent", "change")] == [2, 2]
+    assert sorted(second) == ["first", "runs", "seconds", "seeds"]
+    capsys.readouterr()
+    bench_snapshot.print_table(ab)
+    out = capsys.readouterr().out
+    assert "exact-colour: no summary, 2 pair(s) kept from an interrupted run" in out
+    assert "| small-complexes | ops_per_s |" in out and "| exact-colour |" not in out
+
+    monkeypatch.setattr(bench_snapshot, "run", working_run)
+    bench_snapshot.main(argv)
+    ab = json.loads(path.read_text(encoding="utf-8"))
+    for w in ab["workloads"].values():
+        assert w["seeds"] == [1, 2, 3, 4] and {"summary", "summary_unscaled", "traced"} <= w.keys()
+    out = capsys.readouterr().out
+    assert "no summary" not in out
+    assert "| small-complexes | ops_per_s |" in out and "| exact-colour | ops_per_s |" in out

@@ -11,7 +11,7 @@ from linkchroma.cli import main
 from linkchroma.construct import load_shipped_witness, random_planar_paired_graph
 from linkchroma.errors import DomainError
 
-from strategies import side_by_side, with_extras
+from strategies import ends_at, side_by_side, with_extras
 
 
 @pytest.fixture
@@ -484,7 +484,7 @@ class TestStageCommands:
         k5_pg = PairedGraph(
             Multigraph(k5.vertices + (5,), k5.edges),
             Pairing(((0, 1), (2, 3), (4, 5))),
-            RotationSystem({v: k5.ends_at(v) for v in k5.vertices}),
+            RotationSystem(ends_at(k5)),
         )
         pg = with_extras(side_by_side(random_planar_paired_graph(1, 3), k5_pg, random_planar_paired_graph(2, 2)))
         path = tmp_path / "paired.json"

@@ -35,12 +35,12 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
-from linkchroma.colour import _chromatic, _neighbours
+from linkchroma.colour import _chromatic
 from linkchroma.construct import random_planar_paired_graph
 from linkchroma.corpus import _conflict_complex, chromatic_number_reference
 from linkchroma.errors import short_repr
 
-from strategies import one_loop_complex
+from strategies import ends_at, neighbour_sets, one_loop_complex
 from test_solver_front_end import greedy_clique_reference
 
 
@@ -170,6 +170,24 @@ class TestChromaticNumber:
     def test_empty_and_edgeless(self):
         assert chromatic_number(Multigraph())[0] == 0
         assert chromatic_number(Multigraph((1, 2, 3), ()))[0] == 1
+
+    def test_the_search_is_given_no_loops_or_parallels(self, monkeypatch):
+        # checked before the search runs: a vertex in its own neighbour set
+        # would keep the greedy clique growing without end
+        import linkchroma.colour as colour
+
+        given = []
+        search = colour._chromatic
+
+        def checked(ids, nbrs, log, budget):
+            given.append(nbrs)
+            assert not any(i in ws for i, ws in enumerate(nbrs))
+            return search(ids, nbrs, log, budget)
+
+        monkeypatch.setattr(colour, "_chromatic", checked)
+        g = Multigraph((1, 2, 3), (Edge("e", 1, 2), Edge("f", 2, 1), Edge("l", 1, 1), Edge("m", 3, 3)))
+        assert chromatic_number(g)[0] == 2
+        assert given == [neighbour_sets(g)] == [[{1}, {0}, set()]]
 
     def test_loops_and_parallels_are_ignored(self):
         g = Multigraph(
@@ -608,7 +626,7 @@ class TestBitParallelDsatur:
                 rng = random.Random(n * 100 + int(p * 10))
                 for _ in range(2):
                     g = random_graph(rng, n, p)
-                    nodes = assert_same_at_every_budget(g.vertices, _neighbours(g), 2000)
+                    nodes = assert_same_at_every_budget(g.vertices, neighbour_sets(g), 2000)
                     stopped += nodes == 2000
                     closed += 0 < nodes < 2000
         assert stopped > 0 and closed > 10
@@ -617,13 +635,13 @@ class TestBitParallelDsatur:
         cases = ((8, (1, 2)), (17, (1, 2)), (50, (1, 2)), (9, (1,)), (21, (1,)), (37, (1, 2, 5)), (49, (1, 2, 4)))
         for n, offsets in cases:
             g = circulant(n, offsets)
-            assert assert_same_at_every_budget(g.vertices, _neighbours(g), 20_000) > 0
+            assert assert_same_at_every_budget(g.vertices, neighbour_sets(g), 20_000) > 0
 
     def test_matches_mask_kernel_on_complete_graphs(self):
         # every count reaches n - 1, the greedy bound less one
         for n in range(1, 40):
             g = complete_graph(n)
-            assert assert_same_as_reference_dsatur(g.vertices, _neighbours(g)) == 0
+            assert assert_same_as_reference_dsatur(g.vertices, neighbour_sets(g)) == 0
 
     def test_matches_mask_kernel_on_large_map_quotients(self):
         for seed in (0, 1):
@@ -741,7 +759,7 @@ def ring_map(n_pairs):
     ids = [(i, f"v{i}", ("t", i))[i % 3] for i in range(2 * n_pairs)]
     ring = [Edge(j, ids[j], ids[(j + 1) % len(ids)]) for j in range(len(ids))]
     g = Multigraph(tuple(ids), tuple(ring))
-    rot = RotationSystem({v: g.ends_at(v) for v in g.vertices})
+    rot = RotationSystem(ends_at(g))
     return PairedGraph(g, Pairing(tuple(zip(ids[::2], ids[1::2]))), rot)
 
 

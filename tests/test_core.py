@@ -31,8 +31,14 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
-from linkchroma.colour import _neighbours, heawood_colour_12
-from linkchroma.construct import inverse_link, make_degree_faithful, pi_trail_decomposition, random_planar_paired_graph
+from linkchroma.colour import heawood_colour_12
+from linkchroma.construct import (
+    inverse_link,
+    is_degree_faithful,
+    make_degree_faithful,
+    pi_trail_decomposition,
+    random_planar_paired_graph,
+)
 from linkchroma.core import MAX_ID_DEPTH
 from linkchroma.corpus import enumerate_closed_walks, enumerate_small_complexes, enumerate_small_skeletons
 from linkchroma.errors import short_repr
@@ -40,7 +46,12 @@ from linkchroma.errors import short_repr
 from strategies import (
     WALK_FAULT_SKELETON,
     WALK_FAULTS,
+    degree,
+    endpoint,
+    ends_at,
+    flipped,
     k4_with_planar_rotation,
+    neighbour_sets,
     one_loop_complex,
     side_by_side,
     with_extras,
@@ -57,8 +68,9 @@ def edge_pairs(g):
 
 class TestMultigraph:
     def test_degree_counts_loops_twice(self):
-        g = Multigraph(("v",), (Edge("e", "v", "v"),))
-        assert g.degree("v") == 2
+        # v's one loop gives it as many edge-ends as u's two edges give u
+        g = Multigraph(("u", "v", "w", "x"), (Edge("e", "v", "v"), Edge("f", "u", "w"), Edge("g", "u", "x")))
+        assert is_degree_faithful(PairedGraph(g, Pairing((("u", "v"), ("w", "x")))))
 
     def test_duplicate_edge_id_rejected(self):
         with pytest.raises(DomainError):
@@ -103,7 +115,7 @@ class TestMultigraph:
             assert str(info.value) == message
         g = Multigraph._from_columns((1, 2), ("a", "b"), [0, 1, 1, 1])
         assert g == Multigraph((2, 1), (Edge("b", 2, 2), Edge("a", 1, 2)))
-        assert g.ends_at(2) == (EdgeEnd("a", 1), EdgeEnd("b", 0), EdgeEnd("b", 1))
+        assert ends_at(g)[2] == (EdgeEnd("a", 1), EdgeEnd("b", 0), EdgeEnd("b", 1))
         for new_ids, message in ((["b"], "duplicate edge id 'b'"), (["c", "a", "c"], "duplicate edge id 'a'")):
             with pytest.raises(DomainError) as info:
                 Multigraph._extended(g, new_ids, [0, 0] * len(new_ids))
@@ -150,7 +162,7 @@ class TestMultigraph:
         ids = (5, "b", ("t", 1), 2, "a")
         edges = (Edge(0, ("t", 1), 2), Edge(1, 2, 5), Edge(2, "a", "b"))
         g = Multigraph(ids, edges)
-        rot = RotationSystem({v: g.ends_at(v) for v in g.vertices})
+        rot = RotationSystem(ends_at(g))
         assert [c.vertices for c in genus_check(g, rot)] == [(2, 5, ("t", 1)), ("a", "b")]
 
     def test_ids_nested_too_deep_are_a_domain_error(self):
@@ -171,8 +183,8 @@ class TestMultigraph:
 
 
 class TestEndsTable:
-    """The ends table is built on first use of ``ends_at`` or ``degree``, by
-    every way of making a graph, and is not a field."""
+    """The vertex and edge lookups, by every way of making a graph, are
+    built on first read and are not fields."""
 
     def graphs(self):
         yield Multigraph((3, "v", ("t", 1)), (Edge("b", "v", "v"), Edge("a", 3, "v"), Edge(("c",), ("t", 1), 3)))
@@ -183,25 +195,19 @@ class TestEndsTable:
 
     def test_answers_match_the_edges(self):
         for g in self.graphs():
-            assert "_ends_at" not in g.__dict__
             assert all(v in g._index for v in g.vertices) and "zz" not in g._index
-            assert "_ends_at" not in g.__dict__
-            for v in g.vertices:
-                expected = tuple(EdgeEnd(e.id, s) for e in g.edges for s in (0, 1) if e.endpoint(s) == v)
-                assert g.ends_at(v) == expected
-                assert g.degree(v) == len(expected)
-                assert all(g.edge(end.edge).endpoint(end.side) == v for end in expected)
-            assert g._ends_at is g._ends_at  # built once
+            # each vertex's darts, in stored order, are its edge-ends in (edge id, side) order
+            darts_at = {v: tuple(end for end, p in zip(third_edges(g), g._at) if p == i) for v, i in g._index.items()}
+            assert darts_at == ends_at(g)
 
     def test_unknown_vertex_or_edge_is_a_domain_error(self):
         for g in self.graphs():
-            for lookup in (g.ends_at, g.degree):
-                with pytest.raises(DomainError) as info:
-                    lookup("zz")
-                assert str(info.value) == "unknown vertex 'zz'"
             with pytest.raises(DomainError) as info:
-                g.edge("zz")
-            assert str(info.value) == "unknown edge 'zz'"
+                validate_rotation(g, RotationSystem({"zz": ()}))
+            assert str(info.value) == "rotation mentions unknown vertex 'zz'"
+            with pytest.raises(DomainError) as info:
+                validate_walk(g, ClosedWalk((WalkStep("zz", 0),)))
+            assert str(info.value) == "walk not contained in skeleton: unknown edge 'zz'"
 
     def test_dart_positions_match_the_edges_and_are_built_once(self):
         # a graph stores what its constructor computed: every constructor
@@ -214,7 +220,7 @@ class TestEndsTable:
                 assert set(g.__dict__) == {"vertices", "_ids", "_at"}
             index, at = g._index, g._at
             assert index == {v: i for i, v in enumerate(g.vertices)}
-            assert at == [index[e.endpoint(s)] for e in g.edges for s in (0, 1)]
+            assert at == [index[endpoint(e, s)] for e in g.edges for s in (0, 1)]
             assert g._index is index and g._at is at  # built once
 
     def test_the_heawood_path_and_augmentation_share_one_dart_table(self):
@@ -232,10 +238,8 @@ class TestEndsTable:
 
     def test_equality_and_hash_ignore_the_table(self):
         for built, fresh in zip(self.graphs(), self.graphs()):
-            for v in built.vertices:
-                built.degree(v)
-            built._index, built._at
-            assert "_ends_at" in built.__dict__ and "_ends_at" not in fresh.__dict__
+            built._index, built._at, built._position
+            assert "_position" in built.__dict__ and "_position" not in fresh.__dict__
             assert {"_index", "_at"} <= built.__dict__.keys()
             # every constructor stores the dart column, only the public one the positions
             assert "_at" in fresh.__dict__ and ("_index" in fresh.__dict__) == ("edges" in fresh.__dict__)
@@ -291,14 +295,11 @@ class TestWalks:
         assert [type(s.entry) for s in walk.steps] == [int] * 4
         assert walk.steps == (WalkStep("e", 0), WalkStep("e", 1), WalkStep("e", 1), WalkStep("e", 0))
 
-    def test_reverse_flips_entry_side(self):
-        assert WalkStep("e", 0).flipped() == WalkStep("e", 1)
-
     def test_reverse_preserves_validity(self):
         # sealing appends each walk backwards: its steps reversed, each flipped
         c = tetrahedron_complex()
         for cell in c.cells:
-            validate_walk(c.skeleton, ClosedWalk(tuple(s.flipped() for s in reversed(cell.steps))))
+            validate_walk(c.skeleton, ClosedWalk(tuple(flipped(s) for s in reversed(cell.steps))))
 
 
 class TestWalkFaults:
@@ -758,7 +759,7 @@ class TestQuotients:
         assert len(q.vertices) == 6
         assert len(q.edges) == 12
         # octahedron: every vertex has degree 4, opposite K4 edges non-adjacent
-        assert all(q.degree(v) == 4 for v in q.vertices)
+        assert all(degree(q, v) == 4 for v in q.vertices)
 
     def test_within_pair_edge_becomes_loop(self):
         g = Multigraph(("u", "v"), (Edge("e", "u", "v"),))
@@ -882,10 +883,11 @@ def sorted_face_genera(g, rot):
             if d == start:
                 break
     out = []
+    edge = {e.id: e for e in g.edges}
     for comp in bfs_components(g):
         members = set(comp)
         edges = sum(1 for e in g.edges if e.end0 in members)
-        f = sum(1 for d in faces if g.edge(d.edge).endpoint(d.side) in members) if edges else 1
+        f = sum(1 for d in faces if endpoint(edge[d.edge], d.side) in members) if edges else 1
         out.append((comp, f, (2 - (len(comp) - edges + f)) // 2))
     return out
 
@@ -916,8 +918,7 @@ def oracle_maps():
         yield pg.graph, pg.rotation
     k5 = complete_graph(5)
     cyclic_orders = {}
-    for v in k5.vertices:
-        first, *rest = k5.ends_at(v)
+    for v, (first, *rest) in ends_at(k5).items():
         cyclic_orders[v] = [(first,) + p for p in itertools.permutations(rest)]
     for choice in itertools.product(*cyclic_orders.values()):
         yield k5, RotationSystem(dict(zip(k5.vertices, choice)))
@@ -935,7 +936,7 @@ class TestFaceTracingOracle:
 
     def test_quotient_neighbours_match_the_simple_quotient(self):
         for pg in oracle_paired_maps():
-            assert pg._quotient_neighbours == _neighbours(simple_quotient(pg))
+            assert pg._quotient_neighbours == neighbour_sets(simple_quotient(pg))
 
 
 class TestGenus:
@@ -948,7 +949,7 @@ class TestGenus:
 
     def test_k5_any_rotation_has_positive_genus(self):
         g = complete_graph(5)
-        rot = RotationSystem({v: g.ends_at(v) for v in g.vertices})
+        rot = RotationSystem(ends_at(g))
         assert all(comp.genus >= 1 for comp in genus_check(g, rot))
 
     def test_single_vertex_no_edges(self):
@@ -1230,7 +1231,7 @@ def k5_paired(rotation=True):
     rotation of K5 has positive genus) unless ``rotation`` is false."""
     k5 = complete_graph(5)
     g = Multigraph(k5.vertices + (5,), k5.edges)
-    rot = RotationSystem({v: k5.ends_at(v) for v in k5.vertices}) if rotation else None
+    rot = RotationSystem(ends_at(k5)) if rotation else None
     return PairedGraph(g, Pairing(((0, 1), (2, 3), (4, 5))), rot)
 
 
@@ -1249,7 +1250,7 @@ class TestPairedGraphCaches:
 
     def test_quotient_neighbours_and_order_are_built_once(self):
         for pg in (link_graph(tetrahedron_complex()), k5_paired()):
-            assert pg._quotient_neighbours == _neighbours(simple_quotient(pg))
+            assert pg._quotient_neighbours == neighbour_sets(simple_quotient(pg))
             assert pg._quotient_neighbours is pg._quotient_neighbours
             assert pg._smallest_last is pg._smallest_last
 
@@ -1257,7 +1258,7 @@ class TestPairedGraphCaches:
         filled, fresh = k5_paired(), k5_paired()
         with pytest.raises(DomainError):
             filled.require_planar()
-        assert filled._quotient_neighbours == _neighbours(simple_quotient(fresh))
+        assert filled._quotient_neighbours == neighbour_sets(simple_quotient(fresh))
         assert filled._smallest_last
         assert filled == fresh
         assert hash(filled) == hash(fresh)
@@ -1282,13 +1283,14 @@ class TestSimplicial:
     def test_agrees_with_the_edge_level_reading(self):
         def reference(c):
             g = c.skeleton
+            edge = {e.id: e for e in g.edges}
             pairs = [frozenset((e.end0, e.end1)) for e in g.edges]
             if any(e.is_loop for e in g.edges) or len(set(pairs)) != len(pairs):
                 return False
             return all(
                 len(cell) == 3
                 and len({s.edge for s in cell.steps}) == 3
-                and len({g.edge(s.edge).endpoint(s.entry) for s in cell.steps}) == 3
+                and len({endpoint(edge[s.edge], s.entry) for s in cell.steps}) == 3
                 for cell in c.cells
             )
 

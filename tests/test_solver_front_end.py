@@ -22,7 +22,6 @@ from linkchroma.colour import (
     SolverLog,
     _branch_and_bound,
     _chromatic,
-    _neighbours,
     _raise_counts,
     edge_chromatic_number_complex,
     pair_chromatic_number,
@@ -31,6 +30,8 @@ from linkchroma.construct import inverse_link, make_degree_faithful, random_plan
 from linkchroma.core import Edge, Multigraph, link_graph
 from linkchroma.corpus import enumerate_small_complexes
 from linkchroma.errors import BudgetExhausted, DomainError
+
+from strategies import neighbour_sets
 
 # ---------------------------------------------------------------------------
 # The replaced code
@@ -187,10 +188,10 @@ def test_the_front_end_is_the_replaced_one():
     graphs = [gnp(n, s) for n in range(30, 51, 2) for s in range(2)]
     k12 = Multigraph(tuple(range(12)), tuple(Edge((u, v), u, v) for u in range(12) for v in range(u + 1, 12)))
     for g in graphs + [k12]:
-        ids, nbrs = g.vertices, _neighbours(g)
+        ids, nbrs = g.vertices, neighbour_sets(g)
         assert greedy_clique_reference(nbrs) == colour._greedy_clique(nbrs, list(map(len, nbrs)))
         assert outcome(_chromatic, ids, nbrs) == outcome(chromatic_reference, ids, nbrs)
-    assert outcome(_chromatic, k12.vertices, _neighbours(k12))[0][0] == 12
+    assert outcome(_chromatic, k12.vertices, neighbour_sets(k12))[0][0] == 12
 
 
 def test_budget_bounds_on_the_sealed_1600_pair_complex():

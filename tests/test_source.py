@@ -246,13 +246,11 @@ def test_the_bench_names_only_what_the_library_has():
 
 
 # Where the library reads a graph's ``Edge`` records: the public constructor
-# that makes them and stores the dart column from them, the accessor that
-# reads one at its id's position in the edge index, and the exhaustive
+# that makes them and stores the dart column from them, and the exhaustive
 # oracle, which stays independent of the dart column.  Everything else reads
 # ids and darts.
 EDGE_READERS_ALLOWED = {
     "core.Multigraph.__post_init__",
-    "core.Multigraph.edge",
     "corpus.chromatic_number_reference",
 }
 

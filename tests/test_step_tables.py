@@ -1,7 +1,7 @@
 """The construction chain on darts against the loops it replaced.
 
-Each ``*_reference`` below is the replaced code, kept verbatim: sealing by
-``WalkStep.flipped``, the list-comprehension ``validate_walk`` and
+Each ``*_reference`` below is the replaced code, kept verbatim: sealing step by
+flipped step, the list-comprehension ``validate_walk`` and
 ``link_graph``, the ``WalkStep(*item)`` parse of ``complex_from_doc`` and
 the per-step reader that followed it, the per-step ``complex_to_doc`` and
 the id-level rotation check that ``validate_rotation`` replaced.  The tests
@@ -43,7 +43,7 @@ from linkchroma.corpus import enumerate_small_complexes
 from linkchroma.errors import DomainError, SchemaError, short_repr
 from linkchroma.formats import _check_fields, _parse_side_entry, graph_from_doc, id_from_json, id_to_json
 
-from strategies import WALK_FAULT_SKELETON, WALK_FAULTS
+from strategies import WALK_FAULT_SKELETON, WALK_FAULTS, flipped
 
 # ---------------------------------------------------------------------------
 # The replaced loops
@@ -92,7 +92,7 @@ def seal_reference(c: TwoComplex) -> TwoComplex:
     for walk in c.cells:
         steps = walk.steps
         first = steps[0]
-        sealed = steps + (first, first.flipped()) + tuple(s.flipped() for s in reversed(steps))
+        sealed = steps + (first, flipped(first)) + tuple(flipped(s) for s in reversed(steps))
         cells.append(ClosedWalk(sealed))
     return TwoComplex(c.skeleton, tuple(cells), GENUINE)
 
@@ -318,7 +318,7 @@ def walk_variants(g: Multigraph, walk: ClosedWalk, rng: random.Random) -> list:
     steps = list(walk.steps)
     out = [steps]
     j = rng.randrange(len(steps))
-    out.append(steps[:j] + [steps[j].flipped()] + steps[j + 1 :])
+    out.append(steps[:j] + [flipped(steps[j])] + steps[j + 1 :])
     out.append(steps[:j] + [WalkStep("zz", 0)] + steps[j + 1 :])
     out.append(steps[:j] + [WalkStep(rng.choice(g.edges).id, rng.randrange(2))] + steps[j + 1 :])
     if len(steps) > 1:

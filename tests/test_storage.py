@@ -48,18 +48,15 @@ def assert_column_built_graph_is_the_constructors(g: Multigraph) -> None:
     # answers read off the columns, before any Edge exists
     index, at = g._index, g._at
     ids = g.edge_ids()
-    ends = {v: g.ends_at(v) for v in g.vertices}
     thirds = third_edges(g)
     assert "edges" not in g.__dict__
-    edges = [g.edge(i) for i in ids]
     assert g.edges is g.edges  # built once
     public = Multigraph(g.vertices, g.edges)
     assert public == g and g == public
     assert hash(public) == hash(g) and repr(public) == repr(g)
     assert public._index == index and public._at == at
     assert public.edge_ids() == ids
-    assert {v: public.ends_at(v) for v in public.vertices} == ends
-    assert [public.edge(i) for i in ids] == edges == list(g.edges)
+    assert list(public.edges) == list(g.edges)
     assert third_edges(public) == thirds
 
 
@@ -112,7 +109,7 @@ def test_the_construction_chain_makes_no_edges():
     heawood_colour_12(augmented)
     for g in (pg.graph, augmented.graph, L.graph):
         assert "_ids" in g.__dict__
-        for built in ("edges", "_position", "_ends_at"):
+        for built in ("edges", "_position"):
             assert built not in g.__dict__
 
 
@@ -220,12 +217,11 @@ def _grown_triangulation() -> SphereTriangulation:
 
 # Every attribute built on first read, with a maker of fresh instances that
 # hold none of it: graphs and rotations the library built on darts, a
-# public graph for the edge-end and step tables, and a witness as loaded.
+# public graph for the step table and the link frame, and a witness as loaded.
 BUILT_ON_READ = [
     (Multigraph, "edges", lambda: random_planar_paired_graph(1, 12).graph),
     (Multigraph, "_index", lambda: random_planar_paired_graph(1, 12).graph),
     (Multigraph, "_position", lambda: random_planar_paired_graph(1, 12).graph),
-    (Multigraph, "_ends_at", _public_graph),
     (Multigraph, "_steps", _public_graph),
     (Multigraph, "_link_frame", _public_graph),
     (RotationSystem, "orders", lambda: random_planar_paired_graph(1, 12).rotation),

@@ -21,6 +21,8 @@ from linkchroma.errors import BudgetExhausted, DomainError, short_repr
 from linkchroma.search import _FIELD, _KEEP, _SEVENS, _counts, _pairs, _random_state, exact_pairing, search_witness
 from linkchroma.triangulate import SphereTriangulation
 
+from strategies import degree
+
 # Outcomes of search_witness(seed, 6000), recorded by running the search
 # before its class-count table was flattened: the best objective of every
 # exhausted search, and the witness that seed 34 finds.
@@ -369,7 +371,7 @@ class TestShippedWitness:
     def test_partner_degrees_sum_to_eleven(self):
         w = load_shipped_witness()
         for u, v in w.pairs:
-            assert w.graph.degree(u) + w.graph.degree(v) == 11
+            assert degree(w.graph, u) + degree(w.graph, v) == 11
 
     def test_partners_are_never_adjacent(self):
         # an edge inside a pair would waste one of the 66 edge slots

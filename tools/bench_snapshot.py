@@ -20,7 +20,11 @@ With ``--against REV`` the committed files of REV are unpacked from
 pairs of untraced runs, REV's checkout against this one, at seeds 1 to N;
 the side that goes first flips from pair to pair.  Each side then gets one
 traced run at seed 0.  It writes ``BENCH_<short-rev>_vs_<REV's short
-rev>.json``, adding to that file's workloads if it exists: each side's
+rev>.json``, adding to that file's workloads if it exists.  The file is
+written after each pair, the workload's entry holding its runs, seeds and
+first sides so far, so a run that fails or is interrupted loses only its
+own pair; the entry is written again once its summaries and traced runs
+exist.  A complete entry holds each side's
 per-run metrics, and for each end-to-end metric the medians and quartiles
 (``statistics.quantiles``, exclusive method) of both sides, the ratio of
 the medians, the pairs the change won by the direction ``BENCHMARK.json``
@@ -31,7 +35,8 @@ line, the ``ops_per_s`` before rescaling by the speed probe and the probe's
 median, and the same summary is made of the unscaled ``ops_per_s``: a
 change in the rescaled metric that the unscaled one does not show comes
 from the probe.  It prints that table, under the line counts of
-``src/linkchroma/*.py`` on both sides, and under the table each traced
+``src/linkchroma/*.py`` on both sides and a note for each workload
+without a summary, and under the table each traced
 metric counted in calls or calls per operation whose value differs
 between the two traced runs, one line per metric such as
 ``complex-build core.validate_rotation.calls 0 -> 17``.  One pair of
@@ -171,10 +176,10 @@ def against(args) -> Path:
         roots = {"parent": tree, "change": ROOT}
         ab["src_lines"] = {side: src_lines(root) for side, root in roots.items()}
         for workload in args.workload or WORKLOADS:
-            seeds = list(range(1, args.pairs + 1))
-            first = ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)]
             runs = {"parent": [], "change": []}
-            for seed, lead in zip(seeds, first):
+            entry = ab["workloads"][workload] = {"seconds": args.seconds, "seeds": [], "first": [], "runs": runs}
+            for seed in range(1, args.pairs + 1):
+                lead = "parent" if seed % 2 else "change"
                 for side in (lead, "change" if lead == "parent" else "parent"):
                     result = run(workload, args.seconds, 0, seed, roots[side])
                     metrics = {name: m["value"] for name, m in result["metrics"].items()}
@@ -186,18 +191,17 @@ def against(args) -> Path:
                         "unscaled": {"ops_per_s": detail["unscaled"]["ops_per_s"]},
                         "probe_median_ms": detail["probe_median_ms"],
                     })
+                entry["seeds"].append(seed)
+                entry["first"].append(lead)
+                path.write_text(json.dumps(ab, indent=2) + "\n", encoding="utf-8")
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {runs[side][-1]['metrics']['ops_per_s']:.3f} ops/s" for side in ("parent", "change")
                 ), flush=True)
-            ab["workloads"][workload] = {
-                "seconds": args.seconds,
-                "seeds": seeds,
-                "first": first,
-                "runs": runs,
-                "summary": summary(runs, end_to_end),
-                "summary_unscaled": summary(runs, {"ops_per_s": end_to_end["ops_per_s"]}, "unscaled"),
-                "traced": {side: run(workload, args.seconds, 1, SEED, root) for side, root in roots.items()},
-            }
+            entry.update(
+                summary=summary(runs, end_to_end),
+                summary_unscaled=summary(runs, {"ops_per_s": end_to_end["ops_per_s"]}, "unscaled"),
+                traced={side: run(workload, args.seconds, 1, SEED, root) for side, root in roots.items()},
+            )
             path.write_text(json.dumps(ab, indent=2) + "\n", encoding="utf-8")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -209,12 +213,18 @@ def print_table(ab: dict) -> None:
     if "src_lines" in ab:
         lines = ab["src_lines"]
         print(f"src/linkchroma/*.py: {lines['parent']} -> {lines['change']} lines")
+    done = {}
+    for workload, w in ab["workloads"].items():
+        if "summary" in w:
+            done[workload] = w
+        else:  # written by a call that stopped before the summary
+            print(f"{workload}: no summary, {len(w['seeds'])} pair(s) kept from an interrupted run")
     print(
         f"| workload | metric | {ab['against']} median [q1, q3] | {ab['rev']} median [q1, q3] "
         "| ratio | wins | gap > IQR | verdict |"
     )
     print("|---|---|---|---|---|---|---|---|")
-    for workload, w in ab["workloads"].items():
+    for workload, w in done.items():
         rows = list(w["summary"].items())
         rows += [(f"{name} (unscaled)", s) for name, s in w.get("summary_unscaled", {}).items()]
         for name, s in rows:
@@ -225,7 +235,7 @@ def print_table(ab: dict) -> None:
                 f"| {s['wins']}/{s['pairs']} | {'yes' if s['gap_exceeds_parent_iqr'] else 'no'} | {s['verdict']} |"
             )
     print(f"traced counts that differ, {ab['against']} -> {ab['rev']}:")
-    for workload, w in ab["workloads"].items():
+    for workload, w in done.items():
         sides = [w["traced"][side]["metrics"] for side in ("parent", "change")]
         for name in sorted(set(sides[0]) | set(sides[1])):
             p, c = (side.get(name, {}) for side in sides)
