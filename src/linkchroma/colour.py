@@ -122,10 +122,11 @@ def _greedy_clique(nbrs: list, degree: list) -> list:
     """Deterministic greedy clique of vertex indexes of a nonempty graph:
     repeatedly add the candidate of highest degree within the candidate set,
     lowest index first on ties.  ``degree`` holds each ``len(nbrs[i])``, the
-    degrees within the first candidate set, every vertex."""
+    degrees within the first candidate set, every vertex.  A chosen vertex
+    leaves the candidates, even if it is in its own set."""
     v = degree.index(max(degree))
     clique = [v]
-    candidates = nbrs[v]
+    candidates = nbrs[v] - {v}
     while candidates:
         best = -1
         for u in sorted(candidates):  # in index order, so ties keep the first
@@ -133,7 +134,7 @@ def _greedy_clique(nbrs: list, degree: list) -> list:
             if d > best:
                 best, v = d, u
         clique.append(v)
-        candidates = candidates & nbrs[v]
+        candidates = (candidates & nbrs[v]) - {v}
     return clique
 
 

@@ -190,10 +190,7 @@ def _rotation_from_doc(doc, vertices) -> RotationSystem:
         orders[by_text[key]] = tuple(
             EdgeEnd(*_parse_side_entry(item, "rotation entry", "[edge, side]")) for item in order
         )
-    try:
-        return RotationSystem(orders)
-    except DomainError as exc:
-        raise SchemaError(str(exc)) from None
+    return RotationSystem(orders)
 
 
 def _paired_doc(graph: Multigraph, pairs, rotation: Optional[RotationSystem]) -> dict:

@@ -1,6 +1,8 @@
 """``tools/ci_local.py`` decides which workflow steps run as GitHub does."""
 
+import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,15 @@ def test_skip_reasons():
     assert reason({"run": "true"}) is None
     assert reason({"run": "true"}, failed=True) == "an earlier step failed"
     assert reason({"run": "true", "if": "always()"}, failed=True) is None
+
+
+def test_each_test_the_tier_1_summary_times_is_defined():
+    # a renamed test would leave its summary line with no call time
+    nodes = re.findall(r"tests/\S+\.py::[\w:]+", ci_local.WORKFLOW.read_text(encoding="utf-8"))
+    assert len(nodes) == 3
+    for node in nodes:
+        path, *names = node.split("::")
+        scope = ast.parse((ci_local.ROOT / path).read_text(encoding="utf-8")).body
+        for name in names:
+            (found,) = [n for n in scope if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name]
+            scope = found.body

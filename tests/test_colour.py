@@ -172,8 +172,8 @@ class TestChromaticNumber:
         assert chromatic_number(Multigraph((1, 2, 3), ()))[0] == 1
 
     def test_the_search_is_given_no_loops_or_parallels(self, monkeypatch):
-        # checked before the search runs: a vertex in its own neighbour set
-        # would keep the greedy clique growing without end
+        # checked before the search runs: the sets it is given are those of
+        # the simple graph, with no vertex in its own set
         import linkchroma.colour as colour
 
         given = []
@@ -188,6 +188,12 @@ class TestChromaticNumber:
         g = Multigraph((1, 2, 3), (Edge("e", 1, 2), Edge("f", 2, 1), Edge("l", 1, 1), Edge("m", 3, 3)))
         assert chromatic_number(g)[0] == 2
         assert given == [neighbour_sets(g)] == [[{1}, {0}, set()]]
+
+    def test_a_vertex_in_its_own_neighbour_set_is_chosen_once(self):
+        import linkchroma.colour as colour
+
+        assert colour._greedy_clique([{0, 1}, {0, 1}], [2, 2]) == [0, 1]
+        assert colour._chromatic((), [{0, 1}, {0, 1}], None, None) == (2, [(0, 0), (1, 1)])
 
     def test_loops_and_parallels_are_ignored(self):
         g = Multigraph(

@@ -24,7 +24,16 @@ from linkchroma import (
 )
 from linkchroma import formats
 from linkchroma.catalogue import tetrahedron_complex, triangle_complex
-from linkchroma.construct import load_shipped_witness, run_pipeline, seal, verify_witness
+from linkchroma.construct import (
+    TwelvePireWitness,
+    load_shipped_witness,
+    make_degree_faithful,
+    random_planar_paired_graph,
+    run_pipeline,
+    seal,
+    verify_witness,
+)
+from linkchroma.search import search_witness
 
 from strategies import WALK_FAULT_SKELETON, WALK_FAULTS, k4_with_planar_rotation
 
@@ -383,6 +392,74 @@ class TestColouringDocuments:
         # the same document and bytes (so the same key order), or the same error
         got = written_or_refused(formats.colouring_to_doc, 12, assignment)
         assert got == written_or_refused(reference_colouring_to_doc, 12, assignment)
+
+
+class StrKey(str):
+    pass
+
+
+def nested_id(value, depth: int):
+    for _ in range(depth):
+        value = (value,)
+    return value
+
+
+def one_edge_map(vertex=1, edge="e", side=1) -> PairedGraph:
+    """One pair joined by one edge, with a rotation: ``vertex`` is the pair's
+    first member, ``edge`` the edge and ``side`` its end at ``"w"``."""
+    g = Multigraph((vertex, "w"), (Edge(edge, vertex, "w"),))
+    rotation = RotationSystem({vertex: [EdgeEnd(edge, 0)], "w": [EdgeEnd(edge, side)]})
+    return PairedGraph(g, Pairing(((vertex, "w"),)), rotation)
+
+
+def as_witness(pg: PairedGraph) -> TwelvePireWitness:
+    """``pg`` as a witness designating every pair."""
+    return TwelvePireWitness(pg.graph, pg.pairing.pairs, pg.rotation, pg.pairing.pairs)
+
+
+class TestRotationsAndWitnessesWrittenThenRead:
+    @given(st.integers(0, 2**32), st.integers(1, 50))
+    @settings(max_examples=50, deadline=None)
+    def test_random_maps_and_their_augmentations(self, seed, pairs):
+        # ("dup", k) twins in the map; ("dbl", id) and ("bal", w, i) in its augmentation
+        pg = random_planar_paired_graph(seed, pairs)
+        for x in (pg, make_degree_faithful(pg)):
+            assert x.rotation is not None
+            assert not refused_or_read_back(lambda: x, formats.paired_graph_to_doc, formats.paired_graph_from_doc)
+
+    @pytest.mark.parametrize("which", ["shipped", "seed 34", "loose"])
+    def test_witnesses(self, which):
+        w = search_witness(seed=34, budget=6000) if which == "seed 34" else load_shipped_witness()
+        if which == "loose":
+            # twelve pairs of vertices, none of them a pair of the pairing
+            pairs = w.pairing.pairs
+            w = dataclasses.replace(w, designated_pairs=tuple((p[0], q[1]) for p, q in zip(pairs, pairs[1:] + pairs[:1])))
+            assert len(w.designated_pairs) == 12 and not set(w.designated_pairs) & set(pairs)
+        assert not refused_or_read_back(lambda: w, formats.witness_to_doc, formats.witness_from_doc)
+
+    @pytest.mark.parametrize(
+        "kwargs, refused",
+        [
+            pytest.param({"side": True}, False, id="side True"),
+            pytest.param({"side": 1.0}, False, id="side 1.0"),
+            pytest.param({"vertex": (1, True)}, True, id="True in a vertex id"),
+            pytest.param({"edge": ("e", True)}, True, id="True in an edge id"),
+            pytest.param({"vertex": IntKey(3)}, False, id="int subclass vertex"),
+            pytest.param({"edge": IntKey(4)}, False, id="int subclass edge"),
+            pytest.param({"vertex": StrKey("v")}, False, id="str subclass vertex"),
+            pytest.param({"edge": StrKey("e")}, False, id="str subclass edge"),
+            pytest.param({"vertex": (IntKey(1), StrKey("a"))}, False, id="subclasses in a vertex id"),
+            pytest.param({"vertex": nested_id(1, formats.MAX_ID_DEPTH)}, False, id="vertex at the depth limit"),
+            pytest.param({"edge": nested_id("e", formats.MAX_ID_DEPTH)}, False, id="edge at the depth limit"),
+            pytest.param({"vertex": nested_id(1, formats.MAX_ID_DEPTH + 1)}, True, id="vertex past the depth limit"),
+        ],
+    )
+    def test_values_that_only_compare_equal_to_ids(self, kwargs, refused):
+        cases = [
+            (lambda: one_edge_map(**kwargs), formats.paired_graph_to_doc, formats.paired_graph_from_doc),
+            (lambda: as_witness(one_edge_map(**kwargs)), formats.witness_to_doc, formats.witness_from_doc),
+        ]
+        assert [refused_or_read_back(*case) for case in cases] == [refused] * 2
 
 
 class TestWitnessDocuments:

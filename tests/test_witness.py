@@ -33,7 +33,7 @@ SEED_34_STEPS = 4334
 SEED_34_SHA256 = "666272b61a1901c20f7d1e4f7bdc6ec57ffeda9c6eee339059cf45f3cf27bea5"
 # _outcomes_digest(search_witness, range(100), 6000), recorded before the
 # proposal loop flipped inline and left rejected flips' exchanges pending.
-# The CI workflow times the same sweep and checks it against this value.
+# The CI workflow's tier-1 step reports the time of the test that checks it.
 SEEDS_0_TO_99_SHA256 = "b9884b61a639a504300773a9408ec8f2388265f4e559e93d0fb3f8c6471911bd"
 # search_witness(18, 2_000_000), the search the exact pairing closes, recorded
 # before the rotation kept one listing: the proposals it took and the SHA-256
