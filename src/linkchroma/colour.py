@@ -184,10 +184,19 @@ def _chromatic(ids: tuple, nbrs: list, log: Optional[SolverLog], budget: Optiona
     """``chromatic_number`` on neighbour-index sets, the vertex at index
     ``i`` named ``ids[i]`` in the log; ``ids`` is read only when a log is
     given.  Returns the size and the witness as (index, colour) items in
-    colouring order."""
+    colouring order.  Graphs of at most three vertices, loop-free, are
+    answered from ``_SMALL_GRAPHS``, the table this search fills at import:
+    the same size, witness and log, with no branch nodes."""
     if budget is not None and (not isinstance(budget, int) or isinstance(budget, bool) or budget < 0):
         raise DomainError("budget must be a non-negative integer")
     n = len(nbrs)
+    if n < 4:
+        known = _SMALL_GRAPHS.get(tuple(map(frozenset, nbrs)))
+        if known is not None:
+            k, witness, clique, upper = known
+            if log is not None:
+                log.clique, log.dsatur_upper, log.branch_nodes = [ids[i] for i in clique], upper, 0
+            return k, list(witness)
     degree = list(map(len, nbrs))
     clique = _greedy_clique(nbrs, degree) if n else []
     if log is not None:
@@ -337,6 +346,26 @@ def _branch_and_bound(adj, order, clique, best_k, best_witness, log, budget):
     if log is not None:
         log.branch_nodes = nodes
     return best_k, best_witness
+
+
+def _small_graph_answers() -> dict:
+    """What the search returns on each of the 12 loop-free graphs on at most
+    three vertices, keyed by their neighbour sets as a tuple of frozensets:
+    (size, witness, clique, DSATUR bound), the clique by index."""
+    answers = {}
+    for n in range(4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for joined in itertools.product((0, 1), repeat=len(pairs)):
+            nbrs = _neighbour_sets(n, itertools.chain.from_iterable(itertools.compress(pairs, joined)))
+            log = SolverLog([], 0, 0)
+            k, witness = _chromatic(range(n), nbrs, log, None)
+            answers[tuple(map(frozenset, nbrs))] = (k, tuple(witness), tuple(log.clique), log.dsatur_upper)
+    return answers
+
+
+# Filled once, at import, by the search itself while the table is still empty.
+_SMALL_GRAPHS: dict = {}
+_SMALL_GRAPHS.update(_small_graph_answers())
 
 
 def pair_chromatic_number(

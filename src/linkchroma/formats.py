@@ -462,8 +462,6 @@ def _table_text(rows: list, newline: list, depth: int) -> Optional[str]:
         heads = [""] * width
         opening, closing = "[", "]"
     else:
-        if frozenset(map(type, shape)) != _STR:
-            return None
         columns = zip(*map(dict.values, rows))
         # a key's text may hold braces, which the row template must escape
         heads = [encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}") + ": " for k in shape]

@@ -140,3 +140,23 @@ def test_a_check_over_its_time_limit_fails(monkeypatch):
     result = run_check("classic-complexes")
     assert (result.status, result.seconds, result.limit) == ("fail", 100.0, 1.0)
     assert result.detail == "over time limit: triangle and tetrahedron complexes both need exactly 3 colours"
+
+
+# The one-edge graph answered with one colour, both ends coloured 0.
+ONE_EDGE = (frozenset({1}), frozenset({0}))
+
+
+def test_a_wrong_small_graph_entry_fails_route_ones_walk_check(monkeypatch):
+    monkeypatch.setitem(colour._SMALL_GRAPHS, ONE_EDGE, (1, ((0, 0), (1, 0)), (0,), 1))
+    with pytest.raises(DomainError, match="^internal error: edge-chromatic witness failed the walk-level check$"):
+        colour.edge_chromatic_number_complex(corpus._conflict_complex(2, [(0, 1)]))
+    assert_fails("three-quantity-agreement", "internal error: edge-chromatic witness failed the walk-level check")
+
+
+def test_a_wrong_small_graph_entry_disagrees_with_the_brute_force(monkeypatch):
+    # with route 1's witness check silenced too, the agreement check still
+    # fails, at the first complex whose conflict graph is one edge
+    monkeypatch.setitem(colour._SMALL_GRAPHS, ONE_EDGE, (1, ((0, 0), (1, 0)), (0,), 1))
+    monkeypatch.setattr(colour, "is_valid_complex_colouring", lambda c, colouring: True)
+    detail = assert_fails("three-quantity-agreement", "disagreement on ")
+    assert detail.endswith(": brute force 2, junctions 1, link 1, quotient 1")

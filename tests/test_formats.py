@@ -174,6 +174,16 @@ class TestPairedGraphDocuments:
             formats.paired_graph_from_doc(doc)
         assert str(info.value) == "rotation must be a JSON object"
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [(5, "'pairs' must be an array"), ([5], "pair 5 must be an array of two vertices")],
+    )
+    def test_pairs_that_are_not_arrays_are_refused(self, pairs, message):
+        doc = {"vertices": ["u", "v"], "edges": [{"id": "e", "end0": "u", "end1": "v"}], "pairs": pairs}
+        with pytest.raises(SchemaError) as info:
+            formats.paired_graph_from_doc(doc)
+        assert str(info.value) == message
+
     def test_rotation_key_for_unknown_vertex_rejected(self):
         g, rot = k4_with_planar_rotation()
         pg = PairedGraph(g, Pairing(((1, 2), (3, 4))), rot)
