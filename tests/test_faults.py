@@ -142,12 +142,14 @@ def test_a_check_over_its_time_limit_fails(monkeypatch):
     assert result.detail == "over time limit: triangle and tetrahedron complexes both need exactly 3 colours"
 
 
-# The one-edge graph answered with one colour, both ends coloured 0.
-ONE_EDGE = (frozenset({1}), frozenset({0}))
+def one_colour_on_one_edge(monkeypatch) -> None:
+    """The solver's table answers the one-edge graph with one colour, both
+    ends coloured 0."""
+    monkeypatch.setitem(colour._SMALL_GRAPHS, (frozenset({1}), frozenset({0})), (1, ((0, 0), (1, 0)), (0,), 1))
 
 
 def test_a_wrong_small_graph_entry_fails_route_ones_walk_check(monkeypatch):
-    monkeypatch.setitem(colour._SMALL_GRAPHS, ONE_EDGE, (1, ((0, 0), (1, 0)), (0,), 1))
+    one_colour_on_one_edge(monkeypatch)
     with pytest.raises(DomainError, match="^internal error: edge-chromatic witness failed the walk-level check$"):
         colour.edge_chromatic_number_complex(corpus._conflict_complex(2, [(0, 1)]))
     assert_fails("three-quantity-agreement", "internal error: edge-chromatic witness failed the walk-level check")
@@ -156,7 +158,7 @@ def test_a_wrong_small_graph_entry_fails_route_ones_walk_check(monkeypatch):
 def test_a_wrong_small_graph_entry_disagrees_with_the_brute_force(monkeypatch):
     # with route 1's witness check silenced too, the agreement check still
     # fails, at the first complex whose conflict graph is one edge
-    monkeypatch.setitem(colour._SMALL_GRAPHS, ONE_EDGE, (1, ((0, 0), (1, 0)), (0,), 1))
+    one_colour_on_one_edge(monkeypatch)
     monkeypatch.setattr(colour, "is_valid_complex_colouring", lambda c, colouring: True)
     detail = assert_fails("three-quantity-agreement", "disagreement on ")
     assert detail.endswith(": brute force 2, junctions 1, link 1, quotient 1")

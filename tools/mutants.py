@@ -10,7 +10,8 @@ it and a time limit in ``seconds``.  A command is ``["pytest", node id,
 ...]`` or ``["corpus"]``, for ``linkchroma corpus``.
 
 Every row's old text must occur exactly once in its file; else the script
-names each row that does not and exits 1 before running anything.  Then
+names each row that does not and exits 1 before running anything.  An
+unknown command also stops it before anything runs.  Then
 each distinct command runs once on an unchanged copy, where it must pass,
 and once per mutant, each time in a fresh temporary copy of ``src/``,
 ``tests/`` and ``pyproject.toml``, with the copy's ``src`` first on
@@ -100,6 +101,8 @@ def main(argv=None) -> int:
         print(f"error: {line}", file=sys.stderr)
     if bad:
         return 1
+    for row in rows:
+        argv_of(row["command"])  # refuses an unknown command before anything runs
     status = 0
     baselines = {}
     for row in rows:
