@@ -28,8 +28,9 @@ def test_a_misplaced_row_exits_1_before_anything_runs(tmp_path, monkeypatch, cap
     path = tmp_path / "rows.json"
     bad = dict(row("absent", "text found nowhere in colour.py"), file="src/linkchroma/colour.py")
     path.write_text(json.dumps([bad]), encoding="utf-8")
+    monkeypatch.setattr(mutants, "ROWS", path)
     monkeypatch.setattr(mutants, "run_in_copy", lambda *args: refuse_to_run())
-    assert mutants.main(["--rows", str(path)]) == 1
+    assert mutants.main() == 1
     assert capsys.readouterr().err == "error: absent: the old text occurs 0 times in src/linkchroma/colour.py, not once\n"
 
 

@@ -1,9 +1,9 @@
 """Plant each mutant of a table in a copy of the code and show the tests catch it.
 
-    python3 tools/mutants.py [--rows tools/mutants.json]
+    python3 tools/mutants.py
 
 Run from anywhere inside a checkout, with the standard library only.  A
-mutant is one deliberate fault: a row of the JSON table ``--rows`` gives
+mutant is one deliberate fault: a row of ``tools/mutants.json`` gives
 its ``name``, the ``file`` it changes (relative to the checkout), the
 exact ``old`` text, the ``new`` text, the ``command`` that must fail on
 it and a time limit in ``seconds``.  A command is ``["pytest", node id,
@@ -24,7 +24,6 @@ exits 1 if a baseline run fails or a mutant survives.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import resource
@@ -91,11 +90,8 @@ def run_in_copy(command: list, seconds: float, row: dict | None = None) -> tuple
         return ("passed" if done.returncode == 0 else "failed"), time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", type=Path, default=ROWS, help="the JSON table of mutants (default tools/mutants.json)")
-    args = parser.parse_args(argv)
-    rows = json.loads(args.rows.read_text(encoding="utf-8"))
+def main() -> int:
+    rows = json.loads(ROWS.read_text(encoding="utf-8"))
     bad = misplaced(rows)
     for line in bad:
         print(f"error: {line}", file=sys.stderr)
