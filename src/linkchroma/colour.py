@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter, rshift
 from typing import Mapping, Optional
 
 from .core import EdgeEnd, Multigraph, PairedGraph, TwoComplex, _neighbour_sets, _require_third_edge_ids
@@ -89,19 +90,30 @@ def is_valid_complex_colouring(c: TwoComplex, colouring: Colouring) -> bool:
 
     Checked directly on the cell walks, independently of the link graph.
     """
-    for i in c.skeleton.edge_ids():
-        if i not in colouring.assignment:
-            raise DomainError(f"edge {short_repr(i)} is uncoloured")
-    return _clash_free(_junctions(c), colouring.assignment)
+    assignment = colouring.assignment
+    ids = c.skeleton.edge_ids()
+    if not all(map(assignment.__contains__, ids)):
+        for i in ids:
+            if i not in assignment:
+                raise DomainError(f"edge {short_repr(i)} is uncoloured")
+    return _clash_free(_junctions(c), assignment)
 
 
 def _junctions(c: TwoComplex) -> list:
     """The (exit edge, entry edge) id pairs at which a cell walk passes
-    between two distinct edges, read off the walks alone."""
+    between two distinct edges, read off the walks alone: in step order,
+    each cell's wrap-around pair last."""
     out = []
+    append = out.append
     for cell in c.cells:
-        edges = [s.edge for s in cell.steps]
-        out += ((a, b) for a, b in zip(edges, edges[1:] + edges[:1]) if a != b)
+        edges = map(itemgetter(0), cell.steps)
+        first = a = next(edges)
+        for b in edges:
+            if a != b:
+                append((a, b))
+            a = b
+        if a != first:
+            append((a, first))
     return out
 
 
@@ -183,10 +195,10 @@ def chromatic_number(
 def _chromatic(ids: tuple, nbrs: list, log: Optional[SolverLog], budget: Optional[int]):
     """``chromatic_number`` on neighbour-index sets, the vertex at index
     ``i`` named ``ids[i]`` in the log; ``ids`` is read only when a log is
-    given.  Returns the size and the witness as (index, colour) items in
-    colouring order.  Graphs of at most three vertices, loop-free, are
-    answered from ``_SMALL_GRAPHS``, the table this search fills at import:
-    the same size, witness and log, with no branch nodes."""
+    given.  Returns the size and the witness as a new list of (index,
+    colour) items in colouring order.  Graphs of at most three vertices,
+    loop-free, are answered from ``_SMALL_GRAPHS``, the table this search
+    fills at import: the same size, witness and log, with no branch nodes."""
     if budget is not None and (not isinstance(budget, int) or isinstance(budget, bool) or budget < 0):
         raise DomainError("budget must be a non-negative integer")
     n = len(nbrs)
@@ -381,7 +393,8 @@ def pair_chromatic_number(
     """
     ids = () if log is None else tuple(p[0] for p in pg.pairing.pairs)  # named only for a log
     k, witness = _chromatic(ids, pg._quotient_neighbours, log, budget)
-    return k, Colouring(k, dict(zip(pg.pairing.pairs, [c for _, c in sorted(witness)])))
+    witness.sort()  # a fresh list, by index
+    return k, Colouring(k, dict(zip(pg.pairing.pairs, map(itemgetter(1), witness))))
 
 
 def edge_chromatic_number_complex(
@@ -397,13 +410,23 @@ def edge_chromatic_number_complex(
     ids = c.skeleton._ids
     _require_third_edge_ids(c.skeleton)  # link_graph(c) refuses these
     _, dart_of = c.skeleton._steps
-    ends = []  # the link graph's _quotient_neighbours edges, in its order
+    nbrs = [set() for _ in ids]  # the link graph's _quotient_neighbours
     for cell in c.cells:
-        edges = [d >> 1 for d in map(dart_of.__getitem__, cell.steps)]
-        ends += itertools.chain.from_iterable(zip(edges, edges[1:] + edges[:1]))
+        # each step's edge position joined to the next, the last to the first
+        edges = map(rshift, map(dart_of.__getitem__, cell.steps), itertools.repeat(1))
+        first = a = next(edges)
+        for b in edges:
+            if a != b:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+            a = b
+        if a != first:
+            nbrs[a].add(first)
+            nbrs[first].add(a)
     names = () if log is None else tuple(EdgeEnd(i, 0) for i in ids)
-    k, placed = _chromatic(names, _neighbour_sets(len(ids), ends), log, budget)
-    witness = Colouring(k, dict(zip(ids, [col for _, col in sorted(placed)])))
+    k, placed = _chromatic(names, nbrs, log, budget)
+    placed.sort()  # a fresh list, by index
+    witness = Colouring(k, dict(zip(ids, map(itemgetter(1), placed))))
     if not is_valid_complex_colouring(c, witness):
         raise DomainError("internal error: edge-chromatic witness failed the walk-level check")
     return k, witness

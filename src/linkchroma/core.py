@@ -867,7 +867,8 @@ def link_graph(c: TwoComplex) -> PairedGraph:
         ids += zip(repeat(ci), range(len(darts)))
         # the dart each step exits by, and the one the next step enters by
         outs += map(_other_end, darts)
-        ins += darts[1:] + darts[:1]
+        darts.append(darts.pop(0))
+        ins += darts
     at = outs + ins
     at[::2], at[1::2] = outs, ins
     return PairedGraph(Multigraph._from_columns(verts, tuple(ids), at), pairing)
@@ -901,10 +902,12 @@ def simple_quotient(pg: PairedGraph) -> Multigraph:
     keep = {}
     for i, a, b in zip(pg.graph._ids, ends, ends):  # in edge-id order, so the first edge of a class is kept
         if a != b:
-            keep.setdefault((a, b) if a < b else (b, a), (i, a, b))
+            key = (a, b) if a < b else (b, a)
+            if key not in keep:
+                keep[key] = (i, a, b)
     kept = keep.values()
     at = list(chain.from_iterable(map(itemgetter(1, 2), kept)))
-    return Multigraph._from_columns(tuple(p[0] for p in pg.pairing.pairs), tuple(map(itemgetter(0), kept)), at)
+    return Multigraph._from_columns(tuple(map(itemgetter(0), pg.pairing.pairs)), tuple(map(itemgetter(0), kept)), at)
 
 
 def is_simplicial(c: TwoComplex) -> bool:
