@@ -625,6 +625,21 @@ class TestDumps:
             assert formats._cell_nesting([row[1] if type(row) is list else row["id"] for row in rows]) is None
             assert formats.dumps({"rows": rows}) == indented({"rows": rows})
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, None], [2, "x"], [3, "y"]],
+            [[1, False], [2, True], [3, 0]],
+            [[1, []], [2, [3]], [4, [5, 6]]],
+        ],
+        ids=["null-scalar", "false-scalar", "empty-list-in-a-cell"],
+    )
+    def test_table_cells_of_every_kind_a_fixed_run_reaches(self, rows):
+        # a table column of mixed scalars is texted a value at a time, and
+        # a column of lists a cell at a time
+        assert formats._table_text(rows, ["\n", "\n  ", "\n    ", "\n      "], 1) is not None
+        assert formats.dumps({"rows": rows}) == indented({"rows": rows})
+
     def test_provenance_nested_500_deep(self):
         doc = formats.witness_to_doc(load_shipped_witness())
         inner = doc["provenance"]

@@ -12,7 +12,11 @@ line count of ``src/linkchroma/*.py``, the Python version and ``nproc``.
 Its path is the last line printed.  At the default 15 s a snapshot took
 72 s of wall time on a 2-core x86-64 host with CPython 3.11.
 
-A speed-up is shown by two such files, one per commit, from one host.
+A snapshot is one run per workload, so two of them, one per commit, show
+no speed-up: one run cannot tell a change from the host's spread.  A
+speed-up is shown by the ``--against REV --pairs N`` record below, when
+the change wins at least 9 of 10 pairs and the two medians differ by more
+than the parent's interquartile range.
 
 With ``--against REV`` the committed files of REV are unpacked from
 ``git archive`` into a temporary directory (removed on exit), and each workload
