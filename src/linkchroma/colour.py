@@ -91,11 +91,9 @@ def is_valid_complex_colouring(c: TwoComplex, colouring: Colouring) -> bool:
     Checked directly on the cell walks, independently of the link graph.
     """
     assignment = colouring.assignment
-    ids = c.skeleton.edge_ids()
-    if not all(map(assignment.__contains__, ids)):
-        for i in ids:
-            if i not in assignment:
-                raise DomainError(f"edge {short_repr(i)} is uncoloured")
+    for i in c.skeleton.edge_ids():
+        if i not in assignment:
+            raise DomainError(f"edge {short_repr(i)} is uncoloured")
     return _clash_free(_junctions(c), assignment)
 
 

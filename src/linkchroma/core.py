@@ -902,12 +902,10 @@ def simple_quotient(pg: PairedGraph) -> Multigraph:
     keep = {}
     for i, a, b in zip(pg.graph._ids, ends, ends):  # in edge-id order, so the first edge of a class is kept
         if a != b:
-            key = (a, b) if a < b else (b, a)
-            if key not in keep:
-                keep[key] = (i, a, b)
+            keep.setdefault((a, b) if a < b else (b, a), (i, a, b))
     kept = keep.values()
     at = list(chain.from_iterable(map(itemgetter(1, 2), kept)))
-    return Multigraph._from_columns(tuple(map(itemgetter(0), pg.pairing.pairs)), tuple(map(itemgetter(0), kept)), at)
+    return Multigraph._from_columns(tuple(p[0] for p in pg.pairing.pairs), tuple(map(itemgetter(0), kept)), at)
 
 
 def is_simplicial(c: TwoComplex) -> bool:

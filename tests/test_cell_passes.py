@@ -3,11 +3,9 @@ against the passes they replaced.
 
 Each ``*_reference`` below is the replaced code, kept verbatim:
 ``_junctions`` by slicing and ``zip``, route 1's conflict ends gathered
-into a list for ``_neighbour_sets``, routes 1 and 2 lifting their
-witnesses from a sorted copy, and ``simple_quotient`` keeping each
-parallel class with ``setdefault``.  Route 3's lift is unchanged and kept
-here beside the others.  The tests require the same junction lists in
-order, the same neighbour sets, and the same ``(k, witness)`` with the
+into a list for ``_neighbour_sets``, and routes 1 and 2 lifting their
+witnesses from a sorted copy.  The tests require the same junction lists
+in order, the same neighbour sets, and the same ``(k, witness)`` with the
 same witness order and the same ``SolverLog`` on every enumerated small
 complex, the triangle and the tetrahedron, the branching family, the
 pipeline's sealed complex, complexes with mixed ids, and walks on one
@@ -27,7 +25,6 @@ from linkchroma.colour import (
     _chromatic,
     _clash_free,
     _junctions,
-    chromatic_number,
     edge_chromatic_number_complex,
     is_valid_complex_colouring,
     pair_chromatic_number,
@@ -41,7 +38,6 @@ from linkchroma.core import (
     _neighbour_sets,
     _require_third_edge_ids,
     link_graph,
-    simple_quotient,
 )
 from linkchroma.corpus import _branching_family, _conflict_complex, enumerate_small_complexes
 from linkchroma.errors import DomainError
@@ -74,11 +70,6 @@ def lift_from_sorted_copy(names, placed: list) -> dict:
     return dict(zip(names, [col for _, col in sorted(placed)]))
 
 
-def lift_by_comprehension(ids, witness: list) -> dict:
-    """Route 3: the witness keyed by vertex id, in colouring order."""
-    return {ids[i]: c for i, c in witness}
-
-
 def route_one_reference(c: TwoComplex, log) -> tuple:
     ids = c.skeleton._ids
     _require_third_edge_ids(c.skeleton)
@@ -95,22 +86,6 @@ def route_two_reference(pg, log) -> tuple:
     return k, Colouring(k, lift_from_sorted_copy(pg.pairing.pairs, witness))
 
 
-def route_three_reference(g: Multigraph, log) -> tuple:
-    ids = g.vertices
-    k, witness = _chromatic(ids, _neighbour_sets(len(ids), g._at), log, None)
-    return k, lift_by_comprehension(ids, witness)
-
-
-def simple_quotient_columns_reference(pg) -> tuple:
-    ends = map(pg._pair_at.__getitem__, pg.graph._at)
-    keep = {}
-    for i, a, b in zip(pg.graph._ids, ends, ends):
-        if a != b:
-            keep.setdefault((a, b) if a < b else (b, a), (i, a, b))
-    kept = list(keep.values())
-    return tuple(p[0] for p in pg.pairing.pairs), tuple(i for i, _, _ in kept), [e for _, a, b in kept for e in (a, b)]
-
-
 # ---------------------------------------------------------------------------
 # Outcomes compared
 
@@ -123,9 +98,7 @@ def outcome(solve, obj) -> tuple:
         k, witness = solve(obj, log)
     except DomainError as exc:
         return "DomainError", str(exc)
-    if isinstance(witness, Colouring):
-        return k, witness.palette_size, list(witness.assignment.items()), log.as_dict()
-    return k, None, list(witness.items()), log.as_dict()
+    return k, witness.palette_size, list(witness.assignment.items()), log.as_dict()
 
 
 def spy_on_the_solver(monkeypatch) -> list:
@@ -149,9 +122,6 @@ def assert_same_as_before(c: TwoComplex) -> None:
     except DomainError:  # third-edges nested too deep, which route 1 refuses too
         return
     assert outcome(pair_chromatic_number, L) == outcome(route_two_reference, L)
-    Q = simple_quotient(L)
-    assert (Q.vertices, Q._ids, Q._at) == simple_quotient_columns_reference(L)
-    assert outcome(chromatic_number, Q) == outcome(route_three_reference, Q)
 
 
 def assert_same_conflicts_as_before(c: TwoComplex, monkeypatch) -> None:
@@ -166,11 +136,6 @@ def corpus():
     return list(enumerate_small_complexes()) + [triangle_complex(), tetrahedron_complex()]
 
 
-def test_junctions_are_the_sliced_pass_on_the_whole_corpus(corpus):
-    assert len(corpus) == 40_516
-    assert all(_junctions(c) == junctions_reference(c) for c in corpus)
-
-
 def test_route_one_conflicts_are_the_gathered_ends_on_the_whole_corpus(corpus, monkeypatch):
     seen = spy_on_the_solver(monkeypatch)
     for c in corpus:
@@ -178,7 +143,8 @@ def test_route_one_conflicts_are_the_gathered_ends_on_the_whole_corpus(corpus, m
         assert seen.pop() == route_one_neighbours_reference(c)
 
 
-def test_the_three_routes_solve_and_lift_as_before_on_the_whole_corpus(corpus):
+def test_the_routes_solve_and_lift_as_before_on_the_whole_corpus(corpus):
+    assert len(corpus) == 40_516
     for c in corpus:
         assert_same_as_before(c)
 
