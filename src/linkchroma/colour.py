@@ -12,9 +12,9 @@ including loops, imposes no constraint.  The colourers work on the simple
 quotient's neighbour sets: ``chromatic_number`` builds them from a graph,
 the pair colourer reads the ones a paired graph keeps, and the complex
 colourer reads them from the cell junctions, building no link graph.
-The checkers share none of that: the pair checker walks the paired
-graph's own edges, and the complex checker the cell walks, independently
-of link graphs.
+The checkers and the brute-force oracle share none of that, nor code with
+each other: the pair checker walks the paired graph's own edges, and the
+complex checker and the oracle each walk the cell steps on their own.
 """
 
 from __future__ import annotations
@@ -94,32 +94,14 @@ def is_valid_complex_colouring(c: TwoComplex, colouring: Colouring) -> bool:
     for i in c.skeleton.edge_ids():
         if i not in assignment:
             raise DomainError(f"edge {short_repr(i)} is uncoloured")
-    return _clash_free(_junctions(c), assignment)
-
-
-def _junctions(c: TwoComplex) -> list:
-    """The (exit edge, entry edge) id pairs at which a cell walk passes
-    between two distinct edges, read off the walks alone: in step order,
-    each cell's wrap-around pair last."""
-    out = []
-    append = out.append
     for cell in c.cells:
         edges = map(itemgetter(0), cell.steps)
         first = a = next(edges)
         for b in edges:
-            if a != b:
-                append((a, b))
+            if a != b and assignment[a] == assignment[b]:
+                return False
             a = b
-        if a != first:
-            append((a, first))
-    return out
-
-
-def _clash_free(junctions: list, colour: dict) -> bool:
-    """True iff every junction joins two differently coloured edges under
-    ``colour``, a plain dict covering every edge of the junctions."""
-    for a, b in junctions:
-        if colour[a] == colour[b]:
+        if a != first and assignment[a] == assignment[first]:
             return False
     return True
 
@@ -432,11 +414,12 @@ def edge_chromatic_number_complex(
 
 def brute_force_edge_chromatic(c: TwoComplex, k_max: int) -> int:
     """Smallest palette size admitting a valid edge colouring, by exhaustive
-    search over assignments checked with the walk-level validator.
+    search over colour tuples by edge position, the first edge's colour
+    fixed to 0 (colour permutations are symmetries).
 
-    Independent of the link-graph route.  Guarded to complexes with at most
-    12 edges.  The first edge's colour is fixed to 0 (colour permutations
-    are symmetries).
+    Independent of the link graph and of the walk-level validator: two
+    edges conflict where a cell walk passes between them, as read here from
+    the cell steps.  Guarded to complexes with at most 12 edges.
     """
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         raise DomainError("k_max must be a non-negative integer")
@@ -445,10 +428,19 @@ def brute_force_edge_chromatic(c: TwoComplex, k_max: int) -> int:
         raise DomainError("refusing brute force on more than 12 edges")
     if not edge_ids:
         return 0
-    junctions = _junctions(c)
+    position = {e: p for p, e in enumerate(edge_ids)}
+    conflicts = set()  # (smaller, larger) position pairs
+    for cell in c.cells:
+        walk = [position[step.edge] for step in cell.steps]
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            if a != b:
+                conflicts.add((a, b) if a < b else (b, a))
     for k in range(1, k_max + 1):
-        for rest in itertools.product(range(k), repeat=len(edge_ids) - 1):
-            if _clash_free(junctions, dict(zip(edge_ids, (0,) + rest))):
+        for colour in itertools.product((0,), *[range(k)] * (len(edge_ids) - 1)):
+            for a, b in conflicts:
+                if colour[a] == colour[b]:
+                    break
+            else:
                 return k
     raise DomainError(f"no valid colouring with at most {k_max} colours")
 

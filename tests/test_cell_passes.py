@@ -1,15 +1,17 @@
-"""The one-pass cell junctions, route 1's conflicts and the witness lifts
-against the passes they replaced.
+"""The one-pass walk-level check, route 1's conflicts and the witness
+lifts against the passes they replaced.
 
-Each ``*_reference`` below is the replaced code, kept verbatim:
-``_junctions`` by slicing and ``zip``, route 1's conflict ends gathered
-into a list for ``_neighbour_sets``, and routes 1 and 2 lifting their
-witnesses from a sorted copy.  The tests require the same junction lists
-in order, the same neighbour sets, and the same ``(k, witness)`` with the
-same witness order and the same ``SolverLog`` on every enumerated small
-complex, the triangle and the tetrahedron, the branching family, the
-pipeline's sealed complex, complexes with mixed ids, and walks on one
-loop.
+Each ``*_reference`` below is the replaced code: the cell junctions by
+slicing and ``zip`` with a clash check over them, route 1's conflict ends
+gathered into a list for ``_neighbour_sets``, and routes 1 and 2 lifting
+their witnesses from a sorted copy.  The tests require the same verdicts
+of ``is_valid_complex_colouring`` on route 1's witness and on every
+colouring that gives exactly one pair of distinct edges one colour (which
+pins the junction set), the same neighbour sets, and the same ``(k,
+witness)`` with the same witness order and the same ``SolverLog`` on every
+enumerated small complex, the triangle and the tetrahedron, the branching
+family, the pipeline's sealed complex, complexes with mixed ids, and walks
+on one loop.
 """
 
 import itertools
@@ -23,8 +25,6 @@ from linkchroma.colour import (
     Colouring,
     SolverLog,
     _chromatic,
-    _clash_free,
-    _junctions,
     edge_chromatic_number_complex,
     is_valid_complex_colouring,
     pair_chromatic_number,
@@ -56,6 +56,11 @@ def junctions_reference(c: TwoComplex) -> list:
     return out
 
 
+def clash_free_reference(junctions: list, colour: dict) -> bool:
+    """True iff every junction joins two differently coloured edges."""
+    return all(colour[a] != colour[b] for a, b in junctions)
+
+
 def route_one_neighbours_reference(c: TwoComplex) -> list:
     _, dart_of = c.skeleton._steps
     ends = []  # the link graph's _quotient_neighbours edges, in its order
@@ -76,7 +81,7 @@ def route_one_reference(c: TwoComplex, log) -> tuple:
     names = () if log is None else tuple(EdgeEnd(i, 0) for i in ids)
     k, placed = _chromatic(names, route_one_neighbours_reference(c), log, None)
     witness = Colouring(k, lift_from_sorted_copy(ids, placed))
-    assert _clash_free(junctions_reference(c), witness.assignment)
+    assert clash_free_reference(junctions_reference(c), witness.assignment)
     return k, witness
 
 
@@ -114,8 +119,26 @@ def spy_on_the_solver(monkeypatch) -> list:
     return seen
 
 
+def colourings_to_check(c: TwoComplex) -> list:
+    """Route 1's witness, where it gives one, then for each pair of distinct
+    edges the colouring that gives just those two one colour: the
+    walk-level check refuses such a colouring exactly where a cell walk
+    passes between the two."""
+    ids = c.skeleton.edge_ids()
+    out = []
+    try:
+        out.append(edge_chromatic_number_complex(c)[1])
+    except DomainError:  # third-edges nested too deep
+        pass
+    for (p, _), (_, b) in itertools.combinations(enumerate(ids), 2):
+        out.append(Colouring(len(ids), {e: p if e == b else q for q, e in enumerate(ids)}))
+    return out
+
+
 def assert_same_as_before(c: TwoComplex) -> None:
-    assert _junctions(c) == junctions_reference(c)
+    junctions = junctions_reference(c)
+    for colouring in colourings_to_check(c):
+        assert is_valid_complex_colouring(c, colouring) == clash_free_reference(junctions, colouring.assignment)
     assert outcome(edge_chromatic_number_complex, c) == outcome(route_one_reference, c)
     try:
         L = link_graph(c)
@@ -194,7 +217,7 @@ def test_walks_on_one_loop_solve_and_lift_as_before(monkeypatch):
     for c in cases:
         assert_same_as_before(c)
         assert_same_conflicts_as_before(c, monkeypatch)
-    assert [_junctions(c) for c in cases] == [
+    assert [junctions_reference(c) for c in cases] == [
         [],
         [],
         [],

@@ -144,7 +144,7 @@ class TestComplexColouringValidity:
         assert is_valid_complex_colouring(c, Colouring(1, {"e": 0}))
 
     def test_uncoloured_edge_raises(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^edge 'b' is uncoloured$"):
             is_valid_complex_colouring(triangle_complex(), Colouring(1, {"a": 0}))
 
 

@@ -135,6 +135,51 @@ def test_route_one_reads_no_link_graph():
     assert not _names(tree, "_link_frame")
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse(Path(linkchroma.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    (fn,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
+    return fn
+
+
+def _all_names(tree) -> set:
+    """Every name, attribute and imported name in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+    return found
+
+
+def test_the_oracles_share_no_code_with_what_they_check():
+    """The corpus oracles stay independent of the code they check.  The
+    brute force reads the complex through ``edge_ids()`` and the cell steps,
+    and names no other function of the library and no private helper; the
+    exhaustive chromatic number imports nothing and names nothing that
+    ``colour`` defines."""
+    paths = sorted(Path(linkchroma.__file__).parent.glob("*.py"))
+    functions = {
+        node.name
+        for path in paths
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    brute = _all_names(_function("colour", "brute_force_edge_chromatic"))
+    assert sorted(brute & (functions - {"brute_force_edge_chromatic"})) == []
+    assert sorted(name for name in brute if name.startswith("_")) == []
+    assert "edge_ids" in brute and "steps" in brute
+    colour_tree = ast.parse(Path(linkchroma.__file__).with_name("colour.py").read_text(encoding="utf-8"))
+    defined = {n.name for n in colour_tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {ast.unparse(t) for n in colour_tree.body if isinstance(n, ast.Assign) for t in n.targets}
+    assert "chromatic_number" in defined and "_chromatic" in defined
+    reference = _function("corpus", "chromatic_number_reference")
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(reference))
+    assert sorted(_all_names(reference) & defined) == []
+
+
 def test_link_graph_reads_its_vertices_and_pairing_from_the_link_frame():
     """Only ``Multigraph._link_frame`` builds the link vertices and the
     default pairing; ``link_graph`` reads them from it and still builds its
