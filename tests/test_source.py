@@ -135,8 +135,11 @@ def test_route_one_reads_no_link_graph():
     assert not _names(tree, "_link_frame")
 
 
-def _function(module: str, name: str) -> ast.FunctionDef:
-    tree = ast.parse(Path(linkchroma.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+def _module_tree(module: str) -> ast.Module:
+    return ast.parse(Path(linkchroma.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _function(tree, name: str) -> ast.FunctionDef:
     (fn,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
     return fn
 
@@ -167,15 +170,22 @@ def test_the_oracles_share_no_code_with_what_they_check():
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, ast.FunctionDef)
     }
-    brute = _all_names(_function("colour", "brute_force_edge_chromatic"))
+    colour_tree = _module_tree("colour")
+    brute = _all_names(_function(colour_tree, "brute_force_edge_chromatic"))
     assert sorted(brute & (functions - {"brute_force_edge_chromatic"})) == []
     assert sorted(name for name in brute if name.startswith("_")) == []
     assert "edge_ids" in brute and "steps" in brute
-    colour_tree = ast.parse(Path(linkchroma.__file__).with_name("colour.py").read_text(encoding="utf-8"))
+    # colour's top-level functions, classes and assigned names
     defined = {n.name for n in colour_tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-    defined |= {ast.unparse(t) for n in colour_tree.body if isinstance(n, ast.Assign) for t in n.targets}
-    assert "chromatic_number" in defined and "_chromatic" in defined
-    reference = _function("corpus", "chromatic_number_reference")
+    defined |= {
+        t.id
+        for n in colour_tree.body
+        if not isinstance(n, (ast.FunctionDef, ast.ClassDef))
+        for t in ast.walk(n)
+        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+    }
+    assert {"_chromatic", "chromatic_number", "_SMALL_GRAPHS", "DEFAULT_BUDGET"} <= defined
+    reference = _function(_module_tree("corpus"), "chromatic_number_reference")
     assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(reference))
     assert sorted(_all_names(reference) & defined) == []
 
