@@ -412,6 +412,11 @@ def edge_chromatic_number_complex(
     return k, witness
 
 
+# The most colour tuples ``brute_force_edge_chromatic`` tries, over all
+# palette sizes, before it refuses the complex.
+BRUTE_FORCE_TUPLES = 1_000_000
+
+
 def brute_force_edge_chromatic(c: TwoComplex, k_max: int) -> int:
     """Smallest palette size admitting a valid edge colouring, by exhaustive
     search over colour tuples by edge position, the first edge's colour
@@ -419,7 +424,8 @@ def brute_force_edge_chromatic(c: TwoComplex, k_max: int) -> int:
 
     Independent of the link graph and of the walk-level validator: two
     edges conflict where a cell walk passes between them, as read here from
-    the cell steps.  Guarded to complexes with at most 12 edges.
+    the cell steps.  Guarded to complexes with at most 12 edges, and refused
+    once it has tried ``BRUTE_FORCE_TUPLES`` tuples with more to try.
     """
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         raise DomainError("k_max must be a non-negative integer")
@@ -435,13 +441,18 @@ def brute_force_edge_chromatic(c: TwoComplex, k_max: int) -> int:
         for a, b in zip(walk, walk[1:] + walk[:1]):
             if a != b:
                 conflicts.add((a, b) if a < b else (b, a))
+    tried = 0
     for k in range(1, k_max + 1):
-        for colour in itertools.product((0,), *[range(k)] * (len(edge_ids) - 1)):
+        tuples = itertools.product((0,), *[range(k)] * (len(edge_ids) - 1))
+        for colour in itertools.islice(tuples, BRUTE_FORCE_TUPLES - tried):
             for a, b in conflicts:
                 if colour[a] == colour[b]:
                     break
             else:
                 return k
+        tried += k ** (len(edge_ids) - 1)
+        if tried > BRUTE_FORCE_TUPLES:
+            raise DomainError(f"refusing brute force past {BRUTE_FORCE_TUPLES} colour tuples")
     raise DomainError(f"no valid colouring with at most {k_max} colours")
 
 

@@ -18,11 +18,17 @@ from .core import GENUINE, ClosedWalk, Edge, Multigraph, TwoComplex, validate_wa
 from .errors import DomainError
 
 
+# The most vertex colours ``chromatic_number_reference`` places, over all
+# palette sizes, before it refuses the graph.
+REFERENCE_PLACEMENTS = 200_000
+
+
 def chromatic_number_reference(g: Multigraph) -> int:
     """Exhaustive chromatic number: plain backtracking in sorted vertex
     order, trying palette sizes 1, 2, ... in turn.  No saturation order, no
     clique seeding, no bounding.  It recurses once per vertex, so graphs of
-    more than 12 vertices are refused."""
+    more than 12 vertices are refused, and it refuses any graph on which it
+    places more than ``REFERENCE_PLACEMENTS`` colours."""
     if len(g.vertices) > 12:
         raise DomainError("refusing the exhaustive chromatic number on more than 12 vertices")
     adj = {v: set() for v in g.vertices}
@@ -34,17 +40,22 @@ def chromatic_number_reference(g: Multigraph) -> int:
     n = len(verts)
     if n == 0:
         return 0
+    placements = 0
 
     def feasible(k: int) -> bool:
         colour = {}
 
         def place(i: int) -> bool:
+            nonlocal placements
             if i == n:
                 return True
             v = verts[i]
             for c in range(k):
                 if any(colour.get(w) == c for w in adj[v]):
                     continue
+                placements += 1
+                if placements > REFERENCE_PLACEMENTS:
+                    raise DomainError(f"refusing the exhaustive chromatic number past {REFERENCE_PLACEMENTS} placements")
                 colour[v] = c
                 if place(i + 1):
                     return True
@@ -68,38 +79,32 @@ _MAX_EDGES = 3
 _MAX_CELLS = 2
 _MAX_WALK_LEN = 4
 
+# Each generator keeps a candidate only if no relabelling sorts it lower: one per class.
+# Candidates come in lexicographic order, so each class is kept by its first member met.
+
 
 def enumerate_small_skeletons() -> Iterator[Multigraph]:
     """All multigraphs with at most ``_MAX_EDGES`` edges, one per isomorphism
     class, without isolated vertices (plus the single-vertex empty graph).
 
-    Vertices are 0..v-1 and edge ids 0..m-1 in sorted endpoint order, which
-    is also the canonical labelling used for deduplication.
+    Vertices are 0..v-1 and edge ids 0..m-1 in sorted endpoint order, the
+    least of the class under relabelling the vertices.
     """
     yield Multigraph((0,), ())
-    seen = set()
     for m in range(1, _MAX_EDGES + 1):
         for v in range(1, 2 * m + 1):
             slots = list(itertools.combinations_with_replacement(range(v), 2))
             for chosen in itertools.combinations_with_replacement(slots, m):
-                covered = {x for pair in chosen for x in pair}
-                if covered != set(range(v)):
-                    continue
-                canon = _canonical_edge_multiset(chosen, v)
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                edges = tuple(Edge(i, u, w) for i, (u, w) in enumerate(sorted(canon)))
-                yield Multigraph(tuple(range(v)), edges)
+                if {x for pair in chosen for x in pair} == set(range(v)) and _least_relabelling(chosen, v):
+                    yield Multigraph(tuple(range(v)), tuple(Edge(i, u, w) for i, (u, w) in enumerate(chosen)))
 
 
-def _canonical_edge_multiset(chosen, v):
-    best = None
+def _least_relabelling(chosen, v) -> bool:
+    """Whether no relabelling of the vertices sorts ``chosen`` lower."""
     for perm in itertools.permutations(range(v)):
-        relabelled = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in chosen))
-        if best is None or relabelled < best:
-            best = relabelled
-    return best
+        if tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in chosen)) < chosen:
+            return False
+    return True
 
 
 def enumerate_closed_walks(g: Multigraph) -> list:
@@ -108,23 +113,19 @@ def enumerate_closed_walks(g: Multigraph) -> list:
 
     Rotations of a cyclic walk describe the same gluing, and a reversed
     walk yields the same (undirected) link edges, so one representative per
-    class is enough for colouring questions.
+    class is enough for colouring questions: the least one is kept.
 
     Walks are enumerated on the darts ``2 * edge_position + entry``: dart
     ``d`` enters at ``at[d]`` and exits at ``at[d ^ 1]``.  Each kept walk
     is made of the steps of ``g``'s table.
     """
     out = []
-    seen = set()
     at = g._at
     table, _ = g._steps  # the steps walks on g share
 
     def extend(prefix):
-        if prefix and at[prefix[-1] ^ 1] == at[prefix[0]]:
-            canon = _canonical_walk(prefix)
-            if canon not in seen:
-                seen.add(canon)
-                out.append(ClosedWalk(tuple(map(table.__getitem__, prefix))))
+        if prefix and at[prefix[-1] ^ 1] == at[prefix[0]] and _least_walk(prefix):
+            out.append(ClosedWalk(tuple(map(table.__getitem__, prefix))))
         if len(prefix) == _MAX_WALK_LEN:
             return
         here = at[prefix[-1] ^ 1] if prefix else None
@@ -139,17 +140,12 @@ def enumerate_closed_walks(g: Multigraph) -> list:
     return out
 
 
-def _canonical_walk(darts) -> tuple:
-    """The least rotation of a dart walk or of its reversal, whose darts
-    are the flips ``d ^ 1``."""
-    variants = []
+def _least_walk(darts) -> bool:
+    """Whether no rotation of a dart walk, nor of its reversal on the
+    flipped darts ``d ^ 1``, sorts lower."""
     seq = tuple(darts)
     rev = tuple(d ^ 1 for d in reversed(seq))
-    for word in (seq, rev):
-        n = len(word)
-        for i in range(n):
-            variants.append(word[i:] + word[:i])
-    return min(variants)
+    return all(word[i:] + word[:i] >= seq for word in (seq, rev) for i in range(len(seq)))
 
 
 def enumerate_small_complexes() -> Iterator[TwoComplex]:
@@ -237,19 +233,45 @@ def _branching_family() -> list:
     return family
 
 
+def _conflicting_edges(c: TwoComplex) -> list:
+    """The (earlier, later) edge ids, in id order, of each two distinct
+    edges that a cell walk passes between, read from the cell steps."""
+    ids = c.skeleton.edge_ids()
+    position = {e: p for p, e in enumerate(ids)}
+    pairs = set()
+    for cell in c.cells:
+        walk = [position[step.edge] for step in cell.steps]
+        pairs.update((min(a, b), max(a, b)) for a, b in zip(walk, walk[1:] + walk[:1]) if a != b)
+    return [(ids[a], ids[b]) for a, b in sorted(pairs)]
+
+
 def _check_three_quantity_agreement() -> str:
     from .catalogue import tetrahedron_complex, triangle_complex
-    from .colour import brute_force_edge_chromatic, chromatic_number, edge_chromatic_number_complex, pair_chromatic_number
+    from .colour import Colouring, brute_force_edge_chromatic, chromatic_number, edge_chromatic_number_complex
+    from .colour import is_valid_complex_colouring, is_valid_pair_colouring, pair_chromatic_number
     from .core import link_graph, simple_quotient
+
+    refused = 0
 
     def agree(c: TwoComplex, what, oracle: str, expected: int) -> None:
         # ``what``, a name or the complex itself, is formatted only on failure
-        ec = edge_chromatic_number_complex(c)[0]
+        nonlocal refused
+        ec, witness = edge_chromatic_number_complex(c)
         L = link_graph(c)
         pc = pair_chromatic_number(L)[0]
         qc = chromatic_number(simple_quotient(L))[0]
         if not expected == ec == pc == qc:
             raise CheckFailure(f"disagreement on {what}: {oracle} {expected}, junctions {ec}, link {pc}, quotient {qc}")
+        # route 1's witness with one conflicting pair given one colour, on the
+        # complex and lifted to its link graph's pairs {(e, 0), (e, 1)}
+        for a, b in _conflicting_edges(c):
+            clash = Colouring(ec, {**witness.assignment, b: witness.assignment[a]})
+            if is_valid_complex_colouring(c, clash):
+                raise CheckFailure(f"the walk-level check accepts edges {a!r} and {b!r} in one colour on {what}")
+            lifted = Colouring(ec, {pair: clash.assignment[pair[0].edge] for pair in L.pairing.pairs})
+            if is_valid_pair_colouring(L, lifted):
+                raise CheckFailure(f"the pair check accepts the pairs of edges {a!r} and {b!r} in one colour on {what}")
+            refused += 1
 
     count = 0
     for c in itertools.chain(enumerate_small_complexes(), (triangle_complex(), tetrahedron_complex())):
@@ -264,14 +286,15 @@ def _check_three_quantity_agreement() -> str:
             H = Multigraph(tuple(range(n)), tuple(Edge(i, a, b) for i, (a, b) in enumerate(edges)))
             agree(c, name, "reference", chromatic_number_reference(H))
     branching = f"{len(family)} that make the exact solver branch"
-    return f"exhaustive, cell-junction, link-graph and quotient routes agree on {count} complexes and {branching}"
+    refusals = f"both checkers refuse all {refused} colourings that give two conflicting edges one colour"
+    return f"exhaustive, cell-junction, link-graph and quotient routes agree on {count} complexes and {branching}; {refusals}"
 
 
 def _check_planar_twelve_colouring() -> str:
-    from .colour import heawood_colour_12, heawood_degeneracy_order, is_valid_pair_colouring
+    from .colour import Colouring, heawood_colour_12, heawood_degeneracy_order, is_valid_pair_colouring
     from .construct import random_planar_paired_graph
 
-    worst_degree = 0
+    worst_degree = refused = 0
     for i in range(1000):
         pg = random_planar_paired_graph(seed=i, n_pairs=(i % 100) + 1)
         order = heawood_degeneracy_order(pg)
@@ -284,7 +307,18 @@ def _check_planar_twelve_colouring() -> str:
             raise CheckFailure(f"palette {colouring.palette_size} > 12 at seed {i}")
         if not is_valid_pair_colouring(pg, colouring):
             raise CheckFailure(f"invalid colouring at seed {i}")
-    return f"1000 certified-planar maps 12-coloured; worst elimination degree {worst_degree}"
+        # the first quotient edge of the map's own edges, its two pairs given one colour
+        pair_of = {v: pair for pair in pg.pairing.pairs for v in pair}
+        for e in pg.graph.edges:
+            a, b = pair_of[e.end0], pair_of[e.end1]
+            if a != b:
+                clash = Colouring(colouring.palette_size, {**colouring.assignment, b: colouring.assignment[a]})
+                if is_valid_pair_colouring(pg, clash):
+                    raise CheckFailure(f"pairs {a!r} and {b!r} in one colour pass the pair check at seed {i}")
+                refused += 1
+                break
+    clashes = f"the pair check refuses one clash on each of the {refused} maps with a quotient edge"
+    return f"1000 certified-planar maps 12-coloured; worst elimination degree {worst_degree}; {clashes}"
 
 
 def _round_trip_corpus():

@@ -35,8 +35,9 @@ from linkchroma.catalogue import (
     tetrahedron_complex,
     triangle_complex,
 )
+from linkchroma import colour, corpus
 from linkchroma.colour import _chromatic
-from linkchroma.construct import random_planar_paired_graph
+from linkchroma.construct import load_shipped_witness, random_planar_paired_graph, run_pipeline
 from linkchroma.corpus import _conflict_complex, chromatic_number_reference
 from linkchroma.errors import short_repr
 
@@ -225,6 +226,21 @@ class TestChromaticNumber:
             chromatic_number_reference(path)
         assert str(info.value) == "refusing the exhaustive chromatic number on more than 12 vertices"
         assert chromatic_number_reference(Multigraph(path.vertices[:12], path.edges[:11])) == 2
+
+    def test_the_reference_oracle_refuses_k12_past_its_placements(self):
+        # about 1e8 placements at 11 colours; refused at 2e5, in about a second
+        with pytest.raises(DomainError) as info:
+            chromatic_number_reference(complete_graph(12))
+        assert str(info.value) == "refusing the exhaustive chromatic number past 200000 placements"
+
+    def test_the_reference_oracle_places_up_to_its_cap(self, monkeypatch):
+        # K3: one placement at one colour, four at two, three at three
+        monkeypatch.setattr(corpus, "REFERENCE_PLACEMENTS", 8)
+        assert chromatic_number_reference(complete_graph(3)) == 3
+        monkeypatch.setattr(corpus, "REFERENCE_PLACEMENTS", 7)
+        with pytest.raises(DomainError) as info:
+            chromatic_number_reference(complete_graph(3))
+        assert str(info.value) == "refusing the exhaustive chromatic number past 7 placements"
 
     def test_deterministic_witness(self):
         g = petersen_graph()
@@ -725,6 +741,28 @@ class TestBruteForce:
             with pytest.raises(DomainError) as info:
                 brute_force_edge_chromatic(c, k_max)
             assert str(info.value) == "k_max must be a non-negative integer"
+
+    def test_the_sealed_complex_is_refused_past_the_tuple_cap(self):
+        # 12 edges needing 12 colours: about 1.1e10 tuples up to 8 colours
+        sealed = run_pipeline(load_shipped_witness()).sealed
+        with pytest.raises(DomainError) as info:
+            brute_force_edge_chromatic(sealed, k_max=8)
+        assert str(info.value) == "refusing brute force past 1000000 colour tuples"
+        with pytest.raises(DomainError) as info:
+            brute_force_edge_chromatic(sealed, k_max=3)  # 179,196 tuples, all tried
+        assert str(info.value) == "no valid colouring with at most 3 colours"
+
+    def test_the_tuples_up_to_the_cap_are_tried(self, monkeypatch):
+        # the triangle: 1 tuple at one colour, 4 at two, and (0, 1, 2) is the 6th at three
+        monkeypatch.setattr(colour, "BRUTE_FORCE_TUPLES", 11)
+        assert brute_force_edge_chromatic(triangle_complex(), 4) == 3
+        monkeypatch.setattr(colour, "BRUTE_FORCE_TUPLES", 10)
+        with pytest.raises(DomainError) as info:
+            brute_force_edge_chromatic(triangle_complex(), 4)
+        assert str(info.value) == "refusing brute force past 10 colour tuples"
+        with pytest.raises(DomainError) as info:
+            brute_force_edge_chromatic(triangle_complex(), 2)  # 5 tuples, all tried
+        assert str(info.value) == "no valid colouring with at most 2 colours"
 
     def test_k_max_zero(self):
         assert brute_force_edge_chromatic(TwoComplex(Multigraph((1,), ()), ()), 0) == 0

@@ -5,6 +5,7 @@ over their skeleton.
 
 import hashlib
 import json
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -72,6 +73,22 @@ def test_each_walk_is_checked_once(monkeypatch):
     monkeypatch.setattr(corpus, "validate_walk", counting)
     assert sum(1 for _ in enumerate_small_complexes()) == CORPUS_SIZE
     assert len(checked) == CORPUS_WALKS
+
+
+# Skeletons by edge count: multigraphs with loops and no isolated vertex on
+# 0, 1, 2, ... edges, the first terms of OEIS A050535
+SKELETONS_BY_EDGES = [1, 2, 7, 23, 79]
+
+
+def test_the_generators_keep_one_member_per_class(monkeypatch):
+    counts = Counter(len(g.edge_ids()) for g in corpus.enumerate_small_skeletons())
+    assert [counts[m] for m in range(len(counts))] == SKELETONS_BY_EDGES[:4]
+    # one edge past the corpus bound: 112 skeletons, and their walks
+    monkeypatch.setattr(corpus, "_MAX_EDGES", 4)
+    skeletons = list(corpus.enumerate_small_skeletons())
+    counts = Counter(len(g.edge_ids()) for g in skeletons)
+    assert [counts[m] for m in range(len(counts))] == SKELETONS_BY_EDGES
+    assert sum(len(corpus.enumerate_closed_walks(g)) for g in skeletons) == 4954
 
 
 @pytest.mark.parametrize(
@@ -144,7 +161,8 @@ def test_the_agreement_check_passes_on_the_family(monkeypatch):
     assert result.status == "pass"
     assert result.detail == (
         "exhaustive, cell-junction, link-graph and quotient routes agree on 2 complexes "
-        "and 9 that make the exact solver branch"
+        "and 9 that make the exact solver branch; "
+        "both checkers refuse all 213 colourings that give two conflicting edges one colour"
     )
 
 
@@ -155,7 +173,12 @@ def test_the_agreement_check_names_a_family_disagreement(monkeypatch, member, or
     name, n, edges, _ = corpus._branching_family()[member]
     target = corpus._conflict_complex(n, edges)
     solve = colour.edge_chromatic_number_complex
-    monkeypatch.setattr(colour, "edge_chromatic_number_complex", lambda c: (solve(c)[0] + (c == target), None))
+
+    def one_off_on_target(c):
+        k, witness = solve(c)
+        return k + (c == target), witness
+
+    monkeypatch.setattr(colour, "edge_chromatic_number_complex", one_off_on_target)
     result = run_check("three-quantity-agreement")
     k = BRANCHING_CHROMATIC[name]
     assert result.detail == f"disagreement on {name}: {oracle}, junctions {k + 1}, link {k}, quotient {k}"

@@ -56,6 +56,13 @@ def test_a_pair_colouring_the_checker_refuses(monkeypatch):
     assert_fails("planar-twelve-colouring", "invalid colouring at seed 0")
 
 
+def test_a_pair_checker_that_accepts_every_colouring(monkeypatch):
+    # seed 0's one pair has no quotient edge, so seed 1 is the first clash
+    monkeypatch.setattr(colour, "is_valid_pair_colouring", lambda pg, colouring: True)
+    detail = assert_fails("planar-twelve-colouring", "pairs ")
+    assert detail.endswith(" in one colour pass the pair check at seed 1")
+
+
 def test_a_link_that_does_not_match_its_paired_graph(monkeypatch):
     monkeypatch.setattr(construct, "link_matches_paired_graph", lambda link_pg, pg, ident: False)
     assert_fails("inverse-link-round-trip", "round trip failed at seed 0")
@@ -162,3 +169,14 @@ def test_a_wrong_small_graph_entry_disagrees_with_the_brute_force(monkeypatch):
     monkeypatch.setattr(colour, "is_valid_complex_colouring", lambda c, colouring: True)
     detail = assert_fails("three-quantity-agreement", "disagreement on ")
     assert detail.endswith(": brute force 2, junctions 1, link 1, quotient 1")
+
+
+def test_a_walk_level_check_that_accepts_every_colouring(monkeypatch):
+    # route 1's own witness check passes too, so the first clash is what fails
+    monkeypatch.setattr(colour, "is_valid_complex_colouring", lambda c, colouring: True)
+    assert_fails("three-quantity-agreement", "the walk-level check accepts edges 0 and 1 in one colour on ")
+
+
+def test_a_pair_check_that_accepts_every_lifted_clash(monkeypatch):
+    monkeypatch.setattr(colour, "is_valid_pair_colouring", lambda pg, colouring: True)
+    assert_fails("three-quantity-agreement", "the pair check accepts the pairs of edges 0 and 1 in one colour on ")
