@@ -2,7 +2,8 @@
 
 Every test plants one fault with ``monkeypatch`` on a name that the check
 imports when it runs, and asserts that the check fails with the start of
-its detail.  Each faulted check fails at its first seed or instance."""
+its detail.  Each faulted check fails at its first seed or instance that
+reaches the fault."""
 
 import dataclasses
 from types import SimpleNamespace
