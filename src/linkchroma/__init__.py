@@ -19,7 +19,6 @@ from .core import (
     link_graph,
     paired_quotient,
     simple_quotient,
-    third_edges,
     validate_rotation,
     validate_walk,
 )

@@ -22,10 +22,10 @@ Conventions used throughout:
   stores its vertex ids, its edge ids and the dart column, the vertex
   position of each dart ``2 * edge_position + side``; the public
   constructor also stores the ``Edge`` records and the vertex positions
-  it checked them with.  The edge index, the stored position of each
-  edge id, is built on first read, and so are a skeleton's link-graph
-  vertices and default pairing, which every complex on it shares.  Every
-  paired graph stores the pair position of each vertex position.
+  it checked them with; no edge index is kept.  A skeleton's link-graph
+  vertices and default pairing, which every complex on it shares, are
+  built on first read.  Every paired graph stores the pair position of
+  each vertex position.
 * All types are immutable; every operation is a pure function.
 """
 
@@ -261,11 +261,6 @@ class Multigraph:
     def _index(self) -> dict:
         """The position of each vertex id, stored by the public constructor."""
         return {v: i for i, v in enumerate(self.vertices)}
-
-    @_BuiltOnRead
-    def _position(self) -> dict:
-        """The stored position of each edge id."""
-        return dict(zip(self._ids, range(len(self._ids))))
 
     @_BuiltOnRead
     def _steps(self) -> tuple:
@@ -603,7 +598,7 @@ def validate_rotation(g: Multigraph, rot: RotationSystem) -> array:
     ids = g._ids
     if built_on is not g:
         rows = darts_at if built_on is None else rot.orders
-        position, index = g._position, g._index
+        position, index = dict(zip(ids, range(len(ids)))), g._index
         darts_at = []
         for v, order in rows:
             if v not in index:

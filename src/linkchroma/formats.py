@@ -468,18 +468,15 @@ def _table_text(rows: list, newline: list, depth: int) -> Optional[str]:
         opening, closing = "{{", "}}"  # escaped for the template
     texts = []
     for column in columns:
-        kinds = frozenset(map(type, column))
-        if kinds == _INT:
-            texts.append(map(int.__repr__, column))
-        elif kinds <= _SCALAR_TYPES:
-            texts.append(map(_scalar_text, column))
-        else:
+        text = _scalar_texts(column)
+        if text is None:
             nesting = _cell_nesting(column)
             if nesting is None:
                 return None
             while len(newline) < depth + nesting + 3:
                 newline.append(newline[-1] + "  ")
-            texts.append(map(partial(_cell_text, newline, depth + 2), column))
+            text = map(partial(_cell_text, newline, depth + 2), column)
+        texts.append(text)
     template = opening + row_in + ("," + row_in).join([h + "{}" for h in heads]) + inner + closing
     return "[" + inner + ("," + inner).join(map(template.format, *texts)) + newline[depth] + "]"
 

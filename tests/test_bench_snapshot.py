@@ -62,6 +62,13 @@ def test_the_verdict(metrics, parent, change, verdict):
     assert s["verdict"] == verdict and s["bound"] == 0.25
 
 
+def test_a_call_without_against_is_refused(capsys):
+    with pytest.raises(SystemExit) as info:
+        bench_snapshot.main(["--seconds", "1"])
+    assert info.value.code == 2
+    assert "the following arguments are required: --against" in capsys.readouterr().err
+
+
 def test_the_table_prints_each_verdict(capsys):
     workload = {
         "summary": bench_snapshot.summary(runs([100, 101, 99], [70, 71, 69]), HIGHER),

@@ -22,7 +22,6 @@ from linkchroma import (
     link_graph,
     paired_quotient,
     simple_quotient,
-    third_edges,
     validate_rotation,
     validate_walk,
 )
@@ -39,7 +38,7 @@ from linkchroma.construct import (
     pi_trail_decomposition,
     random_planar_paired_graph,
 )
-from linkchroma.core import MAX_ID_DEPTH
+from linkchroma.core import MAX_ID_DEPTH, third_edges
 from linkchroma.corpus import enumerate_closed_walks, enumerate_small_complexes, enumerate_small_skeletons
 from linkchroma.errors import short_repr
 
@@ -238,8 +237,8 @@ class TestEndsTable:
 
     def test_equality_and_hash_ignore_the_table(self):
         for built, fresh in zip(self.graphs(), self.graphs()):
-            built._index, built._at, built._position
-            assert "_position" in built.__dict__ and "_position" not in fresh.__dict__
+            built._index, built._at, built._steps
+            assert "_steps" in built.__dict__ and "_steps" not in fresh.__dict__
             assert {"_index", "_at"} <= built.__dict__.keys()
             # every constructor stores the dart column, only the public one the positions
             assert "_at" in fresh.__dict__ and ("_index" in fresh.__dict__) == ("edges" in fresh.__dict__)

@@ -22,13 +22,12 @@ from linkchroma import (
     pair_chromatic_number,
     paired_quotient,
     simple_quotient,
-    third_edges,
     validate_rotation,
     validate_walk,
 )
 from linkchroma import formats
 from linkchroma.catalogue import complete_graph
-from linkchroma.core import MAX_ID_DEPTH
+from linkchroma.core import MAX_ID_DEPTH, third_edges
 from linkchroma.corpus import chromatic_number_reference
 from linkchroma.errors import short_repr
 from linkchroma.formats import id_text

@@ -237,7 +237,6 @@ PUBLIC_NAMES = [
     "pair_chromatic_number",
     "paired_quotient",
     "simple_quotient",
-    "third_edges",
     "validate_rotation",
     "validate_walk",
 ]

@@ -17,11 +17,11 @@ from linkchroma import (
     PairedGraph,
     Pairing,
     RotationSystem,
+    genus_check,
     heawood_colour_12,
     link_graph,
     paired_quotient,
     simple_quotient,
-    third_edges,
 )
 from linkchroma import formats
 from linkchroma.catalogue import tetrahedron_complex, triangle_complex
@@ -35,7 +35,7 @@ from linkchroma.construct import (
     seal,
     verify_witness,
 )
-from linkchroma.core import _BuiltOnRead
+from linkchroma.core import _BuiltOnRead, third_edges
 from linkchroma.corpus import enumerate_small_complexes, run_check
 from linkchroma.triangulate import SphereTriangulation
 
@@ -108,9 +108,20 @@ def test_the_construction_chain_makes_no_edges():
     heawood_colour_12(pg)
     heawood_colour_12(augmented)
     for g in (pg.graph, augmented.graph, L.graph):
-        assert "_ids" in g.__dict__
-        for built in ("edges", "_position"):
-            assert built not in g.__dict__
+        assert "_ids" in g.__dict__ and "edges" not in g.__dict__
+
+
+def test_validating_a_public_rotation_stores_nothing_on_the_graph():
+    # the edge index that translates a rotation not built on the graph's
+    # darts is made for that check alone
+    pg = random_planar_paired_graph(4, 30)
+    g = Multigraph(pg.graph.vertices, pg.graph.edges)
+    rot = RotationSystem(pg.rotation.orders)
+    stored = set(g.__dict__)
+    PairedGraph(g, pg.pairing, rot).require_planar()
+    assert set(g.__dict__) == stored
+    assert genus_check(g, rot) == genus_check(pg.graph, pg.rotation)
+    assert set(g.__dict__) == stored
 
 
 def test_writing_a_library_built_graph_makes_no_edges():
@@ -154,20 +165,19 @@ def test_augmenting_a_map_that_has_a_twin_id_reports_the_duplicate():
 
 
 def assert_positions_are_the_edges(g: Multigraph) -> None:
-    """``_at``, stored, ``_index``, stored or built on read, and
-    ``_position``, built on read, are what the vertices and ``edges`` give."""
+    """``_ids`` and ``_at``, stored, and ``_index``, stored or built on
+    read, are what the vertices and ``edges`` give."""
     index = {v: i for i, v in enumerate(g.vertices)}
+    assert g._ids == tuple(e.id for e in g.edges)
     assert g._at == [index[end] for e in g.edges for end in (e.end0, e.end1)]
     assert g._index == index
-    assert g._position == {e.id: i for i, e in enumerate(g.edges)}
 
 
 def test_each_graph_stores_what_its_constructor_computed():
     # fresh from a constructor, a graph holds what that constructor
     # computed: every constructor the dart column, the public one also the
     # edges and the vertex positions it resolved the ends with; reading the
-    # vertex positions of a graph the internal one made builds them, and
-    # reading the edge positions of any graph
+    # vertex positions of a graph the internal one made builds them
     def public(g):
         assert set(g.__dict__) == {"vertices", "edges", "_ids", "_index", "_at"}
         graphs.append(g)
@@ -221,7 +231,6 @@ def _grown_triangulation() -> SphereTriangulation:
 BUILT_ON_READ = [
     (Multigraph, "edges", lambda: random_planar_paired_graph(1, 12).graph),
     (Multigraph, "_index", lambda: random_planar_paired_graph(1, 12).graph),
-    (Multigraph, "_position", lambda: random_planar_paired_graph(1, 12).graph),
     (Multigraph, "_steps", _public_graph),
     (Multigraph, "_link_frame", _public_graph),
     (RotationSystem, "orders", lambda: random_planar_paired_graph(1, 12).rotation),

@@ -1,27 +1,12 @@
-"""Snapshot of the benchmark at the checked-out commit, as one JSON file.
+"""Paired benchmark record of the checked-out commit against REV, as one JSON file.
 
-    python3 tools/bench_snapshot.py [--seconds 15] [--out-dir .]
-    python3 tools/bench_snapshot.py --against REV --pairs N [--workload W ...] [--seconds 15] [--out-dir .]
+    python3 tools/bench_snapshot.py --against REV [--pairs 10] [--workload W ...] [--seconds 15] [--out-dir .]
 
-Run from anywhere inside a checkout.  For every workload of
-``perfbench/run.py`` it runs the benchmark once untraced (``--trace 0``,
-the end-to-end metrics) and once traced (``--trace 1``, the per-layer
-metrics), both at seed 0, one after the other.  It writes
-``BENCH_<short-rev>.json`` into ``--out-dir``: each run's result line, the
-line count of ``src/linkchroma/*.py``, the Python version and ``nproc``.
-Its path is the last line printed.  At the default 15 s a snapshot took
-72 s of wall time on a 2-core x86-64 host with CPython 3.11.
-
-A snapshot is one run per workload, so two of them, one per commit, show
-no speed-up: one run cannot tell a change from the host's spread.  A
-speed-up is shown by the ``--against REV --pairs N`` record below, when
-the change wins at least 9 of 10 pairs and the two medians differ by more
-than the parent's interquartile range.
-
-With ``--against REV`` the committed files of REV are unpacked from
-``git archive`` into a temporary directory (removed on exit), and each workload
-(every one, or those given by ``--workload``) runs ``--pairs`` alternating
-pairs of untraced runs, REV's checkout against this one, at seeds 1 to N;
+Run from anywhere inside a checkout.  The committed files of REV are
+unpacked from ``git archive`` into a temporary directory (removed on
+exit), and each workload of ``perfbench/run.py`` (every one, or those
+given by ``--workload``) runs ``--pairs`` alternating pairs of untraced
+runs, REV's checkout against this one, at seeds 1 to N;
 the side that goes first flips from pair to pair.  Each side then gets one
 traced run at seed 0.  It writes ``BENCH_<short-rev>_vs_<REV's short
 rev>.json``, adding to that file's workloads if it exists.  The file is
@@ -43,8 +28,11 @@ from the probe.  It prints that table, under the line counts of
 without a summary, and under the table each traced
 metric counted in calls or calls per operation whose value differs
 between the two traced runs, one line per metric such as
-``complex-build core.validate_rotation.calls 0 -> 17``.  One pair of
-15 s runs took about 50 s of wall time on the host above.
+``complex-build core.validate_rotation.calls 0 -> 17``, and last the
+file's path.  A speed-up shows only when the change wins at least 9 of 10
+pairs and the two medians differ by more than the parent's interquartile
+range.  One pair of 15 s runs took about 50 s of wall time on a 2-core
+x86-64 host with CPython 3.11.
 """
 
 from __future__ import annotations
@@ -99,25 +87,6 @@ def run(workload: str, seconds: int, trace: int, seed: int = SEED, root: Path = 
     result = lines[-1]
     result["detail"] = next((line["detail"] for line in lines if "detail" in line), {})
     return result
-
-
-def snapshot(args) -> Path:
-    rev = short_rev()
-    snap = {
-        "rev": rev,
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-        "src_lines": src_lines(),
-        "seed": SEED,
-        "seconds": args.seconds,
-        "runs": {},
-    }
-    for workload in WORKLOADS:
-        snap["runs"][workload] = {f"trace{t}": run(workload, args.seconds, t) for t in (0, 1)}
-        print(f"{workload}: correct={all(r['correct'] for r in snap['runs'][workload].values())}")
-    path = args.out_dir / f"BENCH_{rev}.json"
-    path.write_text(json.dumps(snap, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def summary(runs: dict, metrics: dict, field: str = "metrics") -> dict:
@@ -257,16 +226,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=int, default=15, help="timed seconds per untraced run (default 15)")
     parser.add_argument("--out-dir", type=Path, default=ROOT, help="where to write the file (default: the checkout)")
-    parser.add_argument("--against", metavar="REV", help="compare with REV in alternating pairs of runs")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload with --against (default 10)")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS, help="with --against: only this workload (repeatable)")
+    parser.add_argument("--against", metavar="REV", required=True, help="compare with REV in alternating pairs of runs")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload (default 10)")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS, help="only this workload (repeatable)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.workload and not args.against:
-        parser.error("--workload needs --against")
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    print(against(args) if args.against else snapshot(args))
+    print(against(args))
     return 0
 
 
